@@ -70,7 +70,7 @@ void run_variant(benchmark::State& state, const graph::TaskGraph& g,
     params.time_limit_sec = 10.0;
     solution = milp::Solver(form.model(), milp::first_feasible_params(params)).solve();
   }
-  state.counters["nodes"] = static_cast<double>(solution.nodes_explored);
+  state.counters["nodes"] = static_cast<double>(solution.stats.nodes_explored);
   state.counters["rows"] = stats.num_constraints;
   state.counters["cols"] = stats.num_vars;
   state.counters["nnz"] = static_cast<double>(stats.num_nonzeros);

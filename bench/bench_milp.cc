@@ -72,7 +72,7 @@ void BM_BnbKnapsack(benchmark::State& state) {
     s = Solver(m, params).solve();
     benchmark::DoNotOptimize(s.objective);
   }
-  state.counters["nodes"] = static_cast<double>(s.nodes_explored);
+  state.counters["nodes"] = static_cast<double>(s.stats.nodes_explored);
 }
 BENCHMARK(BM_BnbKnapsack)->Unit(benchmark::kMillisecond)->Arg(12)->Arg(18)->Arg(24);
 
@@ -93,7 +93,7 @@ void BM_BnbFirstFeasibleDct1024(benchmark::State& state) {
     s = Solver(form.model(), first_feasible_params(params)).solve();
     benchmark::DoNotOptimize(s.status);
   }
-  state.counters["nodes"] = static_cast<double>(s.nodes_explored);
+  state.counters["nodes"] = static_cast<double>(s.stats.nodes_explored);
   state.counters["feasible"] = s.has_solution() ? 1 : 0;
 }
 BENCHMARK(BM_BnbFirstFeasibleDct1024)

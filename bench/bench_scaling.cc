@@ -46,7 +46,7 @@ void first_feasible_scaling(benchmark::State& state, bool warm_start) {
     params.time_limit_sec = 10.0;
     solution = milp::Solver(form.model(), milp::first_feasible_params(params)).solve();
   }
-  state.counters["nodes"] = static_cast<double>(solution.nodes_explored);
+  state.counters["nodes"] = static_cast<double>(solution.stats.nodes_explored);
   state.counters["feasible"] = solution.has_solution() ? 1 : 0;
   state.counters["N"] = n;
 }
@@ -95,7 +95,7 @@ void BM_FirstFeasibleThreadsDct1024(benchmark::State& state) {
     solution =
         milp::Solver(form.model(), milp::first_feasible_params(params)).solve();
   }
-  state.counters["nodes"] = static_cast<double>(solution.nodes_explored);
+  state.counters["nodes"] = static_cast<double>(solution.stats.nodes_explored);
   state.counters["feasible"] = solution.has_solution() ? 1 : 0;
 }
 BENCHMARK(BM_FirstFeasibleThreadsDct1024)

@@ -47,7 +47,6 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
     if (paths.truncated) {
       SPARCS_WLOG << "path enumeration exceeded " << options_.max_paths
                   << " paths; falling back to the flow-based latency form";
-      flow_fallback_ = true;
       use_paths = false;
     }
   }

@@ -63,12 +63,8 @@ class IlpFormulation {
                  FormulationOptions options = {});
 
   [[nodiscard]] const milp::Model& model() const { return model_; }
-  [[nodiscard]] milp::Model& mutable_model() { return model_; }
   [[nodiscard]] int num_partitions() const { return n_; }
   [[nodiscard]] const FormulationOptions& options() const { return options_; }
-  /// True when path enumeration overflowed and the flow-based latency form
-  /// was used instead of the requested path-based one.
-  [[nodiscard]] bool fell_back_to_flow() const { return flow_fallback_; }
 
   /// Y variable of (task, partition p in 1..N, sorted design point k).
   [[nodiscard]] milp::VarId y(graph::TaskId t, int p, int k) const;
@@ -123,7 +119,6 @@ class IlpFormulation {
   int n_;
   double d_max_, d_min_;
   FormulationOptions options_;
-  bool flow_fallback_ = false;
 
   milp::Model model_;
   /// y_[t][ (p-1) * num_points(t) + k ]

@@ -145,7 +145,7 @@ OptimalResult solve_optimal(const graph::TaskGraph& graph,
   OptimalResult result;
   result.status = solution.status;
   result.seconds = stopwatch.seconds();
-  result.nodes = solution.nodes_explored;
+  result.nodes = solution.stats.nodes_explored;
   result.solver_stats = solution.stats;
   if (solution.has_solution()) {
     result.best = form.decode(solution.values);

@@ -47,7 +47,7 @@ Probe solve_window(const graph::TaskGraph& graph, const arch::Device& device,
                       milp::first_feasible_params(params.budget.clamped_solver()));
   const milp::MilpSolution solution = solver.solve();
   probe.seconds = stopwatch.seconds();
-  probe.nodes = solution.nodes_explored;
+  probe.nodes = solution.stats.nodes_explored;
   probe.stats = solution.stats;
   span.arg("status", milp::to_string(solution.status));
   // Emitted inside the correlation scope, so a --log-json record exists for

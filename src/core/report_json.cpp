@@ -8,41 +8,11 @@
 namespace sparcs::core {
 namespace {
 
-const char* to_string(IterationOutcome outcome) {
-  switch (outcome) {
-    case IterationOutcome::kFeasible:
-      return "feasible";
-    case IterationOutcome::kInfeasible:
-      return "infeasible";
-    case IterationOutcome::kLimit:
-      return "limit";
-    case IterationOutcome::kUncertified:
-      return "uncertified";
-  }
-  return "unknown";
-}
-
 void write_solver_stats(report::ReportWriter& w,
                         const milp::SolverStats& stats) {
   // Delegates to the canonical renderer so the report, the telemetry stream
   // and the CLI agree on the schema (including the convergence timeline).
   w.raw_field("solver_stats", stats.to_json());
-}
-
-void write_convergence(report::ReportWriter& w,
-                       const std::vector<milp::ConvergenceEvent>& events) {
-  w.begin_array("convergence");
-  for (const milp::ConvergenceEvent& event : events) {
-    w.begin_object();
-    w.field("t_sec", event.t_sec);
-    w.field("objective", event.objective);
-    w.field("nodes", event.nodes);
-    w.field("kind", event.kind == milp::ConvergenceEvent::Kind::kIncumbent
-                        ? "incumbent"
-                        : "bound");
-    w.end_object();
-  }
-  w.end_array();
 }
 
 void write_stages(report::ReportWriter& w,
@@ -75,7 +45,7 @@ void write_trace(report::ReportWriter& w, const Trace& trace) {
       w.field("certified", milp::to_string(row.certified));
     }
     // Per-(N, iteration) convergence timeline of the probe's solve.
-    write_convergence(w, row.stats.convergence);
+    milp::write_convergence(w, row.stats.convergence);
     w.end_object();
   }
   w.end_array();

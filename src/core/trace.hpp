@@ -20,6 +20,21 @@ enum class IterationOutcome : std::uint8_t {
   kUncertified,
 };
 
+/// Label of an outcome, shared by the report JSON and the trace CSV.
+[[nodiscard]] constexpr const char* to_string(IterationOutcome outcome) {
+  switch (outcome) {
+    case IterationOutcome::kFeasible:
+      return "feasible";
+    case IterationOutcome::kInfeasible:
+      return "infeasible";
+    case IterationOutcome::kLimit:
+      return "limit";
+    case IterationOutcome::kUncertified:
+      return "uncertified";
+  }
+  return "unknown";
+}
+
 /// One row of the paper-style trace tables.
 struct IterationRecord {
   int num_partitions = 0;       ///< N

@@ -1,15 +1,7 @@
 #include "io/csv.hpp"
 
-#include <cerrno>
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
-#include <istream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 
-#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace sparcs::io {
@@ -38,235 +30,17 @@ void write_trace_csv(std::ostream& os, const core::Trace& trace) {
                      "outcome", "achieved_latency_ns", "nodes", "seconds",
                      "simplex_iterations", "nodes_pruned"});
   for (const core::IterationRecord& row : trace) {
-    std::string outcome;
-    switch (row.outcome) {
-      case core::IterationOutcome::kFeasible:
-        outcome = "feasible";
-        break;
-      case core::IterationOutcome::kInfeasible:
-        outcome = "infeasible";
-        break;
-      case core::IterationOutcome::kLimit:
-        outcome = "limit";
-        break;
-      case core::IterationOutcome::kUncertified:
-        outcome = "uncertified";
-        break;
-    }
     const std::int64_t pruned = row.stats.nodes_pruned_by_bound +
                                 row.stats.nodes_pruned_infeasible;
     write_csv_row(
         os, {std::to_string(row.num_partitions), std::to_string(row.iteration),
              trim_double(row.d_max_bound, 3), trim_double(row.d_min_bound, 3),
-             outcome, trim_double(row.achieved_latency, 3),
+             core::to_string(row.outcome),
+             trim_double(row.achieved_latency, 3),
              std::to_string(row.nodes), trim_double(row.seconds, 6),
              std::to_string(row.stats.simplex_iterations),
              std::to_string(pruned)});
   }
-}
-
-std::vector<CsvRow> parse_csv_rows(const std::string& text) {
-  std::vector<CsvRow> rows;
-  const std::size_t size = text.size();
-  std::size_t i = 0;
-  int line = 1;
-  // True row terminator: '\n' or "\r\n" (a lone '\r' is cell data).
-  auto at_row_end = [&](std::size_t pos) {
-    return text[pos] == '\n' ||
-           (text[pos] == '\r' && pos + 1 < size && text[pos + 1] == '\n');
-  };
-  while (i < size) {
-    CsvRow row;
-    row.line = line;
-    std::string cell;
-    bool row_done = false;
-    while (!row_done) {
-      if (i < size && text[i] == '"') {
-        const int open_line = line;
-        ++i;
-        bool closed = false;
-        while (i < size) {
-          if (text[i] == '"') {
-            if (i + 1 < size && text[i + 1] == '"') {
-              cell += '"';
-              i += 2;
-            } else {
-              ++i;
-              closed = true;
-              break;
-            }
-          } else {
-            if (text[i] == '\n') ++line;
-            cell += text[i];
-            ++i;
-          }
-        }
-        SPARCS_REQUIRE(closed, str_format("line %d: unterminated quoted cell",
-                                          open_line));
-        SPARCS_REQUIRE(i >= size || text[i] == ',' || at_row_end(i),
-                       str_format("line %d: unexpected character after "
-                                  "closing quote",
-                                  line));
-      } else {
-        while (i < size && text[i] != ',' && !at_row_end(i)) {
-          SPARCS_REQUIRE(text[i] != '"',
-                         str_format("line %d: quote inside unquoted cell",
-                                    line));
-          cell += text[i];
-          ++i;
-        }
-      }
-      row.cells.push_back(std::move(cell));
-      cell.clear();
-      if (i >= size) {
-        row_done = true;
-      } else if (text[i] == ',') {
-        ++i;
-      } else {
-        if (text[i] == '\r') ++i;
-        ++i;  // the '\n'
-        ++line;
-        row_done = true;
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  for (CsvRow& row : parse_csv_rows(text)) {
-    rows.push_back(std::move(row.cells));
-  }
-  return rows;
-}
-
-namespace {
-
-constexpr const char* kTraceColumns[] = {
-    "N",           "iteration", "d_max_bound",
-    "d_min_bound", "outcome",   "achieved_latency_ns",
-    "nodes",       "seconds",   "simplex_iterations",
-    "nodes_pruned"};
-constexpr std::size_t kNumTraceColumns =
-    sizeof(kTraceColumns) / sizeof(kTraceColumns[0]);
-
-double parse_trace_double(const std::string& cell, int line, const char* col) {
-  // Locale-independent fast path; std::strtod would honour LC_NUMERIC and
-  // misread "1.5" under a comma-decimal locale. Fallback: strtod still
-  // accepts legacy cells with a leading '+' or whitespace that from_chars
-  // (deliberately) rejects, so old trace files stay readable.
-  double value = 0.0;
-  const std::from_chars_result res =
-      std::from_chars(cell.data(), cell.data() + cell.size(), value);
-  bool ok = !cell.empty() && res.ec == std::errc() &&
-            res.ptr == cell.data() + cell.size();
-  if (!ok && !cell.empty()) {
-    char* end = nullptr;
-    value = std::strtod(cell.c_str(), &end);
-    ok = end == cell.c_str() + cell.size();
-  }
-  SPARCS_REQUIRE(ok,
-                 str_format("line %d: column %s: expected a number, got '%s'",
-                            line, col, cell.c_str()));
-  SPARCS_REQUIRE(std::isfinite(value) && value >= 0.0,
-                 str_format("line %d: column %s: '%s' is out of range", line,
-                            col, cell.c_str()));
-  return value;
-}
-
-std::int64_t parse_trace_int(const std::string& cell, int line,
-                             const char* col) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(cell.c_str(), &end, 10);
-  SPARCS_REQUIRE(!cell.empty() && end == cell.c_str() + cell.size() &&
-                     errno != ERANGE,
-                 str_format("line %d: column %s: expected an integer, got "
-                            "'%s'",
-                            line, col, cell.c_str()));
-  SPARCS_REQUIRE(value >= 0,
-                 str_format("line %d: column %s: '%s' must be non-negative",
-                            line, col, cell.c_str()));
-  return static_cast<std::int64_t>(value);
-}
-
-int parse_trace_int32(const std::string& cell, int line, const char* col) {
-  const std::int64_t value = parse_trace_int(cell, line, col);
-  SPARCS_REQUIRE(value <= std::numeric_limits<int>::max(),
-                 str_format("line %d: column %s: '%s' is out of range", line,
-                            col, cell.c_str()));
-  return static_cast<int>(value);
-}
-
-core::IterationOutcome parse_trace_outcome(const std::string& cell,
-                                           int line) {
-  if (cell == "feasible") return core::IterationOutcome::kFeasible;
-  if (cell == "infeasible") return core::IterationOutcome::kInfeasible;
-  if (cell == "limit") return core::IterationOutcome::kLimit;
-  if (cell == "uncertified") return core::IterationOutcome::kUncertified;
-  SPARCS_REQUIRE(false,
-                 str_format("line %d: column outcome: unknown label '%s'",
-                            line, cell.c_str()));
-  return core::IterationOutcome::kInfeasible;  // unreachable
-}
-
-bool is_blank_row(const CsvRow& row) {
-  return row.cells.size() == 1 && row.cells[0].empty();
-}
-
-}  // namespace
-
-core::Trace read_trace_csv_string(const std::string& text) {
-  std::vector<CsvRow> rows;
-  for (CsvRow& row : parse_csv_rows(text)) {
-    if (!is_blank_row(row)) rows.push_back(std::move(row));
-  }
-  SPARCS_REQUIRE(!rows.empty(), "trace CSV: empty input");
-  const CsvRow& header = rows.front();
-  SPARCS_REQUIRE(header.cells.size() == kNumTraceColumns,
-                 str_format("line %d: expected %zu header columns, got %zu",
-                            header.line, kNumTraceColumns,
-                            header.cells.size()));
-  for (std::size_t c = 0; c < kNumTraceColumns; ++c) {
-    SPARCS_REQUIRE(header.cells[c] == kTraceColumns[c],
-                   str_format("line %d: header column %zu is '%s', expected "
-                              "'%s'",
-                              header.line, c + 1, header.cells[c].c_str(),
-                              kTraceColumns[c]));
-  }
-  core::Trace trace;
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    const CsvRow& row = rows[r];
-    SPARCS_REQUIRE(row.cells.size() == kNumTraceColumns,
-                   str_format("line %d: expected %zu fields, got %zu",
-                              row.line, kNumTraceColumns, row.cells.size()));
-    core::IterationRecord rec;
-    rec.num_partitions = parse_trace_int32(row.cells[0], row.line, "N");
-    rec.iteration = parse_trace_int32(row.cells[1], row.line, "iteration");
-    rec.d_max_bound =
-        parse_trace_double(row.cells[2], row.line, "d_max_bound");
-    rec.d_min_bound =
-        parse_trace_double(row.cells[3], row.line, "d_min_bound");
-    rec.outcome = parse_trace_outcome(row.cells[4], row.line);
-    rec.achieved_latency =
-        parse_trace_double(row.cells[5], row.line, "achieved_latency_ns");
-    rec.nodes = parse_trace_int(row.cells[6], row.line, "nodes");
-    rec.seconds = parse_trace_double(row.cells[7], row.line, "seconds");
-    rec.stats.simplex_iterations =
-        parse_trace_int(row.cells[8], row.line, "simplex_iterations");
-    rec.stats.nodes_pruned_by_bound =
-        parse_trace_int(row.cells[9], row.line, "nodes_pruned");
-    trace.push_back(rec);
-  }
-  return trace;
-}
-
-core::Trace read_trace_csv(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return read_trace_csv_string(buffer.str());
 }
 
 }  // namespace sparcs::io

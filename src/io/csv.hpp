@@ -1,5 +1,5 @@
-// Minimal CSV writer and strict reader (RFC-4180 quoting) for exchanging
-// traces and bench series with external plotting tools.
+// Minimal CSV writer (RFC-4180 quoting) for exchanging traces and bench
+// series with external plotting tools.
 #pragma once
 
 #include <iosfwd>
@@ -18,29 +18,5 @@ void write_trace_csv(std::ostream& os, const core::Trace& trace);
 
 /// Quotes a single cell if it contains a comma, quote or newline.
 std::string csv_escape(const std::string& cell);
-
-/// One parsed CSV row plus the 1-based line it started on (quoted cells may
-/// span lines, so rows and lines are not one-to-one).
-struct CsvRow {
-  int line = 0;
-  std::vector<std::string> cells;
-};
-
-/// Parses RFC-4180 CSV text: quoted cells may contain commas, quotes ("")
-/// and newlines. Throws InvalidArgumentError with line context on an
-/// unterminated quote, a stray quote inside an unquoted cell, or trailing
-/// characters after a closing quote.
-std::vector<CsvRow> parse_csv_rows(const std::string& text);
-
-/// parse_csv_rows without the line annotations.
-std::vector<std::vector<std::string>> parse_csv(const std::string& text);
-
-/// Reads a trace written by write_trace_csv, validating the header and every
-/// field; throws InvalidArgumentError with line context on truncated rows,
-/// malformed numbers or unknown outcome labels. The writer folds the two
-/// prune counters into one column, so the read-back stats carry the sum in
-/// nodes_pruned_by_bound.
-core::Trace read_trace_csv_string(const std::string& text);
-core::Trace read_trace_csv(std::istream& is);
 
 }  // namespace sparcs::io

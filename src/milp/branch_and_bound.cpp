@@ -147,18 +147,29 @@ class ParallelContext {
            budget_limits_hit();
   }
 
-  /// True when the run ended because of a budget/cancellation, not because
-  /// the tree was exhausted (mirrors the serial status mapping). The
-  /// timeout failpoint fires here — the shared check every worker and the
-  /// final status mapping consult — so an injected timeout is classified
-  /// exactly like a real one.
+  /// True once any check has seen a budget/cancellation limit. The first
+  /// sighting is latched, and the final status mapping reads the latch
+  /// (limit_hit()) rather than the live conditions: a cancel flag may be
+  /// cleared again (Solver::reset_cancel()) before the result is classified,
+  /// and a cut-short search must never read as an exhausted one. The
+  /// timeout failpoint fires here, the shared check every worker consults,
+  /// so an injected timeout is classified exactly like a real one.
   [[nodiscard]] bool budget_limits_hit() const {
-    if (SPARCS_FAILPOINT("milp.solve.timeout")) return true;
-    return total_nodes_.load(std::memory_order_relaxed) >=
-               params_.node_limit ||
-           params_.cancel.cancelled() ||
-           callbacks_.session_cancel.cancelled() ||
-           stopwatch.seconds() >= params_.time_limit_sec;
+    if (limit_hit_.load(std::memory_order_relaxed)) return true;
+    const bool hit = SPARCS_FAILPOINT("milp.solve.timeout") ||
+                     total_nodes_.load(std::memory_order_relaxed) >=
+                         params_.node_limit ||
+                     params_.cancel.cancelled() ||
+                     callbacks_.session_cancel.cancelled() ||
+                     stopwatch.seconds() >= params_.time_limit_sec;
+    if (hit) limit_hit_.store(true, std::memory_order_relaxed);
+    return hit;
+  }
+
+  /// True when the run was cut short by a budget/cancellation limit rather
+  /// than ending with the tree exhausted (call after workers joined).
+  [[nodiscard]] bool limit_hit() const {
+    return limit_hit_.load(std::memory_order_relaxed);
   }
 
   void request_stop() {
@@ -334,6 +345,7 @@ class ParallelContext {
   std::atomic<int> pool_size_{0};
   std::atomic<std::int64_t> total_nodes_{0};
   std::atomic<bool> stop_requested_{false};
+  mutable std::atomic<bool> limit_hit_{false};  ///< see budget_limits_hit()
   std::atomic<bool> unbounded_{false};
   std::atomic<bool> incomplete_{false};
 
@@ -551,6 +563,8 @@ class BnbSearch {
   /// True when the search stopped because allocation failures exhausted the
   /// retry budget (distinguishes this stop_ from a record_incumbent stop).
   bool alloc_stop_ = false;
+  /// Serial search: latched once limits_hit() has seen a limit.
+  mutable bool limit_hit_ = false;
 
   // -- telemetry (all inert unless live_ / tree_on_ are set) ---------------
   telemetry::LiveSolve* live_ = nullptr;  ///< live slot; null = off
@@ -873,8 +887,6 @@ void BnbSearch::export_stats(MilpSolution& result) {
   stats_.vars_fixed = prop_stats_.vars_fixed;
   stats_.conflicts = prop_stats_.conflicts;
   result.stats = stats_;
-  result.nodes_explored = nodes_;
-  result.propagations = prop_stats_.constraints_processed;
 }
 
 void BnbSearch::record_incumbent(std::vector<double> values,
@@ -968,11 +980,15 @@ bool BnbSearch::cancel_requested() const {
 }
 
 bool BnbSearch::limits_hit() const {
-  if (SPARCS_FAILPOINT("milp.solve.timeout")) return true;
   if (ctx_ != nullptr) return ctx_->global_limits_hit();
-  if (cancel_requested()) return true;
-  return nodes_ >= params_.node_limit ||
-         stopwatch_.seconds() >= params_.time_limit_sec;
+  // Latched like ParallelContext::budget_limits_hit(): run() classifies the
+  // result from limit_hit_, never from a cancel flag re-read after the stop.
+  if (!limit_hit_) {
+    limit_hit_ = SPARCS_FAILPOINT("milp.solve.timeout") ||
+                 cancel_requested() || nodes_ >= params_.node_limit ||
+                 stopwatch_.seconds() >= params_.time_limit_sec;
+  }
+  return limit_hit_;
 }
 
 bool BnbSearch::position_pruned() {
@@ -1072,7 +1088,7 @@ void BnbSearch::donate_siblings(Frame& frame) {
 void BnbSearch::search_loop(MilpSolution& result) {
   const bool lp_bounding =
       params_.use_lp_bounding &&
-      compiled_.num_vars() <= params_.lp_bounding_max_vars;
+      compiled_.num_vars() <= kLpBoundingMaxVars;
 
   // DFS over decision frames. `descend` signals that the current domains may
   // hold new work (fresh node); false means resume the top frame.
@@ -1088,12 +1104,6 @@ void BnbSearch::search_loop(MilpSolution& result) {
       }
       if (live_ != nullptr && (nodes_ % kLivePublishPeriod) == 0) {
         publish_live();
-      }
-      if (params_.log_every_nodes > 0 &&
-          nodes_ % params_.log_every_nodes == 0) {
-        SPARCS_ILOG << "nodes=" << nodes_ << " depth=" << stack_.size()
-                    << " incumbent="
-                    << (have_incumbent_ ? incumbent_obj_ : kInfinity);
       }
       // Search-tree record of this node: classified at whichever exit the
       // node takes below; interior nodes become the parent of their frame's
@@ -1303,11 +1313,11 @@ MilpSolution BnbSearch::run() {
   } else if (have_incumbent_) {
     // An incomplete tree (dropped subtrees) can still certify feasibility,
     // but no longer optimality.
-    result.status = limits_hit() || incomplete_ ? SolveStatus::kFeasible
-                                                : SolveStatus::kOptimal;
+    result.status = limit_hit_ || incomplete_ ? SolveStatus::kFeasible
+                                              : SolveStatus::kOptimal;
   } else if (result.status == SolveStatus::kUnbounded) {
     // keep
-  } else if (limits_hit()) {
+  } else if (limit_hit_) {
     result.status = SolveStatus::kLimitReached;
   } else {
     // Exhaustion only proves infeasibility when no subtree was dropped.
@@ -1495,12 +1505,16 @@ MilpSolution solve_parallel(const Model& model, const SolverParams& params,
                        return a.t_sec < b.t_sec;
                      });
   }
-  result.nodes_explored = result.stats.nodes_explored;
-  result.propagations = result.stats.propagated_constraints;
   result.seconds = ctx.stopwatch.seconds();
 
-  const bool limit_stopped = ctx.budget_limits_hit();
-  if (ctx.have_solution()) {
+  const bool limit_stopped = ctx.limit_hit();
+  if (ctx.have_solution() && first_feasible_mode && limit_stopped) {
+    // Cut short before every DFS-earlier subtree was refuted: the candidate
+    // is feasible but not proven rank-first, so returning it would make the
+    // answer depend on thread timing (serial search never gets here, its
+    // first leaf is rank-first by construction).
+    result.status = SolveStatus::kLimitReached;
+  } else if (ctx.have_solution()) {
     if (first_feasible_mode) {
       result.status = params.stop_at_first_feasible || ctx.incomplete()
                           ? SolveStatus::kFeasible

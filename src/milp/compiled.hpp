@@ -46,9 +46,6 @@ class CompiledModel {
     return c.end - c.begin;
   }
 
-  [[nodiscard]] VarType var_type(VarId v) const {
-    return types_[static_cast<std::size_t>(v)];
-  }
   [[nodiscard]] bool is_integral(VarId v) const {
     return types_[static_cast<std::size_t>(v)] != VarType::kContinuous;
   }
@@ -68,7 +65,6 @@ class CompiledModel {
   [[nodiscard]] bool objective_flipped() const { return obj_flipped_; }
 
   [[nodiscard]] bool has_cutoff_row() const { return cutoff_row_ >= 0; }
-  [[nodiscard]] int cutoff_row() const { return cutoff_row_; }
   /// Tightens the cutoff row to `obj <= value`.
   void set_cutoff(double value) {
     constraints_[static_cast<std::size_t>(cutoff_row_)].rhs = value;

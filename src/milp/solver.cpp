@@ -1,5 +1,7 @@
 #include "milp/solver.hpp"
 
+#include <array>
+#include <iterator>
 #include <utility>
 
 #include "milp/branch_and_bound.hpp"
@@ -59,64 +61,25 @@ void export_to_registry(const MilpSolution& solution) {
   if (!metrics::enabled()) return;
   metrics::Registry& reg = metrics::registry();
   static metrics::Counter& solves = reg.counter("milp.solves");
-  static metrics::Counter& nodes = reg.counter("milp.bnb.nodes_explored");
-  static metrics::Counter& pruned_bound =
-      reg.counter("milp.bnb.nodes_pruned_by_bound");
-  static metrics::Counter& pruned_infeasible =
-      reg.counter("milp.bnb.nodes_pruned_infeasible");
-  static metrics::Counter& incumbents =
-      reg.counter("milp.bnb.incumbent_updates");
-  static metrics::Counter& propagated =
-      reg.counter("milp.propagation.constraints");
-  static metrics::Counter& tightened =
-      reg.counter("milp.propagation.bounds_tightened");
-  static metrics::Counter& fixed = reg.counter("milp.propagation.vars_fixed");
-  static metrics::Counter& conflicts =
-      reg.counter("milp.propagation.conflicts");
-  static metrics::Counter& sx_calls = reg.counter("milp.simplex.calls");
-  static metrics::Counter& sx_iters = reg.counter("milp.simplex.iterations");
-  static metrics::Counter& sx_pivots = reg.counter("milp.simplex.pivots");
-  static metrics::Counter& sx_refactor =
-      reg.counter("milp.simplex.refactorizations");
-  static metrics::Counter& num_failures =
-      reg.counter("milp.numerical_failures");
-  static metrics::Counter& lp_recoveries = reg.counter("milp.lp_recoveries");
-  static metrics::Counter& checker_rejections =
-      reg.counter("milp.checker_rejections");
-  static metrics::Counter& alloc_failures =
-      reg.counter("milp.allocation_failures");
-  static metrics::Counter& cert_checked =
-      reg.counter("milp.certify.checked");
-  static metrics::Counter& cert_failed = reg.counter("milp.certify.failed");
-  static metrics::Counter& cert_retries =
-      reg.counter("milp.certify.retries");
-  static metrics::Counter& cert_uncertified =
-      reg.counter("milp.certify.uncertified");
+  // One handle per field-table row; null for rows published as no counter.
+  static const auto counters = [&reg] {
+    std::array<metrics::Counter*, std::size(kSolverStatsFields)> handles{};
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      const char* metric = kSolverStatsFields[i].metric;
+      if (metric != nullptr) handles[i] = &reg.counter(metric);
+    }
+    return handles;
+  }();
   static metrics::Timer& solve_timer = reg.timer("milp.solve");
   static metrics::Gauge& depth_gauge = reg.gauge("milp.bnb.last_max_depth");
 
   const SolverStats& s = solution.stats;
   solves.add(1);
-  nodes.add(s.nodes_explored);
-  pruned_bound.add(s.nodes_pruned_by_bound);
-  pruned_infeasible.add(s.nodes_pruned_infeasible);
-  incumbents.add(s.incumbent_updates);
-  propagated.add(s.propagated_constraints);
-  tightened.add(s.bounds_tightened);
-  fixed.add(s.vars_fixed);
-  conflicts.add(s.conflicts);
-  sx_calls.add(s.simplex_calls);
-  sx_iters.add(s.simplex_iterations);
-  sx_pivots.add(s.simplex_pivots);
-  sx_refactor.add(s.simplex_refactorizations);
-  num_failures.add(s.numerical_failures);
-  lp_recoveries.add(s.lp_recoveries);
-  checker_rejections.add(s.checker_rejections);
-  alloc_failures.add(s.allocation_failures);
-  cert_checked.add(s.certificates_checked);
-  cert_failed.add(s.certificates_failed);
-  cert_retries.add(s.certify_retries);
-  cert_uncertified.add(s.uncertified_verdicts);
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    if (counters[i] != nullptr) {
+      counters[i]->add(s.*kSolverStatsFields[i].member);
+    }
+  }
   solve_timer.record(solution.seconds);
   depth_gauge.set(static_cast<double>(s.max_depth));
 }
@@ -132,8 +95,8 @@ MilpSolution Solver::solve() {
   // Registers the solve in the live telemetry table (no-op while telemetry
   // is inactive) and pins its correlation id to this thread.
   telemetry::SolveScope live("milp::solve");
-  // The span keeps the historical "milp::solve" name so trace consumers see
-  // an unchanged event stream across the free-function -> session migration.
+  // "milp::solve" is the span name trace consumers key on (DESIGN.md span
+  // tree), so it stays fixed.
   trace::Span span("milp::solve");
   span.arg("vars", static_cast<std::int64_t>(model_.num_vars()));
   span.arg("constraints",
@@ -225,18 +188,6 @@ SolverParams optimality_params(SolverParams base) {
   base.stop_at_first_feasible = false;
   base.use_lp_bounding = true;
   return base;
-}
-
-MilpSolution solve(const Model& model, const SolverParams& params) {
-  return Solver(model, params).solve();
-}
-
-MilpSolution solve_first_feasible(const Model& model, SolverParams params) {
-  return Solver(model, first_feasible_params(std::move(params))).solve();
-}
-
-MilpSolution solve_to_optimality(const Model& model, SolverParams params) {
-  return Solver(model, optimality_params(std::move(params))).solve();
 }
 
 }  // namespace sparcs::milp

@@ -98,16 +98,4 @@ class Solver {
 /// models small enough to afford it.
 [[nodiscard]] SolverParams optimality_params(SolverParams base = {});
 
-/// Solves the MILP in one shot.
-[[deprecated("construct a milp::Solver session instead")]]
-MilpSolution solve(const Model& model, const SolverParams& params = {});
-
-/// Convenience wrapper for constraint-satisfaction queries.
-[[deprecated("use Solver(model, first_feasible_params()).solve()")]]
-MilpSolution solve_first_feasible(const Model& model, SolverParams params = {});
-
-/// Convenience wrapper for optimality queries.
-[[deprecated("use Solver(model, optimality_params()).solve()")]]
-MilpSolution solve_to_optimality(const Model& model, SolverParams params = {});
-
 }  // namespace sparcs::milp

@@ -8,34 +8,10 @@
 
 namespace sparcs::milp {
 
-std::string SolverStats::to_json() const {
-  report::ReportWriter w;
-  w.begin_object();
-  w.field("nodes_explored", nodes_explored);
-  w.field("nodes_pruned_by_bound", nodes_pruned_by_bound);
-  w.field("nodes_pruned_infeasible", nodes_pruned_infeasible);
-  w.field("incumbent_updates", incumbent_updates);
-  w.field("max_depth", max_depth);
-  w.field("propagated_constraints", propagated_constraints);
-  w.field("bounds_tightened", bounds_tightened);
-  w.field("vars_fixed", vars_fixed);
-  w.field("conflicts", conflicts);
-  w.field("presolve_bounds_tightened", presolve_bounds_tightened);
-  w.field("presolve_vars_fixed", presolve_vars_fixed);
-  w.field("simplex_calls", simplex_calls);
-  w.field("simplex_iterations", simplex_iterations);
-  w.field("simplex_pivots", simplex_pivots);
-  w.field("simplex_refactorizations", simplex_refactorizations);
-  w.field("numerical_failures", numerical_failures);
-  w.field("lp_recoveries", lp_recoveries);
-  w.field("checker_rejections", checker_rejections);
-  w.field("allocation_failures", allocation_failures);
-  w.field("certificates_checked", certificates_checked);
-  w.field("certificates_failed", certificates_failed);
-  w.field("certify_retries", certify_retries);
-  w.field("uncertified_verdicts", uncertified_verdicts);
+void write_convergence(report::ReportWriter& w,
+                       const std::vector<ConvergenceEvent>& events) {
   w.begin_array("convergence");
-  for (const ConvergenceEvent& event : convergence) {
+  for (const ConvergenceEvent& event : events) {
     w.begin_object();
     w.field("t_sec", event.t_sec);
     w.field("objective", event.objective);
@@ -46,6 +22,15 @@ std::string SolverStats::to_json() const {
     w.end_object();
   }
   w.end_array();
+}
+
+std::string SolverStats::to_json() const {
+  report::ReportWriter w;
+  w.begin_object();
+  for (const SolverStatsField& f : kSolverStatsFields) {
+    w.field(f.name, this->*f.member);
+  }
+  write_convergence(w, convergence);
   w.end_object();
   return w.str();
 }

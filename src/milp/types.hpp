@@ -18,6 +18,10 @@
 #include <string>
 #include <vector>
 
+namespace sparcs::report {
+class ReportWriter;
+}  // namespace sparcs::report
+
 namespace sparcs::milp {
 
 /// Index of a decision variable within its Model.
@@ -143,6 +147,10 @@ struct IncumbentEvent {
 /// not call back into the solver except CancelToken::request_cancel().
 using IncumbentCallback = std::function<void(const IncumbentEvent&)>;
 
+/// Largest model (in variables) on which SolverParams::use_lp_bounding
+/// actually solves node LPs; above it the relaxation costs more than it prunes.
+inline constexpr int kLpBoundingMaxVars = 2000;
+
 /// Tuning knobs of the MILP solver.
 struct SolverParams {
   /// Stop as soon as any feasible solution is found (constraint-satisfaction
@@ -156,13 +164,11 @@ struct SolverParams {
   std::int64_t node_limit = std::numeric_limits<std::int64_t>::max();
 
   /// Use LP-relaxation bounding/pruning at search nodes. Strong but costly;
-  /// enabled automatically for optimality runs on models below
-  /// `lp_bounding_max_vars`.
+  /// the search applies it only to models of at most kLpBoundingMaxVars
+  /// variables.
   bool use_lp_bounding = false;
-  int lp_bounding_max_vars = 2000;
 
-  /// Integrality and feasibility tolerances.
-  double integrality_tol = 1e-6;
+  /// Feasibility tolerance of propagation and the final solution check.
   double feasibility_tol = 1e-6;
 
   /// Minimum improvement required of a new incumbent (objective cutoff step).
@@ -170,9 +176,6 @@ struct SolverParams {
 
   /// Maximum propagation sweeps per node before settling.
   int max_propagation_rounds = 50;
-
-  /// Emit per-node progress at kInfo level every this many nodes (0 = off).
-  std::int64_t log_every_nodes = 0;
 
   /// Branch & bound worker threads. 0 = hardware_concurrency; 1 runs the
   /// legacy single-threaded search and preserves today's exact node order.
@@ -183,7 +186,9 @@ struct SolverParams {
 
   /// Cooperative cancellation: when the token reports cancellation the solve
   /// stops at the next node boundary and returns kLimitReached (or kFeasible
-  /// when an incumbent is already in hand). Inert by default.
+  /// when an incumbent is already in hand; a cut-short multi-threaded
+  /// first-feasible search keeps kLimitReached, since its candidate is not
+  /// proven to be the single-threaded answer). Inert by default.
   CancelToken cancel;
 
   /// Certify verdicts in exact rational arithmetic (milp/certify). A failed
@@ -208,46 +213,62 @@ struct ConvergenceEvent {
   Kind kind = Kind::kIncumbent;
 };
 
+/// The SolverStats accumulators, one row each, in report (JSON key) order:
+/// X(field, merge rule, metrics-registry counter or nullptr). Merge rules are
+/// kSum or kMax. max_depth has no counter: it is published as the gauge
+/// milp.bnb.last_max_depth. Adding a counter means adding one row here.
+#define SPARCS_SOLVER_STATS_FIELDS(X)                                       \
+  /* Branch & bound. */                                                     \
+  X(nodes_explored, kSum, "milp.bnb.nodes_explored")                        \
+  /* LP-relaxation refutations */                                           \
+  X(nodes_pruned_by_bound, kSum, "milp.bnb.nodes_pruned_by_bound")          \
+  /* propagation conflicts */                                               \
+  X(nodes_pruned_infeasible, kSum, "milp.bnb.nodes_pruned_infeasible")      \
+  X(incumbent_updates, kSum, "milp.bnb.incumbent_updates")                  \
+  /* deepest DFS stack reached */                                           \
+  X(max_depth, kMax, nullptr)                                               \
+  /* Bound propagation (all nodes, root included). */                       \
+  X(propagated_constraints, kSum, "milp.propagation.constraints")           \
+  X(bounds_tightened, kSum, "milp.propagation.bounds_tightened")            \
+  X(vars_fixed, kSum, "milp.propagation.vars_fixed")                        \
+  X(conflicts, kSum, "milp.propagation.conflicts")                          \
+  /* Root-node propagation, the solver's built-in presolve. */              \
+  X(presolve_bounds_tightened, kSum, nullptr)                               \
+  X(presolve_vars_fixed, kSum, nullptr)                                     \
+  /* Simplex (LP bounding + continuous-completion solves). */               \
+  X(simplex_calls, kSum, "milp.simplex.calls")                              \
+  X(simplex_iterations, kSum, "milp.simplex.iterations")                    \
+  /* basis changes */                                                       \
+  X(simplex_pivots, kSum, "milp.simplex.pivots")                            \
+  /* reduced-cost refreshes */                                              \
+  X(simplex_refactorizations, kSum, "milp.simplex.refactorizations")        \
+  /* Robustness. LP solves lost to blow-up/cycling: */                      \
+  X(numerical_failures, kSum, "milp.numerical_failures")                    \
+  /* LP solves saved by Bland/perturbation */                               \
+  X(lp_recoveries, kSum, "milp.lp_recoveries")                              \
+  /* incumbents rejected by validation */                                   \
+  X(checker_rejections, kSum, "milp.checker_rejections")                    \
+  /* nodes rolled back on bad_alloc */                                      \
+  X(allocation_failures, kSum, "milp.allocation_failures")                  \
+  /* Certification (milp/certify). Exact checks performed: */               \
+  X(certificates_checked, kSum, "milp.certify.checked")                     \
+  /* checks that did not verify */                                          \
+  X(certificates_failed, kSum, "milp.certify.failed")                       \
+  /* distrust re-solves triggered */                                        \
+  X(certify_retries, kSum, "milp.certify.retries")                          \
+  /* verdicts demoted after the retry */                                    \
+  X(uncertified_verdicts, kSum, "milp.certify.uncertified")
+
 /// Per-layer search statistics of one MILP solve, filled by the simplex,
 /// propagation and branch & bound layers and returned in MilpSolution. All
-/// fields are plain accumulators (no atomics): each worker thread fills its
+/// counters are plain accumulators (no atomics): each worker thread fills its
 /// own instance and the per-worker copies are merge()d on exit, so the
 /// reported totals are exact at any thread count.
 struct SolverStats {
-  // Branch & bound.
-  std::int64_t nodes_explored = 0;
-  std::int64_t nodes_pruned_by_bound = 0;    ///< LP-relaxation refutations
-  std::int64_t nodes_pruned_infeasible = 0;  ///< propagation conflicts
-  std::int64_t incumbent_updates = 0;
-  std::int64_t max_depth = 0;  ///< deepest DFS stack reached
-
-  // Bound propagation (all nodes, root included).
-  std::int64_t propagated_constraints = 0;
-  std::int64_t bounds_tightened = 0;
-  std::int64_t vars_fixed = 0;
-  std::int64_t conflicts = 0;
-
-  // Root-node propagation, the solver's built-in presolve.
-  std::int64_t presolve_bounds_tightened = 0;
-  std::int64_t presolve_vars_fixed = 0;
-
-  // Simplex (LP bounding + continuous-completion solves).
-  std::int64_t simplex_calls = 0;
-  std::int64_t simplex_iterations = 0;
-  std::int64_t simplex_pivots = 0;           ///< basis changes
-  std::int64_t simplex_refactorizations = 0;  ///< reduced-cost refreshes
-
-  // Robustness: numerical-failure recovery and incumbent validation.
-  std::int64_t numerical_failures = 0;   ///< LP solves lost to blow-up/cycling
-  std::int64_t lp_recoveries = 0;        ///< LP solves saved by Bland/perturb
-  std::int64_t checker_rejections = 0;   ///< incumbents rejected by validation
-  std::int64_t allocation_failures = 0;  ///< nodes rolled back on bad_alloc
-
-  // Certification (exact rational verdict checking, milp/certify).
-  std::int64_t certificates_checked = 0;  ///< exact checks performed
-  std::int64_t certificates_failed = 0;   ///< checks that did not verify
-  std::int64_t certify_retries = 0;       ///< distrust re-solves triggered
-  std::int64_t uncertified_verdicts = 0;  ///< verdicts demoted after retry
+#define SPARCS_SOLVER_STATS_DECLARE(field, merge, metric) \
+  std::int64_t field = 0;
+  SPARCS_SOLVER_STATS_FIELDS(SPARCS_SOLVER_STATS_DECLARE)
+#undef SPARCS_SOLVER_STATS_DECLARE
 
   /// Incumbent/bound improvement timeline, time-ordered. Serial solves
   /// append directly; parallel solves record under the shared incumbent lock
@@ -259,48 +280,54 @@ struct SolverStats {
   /// telemetry stream).
   [[nodiscard]] std::string to_json() const;
 
-  /// Accumulates another solve's stats (sums; max for max_depth; timelines
-  /// concatenate and re-sort by timestamp).
-  void merge(const SolverStats& other) {
-    nodes_explored += other.nodes_explored;
-    nodes_pruned_by_bound += other.nodes_pruned_by_bound;
-    nodes_pruned_infeasible += other.nodes_pruned_infeasible;
-    incumbent_updates += other.incumbent_updates;
-    max_depth = max_depth > other.max_depth ? max_depth : other.max_depth;
-    propagated_constraints += other.propagated_constraints;
-    bounds_tightened += other.bounds_tightened;
-    vars_fixed += other.vars_fixed;
-    conflicts += other.conflicts;
-    presolve_bounds_tightened += other.presolve_bounds_tightened;
-    presolve_vars_fixed += other.presolve_vars_fixed;
-    simplex_calls += other.simplex_calls;
-    simplex_iterations += other.simplex_iterations;
-    simplex_pivots += other.simplex_pivots;
-    simplex_refactorizations += other.simplex_refactorizations;
-    numerical_failures += other.numerical_failures;
-    lp_recoveries += other.lp_recoveries;
-    checker_rejections += other.checker_rejections;
-    allocation_failures += other.allocation_failures;
-    certificates_checked += other.certificates_checked;
-    certificates_failed += other.certificates_failed;
-    certify_retries += other.certify_retries;
-    uncertified_verdicts += other.uncertified_verdicts;
-    convergence.insert(convergence.end(), other.convergence.begin(),
-                       other.convergence.end());
-    std::stable_sort(convergence.begin(), convergence.end(),
-                     [](const ConvergenceEvent& a, const ConvergenceEvent& b) {
-                       return a.t_sec < b.t_sec;
-                     });
-  }
+  /// Accumulates another solve's stats (each counter by its merge rule;
+  /// timelines concatenate and re-sort by timestamp).
+  void merge(const SolverStats& other);
 };
+
+/// One row of the SolverStats field table.
+struct SolverStatsField {
+  enum class Merge : std::uint8_t { kSum, kMax };
+  const char* name;                   ///< field name == JSON key
+  std::int64_t SolverStats::*member;
+  Merge merge;
+  const char* metric;  ///< registry counter; nullptr = not published as one
+};
+
+/// SPARCS_SOLVER_STATS_FIELDS as data, for loops over every counter.
+inline constexpr SolverStatsField kSolverStatsFields[] = {
+#define SPARCS_SOLVER_STATS_ROW(field, merge, metric) \
+  {#field, &SolverStats::field, SolverStatsField::Merge::merge, metric},
+    SPARCS_SOLVER_STATS_FIELDS(SPARCS_SOLVER_STATS_ROW)
+#undef SPARCS_SOLVER_STATS_ROW
+};
+
+inline void SolverStats::merge(const SolverStats& other) {
+  for (const SolverStatsField& f : kSolverStatsFields) {
+    std::int64_t& mine = this->*f.member;
+    const std::int64_t theirs = other.*f.member;
+    mine = f.merge == SolverStatsField::Merge::kMax ? std::max(mine, theirs)
+                                                    : mine + theirs;
+  }
+  convergence.insert(convergence.end(), other.convergence.begin(),
+                     other.convergence.end());
+  std::stable_sort(convergence.begin(), convergence.end(),
+                   [](const ConvergenceEvent& a, const ConvergenceEvent& b) {
+                     return a.t_sec < b.t_sec;
+                   });
+}
+
+/// Writes `events` as the "convergence" array member of the object `w` is
+/// inside: the one renderer of a timeline (stats_json.cpp), shared by
+/// SolverStats::to_json() and the per-probe rows of the report.
+void write_convergence(report::ReportWriter& w,
+                       const std::vector<ConvergenceEvent>& events);
 
 /// Result of a MILP solve.
 struct MilpSolution {
   SolveStatus status = SolveStatus::kLimitReached;
   double objective = 0.0;              ///< valid when a solution exists
   std::vector<double> values;          ///< per-variable values (empty if none)
-  std::int64_t nodes_explored = 0;     ///< == stats.nodes_explored
-  std::int64_t propagations = 0;       ///< == stats.propagated_constraints
   double seconds = 0.0;
   SolverStats stats;                   ///< per-layer search statistics
 

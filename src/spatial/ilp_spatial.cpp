@@ -104,7 +104,7 @@ IlpSpatialResult spatial_partition_ilp(const Netlist& netlist,
 
   IlpSpatialResult result;
   result.status = solution.status;
-  result.nodes_explored = solution.nodes_explored;
+  result.nodes_explored = solution.stats.nodes_explored;
   result.seconds = stopwatch.seconds();
   if (solution.has_solution()) {
     SpatialAssignment assignment;

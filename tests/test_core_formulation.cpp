@@ -88,7 +88,7 @@ TEST(FormulationTest, InfeasibleWhenAreaImpossible) {
   const milp::MilpSolution s = milp::Solver(form.model(), milp::first_feasible_params()).solve();
   EXPECT_EQ(s.status, milp::SolveStatus::kInfeasible);
   // The total-area cut lets the solver prove this without branching.
-  EXPECT_EQ(s.nodes_explored, 0);
+  EXPECT_EQ(s.stats.nodes_explored, 0);
 }
 
 TEST(FormulationTest, MemoryConstraintForcesColocation) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "milp/expr.hpp"
-#include "milp/lp_writer.hpp"
 #include "milp/model.hpp"
 #include "support/error.hpp"
 
@@ -107,22 +106,6 @@ TEST(ModelTest, BranchAnnotations) {
   m.set_branch_hint(x, 1.0);
   EXPECT_EQ(m.var(x).branch_priority, 5);
   EXPECT_DOUBLE_EQ(m.var(x).branch_hint, 1.0);
-}
-
-TEST(LpWriterTest, ProducesSections) {
-  Model m("demo");
-  const VarId x = m.add_binary("x");
-  const VarId y = m.add_integer(0, 4, "y");
-  const VarId z = m.add_continuous(0, kInfinity, "z");
-  m.add_constraint(LinExpr(x) + 2.0 * LinExpr(y) - LinExpr(z) <= 5.0, "row1");
-  m.set_objective(LinExpr(x) + LinExpr(z));
-  const std::string text = to_lp_string(m);
-  EXPECT_NE(text.find("Minimize"), std::string::npos);
-  EXPECT_NE(text.find("Subject To"), std::string::npos);
-  EXPECT_NE(text.find("row1:"), std::string::npos);
-  EXPECT_NE(text.find("Binary"), std::string::npos);
-  EXPECT_NE(text.find("General"), std::string::npos);
-  EXPECT_NE(text.find("End"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests of the milp::Solver session API: construct / solve / re-solve with
 // tightened parameters, cooperative cancellation, incumbent callbacks,
-// parallel-vs-serial agreement, and the deprecated free-function wrappers
-// (the one place in the tree still allowed to call them).
+// and parallel-vs-serial agreement.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -299,22 +298,6 @@ TEST(MilpSessionTest, ParallelOptimalityMatchesSerial) {
     EXPECT_NEAR(s.objective, 20.0, 1e-6) << threads << " threads";
   }
 }
-
-// The deprecated free functions must keep working until the next major
-// version; this is the single remaining call site in the tree.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(MilpSessionTest, DeprecatedWrappersStillWork) {
-  const Model m = knapsack_model();
-  const MilpSolution plain = solve(m);
-  EXPECT_TRUE(plain.has_solution());
-  const MilpSolution feasible = solve_first_feasible(m);
-  EXPECT_TRUE(feasible.has_solution());
-  const MilpSolution optimal = solve_to_optimality(m);
-  ASSERT_EQ(optimal.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(optimal.objective, 20.0, 1e-6);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace sparcs::milp
