@@ -77,9 +77,8 @@ void BM_BnbKnapsack(benchmark::State& state) {
 BENCHMARK(BM_BnbKnapsack)->Unit(benchmark::kMillisecond)->Arg(12)->Arg(18)->Arg(24);
 
 /// First-feasible search on the DCT-1024 temporal-partitioning model, swept
-/// over worker-thread counts (Arg = num_threads; 1 is the serial legacy
-/// search). The acceptance target is >= 2x at 4 threads vs 1 on multi-core
-/// hosts.
+/// over worker-thread counts (Arg = num_threads; 1 is the one-worker pool).
+/// The acceptance target is >= 2x at 4 threads vs 1 on multi-core hosts.
 void BM_BnbFirstFeasibleDct1024(benchmark::State& state) {
   const graph::TaskGraph g = workloads::dct_task_graph();
   const arch::Device dev = arch::custom("d", 1024, 4096, 100);

@@ -686,7 +686,7 @@ options:
                              the best incumbent so far is returned with a
                              degraded report (exit code 3)
   --threads T                solver worker threads (0 = all hardware threads,
-                             1 = single-threaded legacy search; default 0)
+                             1 = one worker, no extra thread; default 0)
   --certify MODE             exact-rational certificate checking of solver
                              verdicts: off (default), incumbents (every
                              reported design re-checked exactly), full

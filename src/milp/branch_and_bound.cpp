@@ -10,6 +10,7 @@
 #include <map>
 #include <mutex>
 #include <new>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -42,8 +43,8 @@ constexpr std::size_t kMaxProofNodes = 200'000;
 
 /// One donated unit of work: a bounds box (the donor's propagation fixpoint
 /// plus one untried branch) and the variable whose bound changed, so the
-/// receiving worker can re-run seeded propagation exactly as the donor's
-/// serial search would have.
+/// receiving worker can re-run seeded propagation exactly as the donor's own
+/// DFS would have.
 struct Subproblem {
   Rank rank;
   std::vector<double> lb, ub;
@@ -53,19 +54,20 @@ struct Subproblem {
   std::int64_t tree_parent = -1;
 };
 
-/// Shared state of one multi-threaded solve: the rank-ordered subproblem
+/// Shared state of one solve's worker pool: the rank-ordered subproblem
 /// pool, the incumbent/candidate, global limits, and termination detection.
-class ParallelContext {
+class WorkerPool {
  public:
-  ParallelContext(const SolverParams& params, const BnbCallbacks& callbacks,
+  WorkerPool(const SolverParams& params, telemetry::LiveSolve* live,
                   bool first_feasible_mode, bool objective_flipped,
                   int num_workers)
       : params_(params),
-        callbacks_(callbacks),
         first_feasible_mode_(first_feasible_mode),
         objective_flipped_(objective_flipped),
-        hungry_below_(2 * num_workers),
-        live_(callbacks.live) {}
+        // A lone worker has nobody to donate to: copying its siblings' bound
+        // vectors into the pool would only cost time.
+        hungry_below_(num_workers > 1 ? 2 * num_workers : 0),
+        live_(live) {}
 
   Stopwatch stopwatch;
 
@@ -77,8 +79,8 @@ class ParallelContext {
       // A candidate already beats every leaf of this subtree: drop it.
       if (have_candidate_ && node.rank > candidate_rank_) return;
       Rank key = node.rank;
-      pool_.emplace(std::move(key), std::move(node));
-      pool_size_.store(static_cast<int>(pool_.size()),
+      open_.emplace(std::move(key), std::move(node));
+      open_size_.store(static_cast<int>(open_.size()),
                        std::memory_order_relaxed);
     }
     cv_.notify_one();
@@ -87,22 +89,21 @@ class ParallelContext {
   /// Hands out the rank-smallest open subproblem. Blocks while the pool is
   /// empty but other workers may still donate; returns false once the solve
   /// is over (pool drained and all workers idle, limits hit, or stopped).
+  /// Exhaustion is checked before the limits: a search that has already
+  /// finished must not latch a limit on its way out.
   bool acquire(Subproblem& out) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      if (stop_requested_.load(std::memory_order_relaxed) ||
-          global_limits_hit()) {
-        return false;
-      }
-      if (!pool_.empty()) {
-        out = std::move(pool_.begin()->second);
-        pool_.erase(pool_.begin());
-        pool_size_.store(static_cast<int>(pool_.size()),
+      if (open_.empty() && active_ == 0) return false;
+      if (global_limits_hit()) return false;
+      if (!open_.empty()) {
+        out = std::move(open_.begin()->second);
+        open_.erase(open_.begin());
+        open_size_.store(static_cast<int>(open_.size()),
                          std::memory_order_relaxed);
         ++active_;
         return true;
       }
-      if (active_ == 0) return false;
       cv_.wait(lock);
     }
   }
@@ -119,14 +120,14 @@ class ParallelContext {
 
   /// True when workers should donate untried branches into the pool.
   [[nodiscard]] bool hungry() const {
-    return pool_size_.load(std::memory_order_relaxed) < hungry_below_;
+    return open_size_.load(std::memory_order_relaxed) < hungry_below_;
   }
 
   /// Open-subproblem estimate for live telemetry (pool only; per-worker DFS
   /// stacks are not counted — this is a progress indicator, not an exact
   /// frontier size).
   [[nodiscard]] std::int64_t open_estimate() const {
-    return pool_size_.load(std::memory_order_relaxed);
+    return open_size_.load(std::memory_order_relaxed);
   }
 
   /// Merged incumbent timeline of this solve (call after workers joined).
@@ -149,18 +150,16 @@ class ParallelContext {
 
   /// True once any check has seen a budget/cancellation limit. The first
   /// sighting is latched, and the final status mapping reads the latch
-  /// (limit_hit()) rather than the live conditions: a cancel flag may be
-  /// cleared again (Solver::reset_cancel()) before the result is classified,
-  /// and a cut-short search must never read as an exhausted one. The
-  /// timeout failpoint fires here, the shared check every worker consults,
-  /// so an injected timeout is classified exactly like a real one.
+  /// (limit_hit()) rather than the live conditions, so a cut-short search
+  /// never reads as an exhausted one. The timeout failpoint fires here, the
+  /// shared check every worker consults, so an injected timeout is
+  /// classified exactly like a real one (and stays latched after it fired).
   [[nodiscard]] bool budget_limits_hit() const {
     if (limit_hit_.load(std::memory_order_relaxed)) return true;
     const bool hit = SPARCS_FAILPOINT("milp.solve.timeout") ||
                      total_nodes_.load(std::memory_order_relaxed) >=
                          params_.node_limit ||
                      params_.cancel.cancelled() ||
-                     callbacks_.session_cancel.cancelled() ||
                      stopwatch.seconds() >= params_.time_limit_sec;
     if (hit) limit_hit_.store(true, std::memory_order_relaxed);
     return hit;
@@ -199,8 +198,9 @@ class ParallelContext {
 
   // ---- First-feasible candidates ----------------------------------------
   // In first-feasible (and pure-feasibility) mode the winner is the
-  // rank-smallest feasible leaf, which is exactly the solution the serial
-  // DFS returns; acceptance is therefore by rank, not by arrival time.
+  // rank-smallest feasible leaf, which is exactly the solution a lone
+  // worker's DFS returns; acceptance is therefore by rank, not by arrival
+  // time.
 
   [[nodiscard]] std::uint64_t candidate_version() const {
     return candidate_version_.load(std::memory_order_acquire);
@@ -217,25 +217,17 @@ class ParallelContext {
   /// Offers a feasible leaf; keeps it only when it precedes the current
   /// candidate in DFS order. Prunes now-beaten pool entries either way.
   bool offer_candidate(Rank rank, std::vector<double>&& values, double obj) {
-    IncumbentEvent event;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (have_candidate_ && !(rank < candidate_rank_)) return false;
-      have_candidate_ = true;
-      candidate_rank_ = std::move(rank);
-      candidate_values_ = std::move(values);
-      candidate_obj_ = obj;
-      candidate_version_.fetch_add(1, std::memory_order_release);
-      pool_.erase(pool_.upper_bound(candidate_rank_), pool_.end());
-      pool_size_.store(static_cast<int>(pool_.size()),
-                       std::memory_order_relaxed);
-      record_convergence_locked(obj);
-      if (!callbacks_.on_incumbent) return true;
-      event.objective = objective_flipped_ ? -obj : obj;
-      event.values = &candidate_values_;
-      event.nodes_explored = total_nodes();
-      callbacks_.on_incumbent(event);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (have_candidate_ && !(rank < candidate_rank_)) return false;
+    have_candidate_ = true;
+    candidate_rank_ = std::move(rank);
+    candidate_values_ = std::move(values);
+    candidate_obj_ = obj;
+    candidate_version_.fetch_add(1, std::memory_order_release);
+    open_.erase(open_.upper_bound(candidate_rank_), open_.end());
+    open_size_.store(static_cast<int>(open_.size()),
+                     std::memory_order_relaxed);
+    record_convergence_locked(obj);
     return true;
   }
 
@@ -254,26 +246,18 @@ class ParallelContext {
   /// objective are broken toward the DFS-smaller rank so repeated runs
   /// converge to the same solution where timing allows.
   bool offer_incumbent(Rank rank, std::vector<double>&& values, double obj) {
-    IncumbentEvent event;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (have_incumbent_ &&
-          (obj > incumbent_obj_ ||
-           (obj == incumbent_obj_ && !(rank < candidate_rank_)))) {
-        return false;
-      }
-      have_incumbent_ = true;
-      incumbent_obj_ = obj;
-      candidate_rank_ = std::move(rank);
-      candidate_values_ = std::move(values);
-      best_obj_.store(obj, std::memory_order_relaxed);
-      record_convergence_locked(obj);
-      if (!callbacks_.on_incumbent) return true;
-      event.objective = objective_flipped_ ? -obj : obj;
-      event.values = &candidate_values_;
-      event.nodes_explored = total_nodes();
-      callbacks_.on_incumbent(event);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (have_incumbent_ &&
+        (obj > incumbent_obj_ ||
+         (obj == incumbent_obj_ && !(rank < candidate_rank_)))) {
+      return false;
     }
+    have_incumbent_ = true;
+    incumbent_obj_ = obj;
+    candidate_rank_ = std::move(rank);
+    candidate_values_ = std::move(values);
+    best_obj_.store(obj, std::memory_order_relaxed);
+    record_convergence_locked(obj);
     return true;
   }
 
@@ -312,9 +296,6 @@ class ParallelContext {
   [[nodiscard]] double solution_objective() const {
     return first_feasible_mode_ ? candidate_obj_ : incumbent_obj_;
   }
-  [[nodiscard]] bool first_feasible_mode() const {
-    return first_feasible_mode_;
-  }
 
  private:
   /// Appends an accepted incumbent (minimized-space objective `obj`) to the
@@ -332,7 +313,6 @@ class ParallelContext {
   }
 
   const SolverParams& params_;
-  const BnbCallbacks& callbacks_;
   const bool first_feasible_mode_;
   const bool objective_flipped_;
   const int hungry_below_;
@@ -340,9 +320,9 @@ class ParallelContext {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::map<Rank, Subproblem> pool_;
+  std::map<Rank, Subproblem> open_;
   int active_ = 0;
-  std::atomic<int> pool_size_{0};
+  std::atomic<int> open_size_{0};
   std::atomic<std::int64_t> total_nodes_{0};
   std::atomic<bool> stop_requested_{false};
   mutable std::atomic<bool> limit_hit_{false};  ///< see budget_limits_hit()
@@ -373,28 +353,25 @@ struct Frame {
   std::size_t trail_mark = 0;
 };
 
+/// One worker of the pool: a private compiled model, domains and DFS stack.
 class BnbSearch {
  public:
   BnbSearch(const Model& model, const SolverParams& params,
-            const BnbCallbacks& callbacks, ParallelContext* ctx = nullptr)
+            WorkerPool& pool, telemetry::LiveSolve* live)
       : params_(params),
-        callbacks_(callbacks),
-        ctx_(ctx),
+        pool_(pool),
         compiled_(model, /*with_objective_cutoff=*/model.has_objective()),
         domains_(compiled_),
         propagator_(compiled_, params.feasibility_tol,
                     params.max_propagation_rounds),
         model_(model),
-        live_(callbacks.live),
+        live_(live),
         tree_on_(telemetry::tree_active()),
         proof_on_(params.certify == CertifyMode::kFull) {
     if (proof_on_) propagator_.set_log(&prop_log_);
   }
 
-  /// Single-threaded entry point (ctx == nullptr).
-  MilpSolution run();
-
-  /// Worker entry point: drains the shared pool until the solve is over.
+  /// Drains the shared pool until the solve is over.
   void run_worker();
 
   /// Totals of this worker, finalized by run_worker().
@@ -410,12 +387,11 @@ class BnbSearch {
   bool complete_continuous(std::vector<double>& candidate, bool* unbounded);
   /// LP-relaxation feasibility probe under the current domains.
   bool lp_prune();
-  /// Handles a fully integral node. Returns true when the search must stop.
-  bool handle_leaf(MilpSolution& result);
-  void record_incumbent(std::vector<double> values, MilpSolution& result);
-  void worker_record(std::vector<double> values, double obj);
-  bool limits_hit() const;
-  bool cancel_requested() const;
+  /// Handles a fully integral node. Returns true when the subtree is done.
+  bool handle_leaf();
+  /// Offers a checked feasible leaf to the pool as candidate/incumbent.
+  void record_incumbent(std::vector<double> values);
+  bool limits_hit() const { return pool_.global_limits_hit(); }
   void absorb_lp(const LpResult& lp_result);
   /// LP parameters for in-node solves: wires the global limits into the
   /// simplex abort hook, so a deadline/cancel unwinds from inside a long LP
@@ -423,9 +399,8 @@ class BnbSearch {
   LpParams node_lp_params() const;
   /// Marks the search incomplete (a subtree was dropped for a numerical or
   /// allocation reason): exhaustion no longer proves infeasibility.
-  void mark_incomplete();
-  void export_stats(MilpSolution& result);
-  void search_loop(MilpSolution& result);
+  void mark_incomplete() { pool_.flag_incomplete(); }
+  void search_loop();
   void donate_siblings(Frame& frame);
   void sync_shared_incumbent();
   /// Pushes per-worker node/LP-iteration deltas and the open-node count into
@@ -524,24 +499,13 @@ class BnbSearch {
     pending_derivations_.clear();
     prop_log_.clear();
   }
-  /// Hands the recorded tree to an infeasible serial result (no-op on any
-  /// other status, where the nodes are dead weight).
-  void attach_proof(MilpSolution& result) {
-    if (!proof_on_ || result.status != SolveStatus::kInfeasible) return;
-    auto proof = std::make_shared<InfeasibilityProof>();
-    proof->nodes = std::move(proof_nodes_);
-    proof->overflowed = proof_overflowed_;
-    result.proof = std::move(proof);
-  }
 
   const SolverParams& params_;
-  BnbCallbacks callbacks_;
-  ParallelContext* ctx_ = nullptr;
+  WorkerPool& pool_;
   CompiledModel compiled_;
   Domains domains_;
   Propagator propagator_;
   const Model& model_;
-  Stopwatch stopwatch_;
   PropagationStats prop_stats_;
   SolverStats stats_;
   std::vector<Frame> stack_;
@@ -552,19 +516,10 @@ class BnbSearch {
   std::uint64_t seen_candidate_version_ = ~std::uint64_t{0};
   Rank candidate_rank_copy_;
   bool have_candidate_copy_ = false;
-  std::vector<double> incumbent_;
   double incumbent_obj_ = kInfinity;
   bool have_incumbent_ = false;
   std::int64_t nodes_ = 0;
   bool stop_ = false;
-  /// True once any subtree was abandoned (allocation failure, checker
-  /// rejection, LP numerical failure at a leaf); see mark_incomplete().
-  bool incomplete_ = false;
-  /// True when the search stopped because allocation failures exhausted the
-  /// retry budget (distinguishes this stop_ from a record_incumbent stop).
-  bool alloc_stop_ = false;
-  /// Serial search: latched once limits_hit() has seen a limit.
-  mutable bool limit_hit_ = false;
 
   // -- telemetry (all inert unless live_ / tree_on_ are set) ---------------
   telemetry::LiveSolve* live_ = nullptr;  ///< live slot; null = off
@@ -824,11 +779,6 @@ LpParams BnbSearch::node_lp_params() const {
   return lp;
 }
 
-void BnbSearch::mark_incomplete() {
-  incomplete_ = true;
-  if (ctx_ != nullptr) ctx_->flag_incomplete();
-}
-
 void BnbSearch::publish_live() {
   if (live_ == nullptr) return;
   live_->nodes.fetch_add(nodes_ - live_pub_nodes_, std::memory_order_relaxed);
@@ -838,8 +788,7 @@ void BnbSearch::publish_live() {
       std::memory_order_relaxed);
   live_pub_lp_iters_ = stats_.simplex_iterations;
   live_->open_nodes.store(
-      ctx_ != nullptr ? ctx_->open_estimate()
-                      : static_cast<std::int64_t>(stack_.size()),
+      pool_.open_estimate() + static_cast<std::int64_t>(stack_.size()),
       std::memory_order_relaxed);
 }
 
@@ -876,73 +825,21 @@ void BnbSearch::publish_root_bound() {
                                   : lp_result.objective;
   live_->best_bound.store(caller_bound, std::memory_order_relaxed);
   live_->has_bound.store(true, std::memory_order_relaxed);
-  stats_.convergence.push_back({stopwatch_.seconds(), caller_bound, nodes_,
+  stats_.convergence.push_back({pool_.stopwatch.seconds(), caller_bound, nodes_,
                                 ConvergenceEvent::Kind::kBound});
 }
 
-void BnbSearch::export_stats(MilpSolution& result) {
-  stats_.nodes_explored = nodes_;
-  stats_.propagated_constraints = prop_stats_.constraints_processed;
-  stats_.bounds_tightened = prop_stats_.bounds_tightened;
-  stats_.vars_fixed = prop_stats_.vars_fixed;
-  stats_.conflicts = prop_stats_.conflicts;
-  result.stats = stats_;
-}
-
-void BnbSearch::record_incumbent(std::vector<double> values,
-                                 MilpSolution& result) {
+void BnbSearch::record_incumbent(std::vector<double> values) {
+  // Whether or not this offer wins the race, some worker holds a feasible
+  // point, so the solve can no longer end kInfeasible: stop recording.
+  drop_proof_recording();
   double obj = 0.0;
   for (const LinTerm& t : compiled_.objective_terms()) {
     obj += t.coef * values[static_cast<std::size_t>(t.var)];
   }
-  if (ctx_ != nullptr) {
-    worker_record(std::move(values), obj);
-    return;
-  }
-  if (have_incumbent_ && obj >= incumbent_obj_) return;
-  drop_proof_recording();  // a feasible point rules out an infeasible verdict
-  incumbent_ = std::move(values);
-  incumbent_obj_ = obj;
-  have_incumbent_ = true;
-  ++stats_.incumbent_updates;
-  const double caller_obj =
-      compiled_.objective_flipped() ? -incumbent_obj_ : incumbent_obj_;
-  stats_.convergence.push_back({stopwatch_.seconds(), caller_obj, nodes_,
-                                ConvergenceEvent::Kind::kIncumbent});
-  if (live_ != nullptr) {
-    live_->incumbent.store(caller_obj, std::memory_order_relaxed);
-    live_->has_incumbent.store(true, std::memory_order_relaxed);
-    live_->incumbent_updates.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (compiled_.has_cutoff_row()) {
-    compiled_.set_cutoff(incumbent_obj_ - params_.objective_improvement);
-  }
-  if (callbacks_.on_incumbent) {
-    IncumbentEvent event;
-    event.objective =
-        compiled_.objective_flipped() ? -incumbent_obj_ : incumbent_obj_;
-    event.values = &incumbent_;
-    event.nodes_explored = nodes_;
-    callbacks_.on_incumbent(event);
-  }
-  SPARCS_DLOG << "incumbent objective " << incumbent_obj_ << " at node "
-              << nodes_;
-  if (params_.stop_at_first_feasible || compiled_.objective_terms().empty()) {
-    result.status = compiled_.objective_terms().empty() && !params_.stop_at_first_feasible
-                        ? SolveStatus::kOptimal
-                        : SolveStatus::kFeasible;
-    stop_ = true;
-  }
-}
-
-void BnbSearch::worker_record(std::vector<double> values, double obj) {
-  // Whether or not this offer wins the race, some worker holds a feasible
-  // point, so the solve can no longer end kInfeasible: stop recording.
-  drop_proof_recording();
-  Rank leaf = base_rank_;
-  leaf.insert(leaf.end(), path_.begin(), path_.end());
+  SPARCS_DLOG << "incumbent objective " << obj << " at node " << nodes_;
   if (first_feasible_mode()) {
-    if (ctx_->offer_candidate(std::move(leaf), std::move(values), obj)) {
+    if (pool_.offer_candidate(current_rank(), std::move(values), obj)) {
       ++stats_.incumbent_updates;
     }
     // Every remaining leaf of this subproblem follows the one just found in
@@ -951,7 +848,7 @@ void BnbSearch::worker_record(std::vector<double> values, double obj) {
     return;
   }
   if (have_incumbent_ && obj >= incumbent_obj_) return;
-  if (ctx_->offer_incumbent(std::move(leaf), std::move(values), obj)) {
+  if (pool_.offer_incumbent(current_rank(), std::move(values), obj)) {
     ++stats_.incumbent_updates;
     incumbent_obj_ = obj;
     have_incumbent_ = true;
@@ -965,7 +862,7 @@ void BnbSearch::worker_record(std::vector<double> values, double obj) {
 
 void BnbSearch::sync_shared_incumbent() {
   if (first_feasible_mode()) return;
-  const double best = ctx_->shared_best();
+  const double best = pool_.shared_best();
   if (best < incumbent_obj_) {
     incumbent_obj_ = best;
     have_incumbent_ = true;
@@ -975,27 +872,11 @@ void BnbSearch::sync_shared_incumbent() {
   }
 }
 
-bool BnbSearch::cancel_requested() const {
-  return params_.cancel.cancelled() || callbacks_.session_cancel.cancelled();
-}
-
-bool BnbSearch::limits_hit() const {
-  if (ctx_ != nullptr) return ctx_->global_limits_hit();
-  // Latched like ParallelContext::budget_limits_hit(): run() classifies the
-  // result from limit_hit_, never from a cancel flag re-read after the stop.
-  if (!limit_hit_) {
-    limit_hit_ = SPARCS_FAILPOINT("milp.solve.timeout") ||
-                 cancel_requested() || nodes_ >= params_.node_limit ||
-                 stopwatch_.seconds() >= params_.time_limit_sec;
-  }
-  return limit_hit_;
-}
-
 bool BnbSearch::position_pruned() {
-  const std::uint64_t version = ctx_->candidate_version();
+  const std::uint64_t version = pool_.candidate_version();
   if (version != seen_candidate_version_) {
     seen_candidate_version_ = version;
-    have_candidate_copy_ = ctx_->copy_candidate_rank(&candidate_rank_copy_);
+    have_candidate_copy_ = pool_.copy_candidate_rank(&candidate_rank_copy_);
   }
   if (!have_candidate_copy_) return false;
   // DFS never revisits earlier ranks, so once this worker's position passes
@@ -1018,7 +899,7 @@ bool BnbSearch::position_pruned() {
   return false;  // equal to or a prefix of the candidate
 }
 
-bool BnbSearch::handle_leaf(MilpSolution& result) {
+bool BnbSearch::handle_leaf() {
   std::vector<double> candidate;
   bool unbounded = false;
   lp_refuted_ = false;
@@ -1033,21 +914,15 @@ bool BnbSearch::handle_leaf(MilpSolution& result) {
     // completion is rejected (and counted) rather than returned.
     if (check_solution(model_, candidate, 1e2 * params_.feasibility_tol)
             .ok) {
-      record_incumbent(std::move(candidate), result);
+      record_incumbent(std::move(candidate));
     } else {
       ++stats_.checker_rejections;
       mark_incomplete();
       SPARCS_WLOG << "rejected checker-invalid completion at node " << nodes_;
     }
   } else if (unbounded && !have_incumbent_) {
-    if (ctx_ != nullptr) {
-      ctx_->flag_unbounded();
-      stop_ = true;
-      return true;
-    }
-    result.status = SolveStatus::kUnbounded;
+    pool_.flag_unbounded();
     stop_ = true;
-    return true;
   } else if (!unbounded && lp_refuted_) {
     // Integral leaf with no continuous completion: the stashed LP
     // certificate becomes this leaf's refutation.
@@ -1059,7 +934,7 @@ bool BnbSearch::handle_leaf(MilpSolution& result) {
 void BnbSearch::donate_siblings(Frame& frame) {
   // The domains currently sit at this frame's pre-branch fixpoint, so a
   // plain bounds snapshot plus one branch box reproduces exactly the state
-  // the serial search would enter that branch with.
+  // this worker's DFS would enter that branch with.
   const int n = compiled_.num_vars();
   std::vector<double> lb(static_cast<std::size_t>(n));
   std::vector<double> ub(static_cast<std::size_t>(n));
@@ -1080,12 +955,12 @@ void BnbSearch::donate_siblings(Frame& frame) {
     node.ub[var] = std::min(node.ub[var], bhi);
     node.seed = frame.var;
     node.tree_parent = current_node_id_;
-    ctx_->push(std::move(node));
+    pool_.push(std::move(node));
   }
   frame.branches.resize(1);
 }
 
-void BnbSearch::search_loop(MilpSolution& result) {
+void BnbSearch::search_loop() {
   const bool lp_bounding =
       params_.use_lp_bounding &&
       compiled_.num_vars() <= kLpBoundingMaxVars;
@@ -1097,11 +972,9 @@ void BnbSearch::search_loop(MilpSolution& result) {
     if (limits_hit()) break;
     if (descend) {
       ++nodes_;
-      if (ctx_ != nullptr) {
-        ctx_->count_node();
-        sync_shared_incumbent();
-        if (position_pruned()) break;
-      }
+      pool_.count_node();
+      sync_shared_incumbent();
+      if (position_pruned()) break;
       if (live_ != nullptr && (nodes_ % kLivePublishPeriod) == 0) {
         publish_live();
       }
@@ -1129,7 +1002,7 @@ void BnbSearch::search_loop(MilpSolution& result) {
         const VarId v = pick_branch_var();
         if (v < 0) {
           const std::int64_t rejections_before = stats_.checker_rejections;
-          const bool stop_now = handle_leaf(result);
+          const bool stop_now = handle_leaf();
           if (tree_on_) {
             tnode.kind = stats_.checker_rejections > rejections_before
                              ? telemetry::NodeKind::kRejected
@@ -1167,7 +1040,7 @@ void BnbSearch::search_loop(MilpSolution& result) {
           inode.branches = frame.branches;
           record_proof_node(std::move(inode));
         }
-        if (ctx_ != nullptr && frame.branches.size() > 1 && ctx_->hungry()) {
+        if (frame.branches.size() > 1 && pool_.hungry()) {
           donate_siblings(frame);
         }
         if (tree_on_) {
@@ -1206,7 +1079,6 @@ void BnbSearch::search_loop(MilpSolution& result) {
                     << stats_.allocation_failures << "/"
                     << kMaxAllocationFailures << ")";
         if (stats_.allocation_failures >= kMaxAllocationFailures) {
-          alloc_stop_ = true;
           stop_ = true;
           break;
         }
@@ -1284,59 +1156,9 @@ void BnbSearch::search_loop(MilpSolution& result) {
   }
 }
 
-MilpSolution BnbSearch::run() {
-  MilpSolution result;
-
-  // Root propagation doubles as presolve.
-  const bool root_ok = propagator_.propagate(domains_, {}, prop_stats_);
-  if (root_ok) stage_propagation_log();
-  stats_.presolve_bounds_tightened = prop_stats_.bounds_tightened;
-  stats_.presolve_vars_fixed = prop_stats_.vars_fixed;
-  if (!root_ok) {
-    record_conflict_leaf({});  // the root itself is the refuted node
-    result.status = SolveStatus::kInfeasible;
-    result.seconds = stopwatch_.seconds();
-    attach_proof(result);
-    export_stats(result);
-    return result;
-  }
-
-  publish_root_bound();
-  search_loop(result);
-  publish_live();  // final flush of node/LP deltas
-
-  export_stats(result);
-  result.seconds = stopwatch_.seconds();
-  if (stop_ && have_incumbent_ && !alloc_stop_) {
-    // Early stop after recording a solution (first-feasible or pure
-    // feasibility mode); status was set in record_incumbent.
-  } else if (have_incumbent_) {
-    // An incomplete tree (dropped subtrees) can still certify feasibility,
-    // but no longer optimality.
-    result.status = limit_hit_ || incomplete_ ? SolveStatus::kFeasible
-                                              : SolveStatus::kOptimal;
-  } else if (result.status == SolveStatus::kUnbounded) {
-    // keep
-  } else if (limit_hit_) {
-    result.status = SolveStatus::kLimitReached;
-  } else {
-    // Exhaustion only proves infeasibility when no subtree was dropped.
-    result.status = incomplete_ ? SolveStatus::kNumericalFailure
-                                : SolveStatus::kInfeasible;
-  }
-  if (have_incumbent_) {
-    result.values = incumbent_;
-    result.objective =
-        compiled_.objective_flipped() ? -incumbent_obj_ : incumbent_obj_;
-  }
-  attach_proof(result);
-  return result;
-}
-
 void BnbSearch::run_worker() {
   Subproblem node;
-  MilpSolution sink;  // workers report through ctx_, never through a result
-  while (ctx_->acquire(node)) {
+  while (pool_.acquire(node)) {
     double stall_sec = 0.0;
     if (SPARCS_FAILPOINT_STALL("milp.bnb.worker_stall", &stall_sec) &&
         stall_sec > 0.0) {
@@ -1345,7 +1167,9 @@ void BnbSearch::run_worker() {
       std::this_thread::sleep_for(std::chrono::duration<double>(stall_sec));
     }
     base_rank_ = std::move(node.rank);
-    domains_.reset_to(node.lb, node.ub);
+    // The root subproblem carries no box: it is the first one any worker
+    // acquires, so the domains still hold the compiled model's bounds.
+    if (node.seed >= 0) domains_.reset_to(node.lb, node.ub);
     stack_.clear();
     path_.clear();
     stop_ = false;
@@ -1382,8 +1206,8 @@ void BnbSearch::run_worker() {
       if (ok) {
         stage_propagation_log();
       } else if (empty_on_arrival) {
-        // The donated branch box refuted on arrival; mirror the serial
-        // search's empty-box leaf at the subtree's base rank.
+        // The donated branch box refuted on arrival; mirror the donor's
+        // empty-box leaf at the subtree's base rank.
         ProofNode leaf;
         leaf.rank = base_rank_;
         leaf.kind = ProofNode::Kind::kEmptyBox;
@@ -1400,7 +1224,7 @@ void BnbSearch::run_worker() {
       if (ok) publish_root_bound();
     }
     if (ok) {
-      search_loop(sink);
+      search_loop();
     } else if (node.seed >= 0) {
       ++stats_.nodes_pruned_infeasible;
       if (tree_on_) {
@@ -1417,13 +1241,13 @@ void BnbSearch::run_worker() {
         telemetry::tree_record(child);
       }
     }
-    ctx_->release();
+    pool_.release();
   }
   publish_live();  // final flush of this worker's deltas
   if (params_.certify == CertifyMode::kFull) {
     // Merge this worker's proof fragment (empty when recording was dropped;
     // harmless, since an incumbent rules out an infeasible verdict anyway).
-    ctx_->contribute_proof(std::move(proof_nodes_), proof_overflowed_);
+    pool_.contribute_proof(std::move(proof_nodes_), proof_overflowed_);
   }
   stats_.nodes_explored = nodes_;
   stats_.propagated_constraints = prop_stats_.constraints_processed;
@@ -1432,8 +1256,8 @@ void BnbSearch::run_worker() {
   stats_.conflicts = prop_stats_.conflicts;
 }
 
-/// Resolves SolverParams::num_threads against the hardware and the model
-/// size (tiny models finish before a pool spins up).
+/// Resolves SolverParams::num_threads to a worker count, from the hardware
+/// and the model size (tiny models finish before helper threads spin up).
 int effective_threads(const SolverParams& params, const Model& model) {
   if (params.num_threads == 1) return 1;
   int threads = params.num_threads > 0
@@ -1445,49 +1269,56 @@ int effective_threads(const SolverParams& params, const Model& model) {
   return threads;
 }
 
-MilpSolution solve_parallel(const Model& model, const SolverParams& params,
-                            const BnbCallbacks& callbacks, int num_workers) {
-  // Mode flags must be known before workers start; compile once (without the
-  // cutoff row) to read the normalized objective.
-  const CompiledModel probe(model, /*with_objective_cutoff=*/false);
-  const bool first_feasible_mode =
-      params.stop_at_first_feasible || probe.objective_terms().empty();
-  const bool flipped = probe.objective_flipped();
+}  // namespace
 
-  ParallelContext ctx(params, callbacks, first_feasible_mode, flipped,
-                      num_workers);
-  {
-    Subproblem root;
-    root.lb.reserve(static_cast<std::size_t>(probe.num_vars()));
-    root.ub.reserve(static_cast<std::size_t>(probe.num_vars()));
-    for (VarId v = 0; v < probe.num_vars(); ++v) {
-      root.lb.push_back(probe.lb(v));
-      root.ub.push_back(probe.ub(v));
-    }
-    ctx.push(std::move(root));
-  }
+MilpSolution solve_branch_and_bound(const Model& model,
+                                    const SolverParams& params,
+                                    const BnbCallbacks& callbacks) {
+  const int num_workers = effective_threads(params, model);
+  // Mode flags must be known before workers start (the objective is already
+  // normalized, so its terms are exactly the compiled ones).
+  const bool has_terms =
+      model.has_objective() && !model.objective().terms().empty();
+  const bool first_feasible_mode = params.stop_at_first_feasible || !has_terms;
+  const bool flipped = model.has_objective() && !model.minimize();
+
+  WorkerPool pool(params, callbacks.live, first_feasible_mode, flipped,
+                  num_workers);
+  pool.push(Subproblem{});  // the root: no rank, no box, full propagation
 
   std::vector<SolverStats> worker_stats(static_cast<std::size_t>(num_workers));
   std::vector<std::exception_ptr> errors(
       static_cast<std::size_t>(num_workers));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    workers.emplace_back([&, i] {
-      // Workers inherit the solve's correlation id so their log lines and
-      // spans join the session's telemetry stream.
-      telemetry::CorrelationScope corr(callbacks.correlation);
-      try {
-        BnbSearch search(model, params, callbacks, &ctx);
-        search.run_worker();
-        worker_stats[static_cast<std::size_t>(i)] = search.worker_stats();
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-        ctx.request_stop();
-      }
-    });
+  auto work = [&](int i) {
+    try {
+      BnbSearch search(model, params, pool, callbacks.live);
+      search.run_worker();
+      worker_stats[static_cast<std::size_t>(i)] = search.worker_stats();
+    } catch (...) {
+      errors[static_cast<std::size_t>(i)] = std::current_exception();
+      pool.request_stop();
+    }
+  };
+  // Worker 0 runs on the calling thread, so a one-thread solve starts none.
+  // Helpers adopt the caller's correlation id so their log lines and spans
+  // join the solve's. The search is exact at any worker count, so a helper
+  // the system refuses to start only costs speed.
+  const std::uint64_t correlation = telemetry::current_correlation_id();
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(num_workers - 1));
+  try {
+    for (int i = 1; i < num_workers; ++i) {
+      helpers.emplace_back([&work, correlation, i] {
+        telemetry::CorrelationScope corr(correlation);
+        work(i);
+      });
+    }
+  } catch (const std::system_error& e) {
+    SPARCS_WLOG << "started " << helpers.size() + 1 << " of " << num_workers
+                << " branch & bound workers: " << e.what();
   }
-  for (std::thread& worker : workers) worker.join();
+  work(0);
+  for (std::thread& helper : helpers) helper.join();
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
@@ -1495,9 +1326,9 @@ MilpSolution solve_parallel(const Model& model, const SolverParams& params,
   MilpSolution result;
   for (const SolverStats& stats : worker_stats) result.stats.merge(stats);
   {
-    // Incumbent acceptances were recorded centrally (under the context
-    // lock); bound events live in the worker stats merged above.
-    std::vector<ConvergenceEvent> accepted = ctx.take_convergence();
+    // Incumbent acceptances were recorded centrally (under the pool lock);
+    // bound events live in the worker stats merged above.
+    std::vector<ConvergenceEvent> accepted = pool.take_convergence();
     auto& timeline = result.stats.convergence;
     timeline.insert(timeline.end(), accepted.begin(), accepted.end());
     std::stable_sort(timeline.begin(), timeline.end(),
@@ -1505,55 +1336,41 @@ MilpSolution solve_parallel(const Model& model, const SolverParams& params,
                        return a.t_sec < b.t_sec;
                      });
   }
-  result.seconds = ctx.stopwatch.seconds();
+  result.seconds = pool.stopwatch.seconds();
 
-  const bool limit_stopped = ctx.limit_hit();
-  if (ctx.have_solution() && first_feasible_mode && limit_stopped) {
+  const bool limit_stopped = pool.limit_hit();
+  if (pool.have_solution() && first_feasible_mode && limit_stopped) {
     // Cut short before every DFS-earlier subtree was refuted: the candidate
     // is feasible but not proven rank-first, so returning it would make the
-    // answer depend on thread timing (serial search never gets here, its
-    // first leaf is rank-first by construction).
+    // answer depend on thread timing.
     result.status = SolveStatus::kLimitReached;
-  } else if (ctx.have_solution()) {
+  } else if (pool.have_solution()) {
     if (first_feasible_mode) {
-      result.status = params.stop_at_first_feasible || ctx.incomplete()
+      result.status = params.stop_at_first_feasible || pool.incomplete()
                           ? SolveStatus::kFeasible
                           : SolveStatus::kOptimal;
     } else {
-      result.status = limit_stopped || ctx.incomplete()
+      result.status = limit_stopped || pool.incomplete()
                           ? SolveStatus::kFeasible
                           : SolveStatus::kOptimal;
     }
-    const double obj = ctx.solution_objective();
-    result.values = ctx.take_values();
+    const double obj = pool.solution_objective();
+    result.values = pool.take_values();
     result.objective = flipped ? -obj : obj;
-  } else if (ctx.unbounded()) {
+  } else if (pool.unbounded()) {
     result.status = SolveStatus::kUnbounded;
   } else if (limit_stopped) {
     result.status = SolveStatus::kLimitReached;
   } else {
     // With dropped subtrees an exhausted pool no longer proves infeasibility.
-    result.status = ctx.incomplete() ? SolveStatus::kNumericalFailure
+    result.status = pool.incomplete() ? SolveStatus::kNumericalFailure
                                      : SolveStatus::kInfeasible;
   }
   if (result.status == SolveStatus::kInfeasible &&
       params.certify == CertifyMode::kFull) {
-    result.proof = ctx.take_proof();
+    result.proof = pool.take_proof();
   }
   return result;
-}
-
-}  // namespace
-
-MilpSolution solve_branch_and_bound(const Model& model,
-                                    const SolverParams& params,
-                                    const BnbCallbacks& callbacks) {
-  const int threads = effective_threads(params, model);
-  if (threads <= 1) {
-    BnbSearch search(model, params, callbacks);
-    return search.run();
-  }
-  return solve_parallel(model, params, callbacks, threads);
 }
 
 }  // namespace sparcs::milp

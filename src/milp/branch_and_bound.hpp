@@ -9,15 +9,16 @@
 // machinery serves both the paper's constraint-satisfaction mode
 // (stop_at_first_feasible) and the optimal reference runs.
 //
-// With SolverParams::num_threads != 1 the tree is explored by a worker pool
-// fed from a rank-ordered subproblem pool (ranks are branch-index paths, so
-// rank order == the serial DFS order). Workers donate untried sibling
-// branches whenever the pool runs low, share the incumbent through an atomic
-// objective, and in first-feasible mode accept candidates in rank order —
-// which makes the returned solution identical to the single-threaded one.
+// Every solve runs a worker pool fed from a rank-ordered subproblem pool
+// (ranks are branch-index paths, so rank order == depth-first order).
+// SolverParams::num_threads sets the worker count; worker 0 runs on the
+// calling thread, so a one-thread solve starts no thread and explores the
+// tree in plain DFS order. With more workers, each donates untried sibling
+// branches whenever the pool runs low, the incumbent is shared through an
+// atomic objective, and first-feasible candidates are accepted in rank order
+// — which makes the returned solution identical to the one-worker one.
 #pragma once
 
-#include <cstdint>
 
 #include "milp/model.hpp"
 #include "milp/types.hpp"
@@ -28,19 +29,11 @@ struct LiveSolve;
 
 namespace sparcs::milp {
 
-/// Out-of-band hooks threaded from the Solver session into the search.
+/// Telemetry context threaded from the Solver session into the search.
 struct BnbCallbacks {
-  /// Session-level cancellation (Solver::cancel()), checked alongside the
-  /// caller-supplied SolverParams::cancel token.
-  CancelToken session_cancel;
-  /// Invoked on every accepted incumbent; may be empty.
-  IncumbentCallback on_incumbent;
   /// Live telemetry slot of the enclosing solve (owned by the Solver
   /// session's telemetry::SolveScope); null when telemetry is inactive.
   telemetry::LiveSolve* live = nullptr;
-  /// Correlation id of the enclosing solve (0 when telemetry is inactive);
-  /// worker threads adopt it so their spans and log lines join the solve.
-  std::uint64_t correlation = 0;
 };
 
 /// Solves `model` with propagation-based branch & bound.

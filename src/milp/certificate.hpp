@@ -83,7 +83,7 @@ struct ProofNode {
 };
 
 /// Tree-shaped infeasibility proof for a whole MILP, assembled by branch &
-/// bound (serial search or stitched parallel fragments).
+/// bound from the fragments its workers recorded, stitched by rank.
 struct InfeasibilityProof {
   std::vector<ProofNode> nodes;
   /// Recording hit its size cap; the proof is incomplete and uncheckable.

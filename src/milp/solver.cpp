@@ -87,9 +87,7 @@ void export_to_registry(const MilpSolution& solution) {
 }  // namespace
 
 Solver::Solver(const Model& model, SolverParams params)
-    : model_(model),
-      params_(std::move(params)),
-      cancel_(CancelToken::create()) {}
+    : model_(model), params_(std::move(params)) {}
 
 MilpSolution Solver::solve() {
   // Registers the solve in the live telemetry table (no-op while telemetry
@@ -104,29 +102,8 @@ MilpSolution Solver::solve() {
   if (live.id() != 0) {
     span.arg("corr", static_cast<std::int64_t>(live.id()));
   }
-  {
-    // New solve, new incumbent lineage: a stale snapshot from the previous
-    // solve must not masquerade as progress of this one.
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snapshot_.reset();
-  }
   BnbCallbacks callbacks;
-  callbacks.session_cancel = cancel_;
-  // Tee every accepted incumbent into the session's exportable snapshot
-  // before forwarding to the user callback (if any).
-  callbacks.on_incumbent = [this](const IncumbentEvent& event) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      IncumbentSnapshot snap;
-      snap.objective = event.objective;
-      if (event.values != nullptr) snap.values = *event.values;
-      snap.nodes_explored = event.nodes_explored;
-      snapshot_ = std::move(snap);
-    }
-    if (on_incumbent_) on_incumbent_(event);
-  };
   callbacks.live = live.slot();
-  callbacks.correlation = live.id();
   MilpSolution solution = solve_branch_and_bound(model_, params_, callbacks);
   certify_verdict(model_, params_, solution);
   if (solution.certified == CertifyStatus::kUncertified && !params_.distrust) {
@@ -159,24 +136,6 @@ MilpSolution Solver::solve() {
   span.arg("simplex_iterations", solution.stats.simplex_iterations);
   export_to_registry(solution);
   return solution;
-}
-
-void Solver::cancel() { cancel_.request_cancel(); }
-
-// Clears the shared flag in place rather than swapping in a fresh token:
-// cancel() is documented safe from any thread, and re-assigning the
-// shared_ptr would both race the concurrent read and let a cancel() that
-// grabbed the old token fire into a retired flag — silently dropping the
-// cancellation meant for the next solve.
-void Solver::reset_cancel() { cancel_.reset(); }
-
-void Solver::set_incumbent_callback(IncumbentCallback callback) {
-  on_incumbent_ = std::move(callback);
-}
-
-std::optional<IncumbentSnapshot> Solver::incumbent_snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return snapshot_;
 }
 
 SolverParams first_feasible_params(SolverParams base) {

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -121,31 +120,9 @@ class CancelToken {
     return flag_ && flag_->load(std::memory_order_relaxed);
   }
 
-  /// Re-arms a live token by clearing the shared flag in place. Unlike
-  /// re-assigning a fresh token, every existing copy keeps observing the
-  /// same flag, so there is no window where a concurrent request_cancel()
-  /// lands on a retired flag and gets dropped.
-  void reset() const {
-    if (flag_) flag_->store(false, std::memory_order_relaxed);
-  }
-
  private:
   std::shared_ptr<std::atomic<bool>> flag_;
 };
-
-/// Snapshot handed to incumbent callbacks when the search accepts a new best
-/// solution. `values` points at solver-owned storage that is only valid for
-/// the duration of the callback.
-struct IncumbentEvent {
-  double objective = 0.0;  ///< sign-corrected (caller's min/max convention)
-  const std::vector<double>* values = nullptr;
-  std::int64_t nodes_explored = 0;  ///< nodes explored when accepted
-};
-
-/// Invoked on every accepted incumbent. In multi-threaded solves the callback
-/// runs on a worker thread under the incumbent lock: keep it cheap, and do
-/// not call back into the solver except CancelToken::request_cancel().
-using IncumbentCallback = std::function<void(const IncumbentEvent&)>;
 
 /// Largest model (in variables) on which SolverParams::use_lp_bounding
 /// actually solves node LPs; above it the relaxation costs more than it prunes.
@@ -177,18 +154,21 @@ struct SolverParams {
   /// Maximum propagation sweeps per node before settling.
   int max_propagation_rounds = 50;
 
-  /// Branch & bound worker threads. 0 = hardware_concurrency; 1 runs the
-  /// legacy single-threaded search and preserves today's exact node order.
-  /// With more than one worker the returned first-feasible solution is still
-  /// deterministic (identical to the single-threaded one) because candidates
-  /// are accepted in depth-first rank order; see DESIGN.md.
+  /// Branch & bound workers. 0 = hardware_concurrency; 1 is the one-worker
+  /// pool, which runs on the calling thread and explores the tree in plain
+  /// depth-first order. With more workers the returned first-feasible
+  /// solution is still deterministic (identical to the one-worker one)
+  /// because candidates are accepted in depth-first rank order; see
+  /// DESIGN.md.
   int num_threads = 0;
 
-  /// Cooperative cancellation: when the token reports cancellation the solve
-  /// stops at the next node boundary and returns kLimitReached (or kFeasible
-  /// when an incumbent is already in hand; a cut-short multi-threaded
-  /// first-feasible search keeps kLimitReached, since its candidate is not
-  /// proven to be the single-threaded answer). Inert by default.
+  /// Cooperative cancellation, the one way to stop a solve from another
+  /// thread: when the token reports cancellation the solve stops at the next
+  /// node boundary and returns kLimitReached (or kFeasible when an optimality
+  /// search already holds an incumbent; a cut-short first-feasible search
+  /// keeps kLimitReached, since its candidate is not proven to be the
+  /// rank-first one). The flag is sticky: a cancelled token cancels every
+  /// later solve that carries it. Inert by default.
   CancelToken cancel;
 
   /// Certify verdicts in exact rational arithmetic (milp/certify). A failed
@@ -270,9 +250,9 @@ struct SolverStats {
   SPARCS_SOLVER_STATS_FIELDS(SPARCS_SOLVER_STATS_DECLARE)
 #undef SPARCS_SOLVER_STATS_DECLARE
 
-  /// Incumbent/bound improvement timeline, time-ordered. Serial solves
-  /// append directly; parallel solves record under the shared incumbent lock
-  /// so the timeline stays time-ordered across workers.
+  /// Incumbent/bound improvement timeline, time-ordered. Incumbents are
+  /// recorded under the worker pool's shared lock and merged with the
+  /// workers' bound events by time.
   std::vector<ConvergenceEvent> convergence;
 
   /// Renders every accumulator plus the convergence timeline as one JSON

@@ -12,8 +12,7 @@ namespace sparcs::spatial {
 namespace {
 
 /// Cut-weight delta of moving `node` to device `to` under `fpga_of`.
-double move_gain(const Netlist& netlist,
-                 const std::vector<std::vector<Net>>& nets_of,
+double move_gain(const std::vector<std::vector<Net>>& nets_of,
                  const std::vector<int>& fpga_of, int node, int to) {
   double gain = 0.0;
   for (const Net& net : nets_of[static_cast<std::size_t>(node)]) {
@@ -124,8 +123,7 @@ FmResult spatial_partition_fm(const Netlist& netlist, const Board& board,
                 board.fpga_capacity + 1e-9) {
               continue;
             }
-            const double gain =
-                move_gain(netlist, nets_of, fpga_of, node, k);
+            const double gain = move_gain(nets_of, fpga_of, node, k);
             if (gain > best_gain) {
               best_gain = gain;
               best_node = node;

@@ -1,17 +1,16 @@
 // Cancellation stress suite, written to run under ThreadSanitizer (the file
 // name matches the CI tsan job's test filter): seeded randomized cancels
-// landing at arbitrary points of serial and parallel solves must always
-// unwind cleanly — classified status, no leaked workers, exact stats — and
-// the session must stay reusable afterwards.
+// through the SolverParams::cancel token, landing at arbitrary points of
+// one- and multi-worker solves, must always unwind cleanly — classified
+// status, no leaked workers, exact stats — and the session must stay
+// reusable afterwards.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <random>
 #include <string>
 #include <thread>
 
-#include "milp/checker.hpp"
 #include "milp/solver.hpp"
 
 namespace sparcs::milp {
@@ -29,8 +28,7 @@ Model parity_hard_model(int vars) {
   return m;
 }
 
-/// Feasible pick-7-of-60 model; above the parallel dispatch threshold and
-/// quick to satisfy in first-feasible mode.
+/// Feasible pick-7-of-60 model; quick to satisfy in first-feasible mode.
 Model pick_model() {
   Model m("pick7");
   LinExpr sum;
@@ -50,11 +48,12 @@ TEST(MilpCancelStressTest, SeededRandomCancelsUnwindCleanly) {
       SolverParams params;
       params.num_threads = threads;
       params.time_limit_sec = 60.0;  // safety net if cancellation broke
+      params.cancel = CancelToken::create();
       Solver solver(m, params);
       const int delay = delay_us(rng);
-      std::thread canceller([&solver, delay] {
+      std::thread canceller([token = params.cancel, delay] {
         std::this_thread::sleep_for(std::chrono::microseconds(delay));
-        solver.cancel();
+        token.request_cancel();
       });
       // solve() joins every worker before returning; reaching the
       // assertions is the clean-unwinding guarantee.
@@ -72,51 +71,41 @@ TEST(MilpCancelStressTest, SeededRandomCancelsUnwindCleanly) {
   }
 }
 
-TEST(MilpCancelStressTest, CancelResetHammerKeepsSessionUsable) {
+TEST(MilpCancelStressTest, RacingCancelNeverYieldsANonRankFirstCandidate) {
+  // A cancel racing a feasible two-worker first-feasible solve: the solve
+  // either finishes with the deterministic answer or comes back as a limit,
+  // never with a candidate some unfinished DFS-earlier subtree could beat.
   const Model m = pick_model();
   SolverParams params = first_feasible_params();
   params.num_threads = 2;
   params.time_limit_sec = 60.0;
-  Solver solver(m, params);
-
-  // Reference answer from an undisturbed solve.
-  const MilpSolution reference = solver.solve();
+  const MilpSolution reference = Solver(m, params).solve();
   ASSERT_EQ(reference.status, SolveStatus::kFeasible);
 
-  std::atomic<bool> stop{false};
-  std::thread hammer([&solver, &stop] {
-    while (!stop.load()) {
-      solver.cancel();
-      solver.reset_cancel();
-      std::this_thread::yield();
-    }
-  });
+  std::mt19937 rng(0xca9ce1);
+  std::uniform_int_distribution<int> delay_us(0, 2000);
   for (int round = 0; round < 20; ++round) {
-    solver.reset_cancel();
+    params.cancel = CancelToken::create();
+    Solver solver(m, params);
+    const int delay = delay_us(rng);
+    std::thread canceller([token = params.cancel, delay] {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay));
+      token.request_cancel();
+    });
     const MilpSolution s = solver.solve();
-    // A hammered solve either finished (and then must reproduce the
-    // deterministic first-feasible answer) or was cancelled cleanly.
+    canceller.join();
     if (s.has_solution()) {
       EXPECT_EQ(s.status, SolveStatus::kFeasible) << "round " << round;
       EXPECT_EQ(s.values, reference.values) << "round " << round;
-      EXPECT_TRUE(check_solution(m, s.values).ok) << "round " << round;
     } else {
       EXPECT_EQ(s.status, SolveStatus::kLimitReached) << "round " << round;
     }
   }
-  stop.store(true);
-  hammer.join();
-
-  // After the hammer stops the session must work normally again.
-  solver.reset_cancel();
-  const MilpSolution final_solve = solver.solve();
-  ASSERT_EQ(final_solve.status, SolveStatus::kFeasible);
-  EXPECT_EQ(final_solve.values, reference.values);
 }
 
 TEST(MilpCancelStressTest, StatsStayDeterministicAcrossCancelledRuns) {
-  // Serial solves are bit-deterministic; interleaving cancelled runs in the
-  // same session must not perturb the stats of the clean runs.
+  // One-worker solves are bit-deterministic; interleaving cancelled runs in
+  // the same session must not perturb the stats of the clean runs.
   const Model m = pick_model();
   SolverParams params = first_feasible_params();
   params.num_threads = 1;
@@ -124,10 +113,11 @@ TEST(MilpCancelStressTest, StatsStayDeterministicAcrossCancelledRuns) {
   const MilpSolution first = solver.solve();
   ASSERT_EQ(first.status, SolveStatus::kFeasible);
 
-  solver.cancel();
+  solver.params().cancel = CancelToken::create();
+  solver.params().cancel.request_cancel();
   const MilpSolution cancelled = solver.solve();
   EXPECT_EQ(cancelled.status, SolveStatus::kLimitReached);
-  solver.reset_cancel();
+  solver.params().cancel = CancelToken{};
 
   const MilpSolution second = solver.solve();
   ASSERT_EQ(second.status, SolveStatus::kFeasible);

@@ -98,7 +98,9 @@ TEST(MilpConcurrentSessions, MixedSessionsStayIndependent) {
     });
 
     // Session D: cancelled from this thread mid-solve.
-    Solver victim(parity, SolverParams{});
+    SolverParams victim_params;
+    victim_params.cancel = CancelToken::create();
+    Solver victim(parity, victim_params);
     std::thread cancelled([&] {
       const MilpSolution s = victim.solve();
       // Either the cancel landed (limit) or the proof finished first.
@@ -109,7 +111,7 @@ TEST(MilpConcurrentSessions, MixedSessionsStayIndependent) {
       cancelled_done.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    victim.cancel();
+    victim_params.cancel.request_cancel();
 
     optimal.join();
     certified.join();

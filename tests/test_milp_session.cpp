@@ -1,15 +1,20 @@
 // Tests of the milp::Solver session API: construct / solve / re-solve with
-// tightened parameters, cooperative cancellation, incumbent callbacks,
-// and parallel-vs-serial agreement.
+// tightened parameters, cooperative cancellation through the
+// SolverParams::cancel token, the incumbent timeline, and one-worker vs
+// four-worker agreement.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "milp/checker.hpp"
 #include "milp/solver.hpp"
+#include "support/logging.hpp"
+#include "support/telemetry.hpp"
 
 namespace sparcs::milp {
 namespace {
@@ -41,6 +46,28 @@ Model parity_hard_model(int vars) {
   return m;
 }
 
+/// 60 binaries, pick exactly 7: far above the helper-thread threshold, many
+/// feasible leaves.
+Model pick7_model() {
+  Model m("pick7");
+  LinExpr sum;
+  for (int i = 0; i < 60; ++i) {
+    sum += LinExpr(m.add_binary("x" + std::to_string(i)));
+  }
+  m.add_constraint(std::move(sum) == 7.0, "pick7");
+  return m;
+}
+
+/// Occurrences of `needle` in `text`.
+int count_of(const std::string& text, const std::string& needle) {
+  int n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
 TEST(MilpSessionTest, SolveThenResolveWithTightenedParams) {
   const Model m = knapsack_model();
   Solver solver(m, optimality_params());
@@ -65,15 +92,17 @@ TEST(MilpSessionTest, SolveThenResolveWithTightenedParams) {
 
 TEST(MilpSessionTest, PreCancelledSolveReturnsLimitReached) {
   const Model m = knapsack_model();
-  Solver solver(m, optimality_params());
-  solver.cancel();
-  EXPECT_TRUE(solver.cancel_requested());
+  SolverParams params = optimality_params();
+  params.cancel = CancelToken::create();
+  Solver solver(m, params);
+  solver.params().cancel.request_cancel();
   const MilpSolution s = solver.solve();
   EXPECT_EQ(s.status, SolveStatus::kLimitReached);
 
-  // reset_cancel() re-arms the session.
-  solver.reset_cancel();
-  EXPECT_FALSE(solver.cancel_requested());
+  // The flag is sticky; a fresh token installed through params() re-arms
+  // the session.
+  EXPECT_EQ(solver.solve().status, SolveStatus::kLimitReached);
+  solver.params().cancel = CancelToken::create();
   const MilpSolution again = solver.solve();
   EXPECT_EQ(again.status, SolveStatus::kOptimal);
 }
@@ -88,14 +117,15 @@ TEST(MilpSessionTest, ExternalCancelTokenStopsSolve) {
   EXPECT_EQ(s.status, SolveStatus::kLimitReached);
 }
 
-TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedSerial) {
+TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedOneWorker) {
   const Model m = parity_hard_model(60);
   SolverParams params;
   params.num_threads = 1;
+  params.cancel = CancelToken::create();
   Solver solver(m, params);
-  std::thread canceller([&solver] {
+  std::thread canceller([token = params.cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    solver.cancel();
+    token.request_cancel();
   });
   const MilpSolution s = solver.solve();
   canceller.join();
@@ -103,14 +133,15 @@ TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedSerial) {
   EXPECT_TRUE(s.values.empty());
 }
 
-TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedParallel) {
+TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedFourWorkers) {
   const Model m = parity_hard_model(60);
   SolverParams params;
   params.num_threads = 4;
+  params.cancel = CancelToken::create();
   Solver solver(m, params);
-  std::thread canceller([&solver] {
+  std::thread canceller([token = params.cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    solver.cancel();
+    token.request_cancel();
   });
   // solve() joins every worker before returning, so control reaching the
   // assertions below with kLimitReached is the no-leaked-workers guarantee.
@@ -120,107 +151,42 @@ TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedParallel) {
   EXPECT_TRUE(s.values.empty());
 
   // The session is re-armable and fully functional after the aborted solve.
-  solver.reset_cancel();
+  solver.params().cancel = CancelToken::create();
   solver.params().node_limit = 500;
   const MilpSolution bounded = solver.solve();
   EXPECT_EQ(bounded.status, SolveStatus::kLimitReached);
 }
 
-TEST(MilpSessionTest, TokenResetClearsSharedFlagInPlace) {
-  // Regression: re-arming by *replacing* the token would detach every copy
-  // taken earlier (a cancel through an old copy would be silently dropped).
-  // CancelToken::reset() clears the shared flag in place, so all copies —
-  // including the one the session holds — stay wired together.
+TEST(MilpSessionTest, ConvergenceTimelineRecordsImprovingIncumbents) {
   const Model m = knapsack_model();
-  SolverParams params = optimality_params();
-  params.cancel = CancelToken::create();
-  CancelToken token = params.cancel;
-  Solver solver(m, params);
-  token.request_cancel();
-  EXPECT_EQ(solver.solve().status, SolveStatus::kLimitReached);
-
-  token.reset();
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_EQ(solver.solve().status, SolveStatus::kOptimal);
-
-  // A cancel through the original copy still lands on the session.
-  token.request_cancel();
-  EXPECT_EQ(solver.solve().status, SolveStatus::kLimitReached);
-}
-
-TEST(MilpSessionTest, ConcurrentCancelDuringResetIsNeverDropped) {
-  // Hammer the reset/cancel pair: a cancel that lands concurrently with
-  // reset_cancel() must either affect the solve it targeted or the next
-  // one — never vanish. With the old swap-the-flag implementation this
-  // test hangs or hits the time limit safety net.
-  const Model m = parity_hard_model(52);
-  SolverParams params;
-  params.time_limit_sec = 30.0;  // safety net if a cancel were lost
-  params.num_threads = 2;
-  Solver solver(m, params);
-  for (int round = 0; round < 8; ++round) {
-    std::thread canceller([&solver] { solver.cancel(); });
-    solver.reset_cancel();
-    canceller.join();
-    // Whatever interleaving happened, the session must still terminate
-    // promptly: either this solve sees the cancel (kLimitReached fast) or
-    // the cancel landed before the reset and the solve runs bounded.
-    solver.cancel();
-    const MilpSolution s = solver.solve();
-    EXPECT_EQ(s.status, SolveStatus::kLimitReached) << "round " << round;
-    solver.reset_cancel();
-    EXPECT_FALSE(solver.cancel_requested()) << "round " << round;
+  for (const int threads : {1, 4}) {
+    SolverParams params = optimality_params();
+    params.num_threads = threads;
+    const MilpSolution s = Solver(m, params).solve();
+    ASSERT_EQ(s.status, SolveStatus::kOptimal) << threads << " threads";
+    std::vector<double> objectives;
+    for (const ConvergenceEvent& event : s.stats.convergence) {
+      if (event.kind != ConvergenceEvent::Kind::kIncumbent) continue;
+      EXPECT_GT(event.nodes, 0);
+      objectives.push_back(event.objective);
+    }
+    ASSERT_FALSE(objectives.empty()) << threads << " threads";
+    EXPECT_EQ(static_cast<std::int64_t>(objectives.size()),
+              s.stats.incumbent_updates);
+    // Maximization: every accepted incumbent improves, the last is the
+    // optimum.
+    for (std::size_t i = 1; i < objectives.size(); ++i) {
+      EXPECT_GT(objectives[i], objectives[i - 1]);
+    }
+    EXPECT_NEAR(objectives.back(), s.objective, 1e-9);
   }
 }
 
-TEST(MilpSessionTest, IncumbentCallbackObservesImprovingSolutions) {
-  const Model m = knapsack_model();
-  Solver solver(m, optimality_params());
-  std::vector<double> objectives;
-  solver.set_incumbent_callback([&objectives](const IncumbentEvent& event) {
-    ASSERT_NE(event.values, nullptr);
-    EXPECT_GT(event.nodes_explored, 0);
-    objectives.push_back(event.objective);
-  });
-  const MilpSolution s = solver.solve();
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  ASSERT_FALSE(objectives.empty());
-  // Maximization: every accepted incumbent improves, the last is the optimum.
-  for (std::size_t i = 1; i < objectives.size(); ++i) {
-    EXPECT_GT(objectives[i], objectives[i - 1]);
-  }
-  EXPECT_NEAR(objectives.back(), s.objective, 1e-9);
-}
-
-TEST(MilpSessionTest, IncumbentSnapshotExportsTheCarriedUpperBound) {
-  const Model m = knapsack_model();
-  Solver solver(m, optimality_params());
-  // Before any solve there is nothing to export.
-  EXPECT_FALSE(solver.incumbent_snapshot().has_value());
-
-  const MilpSolution s = solver.solve();
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  const auto snap = solver.incumbent_snapshot();
-  ASSERT_TRUE(snap.has_value());
-  // The snapshot is the last accepted incumbent: the optimum, with its full
-  // assignment (decodable/replayable by a checkpointer) and node stamp.
-  EXPECT_NEAR(snap->objective, s.objective, 1e-9);
-  EXPECT_EQ(snap->values.size(), s.values.size());
-  EXPECT_GT(snap->nodes_explored, 0);
-
-  // A new solve starts a new incumbent lineage; the stale snapshot must not
-  // survive into it. Cancel before solving: no incumbent, no snapshot.
-  solver.cancel();
-  const MilpSolution cancelled = solver.solve();
-  EXPECT_EQ(cancelled.status, SolveStatus::kLimitReached);
-  EXPECT_FALSE(solver.incumbent_snapshot().has_value());
-  solver.reset_cancel();
-}
-
-TEST(MilpSessionTest, IncumbentCallbackCanCancelViaToken) {
+TEST(MilpSessionTest, CutShortOptimalitySearchKeepsItsIncumbent) {
   // A knapsack big enough that proving optimality takes far longer than
-  // finding the first incumbent, so cancelling from the callback observably
-  // cuts the search short (the time limit is only a safety net).
+  // finding the first incumbent: a search stopped by a limit (node budget
+  // here; a cancel or the time limit take the same path) after an incumbent
+  // is in hand returns it as kFeasible.
   Model m("knap25");
   LinExpr weight, value;
   double total_weight = 0.0;
@@ -236,67 +202,101 @@ TEST(MilpSessionTest, IncumbentCallbackCanCancelViaToken) {
   m.set_objective(std::move(value), /*minimize=*/false);
 
   SolverParams params;
-  params.time_limit_sec = 30.0;  // safety net if cancellation were broken
-  params.cancel = CancelToken::create();
-  CancelToken token = params.cancel;
-  Solver solver(m, params);
-  std::atomic<int> events{0};
-  solver.set_incumbent_callback([&events, token](const IncumbentEvent&) {
-    events.fetch_add(1);
-    token.request_cancel();
-  });
-  const MilpSolution s = solver.solve();
-  // An incumbent was in hand when the cancel fired.
+  params.num_threads = 1;
+  params.node_limit = 2000;
+  const MilpSolution s = Solver(m, params).solve();
   EXPECT_EQ(s.status, SolveStatus::kFeasible);
-  EXPECT_EQ(events.load(), 1);
+  ASSERT_TRUE(s.has_solution());
+  EXPECT_TRUE(check_solution(m, s.values).ok);
+  EXPECT_EQ(s.stats.nodes_explored, params.node_limit);
+  EXPECT_GE(s.stats.incumbent_updates, 1);
 }
 
-TEST(MilpSessionTest, ParallelSolveMatchesSerialOnHardInfeasible) {
+TEST(MilpSessionTest, FourThreadsMatchOneThreadOnHardInfeasible) {
   const Model m = parity_hard_model(8);
-  // Too small for the parallel threshold, but num_threads must still be
-  // accepted and produce the serial answer.
-  for (const int threads : {1, 2, 8}) {
-    SolverParams params;
-    params.num_threads = threads;
-    const MilpSolution s = Solver(m, params).solve();
-    EXPECT_EQ(s.status, SolveStatus::kInfeasible) << threads << " threads";
-  }
+  // Too small for helper threads (4 requested threads resolve to one
+  // worker), but num_threads must still be accepted and give the same
+  // verdict and search.
+  SolverParams one;
+  one.num_threads = 1;
+  const MilpSolution reference = Solver(m, one).solve();
+  ASSERT_EQ(reference.status, SolveStatus::kInfeasible);
+
+  SolverParams four;
+  four.num_threads = 4;
+  const MilpSolution s = Solver(m, four).solve();
+  EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(s.stats.nodes_explored, reference.stats.nodes_explored);
 }
 
-TEST(MilpSessionTest, ParallelFirstFeasibleMatchesSerial) {
-  // 60 binaries, pick exactly 7: far above the parallel threshold, many
-  // feasible leaves. The accepted candidate must be the serial one (the
-  // DFS-first leaf) at every thread count.
-  Model m("pick7");
-  LinExpr sum;
-  for (int i = 0; i < 60; ++i) {
-    sum += LinExpr(m.add_binary("x" + std::to_string(i)));
-  }
-  m.add_constraint(std::move(sum) == 7.0, "pick7");
+TEST(MilpSessionTest, FourWorkerFirstFeasibleMatchesOneWorker) {
+  // Four workers must accept the one-worker candidate (the DFS-first leaf).
+  const Model m = pick7_model();
 
-  SolverParams serial = first_feasible_params();
-  serial.num_threads = 1;
-  const MilpSolution reference = Solver(m, serial).solve();
+  SolverParams one = first_feasible_params();
+  one.num_threads = 1;
+  const MilpSolution reference = Solver(m, one).solve();
   ASSERT_EQ(reference.status, SolveStatus::kFeasible);
 
-  for (const int threads : {2, 8}) {
-    SolverParams params = first_feasible_params();
-    params.num_threads = threads;
-    const MilpSolution s = Solver(m, params).solve();
-    ASSERT_EQ(s.status, SolveStatus::kFeasible) << threads << " threads";
-    EXPECT_EQ(s.values, reference.values) << threads << " threads";
-  }
+  SolverParams four = first_feasible_params();
+  four.num_threads = 4;
+  const MilpSolution s = Solver(m, four).solve();
+  ASSERT_EQ(s.status, SolveStatus::kFeasible);
+  EXPECT_EQ(s.values, reference.values);
 }
 
-TEST(MilpSessionTest, ParallelOptimalityMatchesSerial) {
-  const Model m = knapsack_model();
-  for (const int threads : {2, 8}) {
-    SolverParams params = optimality_params();
-    params.num_threads = threads;
-    const MilpSolution s = Solver(m, params).solve();
-    ASSERT_EQ(s.status, SolveStatus::kOptimal) << threads << " threads";
-    EXPECT_NEAR(s.objective, 20.0, 1e-6) << threads << " threads";
+TEST(MilpSessionTest, FourWorkerOptimalityMatchesOneWorker) {
+  // 50 binaries (above the helper-thread threshold), pick at most 3,
+  // maximize their values: five items share the top value 11, so the
+  // optimum is 33.
+  Model m("pick3");
+  LinExpr count, value;
+  for (int i = 0; i < 50; ++i) {
+    const VarId x = m.add_binary("x" + std::to_string(i));
+    count += LinExpr(x);
+    value += static_cast<double>((7 * i) % 11 + 1) * LinExpr(x);
   }
+  m.add_constraint(std::move(count) <= 3.0, "pick3");
+  m.set_objective(std::move(value), /*minimize=*/false);
+
+  SolverParams one = optimality_params();
+  one.num_threads = 1;
+  const MilpSolution reference = Solver(m, one).solve();
+  ASSERT_EQ(reference.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(reference.objective, 33.0, 1e-6);
+
+  SolverParams four = optimality_params();
+  four.num_threads = 4;
+  const MilpSolution s = Solver(m, four).solve();
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(s.objective, reference.objective, 1e-9);
+  EXPECT_TRUE(check_solution(m, s.values).ok);
+}
+
+TEST(MilpSessionTest, SearchLogLinesKeepTheCallersCorrelationId) {
+  // The solve service routes a job's log lines by the correlation id bound
+  // to its thread. With live telemetry off, the search must leave that id in
+  // place on the calling thread and hand it to its helper threads.
+  const Model m = pick7_model();
+  constexpr std::uint64_t kJob = 4242;
+  const std::string line = "incumbent objective";
+  std::ostringstream sink;
+  const LogLevel before = log_level();
+  set_log_level(LogLevel::kDebug);
+  add_correlation_json_log_sink(kJob, &sink);
+  int seen = 0;
+  for (const int threads : {1, 4}) {
+    telemetry::CorrelationScope job(kJob);
+    SolverParams params = first_feasible_params();
+    params.num_threads = threads;
+    EXPECT_EQ(Solver(m, params).solve().status, SolveStatus::kFeasible);
+    // The accepted leaf's debug line reached the job's sink.
+    const int now = count_of(sink.str(), line);
+    EXPECT_GT(now, seen) << threads << " threads";
+    seen = now;
+  }
+  remove_correlation_json_log_sink(kJob);
+  set_log_level(before);
 }
 
 }  // namespace

@@ -158,6 +158,32 @@ TEST(MilpSolverTest, NodeLimitReported) {
   EXPECT_FALSE(s.has_solution());
 }
 
+TEST(MilpSolverTest, FirstFeasibleAtExactNodeBudgetStaysFeasible) {
+  // Subset sum over the 12 primes 31..79 hitting 285: the first feasible
+  // leaf is found deep in the tree. A node limit equal to the unlimited
+  // solve's own node count is never exceeded, so the finished search must
+  // not report a limit on its way out.
+  const double weights[] = {31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79};
+  Model m("subset_sum");
+  LinExpr sum;
+  for (const double w : weights) {
+    sum += w * LinExpr(m.add_binary("x" + std::to_string(m.num_vars())));
+  }
+  m.add_constraint(std::move(sum) == 285.0, "target");
+
+  SolverParams params = first_feasible_params();
+  params.num_threads = 1;
+  const MilpSolution unlimited = Solver(m, params).solve();
+  ASSERT_EQ(unlimited.status, SolveStatus::kFeasible);
+  ASSERT_GT(unlimited.stats.nodes_explored, 1);
+
+  params.node_limit = unlimited.stats.nodes_explored;
+  const MilpSolution capped = Solver(m, params).solve();
+  EXPECT_EQ(capped.status, SolveStatus::kFeasible);
+  EXPECT_EQ(capped.values, unlimited.values);
+  EXPECT_EQ(capped.stats.nodes_explored, unlimited.stats.nodes_explored);
+}
+
 TEST(MilpSolverTest, BranchPriorityRespected) {
   // Two independent binaries; the higher-priority one should be branched
   // first; we can only observe the result, so just check correctness.

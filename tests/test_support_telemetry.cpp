@@ -301,7 +301,9 @@ TEST_F(TelemetryTest, SnapshotsStayConsistentUnderConcurrentAddAndReset) {
     for (const auto& entry : snap.counters) {
       EXPECT_GE(entry.value, 0);
       if (entry.name == "test.stress") {
-        if (snap.epoch == last_epoch) EXPECT_GE(entry.value, last_value);
+        if (snap.epoch == last_epoch) {
+          EXPECT_GE(entry.value, last_value);
+        }
         last_value = entry.value;
         last_epoch = snap.epoch;
       }
