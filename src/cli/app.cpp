@@ -25,6 +25,7 @@
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 #include "support/span.hpp"
+#include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "workloads/ar_filter.hpp"
 #include "workloads/dct.hpp"
@@ -924,7 +925,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       return report.degraded ? 3 : 2;
     }
     out << (report.degraded ? "best so far: " : "best: ")
-        << report.achieved_latency << " ns at N="
+        << trim_double(report.achieved_latency) << " ns at N="
         << report.best_num_partitions << " (delta=" << report.delta_used
         << ", " << report.ilp_solves << " ILP solves, " << report.seconds
         << " s)\n"
@@ -937,7 +938,8 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       const core::OptimalResult optimal = core::solve_optimal_over_range(
           graph, dev, parsed.alpha, parsed.gamma, options.budget.solver);
       if (optimal.best) {
-        out << "optimal reference: " << optimal.latency_ns << " ns ("
+        out << "optimal reference: " << trim_double(optimal.latency_ns)
+            << " ns ("
             << milp::to_string(optimal.status) << ")\n";
       } else {
         out << "optimal reference: no solution ("

@@ -1,7 +1,6 @@
 #include "core/formulation.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "graph/algorithms.hpp"
@@ -35,8 +34,10 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
   create_variables();
   add_uniqueness();
   add_temporal_order();
+  // The memory rows are implied by uniqueness (1) and the variable bounds
+  // when M_max covers all the data any boundary can hold (DESIGN §10).
   if (options_.include_memory &&
-      std::isfinite(device_.memory_capacity)) {
+      device_.memory_capacity < max_live_memory(graph_)) {
     add_memory();
   }
   add_resource();

@@ -11,6 +11,9 @@
 // linearized w lower bounds (4)/(5), resource (6), per-partition latency via
 // root->leaf paths (7), eta definition (8), and the latency window (9)/(10)
 //   sum_p d_p + eta*C_T in [Dmin, Dmax].
+// The memory block (w, (3)-(5)) is built only when M_max is below
+// max_live_memory(graph): otherwise (1) and the variable bounds imply it
+// (DESIGN.md §10), and it would only slow propagation down.
 //
 // Options cover the paper's formulation plus documented variants:
 //  - temporal order as the paper's pairwise rows or an aggregated
@@ -46,7 +49,8 @@ struct FormulationOptions {
   /// Emit temporal-order rows only for the transitive reduction of the edge
   /// set (edges implied by two-hop paths add no ordering information).
   bool reduce_order_edges = true;
-  /// Model the on-board memory constraint (disable for M_max = infinity).
+  /// Model the on-board memory constraint when it can bind, i.e. when M_max
+  /// is below max_live_memory(graph). False forces it off at any M_max.
   bool include_memory = true;
   /// Add the valid inequalities described above.
   bool strengthening_cuts = true;

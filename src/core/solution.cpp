@@ -82,6 +82,15 @@ double partition_memory(const graph::TaskGraph& graph,
   return memory;
 }
 
+double max_live_memory(const graph::TaskGraph& graph) {
+  double memory = 0.0;
+  for (graph::TaskId t = 0; t < graph.num_tasks(); ++t) {
+    memory += graph.task(t).env_in + graph.task(t).env_out;
+  }
+  for (const graph::DataEdge& e : graph.edges()) memory += e.data_units;
+  return memory;
+}
+
 double partition_path_latency(const graph::TaskGraph& graph,
                               const PartitionedDesign& design, int p) {
   // Longest chain within the partition-p induced subgraph.

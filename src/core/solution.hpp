@@ -43,6 +43,11 @@ double partition_area(const graph::TaskGraph& graph,
 double partition_memory(const graph::TaskGraph& graph,
                         const PartitionedDesign& design, int p);
 
+/// Upper bound on partition_memory over every design and partition: all
+/// environment inputs and outputs plus all edge data. When M_max is at least
+/// this, the memory constraint cannot bind.
+double max_live_memory(const graph::TaskGraph& graph);
+
 /// Critical-path latency of the tasks mapped to partition p (edges between
 /// co-located tasks chain; cross-partition edges do not).
 double partition_path_latency(const graph::TaskGraph& graph,

@@ -520,7 +520,17 @@ LpResult SimplexTableau::run_phases() {
     } else {
       bland_run = 0;
     }
-    const int entering = choose_entering(bland);
+    int entering = choose_entering(bland);
+    if (entering < 0 && phase_ == 1 &&
+        infeasibility_sum() > 1e3 * params_.feasibility_tol) {
+      // The incrementally updated cost row drifts, most on rows with wide
+      // coefficient ranges: conclude infeasibility only if fresh reduced
+      // costs admit no entering column either. A refresh that finds one is
+      // followed by an iteration, so max_iterations still bounds the loop.
+      compute_reduced_costs();
+      ++refactorizations_;
+      entering = choose_entering(bland);
+    }
     if (entering < 0) {
       // Current phase optimal.
       if (!state_is_finite()) {

@@ -69,6 +69,19 @@ TEST(CliTest, OptimalReference) {
   EXPECT_NE(r.out.find("optimal reference:"), std::string::npos);
 }
 
+// Latencies print in whole ns: at Ct = 1e7 six significant digits would
+// render 30001150 and 30001290 alike.
+TEST(CliTest, LatenciesPrintInWholeNanoseconds) {
+  const CliRun r = run_cli({"--workload", "ar", "--rmax", "200", "--mmax",
+                            "64", "--ct", "1e7", "--delta", "5", "--quiet",
+                            "--optimal"});
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("best: 30001150 ns"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("optimal reference: 30001150 ns (optimal)"),
+            std::string::npos)
+      << r.out;
+}
+
 TEST(CliTest, ReadsGraphFileWithDevice) {
   const std::string path = ::testing::TempDir() + "/cli_demo.tg";
   {

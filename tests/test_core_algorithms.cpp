@@ -3,9 +3,11 @@
 #include "arch/device.hpp"
 #include "core/baselines.hpp"
 #include "core/bounds.hpp"
+#include "core/formulation.hpp"
 #include "core/partitioner.hpp"
 #include "core/reduce_latency.hpp"
 #include "core/refine_partitions.hpp"
+#include "milp/solver.hpp"
 #include "support/error.hpp"
 #include "workloads/ar_filter.hpp"
 #include "workloads/synthetic.hpp"
@@ -197,6 +199,49 @@ TEST_P(ArOptimalityTest, IterativeMatchesOptimal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArOptimalityTest,
+                         ::testing::Values(1.0, 50.0, 500.0, 1e7));
+
+// LP pruning must never cut off the optimum: at every N of the AR range, the
+// LP-bounded optimum equals the one found by propagation-only search. At
+// Ct = 1e7 the cutoff row sum_p d_p + 1e7 * eta <= cutoff mixes coefficient
+// magnitudes, which is where phase 1 once declared feasible node LPs
+// infeasible from a drifted cost row.
+class ArLpBoundingTest : public ::testing::TestWithParam<double> {};
+
+/// Optimum of the AR model at N, or -1 when N is infeasible.
+double ar_optimum(const arch::Device& dev, int n, bool lp_bounding,
+                  FormulationOptions formulation) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  IlpFormulation form(g, dev, n, max_latency(g, dev, n),
+                      min_latency(g, dev, n), formulation);
+  form.set_latency_objective();
+  milp::SolverParams params = milp::optimality_params();
+  params.use_lp_bounding = lp_bounding;
+  params.objective_improvement = 1.0;
+  params.num_threads = 1;
+  const milp::MilpSolution s = milp::Solver(form.model(), params).solve();
+  if (s.status == milp::SolveStatus::kInfeasible) return -1.0;
+  EXPECT_EQ(s.status, milp::SolveStatus::kOptimal)
+      << "N=" << n << " lp_bounding=" << lp_bounding;
+  return s.has_solution() ? form.decode(s.values).total_latency_ns : -2.0;
+}
+
+TEST_P(ArLpBoundingTest, LpBoundedOptimumMatchesPropagationOnly) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  const arch::Device dev = ar_device(GetParam());
+  for (const bool include_memory : {false, true}) {
+    FormulationOptions formulation;
+    formulation.include_memory = include_memory;
+    for (int n = min_area_partitions(g, dev);
+         n <= max_area_partitions(g, dev) + 1; ++n) {
+      EXPECT_DOUBLE_EQ(ar_optimum(dev, n, true, formulation),
+                       ar_optimum(dev, n, false, formulation))
+          << "include_memory " << include_memory << " N=" << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArLpBoundingTest,
                          ::testing::Values(1.0, 50.0, 500.0, 1e7));
 
 // Property sweep: on random small graphs the iterative result is within

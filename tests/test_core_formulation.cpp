@@ -261,11 +261,45 @@ TEST(FormulationTest, ArFilterModelStats) {
   IlpFormulation form(g, dev, 3, max_latency(g, dev, 3),
                       min_latency(g, dev, 3));
   const milp::ModelStats stats = form.model().stats();
-  // 6 tasks x 3 partitions x {3,1,2,2,1,1} points = 30 Y vars, plus w, d,
-  // eta and the cut variables.
+  // 6 tasks x 3 partitions x {3,1,2,2,1,1} points = 30 Y vars, plus d, eta
+  // and the cut variables.
   EXPECT_GE(stats.num_binary, 30);
   EXPECT_GE(stats.num_constraints, 20);
   EXPECT_GT(stats.num_nonzeros, 100);
+}
+
+// The memory rows (3)-(5) are built only when M_max is below the most live
+// data any boundary can hold: 48 units on the AR filter.
+TEST(FormulationTest, MemoryRowsOnlyWhenMmaxCanBind) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  ASSERT_DOUBLE_EQ(max_live_memory(g), 48.0);
+  const auto memory_names = [](const milp::Model& model) {
+    int count = 0;
+    const auto is_memory = [](const std::string& name) {
+      return name.rfind("mem_p", 0) == 0 || name.rfind("wdef_p", 0) == 0 ||
+             name.rfind("w_p", 0) == 0;
+    };
+    for (const milp::VarInfo& v : model.vars()) count += is_memory(v.name);
+    for (const milp::ConstraintInfo& c : model.constraints()) {
+      count += is_memory(c.name);
+    }
+    return count;
+  };
+  for (const double mmax : {64.0, 48.0, 47.0}) {
+    const arch::Device dev = arch::custom("d", 200, mmax, 50);
+    IlpFormulation form(g, dev, 3, max_latency(g, dev, 3),
+                        min_latency(g, dev, 3));
+    if (mmax >= 48.0) {
+      EXPECT_EQ(memory_names(form.model()), 0) << "Mmax " << mmax;
+    } else {
+      EXPECT_GT(memory_names(form.model()), 0) << "Mmax " << mmax;
+      FormulationOptions off;
+      off.include_memory = false;
+      IlpFormulation forced(g, dev, 3, max_latency(g, dev, 3),
+                            min_latency(g, dev, 3), off);
+      EXPECT_EQ(memory_names(forced.model()), 0);
+    }
+  }
 }
 
 }  // namespace

@@ -4,14 +4,20 @@
 //  - the transitive-reduction option never changes the answer;
 //  - every solver-produced design passes the independent validator AND the
 //    ILP's own memory accounting matches the validator's;
+//  - no design holds more live data than max_live_memory, the bound below
+//    which the formulation builds its memory rows;
 //  - the iterative partitioner never loses to the greedy baselines.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 #include "arch/device.hpp"
 #include "core/baselines.hpp"
 #include "core/bounds.hpp"
 #include "core/formulation.hpp"
 #include "core/partitioner.hpp"
+#include "graph/algorithms.hpp"
 #include "milp/solver.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -29,6 +35,10 @@ graph::TaskGraph seeded_graph(std::uint64_t seed) {
 
 class FormulationVariantsTest
     : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// M_max of DecodedDesignsPassTheValidator: below max_live_memory of most
+/// of its graphs (36-48 units), so their memory rows are built.
+constexpr double kValidatorSweepMmax = 40.0;
 
 TEST_P(FormulationVariantsTest, AllVariantsAgreeOnOptimum) {
   const graph::TaskGraph g = seeded_graph(GetParam());
@@ -88,8 +98,8 @@ TEST_P(FormulationVariantsTest, TransitiveReductionPreservesOptimum) {
 
 TEST_P(FormulationVariantsTest, DecodedDesignsPassTheValidator) {
   const graph::TaskGraph g = seeded_graph(GetParam() * 17 + 3);
-  // Tight-ish memory so the w-variable accounting is actually exercised.
-  const arch::Device dev = arch::custom("d", 300, 48, 60);
+  // Tight memory so the w-variable accounting is actually exercised.
+  const arch::Device dev = arch::custom("d", 300, kValidatorSweepMmax, 60);
   const int n = min_area_partitions(g, dev) + 1;
   IlpFormulation form(g, dev, n, max_latency(g, dev, n),
                       min_latency(g, dev, n));
@@ -110,6 +120,38 @@ TEST_P(FormulationVariantsTest, DecodedDesignsPassTheValidator) {
   for (int p = 1; p <= n; ++p) {
     EXPECT_LE(partition_memory(g, design, p), dev.memory_capacity + 1e-6)
         << "partition " << p;
+  }
+}
+
+// The premise of leaving the memory rows out when M_max >= max_live_memory:
+// no design, valid or not on area, holds more live data at any boundary.
+TEST_P(FormulationVariantsTest, LiveMemoryNeverExceedsTheSkipBound) {
+  const graph::TaskGraph g = seeded_graph(GetParam() * 17 + 3);
+  const double bound = max_live_memory(g);
+  const std::vector<graph::TaskId> topo = graph::topological_order(g);
+  std::mt19937_64 rng(GetParam());
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng() % 5);
+    PartitionedDesign design;
+    design.num_partitions_allocated = n;
+    design.assignment.assign(static_cast<std::size_t>(g.num_tasks()), {});
+    for (const graph::TaskId t : topo) {
+      // Temporal order: never before a producer's partition.
+      int lo = 1;
+      for (const graph::TaskId pred : g.predecessors(t)) {
+        lo = std::max(lo, design.assignment[static_cast<std::size_t>(pred)]
+                              .partition);
+      }
+      const int points = static_cast<int>(g.task(t).design_points.size());
+      design.assignment[static_cast<std::size_t>(t)] = TaskAssignment{
+          lo + static_cast<int>(rng() % static_cast<std::uint64_t>(n - lo + 1)),
+          static_cast<int>(rng() % static_cast<std::uint64_t>(points))};
+    }
+    for (int p = 1; p <= n; ++p) {
+      EXPECT_LE(partition_memory(g, design, p), bound)
+          << "seed " << GetParam() << " trial " << trial << " partition "
+          << p;
+    }
   }
 }
 
@@ -134,6 +176,18 @@ TEST_P(FormulationVariantsTest, IterativeNeverLosesToGreedy) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FormulationVariantsTest,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// DecodedDesignsPassTheValidator checks the memory rows only on graphs that
+// can hold more than its M_max.
+TEST(FormulationVariantsSweep, ValidatorSweepBuildsTheMemoryRows) {
+  int seeds_with_rows = 0;
+  for (std::uint64_t seed = 1; seed < 11; ++seed) {
+    if (kValidatorSweepMmax < max_live_memory(seeded_graph(seed * 17 + 3))) {
+      ++seeds_with_rows;
+    }
+  }
+  EXPECT_GE(seeds_with_rows, 1);
+}
 
 }  // namespace
 }  // namespace sparcs::core
