@@ -79,8 +79,8 @@ BENCHMARK(BM_FirstFeasibleWarmStart)
     ->Iterations(1);
 
 /// Worker-thread scaling of a single first-feasible query on a DCT-1024
-/// model (Arg = num_threads; 1 is the one-worker pool). Pairs with
-/// bench_milp's BM_BnbFirstFeasibleDct1024 for the 4-vs-1-thread target.
+/// model (Arg = num_threads; 1 is the one-worker pool). The acceptance
+/// target is >= 2x at 4 threads vs 1 on multi-core hosts.
 void BM_FirstFeasibleThreadsDct1024(benchmark::State& state) {
   const graph::TaskGraph g = make_graph(32);
   const arch::Device dev = arch::custom("d", 1024, 4096, 100);

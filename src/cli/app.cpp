@@ -1,12 +1,15 @@
 #include "cli/app.hpp"
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "arch/device.hpp"
 #include "core/partitioner.hpp"
@@ -72,6 +75,24 @@ milp::CertifyMode parse_certify(const std::string& name) {
   SPARCS_REQUIRE(false, "unknown --certify mode '" + name +
                             "' (expected off, incumbents or full)");
   return milp::CertifyMode::kOff;
+}
+
+/// Parses a numeric flag value strictly: the whole string must be a number of
+/// type T in range, and a floating-point value must be finite. Anything else
+/// ("abc", "50abc", "2.5" for an int, "1e999", "nan") is bad input (exit 4)
+/// naming the flag.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T number{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, number);
+  bool ok = ec == std::errc() && end == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(number);
+  SPARCS_REQUIRE(ok, flag + " needs " +
+                         (std::is_floating_point_v<T> ? "a finite number"
+                                                      : "an integer") +
+                         ", got '" + text + "'");
+  return number;
 }
 
 // ---------------------------------------------------------------------------
@@ -162,24 +183,25 @@ Arguments parse_args(const std::vector<std::string>& args) {
     if (arg == "--workload") {
       parsed.workload = value();
     } else if (arg == "--rmax") {
-      parsed.rmax = std::stod(value());
+      parsed.rmax = parse_number<double>(arg, value());
     } else if (arg == "--mmax") {
-      parsed.mmax = std::stod(value());
+      parsed.mmax = parse_number<double>(arg, value());
     } else if (arg == "--ct") {
-      parsed.ct = std::stod(value());
+      parsed.ct = parse_number<double>(arg, value());
     } else if (arg == "--delta") {
-      parsed.delta = std::stod(value());
+      parsed.delta = parse_number<double>(arg, value());
     } else if (arg == "--alpha") {
-      parsed.alpha = std::stoi(value());
+      parsed.alpha = parse_number<int>(arg, value());
     } else if (arg == "--gamma") {
-      parsed.gamma = std::stoi(value());
+      parsed.gamma = parse_number<int>(arg, value());
     } else if (arg == "--time-limit") {
-      parsed.time_limit = std::stod(value());
+      parsed.time_limit = parse_number<double>(arg, value());
+      SPARCS_REQUIRE(parsed.time_limit > 0.0, "--time-limit must be > 0");
     } else if (arg == "--deadline-sec") {
-      parsed.deadline_sec = std::stod(value());
+      parsed.deadline_sec = parse_number<double>(arg, value());
       SPARCS_REQUIRE(parsed.deadline_sec > 0.0, "--deadline-sec must be > 0");
     } else if (arg == "--threads") {
-      parsed.threads = std::stoi(value());
+      parsed.threads = parse_number<int>(arg, value());
       SPARCS_REQUIRE(parsed.threads >= 0,
                      "--threads must be >= 0 (0 = all hardware threads)");
     } else if (arg == "--optimal") {
@@ -203,7 +225,7 @@ Arguments parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--telemetry-jsonl") {
       parsed.telemetry_jsonl_file = value();
     } else if (arg == "--telemetry-interval-ms") {
-      parsed.telemetry_interval_ms = std::stod(value());
+      parsed.telemetry_interval_ms = parse_number<double>(arg, value());
       SPARCS_REQUIRE(parsed.telemetry_interval_ms > 0.0,
                      "--telemetry-interval-ms must be > 0");
     } else if (arg == "--progress") {
@@ -217,7 +239,7 @@ Arguments parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--checkpoint") {
       parsed.checkpoint_file = value();
     } else if (arg == "--checkpoint-interval-sec") {
-      parsed.checkpoint_interval_sec = std::stod(value());
+      parsed.checkpoint_interval_sec = parse_number<double>(arg, value());
       SPARCS_REQUIRE(parsed.checkpoint_interval_sec >= 0.0,
                      "--checkpoint-interval-sec must be >= 0");
     } else if (arg == "--resume") {
@@ -457,19 +479,19 @@ ServeArguments parse_serve_args(const std::vector<std::string>& args) {
     if (arg == "--serve") {
       parsed.socket_path = value();
     } else if (arg == "--serve-workers") {
-      parsed.workers = std::stoi(value());
+      parsed.workers = parse_number<int>(arg, value());
       SPARCS_REQUIRE(parsed.workers >= 0, "--serve-workers must be >= 0");
     } else if (arg == "--serve-queue-depth") {
-      parsed.queue_depth = std::stoi(value());
+      parsed.queue_depth = parse_number<int>(arg, value());
       SPARCS_REQUIRE(parsed.queue_depth > 0,
                      "--serve-queue-depth must be > 0");
     } else if (arg == "--serve-memory-mb") {
-      parsed.memory_mb = std::stod(value());
+      parsed.memory_mb = parse_number<double>(arg, value());
       SPARCS_REQUIRE(parsed.memory_mb > 0.0, "--serve-memory-mb must be > 0");
     } else if (arg == "--serve-artifact-dir") {
       parsed.artifact_dir = value();
     } else if (arg == "--serve-threads-per-job") {
-      parsed.threads_per_job = std::stoi(value());
+      parsed.threads_per_job = parse_number<int>(arg, value());
       SPARCS_REQUIRE(parsed.threads_per_job >= 0,
                      "--serve-threads-per-job must be >= 0");
     } else if (arg == "--log-level") {
@@ -546,35 +568,35 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
     } else if (arg == "--wait") {
       parsed.wait = true;
     } else if (arg == "--priority") {
-      parsed.submit.priority = std::stoi(value());
+      parsed.submit.priority = parse_number<int>(arg, value());
     } else if (arg == "--detach") {
       parsed.submit.detach = true;
     } else if (arg == "--workload") {
       parsed.submit.workload = value();
     } else if (arg == "--rmax") {
-      parsed.submit.rmax = std::stod(value());
+      parsed.submit.rmax = parse_number<double>(arg, value());
     } else if (arg == "--mmax") {
-      parsed.submit.mmax = std::stod(value());
+      parsed.submit.mmax = parse_number<double>(arg, value());
     } else if (arg == "--ct") {
-      parsed.submit.ct = std::stod(value());
+      parsed.submit.ct = parse_number<double>(arg, value());
     } else if (arg == "--delta") {
-      parsed.submit.delta = std::stod(value());
+      parsed.submit.delta = parse_number<double>(arg, value());
     } else if (arg == "--alpha") {
-      parsed.submit.alpha = std::stoi(value());
+      parsed.submit.alpha = parse_number<int>(arg, value());
     } else if (arg == "--gamma") {
-      parsed.submit.gamma = std::stoi(value());
+      parsed.submit.gamma = parse_number<int>(arg, value());
     } else if (arg == "--time-limit") {
-      parsed.submit.time_limit_sec = std::stod(value());
+      parsed.submit.time_limit_sec = parse_number<double>(arg, value());
     } else if (arg == "--deadline-sec") {
-      parsed.submit.deadline_sec = std::stod(value());
+      parsed.submit.deadline_sec = parse_number<double>(arg, value());
     } else if (arg == "--threads") {
-      parsed.submit.threads = std::stoi(value());
+      parsed.submit.threads = parse_number<int>(arg, value());
     } else if (arg == "--certify") {
       parsed.submit.certify = value();
     } else if (arg == "--no-checkpoint") {
       parsed.submit.checkpoint = false;
     } else if (arg == "--est-memory-mb") {
-      parsed.submit.est_memory_mb = std::stod(value());
+      parsed.submit.est_memory_mb = parse_number<double>(arg, value());
     } else if (!arg.empty() && arg[0] == '-') {
       SPARCS_REQUIRE(false, "unknown " + parsed.verb + " option " + arg);
     } else {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "cli/app.hpp"
 
@@ -200,6 +201,30 @@ TEST(CliTest, ThreadsFlagIsAcceptedAndValidated) {
   const CliRun bad = run_cli({"--workload", "ar", "--threads", "-1"});
   EXPECT_EQ(bad.exit_code, 4);
   EXPECT_NE(bad.err.find("--threads"), std::string::npos);
+}
+
+TEST(CliTest, MalformedNumbersAreBadInput) {
+  // Each value must be rejected whole: no abort on an uncaught std
+  // exception, no silent truncation ("50abc" -> 50, "2.5" -> 2), and no
+  // time limit every probe hits at once.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--ct", "abc"},         {"--ct", "50abc"},       {"--threads", "x"},
+      {"--threads", "2.5"},    {"--rmax", "1e999"},     {"--time-limit", "0"},
+      {"--time-limit", "nan"},
+  };
+  for (const auto& [flag, value] : cases) {
+    const CliRun r = run_cli({"--workload", "ar", "--rmax", "200", "--mmax",
+                              "64", "--ct", "50", "--quiet", flag, value});
+    EXPECT_EQ(r.exit_code, 4) << flag << " " << value << ": " << r.err;
+    EXPECT_NE(r.err.find("error:"), std::string::npos) << flag << " " << value;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << flag << " " << value;
+  }
+
+  const CliRun submit = run_cli({"submit", "--socket", "/nonexistent",
+                                 "--workload", "ar", "--ct", "abc"});
+  EXPECT_EQ(submit.exit_code, 4) << submit.err;
+  EXPECT_NE(submit.err.find("error:"), std::string::npos);
+  EXPECT_NE(submit.err.find("--ct"), std::string::npos);
 }
 
 TEST(CliTest, LogLevelFlagControlsTraceTable) {
