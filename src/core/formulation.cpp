@@ -280,10 +280,30 @@ void IlpFormulation::add_resource() {
 }
 
 // (7): d_p dominates the latency of every root->leaf path restricted to p.
+// Each partition's rows form one path family over the task graph, which the
+// solver propagates as one longest-path constraint.
 void IlpFormulation::add_latency_path_based() {
   const graph::PathEnumeration paths =
       graph::enumerate_root_leaf_paths(graph_, options_.max_paths);
   SPARCS_CHECK(!paths.truncated, "caller must have checked the path cap");
+  const std::vector<TaskId> topo = graph::topological_order(graph_);
+  std::vector<milp::PathFamily> families(static_cast<std::size_t>(n_));
+  for (int p = 1; p <= n_; ++p) {
+    milp::PathFamily& family = families[static_cast<std::size_t>(p - 1)];
+    family.target = d(p);
+    family.topo_order = topo;
+    for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
+      for (const TaskId s : graph_.successors(t)) family.succ.push_back(s);
+      family.succ_begin.push_back(static_cast<std::int32_t>(family.succ.size()));
+      LinExpr latency = task_latency_in_partition(t, p);
+      latency.normalize();  // as the rows are: zero latencies drop out
+      family.terms.insert(family.terms.end(), latency.terms().begin(),
+                          latency.terms().end());
+      family.term_begin.push_back(
+          static_cast<std::int32_t>(family.terms.size()));
+    }
+  }
+  // enumerate_root_leaf_paths lists paths in the families' path order.
   for (std::size_t pi = 0; pi < paths.paths.size(); ++pi) {
     for (int p = 1; p <= n_; ++p) {
       LinExpr lhs;
@@ -291,9 +311,13 @@ void IlpFormulation::add_latency_path_based() {
         lhs += task_latency_in_partition(t, p);
       }
       lhs -= LinExpr(d(p));
-      model_.add_constraint(std::move(lhs) <= 0.0,
-                            str_format("lat_path%zu_p%d", pi, p));
+      families[static_cast<std::size_t>(p - 1)].rows.push_back(
+          model_.add_constraint(std::move(lhs) <= 0.0,
+                                str_format("lat_path%zu_p%d", pi, p)));
     }
+  }
+  for (milp::PathFamily& family : families) {
+    model_.add_path_family(std::move(family));
   }
 }
 

@@ -11,6 +11,11 @@
 // linearized w lower bounds (4)/(5), resource (6), per-partition latency via
 // root->leaf paths (7), eta definition (8), and the latency window (9)/(10)
 //   sum_p d_p + eta*C_T in [Dmin, Dmax].
+// The path rows of (7) for partition p are registered as one milp::PathFamily
+// (target d_p, the task graph, each task's D(m)*Y_ptm terms): the solver
+// propagates them as one longest-path constraint, and one family visit
+// counts as one propagation visit. The rows stay in the model for the LP,
+// the certificate checker and certificates.
 // The memory block (w, (3)-(5)) is built only when M_max is below
 // max_live_memory(graph): otherwise (1) and the variable bounds imply it
 // (DESIGN.md §10), and it would only slow propagation down.

@@ -59,14 +59,30 @@ CompiledModel::CompiledModel(const Model& model, bool with_objective_cutoff) {
     append_row(obj_terms_, Sense::kLessEqual, kInfinity);
   }
 
+  // A family's unit takes the place of its owned rows in the adjacency.
+  families_ = &model.path_families();
+  for (int f = 0; f < num_families(); ++f) {
+    for (const ConstraintId c : family(f).rows) {
+      constraints_[static_cast<std::size_t>(c)].family = f;
+    }
+  }
   vadj_.assign(static_cast<std::size_t>(n), {});
   for (int c = 0; c < num_constraints(); ++c) {
     const CompiledConstraint& cc = constraints_[static_cast<std::size_t>(c)];
+    const std::int32_t unit = unit_of_row(c);
+    if (unit == c) ++num_round_units_;
     for (std::int32_t k = cc.begin; k < cc.end; ++k) {
-      vadj_[static_cast<std::size_t>(var_[static_cast<std::size_t>(k)])]
-          .push_back(c);
+      auto& units =
+          vadj_[static_cast<std::size_t>(var_[static_cast<std::size_t>(k)])];
+      // A family's unit usually sits at the back when it is listed already.
+      if (unit != c &&
+          std::find(units.rbegin(), units.rend(), unit) != units.rend()) {
+        continue;
+      }
+      units.push_back(unit);
     }
   }
+  num_round_units_ += num_families();
 
   branch_order_.reserve(static_cast<std::size_t>(n));
   for (VarId v = 0; v < n; ++v) {

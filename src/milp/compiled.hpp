@@ -1,6 +1,11 @@
 // Compiled (solver-internal) form of a Model: CSR constraint storage,
-// variable -> constraint adjacency, and an optional dynamic objective-cutoff
-// row used by branch & bound to turn incumbent objectives into a constraint.
+// variable -> propagation-unit adjacency, and an optional dynamic
+// objective-cutoff row used by branch & bound to turn incumbent objectives
+// into a constraint.
+//
+// Propagation visits units: every row that no PathFamily owns, plus one
+// unit per family in place of all the rows it owns. Unit ids below
+// num_constraints() are rows; num_constraints() + f is family f.
 #pragma once
 
 #include <vector>
@@ -15,6 +20,7 @@ struct CompiledConstraint {
   std::int32_t begin = 0;  ///< first term index
   std::int32_t end = 0;    ///< one past the last term index
   Sense sense = Sense::kLessEqual;
+  std::int32_t family = -1;  ///< PathFamily owning the row, or -1
   double rhs = 0.0;
 };
 
@@ -22,10 +28,12 @@ struct CompiledConstraint {
 /// field, owned by the branch & bound).
 class CompiledModel {
  public:
-  /// Compiles `model`. When `with_objective_cutoff` is true and the model has
-  /// an objective, an extra row `obj <= +inf` is appended whose rhs the
-  /// search tightens as incumbents are found (the objective is negated first
-  /// for maximization so the compiled problem always minimizes).
+  /// Compiles `model`, which must outlive the compiled form (its path
+  /// families are read in place, not copied). When `with_objective_cutoff`
+  /// is true and the model has an objective, an extra row `obj <= +inf` is
+  /// appended whose rhs the search tightens as incumbents are found (the
+  /// objective is negated first for maximization so the compiled problem
+  /// always minimizes).
   explicit CompiledModel(const Model& model, bool with_objective_cutoff = false);
 
   [[nodiscard]] int num_vars() const { return static_cast<int>(types_.size()); }
@@ -52,9 +60,27 @@ class CompiledModel {
   [[nodiscard]] double lb(VarId v) const { return lb_[static_cast<std::size_t>(v)]; }
   [[nodiscard]] double ub(VarId v) const { return ub_[static_cast<std::size_t>(v)]; }
 
-  /// Constraints containing variable v.
+  /// Propagation units containing variable v.
   [[nodiscard]] const std::vector<std::int32_t>& constraints_of(VarId v) const {
     return vadj_[static_cast<std::size_t>(v)];
+  }
+
+  [[nodiscard]] int num_families() const {
+    return static_cast<int>(families_->size());
+  }
+  [[nodiscard]] const PathFamily& family(int f) const {
+    return (*families_)[static_cast<std::size_t>(f)];
+  }
+  /// Rows plus families: one past the largest unit id.
+  [[nodiscard]] int num_units() const {
+    return num_constraints() + num_families();
+  }
+  /// Units propagated once per round: the unowned rows and the families.
+  [[nodiscard]] int num_round_units() const { return num_round_units_; }
+  /// The unit that propagates row c: c itself, or its owning family's unit.
+  [[nodiscard]] std::int32_t unit_of_row(int c) const {
+    const std::int32_t f = constraint(c).family;
+    return f < 0 ? c : num_constraints() + f;
   }
 
   /// Minimization objective (already sign-normalized); empty terms when the
@@ -83,6 +109,8 @@ class CompiledModel {
   std::vector<VarId> var_;
   std::vector<CompiledConstraint> constraints_;
   std::vector<std::vector<std::int32_t>> vadj_;
+  const std::vector<PathFamily>* families_ = nullptr;
+  int num_round_units_ = 0;
   std::vector<VarType> types_;
   std::vector<double> lb_, ub_;
   std::vector<double> hints_;

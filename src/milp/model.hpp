@@ -3,6 +3,7 @@
 // partitioning formulation uses to direct the solver.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +32,35 @@ struct ConstraintInfo {
   std::vector<LinTerm> terms;
   Sense sense = Sense::kLessEqual;
   double rhs = 0.0;
+};
+
+/// A family of rows, one per root->leaf path P of a DAG:
+///   sum_{u in P} sum_{(x, a) in terms(u)} a*x - target <= 0
+/// (the paper's eq. (7) for one partition: target is d_p, node u is a task,
+/// its terms are D(m)*Y_ptm). The rows stay ordinary model rows that the LP,
+/// the certificate checker and certificates read one by one; only bound
+/// propagation visits the family as one longest-path constraint instead
+/// (milp::Propagator), which reaches the same bounds in O(V+E) per visit.
+struct PathFamily {
+  VarId target = -1;
+  /// DAG over nodes 0..n-1 in CSR form: the successors of node u are
+  /// succ[succ_begin[u] .. succ_begin[u+1]).
+  std::vector<std::int32_t> succ_begin{0};
+  std::vector<std::int32_t> succ;
+  /// Every node once, each before all its successors.
+  std::vector<std::int32_t> topo_order;
+  /// Terms of node u: terms[term_begin[u] .. term_begin[u+1]), with positive
+  /// coefficients, on variables other than the target.
+  std::vector<std::int32_t> term_begin{0};
+  std::vector<LinTerm> terms;
+  /// The row of each root->leaf path, in path order: roots (nodes without
+  /// predecessors) by ascending id, each extended depth-first through its
+  /// successors in CSR order.
+  std::vector<ConstraintId> rows;
+
+  [[nodiscard]] int num_nodes() const {
+    return static_cast<int>(succ_begin.size()) - 1;
+  }
 };
 
 /// Summary statistics of a model.
@@ -79,6 +109,13 @@ class Model {
     return constraints_;
   }
 
+  /// Registers rows already in the model as one path family (see
+  /// PathFamily). validate() checks that the rows are exactly the family's.
+  int add_path_family(PathFamily family);
+  [[nodiscard]] const std::vector<PathFamily>& path_families() const {
+    return path_families_;
+  }
+
   // ---- Objective -------------------------------------------------------
   /// Sets the objective; `minimize` false means maximize. Without a call the
   /// model is a pure feasibility problem (objective identically 0).
@@ -92,13 +129,15 @@ class Model {
   [[nodiscard]] ModelStats stats() const;
 
   /// Throws InvalidArgumentError on malformed models (empty bounds boxes,
-  /// terms referencing unknown variables, non-finite coefficients).
+  /// terms referencing unknown variables, non-finite coefficients, a path
+  /// family whose rows are not exactly one per root->leaf path).
   void validate() const;
 
  private:
   std::string name_;
   std::vector<VarInfo> vars_;
   std::vector<ConstraintInfo> constraints_;
+  std::vector<PathFamily> path_families_;
   LinExpr objective_;
   bool minimize_ = true;
   bool has_objective_ = false;

@@ -1,10 +1,16 @@
 #include "milp/propagation.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/error.hpp"
 
 namespace sparcs::milp {
+namespace {
+
+std::size_t at(std::int32_t i) { return static_cast<std::size_t>(i); }
+
+}  // namespace
 
 Domains::Domains(const CompiledModel& model) {
   const int n = model.num_vars();
@@ -58,22 +64,41 @@ Propagator::Propagator(const CompiledModel& model, double feasibility_tol,
     : model_(model),
       tol_(feasibility_tol),
       max_rounds_(max_rounds),
-      in_queue_(static_cast<std::size_t>(model.num_constraints()), false) {}
+      in_queue_(static_cast<std::size_t>(model.num_units()), false),
+      ranks_(at(model.num_families())) {
+  std::size_t nodes = 0;
+  for (int f = 0; f < model.num_families(); ++f) {
+    nodes = std::max(nodes, at(model.family(f).num_nodes()));
+  }
+  weight_.resize(nodes);
+  into_.resize(nodes);
+  from_.resize(nodes);
+  prev_.resize(nodes);
+  next_.resize(nodes);
+}
 
-void Propagator::enqueue_var(VarId v) {
-  for (const std::int32_t c : model_.constraints_of(v)) {
-    if (!in_queue_[static_cast<std::size_t>(c)]) {
-      in_queue_[static_cast<std::size_t>(c)] = true;
-      queue_.push_back(c);
+void Propagator::enqueue_var(VarId v, bool lb_changed, bool ub_changed) {
+  const int num_rows = model_.num_constraints();
+  for (const std::int32_t unit : model_.constraints_of(v)) {
+    if (in_queue_[static_cast<std::size_t>(unit)]) continue;
+    // A family reads only the lower bounds of its terms and the upper bound
+    // of its target.
+    if (unit >= num_rows &&
+        !(model_.family(unit - num_rows).target == v ? ub_changed
+                                                     : lb_changed)) {
+      continue;
     }
+    in_queue_[static_cast<std::size_t>(unit)] = true;
+    queue_.push_back(unit);
   }
 }
 
 void Propagator::enqueue_all() {
   for (int c = 0; c < model_.num_constraints(); ++c) {
-    if (!in_queue_[static_cast<std::size_t>(c)]) {
-      in_queue_[static_cast<std::size_t>(c)] = true;
-      queue_.push_back(c);
+    const std::int32_t unit = model_.unit_of_row(c);
+    if (!in_queue_[static_cast<std::size_t>(unit)]) {
+      in_queue_[static_cast<std::size_t>(unit)] = true;
+      queue_.push_back(unit);
     }
   }
 }
@@ -86,22 +111,27 @@ bool Propagator::propagate(Domains& domains,
   if (seed_vars.empty()) {
     enqueue_all();
   } else {
-    for (const VarId v : seed_vars) enqueue_var(v);
+    for (const VarId v : seed_vars) enqueue_var(v, true, true);
   }
 
   const std::int64_t budget =
       static_cast<std::int64_t>(max_rounds_) *
-      std::max(1, model_.num_constraints());
+      std::max(1, model_.num_round_units());
+  const int num_rows = model_.num_constraints();
   std::int64_t processed = 0;
   std::size_t head = 0;
   while (head < queue_.size()) {
-    const int c = queue_[head++];
-    in_queue_[static_cast<std::size_t>(c)] = false;
-    if (!process_constraint(c, domains, stats)) {
+    const int unit = queue_[head++];
+    in_queue_[static_cast<std::size_t>(unit)] = false;
+    ++processed;
+    if (!(unit < num_rows
+              ? process_constraint(unit, domains, stats)
+              : process_family(unit - num_rows, domains, stats))) {
+      stats.constraints_processed += processed;
       ++stats.conflicts;
       return false;
     }
-    if (++processed > budget) break;  // settle for the bounds found so far
+    if (processed > budget) break;  // settle for the bounds found so far
     // Compact the consumed prefix occasionally to bound memory.
     if (head > 4096 && head * 2 > queue_.size()) {
       queue_.erase(queue_.begin(),
@@ -170,17 +200,8 @@ bool Propagator::process_constraint(int c, Domains& domains,
         if (model_.is_integral(v)) new_bound = std::ceil(new_bound - tol_);
         if (new_bound > lo + tol_) changed = domains.set_lb(v, new_bound);
       }
-      if (changed) {
-        ++stats.bounds_tightened;
-        if (log_ != nullptr) {
-          log_->derivations.push_back({c, v, /*is_lb=*/a <= 0.0});
-        }
-        if (domains.lb(v) > domains.ub(v) + tol_) {
-          if (log_ != nullptr) log_->conflict_var = v;
-          return false;
-        }
-        if (domains.ub(v) - domains.lb(v) <= tol_) ++stats.vars_fixed;
-        enqueue_var(v);
+      if (changed && !tightened(c, v, /*is_lb=*/a <= 0.0, domains, stats)) {
+        return false;
       }
     }
     if (need_ge && (max_infs == 0 || (max_infs == 1 && self_max_inf))) {
@@ -196,21 +217,163 @@ bool Propagator::process_constraint(int c, Domains& domains,
         if (model_.is_integral(v)) new_bound = std::floor(new_bound + tol_);
         if (new_bound < domains.ub(v) - tol_) changed = domains.set_ub(v, new_bound);
       }
-      if (changed) {
-        ++stats.bounds_tightened;
-        if (log_ != nullptr) {
-          log_->derivations.push_back({c, v, /*is_lb=*/a > 0.0});
-        }
-        if (domains.lb(v) > domains.ub(v) + tol_) {
-          if (log_ != nullptr) log_->conflict_var = v;
-          return false;
-        }
-        if (domains.ub(v) - domains.lb(v) <= tol_) ++stats.vars_fixed;
-        enqueue_var(v);
+      if (changed && !tightened(c, v, /*is_lb=*/a > 0.0, domains, stats)) {
+        return false;
       }
     }
   }
   return true;
+}
+
+bool Propagator::tightened(ConstraintId row, VarId v, bool is_lb,
+                           Domains& domains, PropagationStats& stats) {
+  ++stats.bounds_tightened;
+  if (log_ != nullptr) log_->derivations.push_back({row, v, is_lb});
+  if (domains.lb(v) > domains.ub(v) + tol_) {
+    if (log_ != nullptr) log_->conflict_var = v;
+    return false;
+  }
+  if (domains.ub(v) - domains.lb(v) <= tol_) ++stats.vars_fixed;
+  enqueue_var(v, is_lb, !is_lb);
+  return true;
+}
+
+void Propagator::longest_paths(const PathFamily& fam, const Domains& domains) {
+  const int n = fam.num_nodes();
+  for (std::int32_t u = 0; u < n; ++u) {
+    double w = 0.0;
+    for (std::int32_t k = fam.term_begin[at(u)]; k < fam.term_begin[at(u) + 1];
+         ++k) {
+      const LinTerm& t = fam.terms[at(k)];
+      w += t.coef * domains.lb(t.var);
+    }
+    weight_[at(u)] = w;
+    into_[at(u)] = 0.0;
+    prev_[at(u)] = -1;
+  }
+  // Forward pass: the longest path into each node; roots keep prev_ = -1.
+  for (const std::int32_t u : fam.topo_order) {
+    const double out = into_[at(u)] + weight_[at(u)];
+    for (std::int32_t e = fam.succ_begin[at(u)]; e < fam.succ_begin[at(u) + 1];
+         ++e) {
+      const std::int32_t s = fam.succ[at(e)];
+      if (prev_[at(s)] < 0 || out > into_[at(s)]) {
+        into_[at(s)] = out;
+        prev_[at(s)] = u;
+      }
+    }
+  }
+  // Backward pass: the longest path from each node.
+  for (auto it = fam.topo_order.rbegin(); it != fam.topo_order.rend(); ++it) {
+    double best = 0.0;
+    std::int32_t link = -1;
+    for (std::int32_t e = fam.succ_begin[at(*it)];
+         e < fam.succ_begin[at(*it) + 1]; ++e) {
+      const std::int32_t s = fam.succ[at(e)];
+      if (link < 0 || from_[at(s)] > best) {
+        best = from_[at(s)];
+        link = s;
+      }
+    }
+    from_[at(*it)] = weight_[at(*it)] + best;
+    next_[at(*it)] = link;
+  }
+}
+
+// The family's rows read only lb(x) of the terms and ub(target), and tighten
+// only ub(x) and lb(target), so one visit applies every row at once: row P
+// has minimum activity L(P) - ub(target), where L(P) sums the node weights
+// w(u) = sum a*lb(x) along P. Each bound below is the one process_constraint
+// derives from the row of the longest path that bounds it, with the same
+// rounding and tolerances.
+bool Propagator::process_family(int f, Domains& domains,
+                                PropagationStats& stats) {
+  const PathFamily& fam = model_.family(f);
+  longest_paths(fam, domains);
+  std::int32_t root = -1;  // where the longest path starts
+  for (std::int32_t u = 0; u < fam.num_nodes(); ++u) {
+    if (prev_[at(u)] < 0 && (root < 0 || from_[at(u)] > from_[at(root)])) {
+      root = u;
+    }
+  }
+  const double longest = from_[at(root)];
+
+  const VarId target = fam.target;
+  const double cap = domains.ub(target);
+  if (std::isfinite(cap) && longest - cap > tol_) {
+    if (log_ != nullptr) log_->conflict_row = path_row(f, root);
+    return false;
+  }
+  double bound = longest;
+  if (model_.is_integral(target)) bound = std::ceil(bound - tol_);
+  if (bound > domains.lb(target) + tol_ && domains.set_lb(target, bound) &&
+      !tightened(log_ != nullptr ? path_row(f, root) : -1, target,
+                 /*is_lb=*/true, domains, stats)) {
+    return false;
+  }
+  if (!std::isfinite(cap)) return true;  // the terms' residuals are unbounded
+
+  for (std::int32_t u = 0; u < fam.num_nodes(); ++u) {
+    const double through = into_[at(u)] + from_[at(u)];
+    for (std::int32_t k = fam.term_begin[at(u)]; k < fam.term_begin[at(u) + 1];
+         ++k) {
+      const LinTerm& t = fam.terms[at(k)];
+      // a*x <= ub(target) - (longest path through u without this term)
+      double bound_x =
+          (cap - (through - t.coef * domains.lb(t.var))) / t.coef;
+      if (model_.is_integral(t.var)) bound_x = std::floor(bound_x + tol_);
+      if (bound_x < domains.ub(t.var) - tol_ && domains.set_ub(t.var, bound_x) &&
+          !tightened(log_ != nullptr ? path_row(f, u) : -1, t.var,
+                     /*is_lb=*/false, domains, stats)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// A path's rank in the family's path order is the number of paths that
+// order puts before it: those from earlier roots and, at each step v -> s,
+// those through the successors listed before s.
+ConstraintId Propagator::path_row(int f, std::int32_t u) {
+  const PathFamily& fam = model_.family(f);
+  PathRanks& ranks = ranks_[at(f)];
+  if (ranks.from.empty()) {
+    const int n = fam.num_nodes();
+    ranks.from.assign(at(n), 0);
+    ranks.first.assign(at(n), 0);
+    std::vector<bool> has_pred(at(n), false);
+    for (auto it = fam.topo_order.rbegin(); it != fam.topo_order.rend(); ++it) {
+      std::int64_t count = 0;
+      for (std::int32_t e = fam.succ_begin[at(*it)];
+           e < fam.succ_begin[at(*it) + 1]; ++e) {
+        count += ranks.from[at(fam.succ[at(e)])];
+        has_pred[at(fam.succ[at(e)])] = true;
+      }
+      ranks.from[at(*it)] = std::max<std::int64_t>(count, 1);
+    }
+    std::int64_t before = 0;
+    for (std::int32_t r = 0; r < n; ++r) {
+      if (has_pred[at(r)]) continue;
+      ranks.first[at(r)] = before;
+      before += ranks.from[at(r)];
+    }
+  }
+  const auto skipped = [&](std::int32_t v, std::int32_t s) {
+    std::int64_t count = 0;
+    for (std::int32_t e = fam.succ_begin[at(v)]; fam.succ[at(e)] != s; ++e) {
+      count += ranks.from[at(fam.succ[at(e)])];
+    }
+    return count;
+  };
+  std::int64_t rank = 0;
+  std::int32_t v = u;
+  for (; prev_[at(v)] >= 0; v = prev_[at(v)]) rank += skipped(prev_[at(v)], v);
+  rank += ranks.first[at(v)];
+  for (v = u; next_[at(v)] >= 0; v = next_[at(v)]) {
+    rank += skipped(v, next_[at(v)]);
+  }
+  return fam.rows[static_cast<std::size_t>(rank)];
 }
 
 }  // namespace sparcs::milp

@@ -7,6 +7,12 @@
 // fixpoint it subsumes unit propagation on the 0/1 structure of the temporal
 // partitioning model (uniqueness rows fix siblings to 0, temporal-order rows
 // prune partitions of successors, area/latency rows prune design points).
+//
+// The rows a PathFamily owns are never propagated one by one: the family is
+// one unit that a forward and a backward longest-path pass propagate to the
+// bounds its rows would give — lb(target) is the longest path, and each
+// term's bound comes from the longest path through its node. One family
+// visit counts as one visit in PropagationStats::constraints_processed.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +63,7 @@ class Domains {
 
 /// Statistics accumulated over propagate() calls.
 struct PropagationStats {
-  std::int64_t constraints_processed = 0;
+  std::int64_t constraints_processed = 0;  ///< unit visits (rows, families)
   std::int64_t bounds_tightened = 0;
   std::int64_t vars_fixed = 0;  ///< tightenings that emptied a var's slack
   std::int64_t conflicts = 0;
@@ -69,21 +75,33 @@ class Propagator {
   Propagator(const CompiledModel& model, double feasibility_tol,
              int max_rounds);
 
-  /// Propagates to a fixpoint starting from the constraints adjacent to
-  /// `seed_vars` (or all constraints when empty). Returns false on conflict
-  /// (some constraint proved unsatisfiable or a domain emptied).
+  /// Propagates to a fixpoint starting from the units adjacent to
+  /// `seed_vars` (or all units when empty). Returns false on conflict (some
+  /// constraint proved unsatisfiable or a domain emptied).
   bool propagate(Domains& domains, const std::vector<VarId>& seed_vars,
                  PropagationStats& stats);
 
   /// Installs a derivation log (nullptr to detach). While attached, every
   /// bound tightening appends a Derivation and a conflict records its row or
-  /// emptied variable, giving the certificate checker a replayable trace.
+  /// emptied variable, giving the certificate checker a replayable trace. A
+  /// family's tightening or conflict cites the row of the path behind it.
   /// The caller clears the log between propagate() calls.
   void set_log(DerivationLog* log) { log_ = log; }
 
  private:
   bool process_constraint(int c, Domains& domains, PropagationStats& stats);
-  void enqueue_var(VarId v);
+  bool process_family(int f, Domains& domains, PropagationStats& stats);
+  /// Fills the longest-path scratch below for `fam` under `domains`.
+  void longest_paths(const PathFamily& fam, const Domains& domains);
+  /// Row of family f's longest path through node u, as longest_paths() last
+  /// found it for f.
+  ConstraintId path_row(int f, std::int32_t u);
+  /// Records a tightening of v (derived from `row`); false when it emptied
+  /// v's domain.
+  bool tightened(ConstraintId row, VarId v, bool is_lb, Domains& domains,
+                 PropagationStats& stats);
+  /// Queues the units that read the changed bounds of v.
+  void enqueue_var(VarId v, bool lb_changed, bool ub_changed);
   void enqueue_all();
 
   const CompiledModel& model_;
@@ -92,6 +110,19 @@ class Propagator {
   DerivationLog* log_ = nullptr;
   std::vector<std::int32_t> queue_;
   std::vector<bool> in_queue_;
+
+  // Longest-path scratch, indexed by family node: node weight, longest path
+  // into the node (excluding it) and its argmax predecessor, longest path
+  // from the node (including it) and its argmax successor; -1 links end a
+  // path.
+  std::vector<double> weight_, into_, from_;
+  std::vector<std::int32_t> prev_, next_;
+  /// Per family, filled by path_row() on first use: the number of
+  /// root->leaf paths from each node, and the rank of each root's first.
+  struct PathRanks {
+    std::vector<std::int64_t> from, first;
+  };
+  std::vector<PathRanks> ranks_;
 };
 
 }  // namespace sparcs::milp

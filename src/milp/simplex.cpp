@@ -74,6 +74,7 @@ class SimplexTableau {
   int first_artificial_ = 0;
 
   std::vector<double> tab_;     ///< m x ncols dense tableau (B^-1 A)
+  std::vector<int> pivot_nonzeros_;  ///< iterate() scratch
   std::vector<double> xb_;      ///< value of the basic variable of each row
   std::vector<int> basis_;      ///< column basic in each row
   std::vector<ColStatus> stat_;
@@ -346,23 +347,31 @@ bool SimplexTableau::iterate(int entering, bool* made_progress) {
   stat_[q] = ColStatus::kBasic;
   xb_[r] = entering_value;
 
-  // Gauss-Jordan elimination on the pivot column.
+  // Gauss-Jordan elimination on the pivot column. A zero entry of the pivot
+  // row leaves its column unchanged in every other row, so the updates run
+  // over the pivot row's nonzeros only.
   double* prow = &tab_[r * ncols_];
   const double pivot = prow[entering];
   const double inv = 1.0 / pivot;
   for (int j = 0; j < ncols_; ++j) prow[j] *= inv;
   prow[entering] = 1.0;
+  pivot_nonzeros_.clear();
+  for (int j = 0; j < ncols_; ++j) {
+    if (prow[j] != 0.0) pivot_nonzeros_.push_back(j);
+  }
   for (int i = 0; i < m_; ++i) {
     if (i == leave_row) continue;
     double* row = &tab_[static_cast<std::size_t>(i) * ncols_];
     const double factor = row[entering];
     if (factor == 0.0) continue;
-    for (int j = 0; j < ncols_; ++j) row[j] -= factor * prow[j];
+    for (const int j : pivot_nonzeros_) row[j] -= factor * prow[j];
     row[entering] = 0.0;
   }
   const double dfac = d_[q];
   if (dfac != 0.0) {
-    for (int j = 0; j < ncols_; ++j) d_[static_cast<std::size_t>(j)] -= dfac * prow[j];
+    for (const int j : pivot_nonzeros_) {
+      d_[static_cast<std::size_t>(j)] -= dfac * prow[j];
+    }
   }
   d_[q] = 0.0;
   return true;

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/device.hpp"
 #include "core/baselines.hpp"
 #include "core/bounds.hpp"
 #include "core/formulation.hpp"
+#include "milp/certify.hpp"
+#include "milp/compiled.hpp"
+#include "milp/propagation.hpp"
 #include "milp/solver.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "workloads/ar_filter.hpp"
+#include "workloads/ewf.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace sparcs::core {
 namespace {
@@ -300,6 +308,146 @@ TEST(FormulationTest, MemoryRowsOnlyWhenMmaxCanBind) {
       EXPECT_EQ(memory_names(forced.model()), 0);
     }
   }
+}
+
+/// The same variables and rows as `model`, without its path families, so
+/// that propagation visits every latency row one by one.
+milp::Model rows_only(const milp::Model& model) {
+  milp::Model copy(model.name());
+  for (const milp::VarInfo& v : model.vars()) {
+    copy.add_var(v.type, v.lb, v.ub, v.name);
+  }
+  for (const milp::ConstraintInfo& c : model.constraints()) {
+    milp::LinExpr lhs;
+    for (const milp::LinTerm& t : c.terms) lhs += milp::LinExpr(t.var, t.coef);
+    copy.add_constraint(lhs, c.sense, c.rhs, c.name);
+  }
+  return copy;
+}
+
+bool is_path_row(const milp::Model& model, milp::ConstraintId c) {
+  return model.constraint(c).name.rfind("lat_path", 0) == 0;
+}
+
+// Each partition's path family must propagate to the bounds its rows give
+// when propagated one by one: on random DAGs, with random Y variables fixed,
+// both models end in a conflict or in the same bounds.
+TEST(FormulationTest, PathFamiliesReachTheFixpointOfTheirRows) {
+  constexpr double kTol = 1e-7;
+  int agreed_bounds = 0, agreed_conflicts = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    for (const int num_tasks : {6, 10, 16}) {
+      workloads::RandomGraphOptions options;
+      options.num_tasks = num_tasks;
+      options.num_layers = std::max(2, num_tasks / 3);
+      options.seed = seed;
+      const graph::TaskGraph g = workloads::random_task_graph(options);
+      const arch::Device dev = arch::custom("d", 400, 4096, 100);
+      Rng rng(seed * 131 + static_cast<std::uint64_t>(num_tasks));
+      for (const int n : {2, 3}) {
+        // Windows around the fastest critical path make the rows bind.
+        const double d_max =
+            min_latency(g, dev, n) * rng.uniform(1.0, 1.6);
+        const IlpFormulation form(g, dev, n, d_max, 0.0);
+        ASSERT_EQ(form.model().path_families().size(),
+                  static_cast<std::size_t>(n));
+        const milp::Model plain = rows_only(form.model());
+        const milp::CompiledModel family_model(form.model());
+        const milp::CompiledModel row_model(plain);
+        ASSERT_LT(family_model.num_round_units(),
+                  row_model.num_round_units());
+        for (int trial = 0; trial < 6; ++trial) {
+          milp::Domains with_family(family_model);
+          milp::Domains with_rows(row_model);
+          const auto fix = [&](milp::VarId v, double value) {
+            with_family.set_lb(v, value);
+            with_family.set_ub(v, value);
+            with_rows.set_lb(v, value);
+            with_rows.set_ub(v, value);
+          };
+          for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
+            const double draw = rng.uniform01();
+            const int p = static_cast<int>(rng.uniform_int(1, n));
+            const int k =
+                static_cast<int>(rng.uniform_int(0, form.num_points(t) - 1));
+            if (draw < 0.3) {
+              fix(form.y(t, p, k), 1.0);
+            } else if (draw < 0.5) {
+              fix(form.y(t, p, k), 0.0);
+            }
+          }
+          milp::Propagator family_prop(family_model, kTol, 1000);
+          milp::Propagator row_prop(row_model, kTol, 1000);
+          milp::PropagationStats family_stats, row_stats;
+          const bool family_ok =
+              family_prop.propagate(with_family, {}, family_stats);
+          const bool rows_ok = row_prop.propagate(with_rows, {}, row_stats);
+          ASSERT_EQ(family_ok, rows_ok)
+              << "seed " << seed << " tasks " << num_tasks << " N " << n
+              << " trial " << trial;
+          if (!family_ok) {
+            ++agreed_conflicts;
+            continue;
+          }
+          for (milp::VarId v = 0; v < form.model().num_vars(); ++v) {
+            const double scale = 1.0 + std::abs(with_rows.lb(v));
+            EXPECT_NEAR(with_family.lb(v), with_rows.lb(v), kTol * scale)
+                << form.model().var(v).name;
+            EXPECT_NEAR(with_family.ub(v), with_rows.ub(v),
+                        kTol * (1.0 + std::abs(with_rows.ub(v))))
+                << form.model().var(v).name;
+          }
+          ++agreed_bounds;
+        }
+      }
+    }
+  }
+  EXPECT_GT(agreed_bounds, 10);
+  EXPECT_GT(agreed_conflicts, 10);
+}
+
+// EWF at N=2 reaches Da = 1110 ns, so the window Dmax = 1090 ns is
+// infeasible. Its full certificate cites latency rows for the families'
+// derivations and conflicts, and the exact checker accepts it — but not once
+// those derivations cite another path's row.
+TEST(FormulationTest, PathFamilyDerivationsCertify) {
+  const graph::TaskGraph g = workloads::ewf_task_graph();
+  const arch::Device dev = arch::custom("ewf", 576, 4096, 100);
+  const IlpFormulation form(g, dev, 2, 1090, 0.0);
+  const milp::Model& model = form.model();
+  milp::SolverParams params = milp::first_feasible_params();
+  params.num_threads = 1;
+  params.certify = milp::CertifyMode::kFull;
+  const milp::MilpSolution s = milp::Solver(model, params).solve();
+  ASSERT_EQ(s.status, milp::SolveStatus::kInfeasible);
+  ASSERT_EQ(s.certified, milp::CertifyStatus::kCertified) << s.certify_detail;
+  ASSERT_NE(s.proof, nullptr);
+
+  int cited_derivations = 0, cited_conflicts = 0;
+  for (const milp::ProofNode& node : s.proof->nodes) {
+    for (const milp::Derivation& d : node.derivations) {
+      cited_derivations += is_path_row(model, d.constraint);
+    }
+    cited_conflicts += node.conflict_row >= 0 &&
+                       is_path_row(model, node.conflict_row);
+  }
+  EXPECT_GT(cited_derivations, 0);
+  EXPECT_GT(cited_conflicts, 0);
+  EXPECT_TRUE(milp::certify_infeasible(model, *s.proof).ok);
+
+  // Shift every family derivation to the next path of the same family.
+  milp::InfeasibilityProof wrong = *s.proof;
+  for (milp::ProofNode& node : wrong.nodes) {
+    for (milp::Derivation& d : node.derivations) {
+      for (const milp::PathFamily& f : model.path_families()) {
+        const auto it = std::find(f.rows.begin(), f.rows.end(), d.constraint);
+        if (it == f.rows.end()) continue;
+        const auto next = static_cast<std::size_t>(it - f.rows.begin() + 1);
+        d.constraint = f.rows[next % f.rows.size()];
+      }
+    }
+  }
+  EXPECT_FALSE(milp::certify_infeasible(model, wrong).ok);
 }
 
 }  // namespace

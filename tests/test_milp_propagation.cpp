@@ -2,6 +2,7 @@
 
 #include "milp/compiled.hpp"
 #include "milp/propagation.hpp"
+#include "support/error.hpp"
 
 namespace sparcs::milp {
 namespace {
@@ -136,6 +137,128 @@ TEST(PropagationTest, SetBoundsIgnoreNonImprovements) {
   EXPECT_FALSE(domains.set_ub(x, 9.0));
   EXPECT_TRUE(domains.set_lb(x, 3.0));
   EXPECT_TRUE(domains.set_ub(x, 7.0));
+}
+
+TEST(PropagationTest, ConflictingCallCountsItsVisits) {
+  // x = 1 forces y = 0 through "uniq", which "need" then refutes: the call
+  // ends in a conflict, and both of its visits still count.
+  Model m;
+  const VarId x = m.add_binary("x");
+  const VarId y = m.add_binary("y");
+  m.add_constraint(LinExpr(x) + LinExpr(y) == 1.0, "uniq");
+  m.add_constraint(LinExpr(y) >= 1.0, "need");
+  m.tighten_bounds(x, 1, 1);
+  CompiledModel compiled(m);
+  Domains domains(compiled);
+  Propagator prop(compiled, 1e-7, 50);
+  PropagationStats st;
+  EXPECT_FALSE(prop.propagate(domains, {}, st));
+  EXPECT_EQ(st.conflicts, 1);
+  EXPECT_EQ(st.constraints_processed, 2);
+}
+
+/// Diamond a -> {b, c} -> d, one binary per node with latency 2, 5, 3, 1,
+/// and the rows  sum(path) - t <= 0  of its paths a-b-d and a-c-d.
+struct Diamond {
+  Model m;
+  VarId a, b, c, d, t;
+  ConstraintId abd, acd;
+
+  explicit Diamond(double t_ub) {
+    a = m.add_binary("a");
+    b = m.add_binary("b");
+    c = m.add_binary("c");
+    d = m.add_binary("d");
+    t = m.add_continuous(0, t_ub, "t");
+    abd = m.add_constraint(2.0 * LinExpr(a) + 5.0 * LinExpr(b) + LinExpr(d) -
+                               LinExpr(t) <= 0.0,
+                           "path_abd");
+    acd = m.add_constraint(2.0 * LinExpr(a) + 3.0 * LinExpr(c) + LinExpr(d) -
+                               LinExpr(t) <= 0.0,
+                           "path_acd");
+  }
+
+  PathFamily family() const {
+    PathFamily f;
+    f.target = t;
+    f.succ_begin = {0, 2, 3, 4, 4};
+    f.succ = {1, 2, 3, 3};
+    f.topo_order = {0, 1, 2, 3};
+    f.term_begin = {0, 1, 2, 3, 4};
+    f.terms = {{a, 2.0}, {b, 5.0}, {c, 3.0}, {d, 1.0}};
+    f.rows = {abd, acd};
+    return f;
+  }
+};
+
+TEST(PropagationTest, PathFamilyTightensFromTheLongestPaths) {
+  // a = b = 1: path a-b-d has weight 7, so t >= 7, and with t <= 7.5 the
+  // path leaves no room for d. Path a-c-d (weight 2) leaves room for c.
+  Diamond dia(7.5);
+  dia.m.add_path_family(dia.family());
+  dia.m.tighten_bounds(dia.a, 1, 1);
+  dia.m.tighten_bounds(dia.b, 1, 1);
+  CompiledModel compiled(dia.m);
+  ASSERT_EQ(compiled.num_round_units(), 1);
+  Domains domains(compiled);
+  Propagator prop(compiled, 1e-7, 50);
+  DerivationLog log;
+  prop.set_log(&log);
+  PropagationStats st;
+  ASSERT_TRUE(prop.propagate(domains, {}, st));
+  EXPECT_EQ(st.constraints_processed, 1);  // one visit of the family
+  EXPECT_DOUBLE_EQ(domains.lb(dia.t), 7.0);
+  EXPECT_DOUBLE_EQ(domains.ub(dia.d), 0.0);
+  EXPECT_DOUBLE_EQ(domains.ub(dia.c), 1.0);
+  ASSERT_EQ(log.derivations.size(), 2u);
+  for (const Derivation& der : log.derivations) {
+    EXPECT_EQ(der.constraint, dia.abd);
+  }
+}
+
+TEST(PropagationTest, PathFamilyConflictCitesTheLongestPath) {
+  for (const bool via_b : {true, false}) {
+    // Every node on: paths weigh 8 (a-b-d) and 6 (a-c-d). With b off,
+    // a-c-d is the longest.
+    Diamond dia(via_b ? 7.5 : 5.5);
+    dia.m.add_path_family(dia.family());
+    for (const VarId v : {dia.a, dia.c, dia.d}) dia.m.tighten_bounds(v, 1, 1);
+    dia.m.tighten_bounds(dia.b, via_b ? 1 : 0, via_b ? 1 : 0);
+    CompiledModel compiled(dia.m);
+    Domains domains(compiled);
+    Propagator prop(compiled, 1e-7, 50);
+    DerivationLog log;
+    prop.set_log(&log);
+    PropagationStats st;
+    EXPECT_FALSE(prop.propagate(domains, {}, st));
+    EXPECT_EQ(log.conflict_row, via_b ? dia.abd : dia.acd);
+  }
+}
+
+TEST(PropagationTest, ValidateRejectsFamiliesThatDoNotMatchTheirRows) {
+  {
+    Diamond dia(10);
+    PathFamily swapped = dia.family();
+    std::swap(swapped.rows[0], swapped.rows[1]);  // not in path order
+    dia.m.add_path_family(swapped);
+    EXPECT_THROW(dia.m.validate(), InvalidArgumentError);
+  }
+  {
+    Diamond dia(10);
+    PathFamily heavier = dia.family();
+    heavier.terms[1].coef = 6.0;  // b's row term says 5
+    dia.m.add_path_family(heavier);
+    EXPECT_THROW(dia.m.validate(), InvalidArgumentError);
+  }
+  {
+    Diamond dia(10);
+    PathFamily reordered = dia.family();
+    reordered.topo_order = {0, 2, 1, 3};  // fine: b and c are unordered
+    dia.m.add_path_family(reordered);
+    EXPECT_NO_THROW(dia.m.validate());
+    dia.m.add_path_family(dia.family());  // the same rows twice
+    EXPECT_THROW(dia.m.validate(), InvalidArgumentError);
+  }
 }
 
 }  // namespace
