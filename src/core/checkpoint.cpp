@@ -211,11 +211,6 @@ std::uint64_t checkpoint_fingerprint(const graph::TaskGraph& graph,
   h.mix(gamma);
   h.mix(delta);
   h.mix(max_partitions);
-  h.mix(static_cast<int>(formulation.order_form));
-  h.mix(static_cast<int>(formulation.latency_form));
-  h.mix(formulation.reduce_order_edges);
-  h.mix(formulation.include_memory);
-  h.mix(formulation.strengthening_cuts);
   h.mix(static_cast<std::uint64_t>(formulation.max_paths));
   return h.hash;
 }

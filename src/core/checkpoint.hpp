@@ -72,8 +72,8 @@ struct SweepCheckpoint {
 
 /// FNV-1a fingerprint of everything that determines the sweep's trajectory:
 /// the task graph (tasks, design points, edges), the device capacities, the
-/// search shape (alpha, gamma, delta, max_partitions) and the formulation
-/// options. Deliberately excludes time limits, deadlines and thread counts —
+/// search shape (alpha, gamma, delta, max_partitions) and the formulation's
+/// path cap. Deliberately excludes time limits, deadlines and thread counts —
 /// a resume may legitimately run with a new budget or on different hardware.
 [[nodiscard]] std::uint64_t checkpoint_fingerprint(
     const graph::TaskGraph& graph, const arch::Device& device, int alpha,

@@ -24,7 +24,6 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
       n_(num_partitions),
       d_max_(d_max),
       d_min_(d_min),
-      options_(options),
       model_("tp_n" + std::to_string(num_partitions)) {
   graph.validate();
   device.validate();
@@ -36,29 +35,20 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
   add_temporal_order();
   // The memory rows are implied by uniqueness (1) and the variable bounds
   // when M_max covers all the data any boundary can hold (DESIGN §10).
-  if (options_.include_memory &&
-      device_.memory_capacity < max_live_memory(graph_)) {
-    add_memory();
-  }
+  if (device_.memory_capacity < max_live_memory(graph_)) add_memory();
   add_resource();
-  bool use_paths = options_.latency_form == FormulationOptions::LatencyForm::kPathBased;
-  if (use_paths) {
-    const graph::PathEnumeration paths =
-        graph::enumerate_root_leaf_paths(graph_, options_.max_paths);
-    if (paths.truncated) {
-      SPARCS_WLOG << "path enumeration exceeded " << options_.max_paths
-                  << " paths; falling back to the flow-based latency form";
-      use_paths = false;
-    }
-  }
-  if (use_paths) {
-    add_latency_path_based();
-  } else {
+  const graph::PathEnumeration paths =
+      graph::enumerate_root_leaf_paths(graph_, options.max_paths);
+  if (paths.truncated) {
+    SPARCS_WLOG << "path enumeration exceeded " << options.max_paths
+                << " paths; falling back to the flow-based latency form";
     add_latency_flow_based();
+  } else {
+    add_latency_path_based(paths);
   }
   add_eta_definition();
   add_latency_window();
-  if (options_.strengthening_cuts) add_strengthening_cuts();
+  add_strengthening_cuts(paths);
 }
 
 void IlpFormulation::create_variables() {
@@ -183,26 +173,10 @@ void IlpFormulation::add_uniqueness() {
 
 // (2): a producer may not land in a later partition than its consumer.
 // Ordering rows are only needed for the transitive reduction of the edge
-// set; edges implied transitively add nothing (optional, on by default).
+// set; edges implied transitively add nothing.
 void IlpFormulation::add_temporal_order() {
-  std::vector<int> order_edges;
-  if (options_.reduce_order_edges) {
-    order_edges = graph::transitive_reduction_edges(graph_);
-  } else {
-    order_edges.resize(static_cast<std::size_t>(graph_.num_edges()));
-    for (int e = 0; e < graph_.num_edges(); ++e) {
-      order_edges[static_cast<std::size_t>(e)] = e;
-    }
-  }
-  for (const int ei : order_edges) {
+  for (const int ei : graph::transitive_reduction_edges(graph_)) {
     const graph::DataEdge& e = graph_.edges()[static_cast<std::size_t>(ei)];
-    if (options_.order_form == FormulationOptions::OrderForm::kAggregated) {
-      model_.add_constraint(
-          partition_index_expr(e.from) <= partition_index_expr(e.to),
-          str_format("order_%s_%s", graph_.task(e.from).name.c_str(),
-                     graph_.task(e.to).name.c_str()));
-      continue;
-    }
     for (int p = 1; p <= n_ - 1; ++p) {
       // t2 in partition p excludes t1 from partitions p+1..N.
       LinExpr lhs = y_sum(e.to, p) + y_range_sum(e.from, p + 1, n_);
@@ -282,10 +256,8 @@ void IlpFormulation::add_resource() {
 // (7): d_p dominates the latency of every root->leaf path restricted to p.
 // Each partition's rows form one path family over the task graph, which the
 // solver propagates as one longest-path constraint.
-void IlpFormulation::add_latency_path_based() {
-  const graph::PathEnumeration paths =
-      graph::enumerate_root_leaf_paths(graph_, options_.max_paths);
-  SPARCS_CHECK(!paths.truncated, "caller must have checked the path cap");
+void IlpFormulation::add_latency_path_based(
+    const graph::PathEnumeration& paths) {
   const std::vector<TaskId> topo = graph::topological_order(graph_);
   std::vector<milp::PathFamily> families(static_cast<std::size_t>(n_));
   for (int p = 1; p <= n_; ++p) {
@@ -388,7 +360,8 @@ void IlpFormulation::add_latency_window() {
 // Valid inequalities: per-task area/latency aggregation variables give the
 // solver's activity-based propagation a global view (e.g. total minimum area
 // exceeding N * R_max is detected before any branching).
-void IlpFormulation::add_strengthening_cuts() {
+void IlpFormulation::add_strengthening_cuts(
+    const graph::PathEnumeration& paths) {
   LinExpr total_area;
   std::vector<VarId> task_latency_vars(
       static_cast<std::size_t>(graph_.num_tasks()), -1);
@@ -423,8 +396,6 @@ void IlpFormulation::add_strengthening_cuts() {
 
   // For every root->leaf path: its tasks' latencies, wherever they land,
   // are covered by the sum of partition latencies.
-  const graph::PathEnumeration paths =
-      graph::enumerate_root_leaf_paths(graph_, options_.max_paths);
   if (!paths.truncated) {
     LinExpr dsum;
     for (int p = 1; p <= n_; ++p) dsum += LinExpr(d(p));

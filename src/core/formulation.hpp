@@ -18,49 +18,33 @@
 // the certificate checker and certificates.
 // The memory block (w, (3)-(5)) is built only when M_max is below
 // max_live_memory(graph): otherwise (1) and the variable bounds imply it
-// (DESIGN.md §10), and it would only slow propagation down.
+// (DESIGN.md §10), and it would only slow propagation down. Temporal-order
+// rows (2) are built for the transitive reduction of the edge set only:
+// an edge implied by a longer path adds no ordering information.
 //
-// Options cover the paper's formulation plus documented variants:
-//  - temporal order as the paper's pairwise rows or an aggregated
-//    partition-index row per edge (smaller model, weaker relaxation);
-//  - latency via path enumeration (paper) or a flow-based big-M form that
-//    stays polynomial when the task graph has exponentially many paths;
-//  - optional valid inequalities (per-task area/latency aggregation
-//    variables, a total-area cut, and path cuts on sum_p d_p) that make the
-//    solver's bound propagation detect global infeasibility early.
+// Beyond the paper's model:
+//  - when the task graph has more than FormulationOptions::max_paths
+//    root->leaf paths, (7) falls back to a flow-based big-M form that stays
+//    polynomial in size;
+//  - valid inequalities (per-task area/latency aggregation variables, a
+//    total-area cut, and, when the paths were enumerated, path cuts on
+//    sum_p d_p) let the solver's bound propagation detect global
+//    infeasibility early.
 #pragma once
 
 #include <vector>
 
 #include "arch/device.hpp"
 #include "core/solution.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/task_graph.hpp"
 #include "milp/model.hpp"
 
 namespace sparcs::core {
 
 struct FormulationOptions {
-  enum class OrderForm {
-    kPairwise,    ///< the paper's eq. (2): one row per edge per partition
-    kAggregated,  ///< one row per edge on partition-index sums
-  };
-  enum class LatencyForm {
-    kPathBased,  ///< the paper's eq. (7): one row per root-leaf path per partition
-    kFlowBased,  ///< big-M completion-time chaining (polynomial size)
-  };
-
-  OrderForm order_form = OrderForm::kPairwise;
-  LatencyForm latency_form = LatencyForm::kPathBased;
-  /// Emit temporal-order rows only for the transitive reduction of the edge
-  /// set (edges implied by two-hop paths add no ordering information).
-  bool reduce_order_edges = true;
-  /// Model the on-board memory constraint when it can bind, i.e. when M_max
-  /// is below max_live_memory(graph). False forces it off at any M_max.
-  bool include_memory = true;
-  /// Add the valid inequalities described above.
-  bool strengthening_cuts = true;
-  /// Path-enumeration cap; beyond it the latency form automatically falls
-  /// back to kFlowBased.
+  /// Root->leaf path count above which (7) switches from one row per path
+  /// to the flow-based latency form.
   std::size_t max_paths = 20000;
 };
 
@@ -73,7 +57,6 @@ class IlpFormulation {
 
   [[nodiscard]] const milp::Model& model() const { return model_; }
   [[nodiscard]] int num_partitions() const { return n_; }
-  [[nodiscard]] const FormulationOptions& options() const { return options_; }
 
   /// Y variable of (task, partition p in 1..N, sorted design point k).
   [[nodiscard]] milp::VarId y(graph::TaskId t, int p, int k) const;
@@ -104,11 +87,11 @@ class IlpFormulation {
   void add_temporal_order();
   void add_memory();
   void add_resource();
-  void add_latency_path_based();
+  void add_latency_path_based(const graph::PathEnumeration& paths);
   void add_latency_flow_based();
   void add_eta_definition();
   void add_latency_window();
-  void add_strengthening_cuts();
+  void add_strengthening_cuts(const graph::PathEnumeration& paths);
 
   /// Sum over module sets of Y_ptm for fixed (t, p).
   [[nodiscard]] milp::LinExpr y_sum(graph::TaskId t, int p) const;
@@ -127,7 +110,6 @@ class IlpFormulation {
   const arch::Device& device_;
   int n_;
   double d_max_, d_min_;
-  FormulationOptions options_;
 
   milp::Model model_;
   /// y_[t][ (p-1) * num_points(t) + k ]

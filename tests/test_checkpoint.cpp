@@ -163,7 +163,7 @@ TEST(CheckpointTest, FingerprintIsSensitiveToEveryInput) {
   EXPECT_NE(base, checkpoint_fingerprint(g, dev, 0, 1, 6.0, 64, form));
   EXPECT_NE(base, checkpoint_fingerprint(g, dev, 0, 1, 5.0, 32, form));
   FormulationOptions other_form;
-  other_form.include_memory = false;
+  other_form.max_paths = 0;
   EXPECT_NE(base, checkpoint_fingerprint(g, dev, 0, 1, 5.0, 64, other_form));
   const arch::Device other_dev = arch::custom("ar_dev", 200, 64, 75);
   EXPECT_NE(base, checkpoint_fingerprint(g, other_dev, 0, 1, 5.0, 64, form));

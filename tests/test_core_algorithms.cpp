@@ -209,11 +209,10 @@ INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArOptimalityTest,
 class ArLpBoundingTest : public ::testing::TestWithParam<double> {};
 
 /// Optimum of the AR model at N, or -1 when N is infeasible.
-double ar_optimum(const arch::Device& dev, int n, bool lp_bounding,
-                  FormulationOptions formulation) {
+double ar_optimum(const arch::Device& dev, int n, bool lp_bounding) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   IlpFormulation form(g, dev, n, max_latency(g, dev, n),
-                      min_latency(g, dev, n), formulation);
+                      min_latency(g, dev, n));
   form.set_latency_objective();
   milp::SolverParams params = milp::optimality_params();
   params.use_lp_bounding = lp_bounding;
@@ -228,16 +227,18 @@ double ar_optimum(const arch::Device& dev, int n, bool lp_bounding,
 
 TEST_P(ArLpBoundingTest, LpBoundedOptimumMatchesPropagationOnly) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  // Mmax 64 covers max_live_memory (48), so its models have no memory
+  // block; Mmax 47 builds it. N = 4 at Mmax 47 takes seconds, so stop at 3.
   const arch::Device dev = ar_device(GetParam());
-  for (const bool include_memory : {false, true}) {
-    FormulationOptions formulation;
-    formulation.include_memory = include_memory;
-    for (int n = min_area_partitions(g, dev);
-         n <= max_area_partitions(g, dev) + 1; ++n) {
-      EXPECT_DOUBLE_EQ(ar_optimum(dev, n, true, formulation),
-                       ar_optimum(dev, n, false, formulation))
-          << "include_memory " << include_memory << " N=" << n;
-    }
+  for (int n = min_area_partitions(g, dev);
+       n <= max_area_partitions(g, dev) + 1; ++n) {
+    EXPECT_DOUBLE_EQ(ar_optimum(dev, n, true), ar_optimum(dev, n, false))
+        << "Mmax 64 N=" << n;
+  }
+  const arch::Device tight = arch::custom("ar_dev", 200, 47, GetParam());
+  for (int n = min_area_partitions(g, tight); n <= 3; ++n) {
+    EXPECT_DOUBLE_EQ(ar_optimum(tight, n, true), ar_optimum(tight, n, false))
+        << "Mmax 47 N=" << n;
   }
 }
 

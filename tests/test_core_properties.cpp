@@ -1,7 +1,6 @@
 // Cross-cutting property sweeps over random instances:
-//  - the four formulation variants (order form x latency form) agree on the
-//    optimal latency;
-//  - the transitive-reduction option never changes the answer;
+//  - the path-based and the flow-based latency forms each reach the
+//    exhaustive optimum;
 //  - every solver-produced design passes the independent validator AND the
 //    ILP's own memory accounting matches the validator's;
 //  - no design holds more live data than max_live_memory, the bound below
@@ -40,49 +39,18 @@ class FormulationVariantsTest
 /// of its graphs (36-48 units), so their memory rows are built.
 constexpr double kValidatorSweepMmax = 40.0;
 
-TEST_P(FormulationVariantsTest, AllVariantsAgreeOnOptimum) {
+TEST_P(FormulationVariantsTest, BothLatencyFormsReachTheExhaustiveOptimum) {
   const graph::TaskGraph g = seeded_graph(GetParam());
   const arch::Device dev = arch::custom("d", 300, 2048, 60);
   const int n = min_area_partitions(g, dev) + 1;
+  const auto brute = exhaustive_optimal(g, dev, n);
+  ASSERT_TRUE(brute.has_value()) << "seed " << GetParam();
 
-  double reference = -1.0;
-  for (const auto order : {FormulationOptions::OrderForm::kPairwise,
-                           FormulationOptions::OrderForm::kAggregated}) {
-    for (const auto latency : {FormulationOptions::LatencyForm::kPathBased,
-                               FormulationOptions::LatencyForm::kFlowBased}) {
-      FormulationOptions options;
-      options.order_form = order;
-      options.latency_form = latency;
-      IlpFormulation form(g, dev, n, max_latency(g, dev, n),
-                          min_latency(g, dev, n), options);
-      form.set_latency_objective();
-      milp::SolverParams params;
-      params.use_lp_bounding = true;
-      params.objective_improvement = 1.0;
-      const milp::MilpSolution s = milp::Solver(form.model(), params).solve();
-      ASSERT_EQ(s.status, milp::SolveStatus::kOptimal)
-          << "seed " << GetParam();
-      const double latency_ns = form.decode(s.values).total_latency_ns;
-      if (reference < 0) {
-        reference = latency_ns;
-      } else {
-        EXPECT_NEAR(latency_ns, reference, 1e-6)
-            << "seed " << GetParam() << " order "
-            << static_cast<int>(order) << " latency "
-            << static_cast<int>(latency);
-      }
-    }
-  }
-}
-
-TEST_P(FormulationVariantsTest, TransitiveReductionPreservesOptimum) {
-  const graph::TaskGraph g = seeded_graph(GetParam() ^ 0x5a5a);
-  const arch::Device dev = arch::custom("d", 300, 2048, 60);
-  const int n = min_area_partitions(g, dev) + 1;
-  double results[2];
-  for (const bool reduce : {false, true}) {
+  // max_paths = 0 forces the flow-based latency form.
+  for (const std::size_t max_paths : {FormulationOptions{}.max_paths,
+                                      std::size_t{0}}) {
     FormulationOptions options;
-    options.reduce_order_edges = reduce;
+    options.max_paths = max_paths;
     IlpFormulation form(g, dev, n, max_latency(g, dev, n),
                         min_latency(g, dev, n), options);
     form.set_latency_objective();
@@ -90,10 +58,12 @@ TEST_P(FormulationVariantsTest, TransitiveReductionPreservesOptimum) {
     params.use_lp_bounding = true;
     params.objective_improvement = 1.0;
     const milp::MilpSolution s = milp::Solver(form.model(), params).solve();
-    ASSERT_EQ(s.status, milp::SolveStatus::kOptimal);
-    results[reduce ? 1 : 0] = form.decode(s.values).total_latency_ns;
+    ASSERT_EQ(s.status, milp::SolveStatus::kOptimal)
+        << "seed " << GetParam() << " max_paths " << max_paths;
+    EXPECT_NEAR(form.decode(s.values).total_latency_ns,
+                brute->total_latency_ns, 1e-6)
+        << "seed " << GetParam() << " max_paths " << max_paths;
   }
-  EXPECT_NEAR(results[0], results[1], 1e-6);
 }
 
 TEST_P(FormulationVariantsTest, DecodedDesignsPassTheValidator) {
