@@ -129,7 +129,7 @@ void BM_ArSweep(benchmark::State& state) {
   params.budget.delta = 20.0;
   params.budget.solver.num_threads = 1;
   params.budget.solver.certify = mode_of(state.range(0));
-  core::RefinePartitionsResult r;
+  core::PartitionerReport r;
   for (auto _ : state) {
     r = core::refine_partitions_bound(g, dev, params);
     benchmark::DoNotOptimize(r.achieved_latency);

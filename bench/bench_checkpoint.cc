@@ -41,14 +41,8 @@ core::SweepCheckpoint synthetic_checkpoint(int tasks) {
     cp.stages.push_back(core::StageAccount{n, core::StageStatus::kProbed,
                                            n, 2.5 * n});
   }
-  core::CheckpointInProgress ip;
-  ip.num_partitions = 9;
-  ip.d_max = 4000.0;
-  ip.d_min = 2800.0;
-  ip.iteration = 3;
-  ip.achieved_latency = 3030.0;
-  ip.incumbent = design;
-  cp.in_progress = ip;
+  cp.in_progress = core::CheckpointInProgress{
+      9, core::BisectionWindow{4000.0, 2800.0, 3, design}};
   return cp;
 }
 

@@ -9,6 +9,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "arch/device.hpp"
@@ -30,9 +31,7 @@
 #include "support/span.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
-#include "workloads/ar_filter.hpp"
-#include "workloads/dct.hpp"
-#include "workloads/ewf.hpp"
+#include "workloads/builtin.hpp"
 
 namespace sparcs::cli {
 namespace {
@@ -68,14 +67,16 @@ struct Arguments {
   milp::CertifyMode certify = milp::CertifyMode::kOff;
 };
 
+/// The value of `--certify MODE` or `--certify=MODE`; the one-shot run and
+/// the submit verb accept both forms.
 milp::CertifyMode parse_certify(const std::string& name) {
-  if (name == "off") return milp::CertifyMode::kOff;
-  if (name == "incumbents") return milp::CertifyMode::kIncumbents;
-  if (name == "full") return milp::CertifyMode::kFull;
-  SPARCS_REQUIRE(false, "unknown --certify mode '" + name +
-                            "' (expected off, incumbents or full)");
-  return milp::CertifyMode::kOff;
+  const std::optional<milp::CertifyMode> mode = milp::parse_certify_mode(name);
+  SPARCS_REQUIRE(mode.has_value(), "unknown --certify mode '" + name +
+                                       "' (expected off, incumbents or full)");
+  return *mode;
 }
+
+constexpr std::string_view kCertifyEq = "--certify=";
 
 /// Parses a numeric flag value strictly: the whole string must be a number of
 /// type T in range, and a floating-point value must be finite. Anything else
@@ -246,8 +247,8 @@ Arguments parse_args(const std::vector<std::string>& args) {
       parsed.resume = true;
     } else if (arg == "--certify") {
       parsed.certify = parse_certify(value());
-    } else if (arg.rfind("--certify=", 0) == 0) {
-      parsed.certify = parse_certify(arg.substr(std::string("--certify=").size()));
+    } else if (arg.rfind(kCertifyEq, 0) == 0) {
+      parsed.certify = parse_certify(arg.substr(kCertifyEq.size()));
     } else if (!arg.empty() && arg[0] == '-') {
       SPARCS_REQUIRE(false, "unknown option " + arg);
     } else {
@@ -261,15 +262,6 @@ Arguments parse_args(const std::vector<std::string>& args) {
   SPARCS_REQUIRE(!parsed.resume || !parsed.checkpoint_file.empty(),
                  "--resume needs --checkpoint FILE to resume from");
   return parsed;
-}
-
-graph::TaskGraph builtin_workload(const std::string& name) {
-  if (name == "ar") return workloads::ar_filter_task_graph();
-  if (name == "dct") return workloads::dct_task_graph();
-  if (name == "ewf") return workloads::ewf_task_graph();
-  SPARCS_REQUIRE(false, "unknown workload '" + name +
-                            "' (expected ar, dct or ewf)");
-  return {};
 }
 
 /// Enables the requested observability subsystems (metrics registry, trace
@@ -592,7 +584,10 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
     } else if (arg == "--threads") {
       parsed.submit.threads = parse_number<int>(arg, value());
     } else if (arg == "--certify") {
-      parsed.submit.certify = value();
+      parsed.submit.certify = milp::to_string(parse_certify(value()));
+    } else if (arg.rfind(kCertifyEq, 0) == 0) {
+      parsed.submit.certify =
+          milp::to_string(parse_certify(arg.substr(kCertifyEq.size())));
     } else if (arg == "--no-checkpoint") {
       parsed.submit.checkpoint = false;
     } else if (arg == "--est-memory-mb") {
@@ -849,7 +844,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     graph::TaskGraph graph;
     std::optional<arch::Device> device;
     if (!parsed.workload.empty()) {
-      graph = builtin_workload(parsed.workload);
+      graph = workloads::builtin_task_graph(parsed.workload);
     } else {
       std::ifstream file(parsed.input_file);
       SPARCS_REQUIRE(file.good(), "cannot open " + parsed.input_file);
@@ -906,9 +901,10 @@ int run(const std::vector<std::string>& args, std::ostream& out,
                                      report.to_json() + "\n", "report", out,
                                      err);
     }
+    const int run_code = core::run_exit_code(report.feasible, report.degraded,
+                                             report.uncertified());
     // Certification summary: how many verdicts were checked exactly and
     // whether any stayed uncertified after the distrust retry.
-    const bool uncertified = report.solver_stats.uncertified_verdicts > 0;
     if (parsed.certify != milp::CertifyMode::kOff) {
       out << "certified: " << report.solver_stats.certificates_checked
           << " verdicts checked exactly, "
@@ -943,8 +939,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     }
     if (!report.feasible) {
       out << "no feasible partitioning in the explored range\n";
-      if (uncertified) return 7;
-      return report.degraded ? 3 : 2;
+      return run_code;
     }
     out << (report.degraded ? "best so far: " : "best: ")
         << trim_double(report.achieved_latency) << " ns at N="
@@ -983,8 +978,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       artifacts_ok &=
           write_artifact(parsed.csv_file, csv.str(), "trace CSV", out, err);
     }
-    if (uncertified) return 7;
-    return report.degraded ? 3 : 0;
+    return run_code;
     }();
 
     if (SignalGuard::preempted()) {

@@ -151,6 +151,15 @@ bool parse_design(const json::Value& v, const graph::TaskGraph& graph,
   return true;
 }
 
+/// True when a stored latency is the restored design's own (recomputed)
+/// latency; a disagreement means the file was edited or the writer was
+/// broken — do not trust it.
+bool matches_latency(double stored, const PartitionedDesign& design) {
+  const double tolerance = 1e-6 * std::max(1.0, design.total_latency_ns);
+  return stored >= design.total_latency_ns - tolerance &&
+         stored <= design.total_latency_ns + tolerance;
+}
+
 bool parse_stage(const json::Value& v, StageAccount* out, std::string* error) {
   if (!v.is_object()) return fail(error, "stage entry is not an object");
   out->num_partitions = static_cast<int>(v.member_int("num_partitions", -1));
@@ -247,13 +256,15 @@ std::string serialize_checkpoint(const SweepCheckpoint& cp,
   w.end_array();
   if (cp.in_progress.has_value()) {
     const CheckpointInProgress& ip = *cp.in_progress;
+    const BisectionWindow& window = ip.window;
     w.begin_object("in_progress");
     w.field("num_partitions", ip.num_partitions);
-    w.field("d_max", ip.d_max);
-    w.field("d_min", ip.d_min);
-    w.field("iteration", ip.iteration);
-    w.field("achieved_latency_ns", ip.achieved_latency);
-    write_design(w, "incumbent", ip.incumbent);
+    w.field("d_max", window.d_max);
+    w.field("d_min", window.d_min);
+    w.field("iteration", window.iteration);
+    // Redundant with the incumbent; written so the load can cross-check it.
+    w.field("achieved_latency_ns", window.incumbent.total_latency_ns);
+    write_design(w, "incumbent", window.incumbent);
     w.end_object();
   } else {
     w.raw_field("in_progress", "null");
@@ -358,12 +369,7 @@ CheckpointLoadResult parse_checkpoint(const std::string& sealed_text,
       result.error = error;
       return result;
     }
-    // The stored Da must be the design's own latency; a disagreement means
-    // the file was edited or the writer was broken — do not trust it.
-    const double tolerance =
-        1e-6 * std::max(1.0, design.total_latency_ns);
-    if (cp.achieved_latency < design.total_latency_ns - tolerance ||
-        cp.achieved_latency > design.total_latency_ns + tolerance) {
+    if (!matches_latency(cp.achieved_latency, design)) {
       result.error = "checkpoint achieved latency does not match its design";
       return result;
     }
@@ -406,26 +412,33 @@ CheckpointLoadResult parse_checkpoint(const std::string& sealed_text,
       return result;
     }
     CheckpointInProgress ip;
+    BisectionWindow& window = ip.window;
     ip.num_partitions =
         static_cast<int>(in_progress->member_int("num_partitions", -1));
-    ip.d_max = in_progress->member_double("d_max", -1.0);
-    ip.d_min = in_progress->member_double("d_min", -1.0);
-    ip.iteration = static_cast<int>(in_progress->member_int("iteration", -1));
-    ip.achieved_latency =
-        in_progress->member_double("achieved_latency_ns", -1.0);
+    window.d_max = in_progress->member_double("d_max", -1.0);
+    window.d_min = in_progress->member_double("d_min", -1.0);
+    window.iteration =
+        static_cast<int>(in_progress->member_int("iteration", -1));
     const json::Value* incumbent = in_progress->find("incumbent");
     if (incumbent == nullptr ||
         !parse_design(*incumbent, graph, device, "in-progress incumbent",
-                      &ip.incumbent, &error)) {
+                      &window.incumbent, &error)) {
       result.error = error.empty()
                          ? "in-progress state is missing its incumbent"
                          : error;
       return result;
     }
-    if (ip.num_partitions < 1 || ip.iteration < 0 || ip.d_min < 0.0 ||
-        ip.d_max < ip.d_min || ip.achieved_latency <= 0.0 ||
-        ip.incumbent.num_partitions_allocated != ip.num_partitions) {
+    if (ip.num_partitions < 1 || window.iteration < 0 ||
+        window.d_min < 0.0 || window.d_max < window.d_min ||
+        window.incumbent.num_partitions_allocated != ip.num_partitions) {
       result.error = "in-progress window state is out of range";
+      return result;
+    }
+    if (!matches_latency(
+            in_progress->member_double("achieved_latency_ns", -1.0),
+            window.incumbent)) {
+      result.error =
+          "checkpoint in-progress latency does not match its incumbent";
       return result;
     }
     if (ip.num_partitions != cp.next_n) {

@@ -24,7 +24,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "arch/device.hpp"
 #include "core/formulation.hpp"
@@ -44,29 +43,20 @@ inline constexpr int kCheckpointVersion = 1;
 /// run would have probed.
 struct CheckpointInProgress {
   int num_partitions = 0;
-  double d_max = 0.0;
-  double d_min = 0.0;
-  int iteration = 0;  ///< probes already recorded for this N
-  double achieved_latency = 0.0;
-  PartitionedDesign incumbent;
+  BisectionWindow window;
 };
 
-/// Durable state of the partition sweep between two solves.
-struct SweepCheckpoint {
+/// Durable state of the partition sweep between two solves: the sweep's
+/// outcome fields as of the last completed stage (`seconds` is the wall time
+/// accumulated before this run), plus where to re-enter.
+struct SweepCheckpoint : SweepOutcome {
   /// True only when the sweep reached natural termination: resuming a
   /// complete checkpoint reproduces the final report without solving.
   bool complete = false;
   int phase = 1;   ///< 1 = searching first feasible N, 2 = relaxing N
   int next_n = 0;  ///< partition bound the sweep runs next
-  double achieved_latency = 0.0;  ///< Da carried into resumed searches
-  int best_num_partitions = 0;
-  int ilp_solves = 0;  ///< solves accounted in completed stages
-  double seconds = 0.0;  ///< solver wall time accumulated before this run
-  bool stopped_by_lower_bound = false;
-  std::optional<PartitionedDesign> best;
-  /// Completed stages only; an interrupted stage lives in `in_progress` and
+  /// Completed stages live in `stages`; an interrupted stage lives here and
   /// is re-entered (not re-counted) on resume.
-  std::vector<StageAccount> stages;
   std::optional<CheckpointInProgress> in_progress;
 };
 

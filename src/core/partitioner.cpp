@@ -23,17 +23,13 @@ TemporalPartitioner::TemporalPartitioner(const graph::TaskGraph& graph,
 }
 
 PartitionerReport TemporalPartitioner::run() const {
-  PartitionerReport report;
-  report.n_min_lower = min_area_partitions(graph_, device_);
-  report.n_min_upper = max_area_partitions(graph_, device_);
-
+  const int n_min_lower = min_area_partitions(graph_, device_);
   double delta = options_.budget.delta;
   if (delta <= 0.0) {
-    const int n_start = report.n_min_lower + options_.alpha;
+    const int n_start = n_min_lower + options_.alpha;
     delta = std::max(1e-9, options_.delta_fraction *
                                max_latency(graph_, device_, n_start));
   }
-  report.delta_used = delta;
 
   RefinePartitionsParams params;
   params.alpha = options_.alpha;
@@ -48,6 +44,7 @@ PartitionerReport TemporalPartitioner::run() const {
   // proceeds fresh, never mixing two searches.
   std::unique_ptr<CheckpointWriter> ckpt_writer;
   std::optional<SweepCheckpoint> restored;
+  std::string resume_error;
   if (!options_.checkpoint.path.empty()) {
     const std::uint64_t fingerprint = checkpoint_fingerprint(
         graph_, device_, options_.alpha, options_.gamma, delta,
@@ -58,7 +55,6 @@ PartitionerReport TemporalPartitioner::run() const {
       switch (loaded.status) {
         case CheckpointLoadStatus::kOk:
           restored = std::move(loaded.checkpoint);
-          report.resumed = true;
           SPARCS_ILOG << "resuming sweep from checkpoint "
                       << options_.checkpoint.path;
           break;
@@ -69,7 +65,7 @@ PartitionerReport TemporalPartitioner::run() const {
                       << options_.checkpoint.path << "; starting fresh";
           break;
         default:
-          report.resume_error = loaded.error;
+          resume_error = loaded.error;
           SPARCS_WLOG << "checkpoint " << options_.checkpoint.path
                       << " rejected (" << to_string(loaded.status)
                       << "): " << loaded.error << "; starting fresh";
@@ -99,20 +95,13 @@ PartitionerReport TemporalPartitioner::run() const {
   DeadlineWatchdog watchdog(params.budget.deadline, grace,
                             params.budget.solver.cancel);
 
-  RefinePartitionsResult refined =
-      refine_partitions_bound(graph_, device_, params);
-  report.feasible = refined.best.has_value();
-  report.best = std::move(refined.best);
-  report.achieved_latency = refined.achieved_latency;
-  report.best_num_partitions = refined.best_num_partitions;
-  report.trace = std::move(refined.trace);
-  report.ilp_solves = refined.ilp_solves;
-  report.seconds = refined.seconds;
-  report.stopped_by_lower_bound = refined.stopped_by_lower_bound;
-  report.degraded = refined.degraded;
+  PartitionerReport report = refine_partitions_bound(graph_, device_, params);
+  report.n_min_lower = n_min_lower;
+  report.n_min_upper = max_area_partitions(graph_, device_);
+  report.delta_used = delta;
+  report.resumed = restored.has_value();
+  report.resume_error = std::move(resume_error);
   report.watchdog_fired = watchdog.fired();
-  report.stages = std::move(refined.stages);
-  report.solver_stats = refined.solver_stats;
 
   if (report.best) {
     const DesignCheck check = validate_design(graph_, device_, *report.best);

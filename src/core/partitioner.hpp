@@ -54,42 +54,6 @@ struct PartitionerOptions {
   CheckpointOptions checkpoint;
 };
 
-/// Everything the partitioner learned, including the paper-table trace.
-struct PartitionerReport {
-  bool feasible = false;
-  std::optional<PartitionedDesign> best;
-  double achieved_latency = 0.0;
-  int best_num_partitions = 0;
-  Trace trace;
-  int ilp_solves = 0;
-  double seconds = 0.0;
-  bool stopped_by_lower_bound = false;
-  /// True when the run stopped on the time budget / deadline / cancellation
-  /// before natural termination: `best` is the anytime incumbent.
-  bool degraded = false;
-  /// True when the deadline watchdog had to force-cancel the run (a solve
-  /// overran the deadline by more than the grace margin).
-  bool watchdog_fired = false;
-  /// Per-partition-bound account (probed / cut short / skipped).
-  std::vector<StageAccount> stages;
-  /// Aggregate solver statistics over every ILP solve of the run.
-  milp::SolverStats solver_stats;
-  /// Derived inputs, for reporting.
-  int n_min_lower = 0;
-  int n_min_upper = 0;
-  double delta_used = 0.0;
-  /// True when the run continued from a loaded checkpoint: the trace covers
-  /// only the resumed portion, while counters span the whole logical run.
-  bool resumed = false;
-  /// Why a requested --resume did not restore (empty when it did, or when no
-  /// resume was requested). The run proceeded fresh.
-  std::string resume_error;
-
-  /// Renders the report as a JSON object (shared ReportWriter schema); the
-  /// CLI's --report-json output.
-  [[nodiscard]] std::string to_json() const;
-};
-
 /// Combined temporal partitioning and design space exploration.
 class TemporalPartitioner {
  public:
@@ -114,9 +78,6 @@ struct OptimalResult {
   double seconds = 0.0;
   std::int64_t nodes = 0;
   milp::SolverStats solver_stats;  ///< aggregate over the reference solves
-
-  /// Renders the result as a JSON object (shared ReportWriter schema).
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Solves the full model at a fixed N to optimality (minimize

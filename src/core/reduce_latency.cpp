@@ -165,7 +165,8 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   // after every probe once an incumbent exists.
   auto notify_progress = [&] {
     if (params.on_progress && result.best) {
-      params.on_progress(d_max, d_min, iteration, *result.best);
+      params.on_progress(
+          BisectionWindow{d_max, d_min, iteration, *result.best});
     }
   };
 

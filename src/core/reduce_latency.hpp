@@ -19,15 +19,17 @@
 
 namespace sparcs::core {
 
-/// Mid-refinement state restored from a checkpoint. The refinement skips the
-/// initial full-window probe and re-enters the subdivision loop exactly where
-/// the interrupted run left it: same window, same incumbent, and iteration
+/// Window state of a refinement between two probes: what a checkpoint saves
+/// (ReduceLatencyParams::on_progress) and what a resume re-enters
+/// (ReduceLatencyParams::resume). On resume the refinement skips the initial
+/// full-window probe and re-enters the subdivision loop exactly where the
+/// interrupted run left it: same window, same incumbent, and iteration
 /// numbering continuing from the saved count (so the resumed trace and solve
 /// totals line up with an uninterrupted run's).
-struct BisectionResume {
+struct BisectionWindow {
   double d_max = 0.0;
   double d_min = 0.0;
-  int iteration = 0;  ///< probes already recorded before the interruption
+  int iteration = 0;  ///< probes already recorded
   PartitionedDesign incumbent;
 };
 
@@ -40,13 +42,11 @@ struct ReduceLatencyParams {
   std::optional<PartitionedDesign> warm_start;
   /// Re-enter an interrupted refinement instead of starting the window from
   /// scratch (the caller's d_max/d_min arguments are superseded).
-  std::optional<BisectionResume> resume;
+  std::optional<BisectionWindow> resume;
   /// Observed after every probe that left an incumbent in hand, with the
   /// current window state — everything a checkpoint needs to re-enter here.
   /// Runs on the refinement's own thread; keep it cheap and exception-free.
-  std::function<void(double d_max, double d_min, int iteration,
-                     const PartitionedDesign& incumbent)>
-      on_progress;
+  std::function<void(BisectionWindow window)> on_progress;
 };
 
 struct ReduceLatencyResult {

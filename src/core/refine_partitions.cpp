@@ -95,7 +95,13 @@ std::string to_string(StageStatus status) {
   return "unknown";
 }
 
-RefinePartitionsResult refine_partitions_bound(
+int run_exit_code(bool feasible, bool degraded, bool uncertified) {
+  if (uncertified) return 7;
+  if (degraded) return 3;
+  return feasible ? 0 : 2;
+}
+
+PartitionerReport refine_partitions_bound(
     const graph::TaskGraph& graph, const arch::Device& device,
     const RefinePartitionsParams& params) {
   SPARCS_REQUIRE(params.alpha >= 0, "alpha must be non-negative");
@@ -103,7 +109,7 @@ RefinePartitionsResult refine_partitions_bound(
   graph.validate();
   device.validate();
 
-  RefinePartitionsResult result;
+  PartitionerReport result;
   trace::Span sweep_span("Refine_Partitions_Bound");
   Stopwatch stopwatch;
 
@@ -116,22 +122,21 @@ RefinePartitionsResult refine_partitions_bound(
   const bool speculate = speculation_enabled(params.budget);
 
   // ---- checkpoint plumbing ----
-  // `ckpt` is the evolving durable state: completed stages only, kept apart
-  // from result.stages (which finish() additionally pollutes with skipped
-  // placeholders). Mid-refinement snapshots carry the pre-stage globals plus
-  // an in_progress window; stage completions fold the stage in and clear it.
+  // `ckpt` is the evolving durable state. Its SweepOutcome half is copied
+  // from `result` at stage boundaries only, where result.stages holds
+  // completed stages and nothing else: a cut-short stage always ends the
+  // sweep (it means the deadline or cancel token fired, and both stay
+  // fired), and skipped placeholders are only appended on a degraded finish,
+  // which does not sync. Mid-refinement snapshots carry the pre-stage
+  // outcome plus an in_progress window; stage completions clear the window.
   CheckpointWriter* const ckpt_writer = params.checkpoint;
   const SweepCheckpoint* const resume = params.resume;
   SweepCheckpoint ckpt;
   double base_seconds = 0.0;
 
-  auto sync_ckpt_globals = [&] {
-    ckpt.best = result.best;
-    ckpt.achieved_latency = result.achieved_latency;
-    ckpt.best_num_partitions = result.best_num_partitions;
-    ckpt.ilp_solves = result.ilp_solves;
-    ckpt.seconds = base_seconds + stopwatch.seconds();
-    ckpt.stopped_by_lower_bound = result.stopped_by_lower_bound;
+  auto sync_ckpt_outcome = [&] {
+    result.seconds = base_seconds + stopwatch.seconds();
+    static_cast<SweepOutcome&>(ckpt) = result;
   };
 
   /// Declares the stage the sweep is about to run: mid-refinement snapshots
@@ -142,18 +147,10 @@ RefinePartitionsResult refine_partitions_bound(
     if (ckpt_writer == nullptr) return;
     ckpt.phase = phase;
     ckpt.next_n = stage_n;
-    sync_ckpt_globals();
-    inner.on_progress = [&ckpt, ckpt_writer, stage_n](
-                            double d_max, double d_min, int iteration,
-                            const PartitionedDesign& incumbent) {
-      CheckpointInProgress ip;
-      ip.num_partitions = stage_n;
-      ip.d_max = d_max;
-      ip.d_min = d_min;
-      ip.iteration = iteration;
-      ip.achieved_latency = incumbent.total_latency_ns;
-      ip.incumbent = incumbent;
-      ckpt.in_progress = std::move(ip);
+    sync_ckpt_outcome();
+    inner.on_progress = [&ckpt, ckpt_writer,
+                         stage_n](BisectionWindow window) {
+      ckpt.in_progress = CheckpointInProgress{stage_n, std::move(window)};
       ckpt_writer->write(ckpt, /*force=*/false);
     };
   };
@@ -162,23 +159,17 @@ RefinePartitionsResult refine_partitions_bound(
   /// recorded as done: a resume re-enters them through in_progress instead.
   auto checkpoint_stage_done = [&](int stage_n, bool cut_short, int phase) {
     if (ckpt_writer == nullptr || cut_short) return;
-    ckpt.stages.push_back(result.stages.back());
     ckpt.in_progress.reset();
     ckpt.phase = phase;
     ckpt.next_n = stage_n + 1;
-    sync_ckpt_globals();
+    sync_ckpt_outcome();
     ckpt_writer->write(ckpt, /*force=*/true);
   };
 
   if (resume != nullptr) {
-    // Restore the globals of the interrupted run; the loops below then skip
+    // Restore the outcome of the interrupted run; the loops below then skip
     // every stage the checkpoint accounts as completed.
-    result.best = resume->best;
-    result.achieved_latency = resume->achieved_latency;
-    result.best_num_partitions = resume->best_num_partitions;
-    result.ilp_solves = resume->ilp_solves;
-    result.stages = resume->stages;
-    result.stopped_by_lower_bound = resume->stopped_by_lower_bound;
+    static_cast<SweepOutcome&>(result) = *resume;
     base_seconds = resume->seconds;
     ckpt = *resume;
     if (result.best) {
@@ -255,6 +246,7 @@ RefinePartitionsResult refine_partitions_bound(
         result.degraded = true;
       }
     }
+    result.feasible = result.best.has_value();
     result.seconds = base_seconds + stopwatch.seconds();
     if (ckpt_writer != nullptr) {
       if (!result.degraded) {
@@ -262,14 +254,14 @@ RefinePartitionsResult refine_partitions_bound(
         // the answer; resuming it reproduces the report without solving.
         ckpt.complete = true;
         ckpt.in_progress.reset();
-        sync_ckpt_globals();
+        sync_ckpt_outcome();
       }
-      // A degraded finish deliberately does NOT sync the globals: the
+      // A degraded finish deliberately does NOT sync the outcome: the
       // cut-short stage's partial solves are already folded into
       // result.ilp_solves, but on resume that stage re-runs from
       // in_progress and re-reports its full count — syncing here would
       // double-count them. The checkpoint keeps the last consistent
-      // (stage-boundary) globals plus the freshest in_progress window,
+      // (stage-boundary) outcome plus the freshest in_progress window,
       // which the throttle may have withheld from disk until now.
       ckpt_writer->write(ckpt, /*force=*/true);
     }
@@ -295,12 +287,7 @@ RefinePartitionsResult refine_partitions_bound(
   auto consume_mid_stage = [&](int stage_n) {
     inner.resume.reset();
     if (resume_mid_stage != stage_n) return;
-    BisectionResume bisection;
-    bisection.d_max = resume->in_progress->d_max;
-    bisection.d_min = resume->in_progress->d_min;
-    bisection.iteration = resume->in_progress->iteration;
-    bisection.incumbent = resume->in_progress->incumbent;
-    inner.resume = std::move(bisection);
+    inner.resume = resume->in_progress->window;
     resume_mid_stage = -1;
   };
 

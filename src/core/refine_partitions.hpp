@@ -74,29 +74,66 @@ struct RefinePartitionsParams {
   CheckpointWriter* checkpoint = nullptr;
 };
 
-struct RefinePartitionsResult {
+/// The part of a sweep's outcome that a checkpoint stores and a resume
+/// restores (core/checkpoint). SweepCheckpoint and PartitionerReport both
+/// derive from it, so syncing one into the other is a single assignment.
+struct SweepOutcome {
   std::optional<PartitionedDesign> best;
   double achieved_latency = 0.0;  ///< Da of the returned design; 0 if none
   int best_num_partitions = 0;    ///< N at which `best` was found
-  Trace trace;                    ///< all SolveModel() calls, in order
   int ilp_solves = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  ///< sweep wall time, summed over resumed runs
   /// True when the sweep ended because MinLatency(N) >= Da.
   bool stopped_by_lower_bound = false;
-  milp::SolverStats solver_stats;  ///< aggregate over the whole sweep
-  /// True when the sweep stopped on a time budget / deadline / cancellation
-  /// before natural termination: `best` (when present) is an anytime
-  /// incumbent, not the converged answer.
-  bool degraded = false;
   /// One entry per partition bound the nominal sweep range covers, in N
   /// order: probed, cut short, or skipped (see StageStatus).
   std::vector<StageAccount> stages;
+};
 
-  /// Renders the result as a JSON object (shared ReportWriter schema).
+/// Everything a run learned, including the paper-table trace.
+/// refine_partitions_bound fills the sweep's fields; the TemporalPartitioner
+/// facade (core/partitioner) adds the derived inputs, the resume status and
+/// the watchdog flag.
+struct PartitionerReport : SweepOutcome {
+  bool feasible = false;  ///< `best` holds a design
+  Trace trace;            ///< all SolveModel() calls, in order
+  milp::SolverStats solver_stats;  ///< aggregate over the whole sweep
+  /// True when the sweep stopped on a time budget / deadline / cancellation
+  /// before natural termination, or a stage stopped on an uncertified
+  /// verdict: `best` (when present) is an anytime incumbent, not the
+  /// converged answer.
+  bool degraded = false;
+  /// True when the deadline watchdog had to force-cancel the run (a solve
+  /// overran the deadline by more than the grace margin).
+  bool watchdog_fired = false;
+  /// Derived inputs, for reporting.
+  int n_min_lower = 0;
+  int n_min_upper = 0;
+  double delta_used = 0.0;
+  /// True when the run continued from a loaded checkpoint: the trace covers
+  /// only the resumed portion, while counters span the whole logical run.
+  bool resumed = false;
+  /// Why a requested --resume did not restore (empty when it did, or when no
+  /// resume was requested). The run proceeded fresh.
+  std::string resume_error;
+
+  /// True when a solver verdict stayed uncertified after the distrust retry.
+  [[nodiscard]] bool uncertified() const {
+    return solver_stats.uncertified_verdicts > 0;
+  }
+
+  /// Renders the report as a JSON object (shared ReportWriter schema); the
+  /// CLI's --report-json output.
   [[nodiscard]] std::string to_json() const;
 };
 
-RefinePartitionsResult refine_partitions_bound(
+/// Exit code of a finished run, shared by the CLI and the solve service:
+/// 7 when a verdict stayed uncertified, else 3 when degraded, else 2 when
+/// no design was found, else 0.
+[[nodiscard]] int run_exit_code(bool feasible, bool degraded,
+                                bool uncertified);
+
+PartitionerReport refine_partitions_bound(
     const graph::TaskGraph& graph, const arch::Device& device,
     const RefinePartitionsParams& params);
 

@@ -1,19 +1,11 @@
-// JSON rendering of the core result structs through the shared ReportWriter,
-// so PartitionerReport, RefinePartitionsResult and OptimalResult agree on
-// field names and number formatting (the CLI's --report-json contract).
-#include "core/partitioner.hpp"
+// JSON rendering of PartitionerReport through the shared ReportWriter: the
+// CLI's --report-json document and the `report` member of a solve-service
+// job result.
 #include "core/refine_partitions.hpp"
 #include "support/report_writer.hpp"
 
 namespace sparcs::core {
 namespace {
-
-void write_solver_stats(report::ReportWriter& w,
-                        const milp::SolverStats& stats) {
-  // Delegates to the canonical renderer so the report, the telemetry stream
-  // and the CLI agree on the schema (including the convergence timeline).
-  w.raw_field("solver_stats", stats.to_json());
-}
 
 void write_stages(report::ReportWriter& w,
                   const std::vector<StageAccount>& stages) {
@@ -53,23 +45,6 @@ void write_trace(report::ReportWriter& w, const Trace& trace) {
 
 }  // namespace
 
-std::string RefinePartitionsResult::to_json() const {
-  report::ReportWriter w;
-  w.begin_object();
-  w.field("feasible", best.has_value());
-  w.field("achieved_latency_ns", achieved_latency);
-  w.field("best_num_partitions", best_num_partitions);
-  w.field("ilp_solves", ilp_solves);
-  w.field("seconds", seconds);
-  w.field("stopped_by_lower_bound", stopped_by_lower_bound);
-  w.field("degraded", degraded);
-  write_stages(w, stages);
-  write_solver_stats(w, solver_stats);
-  write_trace(w, trace);
-  w.end_object();
-  return w.str();
-}
-
 std::string PartitionerReport::to_json() const {
   report::ReportWriter w;
   w.begin_object();
@@ -87,21 +62,10 @@ std::string PartitionerReport::to_json() const {
   w.field("resumed", resumed);
   if (!resume_error.empty()) w.field("resume_error", resume_error);
   write_stages(w, stages);
-  write_solver_stats(w, solver_stats);
+  // The canonical renderer, so the report, the telemetry stream and the CLI
+  // agree on the schema (including the convergence timeline).
+  w.raw_field("solver_stats", solver_stats.to_json());
   write_trace(w, trace);
-  w.end_object();
-  return w.str();
-}
-
-std::string OptimalResult::to_json() const {
-  report::ReportWriter w;
-  w.begin_object();
-  w.field("status", milp::to_string(status));
-  w.field("feasible", best.has_value());
-  w.field("latency_ns", latency_ns);
-  w.field("seconds", seconds);
-  w.field("nodes", nodes);
-  write_solver_stats(w, solver_stats);
   w.end_object();
   return w.str();
 }

@@ -347,6 +347,14 @@ const char* to_string(CertifyMode mode) {
   return "unknown";
 }
 
+std::optional<CertifyMode> parse_certify_mode(std::string_view name) {
+  for (const CertifyMode mode :
+       {CertifyMode::kOff, CertifyMode::kIncumbents, CertifyMode::kFull}) {
+    if (name == to_string(mode)) return mode;
+  }
+  return std::nullopt;
+}
+
 CertifyCheck certify_feasible(const Model& model,
                               const std::vector<double>& values) {
   CertifyCheck out;

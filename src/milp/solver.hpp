@@ -4,9 +4,11 @@
 //
 // A Solver owns a reference to the model plus a mutable copy of the solve
 // parameters, so one session can be re-solved several times with tightened
-// limits or bounds between calls (the paper's Reduce_Latency loop re-probes
-// the same formulation with shrinking latency windows). An in-flight solve()
-// is cancelled from another thread through the SolverParams::cancel token.
+// limits between calls. Reduce_Latency does not reuse sessions yet: its
+// solve_window() builds a new formulation and Solver for every probe,
+// because the latency-window rows are part of the model (ROADMAP.md, "Build
+// once per partition count N"). An in-flight solve() is cancelled from
+// another thread through the SolverParams::cancel token.
 #pragma once
 
 #include "milp/model.hpp"

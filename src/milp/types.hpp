@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sparcs::report {
@@ -60,6 +62,10 @@ enum class CertifyStatus : std::uint8_t {
 
 [[nodiscard]] const char* to_string(CertifyStatus status);
 [[nodiscard]] const char* to_string(CertifyMode mode);
+/// Inverse of to_string(CertifyMode): "off", "incumbents" or "full";
+/// nullopt for any other name.
+[[nodiscard]] std::optional<CertifyMode> parse_certify_mode(
+    std::string_view name);
 
 /// Tree-shaped infeasibility proof (milp/certificate.hpp); carried by
 /// MilpSolution behind a shared_ptr so types.hpp need not see its layout.

@@ -39,9 +39,8 @@ int JobInfo::exit_code() const {
     case JobState::kDone:
       break;
   }
-  if (uncertified) return 7;
-  if (!feasible) return degraded ? 3 : 2;
-  return degraded ? 3 : 0;
+  return core::run_exit_code(result.feasible, result.degraded,
+                             result.uncertified);
 }
 
 JobQueue::JobQueue(Limits limits)
@@ -116,22 +115,14 @@ std::shared_ptr<Job> JobQueue::pop(std::uint64_t correlation) {
   return job;
 }
 
-void JobQueue::finish(const std::shared_ptr<Job>& job, JobResult result) {
+void JobQueue::finish(const std::shared_ptr<Job>& job, JobState state,
+                      JobResult result) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SPARCS_CHECK(is_terminal(result.state), "finish() needs a terminal state");
-    job->state = result.state;
+    SPARCS_CHECK(is_terminal(state), "finish() needs a terminal state");
+    job->state = state;
     job->finished_sec = now_sec();
-    job->feasible = result.feasible;
-    job->degraded = result.degraded;
-    job->uncertified = result.uncertified;
-    job->latency_ns = result.latency_ns;
-    job->num_partitions = result.num_partitions;
-    job->ilp_solves = result.ilp_solves;
-    job->solve_sec = result.solve_sec;
-    job->error = std::move(result.error);
-    job->report_json = std::move(result.report_json);
-    job->report_path = std::move(result.report_path);
+    job->result = std::move(result);
     est_memory_mb_ -= job->est_memory_mb;
     --running_;
     finished_order_.push_back(job->name);
@@ -230,15 +221,7 @@ JobInfo JobQueue::info_locked(const Job& job) const {
           job.started_sec > 0.0 ? job.finished_sec - job.started_sec : 0.0;
       break;
   }
-  info.feasible = job.feasible;
-  info.degraded = job.degraded;
-  info.uncertified = job.uncertified;
-  info.latency_ns = job.latency_ns;
-  info.num_partitions = job.num_partitions;
-  info.ilp_solves = job.ilp_solves;
-  info.error = job.error;
-  info.report_json = job.report_json;
-  info.report_path = job.report_path;
+  info.result = job.result;
   return info;
 }
 

@@ -56,6 +56,20 @@ struct JobSpec {
   bool checkpoint = true;
 };
 
+/// Outcome of a terminal job: what a worker reports back through finish(),
+/// kept on the Job and copied out whole in each JobInfo.
+struct JobResult {
+  bool feasible = false;
+  bool degraded = false;
+  bool uncertified = false;
+  double latency_ns = 0.0;
+  int num_partitions = 0;
+  int ilp_solves = 0;
+  std::string error;        ///< kFailed diagnostic
+  std::string report_json;  ///< full PartitionerReport document
+  std::string report_path;  ///< landed artifact, empty when not configured
+};
+
 /// One tracked job. Identity and spec are immutable after admit; everything
 /// under "guarded by JobQueue::mu_" must only be touched through the queue.
 struct Job {
@@ -75,16 +89,7 @@ struct Job {
   double submitted_sec = 0.0;     ///< queue-clock timestamps
   double started_sec = 0.0;
   double finished_sec = 0.0;
-  bool feasible = false;
-  bool degraded = false;
-  bool uncertified = false;
-  double latency_ns = 0.0;
-  int num_partitions = 0;
-  int ilp_solves = 0;
-  double solve_sec = 0.0;
-  std::string error;        ///< kFailed diagnostic
-  std::string report_json;  ///< full PartitionerReport document
-  std::string report_path;  ///< landed artifact, empty when not configured
+  JobResult result;  ///< set once the job is terminal
 };
 
 /// Consistent copy of one job's observable state (returned under the lock).
@@ -99,34 +104,11 @@ struct JobInfo {
   bool cancel_requested = false;
   double queued_sec = 0.0;  ///< time spent waiting (so far, or total)
   double run_sec = 0.0;     ///< time spent solving (so far, or total)
-  bool feasible = false;
-  bool degraded = false;
-  bool uncertified = false;
-  double latency_ns = 0.0;
-  int num_partitions = 0;
-  int ilp_solves = 0;
-  std::string error;
-  std::string report_json;
-  std::string report_path;
+  JobResult result;
 
   /// CLI-compatible exit code of a terminal job: 0 ok, 2 infeasible,
   /// 3 degraded, 4 failed, 5 cancelled, 7 uncertified (-1 while live).
   [[nodiscard]] int exit_code() const;
-};
-
-/// Terminal outcome a worker reports back through finish().
-struct JobResult {
-  JobState state = JobState::kDone;  ///< kDone, kFailed or kCancelled
-  bool feasible = false;
-  bool degraded = false;
-  bool uncertified = false;
-  double latency_ns = 0.0;
-  int num_partitions = 0;
-  int ilp_solves = 0;
-  double solve_sec = 0.0;
-  std::string error;
-  std::string report_json;
-  std::string report_path;
 };
 
 class JobQueue {
@@ -156,9 +138,10 @@ class JobQueue {
   /// `correlation` before returning) or the queue is stopped (nullptr).
   std::shared_ptr<Job> pop(std::uint64_t correlation);
 
-  /// Records a popped job's terminal outcome and releases its admission
-  /// budget. Wakes result-waiters.
-  void finish(const std::shared_ptr<Job>& job, JobResult result);
+  /// Records a popped job's terminal state (kDone, kFailed or kCancelled)
+  /// and outcome, and releases its admission budget. Wakes result-waiters.
+  void finish(const std::shared_ptr<Job>& job, JobState state,
+              JobResult result);
 
   enum class CancelOutcome {
     kUnknownJob,

@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include "milp/types.hpp"
 #include "support/json.hpp"
 #include "support/report_writer.hpp"
 
@@ -53,8 +54,7 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
   if (out->est_memory_mb < 0.0) {
     return fail(error, "options.est_memory_mb must be >= 0");
   }
-  if (out->certify != "off" && out->certify != "incumbents" &&
-      out->certify != "full") {
+  if (!milp::parse_certify_mode(out->certify)) {
     return fail(error, "options.certify must be off, incumbents or full");
   }
   return true;

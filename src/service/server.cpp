@@ -20,18 +20,10 @@
 #include "support/metrics.hpp"
 #include "support/report_writer.hpp"
 #include "support/telemetry.hpp"
-#include "workloads/ar_filter.hpp"
-#include "workloads/dct.hpp"
-#include "workloads/ewf.hpp"
+#include "workloads/builtin.hpp"
 
 namespace sparcs::service {
 namespace {
-
-milp::CertifyMode certify_mode(const std::string& name) {
-  if (name == "incumbents") return milp::CertifyMode::kIncumbents;
-  if (name == "full") return milp::CertifyMode::kFull;
-  return milp::CertifyMode::kOff;
-}
 
 /// Writes `text` fully; false on a broken connection. MSG_NOSIGNAL keeps a
 /// peer that vanished between request and response from killing the daemon
@@ -65,19 +57,22 @@ void append_job_fields(report::ReportWriter& w, const JobInfo& info,
   w.field("queued_sec", info.queued_sec);
   w.field("run_sec", info.run_sec);
   if (is_terminal(info.state)) {
+    const JobResult& result = info.result;
     w.field("exit_code", info.exit_code());
-    w.field("feasible", info.feasible);
-    w.field("degraded", info.degraded);
-    w.field("uncertified", info.uncertified);
-    if (info.feasible) {
-      w.field("latency_ns", info.latency_ns);
-      w.field("num_partitions", info.num_partitions);
+    w.field("feasible", result.feasible);
+    w.field("degraded", result.degraded);
+    w.field("uncertified", result.uncertified);
+    if (result.feasible) {
+      w.field("latency_ns", result.latency_ns);
+      w.field("num_partitions", result.num_partitions);
     }
-    w.field("ilp_solves", info.ilp_solves);
-    if (!info.error.empty()) w.field("error_message", info.error);
-    if (!info.report_path.empty()) w.field("report_path", info.report_path);
-    if (include_report && !info.report_json.empty()) {
-      w.raw_field("report", info.report_json);
+    w.field("ilp_solves", result.ilp_solves);
+    if (!result.error.empty()) w.field("error_message", result.error);
+    if (!result.report_path.empty()) {
+      w.field("report_path", result.report_path);
+    }
+    if (include_report && !result.report_json.empty()) {
+      w.raw_field("report", result.report_json);
     }
   }
 }
@@ -290,6 +285,7 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     }
   }
 
+  JobState state = JobState::kDone;
   JobResult result;
   try {
     core::PartitionerOptions options = job->spec.options;
@@ -309,11 +305,10 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
             .run();
     result.feasible = report.feasible;
     result.degraded = report.degraded;
-    result.uncertified = report.solver_stats.uncertified_verdicts > 0;
+    result.uncertified = report.uncertified();
     result.latency_ns = report.achieved_latency;
     result.num_partitions = report.best_num_partitions;
     result.ilp_solves = report.ilp_solves;
-    result.solve_sec = report.seconds;
     result.report_json = report.to_json();
     if (!options_.artifact_dir.empty()) {
       const std::string path =
@@ -329,11 +324,11 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     }
     // A preempted sweep comes back degraded with the token tripped; a sweep
     // that finished before its cancel landed is still a completed job.
-    result.state = job->cancel.cancelled() && report.degraded
-                       ? JobState::kCancelled
-                       : JobState::kDone;
+    if (job->cancel.cancelled() && report.degraded) {
+      state = JobState::kCancelled;
+    }
   } catch (const Error& e) {
-    result.state = JobState::kFailed;
+    state = JobState::kFailed;
     result.error = e.what();
     SPARCS_WLOG << job->name << ": failed: " << e.what();
   }
@@ -345,7 +340,7 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
   static metrics::Counter& jobs_finished =
       metrics::registry().counter("service.jobs.finished");
   jobs_finished.add();
-  queue_.finish(job, std::move(result));
+  queue_.finish(job, state, std::move(result));
 }
 
 void Server::connection_loop(const std::shared_ptr<Connection>& conn) {
@@ -417,17 +412,7 @@ std::string Server::handle_submit(const SubmitRequest& submit,
     JobSpec& spec = job->spec;
     std::optional<arch::Device> file_device;
     if (!submit.workload.empty()) {
-      if (submit.workload == "ar") {
-        spec.graph = workloads::ar_filter_task_graph();
-      } else if (submit.workload == "dct") {
-        spec.graph = workloads::dct_task_graph();
-      } else if (submit.workload == "ewf") {
-        spec.graph = workloads::ewf_task_graph();
-      } else {
-        return error_response("submit", "bad_request",
-                              "unknown workload '" + submit.workload +
-                                  "' (expected ar, dct or ewf)");
-      }
+      spec.graph = workloads::builtin_task_graph(submit.workload);
       spec.source = submit.workload;
     } else {
       io::TaskGraphFile file = io::read_task_graph_string(submit.graph_text);
@@ -449,7 +434,11 @@ std::string Server::handle_submit(const SubmitRequest& submit,
     spec.options.budget.solver.time_limit_sec = submit.time_limit_sec;
     spec.options.budget.solver.num_threads =
         submit.threads > 0 ? submit.threads : options_.threads_per_job;
-    spec.options.budget.solver.certify = certify_mode(submit.certify);
+    const std::optional<milp::CertifyMode> certify =
+        milp::parse_certify_mode(submit.certify);
+    SPARCS_REQUIRE(certify.has_value(),
+                   "unknown certify mode '" + submit.certify + "'");
+    spec.options.budget.solver.certify = *certify;
     spec.deadline_sec = submit.deadline_sec;
     spec.checkpoint = submit.checkpoint;
   } catch (const Error& e) {

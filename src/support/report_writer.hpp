@@ -1,8 +1,9 @@
-// Structured JSON report writer shared by every result type that renders to
-// --report-json (PartitionerReport, RefinePartitionsResult, OptimalResult).
-// One implementation owns escaping, number formatting (JSON has no inf/nan
-// literals) and comma placement, so result structs describe their fields
-// instead of hand-assembling strings in the CLI.
+// Structured JSON writer shared by every document the system emits: the
+// --report-json PartitionerReport, solver statistics, sweep checkpoints,
+// service responses, metrics, telemetry and JSON log records. One
+// implementation owns escaping, number formatting (JSON has no inf/nan
+// literals) and comma placement, so callers describe their fields instead
+// of hand-assembling strings.
 #pragma once
 
 #include <cstdint>

@@ -268,6 +268,79 @@ TEST(CheckpointTest, LoadRejectsVersionSkewAndFingerprintMismatch) {
   std::remove(path.c_str());
 }
 
+// A sealed mid-bisection snapshot of the AR sweep run_partitioner() runs,
+// landed by the checkpoint writer at interval 0: phase 2, best design at
+// N=3, and the N=4 bisection interrupted after its 5th probe. It pins the
+// on-disk format: a change to the schema, the number formatting, the CRC
+// seal or the fingerprint breaks this test.
+const std::string kGoldenMidBisection =
+    R"json({"format": "sparcs-sweep-checkpoint","version": 1,"fingerprint": "97162d16acf6520d","complete": false,"phase": 2,"next_n": 4,"achieved_latency_ns": 1300,"best_num_partitions": 3,"ilp_solves": 9,"seconds": 0.008403096,"stopped_by_lower_bound": false,)json"
+    R"json("best": {"num_partitions_allocated": 3,"assignment": [[1,1],[1,0],[1,1],[2,0],[2,0],[3,0]]},)json"
+    R"json("stages": [{"num_partitions": 2,"status": "probed","solves": 1,"seconds": 0.000190016},{"num_partitions": 3,"status": "probed","solves": 8,"seconds": 0.003688754}],)json"
+    R"json("in_progress": {"num_partitions": 4,"d_max": 1120,"d_min": 1117.5,"iteration": 5,"achieved_latency_ns": 1120,"incumbent": {"num_partitions_allocated": 4,"assignment": [[1,0],[2,0],[2,0],[3,0],[3,0],[4,0]]}},)json"
+    R"json("crc32":"0736785b"})json";
+
+TEST(CheckpointTest, GoldenMidBisectionSnapshotLoadsAndReserializes) {
+  const std::uint64_t fp = checkpoint_fingerprint(
+      ar_graph(), ar_device(), 0, 1, 5.0, 64, FormulationOptions{});
+  const CheckpointLoadResult r =
+      parse_checkpoint(kGoldenMidBisection, fp, ar_graph(), ar_device());
+  ASSERT_EQ(r.status, CheckpointLoadStatus::kOk) << r.error;
+  const SweepCheckpoint& cp = r.checkpoint;
+  EXPECT_FALSE(cp.complete);
+  EXPECT_EQ(cp.phase, 2);
+  EXPECT_EQ(cp.next_n, 4);
+  EXPECT_EQ(cp.achieved_latency, 1300.0);
+  EXPECT_EQ(cp.best_num_partitions, 3);
+  EXPECT_EQ(cp.ilp_solves, 9);
+  EXPECT_EQ(cp.seconds, 0.008403096);
+  EXPECT_FALSE(cp.stopped_by_lower_bound);
+  ASSERT_TRUE(cp.best.has_value());
+  EXPECT_EQ(cp.best->num_partitions_allocated, 3);
+  EXPECT_EQ(cp.best->total_latency_ns, 1300.0);
+  ASSERT_EQ(cp.stages.size(), 2u);
+  EXPECT_EQ(cp.stages[0].num_partitions, 2);
+  EXPECT_EQ(cp.stages[0].status, StageStatus::kProbed);
+  EXPECT_EQ(cp.stages[0].solves, 1);
+  EXPECT_EQ(cp.stages[0].seconds, 0.000190016);
+  EXPECT_EQ(cp.stages[1].num_partitions, 3);
+  EXPECT_EQ(cp.stages[1].status, StageStatus::kProbed);
+  EXPECT_EQ(cp.stages[1].solves, 8);
+  EXPECT_EQ(cp.stages[1].seconds, 0.003688754);
+  ASSERT_TRUE(cp.in_progress.has_value());
+  EXPECT_EQ(cp.in_progress->num_partitions, 4);
+  const BisectionWindow& window = cp.in_progress->window;
+  EXPECT_EQ(window.d_max, 1120.0);
+  EXPECT_EQ(window.d_min, 1117.5);
+  EXPECT_EQ(window.iteration, 5);
+  EXPECT_EQ(window.incumbent.num_partitions_allocated, 4);
+  EXPECT_EQ(window.incumbent.total_latency_ns, 1120.0);
+  ASSERT_EQ(window.incumbent.assignment.size(), 6u);
+  EXPECT_EQ(window.incumbent.assignment[5].partition, 4);
+
+  EXPECT_EQ(serialize_checkpoint(cp, fp), kGoldenMidBisection);
+}
+
+TEST(CheckpointTest, InProgressLatencyMustMatchItsIncumbent) {
+  // The golden snapshot with in_progress.achieved_latency_ns edited and the
+  // CRC re-sealed: only the cross-check against the incumbent can catch it.
+  std::string error;
+  std::string body =
+      atomicfile::unseal_json_with_crc(kGoldenMidBisection, &error).value();
+  const std::string from = "\"iteration\": 5,\"achieved_latency_ns\": 1120";
+  const auto at = body.find(from);
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, from.size(),
+               "\"iteration\": 5,\"achieved_latency_ns\": 1119");
+  const std::uint64_t fp = checkpoint_fingerprint(
+      ar_graph(), ar_device(), 0, 1, 5.0, 64, FormulationOptions{});
+  const CheckpointLoadResult r = parse_checkpoint(
+      atomicfile::seal_json_with_crc(body), fp, ar_graph(), ar_device());
+  EXPECT_EQ(r.status, CheckpointLoadStatus::kCorrupt);
+  EXPECT_NE(r.error.find("in-progress latency"), std::string::npos)
+      << r.error;
+}
+
 TEST(CheckpointTest, WriterThrottlesUnforcedWritesAndReportsFailure) {
   SweepCheckpoint cp;
   cp.phase = 1;

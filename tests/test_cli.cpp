@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "cli/app.hpp"
 
@@ -225,6 +227,29 @@ TEST(CliTest, MalformedNumbersAreBadInput) {
   EXPECT_EQ(submit.exit_code, 4) << submit.err;
   EXPECT_NE(submit.err.find("error:"), std::string::npos);
   EXPECT_NE(submit.err.find("--ct"), std::string::npos);
+}
+
+TEST(CliTest, SubmitAcceptsBothCertifyForms) {
+  // submit parses --certify like the one-shot run: both forms get the client
+  // as far as connecting, and an unknown mode fails before it.
+  const std::vector<std::vector<std::string>> forms = {
+      {"--certify=full"}, {"--certify", "full"}};
+  for (const std::vector<std::string>& form : forms) {
+    std::vector<std::string> args = {"submit", "--socket", "/nonexistent",
+                                     "--workload", "ar"};
+    args.insert(args.end(), form.begin(), form.end());
+    const CliRun r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 4) << form[0];
+    EXPECT_NE(r.err.find("cannot connect"), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("unknown submit option"), std::string::npos)
+        << r.err;
+  }
+  const CliRun bad = run_cli({"submit", "--socket", "/nonexistent",
+                              "--workload", "ar", "--certify=maybe"});
+  EXPECT_EQ(bad.exit_code, 4);
+  EXPECT_NE(bad.err.find("unknown --certify mode 'maybe'"), std::string::npos)
+      << bad.err;
+  EXPECT_EQ(bad.err.find("cannot connect"), std::string::npos) << bad.err;
 }
 
 TEST(CliTest, LogLevelFlagControlsTraceTable) {

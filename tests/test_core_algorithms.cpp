@@ -99,7 +99,7 @@ TEST(RefinePartitionsTest, SkipsInfeasibleBoundsThenSolves) {
   params.gamma = 1;
   params.budget.delta = 20.0;
   params.budget.solver.node_limit = 200000;
-  const RefinePartitionsResult r = refine_partitions_bound(g, dev, params);
+  const PartitionerReport r = refine_partitions_bound(g, dev, params);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_GE(r.best_num_partitions, min_area_partitions(g, dev));
   EXPECT_TRUE(validate_design(g, dev, *r.best).ok);
@@ -113,7 +113,7 @@ TEST(RefinePartitionsTest, LargeReconfigStopsAtLowerBound) {
   const arch::Device dev = ar_device(1e7);
   RefinePartitionsParams params;
   params.budget.delta = 20.0;
-  const RefinePartitionsResult r = refine_partitions_bound(g, dev, params);
+  const PartitionerReport r = refine_partitions_bound(g, dev, params);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_TRUE(r.stopped_by_lower_bound);
   // The best design sits at the first feasible partition bound (N = 2 is
@@ -138,7 +138,7 @@ TEST(RefinePartitionsTest, SmallReconfigExploresLargerN) {
   RefinePartitionsParams params;
   params.budget.delta = 10.0;
   params.gamma = 1;
-  const RefinePartitionsResult r = refine_partitions_bound(g, dev, params);
+  const PartitionerReport r = refine_partitions_bound(g, dev, params);
   ASSERT_TRUE(r.best.has_value());
   // N = 3 is the first feasible bound (N = 2 fails on area packing).
   const int n_first = 3;

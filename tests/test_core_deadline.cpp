@@ -159,7 +159,7 @@ TEST(DeadlineDegradationTest, StageAccountIsConsistentWhenUnconstrained) {
   const arch::Device dev = ar_device(50);
   RefinePartitionsParams params;
   params.budget = slow_options().budget;
-  const RefinePartitionsResult result =
+  const PartitionerReport result =
       refine_partitions_bound(g, dev, params);
   ASSERT_TRUE(result.best.has_value());
   EXPECT_FALSE(result.degraded);
@@ -179,7 +179,7 @@ TEST(DeadlineDegradationTest, PreCancelledBudgetDegradesImmediately) {
   params.budget = slow_options().budget;
   params.budget.solver.cancel = milp::CancelToken::create();
   params.budget.solver.cancel.request_cancel();
-  const RefinePartitionsResult result =
+  const PartitionerReport result =
       refine_partitions_bound(g, dev, params);
   EXPECT_TRUE(result.degraded);
   EXPECT_FALSE(result.best.has_value());

@@ -323,7 +323,7 @@ TEST_F(TelemetryFailpointTest, DegradedSweepIsReflectedInFinalRecord) {
   params.budget.time_budget_sec = 0.0;
   params.budget.solver.time_limit_sec = 0.05;
   params.budget.solver.num_threads = 1;
-  const core::RefinePartitionsResult result =
+  const core::PartitionerReport result =
       core::refine_partitions_bound(graph, device, params);
   EXPECT_FALSE(result.best.has_value());
   EXPECT_TRUE(result.degraded);

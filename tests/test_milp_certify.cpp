@@ -254,14 +254,14 @@ TEST_F(CertifyFailpointTest, CorruptProofDegradesSweepWithoutChangingLatency) {
   params.budget.solver.num_threads = 1;
   params.budget.solver.certify = CertifyMode::kFull;
 
-  const core::RefinePartitionsResult clean =
+  const core::PartitionerReport clean =
       core::refine_partitions_bound(g, dev, params);
   ASSERT_TRUE(clean.best.has_value());
   EXPECT_FALSE(clean.degraded);
 
   failpoint::arm("milp.certify.corrupt_ray");
   failpoint::arm("milp.certify.corrupt_proof");
-  const core::RefinePartitionsResult corrupted =
+  const core::PartitionerReport corrupted =
       core::refine_partitions_bound(g, dev, params);
   failpoint::disarm_all();
 

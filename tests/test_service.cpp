@@ -147,7 +147,7 @@ TEST(ServiceJobQueue, RejectsBeyondMemoryLimitAndReleasesOnFinish) {
   // Finishing the admitted job releases its budget for the next submit.
   const std::shared_ptr<Job> job = queue.pop(1);
   ASSERT_NE(job, nullptr);
-  queue.finish(job, JobResult{});
+  queue.finish(job, JobState::kDone, JobResult{});
   EXPECT_DOUBLE_EQ(queue.est_memory_in_use_mb(), 0.0);
   EXPECT_TRUE(queue.submit(make_job(60.0)).ok);
 }
@@ -192,9 +192,7 @@ TEST(ServiceJobQueue, CancelRunningTripsTokenOnly) {
   EXPECT_EQ(info.state, JobState::kRunning);
   EXPECT_EQ(info.correlation, 7u);
 
-  JobResult result;
-  result.state = JobState::kCancelled;
-  queue.finish(job, result);
+  queue.finish(job, JobState::kCancelled, JobResult{});
   ASSERT_TRUE(queue.lookup(name, &info));
   EXPECT_EQ(info.state, JobState::kCancelled);
 }
@@ -207,12 +205,12 @@ TEST(ServiceJobQueue, WaitTerminalBlocksUntilFinish) {
     const std::shared_ptr<Job> popped = queue.pop(1);
     JobResult result;
     result.feasible = true;
-    queue.finish(popped, result);
+    queue.finish(popped, JobState::kDone, result);
   });
   JobInfo info;
   ASSERT_TRUE(queue.wait_terminal(name, &info));
   EXPECT_EQ(info.state, JobState::kDone);
-  EXPECT_TRUE(info.feasible);
+  EXPECT_TRUE(info.result.feasible);
   EXPECT_EQ(info.exit_code(), 0);
   finisher.join();
   EXPECT_FALSE(queue.wait_terminal("job-404", nullptr));
@@ -286,6 +284,7 @@ TEST_F(ServiceTest, ServesTwoConcurrentClientsEndToEnd) {
     int exit_code = -1;
     std::uint64_t correlation = 0;
     std::string report_path;
+    json::Value response;  ///< the terminal result line
   };
   Outcome outcomes[2];
   const char* workloads[2] = {"ar", "dct"};
@@ -307,6 +306,7 @@ TEST_F(ServiceTest, ServesTwoConcurrentClientsEndToEnd) {
       outcomes[i].correlation =
           static_cast<std::uint64_t>(done.member_int("corr"));
       outcomes[i].report_path = done.member_string("report_path");
+      outcomes[i].response = done;
     });
   }
   for (std::thread& t : clients) t.join();
@@ -322,6 +322,21 @@ TEST_F(ServiceTest, ServesTwoConcurrentClientsEndToEnd) {
     std::ostringstream text;
     text << report.rdbuf();
     EXPECT_TRUE(is_valid_json(text.str()));
+    // The job summary restates its embedded report, field for field.
+    const json::Value& summary = outcome.response;
+    const json::Value* embedded = summary.find("report");
+    ASSERT_NE(embedded, nullptr);
+    EXPECT_TRUE(summary.member_bool("feasible"));
+    EXPECT_EQ(summary.member_bool("feasible"),
+              embedded->member_bool("feasible"));
+    EXPECT_EQ(summary.member_bool("degraded", true),
+              embedded->member_bool("degraded", false));
+    EXPECT_EQ(summary.member_double("latency_ns", -1.0),
+              embedded->member_double("achieved_latency_ns", -2.0));
+    EXPECT_EQ(summary.member_int("num_partitions", -1),
+              embedded->member_int("best_num_partitions", -2));
+    EXPECT_EQ(summary.member_int("ilp_solves", -1),
+              embedded->member_int("ilp_solves", -2));
   }
   // Concurrent jobs are distinguishable in every artifact stream.
   EXPECT_NE(outcomes[0].correlation, outcomes[1].correlation);
