@@ -168,9 +168,8 @@ LogLevel parse_log_level(const std::string& name) {
   if (name == "warning") return LogLevel::kWarning;
   if (name == "error") return LogLevel::kError;
   if (name == "off") return LogLevel::kOff;
-  SPARCS_REQUIRE(false, "unknown log level '" + name +
-                            "' (expected debug, info, warning, error or off)");
-  return LogLevel::kWarning;
+  throw InvalidArgumentError("unknown log level '" + name +
+                             "' (expected debug, info, warning, error or off)");
 }
 
 Arguments parse_args(const std::vector<std::string>& args) {
@@ -250,7 +249,7 @@ Arguments parse_args(const std::vector<std::string>& args) {
     } else if (arg.rfind(kCertifyEq, 0) == 0) {
       parsed.certify = parse_certify(arg.substr(kCertifyEq.size()));
     } else if (!arg.empty() && arg[0] == '-') {
-      SPARCS_REQUIRE(false, "unknown option " + arg);
+      throw InvalidArgumentError("unknown option " + arg);
     } else {
       SPARCS_REQUIRE(parsed.input_file.empty(),
                      "multiple input files given");
@@ -491,7 +490,7 @@ ServeArguments parse_serve_args(const std::vector<std::string>& args) {
     } else if (arg == "--quiet") {
       parsed.quiet = true;
     } else {
-      SPARCS_REQUIRE(false, "unknown --serve option " + arg);
+      throw InvalidArgumentError("unknown --serve option " + arg);
     }
   }
   SPARCS_REQUIRE(!parsed.socket_path.empty(), "--serve needs a socket path");
@@ -593,7 +592,7 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
     } else if (arg == "--est-memory-mb") {
       parsed.submit.est_memory_mb = parse_number<double>(arg, value());
     } else if (!arg.empty() && arg[0] == '-') {
-      SPARCS_REQUIRE(false, "unknown " + parsed.verb + " option " + arg);
+      throw InvalidArgumentError("unknown " + parsed.verb + " option " + arg);
     } else {
       SPARCS_REQUIRE(parsed.input_file.empty(), "multiple input files given");
       parsed.input_file = arg;
@@ -812,6 +811,12 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   if (args.empty()) {
     err << usage();
     return 4;
+  }
+  for (const std::string& arg : args) {
+    if (arg == "--help" || arg == "-h") {
+      out << usage();
+      return 0;
+    }
   }
   // Service modes peel off before the one-shot path: a client verb as the
   // first argument, or --serve anywhere, select them.

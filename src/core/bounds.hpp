@@ -1,8 +1,12 @@
-// Partition-count and latency bounds (Section 3.1 of the paper).
+// Partition-count and latency bounds (Section 3.1 of the paper), and the
+// latency relaxation bound LB(N) that refutes windows below it.
 #pragma once
+
+#include <cstdint>
 
 #include "arch/device.hpp"
 #include "graph/task_graph.hpp"
+#include "milp/types.hpp"
 
 namespace sparcs::core {
 
@@ -27,5 +31,50 @@ double max_latency(const graph::TaskGraph& graph, const arch::Device& device,
 /// plus the reconfiguration overhead of N partitions (lower bound).
 double min_latency(const graph::TaskGraph& graph, const arch::Device& device,
                    int num_partitions);
+
+/// How latency_relaxation_bound reached LB(N). The enumerators are ordered
+/// by the strength of the bound.
+enum class LatencyBoundSource : std::uint8_t {
+  /// MinLatency(N): the relaxation was skipped as too large, or its LP did
+  /// not rise above MinLatency(N).
+  kMinLatency,
+  kLp,    ///< the relaxation's LP: its MILP was not run, or did not close
+  kMilp,  ///< the relaxation's MILP optimum
+};
+
+/// LB(N) and how it was reached.
+struct LatencyBound {
+  double ns = 0.0;
+  LatencyBoundSource source = LatencyBoundSource::kMinLatency;
+};
+
+/// LB(N): a lower bound on the latency of every design with at most N
+/// partitions, max(MinLatency(N), optimum of the level-packing relaxation).
+/// The relaxation gives each used partition a level, the largest D(m) of its
+/// tasks, charges it level + C_T, and packs the tasks' cheapest areas at
+/// their level into c_l * R_max per level l, ignoring precedence and memory
+/// (DESIGN.md §10, "Latency relaxation LB(N)"):
+///   min sum_l c_l (l + C_T)  s.t.  sum_k a_k(l) x_kl <= c_l R_max per level,
+///   sum_l x_kl = |class k| per class of tasks with identical design points,
+///   sum_l c_l <= N,  c_l integer,  x_kl >= 0 continuous.
+/// Its LP always runs. When the LP beats MinLatency(N) and `solve_milp` is
+/// set, the MILP runs under `solver`'s limits at one thread, and the LP value
+/// stands in when it does not close. Above milp::kLpBoundingMaxVars
+/// variables the relaxation is skipped and LB(N) = MinLatency(N).
+LatencyBound latency_relaxation_bound(const graph::TaskGraph& graph,
+                                      const arch::Device& device,
+                                      int num_partitions,
+                                      const milp::SolverParams& solver = {},
+                                      bool solve_milp = true);
+
+/// The exact-checkable form of "no design with at most N partitions has
+/// latency <= target": the relaxation above plus the row
+/// sum_l c_l (l + C_T) <= target, solved for feasibility with
+/// CertifyMode::kFull under `solver`'s limits at one thread. A kInfeasible
+/// verdict that is kCertified proves target < LB(N).
+milp::MilpSolution certify_latency_bound(const graph::TaskGraph& graph,
+                                         const arch::Device& device,
+                                         int num_partitions, double target,
+                                         const milp::SolverParams& solver = {});
 
 }  // namespace sparcs::core

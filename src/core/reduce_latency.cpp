@@ -1,6 +1,9 @@
 #include "core/reduce_latency.hpp"
 
+#include <algorithm>
+
 #include "core/baselines.hpp"
+#include "core/bounds.hpp"
 #include "milp/solver.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
@@ -14,6 +17,7 @@ namespace {
 /// One FormModel() + SolveModel() probe of the window [d_min, d_max].
 struct Probe {
   IterationOutcome outcome = IterationOutcome::kInfeasible;
+  VerdictSource source = VerdictSource::kSearch;
   std::optional<PartitionedDesign> design;
   double seconds = 0.0;
   std::int64_t nodes = 0;
@@ -87,6 +91,45 @@ Probe solve_window(const graph::TaskGraph& graph, const arch::Device& device,
   return probe;
 }
 
+/// Refutes the window [d_min, target] with LB(N) instead of a search. Returns
+/// nullopt when the target reaches LB(N), or when under --certify=full the
+/// relaxation's infeasibility certificate does not verify: the window is
+/// then searched as usual.
+std::optional<Probe> refute_by_bound(const graph::TaskGraph& graph,
+                                     const arch::Device& device,
+                                     int num_partitions, double target,
+                                     double d_min,
+                                     const ReduceLatencyParams& params) {
+  const double bound = params.latency_bound;
+  // The relative slack keeps an LB(N) that the floating-point LP or MILP
+  // rounded up from refuting a target that touches the true bound.
+  if (!(target < bound - 1e-6 * std::max(1.0, bound))) return std::nullopt;
+  Probe probe;
+  probe.source = VerdictSource::kLatencyBound;
+  if (params.budget.solver.certify == milp::CertifyMode::kFull) {
+    Stopwatch stopwatch;
+    const milp::MilpSolution proof = certify_latency_bound(
+        graph, device, num_partitions, target, params.budget.clamped_solver());
+    if (proof.status != milp::SolveStatus::kInfeasible ||
+        proof.certified != milp::CertifyStatus::kCertified) {
+      SPARCS_WLOG << "probe N=" << num_partitions << " window=[" << d_min
+                  << ", " << target << "] below LB(N)=" << bound
+                  << " but the relaxation's certificate did not verify ("
+                  << milp::to_string(proof.status) << ", "
+                  << milp::to_string(proof.certified)
+                  << "); searching the window";
+      return std::nullopt;
+    }
+    probe.seconds = stopwatch.seconds();
+    probe.nodes = proof.stats.nodes_explored;
+    probe.stats = proof.stats;
+    probe.certified = proof.certified;
+  }
+  SPARCS_DLOG << "probe N=" << num_partitions << " window=[" << d_min << ", "
+              << target << "] -> infeasible: below LB(N)=" << bound;
+  return probe;
+}
+
 }  // namespace
 
 ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
@@ -113,6 +156,7 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
     row.d_max_bound = ub;
     row.d_min_bound = lb;
     row.outcome = probe.outcome;
+    row.verdict_source = probe.source;
     row.achieved_latency =
         probe.design ? probe.design->total_latency_ns : 0.0;
     row.seconds = probe.seconds;
@@ -161,6 +205,17 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
     return fitting != nullptr ? fitting : fastest;
   };
 
+  // One probe of [d_min, target]: refuted by LB(N) when the target lies
+  // below it, else searched with the best portfolio hint.
+  auto probe_window = [&](double target) {
+    if (std::optional<Probe> refuted = refute_by_bound(
+            graph, device, num_partitions, target, d_min, params)) {
+      return std::move(*refuted);
+    }
+    return solve_window(graph, device, num_partitions, target, d_min, params,
+                        pick_hint(target));
+  };
+
   // Everything a checkpoint needs to re-enter the loop below, published
   // after every probe once an incumbent exists.
   auto notify_progress = [&] {
@@ -190,8 +245,7 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
                 << d_max << "], Da=" << result.achieved_latency << " after "
                 << iteration << " solves";
   } else {
-    Probe probe = solve_window(graph, device, num_partitions, d_max, d_min,
-                               params, pick_hint(d_max));
+    Probe probe = probe_window(d_max);
     record(d_max, d_min, probe);
     if (probe.outcome != IterationOutcome::kFeasible) {
       result.cut_short = params.budget.interrupted();
@@ -217,8 +271,7 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
     }
     // Warm-start from the portfolio (which includes the running incumbent):
     // the next solution is often a local perturbation of one of its shapes.
-    Probe probe = solve_window(graph, device, num_partitions, target, d_min,
-                               params, pick_hint(target));
+    Probe probe = probe_window(target);
     record(target, d_min, probe);
     if (probe.outcome == IterationOutcome::kUncertified) {
       // Conservative stop: raising d_min on a distrusted "infeasible" could

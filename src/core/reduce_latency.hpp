@@ -36,6 +36,9 @@ struct BisectionWindow {
 struct ReduceLatencyParams {
   /// Shared tolerance/limit/formulation block (delta, solver, formulation).
   SearchBudget budget;
+  /// LB(N) (core/bounds latency_relaxation_bound): a probe whose target lies
+  /// below it is refuted without a search. 0 = no bound.
+  double latency_bound = 0.0;
   /// Optional warm start for the first probe (e.g. the best design from a
   /// smaller partition bound); a greedy first-fit placement is used when
   /// absent or unusable within the window.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -47,13 +48,15 @@ struct SpeculativeProbe {
 
 std::unique_ptr<SpeculativeProbe> launch_speculative(
     const graph::TaskGraph& graph, const arch::Device& device, int n,
-    double d_max, double d_min, const ReduceLatencyParams& inner) {
+    double d_max, double d_min, double latency_bound,
+    const ReduceLatencyParams& inner) {
   auto spec = std::make_unique<SpeculativeProbe>();
   spec->n = n;
   spec->d_max = d_max;
   spec->cancel = milp::CancelToken::create();
   ReduceLatencyParams params = inner;  // worker-private copy
   params.budget.solver.cancel = spec->cancel;
+  params.latency_bound = latency_bound;
   // Speculative runs must not touch the durable sweep state: no progress
   // snapshots (the serial sweep owns the checkpoint), and never a bisection
   // resume (that state belongs to the stage the sweep re-enters inline).
@@ -181,6 +184,30 @@ PartitionerReport refine_partitions_bound(
                 << resume->phase << ", next N=" << resume->next_n
                 << (resume->in_progress ? ", mid-refinement" : "") << ")";
   }
+
+  // LB(N) per partition bound, computed once, before the stage or its
+  // speculative launch. Bounds only weaken along the sweep (DESIGN.md §10):
+  // once LB(N) falls to MinLatency(N), every larger N keeps its floor
+  // without the relaxation, since LP(N) does not increase with N while
+  // MinLatency(N) does; once the MILP fails to close within the stage
+  // budget, larger N use the LP alone, so a hard relaxation costs one budget
+  // per sweep rather than one per stage.
+  std::map<int, double> latency_bounds;
+  LatencyBoundSource reach = LatencyBoundSource::kMilp;
+  auto latency_bound = [&](int stage_n) {
+    const auto known = latency_bounds.find(stage_n);
+    if (known != latency_bounds.end()) return known->second;
+    LatencyBound bound{min_latency(graph, device, stage_n),
+                       LatencyBoundSource::kMinLatency};
+    if (reach != LatencyBoundSource::kMinLatency) {
+      bound = latency_relaxation_bound(graph, device, stage_n,
+                                       params.budget.clamped_solver(),
+                                       reach == LatencyBoundSource::kMilp);
+    }
+    reach = std::min(reach, bound.source);
+    latency_bounds.emplace(stage_n, bound.ns);
+    return bound.ns;
+  };
 
   auto time_expired = [&] {
     return stopwatch.seconds() >= params.budget.time_budget_sec ||
@@ -315,6 +342,7 @@ PartitionerReport refine_partitions_bound(
       telemetry::set_stage("phase1", n);
       arm_stage(n, /*phase=*/1);
       consume_mid_stage(n);
+      inner.latency_bound = latency_bound(n);
       ReduceLatencyResult reduced;
       const std::size_t first_row = result.trace.size();
       if (spec != nullptr && spec->n == n) {
@@ -325,7 +353,8 @@ PartitionerReport refine_partitions_bound(
         if (speculate && n + 1 <= n_phase1_cap && !time_expired()) {
           spec = launch_speculative(graph, device, n + 1,
                                     max_latency(graph, device, n + 1),
-                                    min_latency(graph, device, n + 1), inner);
+                                    min_latency(graph, device, n + 1),
+                                    latency_bound(n + 1), inner);
         }
         const double d_max = max_latency(graph, device, n);
         const double d_min = min_latency(graph, device, n);
@@ -378,6 +407,7 @@ PartitionerReport refine_partitions_bound(
     // Seed the new partition bound with the incumbent design: it stays valid
     // when N grows and focuses the solver on local improvements.
     inner.warm_start = result.best;
+    inner.latency_bound = latency_bound(n);
     ReduceLatencyResult reduced;
     const std::size_t first_row = result.trace.size();
     if (spec != nullptr && spec->n == n &&
@@ -394,7 +424,7 @@ PartitionerReport refine_partitions_bound(
         if (d_min_next < result.achieved_latency) {
           spec = launch_speculative(graph, device, n + 1,
                                     result.achieved_latency, d_min_next,
-                                    inner);
+                                    latency_bound(n + 1), inner);
         }
       }
       reduced = reduce_latency(graph, device, n, result.achieved_latency,

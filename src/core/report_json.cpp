@@ -30,6 +30,7 @@ void write_trace(report::ReportWriter& w, const Trace& trace) {
     w.field("d_max_ns", row.d_max_bound);
     w.field("d_min_ns", row.d_min_bound);
     w.field("outcome", to_string(row.outcome));
+    w.field("verdict_source", to_string(row.verdict_source));
     w.field("achieved_latency_ns", row.achieved_latency);
     w.field("seconds", row.seconds);
     w.field("nodes", row.nodes);

@@ -35,6 +35,25 @@ enum class IterationOutcome : std::uint8_t {
   return "unknown";
 }
 
+/// What established a probe's verdict.
+enum class VerdictSource : std::uint8_t {
+  kSearch,  ///< the branch & bound solve of the probe's window
+  /// The window lies below LB(N) (core/bounds): no design with at most N
+  /// partitions reaches its target, so no search ran.
+  kLatencyBound,
+};
+
+/// Label of a verdict source, shared by the report JSON and the trace CSV.
+[[nodiscard]] constexpr const char* to_string(VerdictSource source) {
+  switch (source) {
+    case VerdictSource::kSearch:
+      return "search";
+    case VerdictSource::kLatencyBound:
+      return "latency bound";
+  }
+  return "unknown";
+}
+
 /// One row of the paper-style trace tables.
 struct IterationRecord {
   int num_partitions = 0;       ///< N
@@ -42,6 +61,7 @@ struct IterationRecord {
   double d_max_bound = 0.0;     ///< latency upper bound used by the solve
   double d_min_bound = 0.0;     ///< latency lower bound used by the solve
   IterationOutcome outcome = IterationOutcome::kInfeasible;
+  VerdictSource verdict_source = VerdictSource::kSearch;
   double achieved_latency = 0.0;  ///< Da (recomputed), valid when feasible
   double seconds = 0.0;           ///< wall time of the solve
   std::int64_t nodes = 0;         ///< branch & bound nodes explored

@@ -28,7 +28,7 @@ void write_csv_row(std::ostream& os, const std::vector<std::string>& cells) {
 void write_trace_csv(std::ostream& os, const core::Trace& trace) {
   write_csv_row(os, {"N", "iteration", "d_max_bound", "d_min_bound",
                      "outcome", "achieved_latency_ns", "nodes", "seconds",
-                     "simplex_iterations", "nodes_pruned"});
+                     "simplex_iterations", "nodes_pruned", "verdict_source"});
   for (const core::IterationRecord& row : trace) {
     const std::int64_t pruned = row.stats.nodes_pruned_by_bound +
                                 row.stats.nodes_pruned_infeasible;
@@ -39,7 +39,7 @@ void write_trace_csv(std::ostream& os, const core::Trace& trace) {
              trim_double(row.achieved_latency, 3),
              std::to_string(row.nodes), trim_double(row.seconds, 6),
              std::to_string(row.stats.simplex_iterations),
-             std::to_string(pruned)});
+             std::to_string(pruned), core::to_string(row.verdict_source)});
   }
 }
 

@@ -76,7 +76,9 @@ std::string render_trace(const core::Trace& trace, double ct_ns,
         da = trim_double(row.achieved_latency - shift, 1);
         break;
       case core::IterationOutcome::kInfeasible:
-        da = "Inf.";
+        da = row.verdict_source == core::VerdictSource::kLatencyBound
+                 ? "Inf. (LB)"
+                 : "Inf.";
         break;
       case core::IterationOutcome::kLimit:
         da = "Limit";

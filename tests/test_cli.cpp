@@ -33,7 +33,18 @@ TEST(CliTest, NoArgsPrintsUsage) {
 TEST(CliTest, UnknownOptionFails) {
   const CliRun r = run_cli({"--workload", "ar", "--bogus"});
   EXPECT_EQ(r.exit_code, 4);
-  EXPECT_NE(r.err.find("--bogus"), std::string::npos);
+  EXPECT_EQ(r.err.rfind("error: unknown option --bogus\n", 0), 0u) << r.err;
+  EXPECT_NE(r.err.find("usage:"), std::string::npos);
+  EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, HelpPrintsUsageOnStdout) {
+  for (const char* flag : {"--help", "-h"}) {
+    const CliRun r = run_cli({flag});
+    EXPECT_EQ(r.exit_code, 0) << flag;
+    EXPECT_EQ(r.out.rfind("usage:", 0), 0u) << flag;
+    EXPECT_TRUE(r.err.empty()) << flag << ": " << r.err;
+  }
 }
 
 TEST(CliTest, WorkloadAndFileAreExclusive) {

@@ -10,6 +10,7 @@
 #include "milp/solver.hpp"
 #include "support/error.hpp"
 #include "workloads/ar_filter.hpp"
+#include "workloads/dct.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sparcs::core {
@@ -244,6 +245,80 @@ TEST_P(ArLpBoundingTest, LpBoundedOptimumMatchesPropagationOnly) {
 
 INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArLpBoundingTest,
                          ::testing::Values(1.0, 50.0, 500.0, 1e7));
+
+// Table 3 (DCT, Rmax 576, Ct 100 ns, delta 200 ns) at a 5000-node cap per
+// probe: LB(N) = 3170/3030/3030 ns for N = 5/6/7 refutes the six windows
+// that lie below it without a search, and the bisection visits the same 13
+// windows it visits when each of those probes runs to its node cap.
+TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("dct", 576, 4096, 100);
+  PartitionerOptions options;
+  options.budget.delta = 200.0;
+  options.budget.solver.num_threads = 1;
+  options.budget.solver.node_limit = 5000;
+  const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+  ASSERT_TRUE(report.feasible);
+  EXPECT_DOUBLE_EQ(report.achieved_latency, 3030.0);
+  EXPECT_EQ(report.best_num_partitions, 6);
+
+  struct Window {
+    int n, iteration;
+    double d_max, d_min;
+    bool bound_refuted;
+  };
+  const Window expected[] = {
+      {5, 1, 25940.0, 1295.0, false},   {5, 2, 4375.625, 1295.0, false},
+      {5, 3, 2817.5, 1295.0, true},     {5, 4, 3578.75, 2817.5, false},
+      {5, 5, 3959.375, 3578.75, false}, {5, 6, 3749.375, 3578.75, false},
+      {6, 1, 3920.0, 1395.0, false},    {6, 2, 2657.5, 1395.0, true},
+      {6, 3, 2973.125, 2657.5, true},   {7, 1, 3030.0, 1495.0, false},
+      {7, 2, 2262.5, 1495.0, true},     {7, 3, 2646.25, 2262.5, true},
+      {7, 4, 2838.125, 2646.25, true},
+  };
+  ASSERT_EQ(report.trace.size(), std::size(expected));
+  for (std::size_t i = 0; i < report.trace.size(); ++i) {
+    const IterationRecord& row = report.trace[i];
+    const Window& want = expected[i];
+    EXPECT_EQ(row.num_partitions, want.n) << "row " << i;
+    EXPECT_EQ(row.iteration, want.iteration) << "row " << i;
+    EXPECT_DOUBLE_EQ(row.d_max_bound, want.d_max) << "row " << i;
+    EXPECT_DOUBLE_EQ(row.d_min_bound, want.d_min) << "row " << i;
+    if (want.bound_refuted) {
+      EXPECT_EQ(row.outcome, IterationOutcome::kInfeasible) << "row " << i;
+      EXPECT_EQ(row.verdict_source, VerdictSource::kLatencyBound)
+          << "row " << i;
+      EXPECT_EQ(row.nodes, 0) << "row " << i;
+    } else {
+      EXPECT_EQ(row.verdict_source, VerdictSource::kSearch) << "row " << i;
+      EXPECT_GT(row.nodes, 0) << "row " << i;
+    }
+  }
+}
+
+// Under --certify=full each bound-refuted window carries the relaxation's
+// own certified infeasibility proof, and the run stays fully certified.
+TEST(RefinePartitionsTest, DctTable3BoundVerdictsAreCertified) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("dct", 576, 4096, 100);
+  PartitionerOptions options;
+  options.budget.delta = 200.0;
+  options.budget.solver.num_threads = 1;
+  options.budget.solver.node_limit = 5000;
+  options.budget.solver.certify = milp::CertifyMode::kFull;
+  const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+  EXPECT_DOUBLE_EQ(report.achieved_latency, 3030.0);
+  EXPECT_FALSE(report.uncertified());
+  int bound_rows = 0;
+  for (const IterationRecord& row : report.trace) {
+    if (row.verdict_source != VerdictSource::kLatencyBound) continue;
+    ++bound_rows;
+    EXPECT_EQ(row.outcome, IterationOutcome::kInfeasible);
+    EXPECT_EQ(row.certified, milp::CertifyStatus::kCertified);
+    EXPECT_GE(row.stats.certificates_checked, 1);
+  }
+  EXPECT_EQ(bound_rows, 6);
+}
 
 // Property sweep: on random small graphs the iterative result is within
 // delta of the exhaustive optimum whenever both exist.

@@ -2,6 +2,7 @@
 
 #include "arch/device.hpp"
 #include "core/bounds.hpp"
+#include "milp/types.hpp"
 #include "support/error.hpp"
 #include "workloads/ar_filter.hpp"
 #include "workloads/dct.hpp"
@@ -58,6 +59,69 @@ TEST(BoundsTest, InvalidPartitionCountRejected) {
   const arch::Device dev = arch::custom("d", 200, 64, 50);
   EXPECT_THROW(max_latency(g, dev, 0), InvalidArgumentError);
   EXPECT_THROW(min_latency(g, dev, -1), InvalidArgumentError);
+}
+
+// LB(N) on the DCT at Table 3's device: the level-packing relaxation lifts
+// the bound far above MinLatency(N) = 1295/1395/1495 ns. LB(6) = 3030 is the
+// latency Table 3 reaches at N = 6.
+TEST(LatencyRelaxationTest, DctTable3Bounds) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("d", 576, 4096, 100);
+  const double expected[] = {3170.0, 3030.0, 3030.0};
+  for (int n = 5; n <= 7; ++n) {
+    const LatencyBound bound = latency_relaxation_bound(g, dev, n);
+    EXPECT_NEAR(bound.ns, expected[n - 5], 1e-6) << "N=" << n;
+    EXPECT_EQ(bound.source, LatencyBoundSource::kMilp) << "N=" << n;
+  }
+  // Without the MILP the LP's fractional packing stands in: weaker, but
+  // still above MinLatency(6) = 1395.
+  const LatencyBound lp = latency_relaxation_bound(g, dev, 6, {}, false);
+  EXPECT_EQ(lp.source, LatencyBoundSource::kLp);
+  EXPECT_GT(lp.ns, min_latency(g, dev, 6));
+  EXPECT_LT(lp.ns, 3030.0);
+}
+
+// More partitions only relax sum c_l <= N, so the relaxation cannot rise;
+// through N = 10 it stays above the growing MinLatency(N).
+TEST(LatencyRelaxationTest, DctBoundIsNonIncreasingInN) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("d", 576, 4096, 100);
+  double previous = latency_relaxation_bound(g, dev, 5).ns;
+  for (int n = 6; n <= 10; ++n) {
+    const double bound = latency_relaxation_bound(g, dev, n).ns;
+    EXPECT_LE(bound, previous + 1e-6) << "N=" << n;
+    EXPECT_GT(bound, min_latency(g, dev, n)) << "N=" << n;
+    previous = bound;
+  }
+}
+
+// On the AR filter the relaxation's LP never beats the critical path, so
+// LB(N) is MinLatency(N) in every reconfiguration regime of Table 1.
+TEST(LatencyRelaxationTest, ArBoundIsMinLatency) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  for (const double ct : {1.0, 50.0, 500.0, 1e7}) {
+    const arch::Device dev = arch::custom("d", 200, 64, ct);
+    for (int n = min_area_partitions(g, dev);
+         n <= max_area_partitions(g, dev) + 1; ++n) {
+      const LatencyBound bound = latency_relaxation_bound(g, dev, n);
+      EXPECT_EQ(bound.ns, min_latency(g, dev, n)) << "Ct=" << ct << " N=" << n;
+      EXPECT_EQ(bound.source, LatencyBoundSource::kMinLatency)
+          << "Ct=" << ct << " N=" << n;
+    }
+  }
+}
+
+// The bound's certificate form: a target below LB(N) is a certified
+// infeasible relaxation, a target at LB(N) is feasible.
+TEST(LatencyRelaxationTest, CertifiesTargetsBelowTheBound) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("d", 576, 4096, 100);
+  const milp::MilpSolution below = certify_latency_bound(g, dev, 6, 2973.125);
+  EXPECT_EQ(below.status, milp::SolveStatus::kInfeasible);
+  EXPECT_EQ(below.certified, milp::CertifyStatus::kCertified);
+  EXPECT_GE(below.stats.certificates_checked, 1);
+  const milp::MilpSolution at = certify_latency_bound(g, dev, 6, 3030.0);
+  EXPECT_TRUE(at.has_solution());
 }
 
 }  // namespace

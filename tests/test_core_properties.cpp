@@ -5,7 +5,8 @@
 //    ILP's own memory accounting matches the validator's;
 //  - no design holds more live data than max_live_memory, the bound below
 //    which the formulation builds its memory rows;
-//  - the iterative partitioner never loses to the greedy baselines.
+//  - the iterative partitioner never loses to the greedy baselines;
+//  - LB(N) never exceeds the exhaustive optimum over at most N partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,6 +145,24 @@ TEST_P(FormulationVariantsTest, IterativeNeverLosesToGreedy) {
   }
 }
 
+// LB(N) is a lower bound on every design with at most N partitions. The
+// 200-unit device packs these graphs tighter than the 300-unit one, which
+// is where the relaxation's area packing bites.
+TEST_P(FormulationVariantsTest, LatencyBoundNeverExceedsTheExhaustiveOptimum) {
+  const graph::TaskGraph g = seeded_graph(GetParam());
+  for (const double rmax : {300.0, 200.0}) {
+    const arch::Device dev = arch::custom("d", rmax, 2048, 60);
+    const int n_lo = min_area_partitions(g, dev);
+    for (int n = n_lo; n <= n_lo + 2; ++n) {
+      const auto brute = exhaustive_optimal(g, dev, n);
+      if (!brute.has_value()) continue;
+      EXPECT_LE(latency_relaxation_bound(g, dev, n).ns,
+                brute->total_latency_ns + 1e-6)
+          << "seed " << GetParam() << " Rmax " << rmax << " N=" << n;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FormulationVariantsTest,
                          ::testing::Range<std::uint64_t>(1, 11));
 
@@ -157,6 +176,23 @@ TEST(FormulationVariantsSweep, ValidatorSweepBuildsTheMemoryRows) {
     }
   }
   EXPECT_GE(seeds_with_rows, 1);
+}
+
+// LatencyBoundNeverExceedsTheExhaustiveOptimum is vacuous unless the
+// relaxation rises above MinLatency(N) on some of its instances.
+TEST(FormulationVariantsSweep, LatencyBoundSweepLiftsTheFloor) {
+  int lifted = 0;
+  for (std::uint64_t seed = 1; seed < 11; ++seed) {
+    const graph::TaskGraph g = seeded_graph(seed);
+    for (const double rmax : {300.0, 200.0}) {
+      const arch::Device dev = arch::custom("d", rmax, 2048, 60);
+      const int n = min_area_partitions(g, dev);
+      if (latency_relaxation_bound(g, dev, n).ns > min_latency(g, dev, n)) {
+        ++lifted;
+      }
+    }
+  }
+  EXPECT_GE(lifted, 1);
 }
 
 }  // namespace

@@ -71,8 +71,23 @@ TEST(TraceRenderTest, ShowsInfeasibleAndFeasibleRows) {
 
   const std::string s = render_trace(trace, 100.0, /*subtract_reconfig=*/true);
   EXPECT_NE(s.find("Inf."), std::string::npos);
+  EXPECT_EQ(s.find("Inf. (LB)"), std::string::npos);
   EXPECT_NE(s.find("7000"), std::string::npos);   // 7400 - 4*100
   EXPECT_NE(s.find("25440"), std::string::npos);  // bound without N*Ct
+}
+
+TEST(TraceRenderTest, MarksBoundRefutedRows) {
+  core::Trace trace;
+  core::IterationRecord r;
+  r.num_partitions = 6;
+  r.iteration = 2;
+  r.d_max_bound = 2657.5;
+  r.d_min_bound = 1395;
+  r.outcome = core::IterationOutcome::kInfeasible;
+  r.verdict_source = core::VerdictSource::kLatencyBound;
+  trace.push_back(r);
+  const std::string s = render_trace(trace, 100.0, /*subtract_reconfig=*/false);
+  EXPECT_NE(s.find("| Inf. (LB) |"), std::string::npos) << s;
 }
 
 TEST(TraceRenderTest, ShowsSolverStatsColumns) {
@@ -131,16 +146,26 @@ TEST(CsvTest, TraceRoundTripShape) {
   f.outcome = core::IterationOutcome::kUncertified;
   f.achieved_latency = 0.0;
   trace.push_back(f);
+  core::IterationRecord b;
+  b.num_partitions = 4;
+  b.iteration = 3;
+  b.d_max_bound = 1200;
+  b.d_min_bound = 1000;
+  b.outcome = core::IterationOutcome::kInfeasible;
+  b.verdict_source = core::VerdictSource::kLatencyBound;
+  trace.push_back(b);
   std::ostringstream os;
   write_trace_csv(os, trace);
-  // Every column of every row; the last two are the solver-stat columns
-  // (LP iterations, and the two prune counters folded into one).
+  // Every column of every row; after the solver-stat columns (LP
+  // iterations, and the two prune counters folded into one) comes what
+  // established the verdict.
   EXPECT_EQ(os.str(),
             "N,iteration,d_max_bound,d_min_bound,outcome,achieved_latency_ns,"
-            "nodes,seconds,simplex_iterations,nodes_pruned\n"
-            "3,2,123.5,50,limit,0,5000,0.125,17,3\n"
-            "4,1,2000.25,1000,feasible,1500.125,11,1.5,0,0\n"
-            "4,2,2000.25,1000,uncertified,0,11,1.5,0,0\n");
+            "nodes,seconds,simplex_iterations,nodes_pruned,verdict_source\n"
+            "3,2,123.5,50,limit,0,5000,0.125,17,3,search\n"
+            "4,1,2000.25,1000,feasible,1500.125,11,1.5,0,0,search\n"
+            "4,2,2000.25,1000,uncertified,0,11,1.5,0,0,search\n"
+            "4,3,1200,1000,infeasible,0,0,0,0,0,latency bound\n");
 }
 
 }  // namespace

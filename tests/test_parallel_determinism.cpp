@@ -25,7 +25,8 @@ std::string trace_key(const Trace& trace) {
   for (const IterationRecord& row : trace) {
     os << row.num_partitions << '/' << row.iteration << '/'
        << row.d_max_bound << '/' << row.d_min_bound << '/'
-       << static_cast<int>(row.outcome) << '/' << row.achieved_latency
+       << static_cast<int>(row.outcome) << '/'
+       << static_cast<int>(row.verdict_source) << '/' << row.achieved_latency
        << '\n';
   }
   return os.str();
