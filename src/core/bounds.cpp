@@ -30,8 +30,10 @@ struct TaskClass {
 struct LevelRelaxation {
   std::vector<double> levels;  ///< ascending
   std::vector<TaskClass> classes;
+  int min_partitions = 1;  ///< MinAreaPartitions()
 
-  explicit LevelRelaxation(const graph::TaskGraph& graph) {
+  LevelRelaxation(const graph::TaskGraph& graph, const arch::Device& device)
+      : min_partitions(min_area_partitions(graph, device)) {
     std::map<std::vector<std::pair<double, double>>, int> tasks;
     for (const graph::Task& task : graph.tasks()) {
       std::vector<std::pair<double, double>> points;
@@ -98,6 +100,11 @@ struct LevelRelaxation {
       model.add_constraint(std::move(area[l]) <= 0.0,
                            "area_" + trim_double(levels[l]));
     }
+    // Each used partition holds at most R_max of the cheapest areas, so
+    // every design uses at least MinAreaPartitions() of them.
+    model.add_constraint(
+        milp::LinExpr(used) >= static_cast<double>(min_partitions),
+        "min_partitions");
     model.add_constraint(std::move(used) <= static_cast<double>(num_partitions),
                          "partitions");
     return model;
@@ -159,11 +166,11 @@ LatencyBound latency_relaxation_bound(const graph::TaskGraph& graph,
   trace::Span span("Latency_Bound");
   span.arg("N", static_cast<std::int64_t>(num_partitions));
   Stopwatch stopwatch;
-  const LevelRelaxation relaxation(graph);
+  const LevelRelaxation relaxation(graph, device);
   const int vars = relaxation.num_vars();
   span.arg("vars", static_cast<std::int64_t>(vars));
   double lp = -milp::kInfinity;
-  LatencyBound bound{floor, LatencyBoundSource::kMinLatency};
+  LatencyBound bound{floor, LatencyBoundSource::kMinLatency, {}};
   std::int64_t nodes = 0;
   if (vars <= milp::kLpBoundingMaxVars) {
     milp::LinExpr cost;
@@ -172,7 +179,7 @@ LatencyBound latency_relaxation_bound(const graph::TaskGraph& graph,
     const milp::LpResult relaxed = milp::solve_lp(milp::relaxation_of(model));
     if (relaxed.status == milp::LpStatus::kOptimal) lp = relaxed.objective;
     // Only an LP above the floor can lift the MILP above it.
-    if (lp > floor) bound = {lp, LatencyBoundSource::kLp};
+    if (lp > floor) bound = {lp, LatencyBoundSource::kLp, {}};
     if (lp > floor && solve_milp) {
       // Dive toward the LP's packing: try each count c_l (variable l) at its
       // rounded-up LP value first, and branch on the counts the LP left
@@ -192,7 +199,13 @@ LatencyBound latency_relaxation_bound(const graph::TaskGraph& graph,
               .solve();
       nodes = exact.stats.nodes_explored;
       if (exact.status == milp::SolveStatus::kOptimal) {
-        bound = {std::max(lp, exact.objective), LatencyBoundSource::kMilp};
+        bound = {std::max(lp, exact.objective), LatencyBoundSource::kMilp, {}};
+        for (std::size_t l = 0; l < relaxation.levels.size(); ++l) {
+          bound.levels.insert(bound.levels.end(),
+                              static_cast<std::size_t>(std::lround(
+                                  exact.values[l])),
+                              relaxation.levels[l]);
+        }
       }
     }
   }
@@ -217,7 +230,7 @@ milp::MilpSolution certify_latency_bound(const graph::TaskGraph& graph,
   device.validate();
   milp::LinExpr cost;
   milp::Model model =
-      LevelRelaxation(graph).model(device, num_partitions, cost);
+      LevelRelaxation(graph, device).model(device, num_partitions, cost);
   model.add_constraint(std::move(cost) <= target, "latency_ub");
   milp::SolverParams params = relaxation_params(solver);
   params.certify = milp::CertifyMode::kFull;

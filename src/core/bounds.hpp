@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "arch/device.hpp"
 #include "graph/task_graph.hpp"
@@ -46,6 +47,9 @@ enum class LatencyBoundSource : std::uint8_t {
 struct LatencyBound {
   double ns = 0.0;
   LatencyBoundSource source = LatencyBoundSource::kMinLatency;
+  /// kMilp only: the optimum's partition levels, each level l repeated c_l
+  /// times, ascending. level_fill (core/baselines) packs a design to them.
+  std::vector<double> levels;
 };
 
 /// LB(N): a lower bound on the latency of every design with at most N
@@ -56,7 +60,7 @@ struct LatencyBound {
 /// (DESIGN.md §10, "Latency relaxation LB(N)"):
 ///   min sum_l c_l (l + C_T)  s.t.  sum_k a_k(l) x_kl <= c_l R_max per level,
 ///   sum_l x_kl = |class k| per class of tasks with identical design points,
-///   sum_l c_l <= N,  c_l integer,  x_kl >= 0 continuous.
+///   MinAreaPartitions <= sum_l c_l <= N,  c_l integer,  x_kl >= 0 continuous.
 /// Its LP always runs. When the LP beats MinLatency(N) and `solve_milp` is
 /// set, the MILP runs under `solver`'s limits at one thread, and the LP value
 /// stands in when it does not close. Above milp::kLpBoundingMaxVars

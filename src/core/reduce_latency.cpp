@@ -100,7 +100,7 @@ std::optional<Probe> refute_by_bound(const graph::TaskGraph& graph,
                                      int num_partitions, double target,
                                      double d_min,
                                      const ReduceLatencyParams& params) {
-  const double bound = params.latency_bound;
+  const double bound = params.latency_bound.ns;
   // The relative slack keeps an LB(N) that the floating-point LP or MILP
   // rounded up from refuting a target that touches the true bound.
   if (!(target < bound - 1e-6 * std::max(1.0, bound))) return std::nullopt;
@@ -173,16 +173,32 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   // min-latency points. The two greedy shapes are structurally different
   // (few dense-packed partitions vs. level-style fast partitions), which
   // lets the DFS reach whichever regime the current latency window favors
-  // without a global reshuffle.
+  // without a global reshuffle. When LB(N) is a MILP optimum, its levels
+  // packed by level_fill often give a design at LB(N) itself; when neither
+  // greedy fits N, an unbounded level fill orders the ready tasks by tail
+  // and often still does.
   std::vector<PartitionedDesign> portfolio;
   if (params.warm_start.has_value() &&
       params.warm_start->num_partitions_used <= num_partitions) {
     portfolio.push_back(*params.warm_start);
   }
+  bool greedy_fits = false;
   for (const PointPolicy policy :
        {PointPolicy::kMinArea, PointPolicy::kMinLatency}) {
     if (auto design =
             greedy_first_fit(graph, device, policy, num_partitions)) {
+      portfolio.push_back(std::move(*design));
+      greedy_fits = true;
+    }
+  }
+  const LatencyBound& bound = params.latency_bound;
+  if (bound.source == LatencyBoundSource::kMilp) {
+    if (auto design = level_fill(graph, device, num_partitions, bound.levels)) {
+      portfolio.push_back(std::move(*design));
+    }
+  }
+  if (!greedy_fits) {
+    if (auto design = level_fill(graph, device, num_partitions, {})) {
       portfolio.push_back(std::move(*design));
     }
   }

@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "arch/device.hpp"
+#include "core/bounds.hpp"
 #include "core/search_budget.hpp"
 #include "core/solution.hpp"
 #include "core/trace.hpp"
@@ -37,8 +38,9 @@ struct ReduceLatencyParams {
   /// Shared tolerance/limit/formulation block (delta, solver, formulation).
   SearchBudget budget;
   /// LB(N) (core/bounds latency_relaxation_bound): a probe whose target lies
-  /// below it is refuted without a search. 0 = no bound.
-  double latency_bound = 0.0;
+  /// below it is refuted without a search, and its levels seed the warm-start
+  /// portfolio through level_fill. 0 ns = no bound.
+  LatencyBound latency_bound;
   /// Optional warm start for the first probe (e.g. the best design from a
   /// smaller partition bound); a greedy first-fit placement is used when
   /// absent or unusable within the window.

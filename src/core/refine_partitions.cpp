@@ -48,7 +48,7 @@ struct SpeculativeProbe {
 
 std::unique_ptr<SpeculativeProbe> launch_speculative(
     const graph::TaskGraph& graph, const arch::Device& device, int n,
-    double d_max, double d_min, double latency_bound,
+    double d_max, double d_min, LatencyBound latency_bound,
     const ReduceLatencyParams& inner) {
   auto spec = std::make_unique<SpeculativeProbe>();
   spec->n = n;
@@ -56,7 +56,7 @@ std::unique_ptr<SpeculativeProbe> launch_speculative(
   spec->cancel = milp::CancelToken::create();
   ReduceLatencyParams params = inner;  // worker-private copy
   params.budget.solver.cancel = spec->cancel;
-  params.latency_bound = latency_bound;
+  params.latency_bound = std::move(latency_bound);
   // Speculative runs must not touch the durable sweep state: no progress
   // snapshots (the serial sweep owns the checkpoint), and never a bisection
   // resume (that state belongs to the stage the sweep re-enters inline).
@@ -192,21 +192,20 @@ PartitionerReport refine_partitions_bound(
   // MinLatency(N) does; once the MILP fails to close within the stage
   // budget, larger N use the LP alone, so a hard relaxation costs one budget
   // per sweep rather than one per stage.
-  std::map<int, double> latency_bounds;
+  std::map<int, LatencyBound> latency_bounds;
   LatencyBoundSource reach = LatencyBoundSource::kMilp;
-  auto latency_bound = [&](int stage_n) {
+  auto latency_bound = [&](int stage_n) -> const LatencyBound& {
     const auto known = latency_bounds.find(stage_n);
     if (known != latency_bounds.end()) return known->second;
     LatencyBound bound{min_latency(graph, device, stage_n),
-                       LatencyBoundSource::kMinLatency};
+                       LatencyBoundSource::kMinLatency, {}};
     if (reach != LatencyBoundSource::kMinLatency) {
       bound = latency_relaxation_bound(graph, device, stage_n,
                                        params.budget.clamped_solver(),
                                        reach == LatencyBoundSource::kMilp);
     }
     reach = std::min(reach, bound.source);
-    latency_bounds.emplace(stage_n, bound.ns);
-    return bound.ns;
+    return latency_bounds.emplace(stage_n, std::move(bound)).first->second;
   };
 
   auto time_expired = [&] {

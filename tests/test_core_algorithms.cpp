@@ -247,9 +247,9 @@ INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArLpBoundingTest,
                          ::testing::Values(1.0, 50.0, 500.0, 1e7));
 
 // Table 3 (DCT, Rmax 576, Ct 100 ns, delta 200 ns) at a 5000-node cap per
-// probe: LB(N) = 3170/3030/3030 ns for N = 5/6/7 refutes the six windows
-// that lie below it without a search, and the bisection visits the same 13
-// windows it visits when each of those probes runs to its node cap.
+// probe: each stage's first probe finds the level fill of LB(N)'s optimum,
+// a design at LB(N) = 3170/3030/3030 ns for N = 5/6/7, and LB(N) refutes
+// every later window without a search. No probe reaches its node cap.
 TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
   const graph::TaskGraph g = workloads::dct_task_graph();
   const arch::Device dev = arch::custom("dct", 576, 4096, 100);
@@ -266,15 +266,20 @@ TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
     int n, iteration;
     double d_max, d_min;
     bool bound_refuted;
+    double found;  ///< Da of a found design; 0 on a refuted window
   };
   const Window expected[] = {
-      {5, 1, 25940.0, 1295.0, false},   {5, 2, 4375.625, 1295.0, false},
-      {5, 3, 2817.5, 1295.0, true},     {5, 4, 3578.75, 2817.5, false},
-      {5, 5, 3959.375, 3578.75, false}, {5, 6, 3749.375, 3578.75, false},
-      {6, 1, 3920.0, 1395.0, false},    {6, 2, 2657.5, 1395.0, true},
-      {6, 3, 2973.125, 2657.5, true},   {7, 1, 3030.0, 1495.0, false},
-      {7, 2, 2262.5, 1495.0, true},     {7, 3, 2646.25, 2262.5, true},
-      {7, 4, 2838.125, 2646.25, true},
+      {5, 1, 25940.0, 1295.0, false, 3170.0},
+      {5, 2, 2835.3125, 1295.0, true, 0.0},
+      {5, 3, 3015.81787109375, 2835.3125, true, 0.0},
+      {6, 1, 3170.0, 1395.0, false, 3030.0},
+      {6, 2, 2282.5, 1395.0, true, 0.0},
+      {6, 3, 2726.25, 2282.5, true, 0.0},
+      {6, 4, 2948.125, 2726.25, true, 0.0},
+      {7, 1, 3030.0, 1495.0, false, 3030.0},
+      {7, 2, 2262.5, 1495.0, true, 0.0},
+      {7, 3, 2646.25, 2262.5, true, 0.0},
+      {7, 4, 2838.125, 2646.25, true, 0.0},
   };
   ASSERT_EQ(report.trace.size(), std::size(expected));
   for (std::size_t i = 0; i < report.trace.size(); ++i) {
@@ -284,12 +289,15 @@ TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
     EXPECT_EQ(row.iteration, want.iteration) << "row " << i;
     EXPECT_DOUBLE_EQ(row.d_max_bound, want.d_max) << "row " << i;
     EXPECT_DOUBLE_EQ(row.d_min_bound, want.d_min) << "row " << i;
+    EXPECT_NE(row.outcome, IterationOutcome::kLimit) << "row " << i;
+    EXPECT_DOUBLE_EQ(row.achieved_latency, want.found) << "row " << i;
     if (want.bound_refuted) {
       EXPECT_EQ(row.outcome, IterationOutcome::kInfeasible) << "row " << i;
       EXPECT_EQ(row.verdict_source, VerdictSource::kLatencyBound)
           << "row " << i;
       EXPECT_EQ(row.nodes, 0) << "row " << i;
     } else {
+      EXPECT_EQ(row.outcome, IterationOutcome::kFeasible) << "row " << i;
       EXPECT_EQ(row.verdict_source, VerdictSource::kSearch) << "row " << i;
       EXPECT_GT(row.nodes, 0) << "row " << i;
     }
@@ -311,13 +319,14 @@ TEST(RefinePartitionsTest, DctTable3BoundVerdictsAreCertified) {
   EXPECT_FALSE(report.uncertified());
   int bound_rows = 0;
   for (const IterationRecord& row : report.trace) {
+    EXPECT_NE(row.outcome, IterationOutcome::kLimit);
     if (row.verdict_source != VerdictSource::kLatencyBound) continue;
     ++bound_rows;
     EXPECT_EQ(row.outcome, IterationOutcome::kInfeasible);
     EXPECT_EQ(row.certified, milp::CertifyStatus::kCertified);
     EXPECT_GE(row.stats.certificates_checked, 1);
   }
-  EXPECT_EQ(bound_rows, 6);
+  EXPECT_EQ(bound_rows, 8);
 }
 
 // Property sweep: on random small graphs the iterative result is within

@@ -60,6 +60,57 @@ TEST(GreedyBaselineTest, IterativePartitionerBeatsOrMatchesGreedy) {
   }
 }
 
+// Packed to the levels of LB(N)'s relaxation optimum, the DCT of Table 3
+// reaches LB(N) itself: 3170/3030/3030 ns at N = 5/6/7.
+TEST(LevelFillTest, DctTable3LevelsReachTheBound) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("d", 576, 4096, 100);
+  const double expected[] = {3170.0, 3030.0, 3030.0};
+  for (int n = 5; n <= 7; ++n) {
+    const LatencyBound bound = latency_relaxation_bound(g, dev, n);
+    ASSERT_EQ(bound.source, LatencyBoundSource::kMilp) << "N=" << n;
+    const auto design = level_fill(g, dev, n, bound.levels);
+    ASSERT_TRUE(design.has_value()) << "N=" << n;
+    EXPECT_TRUE(validate_design(g, dev, *design).ok) << "N=" << n;
+    EXPECT_DOUBLE_EQ(design->total_latency_ns, expected[n - 5]) << "N=" << n;
+    EXPECT_LE(design->num_partitions_used, n) << "N=" << n;
+  }
+}
+
+// synth_wf's graph: first-fit in topological order at min-area points needs
+// more than 10 partitions, while filling each partition with the ready
+// tasks of longest area-weighted tail first fits in 10.
+TEST(LevelFillTest, UnboundedFillPacksWhereFirstFitCannot) {
+  workloads::RandomGraphOptions options;
+  options.num_tasks = 40;
+  options.num_layers = 10;
+  options.num_design_points = 3;
+  options.seed = 1274;
+  const graph::TaskGraph g = workloads::random_task_graph(options);
+  const arch::Device dev = arch::custom("wf", 400, 4096, 1e7);
+  EXPECT_FALSE(greedy_first_fit(g, dev, PointPolicy::kMinArea, 10));
+  const auto design = level_fill(g, dev, 10, {});
+  ASSERT_TRUE(design.has_value());
+  EXPECT_TRUE(validate_design(g, dev, *design).ok);
+  EXPECT_EQ(design->num_partitions_used, 10);
+}
+
+// Running out of levels or partitions with tasks left fails cleanly.
+TEST(LevelFillTest, FailsWhenTheLevelsRunOut) {
+  graph::TaskGraph g("chain");
+  const graph::TaskId a = g.add_task("a", {{"m", 60, 10}});
+  const graph::TaskId b = g.add_task("b", {{"m", 60, 10}});
+  g.add_edge(a, b, 1);
+  const arch::Device dev = arch::custom("d", 100, 64, 1);
+  EXPECT_FALSE(level_fill(g, dev, 2, {10.0}).has_value());
+  EXPECT_FALSE(level_fill(g, dev, 1, {}).has_value());
+  const auto design = level_fill(g, dev, 2, {10.0, 10.0});
+  ASSERT_TRUE(design.has_value());
+  EXPECT_DOUBLE_EQ(design->total_latency_ns, 22.0);
+  // A level below every point of a ready task places nothing.
+  EXPECT_FALSE(level_fill(g, dev, 2, {5.0, 10.0}).has_value());
+}
+
 TEST(ExhaustiveTest, FindsKnownOptimum) {
   // Two tasks, one partition each is forced by area; optimum picks the fast
   // points because reconfiguration is cheap.

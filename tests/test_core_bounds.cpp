@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/device.hpp"
 #include "core/bounds.hpp"
 #include "milp/types.hpp"
@@ -72,13 +74,37 @@ TEST(LatencyRelaxationTest, DctTable3Bounds) {
     const LatencyBound bound = latency_relaxation_bound(g, dev, n);
     EXPECT_NEAR(bound.ns, expected[n - 5], 1e-6) << "N=" << n;
     EXPECT_EQ(bound.source, LatencyBoundSource::kMilp) << "N=" << n;
+    // The optimum's levels, one per used partition, cost LB(N) exactly.
+    EXPECT_LE(bound.levels.size(), static_cast<std::size_t>(n)) << "N=" << n;
+    EXPECT_TRUE(std::is_sorted(bound.levels.begin(), bound.levels.end()));
+    double cost = 0.0;
+    for (const double level : bound.levels) cost += level + 100.0;
+    EXPECT_NEAR(cost, bound.ns, 1e-6) << "N=" << n;
   }
   // Without the MILP the LP's fractional packing stands in: weaker, but
   // still above MinLatency(6) = 1395.
   const LatencyBound lp = latency_relaxation_bound(g, dev, 6, {}, false);
   EXPECT_EQ(lp.source, LatencyBoundSource::kLp);
+  EXPECT_TRUE(lp.levels.empty());
   EXPECT_GT(lp.ns, min_latency(g, dev, 6));
   EXPECT_LT(lp.ns, 3030.0);
+}
+
+// At Ct = 10 ms the LP alone packs the tasks into fractional partitions and
+// stays at MinLatency(N); the row sum_l c_l >= MinAreaPartitions lifts it,
+// so the MILP runs and prices the partitions the areas need.
+TEST(LatencyRelaxationTest, DctLargeCtBoundsCountTheNeededPartitions) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const LatencyBound t4 =
+      latency_relaxation_bound(g, arch::custom("d", 576, 4096, 1e7), 5);
+  EXPECT_NEAR(t4.ns, 50002670.0, 1e-3);
+  EXPECT_EQ(t4.source, LatencyBoundSource::kMilp);
+  EXPECT_EQ(t4.levels.size(), 5u);
+  const LatencyBound t6 =
+      latency_relaxation_bound(g, arch::custom("d", 1024, 4096, 1e7), 3);
+  EXPECT_NEAR(t6.ns, 30001440.0, 1e-3);
+  EXPECT_EQ(t6.source, LatencyBoundSource::kMilp);
+  EXPECT_EQ(t6.levels.size(), 3u);
 }
 
 // More partitions only relax sum c_l <= N, so the relaxation cannot rise;

@@ -6,7 +6,8 @@
 //  - no design holds more live data than max_live_memory, the bound below
 //    which the formulation builds its memory rows;
 //  - the iterative partitioner never loses to the greedy baselines;
-//  - LB(N) never exceeds the exhaustive optimum over at most N partitions.
+//  - LB(N) never exceeds the exhaustive optimum over at most N partitions,
+//    and the level fill of its optimum is a valid design no faster than it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,6 +160,37 @@ TEST_P(FormulationVariantsTest, LatencyBoundNeverExceedsTheExhaustiveOptimum) {
       EXPECT_LE(latency_relaxation_bound(g, dev, n).ns,
                 brute->total_latency_ns + 1e-6)
           << "seed " << GetParam() << " Rmax " << rmax << " N=" << n;
+    }
+  }
+}
+
+// level_fill packed to LB(N)'s levels gives a valid design within N
+// partitions, never below LB(N), and the same design on every call.
+TEST_P(FormulationVariantsTest, LevelFillOfTheBoundIsAValidDesign) {
+  const graph::TaskGraph g = seeded_graph(GetParam());
+  for (const double rmax : {300.0, 200.0}) {
+    const arch::Device dev = arch::custom("d", rmax, 2048, 60);
+    const int n_lo = min_area_partitions(g, dev);
+    for (int n = n_lo; n <= n_lo + 2; ++n) {
+      const LatencyBound bound = latency_relaxation_bound(g, dev, n);
+      for (const std::vector<double>& levels :
+           {bound.levels, std::vector<double>{}}) {
+        const auto design = level_fill(g, dev, n, levels);
+        if (!design.has_value()) continue;
+        EXPECT_TRUE(validate_design(g, dev, *design).ok)
+            << "seed " << GetParam() << " Rmax " << rmax << " N=" << n;
+        EXPECT_LE(design->num_partitions_used, n);
+        EXPECT_GE(design->total_latency_ns, bound.ns - 1e-6)
+            << "seed " << GetParam() << " Rmax " << rmax << " N=" << n;
+        const auto again = level_fill(g, dev, n, levels);
+        ASSERT_TRUE(again.has_value());
+        for (std::size_t t = 0; t < design->assignment.size(); ++t) {
+          EXPECT_EQ(again->assignment[t].partition,
+                    design->assignment[t].partition);
+          EXPECT_EQ(again->assignment[t].design_point,
+                    design->assignment[t].design_point);
+        }
+      }
     }
   }
 }
