@@ -20,6 +20,8 @@ TemporalPartitioner::TemporalPartitioner(const graph::TaskGraph& graph,
     : graph_(graph), device_(device), options_(std::move(options)) {
   graph_.validate();
   device_.validate();
+  SPARCS_REQUIRE(options_.alpha >= 0, "alpha must be non-negative");
+  SPARCS_REQUIRE(options_.gamma >= 0, "gamma must be non-negative");
 }
 
 PartitionerReport TemporalPartitioner::run() const {

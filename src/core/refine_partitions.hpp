@@ -2,18 +2,16 @@
 //
 // Starting from N = N^l_min + alpha, the sweep calls Reduce_Latency per
 // partition bound. Infeasible bounds increase N until a first solution
-// exists; afterwards N keeps relaxing (up to N^u_min + gamma or the time
+// exists or N passes the largest of the task count, N^u_min + gamma and the
+// start N (and max_partitions caps them all); afterwards N keeps relaxing (up to N^u_min + gamma or the time
 // budget), each time searching only below the best achieved latency Da, and
 // stops early as soon as MinLatency(N) >= Da — for large reconfiguration
 // overheads that fires immediately after the first solution.
 //
-// With more than one solver thread available the sweep overlaps consecutive
-// partition bounds: while Reduce_Latency runs for N, the probe for N+1 is
-// launched speculatively on a worker thread and either adopted (when its
-// predicted inputs match what the serial sweep would have used) or cancelled
-// and re-run. Adopted runs recorded their iterations into a private buffer,
-// so the final trace is identical to the single-threaded sweep's; see
-// DESIGN.md ("Deterministic speculation").
+// The sweep is one serial loop over N that carries Da forward; the phase is
+// derived from whether a design exists yet. Each stage computes LB(N) once,
+// before its Reduce_Latency call, and the trace rows follow in (N, iteration)
+// order because every stage appends its own rows as it runs.
 #pragma once
 
 #include <cstdint>

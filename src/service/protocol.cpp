@@ -13,7 +13,7 @@ bool fail(std::string* error, const std::string& message) {
 }
 
 bool parse_submit(const json::Value& root, SubmitRequest* out,
-                  std::string* error) {
+                  std::string* error, std::string* code) {
   out->workload = root.member_string("workload");
   out->graph_text = root.member_string("graph_text");
   if (out->workload.empty() == out->graph_text.empty()) {
@@ -44,25 +44,34 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
     out->est_memory_mb =
         options->member_double("est_memory_mb", out->est_memory_mb);
   }
+  // The request is well formed; what follows rejects out-of-range values.
+  auto reject = [&](const std::string& message) {
+    if (code != nullptr) *code = "bad_request";
+    return fail(error, message);
+  };
   if (out->time_limit_sec <= 0.0) {
-    return fail(error, "options.time_limit_sec must be > 0");
+    return reject("options.time_limit_sec must be > 0");
   }
   if (out->deadline_sec < 0.0) {
-    return fail(error, "options.deadline_sec must be >= 0");
+    return reject("options.deadline_sec must be >= 0");
   }
-  if (out->threads < 0) return fail(error, "options.threads must be >= 0");
+  if (out->alpha < 0) return reject("options.alpha must be >= 0");
+  if (out->gamma < 0) return reject("options.gamma must be >= 0");
+  if (out->threads < 0) return reject("options.threads must be >= 0");
   if (out->est_memory_mb < 0.0) {
-    return fail(error, "options.est_memory_mb must be >= 0");
+    return reject("options.est_memory_mb must be >= 0");
   }
   if (!milp::parse_certify_mode(out->certify)) {
-    return fail(error, "options.certify must be off, incumbents or full");
+    return reject("options.certify must be off, incumbents or full");
   }
   return true;
 }
 
 }  // namespace
 
-bool parse_request(const std::string& line, Request* out, std::string* error) {
+bool parse_request(const std::string& line, Request* out, std::string* error,
+                   std::string* code) {
+  if (code != nullptr) *code = "parse_error";
   const json::ParseResult parsed = json::parse(line);
   if (!parsed.ok) return fail(error, "malformed JSON: " + parsed.error);
   const json::Value& root = parsed.value;
@@ -72,7 +81,7 @@ bool parse_request(const std::string& line, Request* out, std::string* error) {
   out->job = root.member_string("job");
   out->wait = root.member_bool("wait", false);
   if (out->op == "submit") {
-    return parse_submit(root, &out->submit, error);
+    return parse_submit(root, &out->submit, error, code);
   }
   if (out->op == "status" || out->op == "result" || out->op == "cancel") {
     if (out->job.empty()) return fail(error, out->op + " needs a job id");

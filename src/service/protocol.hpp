@@ -65,10 +65,13 @@ struct Request {
 };
 
 /// Decodes one request line. Returns false with a diagnostic in *error on
-/// malformed JSON, an unknown op, or field validation failure; the server
-/// turns that into a parse_error/bad_request response instead of closing.
+/// malformed JSON, an unknown op, or field validation failure, and the code
+/// of the error response in *code (when given): parse_error for a line that
+/// is not a well-formed request, bad_request for an out-of-range value. The
+/// server answers with that response instead of closing.
 [[nodiscard]] bool parse_request(const std::string& line, Request* out,
-                                 std::string* error);
+                                 std::string* error,
+                                 std::string* code = nullptr);
 
 /// Encodes a request as one line (no trailing newline); the inverse of
 /// parse_request, used by the client library and tests.

@@ -384,8 +384,9 @@ std::string Server::dispatch(const std::string& line,
                              const std::shared_ptr<Connection>& conn) {
   Request request;
   std::string error;
-  if (!parse_request(line, &request, &error)) {
-    return error_response(request.op, "parse_error", error);
+  std::string code;
+  if (!parse_request(line, &request, &error, &code)) {
+    return error_response(request.op, code, error);
   }
   try {
     if (request.op == "submit") return handle_submit(request.submit, conn);

@@ -289,6 +289,25 @@ TEST(CliTest, InfeasibleDeviceReportsExitCode2) {
   EXPECT_NE(r.out.find("no feasible"), std::string::npos);
 }
 
+TEST(CliTest, StartAboveTheTaskCountIsStillProbed) {
+  // alpha = 6 starts the AR filter's sweep at N = 7, above its 6 tasks and
+  // above N^u_min + gamma: the first stage must still run.
+  const CliRun r = run_cli({"--workload", "ar", "--alpha", "6", "--quiet"});
+  EXPECT_EQ(r.exit_code, 0) << r.out << r.err;
+  EXPECT_NE(r.out.find("best: 1000 ns at N=7"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("1 ILP solves"), std::string::npos) << r.out;
+}
+
+TEST(CliTest, NegativeRelaxationsAreBadInput) {
+  for (const std::string flag : {"--alpha", "--gamma"}) {
+    const CliRun r = run_cli({"--workload", "ar", flag, "-1", "--quiet"});
+    EXPECT_EQ(r.exit_code, 4) << flag;
+    EXPECT_NE(r.err.find(flag.substr(2) + " must be non-negative"),
+              std::string::npos)
+        << flag << ": " << r.err;
+  }
+}
+
 TEST(CliTest, DeadlineFlagIsValidated) {
   const CliRun bad = run_cli({"--workload", "ar", "--deadline-sec", "0"});
   EXPECT_EQ(bad.exit_code, 4);

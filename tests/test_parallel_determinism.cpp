@@ -94,10 +94,10 @@ TEST(ParallelDeterminismTest, ArFilterLargeCtTraceIsThreadCountInvariant) {
 
 TEST(ParallelDeterminismTest, DctTraceIsThreadCountInvariant) {
   // The 1024-CLB device from the paper's Tables 5-8. Three partition bounds
-  // stay in play (N = 3, 4, 5), so the sweep exercises the speculative N+1
-  // overlap: N=5 is launched while N=4 runs, then cancelled when N=4 improves
-  // Da. The delta stops each bisection before the hard refutation windows
-  // (delta 800 leaves probes that outlast any time limit).
+  // stay in play (N = 3, 4, 5) and N=4 improves Da, so phase 2 carries a
+  // changing Da across stages while each probe runs the worker pool. The
+  // delta stops each bisection before the hard refutation windows (delta
+  // 800 leaves probes that outlast any time limit).
   const graph::TaskGraph g = workloads::dct_task_graph();
   const arch::Device dev = arch::custom("dct_dev_1024", 1024, 4096, 100);
   expect_thread_invariant(g, dev, 1400.0);

@@ -104,6 +104,17 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
   EXPECT_FALSE(parse_request(
       R"({"op":"submit","workload":"ar","options":{"deadline_sec":-1}})",
       &request, &error));
+  // A malformed line is a parse_error, an out-of-range value a bad_request.
+  std::string code;
+  EXPECT_FALSE(parse_request(R"({"op":"submit"})", &request, &error, &code));
+  EXPECT_EQ(code, "parse_error");
+  for (const char* line :
+       {R"({"op":"submit","workload":"ar","options":{"alpha":-1}})",
+        R"({"op":"submit","workload":"ar","options":{"gamma":-1}})",
+        R"({"op":"submit","workload":"ar","options":{"threads":-1}})"}) {
+    EXPECT_FALSE(parse_request(line, &request, &error, &code)) << line;
+    EXPECT_EQ(code, "bad_request") << line;
+  }
 }
 
 TEST(ServiceProtocol, ErrorResponseIsWellFormed) {
@@ -495,6 +506,28 @@ TEST_F(ServiceTest, MalformedGraphTextIsRejectedAtSubmitTime) {
   const json::Value response = parse_ok(client.call(request));
   EXPECT_FALSE(response.member_bool("ok"));
   EXPECT_EQ(error_code(response), "bad_request");
+}
+
+TEST_F(ServiceTest, NegativeAlphaOrGammaIsRejectedAtSubmitTime) {
+  start(/*workers=*/0);
+  Client client(socket_path());
+  for (const bool alpha : {true, false}) {
+    Request request = submit_workload("ar");
+    (alpha ? request.submit.alpha : request.submit.gamma) = -1;
+    const json::Value response = parse_ok(client.call(request));
+    EXPECT_FALSE(response.member_bool("ok"));
+    EXPECT_EQ(error_code(response), "bad_request");
+    const json::Value* error = response.find("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_NE(error->member_string("message").find(alpha ? "alpha" : "gamma"),
+              std::string::npos);
+  }
+  Request list;
+  list.op = "list";
+  const json::Value response = parse_ok(client.call(list));
+  const json::Value* jobs = response.find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_TRUE(jobs->array().empty());
 }
 
 TEST_F(ServiceTest, ShutdownCancelsQueuedJobsAndExitsCleanly) {
