@@ -48,7 +48,6 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
   }
   add_eta_definition();
   add_latency_window();
-  add_strengthening_cuts(paths);
 }
 
 void IlpFormulation::create_variables() {
@@ -236,8 +235,13 @@ void IlpFormulation::add_memory() {
   }
 }
 
-// (6): per-partition area capacity.
+// (6): per-partition area capacity. Summed over the partitions, the same
+// terms define each task's area a_t, and sum_t a_t <= N * R_max is a valid
+// inequality: it gives the solver's activity-based propagation a global
+// view (e.g. total minimum area exceeding N * R_max is detected before any
+// branching).
 void IlpFormulation::add_resource() {
+  std::vector<LinExpr> task_area(static_cast<std::size_t>(graph_.num_tasks()));
   for (int p = 1; p <= n_; ++p) {
     LinExpr usage;
     for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
@@ -246,11 +250,26 @@ void IlpFormulation::add_resource() {
         const double area =
             points[static_cast<std::size_t>(design_point_index(t, k))].area;
         usage += LinExpr(y(t, p, k), area);
+        task_area[static_cast<std::size_t>(t)] += LinExpr(y(t, p, k), area);
       }
     }
     model_.add_constraint(std::move(usage) <= device_.resource_capacity,
                           "area_p" + std::to_string(p));
   }
+  LinExpr total_area;
+  for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
+    const VarId a = model_.add_continuous(graph_.min_area(t),
+                                          graph_.max_area(t),
+                                          "a_" + graph_.task(t).name);
+    model_.add_constraint(
+        std::move(task_area[static_cast<std::size_t>(t)]) - LinExpr(a) == 0.0,
+        "adef_" + graph_.task(t).name);
+    total_area += LinExpr(a);
+  }
+  model_.add_constraint(std::move(total_area) <=
+                            static_cast<double>(n_) *
+                                device_.resource_capacity,
+                        "total_area_cut");
 }
 
 // (7): d_p dominates the latency of every root->leaf path restricted to p.
@@ -351,64 +370,7 @@ void IlpFormulation::add_latency_window() {
   for (int p = 1; p <= n_; ++p) total += LinExpr(d(p));
   total += LinExpr(eta_, device_.reconfig_time_ns);
   model_.add_constraint(total <= d_max_, "latency_ub");
-  LinExpr total2;
-  for (int p = 1; p <= n_; ++p) total2 += LinExpr(d(p));
-  total2 += LinExpr(eta_, device_.reconfig_time_ns);
-  model_.add_constraint(std::move(total2) >= d_min_, "latency_lb");
-}
-
-// Valid inequalities: per-task area/latency aggregation variables give the
-// solver's activity-based propagation a global view (e.g. total minimum area
-// exceeding N * R_max is detected before any branching).
-void IlpFormulation::add_strengthening_cuts(
-    const graph::PathEnumeration& paths) {
-  LinExpr total_area;
-  std::vector<VarId> task_latency_vars(
-      static_cast<std::size_t>(graph_.num_tasks()), -1);
-  for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-    const auto& points = graph_.task(t).design_points;
-    const VarId a = model_.add_continuous(graph_.min_area(t),
-                                          graph_.max_area(t),
-                                          "a_" + graph_.task(t).name);
-    LinExpr area_expr;
-    for (int p = 1; p <= n_; ++p) {
-      for (int k = 0; k < num_points(t); ++k) {
-        area_expr += LinExpr(
-            y(t, p, k),
-            points[static_cast<std::size_t>(design_point_index(t, k))].area);
-      }
-    }
-    model_.add_constraint(std::move(area_expr) - LinExpr(a) == 0.0,
-                          "adef_" + graph_.task(t).name);
-    total_area += LinExpr(a);
-
-    const VarId l = model_.add_continuous(graph_.min_latency(t),
-                                          graph_.max_latency(t),
-                                          "l_" + graph_.task(t).name);
-    model_.add_constraint(task_latency_expr(t) - LinExpr(l) == 0.0,
-                          "ldef_" + graph_.task(t).name);
-    task_latency_vars[static_cast<std::size_t>(t)] = l;
-  }
-  model_.add_constraint(std::move(total_area) <=
-                            static_cast<double>(n_) *
-                                device_.resource_capacity,
-                        "total_area_cut");
-
-  // For every root->leaf path: its tasks' latencies, wherever they land,
-  // are covered by the sum of partition latencies.
-  if (!paths.truncated) {
-    LinExpr dsum;
-    for (int p = 1; p <= n_; ++p) dsum += LinExpr(d(p));
-    for (std::size_t pi = 0; pi < paths.paths.size(); ++pi) {
-      LinExpr lhs;
-      for (const TaskId t : paths.paths[pi]) {
-        lhs += LinExpr(task_latency_vars[static_cast<std::size_t>(t)]);
-      }
-      lhs -= dsum;
-      model_.add_constraint(std::move(lhs) <= 0.0,
-                            str_format("path_cut%zu", pi));
-    }
-  }
+  model_.add_constraint(std::move(total) >= d_min_, "latency_lb");
 }
 
 void IlpFormulation::apply_hints(const PartitionedDesign& design) {

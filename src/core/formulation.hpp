@@ -26,10 +26,10 @@
 //  - when the task graph has more than FormulationOptions::max_paths
 //    root->leaf paths, (7) falls back to a flow-based big-M form that stays
 //    polynomial in size;
-//  - valid inequalities (per-task area/latency aggregation variables, a
-//    total-area cut, and, when the paths were enumerated, path cuts on
-//    sum_p d_p) let the solver's bound propagation detect global
-//    infeasibility early.
+//  - one valid inequality: per-task area variables a_t, defined by (6)'s
+//    terms summed over the partitions, and the total-area row
+//    sum_t a_t <= N * R_max, which lets the solver's bound propagation
+//    detect that the tasks cannot fit in N partitions before branching.
 #pragma once
 
 #include <vector>
@@ -91,7 +91,6 @@ class IlpFormulation {
   void add_latency_flow_based();
   void add_eta_definition();
   void add_latency_window();
-  void add_strengthening_cuts(const graph::PathEnumeration& paths);
 
   /// Sum over module sets of Y_ptm for fixed (t, p).
   [[nodiscard]] milp::LinExpr y_sum(graph::TaskId t, int p) const;

@@ -246,6 +246,54 @@ TEST_P(ArLpBoundingTest, LpBoundedOptimumMatchesPropagationOnly) {
 INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArLpBoundingTest,
                          ::testing::Values(1.0, 50.0, 500.0, 1e7));
 
+// Table 1 (AR filter, Rmax 200, Mmax 64, Ct 50 ns, delta 10 ns): the paper's
+// trace, one row per probe, from N = 2 up to the 1120 ns design at N = 4.
+TEST(RefinePartitionsTest, ArTable1Trace) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  const arch::Device dev = ar_device(50);
+  PartitionerOptions options;
+  options.budget.delta = 10.0;
+  options.budget.solver.num_threads = 1;
+  const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+  ASSERT_TRUE(report.feasible);
+  EXPECT_DOUBLE_EQ(report.achieved_latency, 1120.0);
+  EXPECT_EQ(report.best_num_partitions, 4);
+
+  struct Row {
+    int n, iteration;
+    double d_max, d_min;
+    IterationOutcome outcome;
+    double found;  ///< Da of a found design; 0 on an infeasible window
+  };
+  constexpr IterationOutcome kFeasible = IterationOutcome::kFeasible;
+  constexpr IterationOutcome kInfeasible = IterationOutcome::kInfeasible;
+  const Row expected[] = {
+      {2, 1, 2050.0, 1000.0, kInfeasible, 0.0},
+      {3, 1, 2100.0, 1050.0, kFeasible, 1530.0},
+      {3, 2, 1312.5, 1050.0, kFeasible, 1300.0},
+      {3, 3, 1175.0, 1050.0, kInfeasible, 0.0},
+      {3, 4, 1237.5, 1175.0, kInfeasible, 0.0},
+      {3, 5, 1268.75, 1237.5, kInfeasible, 0.0},
+      {3, 6, 1284.375, 1268.75, kInfeasible, 0.0},
+      {3, 7, 1292.1875, 1284.375, kInfeasible, 0.0},
+      {4, 1, 1300.0, 1100.0, kFeasible, 1300.0},
+      {4, 2, 1200.0, 1100.0, kFeasible, 1120.0},
+      {4, 3, 1110.0, 1100.0, kInfeasible, 0.0},
+      {4, 4, 1115.0, 1110.0, kInfeasible, 0.0},
+  };
+  ASSERT_EQ(report.trace.size(), std::size(expected));
+  for (std::size_t i = 0; i < report.trace.size(); ++i) {
+    const IterationRecord& row = report.trace[i];
+    const Row& want = expected[i];
+    EXPECT_EQ(row.num_partitions, want.n) << "row " << i;
+    EXPECT_EQ(row.iteration, want.iteration) << "row " << i;
+    EXPECT_DOUBLE_EQ(row.d_max_bound, want.d_max) << "row " << i;
+    EXPECT_DOUBLE_EQ(row.d_min_bound, want.d_min) << "row " << i;
+    EXPECT_EQ(row.outcome, want.outcome) << "row " << i;
+    EXPECT_DOUBLE_EQ(row.achieved_latency, want.found) << "row " << i;
+  }
+}
+
 // Table 3 (DCT, Rmax 576, Ct 100 ns, delta 200 ns) at a 5000-node cap per
 // probe: each stage's first probe finds the level fill of LB(N)'s optimum,
 // a design at LB(N) = 3170/3030/3030 ns for N = 5/6/7, and LB(N) refutes

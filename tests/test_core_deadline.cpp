@@ -15,6 +15,7 @@
 #include "core/search_budget.hpp"
 #include "support/stopwatch.hpp"
 #include "workloads/ar_filter.hpp"
+#include "workloads/dct.hpp"
 
 namespace sparcs::core {
 namespace {
@@ -25,7 +26,8 @@ arch::Device ar_device(double ct_ns) {
 
 PartitionerOptions slow_options() {
   // A fine tolerance forces many subdivision iterations per bound, so the
-  // unconstrained run comfortably outlasts the tight deadlines below.
+  // runs below cover many probes. It takes only tens of milliseconds, too
+  // short to be sure that a tight deadline interrupts it.
   PartitionerOptions options;
   options.budget.delta = 0.05;
   options.budget.solver.num_threads = 1;
@@ -95,9 +97,13 @@ TEST(DeadlineTest, DefaultGraceScalesWithHorizon) {
 }
 
 TEST(DeadlineDegradationTest, TightDeadlineReturnsDegradedReportPromptly) {
-  const graph::TaskGraph g = workloads::ar_filter_task_graph();
-  const arch::Device dev = ar_device(50);
-  PartitionerOptions options = slow_options();
+  // Table 8's DCT configuration (Rmax 1024, Ct 10 ms, delta 100): its
+  // unconstrained sweep lasts seconds, so a 20 ms deadline always cuts it.
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("dct", 1024, 4096, 1.0e7);
+  PartitionerOptions options;
+  options.budget.delta = 100.0;
+  options.budget.solver.num_threads = 1;
   options.budget.deadline = Deadline::after_seconds(0.02);
   Stopwatch stopwatch;
   const PartitionerReport report =

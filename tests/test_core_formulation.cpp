@@ -312,11 +312,21 @@ TEST(FormulationTest, ArFilterModelStats) {
   IlpFormulation form(g, dev, 3, max_latency(g, dev, 3),
                       min_latency(g, dev, 3));
   const milp::ModelStats stats = form.model().stats();
-  // 6 tasks x 3 partitions x {3,1,2,2,1,1} points = 30 Y vars, plus d, eta
-  // and the cut variables.
-  EXPECT_GE(stats.num_binary, 30);
-  EXPECT_GE(stats.num_constraints, 20);
+  // 6 tasks x 3 partitions x {3,1,2,2,1,1} points = 30 Y vars, 3 d_p, eta
+  // and the 6 per-task area variables a_t.
+  EXPECT_EQ(stats.num_binary, 30);
+  EXPECT_EQ(stats.num_integer, 1);
+  EXPECT_EQ(stats.num_continuous, 9);
+  EXPECT_EQ(stats.num_vars, 40);
+  // uniqueness 6, order 7 edges x 2, area 3, adef 6, total area 1, paths
+  // 3 x 3, eta 1, window 2; Mmax 64 cannot bind, so no memory rows.
+  EXPECT_EQ(stats.num_constraints, 42);
   EXPECT_GT(stats.num_nonzeros, 100);
+  EXPECT_EQ(count_named(form.model(), "path_cut"), 0);
+  EXPECT_EQ(count_named(form.model(), "ldef_"), 0);
+  EXPECT_EQ(count_named(form.model(), "l_"), 0);
+  EXPECT_EQ(count_named(form.model(), "adef_"), 6);
+  EXPECT_EQ(count_named(form.model(), "total_area_cut"), 1);
 }
 
 // The memory rows (3)-(5) are built only when M_max is below the most live
