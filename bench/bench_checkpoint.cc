@@ -30,7 +30,6 @@ core::SweepCheckpoint synthetic_checkpoint(int tasks) {
   design.total_latency_ns = 3030.0;
 
   core::SweepCheckpoint cp;
-  cp.phase = 2;
   cp.next_n = 9;
   cp.achieved_latency = 3030.0;
   cp.best_num_partitions = 8;

@@ -232,7 +232,6 @@ std::string serialize_checkpoint(const SweepCheckpoint& cp,
   w.field("version", kCheckpointVersion);
   w.field("fingerprint", hex64(fingerprint));
   w.field("complete", cp.complete);
-  w.field("phase", cp.phase);
   w.field("next_n", cp.next_n);
   w.field("achieved_latency_ns", cp.achieved_latency);
   w.field("best_num_partitions", cp.best_num_partitions);
@@ -338,7 +337,6 @@ CheckpointLoadResult parse_checkpoint(const std::string& sealed_text,
 
   SweepCheckpoint cp;
   cp.complete = root.member_bool("complete", false);
-  cp.phase = static_cast<int>(root.member_int("phase", -1));
   cp.next_n = static_cast<int>(root.member_int("next_n", -1));
   cp.achieved_latency = root.member_double("achieved_latency_ns", -1.0);
   cp.best_num_partitions =
@@ -347,10 +345,6 @@ CheckpointLoadResult parse_checkpoint(const std::string& sealed_text,
   cp.seconds = root.member_double("seconds", -1.0);
   cp.stopped_by_lower_bound =
       root.member_bool("stopped_by_lower_bound", false);
-  if (cp.phase != 1 && cp.phase != 2) {
-    result.error = "checkpoint phase is out of range";
-    return result;
-  }
   if (cp.next_n < 0 || cp.achieved_latency < 0.0 ||
       cp.best_num_partitions < 0 || cp.ilp_solves < 0 || cp.seconds < 0.0) {
     result.error = "checkpoint counters are out of range";
@@ -380,10 +374,6 @@ CheckpointLoadResult parse_checkpoint(const std::string& sealed_text,
     cp.best = std::move(design);
   } else if (cp.achieved_latency != 0.0 || cp.best_num_partitions != 0) {
     result.error = "checkpoint claims a latency without a best design";
-    return result;
-  }
-  if (cp.phase == 2 && !cp.best.has_value()) {
-    result.error = "phase-2 checkpoint has no best design";
     return result;
   }
 

@@ -35,7 +35,7 @@ namespace sparcs::core {
 
 /// Bump when the snapshot schema changes incompatibly; older files are
 /// rejected with kVersionSkew (never reinterpreted).
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr int kCheckpointVersion = 2;
 
 /// Mid-bisection state of one interrupted Reduce_Latency(N) run: the window
 /// as left after the last recorded probe, plus this N's incumbent, so resume
@@ -53,7 +53,6 @@ struct SweepCheckpoint : SweepOutcome {
   /// True only when the sweep reached natural termination: resuming a
   /// complete checkpoint reproduces the final report without solving.
   bool complete = false;
-  int phase = 1;   ///< 1 = searching first feasible N, 2 = relaxing N
   int next_n = 0;  ///< partition bound the sweep runs next
   /// Completed stages live in `stages`; an interrupted stage lives here and
   /// is re-entered (not re-counted) on resume.

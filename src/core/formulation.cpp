@@ -15,6 +15,21 @@ using milp::LinExpr;
 using milp::Sense;
 using milp::VarId;
 
+namespace {
+
+/// The task graph as a path family's DAG (no target, no terms yet).
+milp::PathFamily task_dag(const graph::TaskGraph& graph) {
+  milp::PathFamily dag;
+  dag.topo_order = graph::topological_order(graph);
+  for (TaskId t = 0; t < graph.num_tasks(); ++t) {
+    for (const TaskId s : graph.successors(t)) dag.succ.push_back(s);
+    dag.succ_begin.push_back(static_cast<std::int32_t>(dag.succ.size()));
+  }
+  return dag;
+}
+
+}  // namespace
+
 IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
                                const arch::Device& device, int num_partitions,
                                double d_max, double d_min,
@@ -37,14 +52,15 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
   // when M_max covers all the data any boundary can hold (DESIGN §10).
   if (device_.memory_capacity < max_live_memory(graph_)) add_memory();
   add_resource();
-  const graph::PathEnumeration paths =
-      graph::enumerate_root_leaf_paths(graph_, options.max_paths);
-  if (paths.truncated) {
-    SPARCS_WLOG << "path enumeration exceeded " << options.max_paths
-                << " paths; falling back to the flow-based latency form";
+  milp::PathFamily dag = task_dag(graph_);
+  dag.count_paths();
+  if (static_cast<std::uint64_t>(dag.num_paths) > options.max_paths) {
+    SPARCS_WLOG << "the task graph has more than " << options.max_paths
+                << " root->leaf paths; falling back to the flow-based "
+                   "latency form";
     add_latency_flow_based();
   } else {
-    add_latency_path_based(paths);
+    add_latency_path_based(dag);
   }
   add_eta_definition();
   add_latency_window();
@@ -274,41 +290,21 @@ void IlpFormulation::add_resource() {
 
 // (7): d_p dominates the latency of every root->leaf path restricted to p.
 // Each partition's rows form one path family over the task graph, which the
-// solver propagates as one longest-path constraint.
-void IlpFormulation::add_latency_path_based(
-    const graph::PathEnumeration& paths) {
-  const std::vector<TaskId> topo = graph::topological_order(graph_);
-  std::vector<milp::PathFamily> families(static_cast<std::size_t>(n_));
+// model builds and the solver propagates as one longest-path constraint.
+void IlpFormulation::add_latency_path_based(const milp::PathFamily& dag) {
   for (int p = 1; p <= n_; ++p) {
-    milp::PathFamily& family = families[static_cast<std::size_t>(p - 1)];
+    milp::PathFamily family = dag;
     family.target = d(p);
-    family.topo_order = topo;
     for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-      for (const TaskId s : graph_.successors(t)) family.succ.push_back(s);
-      family.succ_begin.push_back(static_cast<std::int32_t>(family.succ.size()));
       LinExpr latency = task_latency_in_partition(t, p);
-      latency.normalize();  // as the rows are: zero latencies drop out
+      latency.normalize();  // zero latencies drop out
       family.terms.insert(family.terms.end(), latency.terms().begin(),
                           latency.terms().end());
       family.term_begin.push_back(
           static_cast<std::int32_t>(family.terms.size()));
     }
-  }
-  // enumerate_root_leaf_paths lists paths in the families' path order.
-  for (std::size_t pi = 0; pi < paths.paths.size(); ++pi) {
-    for (int p = 1; p <= n_; ++p) {
-      LinExpr lhs;
-      for (const TaskId t : paths.paths[pi]) {
-        lhs += task_latency_in_partition(t, p);
-      }
-      lhs -= LinExpr(d(p));
-      families[static_cast<std::size_t>(p - 1)].rows.push_back(
-          model_.add_constraint(std::move(lhs) <= 0.0,
-                                str_format("lat_path%zu_p%d", pi, p)));
-    }
-  }
-  for (milp::PathFamily& family : families) {
-    model_.add_path_family(std::move(family));
+    model_.add_path_family(std::move(family), "lat_path",
+                           "_p" + std::to_string(p));
   }
 }
 

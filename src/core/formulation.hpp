@@ -11,11 +11,13 @@
 // linearized w lower bounds (4)/(5), resource (6), per-partition latency via
 // root->leaf paths (7), eta definition (8), and the latency window (9)/(10)
 //   sum_p d_p + eta*C_T in [Dmin, Dmax].
-// The path rows of (7) for partition p are registered as one milp::PathFamily
-// (target d_p, the task graph, each task's D(m)*Y_ptm terms): the solver
-// propagates them as one longest-path constraint, and one family visit
-// counts as one propagation visit. The rows stay in the model for the LP,
-// the certificate checker and certificates.
+// The path rows of (7) for partition p are one milp::PathFamily: the
+// formulation hands over the target d_p, the task graph and each task's
+// D(m)*Y_ptm terms, and Model::add_path_family builds the rows
+// lat_path{i}_p{p}, one per root->leaf path in the family's path order. The
+// solver propagates them as one longest-path constraint, and one family
+// visit counts as one propagation visit. The rows stay in the model for the
+// LP, the certificate checker and certificates.
 // The memory block (w, (3)-(5)) is built only when M_max is below
 // max_live_memory(graph): otherwise (1) and the variable bounds imply it
 // (DESIGN.md §10), and it would only slow propagation down. Temporal-order
@@ -24,8 +26,9 @@
 //
 // Beyond the paper's model:
 //  - when the task graph has more than FormulationOptions::max_paths
-//    root->leaf paths, (7) falls back to a flow-based big-M form that stays
-//    polynomial in size;
+//    root->leaf paths (counted by milp::PathFamily::count_paths, saturating
+//    instead of overflowing), (7) falls back to a flow-based big-M form that
+//    stays polynomial in size;
 //  - one valid inequality: per-task area variables a_t, defined by (6)'s
 //    terms summed over the partitions, and the total-area row
 //    sum_t a_t <= N * R_max, which lets the solver's bound propagation
@@ -87,7 +90,7 @@ class IlpFormulation {
   void add_temporal_order();
   void add_memory();
   void add_resource();
-  void add_latency_path_based(const graph::PathEnumeration& paths);
+  void add_latency_path_based(const milp::PathFamily& dag);
   void add_latency_flow_based();
   void add_eta_definition();
   void add_latency_window();

@@ -90,12 +90,10 @@ PartitionerReport TemporalPartitioner::run() const {
   if (params.budget.deadline.valid() && !params.budget.solver.cancel.valid()) {
     params.budget.solver.cancel = milp::CancelToken::create();
   }
-  const double grace =
-      options_.watchdog_grace_sec > 0.0
-          ? options_.watchdog_grace_sec
-          : DeadlineWatchdog::default_grace_sec(params.budget.deadline);
-  DeadlineWatchdog watchdog(params.budget.deadline, grace,
-                            params.budget.solver.cancel);
+  DeadlineWatchdog watchdog(
+      params.budget.deadline,
+      DeadlineWatchdog::default_grace_sec(params.budget.deadline),
+      params.budget.solver.cancel);
 
   PartitionerReport report = refine_partitions_bound(graph_, device_, params);
   report.n_min_lower = n_min_lower;

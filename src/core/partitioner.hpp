@@ -30,10 +30,6 @@ struct PartitionerOptions {
   SearchBudget budget;
   double delta_fraction = 0.02;
   int max_partitions = 64;
-  /// Watchdog grace past budget.deadline before the run is force-cancelled
-  /// (<= 0 derives max(0.05 s, 10% of the deadline horizon)). Only used when
-  /// the deadline is valid.
-  double watchdog_grace_sec = 0.0;
 
   /// Crash-safe checkpoint/resume of the sweep (core/checkpoint).
   struct CheckpointOptions {

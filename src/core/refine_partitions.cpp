@@ -80,12 +80,11 @@ PartitionerReport refine_partitions_bound(
   };
 
   /// Declares the stage the sweep is about to run: mid-refinement snapshots
-  /// written while it runs restore to "re-enter stage `stage_n` in `phase`,
-  /// globals as of the previous stage".
-  auto arm_stage = [&](int stage_n, int phase) {
+  /// written while it runs restore to "re-enter stage `stage_n`, globals as
+  /// of the previous stage" (the phase follows from whether `best` is set).
+  auto arm_stage = [&](int stage_n) {
     inner.on_progress = nullptr;
     if (ckpt_writer == nullptr) return;
-    ckpt.phase = phase;
     ckpt.next_n = stage_n;
     sync_ckpt_outcome();
     inner.on_progress = [&ckpt, ckpt_writer,
@@ -97,10 +96,9 @@ PartitionerReport refine_partitions_bound(
 
   /// Persists a completed (not cut-short) stage. Cut-short stages are never
   /// recorded as done: a resume re-enters them through in_progress instead.
-  auto checkpoint_stage_done = [&](int stage_n, bool cut_short, int phase) {
+  auto checkpoint_stage_done = [&](int stage_n, bool cut_short) {
     if (ckpt_writer == nullptr || cut_short) return;
     ckpt.in_progress.reset();
-    ckpt.phase = phase;
     ckpt.next_n = stage_n + 1;
     sync_ckpt_outcome();
     ckpt_writer->write(ckpt, /*force=*/true);
@@ -118,7 +116,7 @@ PartitionerReport refine_partitions_bound(
     }
     SPARCS_ILOG << "Refine_Partitions_Bound: resuming from checkpoint ("
                 << resume->stages.size() << " stages done, phase "
-                << resume->phase << ", next N=" << resume->next_n
+                << (resume->best ? 2 : 1) << ", next N=" << resume->next_n
                 << (resume->in_progress ? ", mid-refinement" : "") << ")";
   }
 
@@ -234,7 +232,7 @@ PartitionerReport refine_partitions_bound(
       result.stopped_by_lower_bound = true;
       break;
     }
-    arm_stage(n, found ? 2 : 1);
+    arm_stage(n);
     consume_mid_stage(n);
     // Seed the new partition bound with the incumbent design: it stays valid
     // when N grows and focuses the solver on local improvements.
@@ -262,7 +260,7 @@ PartitionerReport refine_partitions_bound(
       result.best_num_partitions = n;
       telemetry::publish_best_latency(result.achieved_latency, n);
     }
-    checkpoint_stage_done(n, reduced.cut_short, result.best ? 2 : 1);
+    checkpoint_stage_done(n, reduced.cut_short);
   }
 
   finish();

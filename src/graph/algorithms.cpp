@@ -84,37 +84,6 @@ std::vector<std::vector<bool>> reachability(const TaskGraph& graph) {
   return reach;
 }
 
-PathEnumeration enumerate_root_leaf_paths(const TaskGraph& graph,
-                                          std::size_t max_paths) {
-  PathEnumeration result;
-  Path current;
-  // Iterative DFS with explicit recursion to honor the cap exactly.
-  std::function<bool(TaskId)> dfs = [&](TaskId id) -> bool {
-    current.push_back(id);
-    if (graph.successors(id).empty()) {
-      if (result.paths.size() >= max_paths) {
-        result.truncated = true;
-        current.pop_back();
-        return false;
-      }
-      result.paths.push_back(current);
-    } else {
-      for (const TaskId succ : graph.successors(id)) {
-        if (!dfs(succ)) {
-          current.pop_back();
-          return false;
-        }
-      }
-    }
-    current.pop_back();
-    return true;
-  };
-  for (const TaskId root : graph.roots()) {
-    if (!dfs(root)) break;
-  }
-  return result;
-}
-
 double critical_path_weight(
     const TaskGraph& graph,
     const std::function<double(TaskId)>& task_weight) {

@@ -1,10 +1,6 @@
 // DAG algorithms over TaskGraph: topological order, level assignment,
-// reachability, root-to-leaf path enumeration and critical paths.
-//
-// Path enumeration backs the paper's latency constraint (eq. (7)), which has
-// one row per root->leaf path per partition; enumeration is capped and the
-// overflow is reported so callers can fall back to the polynomial-size
-// flow-based latency formulation.
+// reachability, critical paths and the transitive reduction. (The
+// root->leaf paths of eq. (7) are counted and walked by milp::PathFamily.)
 #pragma once
 
 #include <cstdint>
@@ -28,19 +24,6 @@ std::vector<int> task_levels(const TaskGraph& graph);
 
 /// reachable[u][v] is true when a directed path u ->* v exists (u != v).
 std::vector<std::vector<bool>> reachability(const TaskGraph& graph);
-
-/// A root-to-leaf path as the ordered list of tasks on it.
-using Path = std::vector<TaskId>;
-
-/// Result of (capped) path enumeration.
-struct PathEnumeration {
-  std::vector<Path> paths;
-  bool truncated = false;  ///< true when more than `max_paths` paths exist
-};
-
-/// Enumerates all root-to-leaf paths, stopping after `max_paths`.
-PathEnumeration enumerate_root_leaf_paths(const TaskGraph& graph,
-                                          std::size_t max_paths = 100000);
 
 /// Longest root-to-leaf path weight where each task contributes
 /// task_weight(id); linear-time DP over the DAG.

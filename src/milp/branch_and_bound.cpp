@@ -385,6 +385,11 @@ class BnbSearch {
   /// completion exists and fills `candidate`; `unbounded` reports an
   /// unbounded continuous objective.
   bool complete_continuous(std::vector<double>& candidate, bool* unbounded);
+  /// LP relaxation under the current domains, with a zero objective: one
+  /// column per model variable, one row per compiled row with a finite rhs
+  /// (the cutoff row while it is inactive has none). Fills `row_ids`, when
+  /// given, with the model row of each LP row.
+  LpProblem node_lp(std::vector<ConstraintId>* row_ids) const;
   /// LP-relaxation feasibility probe under the current domains.
   bool lp_prune();
   /// Handles a fully integral node. Returns true when the subtree is done.
@@ -718,16 +723,15 @@ bool BnbSearch::complete_continuous(std::vector<double>& candidate,
   return true;
 }
 
-bool BnbSearch::lp_prune() {
+LpProblem BnbSearch::node_lp(std::vector<ConstraintId>* row_ids) const {
   LpProblem lp;
   const int n = compiled_.num_vars();
   for (VarId v = 0; v < n; ++v) {
     lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
   }
-  std::vector<ConstraintId> row_ids;  ///< model row of each LP row (proof)
   for (int c = 0; c < compiled_.num_constraints(); ++c) {
     const CompiledConstraint& cc = compiled_.constraint(c);
-    if (!std::isfinite(cc.rhs)) continue;
+    if (!std::isfinite(cc.rhs)) continue;  // inactive cutoff
     const double* coefs = compiled_.coefs(cc);
     const VarId* vars = compiled_.vars(cc);
     std::vector<LinTerm> terms;
@@ -736,8 +740,14 @@ bool BnbSearch::lp_prune() {
       terms.push_back({vars[k], coefs[k]});
     }
     lp.add_row(std::move(terms), cc.sense, cc.rhs);
-    if (proof_on_) row_ids.push_back(c);
+    if (row_ids != nullptr) row_ids->push_back(c);
   }
+  return lp;
+}
+
+bool BnbSearch::lp_prune() {
+  std::vector<ConstraintId> row_ids;  ///< model row of each LP row (proof)
+  const LpProblem lp = node_lp(proof_on_ ? &row_ids : nullptr);
   const LpResult lp_result = solve_lp(lp, node_lp_params());
   absorb_lp(lp_result);
   if (proof_on_ && lp_result.status == LpStatus::kInfeasible) {
@@ -797,25 +807,9 @@ void BnbSearch::publish_root_bound() {
       compiled_.objective_terms().empty()) {
     return;
   }
-  LpProblem lp;
-  const int n = compiled_.num_vars();
-  for (VarId v = 0; v < n; ++v) {
-    lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
-  }
+  LpProblem lp = node_lp(nullptr);
   for (const LinTerm& t : compiled_.objective_terms()) {
     lp.obj[static_cast<std::size_t>(t.var)] += t.coef;
-  }
-  for (int c = 0; c < compiled_.num_constraints(); ++c) {
-    const CompiledConstraint& cc = compiled_.constraint(c);
-    if (!std::isfinite(cc.rhs)) continue;  // inactive cutoff
-    const double* coefs = compiled_.coefs(cc);
-    const VarId* vars = compiled_.vars(cc);
-    std::vector<LinTerm> terms;
-    terms.reserve(static_cast<std::size_t>(compiled_.size(cc)));
-    for (int k = 0; k < compiled_.size(cc); ++k) {
-      terms.push_back({vars[k], coefs[k]});
-    }
-    lp.add_row(std::move(terms), cc.sense, cc.rhs);
   }
   const LpResult lp_result = solve_lp(lp, node_lp_params());
   absorb_lp(lp_result);

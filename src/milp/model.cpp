@@ -1,6 +1,8 @@
 #include "milp/model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "support/error.hpp"
@@ -16,13 +18,10 @@ std::size_t at(std::int32_t i) { return static_cast<std::size_t>(i); }
                              what);
 }
 
-/// Checks that `f` is well formed over `model` and that its rows are
-/// exactly  sum(path terms) - target <= 0  for each root->leaf path, in path
-/// order. `row_family` (one slot per model row) catches rows claimed twice;
-/// `coef_on_path` (one zero per model variable) is scratch.
-void validate_path_family(const Model& model, const PathFamily& f, int index,
-                          std::vector<int>& row_family,
-                          std::vector<double>& coef_on_path) {
+/// Checks that `f` is a well-formed family over `model`: consistent CSR
+/// arrays, edges along topo_order, and positive terms on distinct
+/// non-target variables with finite lower bounds.
+void check_path_family(const Model& model, const PathFamily& f, int index) {
   const auto require = [index](bool ok, const char* what) {
     if (!ok) reject_path_family(index, what);
   };
@@ -41,7 +40,6 @@ void validate_path_family(const Model& model, const PathFamily& f, int index,
             "topo_order is not a permutation of the nodes");
     position[at(u)] = i;
   }
-  std::vector<bool> has_pred(at(n), false);
   for (std::int32_t u = 0; u < n; ++u) {
     require(f.succ_begin[at(u)] <= f.succ_begin[at(u) + 1] &&
                 f.term_begin[at(u)] <= f.term_begin[at(u) + 1],
@@ -51,66 +49,25 @@ void validate_path_family(const Model& model, const PathFamily& f, int index,
       const std::int32_t s = f.succ[at(e)];
       require(s >= 0 && s < n && position[at(s)] > position[at(u)],
               "an edge runs against topo_order");
-      has_pred[at(s)] = true;
     }
   }
+  // A row concatenates its path's terms, so a variable used twice could
+  // land in one row twice.
+  std::vector<bool> used(at(model.num_vars()), false);
   for (const LinTerm& t : f.terms) {
     require(t.var >= 0 && t.var < model.num_vars() && t.var != f.target &&
                 std::isfinite(model.var(t.var).lb) && std::isfinite(t.coef) &&
                 t.coef > 0.0,
             "terms need positive coefficients on non-target variables with "
             "finite lower bounds");
+    require(!used[at(t.var)], "a variable appears in two terms");
+    used[at(t.var)] = true;
   }
+}
 
-  // Depth-first path enumeration in path order; at each leaf the next row
-  // must hold exactly the terms of the nodes on the stack plus -target.
-  std::size_t path = 0;
-  int path_terms = 0;
-  std::vector<std::pair<std::int32_t, std::int32_t>> stack;  // node, next edge
-  const auto mark = [&](std::int32_t u, bool on) {
-    for (std::int32_t k = f.term_begin[at(u)]; k < f.term_begin[at(u) + 1];
-         ++k) {
-      const LinTerm& t = f.terms[at(k)];
-      coef_on_path[at(t.var)] = on ? t.coef : 0.0;
-      path_terms += on ? 1 : -1;
-    }
-  };
-  for (std::int32_t root = 0; root < n; ++root) {
-    if (has_pred[at(root)]) continue;
-    stack.emplace_back(root, f.succ_begin[at(root)]);
-    mark(root, true);
-    while (!stack.empty()) {
-      auto& [u, next] = stack.back();
-      const std::int32_t end = f.succ_begin[at(u) + 1];
-      if (next == f.succ_begin[at(u)] && next == end) {  // u is a leaf
-        require(path < f.rows.size(), "fewer rows than root->leaf paths");
-        const ConstraintId c = f.rows[path++];
-        require(c >= 0 && c < model.num_constraints() && row_family[at(c)] < 0,
-                "a row is unknown or owned twice");
-        row_family[at(c)] = index;
-        const ConstraintInfo& row = model.constraint(c);
-        bool match = row.sense == Sense::kLessEqual && row.rhs == 0.0 &&
-                     row.terms.size() == at(path_terms) + 1;
-        for (const LinTerm& t : row.terms) {
-          match = match && (t.var == f.target
-                                ? t.coef == -1.0
-                                : coef_on_path[at(t.var)] == t.coef);
-        }
-        if (!match) {
-          reject_path_family(index, "row " + row.name + " is not its path's");
-        }
-      }
-      if (next < end) {
-        const std::int32_t s = f.succ[at(next++)];
-        stack.emplace_back(s, f.succ_begin[at(s)]);
-        mark(s, true);
-      } else {
-        mark(u, false);
-        stack.pop_back();
-      }
-    }
-  }
-  require(path == f.rows.size(), "more rows than root->leaf paths");
+/// a + b for counts in [0, kPathCountCap], saturating at the cap.
+std::int64_t add_counts(std::int64_t a, std::int64_t b) {
+  return a > kPathCountCap - b ? kPathCountCap : a + b;
 }
 
 }  // namespace
@@ -190,9 +147,75 @@ ConstraintId Model::add_constraint(const LinExpr& lhs, Sense sense, double rhs,
   return add_constraint(std::move(relation), std::move(name));
 }
 
-int Model::add_path_family(PathFamily family) {
+void PathFamily::count_paths() {
+  const int n = num_nodes();
+  paths_from.assign(at(n), 0);
+  first_path.assign(at(n), 0);
+  for (auto it = topo_order.rbegin(); it != topo_order.rend(); ++it) {
+    std::int64_t count = 0;
+    for (std::int32_t e = succ_begin[at(*it)]; e < succ_begin[at(*it) + 1];
+         ++e) {
+      count = add_counts(count, paths_from[at(succ[at(e)])]);
+      first_path[at(succ[at(e)])] = -1;
+    }
+    paths_from[at(*it)] = std::max<std::int64_t>(count, 1);
+  }
+  num_paths = 0;
+  for (std::int32_t r = 0; r < n; ++r) {
+    if (first_path[at(r)] < 0) continue;
+    first_path[at(r)] = num_paths;
+    num_paths = add_counts(num_paths, paths_from[at(r)]);
+  }
+}
+
+// Depth-first from each root in path order; at each leaf, the terms of the
+// nodes on the stack plus -target make the next row.
+int Model::add_path_family(PathFamily family, std::string_view row_prefix,
+                           std::string_view row_suffix) {
+  const int index = static_cast<int>(path_families_.size());
+  check_path_family(*this, family, index);
+  family.count_paths();
+  if (family.num_paths >
+      std::numeric_limits<ConstraintId>::max() - num_constraints()) {
+    reject_path_family(index, "too many root->leaf paths to build their rows");
+  }
+  const PathFamily& f = family;
+  const ConstraintId first = num_constraints();
+  std::vector<LinTerm> path;  // terms of the nodes on the stack
+  std::vector<std::pair<std::int32_t, std::int32_t>> stack;  // node, next edge
+  const auto push = [&](std::int32_t u) {
+    stack.emplace_back(u, f.succ_begin[at(u)]);
+    path.insert(path.end(), f.terms.begin() + f.term_begin[at(u)],
+                f.terms.begin() + f.term_begin[at(u) + 1]);
+  };
+  for (std::int32_t root = 0; root < f.num_nodes(); ++root) {
+    if (f.first_path[at(root)] < 0) continue;
+    push(root);
+    while (!stack.empty()) {
+      auto& [u, next] = stack.back();
+      const std::int32_t end = f.succ_begin[at(u) + 1];
+      if (next == f.succ_begin[at(u)] && next == end) {  // u is a leaf
+        ConstraintInfo row;
+        row.name = std::string(row_prefix) +
+                   std::to_string(num_constraints() - first) +
+                   std::string(row_suffix);
+        row.terms.reserve(path.size() + 1);
+        row.terms.assign(path.begin(), path.end());
+        row.terms.push_back({f.target, -1.0});
+        constraints_.push_back(std::move(row));
+      }
+      if (next < end) {
+        push(f.succ[at(next++)]);
+      } else {
+        path.resize(path.size() -
+                    at(f.term_begin[at(u) + 1] - f.term_begin[at(u)]));
+        stack.pop_back();
+      }
+    }
+  }
+  family.rows = std::views::iota(first, num_constraints());
   path_families_.push_back(std::move(family));
-  return static_cast<int>(path_families_.size()) - 1;
+  return index;
 }
 
 const ConstraintInfo& Model::constraint(ConstraintId id) const {
@@ -255,12 +278,6 @@ void Model::validate() const {
                    "constraint " + c.name + " has non-finite rhs");
   }
   check_terms(objective_.terms(), "objective");
-  std::vector<int> row_family(constraints_.size(), -1);
-  std::vector<double> coef_on_path(vars_.size(), 0.0);
-  for (std::size_t i = 0; i < path_families_.size(); ++i) {
-    validate_path_family(*this, path_families_[i], static_cast<int>(i),
-                         row_family, coef_on_path);
-  }
 }
 
 }  // namespace sparcs::milp

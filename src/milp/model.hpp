@@ -4,8 +4,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <ranges>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "milp/expr.hpp"
@@ -34,10 +37,18 @@ struct ConstraintInfo {
   double rhs = 0.0;
 };
 
+/// Path counts saturate at this cap instead of overflowing; a count at the
+/// cap only says that the family has far too many paths to build its rows.
+inline constexpr std::int64_t kPathCountCap =
+    std::numeric_limits<std::int64_t>::max();
+
 /// A family of rows, one per root->leaf path P of a DAG:
 ///   sum_{u in P} sum_{(x, a) in terms(u)} a*x - target <= 0
 /// (the paper's eq. (7) for one partition: target is d_p, node u is a task,
-/// its terms are D(m)*Y_ptm). The rows stay ordinary model rows that the LP,
+/// its terms are D(m)*Y_ptm). Model::add_path_family builds the rows from the
+/// DAG and the terms, one contiguous block in path order: roots (nodes
+/// without predecessors) by ascending id, each extended depth-first through
+/// its successors in CSR order. They are ordinary model rows that the LP,
 /// the certificate checker and certificates read one by one; only bound
 /// propagation visits the family as one longest-path constraint instead
 /// (milp::Propagator), which reaches the same bounds in O(V+E) per visit.
@@ -50,17 +61,26 @@ struct PathFamily {
   /// Every node once, each before all its successors.
   std::vector<std::int32_t> topo_order;
   /// Terms of node u: terms[term_begin[u] .. term_begin[u+1]), with positive
-  /// coefficients, on variables other than the target.
+  /// coefficients, each on its own variable other than the target (a path's
+  /// row is its nodes' terms concatenated).
   std::vector<std::int32_t> term_begin{0};
   std::vector<LinTerm> terms;
-  /// The row of each root->leaf path, in path order: roots (nodes without
-  /// predecessors) by ascending id, each extended depth-first through its
-  /// successors in CSR order.
-  std::vector<ConstraintId> rows;
+
+  /// Filled by count_paths(), saturating at kPathCountCap: the number of
+  /// paths from node u to a leaf, the rank in path order of root r's first
+  /// path (-1 for nodes with predecessors), and the number of paths.
+  std::vector<std::int64_t> paths_from;
+  std::vector<std::int64_t> first_path;
+  std::int64_t num_paths = 0;
+  /// Set by Model::add_path_family: the row of the path of rank i is
+  /// rows[i].
+  std::ranges::iota_view<ConstraintId, ConstraintId> rows;
 
   [[nodiscard]] int num_nodes() const {
     return static_cast<int>(succ_begin.size()) - 1;
   }
+  /// Counts the paths of a well-formed DAG in one reverse topological pass.
+  void count_paths();
 };
 
 /// Summary statistics of a model.
@@ -109,9 +129,11 @@ class Model {
     return constraints_;
   }
 
-  /// Registers rows already in the model as one path family (see
-  /// PathFamily). validate() checks that the rows are exactly the family's.
-  int add_path_family(PathFamily family);
+  /// Registers `family` and appends its rows (see PathFamily), naming the
+  /// row of path i  row_prefix + i + row_suffix. Throws InvalidArgumentError
+  /// on a malformed family or one with too many paths to build.
+  int add_path_family(PathFamily family, std::string_view row_prefix,
+                      std::string_view row_suffix);
   [[nodiscard]] const std::vector<PathFamily>& path_families() const {
     return path_families_;
   }
@@ -129,8 +151,7 @@ class Model {
   [[nodiscard]] ModelStats stats() const;
 
   /// Throws InvalidArgumentError on malformed models (empty bounds boxes,
-  /// terms referencing unknown variables, non-finite coefficients, a path
-  /// family whose rows are not exactly one per root->leaf path).
+  /// terms referencing unknown variables, non-finite coefficients).
   void validate() const;
 
  private:

@@ -64,8 +64,7 @@ Propagator::Propagator(const CompiledModel& model, double feasibility_tol,
     : model_(model),
       tol_(feasibility_tol),
       max_rounds_(max_rounds),
-      in_queue_(static_cast<std::size_t>(model.num_units()), false),
-      ranks_(at(model.num_families())) {
+      in_queue_(static_cast<std::size_t>(model.num_units()), false) {
   std::size_t nodes = 0;
   for (int f = 0; f < model.num_families(); ++f) {
     nodes = std::max(nodes, at(model.family(f).num_nodes()));
@@ -335,45 +334,23 @@ bool Propagator::process_family(int f, Domains& domains,
 // A path's rank in the family's path order is the number of paths that
 // order puts before it: those from earlier roots and, at each step v -> s,
 // those through the successors listed before s.
-ConstraintId Propagator::path_row(int f, std::int32_t u) {
+ConstraintId Propagator::path_row(int f, std::int32_t u) const {
   const PathFamily& fam = model_.family(f);
-  PathRanks& ranks = ranks_[at(f)];
-  if (ranks.from.empty()) {
-    const int n = fam.num_nodes();
-    ranks.from.assign(at(n), 0);
-    ranks.first.assign(at(n), 0);
-    std::vector<bool> has_pred(at(n), false);
-    for (auto it = fam.topo_order.rbegin(); it != fam.topo_order.rend(); ++it) {
-      std::int64_t count = 0;
-      for (std::int32_t e = fam.succ_begin[at(*it)];
-           e < fam.succ_begin[at(*it) + 1]; ++e) {
-        count += ranks.from[at(fam.succ[at(e)])];
-        has_pred[at(fam.succ[at(e)])] = true;
-      }
-      ranks.from[at(*it)] = std::max<std::int64_t>(count, 1);
-    }
-    std::int64_t before = 0;
-    for (std::int32_t r = 0; r < n; ++r) {
-      if (has_pred[at(r)]) continue;
-      ranks.first[at(r)] = before;
-      before += ranks.from[at(r)];
-    }
-  }
   const auto skipped = [&](std::int32_t v, std::int32_t s) {
     std::int64_t count = 0;
     for (std::int32_t e = fam.succ_begin[at(v)]; fam.succ[at(e)] != s; ++e) {
-      count += ranks.from[at(fam.succ[at(e)])];
+      count += fam.paths_from[at(fam.succ[at(e)])];
     }
     return count;
   };
   std::int64_t rank = 0;
   std::int32_t v = u;
   for (; prev_[at(v)] >= 0; v = prev_[at(v)]) rank += skipped(prev_[at(v)], v);
-  rank += ranks.first[at(v)];
+  rank += fam.first_path[at(v)];
   for (v = u; next_[at(v)] >= 0; v = next_[at(v)]) {
     rank += skipped(v, next_[at(v)]);
   }
-  return fam.rows[static_cast<std::size_t>(rank)];
+  return fam.rows[rank];
 }
 
 }  // namespace sparcs::milp

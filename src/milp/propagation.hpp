@@ -95,7 +95,7 @@ class Propagator {
   void longest_paths(const PathFamily& fam, const Domains& domains);
   /// Row of family f's longest path through node u, as longest_paths() last
   /// found it for f.
-  ConstraintId path_row(int f, std::int32_t u);
+  ConstraintId path_row(int f, std::int32_t u) const;
   /// Records a tightening of v (derived from `row`); false when it emptied
   /// v's domain.
   bool tightened(ConstraintId row, VarId v, bool is_lb, Domains& domains,
@@ -117,12 +117,6 @@ class Propagator {
   // path.
   std::vector<double> weight_, into_, from_;
   std::vector<std::int32_t> prev_, next_;
-  /// Per family, filled by path_row() on first use: the number of
-  /// root->leaf paths from each node, and the rank of each root's first.
-  struct PathRanks {
-    std::vector<std::int64_t> from, first;
-  };
-  std::vector<PathRanks> ranks_;
 };
 
 }  // namespace sparcs::milp

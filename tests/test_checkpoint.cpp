@@ -250,7 +250,8 @@ TEST(CheckpointTest, LoadRejectsVersionSkewAndFingerprintMismatch) {
   // though its CRC is intact.
   std::string error;
   std::string body = atomicfile::unseal_json_with_crc(sealed, &error).value();
-  const std::string from = "\"version\": 1";
+  const std::string from =
+      "\"version\": " + std::to_string(kCheckpointVersion);
   const auto at = body.find(from);
   ASSERT_NE(at, std::string::npos);
   body.replace(at, from.size(), "\"version\": 99");
@@ -269,16 +270,16 @@ TEST(CheckpointTest, LoadRejectsVersionSkewAndFingerprintMismatch) {
 }
 
 // A sealed mid-bisection snapshot of the AR sweep run_partitioner() runs,
-// landed by the checkpoint writer at interval 0: phase 2, best design at
-// N=3, and the N=4 bisection interrupted after its 5th probe. It pins the
+// landed by the checkpoint writer at interval 0: best design at N=3, and
+// the N=4 bisection interrupted after its 5th probe. It pins the
 // on-disk format: a change to the schema, the number formatting, the CRC
 // seal or the fingerprint breaks this test.
 const std::string kGoldenMidBisection =
-    R"json({"format": "sparcs-sweep-checkpoint","version": 1,"fingerprint": "97162d16acf6520d","complete": false,"phase": 2,"next_n": 4,"achieved_latency_ns": 1300,"best_num_partitions": 3,"ilp_solves": 9,"seconds": 0.008403096,"stopped_by_lower_bound": false,)json"
+    R"json({"format": "sparcs-sweep-checkpoint","version": 2,"fingerprint": "97162d16acf6520d","complete": false,"next_n": 4,"achieved_latency_ns": 1300,"best_num_partitions": 3,"ilp_solves": 9,"seconds": 0.008403096,"stopped_by_lower_bound": false,)json"
     R"json("best": {"num_partitions_allocated": 3,"assignment": [[1,1],[1,0],[1,1],[2,0],[2,0],[3,0]]},)json"
     R"json("stages": [{"num_partitions": 2,"status": "probed","solves": 1,"seconds": 0.000190016},{"num_partitions": 3,"status": "probed","solves": 8,"seconds": 0.003688754}],)json"
     R"json("in_progress": {"num_partitions": 4,"d_max": 1120,"d_min": 1117.5,"iteration": 5,"achieved_latency_ns": 1120,"incumbent": {"num_partitions_allocated": 4,"assignment": [[1,0],[2,0],[2,0],[3,0],[3,0],[4,0]]}},)json"
-    R"json("crc32":"0736785b"})json";
+    R"json("crc32":"05fa6174"})json";
 
 TEST(CheckpointTest, GoldenMidBisectionSnapshotLoadsAndReserializes) {
   const std::uint64_t fp = checkpoint_fingerprint(
@@ -288,7 +289,6 @@ TEST(CheckpointTest, GoldenMidBisectionSnapshotLoadsAndReserializes) {
   ASSERT_EQ(r.status, CheckpointLoadStatus::kOk) << r.error;
   const SweepCheckpoint& cp = r.checkpoint;
   EXPECT_FALSE(cp.complete);
-  EXPECT_EQ(cp.phase, 2);
   EXPECT_EQ(cp.next_n, 4);
   EXPECT_EQ(cp.achieved_latency, 1300.0);
   EXPECT_EQ(cp.best_num_partitions, 3);
@@ -343,7 +343,6 @@ TEST(CheckpointTest, InProgressLatencyMustMatchItsIncumbent) {
 
 TEST(CheckpointTest, WriterThrottlesUnforcedWritesAndReportsFailure) {
   SweepCheckpoint cp;
-  cp.phase = 1;
   cp.next_n = 1;
   {
     const std::string path = temp_path("ckpt_throttle.json");

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "arch/device.hpp"
 #include "core/baselines.hpp"
@@ -13,6 +16,7 @@
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "workloads/ar_filter.hpp"
+#include "workloads/dct.hpp"
 #include "workloads/ewf.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -233,13 +237,14 @@ TEST(FormulationTest, ShortcutEdgeKeepsTheOptimum) {
   }
 }
 
-/// 15 diamonds in a row: joints j0..j15 with j_i -> {u_i, v_i} -> j_{i+1},
-/// 46 tasks of one design point each and 2^15 = 32,768 root->leaf paths.
-graph::TaskGraph diamond_ladder() {
+/// `diamonds` diamonds in a row (15 by default): joints j0..j15 with
+/// j_i -> {u_i, v_i} -> j_{i+1}, 46 tasks of one design point each and
+/// 2^15 = 32,768 root->leaf paths.
+graph::TaskGraph diamond_ladder(int diamonds = 15) {
   graph::TaskGraph g("ladder");
   const std::vector<graph::DesignPoint> point = {{"m", 10, 100}};
   graph::TaskId joint = g.add_task("j0", point);
-  for (int i = 0; i < 15; ++i) {
+  for (int i = 0; i < diamonds; ++i) {
     const graph::TaskId u = g.add_task("u" + std::to_string(i), point);
     const graph::TaskId v = g.add_task("v" + std::to_string(i), point);
     const graph::TaskId next = g.add_task("j" + std::to_string(i + 1), point);
@@ -269,6 +274,61 @@ TEST(FormulationTest, PathCapFallsBackToTheFlowForm) {
   // 31 tasks of 100 ns on the critical path plus one reconfiguration.
   EXPECT_DOUBLE_EQ(min_latency(g, dev, 1), 3110.0);
   EXPECT_NEAR(form.decode(s.values).total_latency_ns, 3110.0, 1e-6);
+}
+
+// A ladder of 70 diamonds has 2^70 root->leaf paths, more than an int64
+// holds: the count saturates, and (7) takes the flow form.
+TEST(FormulationTest, PathCountSaturatesAndFallsBackToTheFlowForm) {
+  const graph::TaskGraph g = diamond_ladder(70);
+  milp::PathFamily dag;
+  dag.topo_order = graph::topological_order(g);
+  for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
+    for (const graph::TaskId s : g.successors(t)) dag.succ.push_back(s);
+    dag.succ_begin.push_back(static_cast<std::int32_t>(dag.succ.size()));
+  }
+  dag.count_paths();
+  EXPECT_EQ(dag.num_paths, milp::kPathCountCap);
+  EXPECT_EQ(dag.paths_from[0], milp::kPathCountCap);
+  EXPECT_EQ(dag.paths_from[static_cast<std::size_t>(g.num_tasks() - 4)],
+            2);  // j69 -> {u69, v69} -> j70 has two
+
+  const arch::Device dev = arch::custom("d", 500, 4096, 10);
+  const IlpFormulation form(g, dev, 1, max_latency(g, dev, 1),
+                            min_latency(g, dev, 1));
+  EXPECT_GT(count_named(form.model(), "chain_e"), 0);
+  EXPECT_EQ(count_named(form.model(), "lat_path"), 0);
+  EXPECT_TRUE(form.model().path_families().empty());
+}
+
+// Root->leaf path counts of small graphs, and FormulationOptions::max_paths
+// as the largest count that keeps one row per path.
+TEST(FormulationTest, PathCountsPickTheLatencyForm) {
+  const arch::Device dev = arch::custom("d", 500, 4096, 10);
+  const auto paths = [&](const graph::TaskGraph& g, std::size_t max_paths) {
+    FormulationOptions options;
+    options.max_paths = max_paths;
+    const IlpFormulation form(g, dev, 2, max_latency(g, dev, 2), 0.0,
+                              options);
+    const auto& families = form.model().path_families();
+    if (families.empty()) return std::int64_t{-1};  // the flow form
+    EXPECT_EQ(families.size(), 2u);
+    EXPECT_EQ(count_named(form.model(), "lat_path"),
+              2 * families[0].num_paths);
+    return families[0].num_paths;
+  };
+  EXPECT_EQ(paths(diamond(), 20000), 2);
+  EXPECT_EQ(paths(diamond(), 2), 2);
+  EXPECT_EQ(paths(diamond(), 1), -1);
+  graph::TaskGraph single("single");
+  single.add_task("only", {{"m", 1, 7}});
+  EXPECT_EQ(paths(single, 20000), 1);
+  graph::TaskGraph disconnected("disconnected");
+  disconnected.add_task("a", {{"m", 1, 5}});
+  disconnected.add_task("b", {{"m", 1, 9}});
+  EXPECT_EQ(paths(disconnected, 20000), 2);
+  EXPECT_EQ(paths(workloads::chain_task_graph(6), 20000), 1);
+  EXPECT_EQ(paths(diamond_ladder(), 20000), -1);
+  EXPECT_EQ(paths(diamond_ladder(), 1 << 15), 1 << 15);
 }
 
 TEST(FormulationTest, EtaReflectsUsedPartitions) {
@@ -444,6 +504,79 @@ TEST(FormulationTest, PathFamiliesReachTheFixpointOfTheirRows) {
   }
   EXPECT_GT(agreed_bounds, 10);
   EXPECT_GT(agreed_conflicts, 10);
+}
+
+/// Every root->leaf path of `g` as its task list, roots by ascending id,
+/// each extended depth-first through its successors in order.
+void enumerate_paths(const graph::TaskGraph& g, graph::TaskId u,
+                     std::vector<graph::TaskId>& path,
+                     std::vector<std::vector<graph::TaskId>>& out) {
+  path.push_back(u);
+  if (g.successors(u).empty()) out.push_back(path);
+  for (const graph::TaskId s : g.successors(u)) {
+    enumerate_paths(g, s, path, out);
+  }
+  path.pop_back();
+}
+
+// The rows Model::add_path_family builds are eq. (7): row i of partition
+// p's family is  sum_{t on path i} sum_k D(k)*Y_ptk - d_p <= 0, one row per
+// path in the order a plain depth-first enumeration lists the paths.
+TEST(FormulationTest, PathFamilyRowsAreTheirPathsTerms) {
+  std::vector<std::pair<std::string, graph::TaskGraph>> graphs = {
+      {"diamond", diamond()},
+      {"ewf", workloads::ewf_task_graph()},
+      {"dct", workloads::dct_task_graph()}};
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    workloads::RandomGraphOptions options;
+    options.num_tasks = 14;
+    options.num_layers = 4;
+    options.seed = seed;
+    graphs.emplace_back("random" + std::to_string(seed),
+                        workloads::random_task_graph(options));
+  }
+  const arch::Device dev = arch::custom("d", 500, 4096, 10);
+  for (const auto& [name, g] : graphs) {
+    std::vector<std::vector<graph::TaskId>> paths;
+    std::vector<graph::TaskId> path;
+    for (const graph::TaskId root : g.roots()) {
+      enumerate_paths(g, root, path, paths);
+    }
+    const int n = 2;
+    const IlpFormulation form(g, dev, n, max_latency(g, dev, n), 0.0);
+    const milp::Model& model = form.model();
+    ASSERT_EQ(model.path_families().size(), static_cast<std::size_t>(n))
+        << name;
+    for (int p = 1; p <= n; ++p) {
+      const milp::PathFamily& f =
+          model.path_families()[static_cast<std::size_t>(p - 1)];
+      EXPECT_EQ(f.target, form.d(p)) << name;
+      ASSERT_EQ(f.num_paths, static_cast<std::int64_t>(paths.size())) << name;
+      ASSERT_EQ(f.rows.size(), paths.size()) << name;
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        std::map<milp::VarId, double> expected = {{form.d(p), -1.0}};
+        for (const graph::TaskId t : paths[i]) {
+          for (int k = 0; k < form.num_points(t); ++k) {
+            const double latency =
+                g.task(t)
+                    .design_points[static_cast<std::size_t>(
+                        form.design_point_index(t, k))]
+                    .latency_ns;
+            if (latency != 0.0) expected[form.y(t, p, k)] += latency;
+          }
+        }
+        const milp::ConstraintInfo& row = model.constraint(f.rows[i]);
+        EXPECT_EQ(row.name, "lat_path" + std::to_string(i) + "_p" +
+                                std::to_string(p));
+        EXPECT_EQ(row.sense, milp::Sense::kLessEqual);
+        EXPECT_EQ(row.rhs, 0.0);
+        std::map<milp::VarId, double> actual;
+        for (const milp::LinTerm& t : row.terms) actual[t.var] += t.coef;
+        EXPECT_EQ(row.terms.size(), actual.size()) << row.name;
+        EXPECT_EQ(actual, expected) << name << " " << row.name;
+      }
+    }
+  }
 }
 
 // EWF at N=2 reaches Da = 1110 ns, so the window Dmax = 1090 ns is

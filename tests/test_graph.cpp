@@ -143,33 +143,6 @@ TEST(AlgorithmsTest, Reachability) {
   EXPECT_FALSE(reach[0][0]);
 }
 
-TEST(AlgorithmsTest, PathEnumerationDiamond) {
-  TaskGraph g = make_diamond();
-  const PathEnumeration paths = enumerate_root_leaf_paths(g);
-  EXPECT_FALSE(paths.truncated);
-  ASSERT_EQ(paths.paths.size(), 2u);
-  for (const Path& p : paths.paths) {
-    EXPECT_EQ(p.front(), 0);
-    EXPECT_EQ(p.back(), 3);
-    EXPECT_EQ(p.size(), 3u);
-  }
-}
-
-TEST(AlgorithmsTest, PathEnumerationRespectsCap) {
-  TaskGraph g = make_diamond();
-  const PathEnumeration paths = enumerate_root_leaf_paths(g, 1);
-  EXPECT_TRUE(paths.truncated);
-  EXPECT_EQ(paths.paths.size(), 1u);
-}
-
-TEST(AlgorithmsTest, SingleTaskGraphHasOnePath) {
-  TaskGraph g("t");
-  g.add_task("only", one_point(1, 7));
-  const PathEnumeration paths = enumerate_root_leaf_paths(g);
-  ASSERT_EQ(paths.paths.size(), 1u);
-  EXPECT_EQ(paths.paths[0].size(), 1u);
-}
-
 TEST(AlgorithmsTest, CriticalPathWeights) {
   TaskGraph g = make_diamond();
   // Longest path a -> c -> d with single design points: 100 + 300 + 400.
@@ -248,8 +221,6 @@ TEST(AlgorithmsTest, DisconnectedComponents) {
   g.add_task("b", one_point(1, 9));
   EXPECT_EQ(g.roots().size(), 2u);
   EXPECT_EQ(g.leaves().size(), 2u);
-  const PathEnumeration paths = enumerate_root_leaf_paths(g);
-  EXPECT_EQ(paths.paths.size(), 2u);
   EXPECT_DOUBLE_EQ(min_latency_critical_path(g), 9.0);
 }
 

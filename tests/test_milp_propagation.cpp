@@ -158,11 +158,12 @@ TEST(PropagationTest, ConflictingCallCountsItsVisits) {
 }
 
 /// Diamond a -> {b, c} -> d, one binary per node with latency 2, 5, 3, 1,
-/// and the rows  sum(path) - t <= 0  of its paths a-b-d and a-c-d.
+/// as a path family over target t; registering it builds the rows
+/// sum(path) - t <= 0  of its paths a-b-d and a-c-d.
 struct Diamond {
   Model m;
   VarId a, b, c, d, t;
-  ConstraintId abd, acd;
+  ConstraintId abd = -1, acd = -1;
 
   explicit Diamond(double t_ub) {
     a = m.add_binary("a");
@@ -170,12 +171,6 @@ struct Diamond {
     c = m.add_binary("c");
     d = m.add_binary("d");
     t = m.add_continuous(0, t_ub, "t");
-    abd = m.add_constraint(2.0 * LinExpr(a) + 5.0 * LinExpr(b) + LinExpr(d) -
-                               LinExpr(t) <= 0.0,
-                           "path_abd");
-    acd = m.add_constraint(2.0 * LinExpr(a) + 3.0 * LinExpr(c) + LinExpr(d) -
-                               LinExpr(t) <= 0.0,
-                           "path_acd");
   }
 
   PathFamily family() const {
@@ -186,8 +181,13 @@ struct Diamond {
     f.topo_order = {0, 1, 2, 3};
     f.term_begin = {0, 1, 2, 3, 4};
     f.terms = {{a, 2.0}, {b, 5.0}, {c, 3.0}, {d, 1.0}};
-    f.rows = {abd, acd};
     return f;
+  }
+
+  void add_family(PathFamily f) {
+    const int index = m.add_path_family(std::move(f), "path", "");
+    abd = m.path_families()[static_cast<std::size_t>(index)].rows[0];
+    acd = m.path_families()[static_cast<std::size_t>(index)].rows[1];
   }
 };
 
@@ -195,7 +195,7 @@ TEST(PropagationTest, PathFamilyTightensFromTheLongestPaths) {
   // a = b = 1: path a-b-d has weight 7, so t >= 7, and with t <= 7.5 the
   // path leaves no room for d. Path a-c-d (weight 2) leaves room for c.
   Diamond dia(7.5);
-  dia.m.add_path_family(dia.family());
+  dia.add_family(dia.family());
   dia.m.tighten_bounds(dia.a, 1, 1);
   dia.m.tighten_bounds(dia.b, 1, 1);
   CompiledModel compiled(dia.m);
@@ -221,7 +221,7 @@ TEST(PropagationTest, PathFamilyConflictCitesTheLongestPath) {
     // Every node on: paths weigh 8 (a-b-d) and 6 (a-c-d). With b off,
     // a-c-d is the longest.
     Diamond dia(via_b ? 7.5 : 5.5);
-    dia.m.add_path_family(dia.family());
+    dia.add_family(dia.family());
     for (const VarId v : {dia.a, dia.c, dia.d}) dia.m.tighten_bounds(v, 1, 1);
     dia.m.tighten_bounds(dia.b, via_b ? 1 : 0, via_b ? 1 : 0);
     CompiledModel compiled(dia.m);
@@ -237,27 +237,27 @@ TEST(PropagationTest, PathFamilyConflictCitesTheLongestPath) {
 
 TEST(PropagationTest, ValidateRejectsFamiliesThatDoNotMatchTheirRows) {
   {
+    // Rows are built from the family, so only its structure can be wrong.
     Diamond dia(10);
-    PathFamily swapped = dia.family();
-    std::swap(swapped.rows[0], swapped.rows[1]);  // not in path order
-    dia.m.add_path_family(swapped);
-    EXPECT_THROW(dia.m.validate(), InvalidArgumentError);
-  }
-  {
-    Diamond dia(10);
-    PathFamily heavier = dia.family();
-    heavier.terms[1].coef = 6.0;  // b's row term says 5
-    dia.m.add_path_family(heavier);
-    EXPECT_THROW(dia.m.validate(), InvalidArgumentError);
+    PathFamily backwards = dia.family();
+    backwards.topo_order = {3, 1, 2, 0};  // edges run against it
+    EXPECT_THROW(dia.add_family(backwards), InvalidArgumentError);
+    PathFamily repeated = dia.family();
+    repeated.terms[3].var = dia.a;  // a twice on both paths
+    EXPECT_THROW(dia.add_family(repeated), InvalidArgumentError);
+    EXPECT_EQ(dia.m.num_constraints(), 0);
+    EXPECT_TRUE(dia.m.path_families().empty());
   }
   {
     Diamond dia(10);
     PathFamily reordered = dia.family();
     reordered.topo_order = {0, 2, 1, 3};  // fine: b and c are unordered
-    dia.m.add_path_family(reordered);
+    dia.add_family(reordered);
     EXPECT_NO_THROW(dia.m.validate());
-    dia.m.add_path_family(dia.family());  // the same rows twice
-    EXPECT_THROW(dia.m.validate(), InvalidArgumentError);
+    // The path order follows the CSR successors, not topo_order.
+    EXPECT_EQ(dia.m.constraint(dia.abd).terms.size(), 4u);
+    EXPECT_EQ(dia.m.constraint(dia.abd).terms[1].var, dia.b);
+    EXPECT_EQ(dia.m.constraint(dia.acd).terms[1].var, dia.c);
   }
 }
 
