@@ -78,27 +78,39 @@ BENCHMARK(BM_FirstFeasibleWarmStart)
     ->Arg(48)
     ->Iterations(1);
 
-/// Worker-thread scaling of a single first-feasible query on a DCT-1024
-/// model (Arg = num_threads; 1 is the one-worker pool). The acceptance
-/// target is >= 2x at 4 threads vs 1 on multi-core hosts.
-void BM_FirstFeasibleThreadsDct1024(benchmark::State& state) {
-  const graph::TaskGraph g = make_graph(32);
-  const arch::Device dev = arch::custom("d", 1024, 4096, 100);
+/// Worker-thread scaling of one LP-bounded optimality solve, the kind of
+/// search where the worker pool pays (Arg = num_threads; 1 is the one-worker
+/// pool, which starts no thread): the latency optimum of test_core_properties'
+/// seed-7 graph (7 tasks, Rmax 300, Ct 60) at N = MinAreaPartitions + 1.
+/// First-feasible probes gain nothing from more workers (DESIGN §8).
+void BM_OptimalThreadsLpBounded(benchmark::State& state) {
+  workloads::RandomGraphOptions options;
+  options.num_tasks = 7;
+  options.num_layers = 3;
+  options.num_design_points = 2;
+  options.seed = 7;
+  const graph::TaskGraph g = workloads::random_task_graph(options);
+  const arch::Device dev = arch::custom("d", 300, 2048, 60);
   const int n = core::min_area_partitions(g, dev) + 1;
   milp::MilpSolution solution;
+  int vars = 0;
   for (auto _ : state) {
     core::IlpFormulation form(g, dev, n, core::max_latency(g, dev, n),
                               core::min_latency(g, dev, n));
+    form.set_latency_objective();
+    vars = form.model().num_vars();
     milp::SolverParams params;
-    params.time_limit_sec = 10.0;
+    params.use_lp_bounding = true;
+    params.objective_improvement = 1.0;
     params.num_threads = static_cast<int>(state.range(0));
-    solution =
-        milp::Solver(form.model(), milp::first_feasible_params(params)).solve();
+    solution = milp::Solver(form.model(), params).solve();
   }
   state.counters["nodes"] = static_cast<double>(solution.stats.nodes_explored);
-  state.counters["feasible"] = solution.has_solution() ? 1 : 0;
+  state.counters["optimal"] =
+      solution.status == milp::SolveStatus::kOptimal ? 1 : 0;
+  state.counters["vars"] = vars;
 }
-BENCHMARK(BM_FirstFeasibleThreadsDct1024)
+BENCHMARK(BM_OptimalThreadsLpBounded)
     ->Unit(benchmark::kMillisecond)
     ->Arg(1)
     ->Arg(2)

@@ -17,7 +17,6 @@
 #include "io/csv.hpp"
 #include "io/dot.hpp"
 #include "io/table.hpp"
-#include "io/tg_format.hpp"
 #include "milp/types.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -31,52 +30,9 @@
 #include "support/span.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
-#include "workloads/builtin.hpp"
 
 namespace sparcs::cli {
 namespace {
-
-struct Arguments {
-  std::string input_file;
-  std::string workload;
-  std::optional<double> rmax, mmax, ct;
-  double delta = 0.0;
-  int alpha = 0;
-  int gamma = 1;
-  double time_limit = 10.0;
-  double deadline_sec = 0.0;  ///< whole-run wall deadline; 0 = none
-  int threads = 0;
-  bool optimal = false;
-  bool simulate = false;
-  bool quiet = false;
-  std::optional<LogLevel> log_level;
-  std::string dot_file;
-  std::string csv_file;
-  std::string metrics_json_file;
-  std::string trace_json_file;
-  std::string report_json_file;
-  std::string telemetry_jsonl_file;
-  double telemetry_interval_ms = 200.0;
-  bool progress = false;
-  std::string search_tree_json_file;
-  std::string search_tree_dot_file;
-  std::string log_json_file;
-  std::string checkpoint_file;
-  double checkpoint_interval_sec = 5.0;
-  bool resume = false;
-  milp::CertifyMode certify = milp::CertifyMode::kOff;
-};
-
-/// The value of `--certify MODE` or `--certify=MODE`; the one-shot run and
-/// the submit verb accept both forms.
-milp::CertifyMode parse_certify(const std::string& name) {
-  const std::optional<milp::CertifyMode> mode = milp::parse_certify_mode(name);
-  SPARCS_REQUIRE(mode.has_value(), "unknown --certify mode '" + name +
-                                       "' (expected off, incumbents or full)");
-  return *mode;
-}
-
-constexpr std::string_view kCertifyEq = "--certify=";
 
 /// Parses a numeric flag value strictly: the whole string must be a number of
 /// type T in range, and a floating-point value must be finite. Anything else
@@ -95,6 +51,97 @@ T parse_number(const std::string& flag, const std::string& text) {
                          ", got '" + text + "'");
   return number;
 }
+
+/// The graph and solve flags of a one-shot run or a submit. threads starts at
+/// 0, the front door's default: every hardware thread for a one-shot run, the
+/// daemon's --serve-threads-per-job for a submit.
+struct SolveArguments {
+  SolveArguments() { request.threads = 0; }
+  service::SubmitRequest request;
+  std::string input_file;  ///< read into graph_text by to_request()
+
+  /// Parses args[*i] (and its value, advancing *i) if it is a solve flag,
+  /// --workload or the graph file; false for any other option. Ranges are
+  /// left to check_solve_options, so a client passes them to the daemon.
+  bool parse(const std::vector<std::string>& args, std::size_t* i) {
+    const std::string& arg = args[*i];
+    auto value = [&]() -> const std::string& {
+      SPARCS_REQUIRE(*i + 1 < args.size(), arg + " needs a value");
+      return args[++*i];
+    };
+    bool matched = false;
+    service::for_each_solve_option(request, [&](std::string_view name,
+                                                 std::string_view, auto& field,
+                                                 service::OptionRange range) {
+      using T = std::remove_cvref_t<decltype(field)>;
+      const std::string flag(name);
+      // --certify also takes its mode as --certify=MODE.
+      const bool joined =
+          std::is_same_v<T, std::string> && starts_with(arg, flag + "=");
+      if (matched || (arg != flag && !joined)) return;
+      matched = true;
+      const std::string text = joined ? arg.substr(flag.size() + 1) : value();
+      if constexpr (std::is_same_v<T, std::string>) {
+        const auto mode = milp::parse_certify_mode(text);
+        if (!mode) {
+          throw InvalidArgumentError("unknown --certify mode '" + text +
+                                     "' (expected off, incumbents or full)");
+        }
+        field = milp::to_string(*mode);
+      } else {
+        field = parse_number<std::conditional_t<std::is_same_v<T, int>, int,
+                                                double>>(flag, text);
+        if (range == service::OptionRange::kPositiveOrNone && field == 0) {
+          throw InvalidArgumentError(flag +
+                                     " must be > 0 (leave it out for none)");
+        }
+      }
+    });
+    if (matched) return true;
+    if (arg == "--workload") {
+      request.workload = value();
+      return true;
+    }
+    if (!arg.empty() && arg[0] == '-') return false;
+    SPARCS_REQUIRE(input_file.empty(), "multiple input files given");
+    input_file = arg;
+    return true;
+  }
+
+  [[nodiscard]] service::SubmitRequest to_request() const {
+    service::SubmitRequest resolved = request;
+    if (!input_file.empty()) {
+      std::ifstream file(input_file);
+      SPARCS_REQUIRE(file.good(), "cannot open " + input_file);
+      std::ostringstream text;
+      text << file.rdbuf();
+      resolved.graph_text = text.str();
+    }
+    return resolved;
+  }
+};
+
+struct Arguments {
+  SolveArguments solve;
+  bool optimal = false;
+  bool simulate = false;
+  bool quiet = false;
+  std::optional<LogLevel> log_level;
+  std::string dot_file;
+  std::string csv_file;
+  std::string metrics_json_file;
+  std::string trace_json_file;
+  std::string report_json_file;
+  std::string telemetry_jsonl_file;
+  double telemetry_interval_ms = 200.0;
+  bool progress = false;
+  std::string search_tree_json_file;
+  std::string search_tree_dot_file;
+  std::string log_json_file;
+  std::string checkpoint_file;
+  double checkpoint_interval_sec = 5.0;
+  bool resume = false;
+};
 
 // ---------------------------------------------------------------------------
 // Graceful preemption. SIGINT/SIGTERM flip an atomic flag and trip the run's
@@ -180,31 +227,7 @@ Arguments parse_args(const std::vector<std::string>& args) {
       SPARCS_REQUIRE(i + 1 < args.size(), arg + " needs a value");
       return args[++i];
     };
-    if (arg == "--workload") {
-      parsed.workload = value();
-    } else if (arg == "--rmax") {
-      parsed.rmax = parse_number<double>(arg, value());
-    } else if (arg == "--mmax") {
-      parsed.mmax = parse_number<double>(arg, value());
-    } else if (arg == "--ct") {
-      parsed.ct = parse_number<double>(arg, value());
-    } else if (arg == "--delta") {
-      parsed.delta = parse_number<double>(arg, value());
-    } else if (arg == "--alpha") {
-      parsed.alpha = parse_number<int>(arg, value());
-    } else if (arg == "--gamma") {
-      parsed.gamma = parse_number<int>(arg, value());
-    } else if (arg == "--time-limit") {
-      parsed.time_limit = parse_number<double>(arg, value());
-      SPARCS_REQUIRE(parsed.time_limit > 0.0, "--time-limit must be > 0");
-    } else if (arg == "--deadline-sec") {
-      parsed.deadline_sec = parse_number<double>(arg, value());
-      SPARCS_REQUIRE(parsed.deadline_sec > 0.0, "--deadline-sec must be > 0");
-    } else if (arg == "--threads") {
-      parsed.threads = parse_number<int>(arg, value());
-      SPARCS_REQUIRE(parsed.threads >= 0,
-                     "--threads must be >= 0 (0 = all hardware threads)");
-    } else if (arg == "--optimal") {
+    if (arg == "--optimal") {
       parsed.optimal = true;
     } else if (arg == "--simulate") {
       parsed.simulate = true;
@@ -244,22 +267,18 @@ Arguments parse_args(const std::vector<std::string>& args) {
                      "--checkpoint-interval-sec must be >= 0");
     } else if (arg == "--resume") {
       parsed.resume = true;
-    } else if (arg == "--certify") {
-      parsed.certify = parse_certify(value());
-    } else if (arg.rfind(kCertifyEq, 0) == 0) {
-      parsed.certify = parse_certify(arg.substr(kCertifyEq.size()));
-    } else if (!arg.empty() && arg[0] == '-') {
+    } else if (!parsed.solve.parse(args, &i)) {
       throw InvalidArgumentError("unknown option " + arg);
-    } else {
-      SPARCS_REQUIRE(parsed.input_file.empty(),
-                     "multiple input files given");
-      parsed.input_file = arg;
     }
   }
-  SPARCS_REQUIRE(parsed.input_file.empty() != parsed.workload.empty(),
-                 "give exactly one of <graph.tg> or --workload");
+  SPARCS_REQUIRE(
+      parsed.solve.input_file.empty() != parsed.solve.request.workload.empty(),
+      "give exactly one of <graph.tg> or --workload");
   SPARCS_REQUIRE(!parsed.resume || !parsed.checkpoint_file.empty(),
                  "--resume needs --checkpoint FILE to resume from");
+  const std::string violation = service::check_solve_options(
+      parsed.solve.request, service::OptionSpelling::kFlag);
+  if (!violation.empty()) throw InvalidArgumentError(violation);
   return parsed;
 }
 
@@ -448,19 +467,11 @@ class ObservabilityGuard {
 // Solve service: daemon mode (--serve) and the client verbs.
 // ---------------------------------------------------------------------------
 
-struct ServeArguments {
-  std::string socket_path;
-  int workers = 2;
-  int queue_depth = 16;
-  double memory_mb = 4096.0;
-  std::string artifact_dir;
-  int threads_per_job = 1;
+int run_serve(const std::vector<std::string>& args, std::ostream& out,
+              std::ostream& err) {
+  service::ServerOptions options;
   bool quiet = false;
-  std::optional<LogLevel> log_level;
-};
-
-ServeArguments parse_serve_args(const std::vector<std::string>& args) {
-  ServeArguments parsed;
+  std::optional<LogLevel> level;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto value = [&]() -> const std::string& {
@@ -468,57 +479,43 @@ ServeArguments parse_serve_args(const std::vector<std::string>& args) {
       return args[++i];
     };
     if (arg == "--serve") {
-      parsed.socket_path = value();
+      options.socket_path = value();
     } else if (arg == "--serve-workers") {
-      parsed.workers = parse_number<int>(arg, value());
-      SPARCS_REQUIRE(parsed.workers >= 0, "--serve-workers must be >= 0");
+      options.num_workers = parse_number<int>(arg, value());
+      SPARCS_REQUIRE(options.num_workers >= 0, "--serve-workers must be >= 0");
     } else if (arg == "--serve-queue-depth") {
-      parsed.queue_depth = parse_number<int>(arg, value());
-      SPARCS_REQUIRE(parsed.queue_depth > 0,
+      options.max_queue_depth = parse_number<int>(arg, value());
+      SPARCS_REQUIRE(options.max_queue_depth > 0,
                      "--serve-queue-depth must be > 0");
     } else if (arg == "--serve-memory-mb") {
-      parsed.memory_mb = parse_number<double>(arg, value());
-      SPARCS_REQUIRE(parsed.memory_mb > 0.0, "--serve-memory-mb must be > 0");
+      options.max_est_memory_mb = parse_number<double>(arg, value());
+      SPARCS_REQUIRE(options.max_est_memory_mb > 0.0,
+                     "--serve-memory-mb must be > 0");
     } else if (arg == "--serve-artifact-dir") {
-      parsed.artifact_dir = value();
+      options.artifact_dir = value();
     } else if (arg == "--serve-threads-per-job") {
-      parsed.threads_per_job = parse_number<int>(arg, value());
-      SPARCS_REQUIRE(parsed.threads_per_job >= 0,
+      options.threads_per_job = parse_number<int>(arg, value());
+      SPARCS_REQUIRE(options.threads_per_job >= 0,
                      "--serve-threads-per-job must be >= 0");
     } else if (arg == "--log-level") {
-      parsed.log_level = parse_log_level(value());
+      level = parse_log_level(value());
     } else if (arg == "--quiet") {
-      parsed.quiet = true;
+      quiet = true;
     } else {
       throw InvalidArgumentError("unknown --serve option " + arg);
     }
   }
-  SPARCS_REQUIRE(!parsed.socket_path.empty(), "--serve needs a socket path");
-  return parsed;
-}
-
-int run_serve(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  const ServeArguments parsed = parse_serve_args(args);
+  SPARCS_REQUIRE(!options.socket_path.empty(), "--serve needs a socket path");
   // The daemon defaults to kInfo: job lifecycle messages are its primary
   // human-facing output (clients get JSON responses, not this stream).
-  set_log_level(parsed.log_level.value_or(parsed.quiet ? LogLevel::kError
-                                                       : LogLevel::kInfo));
-
-  service::ServerOptions options;
-  options.socket_path = parsed.socket_path;
-  options.num_workers = parsed.workers;
-  options.max_queue_depth = parsed.queue_depth;
-  options.max_est_memory_mb = parsed.memory_mb;
-  options.artifact_dir = parsed.artifact_dir;
-  options.threads_per_job = parsed.threads_per_job;
+  set_log_level(level.value_or(quiet ? LogLevel::kError : LogLevel::kInfo));
   options.stop = milp::CancelToken::create();
 
   // SIGINT/SIGTERM trip the server's stop token: the accept loop notices,
   // preempts in-flight jobs through their cancel tokens (running sweeps land
   // checkpoints and reports on the way out) and returns cleanly.
   SignalGuard signals(options.stop);
-  out << "serving on " << parsed.socket_path << "\n";
+  out << "serving on " << options.socket_path << "\n";
   service::Server server(std::move(options));
   const int code = server.serve();
   if (SignalGuard::preempted()) {
@@ -538,14 +535,12 @@ struct ClientArguments {
   std::string socket_path;
   std::string job;
   bool wait = false;
-  service::SubmitRequest submit;
-  std::string input_file;  ///< .tg file read client-side into graph_text
+  SolveArguments submit;
 };
 
 ClientArguments parse_client_args(const std::vector<std::string>& args) {
   ClientArguments parsed;
   parsed.verb = args[0];
-  parsed.submit.threads = 0;  // server default unless --threads is given
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto value = [&]() -> const std::string& {
@@ -559,53 +554,26 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
     } else if (arg == "--wait") {
       parsed.wait = true;
     } else if (arg == "--priority") {
-      parsed.submit.priority = parse_number<int>(arg, value());
+      parsed.submit.request.priority = parse_number<int>(arg, value());
     } else if (arg == "--detach") {
-      parsed.submit.detach = true;
-    } else if (arg == "--workload") {
-      parsed.submit.workload = value();
-    } else if (arg == "--rmax") {
-      parsed.submit.rmax = parse_number<double>(arg, value());
-    } else if (arg == "--mmax") {
-      parsed.submit.mmax = parse_number<double>(arg, value());
-    } else if (arg == "--ct") {
-      parsed.submit.ct = parse_number<double>(arg, value());
-    } else if (arg == "--delta") {
-      parsed.submit.delta = parse_number<double>(arg, value());
-    } else if (arg == "--alpha") {
-      parsed.submit.alpha = parse_number<int>(arg, value());
-    } else if (arg == "--gamma") {
-      parsed.submit.gamma = parse_number<int>(arg, value());
-    } else if (arg == "--time-limit") {
-      parsed.submit.time_limit_sec = parse_number<double>(arg, value());
-    } else if (arg == "--deadline-sec") {
-      parsed.submit.deadline_sec = parse_number<double>(arg, value());
-    } else if (arg == "--threads") {
-      parsed.submit.threads = parse_number<int>(arg, value());
-    } else if (arg == "--certify") {
-      parsed.submit.certify = milp::to_string(parse_certify(value()));
-    } else if (arg.rfind(kCertifyEq, 0) == 0) {
-      parsed.submit.certify =
-          milp::to_string(parse_certify(arg.substr(kCertifyEq.size())));
+      parsed.submit.request.detach = true;
     } else if (arg == "--no-checkpoint") {
-      parsed.submit.checkpoint = false;
+      parsed.submit.request.checkpoint = false;
     } else if (arg == "--est-memory-mb") {
-      parsed.submit.est_memory_mb = parse_number<double>(arg, value());
-    } else if (!arg.empty() && arg[0] == '-') {
+      parsed.submit.request.est_memory_mb = parse_number<double>(arg, value());
+    } else if (!parsed.submit.parse(args, &i)) {
       throw InvalidArgumentError("unknown " + parsed.verb + " option " + arg);
-    } else {
-      SPARCS_REQUIRE(parsed.input_file.empty(), "multiple input files given");
-      parsed.input_file = arg;
     }
   }
   SPARCS_REQUIRE(!parsed.socket_path.empty(),
                  parsed.verb + " needs --socket PATH");
+  const int graphs = !parsed.submit.input_file.empty() +
+                     !parsed.submit.request.workload.empty();
   if (parsed.verb == "submit") {
-    SPARCS_REQUIRE(parsed.input_file.empty() != parsed.submit.workload.empty(),
+    SPARCS_REQUIRE(graphs == 1,
                    "submit needs exactly one of <graph.tg> or --workload");
   } else {
-    SPARCS_REQUIRE(parsed.input_file.empty() && parsed.submit.workload.empty(),
-                   parsed.verb + " takes no graph argument");
+    SPARCS_REQUIRE(graphs == 0, parsed.verb + " takes no graph argument");
   }
   if (parsed.verb == "status" || parsed.verb == "result" ||
       parsed.verb == "cancel") {
@@ -643,46 +611,31 @@ int run_client(const std::vector<std::string>& args, std::ostream& out,
   request.op = parsed.verb;
   request.job = parsed.job;
   request.wait = parsed.wait && parsed.verb == "result";
-  if (parsed.verb == "submit") {
-    request.submit = parsed.submit;
-    if (!parsed.input_file.empty()) {
-      std::ifstream file(parsed.input_file);
-      SPARCS_REQUIRE(file.good(), "cannot open " + parsed.input_file);
-      std::ostringstream text;
-      text << file.rdbuf();
-      request.submit.graph_text = text.str();
-    }
-  }
+  if (parsed.verb == "submit") request.submit = parsed.submit.to_request();
 
-  service::Client client(parsed.socket_path);
-  std::string line = client.call(request);
-  out << line << "\n";
-  json::ParseResult response = json::parse(line);
-  if (!response.ok) {
-    err << "error: malformed response from the service: " << response.error
-        << "\n";
-    return 4;
-  }
   // submit --wait blocks on the same connection for the job's terminal
   // result and prints it as a second response line, so one command covers
   // the submit-then-collect loop (and keeps the connection open — closing
   // it would cancel the job we are waiting on).
-  if (parsed.verb == "submit" && parsed.wait &&
-      response.value.member_bool("ok")) {
-    service::Request result_request;
-    result_request.op = "result";
-    result_request.job = response.value.member_string("job");
-    result_request.wait = true;
-    line = client.call(result_request);
+  service::Client client(parsed.socket_path);
+  for (;;) {
+    const std::string line = client.call(request);
     out << line << "\n";
-    response = json::parse(line);
+    const json::ParseResult response = json::parse(line);
     if (!response.ok) {
       err << "error: malformed response from the service: " << response.error
           << "\n";
       return 4;
     }
+    if (request.op != "submit" || !parsed.wait ||
+        !response.value.member_bool("ok")) {
+      return client_exit_code(response.value);
+    }
+    request = {.op = "result",
+               .job = response.value.member_string("job"),
+               .wait = true,
+               .submit = {}};
   }
-  return client_exit_code(response.value);
 }
 
 }  // namespace
@@ -696,14 +649,17 @@ std::string usage() {
 
 options:
   --rmax R --mmax M --ct CT  device parameters (override the file's device)
-  --delta D                  latency tolerance in ns (default: 2% of MaxLatency)
+  --delta D                  latency tolerance in ns, >= 0 (0, the default:
+                             2% of MaxLatency)
   --alpha A / --gamma G      partition relaxations (defaults 0 / 1)
   --time-limit S             per-ILP-solve wall budget (default 10 s)
-  --deadline-sec S           wall-clock deadline for the whole run; on expiry
-                             the best incumbent so far is returned with a
-                             degraded report (exit code 3)
-  --threads T                solver worker threads (0 = all hardware threads,
-                             1 = one worker, no extra thread; default 0)
+  --deadline-sec S           wall-clock deadline for the whole run (> 0,
+                             capped at 1e9 s); on expiry the best incumbent
+                             so far is returned with a degraded report (exit
+                             code 3)
+  --threads T                solver worker threads, at most one per hardware
+                             thread (0 = all of them, 1 = one worker and no
+                             extra thread; default 0)
   --certify MODE             exact-rational certificate checking of solver
                              verdicts: off (default), incumbents (every
                              reported design re-checked exactly), full
@@ -768,9 +724,7 @@ service (daemon):
 
 service (client verbs; all print the raw JSON response to stdout):
   submit {<graph.tg>|--workload W} [--priority N] [--detach] [--wait]
-         [solve options: --rmax/--mmax/--ct/--delta/--alpha/--gamma/
-          --time-limit/--deadline-sec/--threads/--certify/--no-checkpoint/
-          --est-memory-mb]
+         [--no-checkpoint] [--est-memory-mb X] [the solve options above]
                              queue one job; --wait blocks for its terminal
                              result (a second response line) and exits with
                              the job's one-shot-equivalent exit code; without
@@ -846,42 +800,16 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     bool artifacts_ok = true;
 
     int code = [&]() -> int {
-    graph::TaskGraph graph;
-    std::optional<arch::Device> device;
-    if (!parsed.workload.empty()) {
-      graph = workloads::builtin_task_graph(parsed.workload);
-    } else {
-      std::ifstream file(parsed.input_file);
-      SPARCS_REQUIRE(file.good(), "cannot open " + parsed.input_file);
-      io::TaskGraphFile parsed_file = io::read_task_graph(file);
-      graph = std::move(parsed_file.graph);
-      device = parsed_file.device;
-    }
-
-    const double rmax = parsed.rmax.value_or(
-        device ? device->resource_capacity : 576.0);
-    const double mmax =
-        parsed.mmax.value_or(device ? device->memory_capacity : 4096.0);
-    const double ct =
-        parsed.ct.value_or(device ? device->reconfig_time_ns : 100.0);
-    const arch::Device dev = arch::custom("cli-device", rmax, mmax, ct);
-
+    const service::JobSpec job =
+        service::resolve_job(parsed.solve.to_request(), "cli-device", 0);
+    const graph::TaskGraph& graph = job.graph;
+    const arch::Device& dev = job.device;
     out << "graph '" << graph.name() << "': " << graph.num_tasks()
-        << " tasks, " << graph.num_edges() << " edges; device Rmax=" << rmax
-        << " Mmax=" << mmax << " Ct=" << ct << " ns\n";
+        << " tasks, " << graph.num_edges() << " edges; device Rmax="
+        << dev.resource_capacity << " Mmax=" << dev.memory_capacity
+        << " Ct=" << dev.reconfig_time_ns << " ns\n";
 
-    core::PartitionerOptions options;
-    options.budget.delta = parsed.delta;
-    options.alpha = parsed.alpha;
-    options.gamma = parsed.gamma;
-    options.budget.solver.time_limit_sec = parsed.time_limit;
-    options.budget.solver.num_threads = parsed.threads;
-    options.budget.solver.cancel = run_cancel;
-    if (parsed.deadline_sec > 0.0) {
-      options.budget.deadline =
-          core::Deadline::after_seconds(parsed.deadline_sec);
-    }
-    options.budget.solver.certify = parsed.certify;
+    core::PartitionerOptions options = service::start_options(job, run_cancel);
     options.checkpoint.path = parsed.checkpoint_file;
     options.checkpoint.min_interval_sec = parsed.checkpoint_interval_sec;
     options.checkpoint.resume = parsed.resume;
@@ -899,7 +827,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     // but the observability files above never do: --trace-json and
     // --metrics-json are written even at --log-level error/off.
     if (log_level() < LogLevel::kError) {
-      out << io::render_trace(report.trace, ct, false);
+      out << io::render_trace(report.trace, dev.reconfig_time_ns, false);
     }
     if (!parsed.report_json_file.empty()) {
       artifacts_ok &= write_artifact(parsed.report_json_file,
@@ -910,7 +838,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
                                              report.uncertified());
     // Certification summary: how many verdicts were checked exactly and
     // whether any stayed uncertified after the distrust retry.
-    if (parsed.certify != milp::CertifyMode::kOff) {
+    if (options.budget.solver.certify != milp::CertifyMode::kOff) {
       out << "certified: " << report.solver_stats.certificates_checked
           << " verdicts checked exactly, "
           << report.solver_stats.certify_retries << " distrust retries, "
@@ -958,7 +886,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     // the user asked the process to wind down, not start new work.
     if (parsed.optimal && !SignalGuard::preempted()) {
       const core::OptimalResult optimal = core::solve_optimal_over_range(
-          graph, dev, parsed.alpha, parsed.gamma, options.budget.solver);
+          graph, dev, options.alpha, options.gamma, options.budget.solver);
       if (optimal.best) {
         out << "optimal reference: " << trim_double(optimal.latency_ns)
             << " ns ("

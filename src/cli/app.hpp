@@ -1,19 +1,7 @@
 // Command line driver logic (separated from main() so the argument parsing
-// and end-to-end behavior are unit-testable).
-//
-//   sparcs-tp <graph.tg> [options]
-//   sparcs-tp --workload {ar|dct|ewf} [options]
-//
-// Options:
-//   --rmax R --mmax M --ct CT   override / supply the device
-//   --delta D                   latency tolerance (default 2% of MaxLatency)
-//   --alpha A --gamma G         partition relaxations (defaults 0 / 1)
-//   --time-limit S              per-ILP-solve wall budget in seconds
-//   --optimal                   also run the optimal-ILP reference
-//   --simulate                  simulate the best design and print the Gantt
-//   --dot FILE                  write the partitioned design as DOT
-//   --csv FILE                  write the iteration trace as CSV
-//   --quiet                     suppress the trace table
+// and end-to-end behavior are unit-testable): the one-shot run
+// (sparcs-tp <graph.tg> | --workload W), the solve daemon (--serve) and its
+// client verbs. usage() lists every option.
 #pragma once
 
 #include <iosfwd>

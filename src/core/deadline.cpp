@@ -17,7 +17,8 @@ DeadlineWatchdog::DeadlineWatchdog(const Deadline& deadline, double grace_sec,
   thread_ = std::thread([this, deadline, grace_sec, token]() mutable {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      const double wait_sec = deadline.remaining_sec() + grace_sec;
+      const double wait_sec = std::min(deadline.remaining_sec() + grace_sec,
+                                       Deadline::kMaxHorizonSec);
       if (wait_sec <= 0.0) break;
       // Re-check remaining_sec after each wake: wait_for can return early
       // and the deadline is re-read against the monotonic clock anyway.

@@ -6,6 +6,7 @@
 // any session that misses the deadline by a grace margin.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <limits>
@@ -23,8 +24,14 @@ class Deadline {
  public:
   Deadline() = default;
 
+  /// The longest horizon, about 32 years. after_seconds() and each wait of
+  /// the watchdog are capped here, far inside the steady clock's range (int64
+  /// ns, about 9.2e9 s), so neither overflows into the past.
+  static constexpr double kMaxHorizonSec = 1e9;
+
   /// A deadline `seconds` of wall time from now (monotonic clock).
   [[nodiscard]] static Deadline after_seconds(double seconds) {
+    seconds = std::min(seconds, kMaxHorizonSec);
     Deadline d;
     d.valid_ = true;
     d.horizon_sec_ = seconds;

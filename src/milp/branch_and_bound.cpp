@@ -1250,25 +1250,21 @@ void BnbSearch::run_worker() {
   stats_.conflicts = prop_stats_.conflicts;
 }
 
-/// Resolves SolverParams::num_threads to a worker count, from the hardware
-/// and the model size (tiny models finish before helper threads spin up).
-int effective_threads(const SolverParams& params, const Model& model) {
-  if (params.num_threads == 1) return 1;
-  int threads = params.num_threads > 0
-                    ? params.num_threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  if (threads <= 1) return 1;
-  constexpr int kParallelMinVars = 48;
-  if (model.num_vars() < kParallelMinVars) return 1;
-  return threads;
-}
-
 }  // namespace
+
+int worker_count(int num_threads, int num_vars, unsigned hardware_threads) {
+  // Tiny models finish before helper threads spin up.
+  constexpr int kParallelMinVars = 48;
+  if (num_threads == 1 || num_vars < kParallelMinVars) return 1;
+  const int hardware = static_cast<int>(std::max(hardware_threads, 1u));
+  return num_threads > 0 ? std::min(num_threads, hardware) : hardware;
+}
 
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,
                                     const BnbCallbacks& callbacks) {
-  const int num_workers = effective_threads(params, model);
+  const int num_workers = worker_count(params.num_threads, model.num_vars(),
+                                       std::thread::hardware_concurrency());
   // Mode flags must be known before workers start (the objective is already
   // normalized, so its terms are exactly the compiled ones).
   const bool has_terms =

@@ -36,6 +36,12 @@ struct BnbCallbacks {
   telemetry::LiveSolve* live = nullptr;
 };
 
+/// The number of workers a solve runs: SolverParams::num_threads (0 = one
+/// per hardware thread), capped at `hardware_threads`, and 1 for a model of
+/// under 48 variables. An unknown hardware count (0) counts as 1.
+[[nodiscard]] int worker_count(int num_threads, int num_vars,
+                               unsigned hardware_threads);
+
 /// Solves `model` with propagation-based branch & bound.
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,

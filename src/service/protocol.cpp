@@ -1,5 +1,8 @@
 #include "service/protocol.hpp"
 
+#include <string_view>
+#include <type_traits>
+
 #include "milp/types.hpp"
 #include "support/json.hpp"
 #include "support/report_writer.hpp"
@@ -10,6 +13,13 @@ namespace {
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+/// Why `value` is outside `range`, or "" when it is inside.
+std::string range_violation(double value, OptionRange range) {
+  if (range == OptionRange::kPositive) return value > 0.0 ? "" : " must be > 0";
+  if (range == OptionRange::kAny || value >= 0.0) return "";
+  return " must be non-negative";
 }
 
 bool parse_submit(const json::Value& root, SubmitRequest* out,
@@ -24,47 +34,33 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
   const json::Value* options = root.find("options");
   if (options != nullptr) {
     if (!options->is_object()) return fail(error, "options must be an object");
-    if (const json::Value* v = options->find("rmax")) {
-      out->rmax = v->as_double();
-    }
-    if (const json::Value* v = options->find("mmax")) {
-      out->mmax = v->as_double();
-    }
-    if (const json::Value* v = options->find("ct")) out->ct = v->as_double();
-    out->delta = options->member_double("delta", out->delta);
-    out->alpha = static_cast<int>(options->member_int("alpha", out->alpha));
-    out->gamma = static_cast<int>(options->member_int("gamma", out->gamma));
-    out->time_limit_sec =
-        options->member_double("time_limit_sec", out->time_limit_sec);
-    out->deadline_sec =
-        options->member_double("deadline_sec", out->deadline_sec);
-    out->threads = static_cast<int>(options->member_int("threads", out->threads));
-    out->certify = options->member_string("certify", out->certify);
+    for_each_solve_option(*out, [&](std::string_view, std::string_view key,
+                                    auto& field, OptionRange) {
+      const json::Value* v = options->find(key);
+      if (v == nullptr) return;
+      using T = std::remove_cvref_t<decltype(field)>;
+      if constexpr (std::is_same_v<T, std::string>) {
+        if (v->is_string()) field = v->as_string();
+      } else if constexpr (std::is_same_v<T, int>) {
+        field = static_cast<int>(v->as_int(field));
+      } else if constexpr (std::is_same_v<T, double>) {
+        field = v->as_double(field);
+      } else {
+        field = v->as_double();
+      }
+    });
     out->checkpoint = options->member_bool("checkpoint", out->checkpoint);
     out->est_memory_mb =
         options->member_double("est_memory_mb", out->est_memory_mb);
   }
   // The request is well formed; what follows rejects out-of-range values.
-  auto reject = [&](const std::string& message) {
-    if (code != nullptr) *code = "bad_request";
-    return fail(error, message);
-  };
-  if (out->time_limit_sec <= 0.0) {
-    return reject("options.time_limit_sec must be > 0");
+  std::string violation = check_solve_options(*out, OptionSpelling::kJsonKey);
+  if (violation.empty() && out->est_memory_mb < 0.0) {
+    violation = "options.est_memory_mb must be non-negative";
   }
-  if (out->deadline_sec < 0.0) {
-    return reject("options.deadline_sec must be >= 0");
-  }
-  if (out->alpha < 0) return reject("options.alpha must be >= 0");
-  if (out->gamma < 0) return reject("options.gamma must be >= 0");
-  if (out->threads < 0) return reject("options.threads must be >= 0");
-  if (out->est_memory_mb < 0.0) {
-    return reject("options.est_memory_mb must be >= 0");
-  }
-  if (!milp::parse_certify_mode(out->certify)) {
-    return reject("options.certify must be off, incumbents or full");
-  }
-  return true;
+  if (violation.empty()) return true;
+  if (code != nullptr) *code = "bad_request";
+  return fail(error, violation);
 }
 
 }  // namespace
@@ -91,6 +87,30 @@ bool parse_request(const std::string& line, Request* out, std::string* error,
   return fail(error, "unknown op '" + out->op + "'");
 }
 
+std::string check_solve_options(const SubmitRequest& request,
+                                OptionSpelling spelling) {
+  std::string violation;
+  for_each_solve_option(request, [&](std::string_view flag,
+                                     std::string_view key, const auto& value,
+                                     OptionRange range) {
+    using T = std::remove_cvref_t<decltype(value)>;
+    std::string problem;
+    if constexpr (std::is_same_v<T, std::string>) {
+      if (!milp::parse_certify_mode(value)) {
+        problem = " must be off, incumbents or full";
+      }
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      problem = range_violation(value, range);
+    }
+    if (!violation.empty() || problem.empty()) return;
+    violation = spelling == OptionSpelling::kFlag
+                    ? std::string(flag)
+                    : "options." + std::string(key);
+    violation += problem;
+  });
+  return violation;
+}
+
 std::string serialize_request(const Request& request) {
   report::ReportWriter w;
   w.begin_object();
@@ -104,16 +124,15 @@ std::string serialize_request(const Request& request) {
     if (s.priority != 0) w.field("priority", s.priority);
     if (s.detach) w.field("detach", true);
     w.begin_object("options");
-    if (s.rmax) w.field("rmax", *s.rmax);
-    if (s.mmax) w.field("mmax", *s.mmax);
-    if (s.ct) w.field("ct", *s.ct);
-    w.field("delta", s.delta);
-    w.field("alpha", s.alpha);
-    w.field("gamma", s.gamma);
-    w.field("time_limit_sec", s.time_limit_sec);
-    w.field("deadline_sec", s.deadline_sec);
-    w.field("threads", s.threads);
-    w.field("certify", s.certify);
+    for_each_solve_option(s, [&](std::string_view, std::string_view key,
+                                 const auto& value, OptionRange) {
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
+                                   std::optional<double>>) {
+        if (value) w.field(std::string(key), *value);
+      } else {
+        w.field(std::string(key), value);
+      }
+    });
     w.field("checkpoint", s.checkpoint);
     if (s.est_memory_mb > 0.0) w.field("est_memory_mb", s.est_memory_mb);
     w.end_object();

@@ -7,13 +7,8 @@
 //
 //   {"op":"submit", "workload":"ar"|"dct"|"ewf" | "graph_text":"<.tg text>",
 //    "priority":INT, "detach":BOOL, "options":{
-//        "rmax":NUM, "mmax":NUM, "ct":NUM,          // device overrides
-//        "delta":NUM, "alpha":INT, "gamma":INT,
-//        "time_limit_sec":NUM, "deadline_sec":NUM,  // per-solve / whole-job
-//        "threads":INT,                             // solver threads (default 1)
-//        "certify":"off"|"incumbents"|"full",
-//        "checkpoint":BOOL,                         // per-job sweep checkpoint
-//        "est_memory_mb":NUM}}                      // admission estimate override
+//        <the solve options of for_each_solve_option, by key>,
+//        "checkpoint":BOOL, "est_memory_mb":NUM}}
 //   {"op":"status",  "job":"job-N"}
 //   {"op":"result",  "job":"job-N", "wait":BOOL}
 //   {"op":"cancel",  "job":"job-N"}
@@ -37,24 +32,57 @@
 
 namespace sparcs::service {
 
-/// Solve parameters of one submit request, defaults matching the one-shot
-/// CLI except threads (1: service workers already provide the parallelism).
+/// One solve request: what the one-shot CLI runs and what a submit queues.
+/// Defaults match the one-shot CLI except threads (1: service workers
+/// already provide the parallelism; the command line starts from 0).
 struct SubmitRequest {
   std::string workload;    ///< builtin workload name; exclusive with graph_text
   std::string graph_text;  ///< inline .tg document; exclusive with workload
   int priority = 0;        ///< higher runs first; FIFO within a priority
   bool detach = false;     ///< survive the submitting connection's close
-  std::optional<double> rmax, mmax, ct;
-  double delta = 0.0;
+  std::optional<double> rmax, mmax, ct;  ///< device overrides
+  double delta = 0.0;  ///< latency tolerance; 0 = 2% of MaxLatency
   int alpha = 0;
   int gamma = 1;
   double time_limit_sec = 10.0;
   double deadline_sec = 0.0;  ///< whole-job wall deadline; 0 = none
-  int threads = 1;  ///< solver threads per job (0 = server default)
+  int threads = 1;  ///< solver threads per job (0 = front door's default)
   std::string certify = "off";
   bool checkpoint = true;        ///< arm the per-job sweep checkpoint
   double est_memory_mb = 0.0;    ///< admission estimate override; 0 = derive
 };
+
+/// How a range-check message names an option: "--delta" or "options.delta".
+enum class OptionSpelling { kFlag, kJsonKey };
+
+/// The values a solve option may take. kPositiveOrNone is a duration whose
+/// 0 in a request means none; a flag must give a positive value instead.
+enum class OptionRange { kAny, kNonNegative, kPositive, kPositiveOrNone };
+
+/// Calls f(flag, key, field, range) on each of the ten solve options of
+/// `request` (const or not), in serialization order: the one place that names
+/// them. certify, the one string, must name a certify mode; the optional
+/// device overrides are checked by the device.
+template <typename Request, typename F>
+void for_each_solve_option(Request& request, F&& f) {
+  f("--rmax", "rmax", request.rmax, OptionRange::kAny);
+  f("--mmax", "mmax", request.mmax, OptionRange::kAny);
+  f("--ct", "ct", request.ct, OptionRange::kAny);
+  f("--delta", "delta", request.delta, OptionRange::kNonNegative);
+  f("--alpha", "alpha", request.alpha, OptionRange::kNonNegative);
+  f("--gamma", "gamma", request.gamma, OptionRange::kNonNegative);
+  f("--time-limit", "time_limit_sec", request.time_limit_sec,
+    OptionRange::kPositive);
+  f("--deadline-sec", "deadline_sec", request.deadline_sec,
+    OptionRange::kPositiveOrNone);
+  f("--threads", "threads", request.threads, OptionRange::kNonNegative);
+  f("--certify", "certify", request.certify, OptionRange::kAny);
+}
+
+/// The range check of the solve options: "" when all of them are in range,
+/// else the first violation, naming the option as `spelling` says.
+[[nodiscard]] std::string check_solve_options(const SubmitRequest& request,
+                                              OptionSpelling spelling);
 
 /// One decoded request line.
 struct Request {

@@ -79,6 +79,52 @@ void append_job_fields(report::ReportWriter& w, const JobInfo& info,
 
 }  // namespace
 
+JobSpec resolve_job(const SubmitRequest& request,
+                    const std::string& device_name, int default_threads,
+                    int max_partitions) {
+  JobSpec spec;
+  arch::Device device{"defaults", 576.0, 4096.0, 100.0};
+  if (!request.workload.empty()) {
+    spec.graph = workloads::builtin_task_graph(request.workload);
+    spec.source = request.workload;
+  } else {
+    io::TaskGraphFile file = io::read_task_graph_string(request.graph_text);
+    spec.graph = std::move(file.graph);
+    if (file.device) device = *file.device;
+    spec.source = spec.graph.name().empty() ? "<inline>" : spec.graph.name();
+  }
+  spec.device = arch::custom(device_name,
+                             request.rmax.value_or(device.resource_capacity),
+                             request.mmax.value_or(device.memory_capacity),
+                             request.ct.value_or(device.reconfig_time_ns));
+  core::PartitionerOptions& options = spec.options;
+  options.alpha = request.alpha;
+  options.gamma = request.gamma;
+  options.max_partitions = max_partitions;
+  options.budget.delta = request.delta;
+  options.budget.solver.time_limit_sec = request.time_limit_sec;
+  options.budget.solver.num_threads =
+      request.threads > 0 ? request.threads : default_threads;
+  const std::optional<milp::CertifyMode> certify =
+      milp::parse_certify_mode(request.certify);
+  SPARCS_REQUIRE(certify.has_value(),
+                 "unknown certify mode '" + request.certify + "'");
+  options.budget.solver.certify = *certify;
+  spec.deadline_sec = request.deadline_sec;
+  spec.checkpoint = request.checkpoint;
+  return spec;
+}
+
+core::PartitionerOptions start_options(const JobSpec& spec,
+                                       milp::CancelToken cancel) {
+  core::PartitionerOptions options = spec.options;
+  options.budget.solver.cancel = std::move(cancel);
+  if (spec.deadline_sec > 0.0) {
+    options.budget.deadline = core::Deadline::after_seconds(spec.deadline_sec);
+  }
+  return options;
+}
+
 /// Per-connection state. The handler thread owns everything except `fd`,
 /// which the shutdown path pokes (::shutdown) under `mu` to unblock recv().
 struct Server::Connection {
@@ -288,12 +334,7 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
   JobState state = JobState::kDone;
   JobResult result;
   try {
-    core::PartitionerOptions options = job->spec.options;
-    options.budget.solver.cancel = job->cancel;
-    if (job->spec.deadline_sec > 0.0) {
-      options.budget.deadline =
-          core::Deadline::after_seconds(job->spec.deadline_sec);
-    }
+    core::PartitionerOptions options = start_options(job->spec, job->cancel);
     if (!options_.artifact_dir.empty() && job->spec.checkpoint) {
       options.checkpoint.path =
           options_.artifact_dir + "/" + job->name + ".ckpt";
@@ -410,38 +451,8 @@ std::string Server::handle_submit(const SubmitRequest& submit,
   }
   auto job = std::make_shared<Job>();
   try {
-    JobSpec& spec = job->spec;
-    std::optional<arch::Device> file_device;
-    if (!submit.workload.empty()) {
-      spec.graph = workloads::builtin_task_graph(submit.workload);
-      spec.source = submit.workload;
-    } else {
-      io::TaskGraphFile file = io::read_task_graph_string(submit.graph_text);
-      spec.graph = std::move(file.graph);
-      file_device = file.device;
-      spec.source = spec.graph.name().empty() ? "<inline>" : spec.graph.name();
-    }
-    const double rmax = submit.rmax.value_or(
-        file_device ? file_device->resource_capacity : 576.0);
-    const double mmax = submit.mmax.value_or(
-        file_device ? file_device->memory_capacity : 4096.0);
-    const double ct = submit.ct.value_or(
-        file_device ? file_device->reconfig_time_ns : 100.0);
-    spec.device = arch::custom("service-device", rmax, mmax, ct);
-    spec.options.alpha = submit.alpha;
-    spec.options.gamma = submit.gamma;
-    spec.options.max_partitions = options_.max_partitions;
-    spec.options.budget.delta = submit.delta;
-    spec.options.budget.solver.time_limit_sec = submit.time_limit_sec;
-    spec.options.budget.solver.num_threads =
-        submit.threads > 0 ? submit.threads : options_.threads_per_job;
-    const std::optional<milp::CertifyMode> certify =
-        milp::parse_certify_mode(submit.certify);
-    SPARCS_REQUIRE(certify.has_value(),
-                   "unknown certify mode '" + submit.certify + "'");
-    spec.options.budget.solver.certify = *certify;
-    spec.deadline_sec = submit.deadline_sec;
-    spec.checkpoint = submit.checkpoint;
+    job->spec = resolve_job(submit, "service-device", options_.threads_per_job,
+                            options_.max_partitions);
   } catch (const Error& e) {
     return error_response("submit", "bad_request", e.what());
   }

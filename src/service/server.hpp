@@ -60,6 +60,21 @@ struct ServerOptions {
   milp::CancelToken stop;
 };
 
+/// Resolves an in-range request into a job, for the one-shot CLI and the
+/// daemon alike: the graph (built-in workload or .tg text), the device (Rmax
+/// 576, Mmax 4096, Ct 100 ns; the file's device over those; rmax/mmax/ct over
+/// both; named `device_name`, which the checkpoint fingerprint includes) and
+/// the partitioner options (`default_threads` for threads = 0). Throws Error.
+[[nodiscard]] JobSpec resolve_job(
+    const SubmitRequest& request, const std::string& device_name,
+    int default_threads,
+    int max_partitions = core::PartitionerOptions{}.max_partitions);
+
+/// The job's partitioner options, armed to run now: `cancel` stops the run
+/// and its wall deadline, if any, starts counting.
+[[nodiscard]] core::PartitionerOptions start_options(const JobSpec& spec,
+                                                     milp::CancelToken cancel);
+
 class Server {
  public:
   explicit Server(ServerOptions options);

@@ -314,6 +314,23 @@ TEST(CliTest, DeadlineFlagIsValidated) {
   EXPECT_NE(bad.err.find("--deadline-sec"), std::string::npos);
 }
 
+TEST(CliTest, NegativeDeltaIsBadInput) {
+  // 0 asks for the default tolerance; a negative one is refused, not
+  // silently replaced by the default.
+  const CliRun r = run_cli({"--workload", "ar", "--delta", "-1", "--quiet"});
+  EXPECT_EQ(r.exit_code, 4);
+  EXPECT_NE(r.err.find("--delta"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, DeadlineBeyondTheClockRangeStillSucceeds) {
+  // 1e300 s overflows the steady clock's nanoseconds; the deadline must
+  // saturate rather than wedge the deadline watchdog.
+  const CliRun r =
+      run_cli({"--workload", "ar", "--quiet", "--deadline-sec", "1e300"});
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("best:"), std::string::npos);
+}
+
 TEST(CliTest, GenerousDeadlineStillSucceeds) {
   const CliRun r = run_cli({"--workload", "ar", "--rmax", "200", "--mmax",
                             "64", "--ct", "50", "--delta", "20", "--quiet",

@@ -88,6 +88,27 @@ TEST(DeadlineTest, WatchdogStandsDownOnDestruction) {
   EXPECT_FALSE(token.cancelled());
 }
 
+// Horizons beyond the steady clock's range (int64 nanoseconds) are capped
+// instead of overflowing: the deadline stays in the future and the watchdog
+// waits, then stands down promptly when destroyed.
+TEST(DeadlineTest, FarDeadlinesAreCappedAndTheWatchdogStandsDown) {
+  for (const double horizon : {1e10, 1e300}) {
+    const Deadline d = Deadline::after_seconds(horizon);
+    EXPECT_FALSE(d.expired()) << horizon;
+    EXPECT_GT(d.remaining_sec(), 1e8) << horizon;
+    const milp::CancelToken token = milp::CancelToken::create();
+    Stopwatch clock;
+    {
+      DeadlineWatchdog watchdog(d, DeadlineWatchdog::default_grace_sec(d),
+                                token);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      EXPECT_FALSE(watchdog.fired()) << horizon;
+    }
+    EXPECT_LT(clock.seconds(), 1.0) << horizon;
+    EXPECT_FALSE(token.cancelled()) << horizon;
+  }
+}
+
 TEST(DeadlineTest, DefaultGraceScalesWithHorizon) {
   EXPECT_GE(DeadlineWatchdog::default_grace_sec(Deadline::after_seconds(0.1)),
             0.05);

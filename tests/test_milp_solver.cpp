@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "milp/branch_and_bound.hpp"
 #include "milp/checker.hpp"
 #include "milp/solver.hpp"
 
@@ -347,6 +348,19 @@ TEST(MilpSolverTest, LpBoundingPrunesAndAgrees) {
   ASSERT_EQ(s1.status, SolveStatus::kOptimal);
   ASSERT_EQ(s2.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s1.objective, s2.objective, 1e-6);
+}
+
+// The pool never runs more workers than the machine has hardware threads,
+// whatever a caller (or a submit's "threads") asks for; worker_count is pure,
+// so this starts no thread.
+TEST(MilpSolverTest, WorkerCountIsCappedAtTheHardware) {
+  EXPECT_EQ(worker_count(1'000'000, 100, 4), 4);
+  EXPECT_EQ(worker_count(1'000'000, 100, 0), 1);  // unknown hardware
+  EXPECT_EQ(worker_count(2, 100, 4), 2);
+  EXPECT_EQ(worker_count(0, 100, 4), 4);  // 0 = one per hardware thread
+  EXPECT_EQ(worker_count(1, 100, 4), 1);
+  EXPECT_EQ(worker_count(8, 47, 4), 1);  // under 48 variables: one worker
+  EXPECT_EQ(worker_count(8, 48, 4), 4);
 }
 
 }  // namespace

@@ -111,10 +111,101 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
   for (const char* line :
        {R"({"op":"submit","workload":"ar","options":{"alpha":-1}})",
         R"({"op":"submit","workload":"ar","options":{"gamma":-1}})",
-        R"({"op":"submit","workload":"ar","options":{"threads":-1}})"}) {
+        R"({"op":"submit","workload":"ar","options":{"threads":-1}})",
+        R"({"op":"submit","workload":"ar","options":{"delta":-1}})"}) {
     EXPECT_FALSE(parse_request(line, &request, &error, &code)) << line;
     EXPECT_EQ(code, "bad_request") << line;
   }
+  EXPECT_NE(error.find("options.delta"), std::string::npos) << error;
+}
+
+// The one-shot CLI and the daemon both turn a request into a job through
+// resolve_job: the device starts at Rmax 576, Mmax 4096, Ct 100, takes the
+// .tg file's device over that and the request's rmax/mmax/ct over both.
+TEST(ServiceProtocol, ResolveJobLayersTheDeviceAndCarriesTheOptions) {
+  SubmitRequest request;
+  request.workload = "ar";
+  request.ct = 50.0;
+  request.delta = 20.0;
+  request.alpha = 1;
+  request.gamma = 2;
+  request.time_limit_sec = 3.0;
+  request.threads = 0;
+  request.certify = "full";
+  JobSpec spec = resolve_job(request, "cli-device", 3, 9);
+  EXPECT_EQ(spec.source, "ar");
+  EXPECT_EQ(spec.device.name, "cli-device");
+  EXPECT_DOUBLE_EQ(spec.device.resource_capacity, 576.0);
+  EXPECT_DOUBLE_EQ(spec.device.memory_capacity, 4096.0);
+  EXPECT_DOUBLE_EQ(spec.device.reconfig_time_ns, 50.0);
+  EXPECT_DOUBLE_EQ(spec.options.budget.delta, 20.0);
+  EXPECT_EQ(spec.options.alpha, 1);
+  EXPECT_EQ(spec.options.gamma, 2);
+  EXPECT_EQ(spec.options.max_partitions, 9);
+  EXPECT_DOUBLE_EQ(spec.options.budget.solver.time_limit_sec, 3.0);
+  EXPECT_EQ(spec.options.budget.solver.num_threads, 3);  // threads 0
+  EXPECT_EQ(spec.options.budget.solver.certify, milp::CertifyMode::kFull);
+  EXPECT_FALSE(spec.options.budget.deadline.valid());
+
+  request.workload.clear();
+  request.graph_text = "graph filedemo\ndevice board 200 64 40\ntask a 8 0\n"
+                       "point a fast 90 120\n";
+  request.mmax = 32.0;
+  request.ct.reset();
+  request.threads = 2;
+  request.deadline_sec = 30.0;
+  spec = resolve_job(request, "cli-device", 3, 9);
+  EXPECT_EQ(spec.source, "filedemo");
+  EXPECT_DOUBLE_EQ(spec.device.resource_capacity, 200.0);
+  EXPECT_DOUBLE_EQ(spec.device.memory_capacity, 32.0);
+  EXPECT_DOUBLE_EQ(spec.device.reconfig_time_ns, 40.0);
+  EXPECT_EQ(spec.options.budget.solver.num_threads, 2);
+
+  // The deadline starts counting, and the cancel token is attached, only
+  // when the job starts.
+  EXPECT_FALSE(spec.options.budget.deadline.valid());
+  const milp::CancelToken cancel = milp::CancelToken::create();
+  const core::PartitionerOptions started = start_options(spec, cancel);
+  EXPECT_TRUE(started.budget.deadline.valid());
+  EXPECT_LE(started.budget.deadline.remaining_sec(), 30.0);
+  cancel.request_cancel();
+  EXPECT_TRUE(started.budget.solver.cancel.cancelled());
+
+  request.workload = "nope";
+  request.graph_text.clear();
+  EXPECT_THROW((void)resolve_job(request, "cli-device", 3, 9), Error);
+}
+
+// The submit line a client sends is fixed byte for byte: the daemon, the
+// perfbench load generator and older clients all speak it.
+TEST(ServiceProtocol, SerializedSubmitIsStable) {
+  Request request;
+  request.op = "submit";
+  request.submit.workload = "ar";
+  EXPECT_EQ(serialize_request(request),
+            R"({"op": "submit","workload": "ar","options": {"delta": 0,)"
+            R"("alpha": 0,"gamma": 1,"time_limit_sec": 10,"deadline_sec": 0,)"
+            R"("threads": 1,"certify": "off","checkpoint": true}})");
+  request.submit.priority = 3;
+  request.submit.detach = true;
+  request.submit.rmax = 200.0;
+  request.submit.mmax = 64.0;
+  request.submit.ct = 1e7;
+  request.submit.delta = 20.5;
+  request.submit.alpha = 2;
+  request.submit.gamma = 0;
+  request.submit.time_limit_sec = 2.5;
+  request.submit.deadline_sec = 9.0;
+  request.submit.threads = 0;
+  request.submit.certify = "full";
+  request.submit.checkpoint = false;
+  request.submit.est_memory_mb = 64.0;
+  EXPECT_EQ(serialize_request(request),
+            R"({"op": "submit","workload": "ar","priority": 3,"detach": true,)"
+            R"("options": {"rmax": 200,"mmax": 64,"ct": 10000000,)"
+            R"("delta": 20.5,"alpha": 2,"gamma": 0,"time_limit_sec": 2.5,)"
+            R"("deadline_sec": 9,"threads": 0,"certify": "full",)"
+            R"("checkpoint": false,"est_memory_mb": 64}})");
 }
 
 TEST(ServiceProtocol, ErrorResponseIsWellFormed) {
