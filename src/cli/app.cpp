@@ -34,6 +34,13 @@
 namespace sparcs::cli {
 namespace {
 
+/// Rejects bad user input (exit 4) with `message` alone. SPARCS_REQUIRE is
+/// for broken caller preconditions: it would prefix the failed expression
+/// and its source location.
+void require_input(bool ok, const std::string& message) {
+  if (!ok) throw InvalidArgumentError(message);
+}
+
 /// Parses a numeric flag value strictly: the whole string must be a number of
 /// type T in range, and a floating-point value must be finite. Anything else
 /// ("abc", "50abc", "2.5" for an int, "1e999", "nan") is bad input (exit 4)
@@ -45,10 +52,10 @@ T parse_number(const std::string& flag, const std::string& text) {
   const auto [end, ec] = std::from_chars(text.data(), last, number);
   bool ok = ec == std::errc() && end == last;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(number);
-  SPARCS_REQUIRE(ok, flag + " needs " +
-                         (std::is_floating_point_v<T> ? "a finite number"
-                                                      : "an integer") +
-                         ", got '" + text + "'");
+  require_input(ok, flag + " needs " +
+                        (std::is_floating_point_v<T> ? "a finite number"
+                                                     : "an integer") +
+                        ", got '" + text + "'");
   return number;
 }
 
@@ -66,7 +73,7 @@ struct SolveArguments {
   bool parse(const std::vector<std::string>& args, std::size_t* i) {
     const std::string& arg = args[*i];
     auto value = [&]() -> const std::string& {
-      SPARCS_REQUIRE(*i + 1 < args.size(), arg + " needs a value");
+      require_input(*i + 1 < args.size(), arg + " needs a value");
       return args[++*i];
     };
     bool matched = false;
@@ -103,7 +110,7 @@ struct SolveArguments {
       return true;
     }
     if (!arg.empty() && arg[0] == '-') return false;
-    SPARCS_REQUIRE(input_file.empty(), "multiple input files given");
+    require_input(input_file.empty(), "multiple input files given");
     input_file = arg;
     return true;
   }
@@ -112,7 +119,7 @@ struct SolveArguments {
     service::SubmitRequest resolved = request;
     if (!input_file.empty()) {
       std::ifstream file(input_file);
-      SPARCS_REQUIRE(file.good(), "cannot open " + input_file);
+      require_input(file.good(), "cannot open " + input_file);
       std::ostringstream text;
       text << file.rdbuf();
       resolved.graph_text = text.str();
@@ -224,7 +231,7 @@ Arguments parse_args(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto value = [&]() -> const std::string& {
-      SPARCS_REQUIRE(i + 1 < args.size(), arg + " needs a value");
+      require_input(i + 1 < args.size(), arg + " needs a value");
       return args[++i];
     };
     if (arg == "--optimal") {
@@ -249,8 +256,8 @@ Arguments parse_args(const std::vector<std::string>& args) {
       parsed.telemetry_jsonl_file = value();
     } else if (arg == "--telemetry-interval-ms") {
       parsed.telemetry_interval_ms = parse_number<double>(arg, value());
-      SPARCS_REQUIRE(parsed.telemetry_interval_ms > 0.0,
-                     "--telemetry-interval-ms must be > 0");
+      require_input(parsed.telemetry_interval_ms > 0.0,
+                    "--telemetry-interval-ms must be > 0");
     } else if (arg == "--progress") {
       parsed.progress = true;
     } else if (arg == "--search-tree-json") {
@@ -263,19 +270,19 @@ Arguments parse_args(const std::vector<std::string>& args) {
       parsed.checkpoint_file = value();
     } else if (arg == "--checkpoint-interval-sec") {
       parsed.checkpoint_interval_sec = parse_number<double>(arg, value());
-      SPARCS_REQUIRE(parsed.checkpoint_interval_sec >= 0.0,
-                     "--checkpoint-interval-sec must be >= 0");
+      require_input(parsed.checkpoint_interval_sec >= 0.0,
+                    "--checkpoint-interval-sec must be >= 0");
     } else if (arg == "--resume") {
       parsed.resume = true;
     } else if (!parsed.solve.parse(args, &i)) {
       throw InvalidArgumentError("unknown option " + arg);
     }
   }
-  SPARCS_REQUIRE(
+  require_input(
       parsed.solve.input_file.empty() != parsed.solve.request.workload.empty(),
       "give exactly one of <graph.tg> or --workload");
-  SPARCS_REQUIRE(!parsed.resume || !parsed.checkpoint_file.empty(),
-                 "--resume needs --checkpoint FILE to resume from");
+  require_input(!parsed.resume || !parsed.checkpoint_file.empty(),
+                "--resume needs --checkpoint FILE to resume from");
   const std::string violation = service::check_solve_options(
       parsed.solve.request, service::OptionSpelling::kFlag);
   if (!violation.empty()) throw InvalidArgumentError(violation);
@@ -475,28 +482,28 @@ int run_serve(const std::vector<std::string>& args, std::ostream& out,
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto value = [&]() -> const std::string& {
-      SPARCS_REQUIRE(i + 1 < args.size(), arg + " needs a value");
+      require_input(i + 1 < args.size(), arg + " needs a value");
       return args[++i];
     };
     if (arg == "--serve") {
       options.socket_path = value();
     } else if (arg == "--serve-workers") {
       options.num_workers = parse_number<int>(arg, value());
-      SPARCS_REQUIRE(options.num_workers >= 0, "--serve-workers must be >= 0");
+      require_input(options.num_workers >= 0, "--serve-workers must be >= 0");
     } else if (arg == "--serve-queue-depth") {
       options.max_queue_depth = parse_number<int>(arg, value());
-      SPARCS_REQUIRE(options.max_queue_depth > 0,
-                     "--serve-queue-depth must be > 0");
+      require_input(options.max_queue_depth > 0,
+                    "--serve-queue-depth must be > 0");
     } else if (arg == "--serve-memory-mb") {
       options.max_est_memory_mb = parse_number<double>(arg, value());
-      SPARCS_REQUIRE(options.max_est_memory_mb > 0.0,
-                     "--serve-memory-mb must be > 0");
+      require_input(options.max_est_memory_mb > 0.0,
+                    "--serve-memory-mb must be > 0");
     } else if (arg == "--serve-artifact-dir") {
       options.artifact_dir = value();
     } else if (arg == "--serve-threads-per-job") {
       options.threads_per_job = parse_number<int>(arg, value());
-      SPARCS_REQUIRE(options.threads_per_job >= 0,
-                     "--serve-threads-per-job must be >= 0");
+      require_input(options.threads_per_job >= 0,
+                    "--serve-threads-per-job must be >= 0");
     } else if (arg == "--log-level") {
       level = parse_log_level(value());
     } else if (arg == "--quiet") {
@@ -505,7 +512,7 @@ int run_serve(const std::vector<std::string>& args, std::ostream& out,
       throw InvalidArgumentError("unknown --serve option " + arg);
     }
   }
-  SPARCS_REQUIRE(!options.socket_path.empty(), "--serve needs a socket path");
+  require_input(!options.socket_path.empty(), "--serve needs a socket path");
   // The daemon defaults to kInfo: job lifecycle messages are its primary
   // human-facing output (clients get JSON responses, not this stream).
   set_log_level(level.value_or(quiet ? LogLevel::kError : LogLevel::kInfo));
@@ -544,7 +551,7 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto value = [&]() -> const std::string& {
-      SPARCS_REQUIRE(i + 1 < args.size(), arg + " needs a value");
+      require_input(i + 1 < args.size(), arg + " needs a value");
       return args[++i];
     };
     if (arg == "--socket") {
@@ -565,19 +572,19 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
       throw InvalidArgumentError("unknown " + parsed.verb + " option " + arg);
     }
   }
-  SPARCS_REQUIRE(!parsed.socket_path.empty(),
-                 parsed.verb + " needs --socket PATH");
+  require_input(!parsed.socket_path.empty(),
+                parsed.verb + " needs --socket PATH");
   const int graphs = !parsed.submit.input_file.empty() +
                      !parsed.submit.request.workload.empty();
   if (parsed.verb == "submit") {
-    SPARCS_REQUIRE(graphs == 1,
-                   "submit needs exactly one of <graph.tg> or --workload");
+    require_input(graphs == 1,
+                  "submit needs exactly one of <graph.tg> or --workload");
   } else {
-    SPARCS_REQUIRE(graphs == 0, parsed.verb + " takes no graph argument");
+    require_input(graphs == 0, parsed.verb + " takes no graph argument");
   }
   if (parsed.verb == "status" || parsed.verb == "result" ||
       parsed.verb == "cancel") {
-    SPARCS_REQUIRE(!parsed.job.empty(), parsed.verb + " needs --job ID");
+    require_input(!parsed.job.empty(), parsed.verb + " needs --job ID");
   }
   return parsed;
 }

@@ -49,8 +49,8 @@ struct Subproblem {
   Rank rank;
   std::vector<double> lb, ub;
   VarId seed = -1;  ///< -1: root subproblem (full propagation)
-  /// Telemetry search-tree id of the donor node (-1: no recording / root),
-  /// so donated subtrees attach to their real parent in the dump.
+  /// Telemetry search-tree id of the donor node (-1: root; unused while
+  /// recording is off), so donated subtrees attach to their real parent.
   std::int64_t tree_parent = -1;
 };
 
@@ -231,11 +231,6 @@ class WorkerPool {
     return true;
   }
 
-  [[nodiscard]] bool has_candidate() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return have_candidate_;
-  }
-
   // ---- Shared incumbent (optimality mode) --------------------------------
 
   [[nodiscard]] double shared_best() const {
@@ -396,6 +391,8 @@ class BnbSearch {
   bool handle_leaf();
   /// Offers a checked feasible leaf to the pool as candidate/incumbent.
   void record_incumbent(std::vector<double> values);
+  /// Takes `obj` as this worker's incumbent and tightens the cutoff row.
+  void adopt_incumbent(double obj);
   bool limits_hit() const { return pool_.global_limits_hit(); }
   void absorb_lp(const LpResult& lp_result);
   /// LP parameters for in-node solves: wires the global limits into the
@@ -406,7 +403,17 @@ class BnbSearch {
   /// allocation reason): exhaustion no longer proves infeasibility.
   void mark_incomplete() { pool_.flag_incomplete(); }
   void search_loop();
-  void donate_siblings(Frame& frame);
+  /// Enters the child that branch box [lo, hi] on `v` selects: imposes the
+  /// box and propagates from `v`. On a refutation (empty box or conflict)
+  /// records the proof leaf, the pruned count and the search-tree node, and
+  /// returns false. A donated subproblem enters through here as well.
+  bool enter(VarId v, double lo, double hi);
+  /// Search-tree record of a node at the current position, entered through
+  /// [lo, hi] on `var` (-1: the root), under a freshly drawn id.
+  telemetry::TreeNode tree_node(VarId var, double lo, double hi) const;
+  /// Pushes every untried branch but the first into the pool; `tree_id` is
+  /// the frame owner's search-tree id (the donated subtrees' parent).
+  void donate_siblings(Frame& frame, std::int64_t tree_id);
   void sync_shared_incumbent();
   /// Pushes per-worker node/LP-iteration deltas and the open-node count into
   /// the live telemetry slot (called every kLivePublishPeriod nodes).
@@ -423,12 +430,6 @@ class BnbSearch {
 
   // ---- Infeasibility-proof recording (active when certify == kFull) ------
 
-  /// This worker's DFS position, the rank of the node being processed.
-  [[nodiscard]] Rank current_rank() const {
-    Rank rank = base_rank_;
-    rank.insert(rank.end(), path_.begin(), path_.end());
-    return rank;
-  }
   /// Appends a proof node (respecting the size cap).
   void record_proof_node(ProofNode&& node) {
     if (!proof_on_) return;
@@ -453,10 +454,10 @@ class BnbSearch {
   }
   /// Records the refutation of a node whose entry propagate() failed, using
   /// the partial derivation trace plus the conflict the log captured.
-  void record_conflict_leaf(Rank rank) {
+  void record_conflict_leaf() {
     if (!proof_on_) return;
     ProofNode node;
-    node.rank = std::move(rank);
+    node.rank = rank_;
     node.kind = ProofNode::Kind::kConflict;
     node.derivations = std::move(prop_log_.derivations);
     node.conflict_row = prop_log_.conflict_row;
@@ -476,7 +477,7 @@ class BnbSearch {
   void record_lp_leaf() {
     if (!proof_on_) return;
     ProofNode node;
-    node.rank = current_rank();
+    node.rank = rank_;
     node.derivations = take_pending_derivations();
     switch (lp_cert_.kind) {
       case LpCertificate::Kind::kFarkas:
@@ -514,10 +515,10 @@ class BnbSearch {
   PropagationStats prop_stats_;
   SolverStats stats_;
   std::vector<Frame> stack_;
-  /// Branch index applied at each stack frame (-1 until the frame applies
-  /// its first branch); base_rank_ ++ path_ is this worker's DFS position.
-  std::vector<std::int32_t> path_;
-  Rank base_rank_;
+  /// This worker's DFS position, the rank of the node being processed: the
+  /// subproblem's rank, then the branch index applied at each stack frame.
+  Rank rank_;
+  std::size_t base_depth_ = 0;  ///< length of the subproblem's rank
   std::uint64_t seen_candidate_version_ = ~std::uint64_t{0};
   Rank candidate_rank_copy_;
   bool have_candidate_copy_ = false;
@@ -531,14 +532,13 @@ class BnbSearch {
   const bool tree_on_;                    ///< cached once per search
   /// Search-tree parent of this (sub)tree's base node.
   std::int64_t tree_parent_ = -1;
-  /// Id of the node whose frame is currently being built (donation parent).
-  std::int64_t current_node_id_ = -1;
   /// Owner node id of each open frame; parallel to stack_ while tree_on_.
   std::vector<std::int64_t> frame_node_ids_;
-  /// Branch applied to enter the node about to descend (-1: root).
-  VarId last_branch_var_ = -1;
-  double last_branch_lo_ = 0.0;
-  double last_branch_hi_ = 0.0;
+  /// Branch applied to enter the node about to descend (var -1: root).
+  struct {
+    VarId var = -1;
+    double lo = 0.0, hi = 0.0;
+  } last_branch_;
   /// High-water marks of what was already pushed into live_ (deltas only,
   /// so per-worker counters aggregate correctly across threads).
   std::int64_t live_pub_nodes_ = 0;
@@ -833,7 +833,7 @@ void BnbSearch::record_incumbent(std::vector<double> values) {
   }
   SPARCS_DLOG << "incumbent objective " << obj << " at node " << nodes_;
   if (first_feasible_mode()) {
-    if (pool_.offer_candidate(current_rank(), std::move(values), obj)) {
+    if (pool_.offer_candidate(rank_, std::move(values), obj)) {
       ++stats_.incumbent_updates;
     }
     // Every remaining leaf of this subproblem follows the one just found in
@@ -842,28 +842,26 @@ void BnbSearch::record_incumbent(std::vector<double> values) {
     return;
   }
   if (have_incumbent_ && obj >= incumbent_obj_) return;
-  if (pool_.offer_incumbent(current_rank(), std::move(values), obj)) {
+  if (pool_.offer_incumbent(rank_, std::move(values), obj)) {
     ++stats_.incumbent_updates;
-    incumbent_obj_ = obj;
-    have_incumbent_ = true;
-    if (compiled_.has_cutoff_row()) {
-      compiled_.set_cutoff(incumbent_obj_ - params_.objective_improvement);
-    }
+    adopt_incumbent(obj);
   } else {
     sync_shared_incumbent();  // someone else got there first
+  }
+}
+
+void BnbSearch::adopt_incumbent(double obj) {
+  incumbent_obj_ = obj;
+  have_incumbent_ = true;
+  if (compiled_.has_cutoff_row()) {
+    compiled_.set_cutoff(obj - params_.objective_improvement);
   }
 }
 
 void BnbSearch::sync_shared_incumbent() {
   if (first_feasible_mode()) return;
   const double best = pool_.shared_best();
-  if (best < incumbent_obj_) {
-    incumbent_obj_ = best;
-    have_incumbent_ = true;
-    if (compiled_.has_cutoff_row()) {
-      compiled_.set_cutoff(incumbent_obj_ - params_.objective_improvement);
-    }
-  }
+  if (best < incumbent_obj_) adopt_incumbent(best);
 }
 
 bool BnbSearch::position_pruned() {
@@ -872,25 +870,11 @@ bool BnbSearch::position_pruned() {
     seen_candidate_version_ = version;
     have_candidate_copy_ = pool_.copy_candidate_rank(&candidate_rank_copy_);
   }
-  if (!have_candidate_copy_) return false;
   // DFS never revisits earlier ranks, so once this worker's position passes
   // the candidate every leaf it could still reach is DFS-later: abandon.
   // A position that is a prefix of the candidate compares smaller (its
   // subtree still holds leaves preceding the candidate) and keeps running.
-  const Rank& cand = candidate_rank_copy_;
-  std::size_t i = 0;
-  for (const std::int32_t digit : base_rank_) {
-    if (i >= cand.size()) return true;  // candidate is a strict prefix
-    if (digit != cand[i]) return digit > cand[i];
-    ++i;
-  }
-  for (const std::int32_t digit : path_) {
-    if (digit < 0) break;  // unapplied top frame: position ends here
-    if (i >= cand.size()) return true;
-    if (digit != cand[i]) return digit > cand[i];
-    ++i;
-  }
-  return false;  // equal to or a prefix of the candidate
+  return have_candidate_copy_ && rank_ > candidate_rank_copy_;
 }
 
 bool BnbSearch::handle_leaf() {
@@ -925,7 +909,7 @@ bool BnbSearch::handle_leaf() {
   return stop_;
 }
 
-void BnbSearch::donate_siblings(Frame& frame) {
+void BnbSearch::donate_siblings(Frame& frame, std::int64_t tree_id) {
   // The domains currently sit at this frame's pre-branch fixpoint, so a
   // plain bounds snapshot plus one branch box reproduces exactly the state
   // this worker's DFS would enter that branch with.
@@ -938,8 +922,7 @@ void BnbSearch::donate_siblings(Frame& frame) {
   }
   for (std::size_t j = 1; j < frame.branches.size(); ++j) {
     Subproblem node;
-    node.rank = base_rank_;
-    node.rank.insert(node.rank.end(), path_.begin(), path_.end());
+    node.rank = rank_;
     node.rank.push_back(static_cast<std::int32_t>(j));
     node.lb = lb;
     node.ub = ub;
@@ -948,10 +931,52 @@ void BnbSearch::donate_siblings(Frame& frame) {
     node.lb[var] = std::max(node.lb[var], blo);
     node.ub[var] = std::min(node.ub[var], bhi);
     node.seed = frame.var;
-    node.tree_parent = current_node_id_;
+    node.tree_parent = tree_id;
     pool_.push(std::move(node));
   }
   frame.branches.resize(1);
+}
+
+telemetry::TreeNode BnbSearch::tree_node(VarId var, double lo,
+                                         double hi) const {
+  telemetry::TreeNode node;
+  node.id = telemetry::tree_next_id();
+  node.parent = frame_node_ids_.empty() ? tree_parent_ : frame_node_ids_.back();
+  node.depth = static_cast<std::int32_t>(rank_.size());
+  node.branch_var = var;
+  node.branch_lb = lo;
+  node.branch_ub = hi;
+  return node;
+}
+
+bool BnbSearch::enter(VarId v, double lo, double hi) {
+  domains_.set_lb(v, lo);
+  domains_.set_ub(v, hi);
+  const bool empty_box = domains_.lb(v) > domains_.ub(v);
+  if (!empty_box && propagator_.propagate(domains_, {v}, prop_stats_)) {
+    stage_propagation_log();
+    last_branch_ = {v, lo, hi};
+    return true;
+  }
+  if (proof_on_ && empty_box) {
+    // The branch box itself was empty: no propagation ran, the emptiness at
+    // the branch variable is the whole refutation.
+    ProofNode leaf;
+    leaf.rank = rank_;
+    leaf.kind = ProofNode::Kind::kEmptyBox;
+    leaf.var = v;
+    record_proof_node(std::move(leaf));
+  } else {
+    record_conflict_leaf();
+  }
+  ++stats_.nodes_pruned_infeasible;
+  if (tree_on_) {
+    // The refuted node never descends, so its record is created here.
+    telemetry::TreeNode node = tree_node(v, lo, hi);
+    node.kind = telemetry::NodeKind::kPrunedInfeasible;
+    telemetry::tree_record(node);
+  }
+  return false;
 }
 
 void BnbSearch::search_loop() {
@@ -978,15 +1003,7 @@ void BnbSearch::search_loop() {
       telemetry::TreeNode tnode;
       bool tnode_recorded = false;
       if (tree_on_) {
-        tnode.id = telemetry::tree_next_id();
-        tnode.parent =
-            frame_node_ids_.empty() ? tree_parent_ : frame_node_ids_.back();
-        tnode.depth =
-            static_cast<std::int32_t>(stack_.size() + base_rank_.size());
-        tnode.branch_var = last_branch_var_;
-        tnode.branch_lb = last_branch_lo_;
-        tnode.branch_ub = last_branch_hi_;
-        current_node_id_ = tnode.id;
+        tnode = tree_node(last_branch_.var, last_branch_.lo, last_branch_.hi);
       }
       // Node body under an allocation guard: on bad_alloc the node is rolled
       // back (its subtree dropped, the search marked incomplete) and the DFS
@@ -1027,7 +1044,7 @@ void BnbSearch::search_loop() {
           // Interior node: its branch list (recorded before any donation
           // trims it) is the coverage obligation the checker verifies.
           ProofNode inode;
-          inode.rank = current_rank();
+          inode.rank = rank_;
           inode.kind = ProofNode::Kind::kBranched;
           inode.derivations = take_pending_derivations();
           inode.var = v;
@@ -1035,7 +1052,7 @@ void BnbSearch::search_loop() {
           record_proof_node(std::move(inode));
         }
         if (frame.branches.size() > 1 && pool_.hungry()) {
-          donate_siblings(frame);
+          donate_siblings(frame, tnode.id);
         }
         if (tree_on_) {
           // Record (and register as owner) before the stack pushes: a push
@@ -1046,15 +1063,12 @@ void BnbSearch::search_loop() {
           tnode_recorded = true;
           frame_node_ids_.push_back(tnode.id);
         }
+        rank_.push_back(-1);  // the frame's branch index, set as each applies
         stack_.push_back(std::move(frame));
-        path_.push_back(-1);
       } catch (const std::bad_alloc&) {
-        if (stack_.size() > path_.size()) {
-          // path_.push_back threw after stack_.push_back: undo the frame to
-          // restore the stack/path pairing.
-          domains_.rollback(stack_.back().trail_mark);
-          stack_.pop_back();
-        }
+        // Re-pair the position with the frame stack (a frame push that threw
+        // left no frame; the domains are still at this node's fixpoint).
+        rank_.resize(base_depth_ + stack_.size());
         if (tree_on_) {
           // Re-pair the owner-id vector with the frame stack, then record
           // the dropped node with its real reason (unless already recorded).
@@ -1079,9 +1093,8 @@ void BnbSearch::search_loop() {
         descend = false;
         continue;
       }
-      const auto depth =
-          static_cast<std::int64_t>(stack_.size() + base_rank_.size());
-      if (depth > stats_.max_depth) stats_.max_depth = depth;
+      stats_.max_depth =
+          std::max(stats_.max_depth, static_cast<std::int64_t>(rank_.size()));
     }
 
     // Try the next branch of the top frame; pop exhausted frames.
@@ -1090,63 +1103,15 @@ void BnbSearch::search_loop() {
     domains_.rollback(top.trail_mark);
     if (top.next >= top.branches.size()) {
       stack_.pop_back();
-      path_.pop_back();
+      rank_.pop_back();
       if (tree_on_ && !frame_node_ids_.empty()) frame_node_ids_.pop_back();
       descend = false;
       continue;
     }
-    const auto [blo, bhi] = top.branches[top.next++];
-    path_.back() = static_cast<std::int32_t>(top.next - 1);
-    const VarId v = top.var;
-    bool ok = true;
-    bool empty_on_arrival = false;
-    if (blo > domains_.lb(v)) ok = ok && (domains_.set_lb(v, blo), true);
-    if (bhi < domains_.ub(v)) ok = ok && (domains_.set_ub(v, bhi), true);
-    if (domains_.lb(v) > domains_.ub(v)) {
-      ok = false;
-      empty_on_arrival = true;
-    }
-    if (ok) {
-      ok = propagator_.propagate(domains_, {v}, prop_stats_);
-      if (ok) stage_propagation_log();
-    }
-    if (!ok) {
-      // Conflict: stay on this frame and try its next branch.
-      if (proof_on_) {
-        if (empty_on_arrival) {
-          // The branch box itself was empty: no propagation ran, the
-          // emptiness at the branch variable is the whole refutation.
-          ProofNode leaf;
-          leaf.rank = current_rank();
-          leaf.kind = ProofNode::Kind::kEmptyBox;
-          leaf.var = v;
-          record_proof_node(std::move(leaf));
-        } else {
-          record_conflict_leaf(current_rank());
-        }
-      }
-      ++stats_.nodes_pruned_infeasible;
-      if (tree_on_) {
-        // The refuted branch never descends, so its record is created here.
-        telemetry::TreeNode child;
-        child.id = telemetry::tree_next_id();
-        child.parent =
-            frame_node_ids_.empty() ? tree_parent_ : frame_node_ids_.back();
-        child.depth =
-            static_cast<std::int32_t>(stack_.size() + base_rank_.size());
-        child.branch_var = v;
-        child.branch_lb = blo;
-        child.branch_ub = bhi;
-        child.kind = telemetry::NodeKind::kPrunedInfeasible;
-        telemetry::tree_record(child);
-      }
-      descend = false;
-      continue;
-    }
-    last_branch_var_ = v;
-    last_branch_lo_ = blo;
-    last_branch_hi_ = bhi;
-    descend = true;
+    const auto [blo, bhi] = top.branches[top.next];
+    rank_.back() = static_cast<std::int32_t>(top.next++);
+    // A refuted branch stays on this frame: its next branch is tried next.
+    descend = enter(top.var, blo, bhi);
   }
 }
 
@@ -1160,81 +1125,41 @@ void BnbSearch::run_worker() {
       // must still terminate the solve through cooperative cancellation.
       std::this_thread::sleep_for(std::chrono::duration<double>(stall_sec));
     }
-    base_rank_ = std::move(node.rank);
-    // The root subproblem carries no box: it is the first one any worker
-    // acquires, so the domains still hold the compiled model's bounds.
-    if (node.seed >= 0) domains_.reset_to(node.lb, node.ub);
+    rank_ = std::move(node.rank);
+    base_depth_ = rank_.size();
     stack_.clear();
-    path_.clear();
     stop_ = false;
     seen_candidate_version_ = ~std::uint64_t{0};
     have_candidate_copy_ = false;
     if (tree_on_) {
       frame_node_ids_.clear();
       tree_parent_ = node.tree_parent;
-      current_node_id_ = node.tree_parent;
-      last_branch_var_ = node.seed;
-      if (node.seed >= 0) {
-        last_branch_lo_ = node.lb[static_cast<std::size_t>(node.seed)];
-        last_branch_hi_ = node.ub[static_cast<std::size_t>(node.seed)];
-      } else {
-        last_branch_lo_ = 0.0;
-        last_branch_hi_ = 0.0;
-      }
     }
     sync_shared_incumbent();
 
-    bool ok = true;
-    bool empty_on_arrival = false;
-    std::vector<VarId> seeds;
+    bool ok = false;
     if (node.seed >= 0) {
-      if (domains_.lb(node.seed) > domains_.ub(node.seed)) {
-        ok = false;
-        empty_on_arrival = true;
-      } else {
-        seeds.push_back(node.seed);
-      }
-    }
-    if (ok) ok = propagator_.propagate(domains_, seeds, prop_stats_);
-    if (proof_on_) {
+      // A donated subproblem is entered exactly as its donor's DFS would
+      // have entered it: from the donor's fixpoint, through the branch box.
+      domains_.reset_to(node.lb, node.ub);
+      const auto seed = static_cast<std::size_t>(node.seed);
+      ok = enter(node.seed, node.lb[seed], node.ub[seed]);
+    } else {
+      // The root subproblem carries no box: it is the first one any worker
+      // acquires, so the domains still hold the compiled model's bounds (and
+      // last_branch_ its "no branch" default). Its full propagation is the
+      // solver's presolve.
+      ok = propagator_.propagate(domains_, {}, prop_stats_);
       if (ok) {
         stage_propagation_log();
-      } else if (empty_on_arrival) {
-        // The donated branch box refuted on arrival; mirror the donor's
-        // empty-box leaf at the subtree's base rank.
-        ProofNode leaf;
-        leaf.rank = base_rank_;
-        leaf.kind = ProofNode::Kind::kEmptyBox;
-        leaf.var = node.seed;
-        record_proof_node(std::move(leaf));
       } else {
-        record_conflict_leaf(base_rank_);
+        record_conflict_leaf();
       }
-    }
-    if (node.seed < 0) {
-      // Root subproblem: its fixpoint is the solver's presolve.
       stats_.presolve_bounds_tightened = prop_stats_.bounds_tightened;
       stats_.presolve_vars_fixed = prop_stats_.vars_fixed;
       if (ok) publish_root_bound();
     }
-    if (ok) {
-      search_loop();
-    } else if (node.seed >= 0) {
-      ++stats_.nodes_pruned_infeasible;
-      if (tree_on_) {
-        // The donated branch box refuted on arrival: record it so the
-        // donor's subtree keeps a complete child list in the dump.
-        telemetry::TreeNode child;
-        child.id = telemetry::tree_next_id();
-        child.parent = tree_parent_;
-        child.depth = static_cast<std::int32_t>(base_rank_.size());
-        child.branch_var = node.seed;
-        child.branch_lb = node.lb[static_cast<std::size_t>(node.seed)];
-        child.branch_ub = node.ub[static_cast<std::size_t>(node.seed)];
-        child.kind = telemetry::NodeKind::kPrunedInfeasible;
-        telemetry::tree_record(child);
-      }
-    }
+    if (ok) search_loop();
     pool_.release();
   }
   publish_live();  // final flush of this worker's deltas

@@ -6,8 +6,8 @@
 // parameters, so one session can be re-solved several times with tightened
 // limits between calls. Reduce_Latency does not reuse sessions yet: its
 // solve_window() builds a new formulation and Solver for every probe,
-// because the latency-window rows are part of the model (ROADMAP.md, "Build
-// once per partition count N"). An in-flight solve() is cancelled from
+// because the latency-window rows are part of the model (ROADMAP.md item 3,
+// "one solver session per stage"). An in-flight solve() is cancelled from
 // another thread through the SolverParams::cancel token.
 #pragma once
 

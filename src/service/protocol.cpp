@@ -1,5 +1,7 @@
 #include "service/protocol.hpp"
 
+#include <cmath>
+#include <limits>
 #include <string_view>
 #include <type_traits>
 
@@ -13,6 +15,19 @@ namespace {
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+/// Reads a whole number within int range into *out; false for anything else
+/// (2.5, 1e20, a string), which a plain cast would truncate or wrap.
+bool read_int(const json::Value& value, int* out) {
+  if (!value.is_number()) return false;
+  const double x = value.as_double();
+  if (x != std::floor(x) || x < std::numeric_limits<int>::min() ||
+      x > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(x);
+  return true;
 }
 
 /// Why `value` is outside `range`, or "" when it is inside.
@@ -29,7 +44,14 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
   if (out->workload.empty() == out->graph_text.empty()) {
     return fail(error, "submit needs exactly one of workload or graph_text");
   }
-  out->priority = static_cast<int>(root.member_int("priority", 0));
+  // A value out of range, or not a whole number for an int field, is a
+  // bad_request, reported only once the shape checks below have passed.
+  std::string violation;
+  constexpr const char* kNotInt = " must be a whole number within int range";
+  const json::Value* priority = root.find("priority");
+  if (priority != nullptr && !read_int(*priority, &out->priority)) {
+    violation = std::string("priority") + kNotInt;
+  }
   out->detach = root.member_bool("detach", false);
   const json::Value* options = root.find("options");
   if (options != nullptr) {
@@ -42,7 +64,9 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
       if constexpr (std::is_same_v<T, std::string>) {
         if (v->is_string()) field = v->as_string();
       } else if constexpr (std::is_same_v<T, int>) {
-        field = static_cast<int>(v->as_int(field));
+        if (!read_int(*v, &field) && violation.empty()) {
+          violation = "options." + std::string(key) + kNotInt;
+        }
       } else if constexpr (std::is_same_v<T, double>) {
         field = v->as_double(field);
       } else {
@@ -53,8 +77,9 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
     out->est_memory_mb =
         options->member_double("est_memory_mb", out->est_memory_mb);
   }
-  // The request is well formed; what follows rejects out-of-range values.
-  std::string violation = check_solve_options(*out, OptionSpelling::kJsonKey);
+  if (violation.empty()) {
+    violation = check_solve_options(*out, OptionSpelling::kJsonKey);
+  }
   if (violation.empty() && out->est_memory_mb < 0.0) {
     violation = "options.est_memory_mb must be non-negative";
   }

@@ -219,18 +219,23 @@ TEST(CliTest, ThreadsFlagIsAcceptedAndValidated) {
 TEST(CliTest, MalformedNumbersAreBadInput) {
   // Each value must be rejected whole: no abort on an uncaught std
   // exception, no silent truncation ("50abc" -> 50, "2.5" -> 2), and no
-  // time limit every probe hits at once.
-  const std::vector<std::pair<std::string, std::string>> cases = {
+  // time limit every probe hits at once. A flag given last without its value
+  // is bad input too. The message is the bare text, without the
+  // "precondition failed: (expr) at file:line" of an internal check.
+  const std::vector<std::vector<std::string>> cases = {
       {"--ct", "abc"},         {"--ct", "50abc"},       {"--threads", "x"},
       {"--threads", "2.5"},    {"--rmax", "1e999"},     {"--time-limit", "0"},
-      {"--time-limit", "nan"},
+      {"--time-limit", "nan"}, {"--ct"},
   };
-  for (const auto& [flag, value] : cases) {
-    const CliRun r = run_cli({"--workload", "ar", "--rmax", "200", "--mmax",
-                              "64", "--ct", "50", "--quiet", flag, value});
-    EXPECT_EQ(r.exit_code, 4) << flag << " " << value << ": " << r.err;
-    EXPECT_NE(r.err.find("error:"), std::string::npos) << flag << " " << value;
-    EXPECT_NE(r.err.find(flag), std::string::npos) << flag << " " << value;
+  for (const std::vector<std::string>& tail : cases) {
+    std::vector<std::string> args = {"--workload", "ar", "--rmax", "200",
+                                     "--mmax", "64", "--ct", "50", "--quiet"};
+    args.insert(args.end(), tail.begin(), tail.end());
+    const std::string& flag = tail[0];
+    const CliRun r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 4) << flag << ": " << r.err;
+    EXPECT_EQ(r.err.rfind("error: " + flag, 0), 0u) << r.err;
+    EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
   }
 
   const CliRun submit = run_cli({"submit", "--socket", "/nonexistent",
@@ -238,6 +243,11 @@ TEST(CliTest, MalformedNumbersAreBadInput) {
   EXPECT_EQ(submit.exit_code, 4) << submit.err;
   EXPECT_NE(submit.err.find("error:"), std::string::npos);
   EXPECT_NE(submit.err.find("--ct"), std::string::npos);
+
+  const CliRun no_graph = run_cli({"submit", "--socket", "/nonexistent"});
+  EXPECT_EQ(no_graph.exit_code, 4) << no_graph.err;
+  EXPECT_EQ(no_graph.err.rfind("error: submit needs exactly one of", 0), 0u)
+      << no_graph.err;
 }
 
 TEST(CliTest, SubmitAcceptsBothCertifyForms) {

@@ -6,6 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "arch/device.hpp"
 #include "core/bounds.hpp"
@@ -13,6 +19,8 @@
 #include "milp/certify.hpp"
 #include "milp/solver.hpp"
 #include "support/failpoint.hpp"
+#include "support/json.hpp"
+#include "support/telemetry.hpp"
 #include "workloads/ar_filter.hpp"
 
 namespace sparcs::milp {
@@ -206,6 +214,70 @@ TEST(CertifyInfeasibleTest, RejectsOverflowedProof) {
 
 TEST(CertifyInfeasibleTest, RejectsEmptyProof) {
   EXPECT_FALSE(certify_infeasible(infeasible_model(), {}).ok);
+}
+
+/// 8 pigeons in 7 holes: 56 binaries, infeasible, and a few thousand nodes
+/// deep for propagation alone.
+Model pigeonhole_model() {
+  constexpr int kPigeons = 8;
+  constexpr int kHoles = 7;
+  Model m("pigeonhole");
+  std::vector<std::vector<VarId>> x(kPigeons);
+  for (int p = 0; p < kPigeons; ++p) {
+    for (int h = 0; h < kHoles; ++h) {
+      x[p].push_back(m.add_binary("x" + std::to_string(p) + "_" +
+                                  std::to_string(h)));
+    }
+  }
+  for (int p = 0; p < kPigeons; ++p) {
+    LinExpr row;
+    for (int h = 0; h < kHoles; ++h) row += LinExpr(x[p][h]);
+    m.add_constraint(std::move(row) == 1.0, "pigeon" + std::to_string(p));
+  }
+  for (int h = 0; h < kHoles; ++h) {
+    LinExpr row;
+    for (int p = 0; p < kPigeons; ++p) row += LinExpr(x[p][h]);
+    m.add_constraint(std::move(row) <= 1.0, "hole" + std::to_string(h));
+  }
+  return m;
+}
+
+// Workers hand each other subproblems, and a donated subproblem is entered
+// on another worker: its proof leaves and tree records must still stitch into
+// one exactly checkable proof and one connected tree.
+TEST(CertifyInfeasibleTest, MultiWorkerProofAndTreeStayWhole) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "needs at least 2 hardware threads";
+  }
+  SolverParams params;
+  params.num_threads = 4;
+  params.certify = CertifyMode::kFull;
+  telemetry::tree_clear();
+  telemetry::set_tree_active(true);
+  const MilpSolution s = Solver(pigeonhole_model(), params).solve();
+  telemetry::set_tree_active(false);
+  std::ostringstream dump;
+  telemetry::write_tree_json(dump);
+  telemetry::tree_clear();
+
+  ASSERT_EQ(s.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(s.certified, CertifyStatus::kCertified) << s.certify_detail;
+  const json::ParseResult tree = json::parse(dump.str());
+  ASSERT_TRUE(tree.ok) << tree.error;
+  EXPECT_EQ(tree.value.member_int("evicted"), 0);
+  const json::Value* nodes = tree.value.find("nodes");
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_FALSE(nodes->array().empty());
+  std::set<std::int64_t> ids;
+  for (const json::Value& node : nodes->array()) {
+    ids.insert(node.member_int("id"));
+  }
+  for (const json::Value& node : nodes->array()) {
+    const std::int64_t parent = node.member_int("parent", -1);
+    if (parent >= 0) {
+      EXPECT_EQ(ids.count(parent), 1u) << "missing parent " << parent;
+    }
+  }
 }
 
 // --- corrupt certificates through the solver and the partitioner ------------

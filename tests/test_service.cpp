@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "io/tg_format.hpp"
@@ -108,15 +109,34 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
   std::string code;
   EXPECT_FALSE(parse_request(R"({"op":"submit"})", &request, &error, &code));
   EXPECT_EQ(code, "parse_error");
-  for (const char* line :
-       {R"({"op":"submit","workload":"ar","options":{"alpha":-1}})",
-        R"({"op":"submit","workload":"ar","options":{"gamma":-1}})",
-        R"({"op":"submit","workload":"ar","options":{"threads":-1}})",
-        R"({"op":"submit","workload":"ar","options":{"delta":-1}})"}) {
-    EXPECT_FALSE(parse_request(line, &request, &error, &code)) << line;
+  // An integer field takes only a whole number within int range: 1e20 or
+  // 4294967297 must not wrap into a small value, nor 2.5 truncate to 2.
+  const std::pair<const char*, const char*> bad_requests[] = {
+      {R"({"op":"submit","workload":"ar","options":{"alpha":-1}})",
+       "options.alpha"},
+      {R"({"op":"submit","workload":"ar","options":{"gamma":-1}})",
+       "options.gamma"},
+      {R"({"op":"submit","workload":"ar","options":{"threads":-1}})",
+       "options.threads"},
+      {R"({"op":"submit","workload":"ar","options":{"delta":-1}})",
+       "options.delta"},
+      {R"({"op":"submit","workload":"ar","options":{"alpha":1e20}})",
+       "options.alpha"},
+      {R"({"op":"submit","workload":"ar","options":{"threads":4294967297}})",
+       "options.threads"},
+      {R"({"op":"submit","workload":"ar","options":{"gamma":-4294967295}})",
+       "options.gamma"},
+      {R"({"op":"submit","workload":"ar","options":{"threads":2.5}})",
+       "options.threads"},
+      {R"({"op":"submit","workload":"ar","priority":1e20})", "priority"},
+      {R"({"op":"submit","workload":"ar","priority":0.5})", "priority"},
+  };
+  for (const auto& [line, key] : bad_requests) {
+    Request fresh;  // parse_request fills in only the fields a line names
+    EXPECT_FALSE(parse_request(line, &fresh, &error, &code)) << line;
     EXPECT_EQ(code, "bad_request") << line;
+    EXPECT_EQ(error.rfind(key, 0), 0u) << line << ": " << error;
   }
-  EXPECT_NE(error.find("options.delta"), std::string::npos) << error;
 }
 
 // The one-shot CLI and the daemon both turn a request into a job through
