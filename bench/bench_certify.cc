@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "arch/device.hpp"
-#include "core/refine_partitions.hpp"
+#include "core/partitioner.hpp"
 #include "milp/certify.hpp"
 #include "milp/solver.hpp"
 #include "support/rng.hpp"
@@ -125,13 +125,13 @@ BENCHMARK(BM_CertifyInfeasibleCheck)->Unit(benchmark::kMillisecond);
 void BM_ArSweep(benchmark::State& state) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = arch::custom("ar_dev", 200, 64, 50);
-  core::RefinePartitionsParams params;
-  params.budget.delta = 20.0;
-  params.budget.solver.num_threads = 1;
-  params.budget.solver.certify = mode_of(state.range(0));
+  core::PartitionerOptions options;
+  options.budget.delta = 20.0;
+  options.budget.solver.num_threads = 1;
+  options.budget.solver.certify = mode_of(state.range(0));
   core::PartitionerReport r;
   for (auto _ : state) {
-    r = core::refine_partitions_bound(g, dev, params);
+    r = core::TemporalPartitioner(g, dev, options).run();
     benchmark::DoNotOptimize(r.achieved_latency);
   }
   state.counters["checked"] =

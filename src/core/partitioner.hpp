@@ -24,11 +24,10 @@ struct PartitionerOptions {
   int alpha = 0;  ///< starting partition relaxation
   int gamma = 1;  ///< ending partition relaxation
   /// Shared tolerance/limit/formulation block. budget.delta is the absolute
-  /// latency tolerance (ns); when <= 0, delta is derived as
-  /// delta_fraction * MaxLatency(N_start) (the paper's "small percentage of
-  /// MaxLatency" guidance).
+  /// latency tolerance (ns); when <= 0, delta is 2% of MaxLatency(N_start)
+  /// (the paper's "small percentage of MaxLatency" guidance).
   SearchBudget budget;
-  double delta_fraction = 0.02;
+  /// Hard cap on N in case a pathological instance never becomes feasible.
   int max_partitions = 64;
 
   /// Crash-safe checkpoint/resume of the sweep (core/checkpoint).
@@ -57,7 +56,8 @@ class TemporalPartitioner {
                       const arch::Device& device,
                       PartitionerOptions options = {});
 
-  /// Runs Refine_Partitions_Bound over Reduce_Latency over the ILP.
+  /// Runs Refine_Partitions_Bound over Reduce_Latency over the ILP: the one
+  /// entry to the sweep, defined in core/refine_partitions.cpp.
   [[nodiscard]] PartitionerReport run() const;
 
  private:

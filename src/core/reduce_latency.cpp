@@ -14,22 +14,21 @@
 namespace sparcs::core {
 namespace {
 
-/// One FormModel() + SolveModel() probe of the window [d_min, d_max].
+/// One FormModel() + SolveModel() probe of the window [d_min, d_max]: its
+/// trace row, complete but for the iteration number, and the design found.
 struct Probe {
-  IterationOutcome outcome = IterationOutcome::kInfeasible;
-  VerdictSource source = VerdictSource::kSearch;
+  IterationRecord row;
   std::optional<PartitionedDesign> design;
-  double seconds = 0.0;
-  std::int64_t nodes = 0;
-  milp::SolverStats stats;
-  milp::CertifyStatus certified = milp::CertifyStatus::kNotRequested;
 };
 
 Probe solve_window(const graph::TaskGraph& graph, const arch::Device& device,
                    int num_partitions, double d_max, double d_min,
                    const ReduceLatencyParams& params,
                    const PartitionedDesign* hint) {
-  Probe probe;
+  Probe probe{.row = {.num_partitions = num_partitions,
+                      .d_max_bound = d_max,
+                      .d_min_bound = d_min}};
+  IterationRecord& row = probe.row;
   // Fresh correlation id scoped over the probe: the span below and the
   // Solver::solve inside share it, which is what lets a telemetry sample, a
   // JSON log line and this trace span be joined post-hoc.
@@ -50,23 +49,24 @@ Probe solve_window(const graph::TaskGraph& graph, const arch::Device& device,
   milp::Solver solver(formulation.model(),
                       milp::first_feasible_params(params.budget.clamped_solver()));
   const milp::MilpSolution solution = solver.solve();
-  probe.seconds = stopwatch.seconds();
-  probe.nodes = solution.stats.nodes_explored;
-  probe.stats = solution.stats;
+  row.seconds = stopwatch.seconds();
+  row.nodes = solution.stats.nodes_explored;
+  row.stats = solution.stats;
   span.arg("status", milp::to_string(solution.status));
   // Emitted inside the correlation scope, so a --log-json record exists for
   // every probe that joins with the matching span and telemetry entries.
   SPARCS_DLOG << "probe N=" << num_partitions << " window=[" << d_min << ", "
               << d_max << "] -> " << milp::to_string(solution.status) << " in "
-              << probe.seconds << " s (" << probe.nodes << " nodes)";
+              << row.seconds << " s (" << row.nodes << " nodes)";
   switch (solution.status) {
     case milp::SolveStatus::kFeasible:
     case milp::SolveStatus::kOptimal:
-      probe.outcome = IterationOutcome::kFeasible;
+      row.outcome = IterationOutcome::kFeasible;
       probe.design = formulation.decode(solution.values);
+      row.achieved_latency = probe.design->total_latency_ns;
       break;
     case milp::SolveStatus::kInfeasible:
-      probe.outcome = IterationOutcome::kInfeasible;
+      row.outcome = IterationOutcome::kInfeasible;
       break;
     case milp::SolveStatus::kUnbounded:
     case milp::SolveStatus::kLimitReached:
@@ -74,15 +74,16 @@ Probe solve_window(const graph::TaskGraph& graph, const arch::Device& device,
       // A limit (or an unrecoverable numerical failure) without a solution
       // is treated like an infeasible probe by the search (as a time-limited
       // CPLEX run would be), but the trace records it distinctly.
-      probe.outcome = IterationOutcome::kLimit;
+      row.outcome = IterationOutcome::kLimit;
       break;
   }
-  probe.certified = solution.certified;
+  row.certified = solution.certified;
   if (solution.certified == milp::CertifyStatus::kUncertified) {
     // The verdict survived neither the exact check nor the distrust retry:
     // neither "a design exists" nor "none exists below this bound" can be
     // trusted, so the probe carries no design and moves no window bound.
-    probe.outcome = IterationOutcome::kUncertified;
+    row.outcome = IterationOutcome::kUncertified;
+    row.achieved_latency = 0.0;
     probe.design.reset();
     SPARCS_WLOG << "probe N=" << num_partitions << " window=[" << d_min
                 << ", " << d_max << "] verdict uncertified ("
@@ -104,8 +105,10 @@ std::optional<Probe> refute_by_bound(const graph::TaskGraph& graph,
   // The relative slack keeps an LB(N) that the floating-point LP or MILP
   // rounded up from refuting a target that touches the true bound.
   if (!(target < bound - 1e-6 * std::max(1.0, bound))) return std::nullopt;
-  Probe probe;
-  probe.source = VerdictSource::kLatencyBound;
+  Probe probe{.row = {.num_partitions = num_partitions,
+                      .d_max_bound = target,
+                      .d_min_bound = d_min,
+                      .verdict_source = VerdictSource::kLatencyBound}};
   if (params.budget.solver.certify == milp::CertifyMode::kFull) {
     Stopwatch stopwatch;
     const milp::MilpSolution proof = certify_latency_bound(
@@ -120,10 +123,10 @@ std::optional<Probe> refute_by_bound(const graph::TaskGraph& graph,
                   << "); searching the window";
       return std::nullopt;
     }
-    probe.seconds = stopwatch.seconds();
-    probe.nodes = proof.stats.nodes_explored;
-    probe.stats = proof.stats;
-    probe.certified = proof.certified;
+    probe.row.seconds = stopwatch.seconds();
+    probe.row.nodes = proof.stats.nodes_explored;
+    probe.row.stats = proof.stats;
+    probe.row.certified = proof.certified;
   }
   SPARCS_DLOG << "probe N=" << num_partitions << " window=[" << d_min << ", "
               << target << "] -> infeasible: below LB(N)=" << bound;
@@ -149,22 +152,10 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   int iteration = params.resume ? params.resume->iteration : 0;
   if (params.resume) result.ilp_solves = params.resume->iteration;
 
-  auto record = [&](double ub, double lb, const Probe& probe) {
-    IterationRecord row;
-    row.num_partitions = num_partitions;
-    row.iteration = ++iteration;
-    row.d_max_bound = ub;
-    row.d_min_bound = lb;
-    row.outcome = probe.outcome;
-    row.verdict_source = probe.source;
-    row.achieved_latency =
-        probe.design ? probe.design->total_latency_ns : 0.0;
-    row.seconds = probe.seconds;
-    row.nodes = probe.nodes;
-    row.stats = probe.stats;
-    row.certified = probe.certified;
-    trace.push_back(row);
-    result.solver_stats.merge(probe.stats);
+  auto record = [&](Probe& probe) {
+    probe.row.iteration = ++iteration;
+    trace.push_back(probe.row);
+    result.solver_stats.merge(probe.row.stats);
     ++result.ilp_solves;
   };
 
@@ -262,10 +253,10 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
                 << iteration << " solves";
   } else {
     Probe probe = probe_window(d_max);
-    record(d_max, d_min, probe);
-    if (probe.outcome != IterationOutcome::kFeasible) {
+    record(probe);
+    if (probe.row.outcome != IterationOutcome::kFeasible) {
       result.cut_short = params.budget.interrupted();
-      result.degraded = probe.outcome == IterationOutcome::kUncertified;
+      result.degraded = probe.row.outcome == IterationOutcome::kUncertified;
       return result;  // Da = 0: this partition bound yields no solution
     }
     result.best = std::move(probe.design);
@@ -288,8 +279,8 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
     // Warm-start from the portfolio (which includes the running incumbent):
     // the next solution is often a local perturbation of one of its shapes.
     Probe probe = probe_window(target);
-    record(target, d_min, probe);
-    if (probe.outcome == IterationOutcome::kUncertified) {
+    record(probe);
+    if (probe.row.outcome == IterationOutcome::kUncertified) {
       // Conservative stop: raising d_min on a distrusted "infeasible" could
       // fence off the true optimum, and a distrusted "feasible" design must
       // not become the reported latency. The incumbent (last probe that DID
@@ -297,7 +288,7 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
       result.degraded = true;
       break;
     }
-    if (probe.outcome == IterationOutcome::kFeasible) {
+    if (probe.row.outcome == IterationOutcome::kFeasible) {
       result.best = std::move(probe.design);
       result.achieved_latency = result.best->total_latency_ns;
       d_max = result.achieved_latency;

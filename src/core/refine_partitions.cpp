@@ -1,10 +1,14 @@
 #include "core/refine_partitions.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/bounds.hpp"
 #include "core/checkpoint.hpp"
+#include "core/deadline.hpp"
+#include "core/partitioner.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
@@ -34,32 +38,100 @@ int run_exit_code(bool feasible, bool degraded, bool uncertified) {
   return feasible ? 0 : 2;
 }
 
+namespace {
 
-PartitionerReport refine_partitions_bound(
-    const graph::TaskGraph& graph, const arch::Device& device,
-    const RefinePartitionsParams& params) {
-  SPARCS_REQUIRE(params.alpha >= 0, "alpha must be non-negative");
-  SPARCS_REQUIRE(params.gamma >= 0, "gamma must be non-negative");
-  graph.validate();
-  device.validate();
+/// Where a run writes its snapshots, and the snapshot a resume continues.
+struct CheckpointSession {
+  std::unique_ptr<CheckpointWriter> writer;  ///< null: no checkpointing
+  std::optional<SweepCheckpoint> restored;
+  /// Why a requested resume did not restore; the run then starts fresh.
+  std::string resume_error;
+};
 
+/// Opens the checkpoint a run's options ask for. The fingerprint binds the
+/// snapshot to everything that shapes the search trajectory (graph, device,
+/// alpha/gamma/delta/cap, formulation): a resume against different inputs
+/// is rejected and the run proceeds fresh, never mixing two searches.
+CheckpointSession open_checkpoint(const graph::TaskGraph& graph,
+                                  const arch::Device& device,
+                                  const PartitionerOptions& options,
+                                  double delta) {
+  CheckpointSession session;
+  const PartitionerOptions::CheckpointOptions& ckpt = options.checkpoint;
+  if (ckpt.path.empty()) return session;
+  const std::uint64_t fingerprint = checkpoint_fingerprint(
+      graph, device, options.alpha, options.gamma, delta,
+      options.max_partitions, options.budget.formulation);
+  if (ckpt.resume) {
+    CheckpointLoadResult loaded =
+        load_checkpoint(ckpt.path, fingerprint, graph, device);
+    switch (loaded.status) {
+      case CheckpointLoadStatus::kOk:
+        session.restored = std::move(loaded.checkpoint);
+        SPARCS_ILOG << "resuming sweep from checkpoint " << ckpt.path;
+        break;
+      case CheckpointLoadStatus::kMissing:
+        // Nothing to resume (first run, or the crash happened before the
+        // first snapshot): a fresh run is exactly what --resume wants.
+        SPARCS_ILOG << "no checkpoint to resume at " << ckpt.path
+                    << "; starting fresh";
+        break;
+      default:
+        session.resume_error = loaded.error;
+        SPARCS_WLOG << "checkpoint " << ckpt.path << " rejected ("
+                    << to_string(loaded.status) << "): " << loaded.error
+                    << "; starting fresh";
+        break;
+    }
+  }
+  session.writer = std::make_unique<CheckpointWriter>(
+      ckpt.path, ckpt.min_interval_sec, fingerprint);
+  if (ckpt.observer) session.writer->set_observer(ckpt.observer);
+  return session;
+}
+
+}  // namespace
+
+PartitionerReport TemporalPartitioner::run() const {
   PartitionerReport result;
-  trace::Span sweep_span("Refine_Partitions_Bound");
-  Stopwatch stopwatch;
-
-  ReduceLatencyParams inner;
-  inner.budget = params.budget;
-
-  const int n_min_lower = min_area_partitions(graph, device);
-  const int n_min_upper = max_area_partitions(graph, device);
-  const int n_start = n_min_lower + params.alpha;
-  const int n_stop = n_min_upper + params.gamma;
+  result.n_min_lower = min_area_partitions(graph_, device_);
+  result.n_min_upper = max_area_partitions(graph_, device_);
+  const int n_start = result.n_min_lower + options_.alpha;
+  const int n_stop = result.n_min_upper + options_.gamma;
   // Until a first design exists N grows past n_stop if it must. Any design
   // uses at most one partition per task, so feasibility is settled once N
   // reaches the task count (or the start N, when alpha puts it higher):
   // growing N further cannot help.
   const int n_phase1_cap = std::min(
-      params.max_partitions, std::max({graph.num_tasks(), n_stop, n_start}));
+      options_.max_partitions, std::max({graph_.num_tasks(), n_stop, n_start}));
+
+  // An unset tolerance is 2% of MaxLatency at the start bound.
+  ReduceLatencyParams inner;
+  inner.budget = options_.budget;
+  if (inner.budget.delta <= 0.0) {
+    inner.budget.delta =
+        std::max(1e-9, 0.02 * max_latency(graph_, device_, n_start));
+  }
+  result.delta_used = inner.budget.delta;
+  const SearchBudget& budget = inner.budget;
+
+  CheckpointSession session =
+      open_checkpoint(graph_, device_, options_, result.delta_used);
+  result.resume_error = std::move(session.resume_error);
+  result.resumed = session.restored.has_value();
+
+  // Deadline enforcement is layered: every solve clamps its time limit to
+  // the remaining budget (cooperative), and the watchdog force-cancels the
+  // run through the token if a solve still overruns by the grace margin.
+  if (budget.deadline.valid() && !budget.solver.cancel.valid()) {
+    inner.budget.solver.cancel = milp::CancelToken::create();
+  }
+  DeadlineWatchdog watchdog(budget.deadline,
+                            DeadlineWatchdog::default_grace_sec(budget.deadline),
+                            budget.solver.cancel);
+
+  trace::Span sweep_span("Refine_Partitions_Bound");
+  Stopwatch stopwatch;
 
   // ---- checkpoint plumbing ----
   // `ckpt` is the evolving durable state. Its SweepOutcome half is copied
@@ -69,8 +141,9 @@ PartitionerReport refine_partitions_bound(
   // fired), and skipped placeholders are only appended on a degraded finish,
   // which does not sync. Mid-refinement snapshots carry the pre-stage
   // outcome plus an in_progress window; stage completions clear the window.
-  CheckpointWriter* const ckpt_writer = params.checkpoint;
-  const SweepCheckpoint* const resume = params.resume;
+  CheckpointWriter* const ckpt_writer = session.writer.get();
+  const SweepCheckpoint* const resume =
+      session.restored ? &*session.restored : nullptr;
   SweepCheckpoint ckpt;
   double base_seconds = 0.0;
 
@@ -129,8 +202,8 @@ PartitionerReport refine_partitions_bound(
   LatencyBoundSource reach = LatencyBoundSource::kMilp;
 
   auto time_expired = [&] {
-    return stopwatch.seconds() >= params.budget.time_budget_sec ||
-           params.budget.interrupted();
+    return stopwatch.seconds() >= budget.time_budget_sec ||
+           budget.interrupted();
   };
 
   /// Appends the stage account for partition bound `n`: its solve count and
@@ -180,6 +253,12 @@ PartitionerReport refine_partitions_bound(
     }
     telemetry::publish_degraded(result.degraded);
     telemetry::set_stage("done", result.best_num_partitions);
+    result.watchdog_fired = watchdog.fired();
+    if (result.best) {
+      const DesignCheck check = validate_design(graph_, device_, *result.best);
+      SPARCS_CHECK(check.ok, "partitioner returned an invalid design: " +
+                                 check.violation);
+    }
   };
 
   if (resume != nullptr && resume->complete) {
@@ -225,7 +304,7 @@ PartitionerReport refine_partitions_bound(
     }
     if (!found && n > n_phase1_cap) break;  // no solution in explorable range
     telemetry::set_stage(found ? "phase2" : "phase1", n);
-    const double d_min = min_latency(graph, device, n);
+    const double d_min = min_latency(graph_, device_, n);
     if (found && d_min >= result.achieved_latency) {
       // Even a perfect schedule at N partitions pays more reconfiguration
       // overhead than the incumbent: the incumbent is final.
@@ -239,17 +318,17 @@ PartitionerReport refine_partitions_bound(
     inner.warm_start = result.best;
     LatencyBound bound{d_min, LatencyBoundSource::kMinLatency, {}};
     if (reach != LatencyBoundSource::kMinLatency) {
-      bound = latency_relaxation_bound(graph, device, n,
-                                       params.budget.clamped_solver(),
+      bound = latency_relaxation_bound(graph_, device_, n,
+                                       budget.clamped_solver(),
                                        reach == LatencyBoundSource::kMilp);
     }
     reach = std::min(reach, bound.source);
     inner.latency_bound = std::move(bound);
     const double d_max =
-        found ? result.achieved_latency : max_latency(graph, device, n);
+        found ? result.achieved_latency : max_latency(graph_, device_, n);
     const std::size_t first_row = result.trace.size();
     ReduceLatencyResult reduced = reduce_latency(
-        graph, device, n, d_max, d_min, inner, result.trace);
+        graph_, device_, n, d_max, d_min, inner, result.trace);
     result.ilp_solves += reduced.ilp_solves;
     result.solver_stats.merge(reduced.solver_stats);
     record_stage(n, reduced, first_row);

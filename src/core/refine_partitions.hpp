@@ -1,4 +1,6 @@
-// Algorithm Refine_Partitions_Bound (Figure 2): the partition-space sweep.
+// Algorithm Refine_Partitions_Bound (Figure 2): the partition-space sweep,
+// run by TemporalPartitioner::run() (core/partitioner.hpp) and defined next
+// to the records below in core/refine_partitions.cpp.
 //
 // Starting from N = N^l_min + alpha, the sweep calls Reduce_Latency per
 // partition bound. Infeasible bounds increase N until a first solution
@@ -27,11 +29,6 @@
 
 namespace sparcs::core {
 
-// Defined in core/checkpoint.hpp; the sweep takes them by pointer so the
-// checkpoint subsystem can layer on top of this header without a cycle.
-struct SweepCheckpoint;
-class CheckpointWriter;
-
 /// How the sweep treated one partition bound N.
 enum class StageStatus : std::uint8_t {
   kProbed,    ///< Reduce_Latency ran to natural termination
@@ -55,23 +52,6 @@ struct StageAccount {
   double seconds = 0.0;  ///< solver wall time spent on this bound
 };
 
-struct RefinePartitionsParams {
-  int alpha = 0;  ///< starting partition relaxation (added to N^l_min)
-  int gamma = 1;  ///< ending partition relaxation (added to N^u_min)
-  /// Shared tolerance/limit/formulation block (delta, time budget, solver,
-  /// formulation), forwarded to every Reduce_Latency call.
-  SearchBudget budget;
-  /// Hard cap on N in case a pathological instance never becomes feasible.
-  int max_partitions = 64;
-  /// Validated snapshot to continue from instead of starting the sweep at
-  /// N^l_min + alpha. Borrowed; may be null. The caller is responsible for
-  /// fingerprint-checking it against this run's inputs (core/checkpoint).
-  const SweepCheckpoint* resume = nullptr;
-  /// Destination for ongoing snapshots (stage completions and throttled
-  /// mid-refinement states). Borrowed; may be null = no checkpointing.
-  CheckpointWriter* checkpoint = nullptr;
-};
-
 /// The part of a sweep's outcome that a checkpoint stores and a resume
 /// restores (core/checkpoint). SweepCheckpoint and PartitionerReport both
 /// derive from it, so syncing one into the other is a single assignment.
@@ -88,10 +68,8 @@ struct SweepOutcome {
   std::vector<StageAccount> stages;
 };
 
-/// Everything a run learned, including the paper-table trace.
-/// refine_partitions_bound fills the sweep's fields; the TemporalPartitioner
-/// facade (core/partitioner) adds the derived inputs, the resume status and
-/// the watchdog flag.
+/// Everything a run learned, including the paper-table trace. Every field is
+/// filled by TemporalPartitioner::run().
 struct PartitionerReport : SweepOutcome {
   bool feasible = false;  ///< `best` holds a design
   Trace trace;            ///< all SolveModel() calls, in order
@@ -130,9 +108,5 @@ struct PartitionerReport : SweepOutcome {
 /// no design was found, else 0.
 [[nodiscard]] int run_exit_code(bool feasible, bool degraded,
                                 bool uncertified);
-
-PartitionerReport refine_partitions_bound(
-    const graph::TaskGraph& graph, const arch::Device& device,
-    const RefinePartitionsParams& params);
 
 }  // namespace sparcs::core

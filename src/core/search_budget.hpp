@@ -1,8 +1,9 @@
 // The slice of search configuration shared by every layer of the paper's
-// procedure. PartitionerOptions, RefinePartitionsParams and
-// ReduceLatencyParams all embed one SearchBudget instead of re-declaring the
-// same four fields, so a budget configured once (CLI, benches, tests) flows
-// unchanged from the partitioner facade down to each SolveModel() call.
+// procedure. PartitionerOptions and ReduceLatencyParams both embed one
+// SearchBudget instead of re-declaring the same fields, so a budget
+// configured once (CLI, service, benches, tests) flows unchanged from
+// TemporalPartitioner::run(), the one entry to the sweep, down to each
+// SolveModel() call.
 #pragma once
 
 #include <algorithm>

@@ -17,9 +17,10 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Reads a whole number within int range into *out; false for anything else
-/// (2.5, 1e20, a string), which a plain cast would truncate or wrap.
-bool read_int(const json::Value& value, int* out) {
+/// Reads a JSON value into a request field of the matching type; false when
+/// it has another type, or, for an int, is not a whole number within int
+/// range (2.5, 1e20), which a plain cast would truncate or wrap.
+bool read_field(const json::Value& value, int* out) {
   if (!value.is_number()) return false;
   const double x = value.as_double();
   if (x != std::floor(x) || x < std::numeric_limits<int>::min() ||
@@ -28,6 +29,40 @@ bool read_int(const json::Value& value, int* out) {
   }
   *out = static_cast<int>(x);
   return true;
+}
+
+bool read_field(const json::Value& value, double* out) {
+  if (value.is_number()) *out = value.as_double();
+  return value.is_number();
+}
+
+bool read_field(const json::Value& value, std::optional<double>* out) {
+  if (value.is_number()) *out = value.as_double();
+  return value.is_number();
+}
+
+bool read_field(const json::Value& value, bool* out) {
+  if (value.is_bool()) *out = value.as_bool();
+  return value.is_bool();
+}
+
+bool read_field(const json::Value& value, std::string* out) {
+  if (value.is_string()) *out = value.as_string();
+  return value.is_string();
+}
+
+/// What read_field asks of a field of type T, as the tail of a message.
+template <typename T>
+constexpr const char* type_requirement() {
+  if constexpr (std::is_same_v<T, int>) {
+    return " must be a whole number within int range";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return " must be true or false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return " must be a string";
+  } else {
+    return " must be a number";
+  }
 }
 
 /// Why `value` is outside `range`, or "" when it is inside.
@@ -44,38 +79,28 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
   if (out->workload.empty() == out->graph_text.empty()) {
     return fail(error, "submit needs exactly one of workload or graph_text");
   }
-  // A value out of range, or not a whole number for an int field, is a
-  // bad_request, reported only once the shape checks below have passed.
+  // A value of the wrong type or out of range is a bad_request, reported
+  // only once the shape checks below have passed; an absent key keeps the
+  // field's default.
   std::string violation;
-  constexpr const char* kNotInt = " must be a whole number within int range";
-  const json::Value* priority = root.find("priority");
-  if (priority != nullptr && !read_int(*priority, &out->priority)) {
-    violation = std::string("priority") + kNotInt;
-  }
-  out->detach = root.member_bool("detach", false);
+  auto read = [&](const json::Value& object, std::string_view prefix,
+                  std::string_view key, auto& field) {
+    const json::Value* v = object.find(key);
+    if (v == nullptr || read_field(*v, &field) || !violation.empty()) return;
+    violation = std::string(prefix) + std::string(key) +
+                type_requirement<std::remove_cvref_t<decltype(field)>>();
+  };
+  read(root, "", "priority", out->priority);
+  read(root, "", "detach", out->detach);
   const json::Value* options = root.find("options");
   if (options != nullptr) {
     if (!options->is_object()) return fail(error, "options must be an object");
     for_each_solve_option(*out, [&](std::string_view, std::string_view key,
                                     auto& field, OptionRange) {
-      const json::Value* v = options->find(key);
-      if (v == nullptr) return;
-      using T = std::remove_cvref_t<decltype(field)>;
-      if constexpr (std::is_same_v<T, std::string>) {
-        if (v->is_string()) field = v->as_string();
-      } else if constexpr (std::is_same_v<T, int>) {
-        if (!read_int(*v, &field) && violation.empty()) {
-          violation = "options." + std::string(key) + kNotInt;
-        }
-      } else if constexpr (std::is_same_v<T, double>) {
-        field = v->as_double(field);
-      } else {
-        field = v->as_double();
-      }
+      read(*options, "options.", key, field);
     });
-    out->checkpoint = options->member_bool("checkpoint", out->checkpoint);
-    out->est_memory_mb =
-        options->member_double("est_memory_mb", out->est_memory_mb);
+    read(*options, "options.", "checkpoint", out->checkpoint);
+    read(*options, "options.", "est_memory_mb", out->est_memory_mb);
   }
   if (violation.empty()) {
     violation = check_solve_options(*out, OptionSpelling::kJsonKey);

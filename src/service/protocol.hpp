@@ -95,8 +95,9 @@ struct Request {
 /// Decodes one request line. Returns false with a diagnostic in *error on
 /// malformed JSON, an unknown op, or field validation failure, and the code
 /// of the error response in *code (when given): parse_error for a line that
-/// is not a well-formed request, bad_request for an out-of-range value. The
-/// server answers with that response instead of closing.
+/// is not a well-formed request, bad_request for a value of the wrong JSON
+/// type or out of range, naming its key. The server answers with that
+/// response instead of closing.
 [[nodiscard]] bool parse_request(const std::string& line, Request* out,
                                  std::string* error,
                                  std::string* code = nullptr);

@@ -95,12 +95,12 @@ TEST(ReduceLatencyTest, RejectsNonPositiveDelta) {
 TEST(RefinePartitionsTest, SkipsInfeasibleBoundsThenSolves) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = ar_device(50);
-  RefinePartitionsParams params;
-  params.alpha = 0;
-  params.gamma = 1;
-  params.budget.delta = 20.0;
-  params.budget.solver.node_limit = 200000;
-  const PartitionerReport r = refine_partitions_bound(g, dev, params);
+  PartitionerOptions options;
+  options.alpha = 0;
+  options.gamma = 1;
+  options.budget.delta = 20.0;
+  options.budget.solver.node_limit = 200000;
+  const PartitionerReport r = TemporalPartitioner(g, dev, options).run();
   ASSERT_TRUE(r.best.has_value());
   EXPECT_GE(r.best_num_partitions, min_area_partitions(g, dev));
   EXPECT_TRUE(validate_design(g, dev, *r.best).ok);
@@ -112,9 +112,9 @@ TEST(RefinePartitionsTest, LargeReconfigStopsAtLowerBound) {
   // possible execution-time gain, so after the first feasible N the
   // MinLatency(N+1) >= Da rule must stop the sweep.
   const arch::Device dev = ar_device(1e7);
-  RefinePartitionsParams params;
-  params.budget.delta = 20.0;
-  const PartitionerReport r = refine_partitions_bound(g, dev, params);
+  PartitionerOptions options;
+  options.budget.delta = 20.0;
+  const PartitionerReport r = TemporalPartitioner(g, dev, options).run();
   ASSERT_TRUE(r.best.has_value());
   EXPECT_TRUE(r.stopped_by_lower_bound);
   // The best design sits at the first feasible partition bound (N = 2 is
@@ -136,10 +136,10 @@ TEST(RefinePartitionsTest, SmallReconfigExploresLargerN) {
   // Nearly free reconfiguration: relaxing N lets faster design points fit,
   // so the best N should exceed the minimum.
   const arch::Device dev = ar_device(1.0);
-  RefinePartitionsParams params;
-  params.budget.delta = 10.0;
-  params.gamma = 1;
-  const PartitionerReport r = refine_partitions_bound(g, dev, params);
+  PartitionerOptions options;
+  options.budget.delta = 10.0;
+  options.gamma = 1;
+  const PartitionerReport r = TemporalPartitioner(g, dev, options).run();
   ASSERT_TRUE(r.best.has_value());
   // N = 3 is the first feasible bound (N = 2 fails on area packing).
   const int n_first = 3;
@@ -169,16 +169,19 @@ TEST(PartitionerTest, EndToEndReportIsConsistent) {
   EXPECT_DOUBLE_EQ(report.delta_used, 20.0);
 }
 
+// An unset tolerance is 2% of MaxLatency at the start bound N^l_min + alpha.
 TEST(PartitionerTest, DerivesDeltaFromFraction) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = ar_device(50);
-  PartitionerOptions options;
-  options.budget.delta = 0.0;
-  options.delta_fraction = 0.05;
-  const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
-  const double expected =
-      0.05 * max_latency(g, dev, min_area_partitions(g, dev));
-  EXPECT_DOUBLE_EQ(report.delta_used, expected);
+  for (const int alpha : {0, 1}) {
+    PartitionerOptions options;
+    options.alpha = alpha;
+    options.budget.delta = 0.0;
+    const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+    const double expected =
+        0.02 * max_latency(g, dev, min_area_partitions(g, dev) + alpha);
+    EXPECT_DOUBLE_EQ(report.delta_used, expected) << "alpha=" << alpha;
+  }
 }
 
 // The paper's Table-1 claim: on the AR filter the iterative procedure's

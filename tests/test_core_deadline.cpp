@@ -184,12 +184,13 @@ TEST(DeadlineDegradationTest, GenerousDeadlineMatchesUnconstrainedRun) {
 TEST(DeadlineDegradationTest, StageAccountIsConsistentWhenUnconstrained) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = ar_device(50);
-  RefinePartitionsParams params;
-  params.budget = slow_options().budget;
   const PartitionerReport result =
-      refine_partitions_bound(g, dev, params);
+      TemporalPartitioner(g, dev, slow_options()).run();
   ASSERT_TRUE(result.best.has_value());
   EXPECT_FALSE(result.degraded);
+  EXPECT_EQ(result.n_min_lower, 2);
+  EXPECT_EQ(result.n_min_upper, 3);
+  EXPECT_DOUBLE_EQ(result.delta_used, 0.05);
   ASSERT_FALSE(result.stages.empty());
   int total_solves = 0;
   for (const StageAccount& stage : result.stages) {
@@ -202,14 +203,16 @@ TEST(DeadlineDegradationTest, StageAccountIsConsistentWhenUnconstrained) {
 TEST(DeadlineDegradationTest, PreCancelledBudgetDegradesImmediately) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = ar_device(50);
-  RefinePartitionsParams params;
-  params.budget = slow_options().budget;
-  params.budget.solver.cancel = milp::CancelToken::create();
-  params.budget.solver.cancel.request_cancel();
-  const PartitionerReport result =
-      refine_partitions_bound(g, dev, params);
+  PartitionerOptions options = slow_options();
+  options.budget.solver.cancel = milp::CancelToken::create();
+  options.budget.solver.cancel.request_cancel();
+  const PartitionerReport result = TemporalPartitioner(g, dev, options).run();
   EXPECT_TRUE(result.degraded);
   EXPECT_FALSE(result.best.has_value());
+  // The derived inputs are reported even when no probe ran.
+  EXPECT_EQ(result.n_min_lower, 2);
+  EXPECT_EQ(result.n_min_upper, 3);
+  EXPECT_DOUBLE_EQ(result.delta_used, 0.05);
 }
 
 TEST(DeadlineDegradationTest, StageStatusNamesAreStable) {

@@ -9,7 +9,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/refine_partitions.hpp"
+#include "core/partitioner.hpp"
 #include "json_checker.hpp"
 #include "milp/checker.hpp"
 #include "milp/simplex.hpp"
@@ -318,13 +318,13 @@ TEST_F(TelemetryFailpointTest, DegradedSweepIsReflectedInFinalRecord) {
   failpoint::arm("milp.solve.timeout");
   const graph::TaskGraph graph = workloads::dct_task_graph();
   const arch::Device device = arch::custom("test", 576.0, 4096.0, 100.0);
-  core::RefinePartitionsParams params;
-  params.budget.delta = 100.0;
-  params.budget.time_budget_sec = 0.0;
-  params.budget.solver.time_limit_sec = 0.05;
-  params.budget.solver.num_threads = 1;
+  core::PartitionerOptions options;
+  options.budget.delta = 100.0;
+  options.budget.time_budget_sec = 0.0;
+  options.budget.solver.time_limit_sec = 0.05;
+  options.budget.solver.num_threads = 1;
   const core::PartitionerReport result =
-      core::refine_partitions_bound(graph, device, params);
+      core::TemporalPartitioner(graph, device, options).run();
   EXPECT_FALSE(result.best.has_value());
   EXPECT_TRUE(result.degraded);
   telemetry::stop_sampler();

@@ -15,7 +15,7 @@
 
 #include "arch/device.hpp"
 #include "core/bounds.hpp"
-#include "core/refine_partitions.hpp"
+#include "core/partitioner.hpp"
 #include "milp/certify.hpp"
 #include "milp/solver.hpp"
 #include "support/failpoint.hpp"
@@ -320,21 +320,21 @@ TEST_F(CertifyFailpointTest, CorruptProofDegradesSweepWithoutChangingLatency) {
   // corrupt_proof is the one that fires here.
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = arch::custom("ar_dev", 200, 64, 50);
-  core::RefinePartitionsParams params;
-  params.budget.delta = 20.0;
-  params.budget.solver.node_limit = 200000;
-  params.budget.solver.num_threads = 1;
-  params.budget.solver.certify = CertifyMode::kFull;
+  core::PartitionerOptions options;
+  options.budget.delta = 20.0;
+  options.budget.solver.node_limit = 200000;
+  options.budget.solver.num_threads = 1;
+  options.budget.solver.certify = CertifyMode::kFull;
 
   const core::PartitionerReport clean =
-      core::refine_partitions_bound(g, dev, params);
+      core::TemporalPartitioner(g, dev, options).run();
   ASSERT_TRUE(clean.best.has_value());
   EXPECT_FALSE(clean.degraded);
 
   failpoint::arm("milp.certify.corrupt_ray");
   failpoint::arm("milp.certify.corrupt_proof");
   const core::PartitionerReport corrupted =
-      core::refine_partitions_bound(g, dev, params);
+      core::TemporalPartitioner(g, dev, options).run();
   failpoint::disarm_all();
 
   ASSERT_TRUE(corrupted.best.has_value());

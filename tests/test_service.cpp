@@ -130,6 +130,22 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
        "options.threads"},
       {R"({"op":"submit","workload":"ar","priority":1e20})", "priority"},
       {R"({"op":"submit","workload":"ar","priority":0.5})", "priority"},
+      // Every other key takes only its own JSON type: a string, a null or a
+      // number where another type belongs is refused, never read as 0,
+      // false or the default.
+      {R"({"op":"submit","workload":"ar","options":{"ct":"50"}})",
+       "options.ct"},
+      {R"({"op":"submit","workload":"ar","options":{"rmax":null}})",
+       "options.rmax"},
+      {R"({"op":"submit","workload":"ar","options":{"delta":"20"}})",
+       "options.delta"},
+      {R"({"op":"submit","workload":"ar","options":{"certify":5}})",
+       "options.certify"},
+      {R"({"op":"submit","workload":"ar","options":{"checkpoint":"yes"}})",
+       "options.checkpoint"},
+      {R"({"op":"submit","workload":"ar","options":{"est_memory_mb":"2"}})",
+       "options.est_memory_mb"},
+      {R"({"op":"submit","workload":"ar","detach":1})", "detach"},
   };
   for (const auto& [line, key] : bad_requests) {
     Request fresh;  // parse_request fills in only the fields a line names
