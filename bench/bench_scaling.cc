@@ -126,7 +126,7 @@ void BM_FullPartitionerVsTasks(benchmark::State& state) {
     core::PartitionerOptions options;
     options.budget.delta = 100.0;
     options.budget.solver.time_limit_sec = 2.0;
-    options.budget.time_budget_sec = 30.0;
+    options.budget.deadline = core::Deadline::after_seconds(30);
     report = core::TemporalPartitioner(g, dev, options).run();
   }
   state.counters["Da_ns"] = report.feasible ? report.achieved_latency : 0;

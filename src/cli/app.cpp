@@ -34,13 +34,6 @@
 namespace sparcs::cli {
 namespace {
 
-/// Rejects bad user input (exit 4) with `message` alone. SPARCS_REQUIRE is
-/// for broken caller preconditions: it would prefix the failed expression
-/// and its source location.
-void require_input(bool ok, const std::string& message) {
-  if (!ok) throw InvalidArgumentError(message);
-}
-
 /// Parses a numeric flag value strictly: the whole string must be a number of
 /// type T in range, and a floating-point value must be finite. Anything else
 /// ("abc", "50abc", "2.5" for an int, "1e999", "nan") is bad input (exit 4)

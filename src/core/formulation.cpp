@@ -1,6 +1,7 @@
 #include "core/formulation.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "graph/algorithms.hpp"
@@ -37,13 +38,10 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
     : graph_(graph),
       device_(device),
       n_(num_partitions),
-      d_max_(d_max),
-      d_min_(d_min),
       model_("tp_n" + std::to_string(num_partitions)) {
   graph.validate();
   device.validate();
   SPARCS_REQUIRE(n_ >= 1, "need at least one partition");
-  SPARCS_REQUIRE(d_min_ <= d_max_, "latency window is empty");
 
   create_variables();
   add_uniqueness();
@@ -64,6 +62,15 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
   }
   add_eta_definition();
   add_latency_window();
+  set_window(d_max, d_min);
+}
+
+void IlpFormulation::set_window(double d_max, double d_min) {
+  SPARCS_REQUIRE(d_min <= d_max, "latency window is empty");
+  const double d_ub = std::max(0.0, d_max - device_.reconfig_time_ns);
+  for (const VarId d : d_) model_.set_bounds(d, 0.0, d_ub);
+  model_.set_rhs(latency_ub_, d_max);
+  model_.set_rhs(latency_lb_, d_min);
 }
 
 void IlpFormulation::create_variables() {
@@ -107,11 +114,10 @@ void IlpFormulation::create_variables() {
     ++topo_pos;
   }
 
-  const double d_ub = std::max(0.0, d_max_ - device_.reconfig_time_ns);
+  // set_window() sets the upper bounds.
   d_.clear();
   for (int p = 1; p <= n_; ++p) {
-    d_.push_back(
-        model_.add_continuous(0.0, d_ub, "d_p" + std::to_string(p)));
+    d_.push_back(model_.add_continuous(0.0, 0.0, "d_p" + std::to_string(p)));
   }
   eta_ = model_.add_integer(1, n_, "eta");
 }
@@ -309,9 +315,14 @@ void IlpFormulation::add_latency_path_based(const milp::PathFamily& dag) {
 }
 
 // Flow-based alternative to (7): completion times chain along edges that do
-// not cross a partition boundary; d_p dominates completions inside p.
+// not cross a partition boundary; d_p dominates completions inside p. The
+// big-M is the sum of every task's largest latency, which bounds any
+// completion time inside a partition whatever the window.
 void IlpFormulation::add_latency_flow_based() {
-  const double big_m = std::max(0.0, d_max_ - device_.reconfig_time_ns);
+  double big_m = 0.0;
+  for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
+    big_m += graph_.max_latency(t);
+  }
   std::vector<VarId> completion;
   completion.reserve(static_cast<std::size_t>(graph_.num_tasks()));
   for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
@@ -360,13 +371,14 @@ void IlpFormulation::add_eta_definition() {
   }
 }
 
-// (9)/(10): total latency (execution plus reconfiguration) inside the window.
+// (9)/(10): total latency (execution plus reconfiguration) inside the
+// window; set_window() sets the right-hand sides.
 void IlpFormulation::add_latency_window() {
   LinExpr total;
   for (int p = 1; p <= n_; ++p) total += LinExpr(d(p));
   total += LinExpr(eta_, device_.reconfig_time_ns);
-  model_.add_constraint(total <= d_max_, "latency_ub");
-  model_.add_constraint(std::move(total) >= d_min_, "latency_lb");
+  latency_ub_ = model_.add_constraint(total <= 0.0, "latency_ub");
+  latency_lb_ = model_.add_constraint(std::move(total) >= 0.0, "latency_lb");
 }
 
 void IlpFormulation::apply_hints(const PartitionedDesign& design) {
@@ -374,14 +386,25 @@ void IlpFormulation::apply_hints(const PartitionedDesign& design) {
                      graph_.num_tasks(),
                  "hint design does not cover all tasks");
   for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-    const TaskAssignment& a = design.assignment[static_cast<std::size_t>(t)];
-    if (a.partition < 1 || a.partition > n_) continue;  // not hintable here
-    for (int p = 1; p <= n_; ++p) {
-      for (int k = 0; k < num_points(t); ++k) {
-        const bool selected =
-            p == a.partition && design_point_index(t, k) == a.design_point;
-        model_.set_branch_hint(y(t, p, k), selected ? 1.0 : 0.0);
+    hint_task(t, design.assignment[static_cast<std::size_t>(t)]);
+  }
+}
+
+void IlpFormulation::clear_hints() {
+  for (TaskId t = 0; t < graph_.num_tasks(); ++t) hint_task(t, {});
+}
+
+void IlpFormulation::hint_task(TaskId t, const TaskAssignment& a) {
+  const bool usable = a.partition >= 1 && a.partition <= n_;
+  for (int p = 1; p <= n_; ++p) {
+    for (int k = 0; k < num_points(t); ++k) {
+      double hint = std::numeric_limits<double>::quiet_NaN();  // none
+      if (usable) {
+        hint = p == a.partition && design_point_index(t, k) == a.design_point
+                   ? 1.0
+                   : 0.0;
       }
+      model_.set_branch_hint(y(t, p, k), hint);
     }
   }
 }

@@ -51,9 +51,12 @@ struct FormulationOptions {
   std::size_t max_paths = 20000;
 };
 
-/// Builds and owns the MILP model for one (N, Dmax, Dmin) query.
+/// Builds and owns the MILP model for one partition bound N. The latency
+/// window [Dmin, Dmax] lives in set_window() alone, so one model serves every
+/// probe of a Reduce_Latency stage.
 class IlpFormulation {
  public:
+  /// Builds the model and sets the window [d_min, d_max] (set_window()).
   IlpFormulation(const graph::TaskGraph& graph, const arch::Device& device,
                  int num_partitions, double d_max, double d_min,
                  FormulationOptions options = {});
@@ -70,14 +73,23 @@ class IlpFormulation {
   [[nodiscard]] milp::VarId d(int p) const;
   [[nodiscard]] milp::VarId eta() const { return eta_; }
 
+  /// Moves the latency window to [d_min, d_max]: the right-hand sides of
+  /// (9)/(10) and each d_p's upper bound max(0, d_max - C_T). Afterwards
+  /// the model equals a fresh build at that window.
+  void set_window(double d_max, double d_min);
+
   /// Switches the model from feasibility to minimize sum_p d_p + C_T * eta
   /// (used by the optimal reference mode).
   void set_latency_objective();
 
   /// Warm start (the analog of a CPLEX MIP start): biases the solver's
   /// branching toward `design` by hinting each task's Y variables. The
-  /// search still explores the full space on backtracking.
+  /// search still explores the full space on backtracking. Every Y hint is
+  /// overwritten: a task the design places outside 1..N gets none (NaN), so
+  /// no hint of an earlier call survives.
   void apply_hints(const PartitionedDesign& design);
+  /// Resets every Y hint to none, as in a fresh build.
+  void clear_hints();
 
   /// Decodes a solver assignment into a partitioned design (latencies are
   /// recomputed from the assignment, not read from d_p).
@@ -94,6 +106,9 @@ class IlpFormulation {
   void add_latency_flow_based();
   void add_eta_definition();
   void add_latency_window();
+  /// Hints task t's Y variables toward `a`, or clears them when `a` does not
+  /// place t in 1..N.
+  void hint_task(graph::TaskId t, const TaskAssignment& a);
 
   /// Sum over module sets of Y_ptm for fixed (t, p).
   [[nodiscard]] milp::LinExpr y_sum(graph::TaskId t, int p) const;
@@ -111,7 +126,6 @@ class IlpFormulation {
   const graph::TaskGraph& graph_;
   const arch::Device& device_;
   int n_;
-  double d_max_, d_min_;
 
   milp::Model model_;
   /// y_[t][ (p-1) * num_points(t) + k ]
@@ -120,6 +134,7 @@ class IlpFormulation {
   std::vector<std::vector<int>> sorted_points_;
   std::vector<milp::VarId> d_;
   milp::VarId eta_ = -1;
+  milp::ConstraintId latency_ub_ = -1, latency_lb_ = -1;
 };
 
 }  // namespace sparcs::core

@@ -1,9 +1,11 @@
 #include "core/reduce_latency.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/baselines.hpp"
 #include "core/bounds.hpp"
+#include "core/formulation.hpp"
 #include "milp/solver.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
@@ -21,7 +23,26 @@ struct Probe {
   std::optional<PartitionedDesign> design;
 };
 
-Probe solve_window(const graph::TaskGraph& graph, const arch::Device& device,
+/// A stage's one model and solver session: each searched probe moves the
+/// window on the formulation and re-solves the same Solver. The solver
+/// refers to the formulation's model, so a session is never copied.
+struct StageSession {
+  StageSession(const graph::TaskGraph& graph, const arch::Device& device,
+               int num_partitions, double d_max, double d_min,
+               const FormulationOptions& options)
+      : formulation(graph, device, num_partitions, d_max, d_min, options),
+        solver(formulation.model()) {}
+  StageSession(const StageSession&) = delete;
+  StageSession& operator=(const StageSession&) = delete;
+
+  IlpFormulation formulation;
+  milp::Solver solver;
+};
+
+/// Searches the window [d_min, d_max] on the stage's session, building the
+/// session on first use.
+Probe solve_window(std::optional<StageSession>& session,
+                   const graph::TaskGraph& graph, const arch::Device& device,
                    int num_partitions, double d_max, double d_min,
                    const ReduceLatencyParams& params,
                    const PartitionedDesign* hint) {
@@ -41,14 +62,23 @@ Probe solve_window(const graph::TaskGraph& graph, const arch::Device& device,
   span.arg("d_min", d_min);
   if (corr != 0) span.arg("corr", static_cast<std::int64_t>(corr));
   Stopwatch stopwatch;
-  IlpFormulation formulation(graph, device, num_partitions, d_max, d_min,
-                             params.budget.formulation);
-  if (hint != nullptr) formulation.apply_hints(*hint);
+  if (!session) {
+    session.emplace(graph, device, num_partitions, d_max, d_min,
+                    params.budget.formulation);
+  }
+  IlpFormulation& formulation = session->formulation;
+  formulation.set_window(d_max, d_min);
+  if (hint != nullptr) {
+    formulation.apply_hints(*hint);
+  } else {
+    formulation.clear_hints();
+  }
   // clamped_solver() caps the probe's time limit at the deadline's remaining
-  // wall clock, so budget expiry surfaces from inside this solve.
-  milp::Solver solver(formulation.model(),
-                      milp::first_feasible_params(params.budget.clamped_solver()));
-  const milp::MilpSolution solution = solver.solve();
+  // wall clock, so budget expiry surfaces from inside this solve; the
+  // deadline moves, so every probe clamps afresh.
+  session->solver.params() =
+      milp::first_feasible_params(params.budget.clamped_solver());
+  const milp::MilpSolution solution = session->solver.solve();
   row.seconds = stopwatch.seconds();
   row.nodes = solution.stats.nodes_explored;
   row.stats = solution.stats;
@@ -213,14 +243,16 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   };
 
   // One probe of [d_min, target]: refuted by LB(N) when the target lies
-  // below it, else searched with the best portfolio hint.
+  // below it, else searched with the best portfolio hint on the stage's
+  // session, which the first searched probe builds.
+  std::optional<StageSession> session;
   auto probe_window = [&](double target) {
     if (std::optional<Probe> refuted = refute_by_bound(
             graph, device, num_partitions, target, d_min, params)) {
       return std::move(*refuted);
     }
-    return solve_window(graph, device, num_partitions, target, d_min, params,
-                        pick_hint(target));
+    return solve_window(session, graph, device, num_partitions, target, d_min,
+                        params, pick_hint(target));
   };
 
   // Everything a checkpoint needs to re-enter the loop below, published

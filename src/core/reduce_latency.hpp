@@ -4,7 +4,10 @@
 // feasible probe moves the upper bound down to the achieved latency, an
 // infeasible probe moves the lower bound up to the probed midpoint, until
 // the window (or the gap to the incumbent) is below the latency tolerance
-// delta.
+// delta. A stage builds one IlpFormulation and one milp::Solver session, at
+// its first probe that LB(N) does not refute; every searched probe moves
+// the window on that model (IlpFormulation::set_window) and re-solves the
+// session.
 #pragma once
 
 #include <functional>

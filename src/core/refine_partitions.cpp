@@ -201,11 +201,6 @@ PartitionerReport TemporalPartitioner::run() const {
   // stage.
   LatencyBoundSource reach = LatencyBoundSource::kMilp;
 
-  auto time_expired = [&] {
-    return stopwatch.seconds() >= budget.time_budget_sec ||
-           budget.interrupted();
-  };
-
   /// Appends the stage account for partition bound `n`: its solve count and
   /// the solver wall time of the trace rows it appended.
   auto record_stage = [&](int stage_n, const ReduceLatencyResult& reduced,
@@ -294,7 +289,7 @@ PartitionerReport TemporalPartitioner::run() const {
     if (found && n > n_stop) break;
     // Phase 2 checks the budget before each stage, phase 1 after each one;
     // either way the bounds left unprobed are accounted as skipped.
-    if ((found || n > n_first) && time_expired()) {
+    if ((found || n > n_first) && budget.interrupted()) {
       result.degraded = true;
       for (int skipped = n; skipped <= n_stop; ++skipped) {
         result.stages.push_back(

@@ -17,8 +17,6 @@ namespace sparcs::core {
 struct SearchBudget {
   /// Latency tolerance delta (same unit as latencies: ns).
   double delta = 0.0;
-  /// TimeExpired() threshold for the partition-space sweep, in seconds.
-  double time_budget_sec = 1e30;
   /// Wall-clock deadline for the whole run (inert by default). Every solve's
   /// time limit is clamped to the remaining budget via clamped_solver(), so
   /// an expired deadline unwinds from inside a solve, not just between them.

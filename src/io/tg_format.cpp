@@ -26,22 +26,22 @@ std::vector<std::string> split_tokens(const std::string& line) {
 double parse_double(const std::string& token, int line_no) {
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
-  SPARCS_REQUIRE(end == token.c_str() + token.size(),
-                 str_format("line %d: expected a number, got '%s'", line_no,
-                            token.c_str()));
+  require_input(end == token.c_str() + token.size(),
+                str_format("line %d: expected a number, got '%s'", line_no,
+                           token.c_str()));
   // strtod accepts "nan"/"inf" spellings and overflows to infinity; none of
   // the format's quantities may be non-finite.
-  SPARCS_REQUIRE(std::isfinite(value),
-                 str_format("line %d: number '%s' is not finite", line_no,
-                            token.c_str()));
+  require_input(std::isfinite(value),
+                str_format("line %d: number '%s' is not finite", line_no,
+                           token.c_str()));
   return value;
 }
 
 double parse_nonneg(const std::string& token, int line_no, const char* what) {
   const double value = parse_double(token, line_no);
-  SPARCS_REQUIRE(value >= 0.0,
-                 str_format("line %d: %s must be non-negative, got '%s'",
-                            line_no, what, token.c_str()));
+  require_input(value >= 0.0,
+                str_format("line %d: %s must be non-negative, got '%s'",
+                           line_no, what, token.c_str()));
   return value;
 }
 
@@ -80,26 +80,26 @@ TaskGraphFile read_task_graph_string(const std::string& text) {
     if (tokens.empty()) continue;
     const std::string& directive = tokens[0];
     if (directive == "graph") {
-      SPARCS_REQUIRE(tokens.size() == 2,
-                     str_format("line %d: graph <name>", line_no));
+      require_input(tokens.size() == 2,
+                    str_format("line %d: graph <name>", line_no));
       graph_name = tokens[1];
     } else if (directive == "device") {
-      SPARCS_REQUIRE(tokens.size() == 5,
-                     str_format("line %d: device <name> <Rmax> <Mmax> <Ct>",
-                                line_no));
-      SPARCS_REQUIRE(!result.device.has_value(),
-                     str_format("line %d: duplicate device", line_no));
+      require_input(tokens.size() == 5,
+                    str_format("line %d: device <name> <Rmax> <Mmax> <Ct>",
+                               line_no));
+      require_input(!result.device.has_value(),
+                    str_format("line %d: duplicate device", line_no));
       result.device = arch::custom(
           tokens[1], parse_nonneg(tokens[2], line_no, "device Rmax"),
           parse_nonneg(tokens[3], line_no, "device Mmax"),
           parse_nonneg(tokens[4], line_no, "device Ct"));
     } else if (directive == "task") {
-      SPARCS_REQUIRE(tokens.size() >= 2 && tokens.size() <= 4,
-                     str_format("line %d: task <name> [env_in [env_out]]",
-                                line_no));
-      SPARCS_REQUIRE(find_task(tokens[1]) == nullptr,
-                     str_format("line %d: duplicate task '%s'", line_no,
-                                tokens[1].c_str()));
+      require_input(tokens.size() >= 2 && tokens.size() <= 4,
+                    str_format("line %d: task <name> [env_in [env_out]]",
+                               line_no));
+      require_input(find_task(tokens[1]) == nullptr,
+                    str_format("line %d: duplicate task '%s'", line_no,
+                               tokens[1].c_str()));
       PendingTask task;
       task.name = tokens[1];
       if (tokens.size() >= 3) {
@@ -110,26 +110,26 @@ TaskGraphFile read_task_graph_string(const std::string& text) {
       }
       tasks.push_back(std::move(task));
     } else if (directive == "point") {
-      SPARCS_REQUIRE(
+      require_input(
           tokens.size() == 5,
           str_format("line %d: point <task> <module_set> <area> <latency>",
                      line_no));
       PendingTask* task = find_task(tokens[1]);
-      SPARCS_REQUIRE(task != nullptr,
-                     str_format("line %d: unknown task '%s'", line_no,
-                                tokens[1].c_str()));
+      require_input(task != nullptr,
+                    str_format("line %d: unknown task '%s'", line_no,
+                               tokens[1].c_str()));
       task->points.push_back(graph::DesignPoint{
           tokens[2], parse_nonneg(tokens[3], line_no, "point area"),
           parse_nonneg(tokens[4], line_no, "point latency")});
     } else if (directive == "edge") {
-      SPARCS_REQUIRE(tokens.size() == 4,
-                     str_format("line %d: edge <from> <to> <units>", line_no));
+      require_input(tokens.size() == 4,
+                    str_format("line %d: edge <from> <to> <units>", line_no));
       edges.push_back(
           PendingEdge{tokens[1], tokens[2],
                       parse_nonneg(tokens[3], line_no, "edge units"), line_no});
     } else {
-      SPARCS_REQUIRE(false, str_format("line %d: unknown directive '%s'",
-                                       line_no, directive.c_str()));
+      throw InvalidArgumentError(str_format("line %d: unknown directive '%s'",
+                                            line_no, directive.c_str()));
     }
   }
 
@@ -141,10 +141,10 @@ TaskGraphFile read_task_graph_string(const std::string& text) {
   for (const PendingEdge& edge : edges) {
     const graph::TaskId from = result.graph.find_task(edge.from);
     const graph::TaskId to = result.graph.find_task(edge.to);
-    SPARCS_REQUIRE(from >= 0, str_format("line %d: unknown task '%s'",
-                                         edge.line, edge.from.c_str()));
-    SPARCS_REQUIRE(to >= 0, str_format("line %d: unknown task '%s'",
-                                       edge.line, edge.to.c_str()));
+    require_input(from >= 0, str_format("line %d: unknown task '%s'",
+                                        edge.line, edge.from.c_str()));
+    require_input(to >= 0, str_format("line %d: unknown task '%s'",
+                                      edge.line, edge.to.c_str()));
     result.graph.add_edge(from, to, edge.units);
   }
   result.graph.validate();

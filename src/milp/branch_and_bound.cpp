@@ -1187,7 +1187,7 @@ int worker_count(int num_threads, int num_vars, unsigned hardware_threads) {
 
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,
-                                    const BnbCallbacks& callbacks) {
+                                    telemetry::LiveSolve* live) {
   const int num_workers = worker_count(params.num_threads, model.num_vars(),
                                        std::thread::hardware_concurrency());
   // Mode flags must be known before workers start (the objective is already
@@ -1197,8 +1197,7 @@ MilpSolution solve_branch_and_bound(const Model& model,
   const bool first_feasible_mode = params.stop_at_first_feasible || !has_terms;
   const bool flipped = model.has_objective() && !model.minimize();
 
-  WorkerPool pool(params, callbacks.live, first_feasible_mode, flipped,
-                  num_workers);
+  WorkerPool pool(params, live, first_feasible_mode, flipped, num_workers);
   pool.push(Subproblem{});  // the root: no rank, no box, full propagation
 
   std::vector<SolverStats> worker_stats(static_cast<std::size_t>(num_workers));
@@ -1206,7 +1205,7 @@ MilpSolution solve_branch_and_bound(const Model& model,
       static_cast<std::size_t>(num_workers));
   auto work = [&](int i) {
     try {
-      BnbSearch search(model, params, pool, callbacks.live);
+      BnbSearch search(model, params, pool, live);
       search.run_worker();
       worker_stats[static_cast<std::size_t>(i)] = search.worker_stats();
     } catch (...) {

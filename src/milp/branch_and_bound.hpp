@@ -19,7 +19,6 @@
 // — which makes the returned solution identical to the one-worker one.
 #pragma once
 
-
 #include "milp/model.hpp"
 #include "milp/types.hpp"
 
@@ -29,22 +28,17 @@ struct LiveSolve;
 
 namespace sparcs::milp {
 
-/// Telemetry context threaded from the Solver session into the search.
-struct BnbCallbacks {
-  /// Live telemetry slot of the enclosing solve (owned by the Solver
-  /// session's telemetry::SolveScope); null when telemetry is inactive.
-  telemetry::LiveSolve* live = nullptr;
-};
-
 /// The number of workers a solve runs: SolverParams::num_threads (0 = one
 /// per hardware thread), capped at `hardware_threads`, and 1 for a model of
 /// under 48 variables. An unknown hardware count (0) counts as 1.
 [[nodiscard]] int worker_count(int num_threads, int num_vars,
                                unsigned hardware_threads);
 
-/// Solves `model` with propagation-based branch & bound.
+/// Solves `model` with propagation-based branch & bound. `live` is the live
+/// telemetry slot of the enclosing solve (owned by the Solver session's
+/// telemetry::SolveScope); null when telemetry is inactive.
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,
-                                    const BnbCallbacks& callbacks = {});
+                                    telemetry::LiveSolve* live = nullptr);
 
 }  // namespace sparcs::milp

@@ -107,13 +107,12 @@ const VarInfo& Model::var(VarId id) const {
   return vars_[static_cast<std::size_t>(id)];
 }
 
-void Model::tighten_bounds(VarId id, double lb, double ub) {
+void Model::set_bounds(VarId id, double lb, double ub) {
   SPARCS_REQUIRE(id >= 0 && id < num_vars(), "variable id out of range");
   VarInfo& info = vars_[static_cast<std::size_t>(id)];
-  info.lb = std::max(info.lb, lb);
-  info.ub = std::min(info.ub, ub);
-  SPARCS_REQUIRE(info.lb <= info.ub,
-                 "tighten_bounds made variable " + info.name + " infeasible");
+  SPARCS_REQUIRE(lb <= ub, "variable " + info.name + " has empty bound box");
+  info.lb = lb;
+  info.ub = ub;
 }
 
 void Model::set_branch_priority(VarId id, int priority) {
@@ -222,6 +221,12 @@ const ConstraintInfo& Model::constraint(ConstraintId id) const {
   SPARCS_REQUIRE(id >= 0 && id < num_constraints(),
                  "constraint id out of range");
   return constraints_[static_cast<std::size_t>(id)];
+}
+
+void Model::set_rhs(ConstraintId id, double rhs) {
+  SPARCS_REQUIRE(id >= 0 && id < num_constraints(),
+                 "constraint id out of range");
+  constraints_[static_cast<std::size_t>(id)].rhs = rhs;
 }
 
 void Model::set_objective(LinExpr objective, bool minimize) {

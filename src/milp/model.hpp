@@ -110,8 +110,9 @@ class Model {
   [[nodiscard]] const VarInfo& var(VarId id) const;
   [[nodiscard]] const std::vector<VarInfo>& vars() const { return vars_; }
 
-  /// Tightens a variable's bounds (never relaxes them).
-  void tighten_bounds(VarId id, double lb, double ub);
+  /// Replaces a variable's bounds; throws InvalidArgumentError on an empty
+  /// or NaN box.
+  void set_bounds(VarId id, double lb, double ub);
   void set_branch_priority(VarId id, int priority);
   void set_branch_hint(VarId id, double value);
 
@@ -125,6 +126,8 @@ class Model {
     return static_cast<int>(constraints_.size());
   }
   [[nodiscard]] const ConstraintInfo& constraint(ConstraintId id) const;
+  /// Replaces a constraint's right-hand side.
+  void set_rhs(ConstraintId id, double rhs);
   [[nodiscard]] const std::vector<ConstraintInfo>& constraints() const {
     return constraints_;
   }

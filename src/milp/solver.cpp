@@ -102,9 +102,7 @@ MilpSolution Solver::solve() {
   if (live.id() != 0) {
     span.arg("corr", static_cast<std::int64_t>(live.id()));
   }
-  BnbCallbacks callbacks;
-  callbacks.live = live.slot();
-  MilpSolution solution = solve_branch_and_bound(model_, params_, callbacks);
+  MilpSolution solution = solve_branch_and_bound(model_, params_, live.slot());
   certify_verdict(model_, params_, solution);
   if (solution.certified == CertifyStatus::kUncertified && !params_.distrust) {
     // Distrust-and-retry: one re-solve under numerically cautious settings
@@ -117,7 +115,7 @@ MilpSolution Solver::solve() {
     SolverParams retry_params = params_;
     retry_params.distrust = true;
     MilpSolution retried =
-        solve_branch_and_bound(model_, retry_params, callbacks);
+        solve_branch_and_bound(model_, retry_params, live.slot());
     retried.stats.merge(solution.stats);
     retried.stats.certify_retries += 1;
     solution = std::move(retried);

@@ -4,11 +4,12 @@
 //
 // A Solver owns a reference to the model plus a mutable copy of the solve
 // parameters, so one session can be re-solved several times with tightened
-// limits between calls. Reduce_Latency does not reuse sessions yet: its
-// solve_window() builds a new formulation and Solver for every probe,
-// because the latency-window rows are part of the model (ROADMAP.md item 3,
-// "one solver session per stage"). An in-flight solve() is cancelled from
-// another thread through the SolverParams::cancel token.
+// limits between calls, and each solve() compiles the model as it is then.
+// Reduce_Latency keeps one session per partition bound N: between probes it
+// moves the latency window on the model (IlpFormulation::set_window), re-hints
+// it and installs the probe's parameters through params(). An in-flight
+// solve() is cancelled from another thread through the SolverParams::cancel
+// token.
 #pragma once
 
 #include "milp/model.hpp"
@@ -26,7 +27,8 @@ namespace sparcs::milp {
 class Solver {
  public:
   /// Binds the session to `model`, which must outlive the Solver and stay
-  /// unmodified while any solve() is in flight.
+  /// unmodified while any solve() is in flight; between solves it may
+  /// change (bounds, right-hand sides, hints).
   explicit Solver(const Model& model, SolverParams params = {});
 
   /// Runs the search with the current parameters. Reusable: later calls see

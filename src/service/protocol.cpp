@@ -65,6 +65,23 @@ constexpr const char* type_requirement() {
   }
 }
 
+/// Reads object[key] into `field`. An absent key keeps the field's value; a
+/// value of the wrong type leaves it too and, unless an earlier read already
+/// failed, sets `violation` naming prefix + key.
+template <typename T>
+void read_member(const json::Value& object, std::string_view prefix,
+                 std::string_view key, T& field, std::string& violation) {
+  const json::Value* v = object.find(key);
+  if (v == nullptr || read_field(*v, &field) || !violation.empty()) return;
+  violation = std::string(prefix) + std::string(key) + type_requirement<T>();
+}
+
+bool bad_request(std::string* error, std::string* code,
+                 const std::string& violation) {
+  if (code != nullptr) *code = "bad_request";
+  return fail(error, violation);
+}
+
 /// Why `value` is outside `range`, or "" when it is inside.
 std::string range_violation(double value, OptionRange range) {
   if (range == OptionRange::kPositive) return value > 0.0 ? "" : " must be > 0";
@@ -74,33 +91,28 @@ std::string range_violation(double value, OptionRange range) {
 
 bool parse_submit(const json::Value& root, SubmitRequest* out,
                   std::string* error, std::string* code) {
-  out->workload = root.member_string("workload");
-  out->graph_text = root.member_string("graph_text");
+  // A value of the wrong type or out of range is a bad_request; beyond the
+  // graph keys, it is reported only once the shape checks below have passed.
+  std::string violation;
+  read_member(root, "", "workload", out->workload, violation);
+  read_member(root, "", "graph_text", out->graph_text, violation);
+  if (!violation.empty()) return bad_request(error, code, violation);
   if (out->workload.empty() == out->graph_text.empty()) {
     return fail(error, "submit needs exactly one of workload or graph_text");
   }
-  // A value of the wrong type or out of range is a bad_request, reported
-  // only once the shape checks below have passed; an absent key keeps the
-  // field's default.
-  std::string violation;
-  auto read = [&](const json::Value& object, std::string_view prefix,
-                  std::string_view key, auto& field) {
-    const json::Value* v = object.find(key);
-    if (v == nullptr || read_field(*v, &field) || !violation.empty()) return;
-    violation = std::string(prefix) + std::string(key) +
-                type_requirement<std::remove_cvref_t<decltype(field)>>();
-  };
-  read(root, "", "priority", out->priority);
-  read(root, "", "detach", out->detach);
+  read_member(root, "", "priority", out->priority, violation);
+  read_member(root, "", "detach", out->detach, violation);
   const json::Value* options = root.find("options");
   if (options != nullptr) {
     if (!options->is_object()) return fail(error, "options must be an object");
     for_each_solve_option(*out, [&](std::string_view, std::string_view key,
                                     auto& field, OptionRange) {
-      read(*options, "options.", key, field);
+      read_member(*options, "options.", key, field, violation);
     });
-    read(*options, "options.", "checkpoint", out->checkpoint);
-    read(*options, "options.", "est_memory_mb", out->est_memory_mb);
+    read_member(*options, "options.", "checkpoint", out->checkpoint,
+                violation);
+    read_member(*options, "options.", "est_memory_mb", out->est_memory_mb,
+                violation);
   }
   if (violation.empty()) {
     violation = check_solve_options(*out, OptionSpelling::kJsonKey);
@@ -108,9 +120,7 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
   if (violation.empty() && out->est_memory_mb < 0.0) {
     violation = "options.est_memory_mb must be non-negative";
   }
-  if (violation.empty()) return true;
-  if (code != nullptr) *code = "bad_request";
-  return fail(error, violation);
+  return violation.empty() || bad_request(error, code, violation);
 }
 
 }  // namespace
@@ -118,14 +128,17 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
 bool parse_request(const std::string& line, Request* out, std::string* error,
                    std::string* code) {
   if (code != nullptr) *code = "parse_error";
+  *out = Request{};  // a key the line does not name keeps its default
   const json::ParseResult parsed = json::parse(line);
   if (!parsed.ok) return fail(error, "malformed JSON: " + parsed.error);
   const json::Value& root = parsed.value;
   if (!root.is_object()) return fail(error, "request must be a JSON object");
-  out->op = root.member_string("op");
+  std::string violation;
+  read_member(root, "", "op", out->op, violation);
+  read_member(root, "", "job", out->job, violation);
+  read_member(root, "", "wait", out->wait, violation);
+  if (!violation.empty()) return bad_request(error, code, violation);
   if (out->op.empty()) return fail(error, "missing op");
-  out->job = root.member_string("job");
-  out->wait = root.member_bool("wait", false);
   if (out->op == "submit") {
     return parse_submit(root, &out->submit, error, code);
   }

@@ -97,7 +97,8 @@ struct Request {
 /// of the error response in *code (when given): parse_error for a line that
 /// is not a well-formed request, bad_request for a value of the wrong JSON
 /// type or out of range, naming its key. The server answers with that
-/// response instead of closing.
+/// response instead of closing. A field the line does not name is left at
+/// its default.
 [[nodiscard]] bool parse_request(const std::string& line, Request* out,
                                  std::string* error,
                                  std::string* code = nullptr);

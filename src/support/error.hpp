@@ -28,6 +28,13 @@ class InternalError : public Error {
   explicit InternalError(const std::string& what) : Error(what) {}
 };
 
+/// Rejects bad user input (a flag, a request, an input file) with `message`
+/// alone. SPARCS_REQUIRE is for broken caller preconditions: it would prefix
+/// the failed expression and its source location.
+inline void require_input(bool ok, const std::string& message) {
+  if (!ok) throw InvalidArgumentError(message);
+}
+
 namespace detail {
 [[noreturn]] void throw_check_failure(const char* kind, const char* expr,
                                       const char* file, int line,

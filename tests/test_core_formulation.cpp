@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "milp/solver.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "workloads/ar_filter.hpp"
 #include "workloads/dct.hpp"
 #include "workloads/ewf.hpp"
@@ -364,6 +366,112 @@ TEST(FormulationTest, RejectsEmptyWindow) {
                InvalidArgumentError);
   EXPECT_THROW(IlpFormulation(g, dev, 0, 200.0, 100.0),
                InvalidArgumentError);
+  IlpFormulation form(g, dev, 2, 200.0, 100.0);
+  EXPECT_THROW(form.set_window(100.0, 200.0), InvalidArgumentError);
+}
+
+/// Expects `a` and `b` to hold the same variables (bounds, priority, hint,
+/// NaN included) and rows (terms, sense, rhs).
+void expect_same_model(const milp::Model& a, const milp::Model& b,
+                       const std::string& where) {
+  ASSERT_EQ(a.num_vars(), b.num_vars()) << where;
+  for (int i = 0; i < a.num_vars(); ++i) {
+    const milp::VarInfo& u = a.var(i);
+    const milp::VarInfo& v = b.var(i);
+    EXPECT_EQ(u.name, v.name) << where;
+    EXPECT_EQ(u.type, v.type) << where << " " << u.name;
+    EXPECT_EQ(u.lb, v.lb) << where << " " << u.name;
+    EXPECT_EQ(u.ub, v.ub) << where << " " << u.name;
+    EXPECT_EQ(u.branch_priority, v.branch_priority) << where << " " << u.name;
+    EXPECT_TRUE(std::isnan(u.branch_hint) ? std::isnan(v.branch_hint)
+                                          : u.branch_hint == v.branch_hint)
+        << where << " " << u.name << ": hint " << u.branch_hint << " vs "
+        << v.branch_hint;
+  }
+  ASSERT_EQ(a.num_constraints(), b.num_constraints()) << where;
+  for (int i = 0; i < a.num_constraints(); ++i) {
+    const milp::ConstraintInfo& r = a.constraint(i);
+    const milp::ConstraintInfo& s = b.constraint(i);
+    EXPECT_EQ(r.name, s.name) << where;
+    EXPECT_EQ(r.sense, s.sense) << where << " " << r.name;
+    EXPECT_EQ(r.rhs, s.rhs) << where << " " << r.name;
+    ASSERT_EQ(r.terms.size(), s.terms.size()) << where << " " << r.name;
+    for (std::size_t k = 0; k < r.terms.size(); ++k) {
+      EXPECT_EQ(r.terms[k].var, s.terms[k].var) << where << " " << r.name;
+      EXPECT_EQ(r.terms[k].coef, s.terms[k].coef) << where << " " << r.name;
+    }
+  }
+  EXPECT_EQ(a.path_families().size(), b.path_families().size()) << where;
+}
+
+// Reduce_Latency keeps one formulation per stage and moves its window: after
+// set_window() and a new hint, the model must equal a fresh build at that
+// window with that hint, on both latency forms, with the memory block, and
+// whichever way the window moves.
+TEST(FormulationTest, MovedWindowEqualsAFreshBuild) {
+  struct Case {
+    const char* label;
+    graph::TaskGraph graph;
+    arch::Device device;
+    int n;
+  };
+  const Case cases[] = {
+      {"ar", workloads::ar_filter_task_graph(),
+       arch::custom("d", 200, 64, 50), 3},
+      // Mmax 10 can bind: the w variables and their 0.0 hints are built.
+      {"diamond", diamond(), arch::custom("d", 200, 10, 10), 2},
+  };
+  for (const Case& c : cases) {
+    const graph::TaskGraph& g = c.graph;
+    const int n = c.n;
+    // Any assignment will do as a hint; one places half the tasks beyond N.
+    PartitionedDesign design;
+    design.assignment.resize(static_cast<std::size_t>(g.num_tasks()));
+    for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
+      const int points = static_cast<int>(g.task(t).design_points.size());
+      design.assignment[static_cast<std::size_t>(t)] = {1 + t % n, t % points};
+    }
+    PartitionedDesign beyond_n = design;
+    for (std::size_t t = 0; t < beyond_n.assignment.size(); t += 2) {
+      beyond_n.assignment[t].partition = n + 1;
+    }
+    const double hi = max_latency(g, c.device, n);
+    const double lo = min_latency(g, c.device, n);
+    const double ct = c.device.reconfig_time_ns;
+    struct Step {
+      double d_max, d_min;
+      const PartitionedDesign* hint;
+    };
+    const Step steps[] = {
+        {(hi + lo) / 2, lo, &design},
+        {lo + (hi - lo) / 8, lo, &beyond_n},
+        {hi, (hi + lo) / 2, nullptr},  // the window moves up again
+        {lo + (hi - lo) / 4, lo + (hi - lo) / 8, &design},
+        {ct / 2, 0.0, nullptr},  // below C_T: every d_p is fixed at 0
+        {2 * hi, 0.0, &beyond_n},
+        {hi, lo, &design},
+    };
+    for (const std::size_t max_paths : {FormulationOptions{}.max_paths,
+                                        std::size_t{0}}) {
+      FormulationOptions options;
+      options.max_paths = max_paths;  // 0 forces the flow form
+      IlpFormulation moved(g, c.device, n, hi, lo, options);
+      int step_no = 0;
+      for (const Step& step : steps) {
+        moved.set_window(step.d_max, step.d_min);
+        IlpFormulation fresh(g, c.device, n, step.d_max, step.d_min, options);
+        if (step.hint != nullptr) {
+          moved.apply_hints(*step.hint);
+          fresh.apply_hints(*step.hint);
+        } else {
+          moved.clear_hints();
+        }
+        expect_same_model(moved.model(), fresh.model(),
+                          str_format("%s max_paths %zu step %d", c.label,
+                                     max_paths, ++step_no));
+      }
+    }
+  }
 }
 
 TEST(FormulationTest, ArFilterModelStats) {

@@ -312,15 +312,15 @@ TEST_F(TelemetryFailpointTest, StalledWorkerKeepsSamplerAlive) {
 }
 
 TEST_F(TelemetryFailpointTest, DegradedSweepIsReflectedInFinalRecord) {
-  // Injected timeouts make every probe fail while an already-expired time
-  // budget cuts the sweep short after the first probe: the run must end
+  // Injected timeouts make every probe fail while an already-expired
+  // deadline cuts the sweep short at its first stage: the run must end
   // degraded, and the telemetry stream's last records must say so.
   failpoint::arm("milp.solve.timeout");
   const graph::TaskGraph graph = workloads::dct_task_graph();
   const arch::Device device = arch::custom("test", 576.0, 4096.0, 100.0);
   core::PartitionerOptions options;
   options.budget.delta = 100.0;
-  options.budget.time_budget_sec = 0.0;
+  options.budget.deadline = core::Deadline::after_seconds(0.0);
   options.budget.solver.time_limit_sec = 0.05;
   options.budget.solver.num_threads = 1;
   const core::PartitionerReport result =

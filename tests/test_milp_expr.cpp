@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "milp/expr.hpp"
 #include "milp/model.hpp"
 #include "support/error.hpp"
@@ -79,13 +81,29 @@ TEST(ModelTest, ConstraintNormalization) {
   EXPECT_EQ(c.terms.size(), 2u);
 }
 
-TEST(ModelTest, TightenBoundsOnlyTightens) {
+TEST(ModelTest, SetBoundsReplacesTheBox) {
   Model m;
   const VarId x = m.add_continuous(0, 10, "x");
-  m.tighten_bounds(x, -5, 8);
-  EXPECT_DOUBLE_EQ(m.var(x).lb, 0);
+  m.set_bounds(x, -5, 8);
+  EXPECT_DOUBLE_EQ(m.var(x).lb, -5);
   EXPECT_DOUBLE_EQ(m.var(x).ub, 8);
-  EXPECT_THROW(m.tighten_bounds(x, 9, 20), InvalidArgumentError);
+  m.set_bounds(x, 9, 20);  // relaxes as well as tightens
+  EXPECT_DOUBLE_EQ(m.var(x).lb, 9);
+  EXPECT_DOUBLE_EQ(m.var(x).ub, 20);
+  EXPECT_THROW(m.set_bounds(x, 21, 20), InvalidArgumentError);
+  EXPECT_THROW(m.set_bounds(x, std::numeric_limits<double>::quiet_NaN(), 20),
+               InvalidArgumentError);
+  EXPECT_DOUBLE_EQ(m.var(x).lb, 9);
+}
+
+TEST(ModelTest, SetRhsReplacesTheStoredRhs) {
+  Model m;
+  const VarId x = m.add_continuous(0, 10, "x");
+  const ConstraintId c = m.add_constraint(LinExpr(x) + 1.0 <= 4.0, "c");
+  m.set_rhs(c, 7.0);
+  EXPECT_DOUBLE_EQ(m.constraint(c).rhs, 7.0);
+  EXPECT_EQ(m.constraint(c).sense, Sense::kLessEqual);
+  EXPECT_THROW(m.set_rhs(1, 0.0), InvalidArgumentError);
 }
 
 TEST(ModelTest, EmptyBoundBoxRejected) {

@@ -13,7 +13,7 @@ TEST(PropagationTest, UnitPropagationOnEquality) {
   const VarId x = m.add_binary("x");
   const VarId y = m.add_binary("y");
   m.add_constraint(LinExpr(x) + LinExpr(y) == 1.0, "uniq");
-  m.tighten_bounds(x, 1, 1);
+  m.set_bounds(x, 1, 1);
   CompiledModel compiled(m);
   Domains domains(compiled);
   Propagator prop(compiled, 1e-7, 50);
@@ -29,8 +29,8 @@ TEST(PropagationTest, ConflictOnOverCommittedKnapsack) {
   const VarId x = m.add_binary("x");
   const VarId y = m.add_binary("y");
   m.add_constraint(5.0 * LinExpr(x) + 5.0 * LinExpr(y) <= 4.0, "cap");
-  m.tighten_bounds(x, 1, 1);
-  m.tighten_bounds(y, 1, 1);
+  m.set_bounds(x, 1, 1);
+  m.set_bounds(y, 1, 1);
   CompiledModel compiled(m);
   Domains domains(compiled);
   Propagator prop(compiled, 1e-7, 50);
@@ -59,7 +59,7 @@ TEST(PropagationTest, ContinuousBoundTightening) {
   const VarId x = m.add_binary("x");
   const VarId d = m.add_continuous(0, 10, "d");
   m.add_constraint(3.0 * LinExpr(x) - LinExpr(d) <= 0.0, "def");
-  m.tighten_bounds(x, 1, 1);
+  m.set_bounds(x, 1, 1);
   CompiledModel compiled(m);
   Domains domains(compiled);
   Propagator prop(compiled, 1e-7, 50);
@@ -76,7 +76,7 @@ TEST(PropagationTest, ChainedPropagationAcrossConstraints) {
   const VarId z = m.add_integer(0, 5, "z");
   m.add_constraint(2.0 * LinExpr(x) - LinExpr(y) <= 0.0, "row1");
   m.add_constraint(LinExpr(z) + LinExpr(y) <= 3.0, "row2");
-  m.tighten_bounds(x, 1, 1);
+  m.set_bounds(x, 1, 1);
   CompiledModel compiled(m);
   Domains domains(compiled);
   Propagator prop(compiled, 1e-7, 50);
@@ -147,7 +147,7 @@ TEST(PropagationTest, ConflictingCallCountsItsVisits) {
   const VarId y = m.add_binary("y");
   m.add_constraint(LinExpr(x) + LinExpr(y) == 1.0, "uniq");
   m.add_constraint(LinExpr(y) >= 1.0, "need");
-  m.tighten_bounds(x, 1, 1);
+  m.set_bounds(x, 1, 1);
   CompiledModel compiled(m);
   Domains domains(compiled);
   Propagator prop(compiled, 1e-7, 50);
@@ -196,8 +196,8 @@ TEST(PropagationTest, PathFamilyTightensFromTheLongestPaths) {
   // path leaves no room for d. Path a-c-d (weight 2) leaves room for c.
   Diamond dia(7.5);
   dia.add_family(dia.family());
-  dia.m.tighten_bounds(dia.a, 1, 1);
-  dia.m.tighten_bounds(dia.b, 1, 1);
+  dia.m.set_bounds(dia.a, 1, 1);
+  dia.m.set_bounds(dia.b, 1, 1);
   CompiledModel compiled(dia.m);
   ASSERT_EQ(compiled.num_round_units(), 1);
   Domains domains(compiled);
@@ -222,8 +222,8 @@ TEST(PropagationTest, PathFamilyConflictCitesTheLongestPath) {
     // a-c-d is the longest.
     Diamond dia(via_b ? 7.5 : 5.5);
     dia.add_family(dia.family());
-    for (const VarId v : {dia.a, dia.c, dia.d}) dia.m.tighten_bounds(v, 1, 1);
-    dia.m.tighten_bounds(dia.b, via_b ? 1 : 0, via_b ? 1 : 0);
+    for (const VarId v : {dia.a, dia.c, dia.d}) dia.m.set_bounds(v, 1, 1);
+    dia.m.set_bounds(dia.b, via_b ? 1 : 0, via_b ? 1 : 0);
     CompiledModel compiled(dia.m);
     Domains domains(compiled);
     Propagator prop(compiled, 1e-7, 50);

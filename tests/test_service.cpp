@@ -146,6 +146,14 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
       {R"({"op":"submit","workload":"ar","options":{"est_memory_mb":"2"}})",
        "options.est_memory_mb"},
       {R"({"op":"submit","workload":"ar","detach":1})", "detach"},
+      // So does every key outside a submit's options: a wrong type is never
+      // read as "" or false, nor dropped in favour of another key.
+      {R"({"op":5})", "op"},
+      {R"({"op":"status","job":7})", "job"},
+      {R"({"op":"result","job":"job-1","wait":"yes"})", "wait"},
+      {R"({"op":"submit","workload":5})", "workload"},
+      {R"({"op":"submit","workload":5,"graph_text":"task a\n"})", "workload"},
+      {R"({"op":"submit","graph_text":["x"]})", "graph_text"},
   };
   for (const auto& [line, key] : bad_requests) {
     Request fresh;  // parse_request fills in only the fields a line names
@@ -633,6 +641,14 @@ TEST_F(ServiceTest, MalformedGraphTextIsRejectedAtSubmitTime) {
   const json::Value response = parse_ok(client.call(request));
   EXPECT_FALSE(response.member_bool("ok"));
   EXPECT_EQ(error_code(response), "bad_request");
+  // The message is the parser's line error alone, not a precondition
+  // failure naming a source file.
+  request.submit.graph_text = "x";
+  const json::Value unknown = parse_ok(client.call(request));
+  EXPECT_EQ(error_code(unknown), "bad_request");
+  const json::Value* error = unknown.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->member_string("message"), "line 1: unknown directive 'x'");
 }
 
 TEST_F(ServiceTest, NegativeAlphaOrGammaIsRejectedAtSubmitTime) {

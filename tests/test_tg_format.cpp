@@ -59,6 +59,14 @@ TEST(TgFormatTest, ErrorsNameTheLine) {
   } catch (const InvalidArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+  // The message is the bare line error, with no precondition-failure prefix
+  // naming an expression and a source location.
+  try {
+    read_task_graph_string("x");
+    FAIL() << "expected throw";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_EQ(std::string(e.what()), "line 1: unknown directive 'x'");
+  }
 }
 
 TEST(TgFormatTest, RejectsUnknownTaskReferences) {
@@ -107,6 +115,9 @@ TEST(TgFormatTest, RejectsCorruptNumericFields) {
       FAIL() << c.label << ": expected InvalidArgumentError";
     } catch (const InvalidArgumentError& e) {
       EXPECT_NE(std::string(e.what()).find(c.line_tag), std::string::npos)
+          << c.label << ": " << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind(std::string(c.line_tag) + ":", 0),
+                0u)
           << c.label << ": " << e.what();
     }
   }
