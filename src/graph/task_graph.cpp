@@ -122,24 +122,30 @@ double TaskGraph::max_latency(TaskId id) const {
 }
 
 void TaskGraph::validate() const {
-  SPARCS_REQUIRE(num_tasks() > 0, "task graph is empty");
+  // Every generated workload, sweep and service job validates its graph, so
+  // the per-task messages are formatted only on failure.
+  require_input(num_tasks() > 0, "task graph is empty");
   for (TaskId id = 0; id < num_tasks(); ++id) {
     const Task& t = tasks_[static_cast<std::size_t>(id)];
-    SPARCS_REQUIRE(!t.design_points.empty(),
-                   "task " + t.name + " has no design points");
-    for (const auto& dp : t.design_points) {
-      SPARCS_REQUIRE(dp.area > 0.0,
-                     str_format("task %s design point %s has non-positive area",
-                                t.name.c_str(), dp.module_set.c_str()));
-      SPARCS_REQUIRE(
-          dp.latency_ns >= 0.0,
-          str_format("task %s design point %s has negative latency",
-                     t.name.c_str(), dp.module_set.c_str()));
+    if (t.design_points.empty()) {
+      throw InvalidArgumentError("task " + t.name + " has no design points");
     }
-    SPARCS_REQUIRE(t.env_in >= 0.0 && t.env_out >= 0.0,
-                   "environment transfer volumes must be non-negative");
+    for (const auto& dp : t.design_points) {
+      if (!(dp.area > 0.0)) {
+        throw InvalidArgumentError(
+            str_format("task %s design point %s has non-positive area",
+                       t.name.c_str(), dp.module_set.c_str()));
+      }
+      if (!(dp.latency_ns >= 0.0)) {
+        throw InvalidArgumentError(
+            str_format("task %s design point %s has negative latency",
+                       t.name.c_str(), dp.module_set.c_str()));
+      }
+    }
+    require_input(t.env_in >= 0.0 && t.env_out >= 0.0,
+                  "environment transfer volumes must be non-negative");
   }
-  SPARCS_REQUIRE(is_dag(*this), "task graph contains a cycle");
+  require_input(is_dag(*this), "task graph contains a cycle");
 }
 
 void TaskGraph::check_task_id(TaskId id) const {

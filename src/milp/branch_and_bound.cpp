@@ -339,6 +339,17 @@ class WorkerPool {
   bool proof_overflowed_ = false;              ///< under mu_
 };
 
+/// The LP relaxation of one node, folded to what the node box leaves open:
+/// a column per variable whose domain is not a single point, the fixed
+/// variables moved into the rhs (and into `offset` when the LP carries the
+/// objective), and a row per model row the box does not already satisfy.
+struct FoldedLp {
+  LpProblem lp;
+  std::vector<VarId> cols;         ///< model variable of each LP column
+  std::vector<ConstraintId> rows;  ///< model row of each LP row
+  double offset = 0.0;             ///< objective value of the fixed variables
+};
+
 /// One open decision in the DFS stack.
 struct Frame {
   VarId var = -1;
@@ -380,11 +391,16 @@ class BnbSearch {
   /// completion exists and fills `candidate`; `unbounded` reports an
   /// unbounded continuous objective.
   bool complete_continuous(std::vector<double>& candidate, bool* unbounded);
-  /// LP relaxation under the current domains, with a zero objective: one
-  /// column per model variable, one row per compiled row with a finite rhs
-  /// (the cutoff row while it is inactive has none). Fills `row_ids`, when
-  /// given, with the model row of each LP row.
-  LpProblem node_lp(std::vector<ConstraintId>* row_ids) const;
+  /// The folded LP relaxation under the current domains, with the model
+  /// objective or a zero one. A row every point of the box satisfies (within
+  /// the feasibility tolerance) is dropped, as is the cutoff row while it is
+  /// inactive (infinite rhs): dropping rows only relaxes the LP, so an
+  /// infeasible verdict stays sound.
+  FoldedLp fold_node_lp(bool with_objective) const;
+  /// Keeps an infeasible node LP's certificate for the node's proof leaf, in
+  /// model coordinates: the ray stays over `node.rows`, and a kEmptyBound
+  /// column becomes its model variable.
+  void stash_lp_certificate(const LpCertificate& certificate, FoldedLp& node);
   /// LP-relaxation feasibility probe under the current domains.
   bool lp_prune();
   /// Handles a fully integral node. Returns true when the subtree is done.
@@ -487,7 +503,7 @@ class BnbSearch {
         break;
       case LpCertificate::Kind::kEmptyBound:
         node.kind = ProofNode::Kind::kEmptyBox;
-        node.var = lp_cert_empty_var_;
+        node.var = lp_cert_.var;
         break;
       case LpCertificate::Kind::kNone:
         node.kind = ProofNode::Kind::kUnproven;
@@ -552,10 +568,10 @@ class BnbSearch {
   std::vector<Derivation> pending_derivations_;
   std::vector<ProofNode> proof_nodes_;
   bool proof_overflowed_ = false;
-  /// LP certificate stash of the most recent infeasible in-node LP solve.
+  /// LP certificate stash of the most recent infeasible in-node LP solve,
+  /// in model coordinates (see stash_lp_certificate).
   LpCertificate lp_cert_;
   std::vector<ConstraintId> lp_cert_rows_;  ///< model row of each LP row
-  VarId lp_cert_empty_var_ = -1;            ///< model var of a kEmptyBound
   /// True when the current leaf's continuous completion LP was infeasible
   /// (set by complete_continuous, consumed by handle_leaf).
   bool lp_refuted_ = false;
@@ -604,35 +620,28 @@ std::vector<std::pair<double, double>> BnbSearch::make_branches(VarId v) const {
   return branches;
 }
 
-bool BnbSearch::complete_continuous(std::vector<double>& candidate,
-                                    bool* unbounded) {
-  *unbounded = false;
+FoldedLp BnbSearch::fold_node_lp(bool with_objective) const {
+  FoldedLp node;
   const int n = compiled_.num_vars();
-  std::vector<int> cont_index(static_cast<std::size_t>(n), -1);
-  std::vector<VarId> cont_var;  ///< model var of each LP var (proof only)
-  LpProblem lp;
+  std::vector<int> col(static_cast<std::size_t>(n), -1);  ///< -1: fixed
   for (VarId v = 0; v < n; ++v) {
-    if (!compiled_.is_integral(v)) {
-      cont_index[static_cast<std::size_t>(v)] =
-          lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
-      if (proof_on_) cont_var.push_back(v);
+    if (domains_.lb(v) != domains_.ub(v)) {
+      col[static_cast<std::size_t>(v)] =
+          node.lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
+      node.cols.push_back(v);
     }
   }
-
-  candidate.assign(static_cast<std::size_t>(n), 0.0);
-  for (VarId v = 0; v < n; ++v) {
-    if (compiled_.is_integral(v)) {
-      candidate[static_cast<std::size_t>(v)] = domains_.lb(v);
+  if (with_objective) {
+    for (const LinTerm& t : compiled_.objective_terms()) {
+      const int j = col[static_cast<std::size_t>(t.var)];
+      if (j >= 0) {
+        node.lp.obj[static_cast<std::size_t>(j)] += t.coef;
+      } else {
+        node.offset += t.coef * domains_.lb(t.var);
+      }
     }
   }
-
-  if (lp.num_vars() == 0) return true;  // nothing to complete
-
-  for (const LinTerm& t : compiled_.objective_terms()) {
-    const int j = cont_index[static_cast<std::size_t>(t.var)];
-    if (j >= 0) lp.obj[static_cast<std::size_t>(j)] += t.coef;
-  }
-  std::vector<ConstraintId> row_ids;  ///< model row of each LP row (proof)
+  const double tol = params_.feasibility_tol;
   for (int c = 0; c < compiled_.num_constraints(); ++c) {
     const CompiledConstraint& cc = compiled_.constraint(c);
     if (!std::isfinite(cc.rhs)) continue;  // inactive cutoff
@@ -640,68 +649,80 @@ bool BnbSearch::complete_continuous(std::vector<double>& candidate,
     const VarId* vars = compiled_.vars(cc);
     std::vector<LinTerm> terms;
     double rhs = cc.rhs;
-    // Activity range of the row over the current continuous domains; rows
-    // satisfied for every point of the box are redundant here (propagation
-    // has typically tightened the bounds enough to prune almost all rows,
-    // which keeps the completion LP small on large models).
+    // Activity range of the open part of the row over the box (an infinite
+    // bound makes it infinite, and the row is kept).
     double min_act = 0.0, max_act = 0.0;
     for (int k = 0; k < compiled_.size(cc); ++k) {
       const VarId v = vars[k];
-      const int j = cont_index[static_cast<std::size_t>(v)];
+      const double a = coefs[k];
+      const int j = col[static_cast<std::size_t>(v)];
       if (j >= 0) {
-        const double a = coefs[k];
         terms.push_back({j, a});
         min_act += a * (a > 0.0 ? domains_.lb(v) : domains_.ub(v));
         max_act += a * (a > 0.0 ? domains_.ub(v) : domains_.lb(v));
       } else {
-        rhs -= coefs[k] * candidate[static_cast<std::size_t>(vars[k])];
+        rhs -= a * domains_.lb(v);
       }
     }
-    if (terms.empty()) continue;
-    const double tol = params_.feasibility_tol;
-    bool redundant = false;
+    bool satisfied = false;
     switch (cc.sense) {
       case Sense::kLessEqual:
-        redundant = max_act <= rhs + tol;
+        satisfied = max_act <= rhs + tol;
         break;
       case Sense::kGreaterEqual:
-        redundant = min_act >= rhs - tol;
+        satisfied = min_act >= rhs - tol;
         break;
       case Sense::kEqual:
-        redundant = max_act <= rhs + tol && min_act >= rhs - tol;
+        satisfied = max_act <= rhs + tol && min_act >= rhs - tol;
         break;
     }
-    if (!redundant) {
-      lp.add_row(std::move(terms), cc.sense, rhs);
-      if (proof_on_) row_ids.push_back(c);
+    if (!satisfied) {
+      node.lp.add_row(std::move(terms), cc.sense, rhs);
+      node.rows.push_back(c);
     }
   }
+  return node;
+}
 
-  const LpResult lp_result = solve_lp(lp, node_lp_params());
+void BnbSearch::stash_lp_certificate(const LpCertificate& certificate,
+                                     FoldedLp& node) {
+  if (!proof_on_) return;
+  // Folding moved only the fixed variables' share into the rhs: the exact
+  // checker rebuilds each named row in full over the node box, where a
+  // folded variable's box is its fixed value.
+  lp_cert_ = certificate;
+  lp_cert_rows_ = std::move(node.rows);
+  if (lp_cert_.kind == LpCertificate::Kind::kEmptyBound) {
+    if (lp_cert_.var >= 0 &&
+        lp_cert_.var < static_cast<int>(node.cols.size())) {
+      lp_cert_.var = node.cols[static_cast<std::size_t>(lp_cert_.var)];
+    } else {
+      lp_cert_.kind = LpCertificate::Kind::kNone;
+    }
+  }
+}
+
+bool BnbSearch::complete_continuous(std::vector<double>& candidate,
+                                    bool* unbounded) {
+  *unbounded = false;
+  const int n = compiled_.num_vars();
+  candidate.resize(static_cast<std::size_t>(n));
+  for (VarId v = 0; v < n; ++v) {
+    candidate[static_cast<std::size_t>(v)] = domains_.lb(v);
+  }
+  // At a leaf every integral variable is fixed, so the LP's columns are the
+  // continuous variables the box leaves open.
+  FoldedLp node = fold_node_lp(/*with_objective=*/true);
+  if (node.lp.num_vars() == 0) return true;  // nothing to complete
+
+  const LpResult lp_result = solve_lp(node.lp, node_lp_params());
   absorb_lp(lp_result);
   switch (lp_result.status) {
     case LpStatus::kOptimal:
       break;
     case LpStatus::kInfeasible:
       lp_refuted_ = true;
-      if (proof_on_) {
-        // Stash the certificate in model coordinates: the ray is over the
-        // folded rows, but the folding only changed the rhs by the fixed
-        // integral contributions, which the exact checker re-derives from
-        // the full model row and the node box.
-        lp_cert_ = lp_result.certificate;
-        lp_cert_rows_ = std::move(row_ids);
-        lp_cert_empty_var_ =
-            lp_cert_.kind == LpCertificate::Kind::kEmptyBound &&
-                    lp_cert_.var >= 0 &&
-                    lp_cert_.var < static_cast<int>(cont_var.size())
-                ? cont_var[static_cast<std::size_t>(lp_cert_.var)]
-                : -1;
-        if (lp_cert_.kind == LpCertificate::Kind::kEmptyBound &&
-            lp_cert_empty_var_ < 0) {
-          lp_cert_.kind = LpCertificate::Kind::kNone;
-        }
-      }
+      stash_lp_certificate(lp_result.certificate, node);
       return false;
     case LpStatus::kUnbounded:
       *unbounded = true;
@@ -713,50 +734,18 @@ bool BnbSearch::complete_continuous(std::vector<double>& candidate,
       mark_incomplete();
       return false;
   }
-  for (VarId v = 0; v < n; ++v) {
-    const int j = cont_index[static_cast<std::size_t>(v)];
-    if (j >= 0) {
-      candidate[static_cast<std::size_t>(v)] =
-          lp_result.x[static_cast<std::size_t>(j)];
-    }
+  for (std::size_t j = 0; j < node.cols.size(); ++j) {
+    candidate[static_cast<std::size_t>(node.cols[j])] = lp_result.x[j];
   }
   return true;
 }
 
-LpProblem BnbSearch::node_lp(std::vector<ConstraintId>* row_ids) const {
-  LpProblem lp;
-  const int n = compiled_.num_vars();
-  for (VarId v = 0; v < n; ++v) {
-    lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
-  }
-  for (int c = 0; c < compiled_.num_constraints(); ++c) {
-    const CompiledConstraint& cc = compiled_.constraint(c);
-    if (!std::isfinite(cc.rhs)) continue;  // inactive cutoff
-    const double* coefs = compiled_.coefs(cc);
-    const VarId* vars = compiled_.vars(cc);
-    std::vector<LinTerm> terms;
-    terms.reserve(static_cast<std::size_t>(compiled_.size(cc)));
-    for (int k = 0; k < compiled_.size(cc); ++k) {
-      terms.push_back({vars[k], coefs[k]});
-    }
-    lp.add_row(std::move(terms), cc.sense, cc.rhs);
-    if (row_ids != nullptr) row_ids->push_back(c);
-  }
-  return lp;
-}
-
 bool BnbSearch::lp_prune() {
-  std::vector<ConstraintId> row_ids;  ///< model row of each LP row (proof)
-  const LpProblem lp = node_lp(proof_on_ ? &row_ids : nullptr);
-  const LpResult lp_result = solve_lp(lp, node_lp_params());
+  FoldedLp node = fold_node_lp(/*with_objective=*/false);
+  const LpResult lp_result = solve_lp(node.lp, node_lp_params());
   absorb_lp(lp_result);
-  if (proof_on_ && lp_result.status == LpStatus::kInfeasible) {
-    lp_cert_ = lp_result.certificate;
-    lp_cert_rows_ = std::move(row_ids);
-    // LP variables are the model variables here, so a kEmptyBound var needs
-    // no translation.
-    lp_cert_empty_var_ =
-        lp_cert_.kind == LpCertificate::Kind::kEmptyBound ? lp_cert_.var : -1;
+  if (lp_result.status == LpStatus::kInfeasible) {
+    stash_lp_certificate(lp_result.certificate, node);
   }
   // kNumericalFailure (recovery exhausted) keeps the node: skipping the LP
   // prune is always sound, just slower.
@@ -807,16 +796,12 @@ void BnbSearch::publish_root_bound() {
       compiled_.objective_terms().empty()) {
     return;
   }
-  LpProblem lp = node_lp(nullptr);
-  for (const LinTerm& t : compiled_.objective_terms()) {
-    lp.obj[static_cast<std::size_t>(t.var)] += t.coef;
-  }
-  const LpResult lp_result = solve_lp(lp, node_lp_params());
+  const FoldedLp node = fold_node_lp(/*with_objective=*/true);
+  const LpResult lp_result = solve_lp(node.lp, node_lp_params());
   absorb_lp(lp_result);
   if (lp_result.status != LpStatus::kOptimal) return;
-  const double caller_bound = compiled_.objective_flipped()
-                                  ? -lp_result.objective
-                                  : lp_result.objective;
+  const double bound = lp_result.objective + node.offset;
+  const double caller_bound = compiled_.objective_flipped() ? -bound : bound;
   live_->best_bound.store(caller_bound, std::memory_order_relaxed);
   live_->has_bound.store(true, std::memory_order_relaxed);
   stats_.convergence.push_back({pool_.stopwatch.seconds(), caller_bound, nodes_,

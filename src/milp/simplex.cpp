@@ -89,17 +89,10 @@ class SimplexTableau {
 };
 
 void SimplexTableau::build(const LpProblem& problem) {
-  const int n_slack = m_;
-  const int n_art = m_;
-  ncols_ = n_struct_ + n_slack + n_art;
-  first_artificial_ = n_struct_ + n_slack;
-  SPARCS_REQUIRE(static_cast<std::int64_t>(m_) * ncols_ <=
-                     params_.max_tableau_entries,
-                 "LP too large for the dense simplex tableau");
-
-  lb_.assign(static_cast<std::size_t>(ncols_), 0.0);
-  ub_.assign(static_cast<std::size_t>(ncols_), kInfinity);
-  real_cost_.assign(static_cast<std::size_t>(ncols_), 0.0);
+  first_artificial_ = n_struct_ + m_;
+  lb_.assign(static_cast<std::size_t>(first_artificial_), 0.0);
+  ub_.assign(static_cast<std::size_t>(first_artificial_), kInfinity);
+  real_cost_.assign(static_cast<std::size_t>(first_artificial_), 0.0);
   for (int j = 0; j < n_struct_; ++j) {
     lb_[j] = problem.lb[static_cast<std::size_t>(j)];
     ub_[j] = problem.ub[static_cast<std::size_t>(j)];
@@ -124,9 +117,10 @@ void SimplexTableau::build(const LpProblem& problem) {
     }
   }
 
-  // Nonbasic statuses: every structural/slack column at its finite bound
-  // nearest zero (free columns pinned at zero).
-  stat_.assign(static_cast<std::size_t>(ncols_), ColStatus::kAtLower);
+  // Start point: every structural/slack column at its finite bound nearest
+  // zero (free columns pinned at zero).
+  stat_.assign(static_cast<std::size_t>(first_artificial_),
+               ColStatus::kAtLower);
   for (int j = 0; j < first_artificial_; ++j) {
     const double lo = lb_[j], hi = ub_[j];
     if (std::isfinite(lo) && std::isfinite(hi)) {
@@ -141,40 +135,62 @@ void SimplexTableau::build(const LpProblem& problem) {
     }
   }
 
-  // Tableau = [A | I_slack | +-I_art]; artificial signs chosen so the initial
-  // artificial basis has non-negative values.
-  tab_.assign(static_cast<std::size_t>(m_) * ncols_, 0.0);
+  // Start basis: a row whose residual b_i - a_i x at the start point fits
+  // its slack's bounds starts with the slack basic at that residual; only
+  // the rows the start point violates get an artificial.
   std::vector<double> residual(static_cast<std::size_t>(m_), 0.0);
+  const auto violated = [&](int i) {
+    const double r = residual[static_cast<std::size_t>(i)];
+    return !(r >= lb_[n_struct_ + i] && r <= ub_[n_struct_ + i]);
+  };
+  int n_art = 0;
   for (int i = 0; i < m_; ++i) {
     const auto& row = problem.rows[static_cast<std::size_t>(i)];
+    double lhs = 0.0;
     for (const LinTerm& term : row.terms) {
       SPARCS_REQUIRE(term.var >= 0 && term.var < n_struct_,
                      "LP row references unknown variable");
-      tab(i, term.var) += term.coef;
-    }
-    tab(i, n_struct_ + i) = 1.0;  // slack
-    double lhs = 0.0;
-    for (int j = 0; j < n_struct_ + m_; ++j) {
-      if (tab(i, j) != 0.0) lhs += tab(i, j) * nonbasic_value(j);
+      lhs += term.coef * nonbasic_value(term.var);
     }
     residual[static_cast<std::size_t>(i)] = row.rhs - lhs;
+    if (violated(i)) ++n_art;
   }
+  ncols_ = first_artificial_ + n_art;
+  SPARCS_REQUIRE(static_cast<std::int64_t>(m_) * ncols_ <=
+                     params_.max_tableau_entries,
+                 "LP too large for the dense simplex tableau");
+  lb_.resize(static_cast<std::size_t>(ncols_), 0.0);
+  ub_.resize(static_cast<std::size_t>(ncols_), kInfinity);
+  real_cost_.resize(static_cast<std::size_t>(ncols_), 0.0);
+  stat_.resize(static_cast<std::size_t>(ncols_), ColStatus::kAtLower);
 
+  // Tableau = [A | I_slack | I_art] over the basic columns: a row whose
+  // artificial enters with coefficient -1 (negative residual) is scaled by
+  // -1, so every basic column is a unit column (tableau rows are B^-1 A) and
+  // every artificial starts non-negative.
+  tab_.assign(static_cast<std::size_t>(m_) * ncols_, 0.0);
   basis_.assign(static_cast<std::size_t>(m_), -1);
   xb_.assign(static_cast<std::size_t>(m_), 0.0);
+  int next_art = first_artificial_;
   for (int i = 0; i < m_; ++i) {
-    const int art = first_artificial_ + i;
-    const double r = residual[static_cast<std::size_t>(i)];
-    if (r < 0.0) {
-      // The artificial enters with coefficient -1; scale the row by -1 so the
-      // basis column is the identity (tableau rows must be B^-1 A).
-      double* row = &tab_[static_cast<std::size_t>(i) * ncols_];
-      for (int j = 0; j < ncols_; ++j) row[j] = -row[j];
+    for (const LinTerm& term : problem.rows[static_cast<std::size_t>(i)].terms) {
+      tab(i, term.var) += term.coef;
     }
-    tab(i, art) = 1.0;
-    basis_[static_cast<std::size_t>(i)] = art;
-    stat_[static_cast<std::size_t>(art)] = ColStatus::kBasic;
-    xb_[static_cast<std::size_t>(i)] = std::abs(r);
+    const int slack = n_struct_ + i;
+    tab(i, slack) = 1.0;
+    const double r = residual[static_cast<std::size_t>(i)];
+    int basic = slack;
+    if (violated(i)) {
+      if (r < 0.0) {
+        double* row = &tab_[static_cast<std::size_t>(i) * ncols_];
+        for (int j = 0; j < first_artificial_; ++j) row[j] = -row[j];
+      }
+      basic = next_art++;
+      tab(i, basic) = 1.0;
+    }
+    basis_[static_cast<std::size_t>(i)] = basic;
+    stat_[static_cast<std::size_t>(basic)] = ColStatus::kBasic;
+    xb_[static_cast<std::size_t>(i)] = basic == slack ? r : std::abs(r);
   }
 
   set_phase(1);
@@ -237,7 +253,8 @@ int SimplexTableau::choose_entering(bool bland) const {
   double best_score = params_.optimality_tol;
   for (int j = 0; j < ncols_; ++j) {
     const ColStatus s = stat_[static_cast<std::size_t>(j)];
-    if (s == ColStatus::kBasic) continue;
+    // A fixed column cannot move: entering it is a zero-length bound flip.
+    if (s == ColStatus::kBasic || lb_[j] == ub_[j]) continue;
     const double dj = d_[static_cast<std::size_t>(j)];
     double score = 0.0;
     if ((s == ColStatus::kAtLower || s == ColStatus::kFreeZero) && dj < -params_.optimality_tol) {

@@ -5,9 +5,14 @@
 // is only enabled for models below a size threshold), so a dense full-tableau
 // method with Dantzig pricing, a Bland anti-cycling fallback and explicit
 // artificial variables is the robust, simple choice. Rows are converted to
-// equalities with a bounded slack; Phase 1 minimizes the sum of artificial
-// variables started from all structural/slack columns at their bound nearest
-// zero.
+// equalities with a bounded slack.
+//
+// Start basis: every structural column starts nonbasic at its finite bound
+// nearest zero (free columns at zero). A row whose residual b_i - a_i x at
+// that point fits its slack's bounds starts with the slack basic; only the
+// rows the start point violates get an artificial, and Phase 1 minimizes the
+// sum of those. An LP whose start point satisfies every row skips Phase 1
+// without a pivot. Pricing never enters a fixed column (lb == ub).
 #pragma once
 
 #include <functional>

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sparcs {
 
@@ -30,9 +31,10 @@ class InternalError : public Error {
 
 /// Rejects bad user input (a flag, a request, an input file) with `message`
 /// alone. SPARCS_REQUIRE is for broken caller preconditions: it would prefix
-/// the failed expression and its source location.
-inline void require_input(bool ok, const std::string& message) {
-  if (!ok) throw InvalidArgumentError(message);
+/// the failed expression and its source location. A literal message is
+/// copied into a string only on failure.
+inline void require_input(bool ok, std::string_view message) {
+  if (!ok) throw InvalidArgumentError(std::string(message));
 }
 
 namespace detail {

@@ -249,6 +249,30 @@ TEST_P(ArLpBoundingTest, LpBoundedOptimumMatchesPropagationOnly) {
 INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArLpBoundingTest,
                          ::testing::Values(1.0, 50.0, 500.0, 1e7));
 
+// Table 1's optimal reference (Rmax 200, Mmax 64, Ct 50) at one thread: the
+// node LPs drop the fixed columns and the rows the node box satisfies, which
+// must not weaken any of them. A fold that dropped a needed row would prune
+// fewer nodes by the LP and search more.
+TEST(ArOptimalReferenceTest, NodeAndLpPruneCountsArePinned) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  const arch::Device dev = ar_device(50);
+  milp::SolverParams params;
+  params.num_threads = 1;
+  struct Row {
+    int n;
+    std::int64_t nodes, pruned_by_bound;
+  };
+  const Row expected[] = {{2, 3, 0}, {3, 49, 15}, {4, 57, 22}};
+  ASSERT_EQ(min_area_partitions(g, dev), 2);
+  ASSERT_EQ(max_area_partitions(g, dev) + 1, 4);
+  for (const Row& want : expected) {
+    const OptimalResult r = solve_optimal(g, dev, want.n, params);
+    EXPECT_EQ(r.nodes, want.nodes) << "N=" << want.n;
+    EXPECT_EQ(r.solver_stats.nodes_pruned_by_bound, want.pruned_by_bound)
+        << "N=" << want.n;
+  }
+}
+
 // Table 1 (AR filter, Rmax 200, Mmax 64, Ct 50 ns, delta 10 ns): the paper's
 // trace, one row per probe, from N = 2 up to the 1120 ns design at N = 4.
 TEST(RefinePartitionsTest, ArTable1Trace) {

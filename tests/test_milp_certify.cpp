@@ -129,6 +129,49 @@ TEST(CertifyInfeasibleTest, LpRefutedProofCarriesFarkasLeafAndPasses) {
   EXPECT_TRUE(certify_infeasible(lp_refuted_model(), *s.proof).ok);
 }
 
+/// LP-feasible at the root (b = 1/2, x = y = z = 1) but infeasible on both
+/// branches of b: b = 0 leaves x + y + z >= 4, b = 1 leaves x + y + z - 2 >= 2,
+/// and the pairwise rows cap the sum at 3. No single row tightens a bound
+/// under either branch, so only the node LP, with b folded into its rhs,
+/// refutes each child.
+Model branch_refuted_model() {
+  Model m("branch_refuted");
+  const VarId b = m.add_binary("b");
+  m.set_branch_priority(b, 1);
+  const VarId x = m.add_integer(0, 2, "x");
+  const VarId y = m.add_integer(0, 2, "y");
+  const VarId z = m.add_integer(0, 2, "z");
+  m.add_constraint(LinExpr(x) + LinExpr(y) <= 2.0, "xy");
+  m.add_constraint(LinExpr(y) + LinExpr(z) <= 2.0, "yz");
+  m.add_constraint(LinExpr(x) + LinExpr(z) <= 2.0, "xz");
+  m.add_constraint(LinExpr(x) + LinExpr(y) + LinExpr(z) + 2.0 * LinExpr(b) >=
+                       4.0,
+                   "low");
+  m.add_constraint(LinExpr(x) + LinExpr(y) + LinExpr(z) - 2.0 * LinExpr(b) >=
+                       2.0,
+                   "high");
+  return m;
+}
+
+TEST(CertifyInfeasibleTest, FarkasLeavesBelowTheRootCertifyExactly) {
+  SolverParams params = optimality_params();
+  params.num_threads = 1;
+  params.certify = CertifyMode::kFull;
+  const MilpSolution s = Solver(branch_refuted_model(), params).solve();
+  ASSERT_EQ(s.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(s.certified, CertifyStatus::kCertified) << s.certify_detail;
+  ASSERT_NE(s.proof, nullptr);
+  int farkas_below_root = 0;
+  for (const ProofNode& node : s.proof->nodes) {
+    if (node.kind == ProofNode::Kind::kFarkas) {
+      EXPECT_EQ(node.rank.size(), 1u);
+      ++farkas_below_root;
+    }
+  }
+  EXPECT_EQ(farkas_below_root, 2);  // one per branch of b
+  EXPECT_TRUE(certify_infeasible(branch_refuted_model(), *s.proof).ok);
+}
+
 TEST(CertifyInfeasibleTest, RejectsFarkasRayOnFeasibleModel) {
   // A single-leaf "proof" whose ray claims the knapsack capacity row alone
   // refutes the box. No sign combination can: the model is feasible.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "milp/certify.hpp"
 #include "milp/simplex.hpp"
 
 namespace sparcs::milp {
@@ -59,6 +60,48 @@ TEST(SimplexTest, InfeasibleDetected) {
   lp.add_row({{x, 1.0}}, Sense::kGreaterEqual, 5.0);
   lp.add_row({{x, 1.0}}, Sense::kLessEqual, 3.0);
   EXPECT_EQ(solve_lp(lp).status, LpStatus::kInfeasible);
+}
+
+TEST(SimplexTest, StartPointSatisfyingEveryRowNeedsNoIteration) {
+  // The start point x = y = 0 satisfies each row, so every slack starts
+  // basic, no artificial is needed, and a non-negative objective is already
+  // optimal there.
+  LpProblem lp;
+  const int x = lp.add_var(1.0, 0.0, 10.0);
+  const int y = lp.add_var(2.0, 0.0, 10.0);
+  lp.add_row({{x, 1.0}, {y, 1.0}}, Sense::kLessEqual, 5.0);
+  lp.add_row({{x, 1.0}, {y, -1.0}}, Sense::kGreaterEqual, -3.0);
+  lp.add_row({{x, 1.0}, {y, -2.0}}, Sense::kEqual, 0.0);
+  const LpResult r = solve_lp(lp);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_NEAR(r.objective, 0.0, kTol);
+}
+
+TEST(SimplexTest, FarkasRayOverSatisfiedAndViolatedRowsCertifies) {
+  // x = y (r3) and x + y <= 4 give x <= 2; x + 2y >= 9 needs x >= 3. The
+  // start point x = y = 0 satisfies every row but the >= one, so only that
+  // row starts with an artificial; the ray must still refute exactly.
+  Model m("mixed");
+  const VarId x = m.add_continuous(0.0, 10.0, "x");
+  const VarId y = m.add_continuous(0.0, 10.0, "y");
+  m.add_constraint(LinExpr(x) + LinExpr(y) <= 4.0, "r0");
+  m.add_constraint(LinExpr(y) - LinExpr(x) <= 1.0, "r1");
+  m.add_constraint(LinExpr(x) + 2.0 * LinExpr(y) >= 9.0, "r2");
+  m.add_constraint(LinExpr(x) - LinExpr(y) == 0.0, "r3");
+  LpParams params;
+  params.want_certificate = true;
+  const LpResult r = solve_lp(relaxation_of(m), params);
+  ASSERT_EQ(r.status, LpStatus::kInfeasible);
+  ASSERT_EQ(r.certificate.kind, LpCertificate::Kind::kFarkas);
+  InfeasibilityProof proof;
+  ProofNode leaf;
+  leaf.kind = ProofNode::Kind::kFarkas;
+  leaf.rows = {0, 1, 2, 3};
+  leaf.y = r.certificate.y;
+  proof.nodes.push_back(leaf);
+  const CertifyCheck check = certify_infeasible(m, proof);
+  EXPECT_TRUE(check.ok) << check.detail;
 }
 
 TEST(SimplexTest, InfeasibleBoundsDetected) {

@@ -254,6 +254,9 @@ TEST(MilpSolverTest, SolverStatsArePopulated) {
   const VarId c = m.add_binary("c");
   m.add_constraint(3.0 * LinExpr(a) + 4.0 * LinExpr(b) + 2.0 * LinExpr(c) <=
                        6.0, "cap");
+  // The simplex starts at a = b = c = 0, where the cap row already holds; a
+  // row that start point violates makes the node LPs pivot.
+  m.add_constraint(LinExpr(a) + LinExpr(b) + LinExpr(c) >= 1.0, "any");
   m.set_objective(10.0 * LinExpr(a) + 13.0 * LinExpr(b) + 7.0 * LinExpr(c),
                   /*minimize=*/false);
   const MilpSolution s = Solver(m, optimality_params()).solve();

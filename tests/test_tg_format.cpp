@@ -136,6 +136,30 @@ edge b a 1
                InvalidArgumentError);
 }
 
+TEST(TgFormatTest, GraphValidationErrorsAreBareMessages) {
+  // A file that parses line by line but fails graph validation reports the
+  // bare reason, with no precondition-failure prefix naming an expression
+  // and a source location.
+  struct Case {
+    const char* text;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"task a\n", "task a has no design points"},
+      {"task a\npoint a m 10 10\ntask b\npoint b m 10 10\n"
+       "edge a b 1\nedge b a 1\n",
+       "task graph contains a cycle"},
+  };
+  for (const Case& c : cases) {
+    try {
+      read_task_graph_string(c.text);
+      FAIL() << c.message << ": expected InvalidArgumentError";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_EQ(std::string(e.what()), c.message);
+    }
+  }
+}
+
 TEST(TgFormatTest, EwfRoundTrip) {
   const graph::TaskGraph original = workloads::ewf_task_graph();
   const TaskGraphFile parsed =
