@@ -46,10 +46,11 @@ Probe solve_window(std::optional<StageSession>& session,
                    int num_partitions, double d_max, double d_min,
                    const ReduceLatencyParams& params,
                    const PartitionedDesign* hint) {
-  Probe probe{.row = {.num_partitions = num_partitions,
-                      .d_max_bound = d_max,
-                      .d_min_bound = d_min}};
+  Probe probe;
   IterationRecord& row = probe.row;
+  row.num_partitions = num_partitions;
+  row.d_max_bound = d_max;
+  row.d_min_bound = d_min;
   // Fresh correlation id scoped over the probe: the span below and the
   // Solver::solve inside share it, which is what lets a telemetry sample, a
   // JSON log line and this trace span be joined post-hoc.
@@ -135,10 +136,11 @@ std::optional<Probe> refute_by_bound(const graph::TaskGraph& graph,
   // The relative slack keeps an LB(N) that the floating-point LP or MILP
   // rounded up from refuting a target that touches the true bound.
   if (!(target < bound - 1e-6 * std::max(1.0, bound))) return std::nullopt;
-  Probe probe{.row = {.num_partitions = num_partitions,
-                      .d_max_bound = target,
-                      .d_min_bound = d_min,
-                      .verdict_source = VerdictSource::kLatencyBound}};
+  Probe probe;
+  probe.row.num_partitions = num_partitions;
+  probe.row.d_max_bound = target;
+  probe.row.d_min_bound = d_min;
+  probe.row.verdict_source = VerdictSource::kLatencyBound;
   if (params.budget.solver.certify == milp::CertifyMode::kFull) {
     Stopwatch stopwatch;
     const milp::MilpSolution proof = certify_latency_bound(

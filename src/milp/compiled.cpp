@@ -59,27 +59,33 @@ CompiledModel::CompiledModel(const Model& model, bool with_objective_cutoff) {
     append_row(obj_terms_, Sense::kLessEqual, kInfinity);
   }
 
-  // A family's unit takes the place of its owned rows in the adjacency.
+  // A family's unit takes the place of its owned rows in the reader lists.
   families_ = &model.path_families();
   for (int f = 0; f < num_families(); ++f) {
     for (const ConstraintId c : family(f).rows) {
       constraints_[static_cast<std::size_t>(c)].family = f;
     }
   }
-  vadj_.assign(static_cast<std::size_t>(n), {});
+
+  // Per term, a row's unit reads lb(x) on its <= side when a > 0 and ub(x)
+  // when a < 0, and the other bound on its >= side. A family's rows are one
+  // contiguous block, so a repeat of its unit sits at the back of the list.
+  lb_readers_.assign(static_cast<std::size_t>(n), {});
+  ub_readers_.assign(static_cast<std::size_t>(n), {});
   for (int c = 0; c < num_constraints(); ++c) {
     const CompiledConstraint& cc = constraints_[static_cast<std::size_t>(c)];
     const std::int32_t unit = unit_of_row(c);
     if (unit == c) ++num_round_units_;
     for (std::int32_t k = cc.begin; k < cc.end; ++k) {
-      auto& units =
-          vadj_[static_cast<std::size_t>(var_[static_cast<std::size_t>(k)])];
-      // A family's unit usually sits at the back when it is listed already.
-      if (unit != c &&
-          std::find(units.rbegin(), units.rend(), unit) != units.rend()) {
-        continue;
-      }
-      units.push_back(unit);
+      const auto v =
+          static_cast<std::size_t>(var_[static_cast<std::size_t>(k)]);
+      const bool positive = coef_[static_cast<std::size_t>(k)] > 0.0;
+      const auto read = [&](bool is_lb) {
+        auto& units = (is_lb ? lb_readers_ : ub_readers_)[v];
+        if (units.empty() || units.back() != unit) units.push_back(unit);
+      };
+      if (cc.sense != Sense::kGreaterEqual) read(positive);
+      if (cc.sense != Sense::kLessEqual) read(!positive);
     }
   }
   num_round_units_ += num_families();

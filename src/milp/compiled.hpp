@@ -1,11 +1,18 @@
 // Compiled (solver-internal) form of a Model: CSR constraint storage,
-// variable -> propagation-unit adjacency, and an optional dynamic
-// objective-cutoff row used by branch & bound to turn incumbent objectives
-// into a constraint.
+// the propagation units that read each variable bound, and an optional
+// dynamic objective-cutoff row used by branch & bound to turn incumbent
+// objectives into a constraint.
 //
 // Propagation visits units: every row that no PathFamily owns, plus one
 // unit per family in place of all the rows it owns. Unit ids below
 // num_constraints() are rows; num_constraints() + f is family f.
+//
+// A unit reads only some bounds of its variables. A <= row's minimum
+// activity, the only thing its propagation derives from, reads lb of its
+// positive terms and ub of its negative ones; a >= row reads the mirror
+// image and an = row both. A family reads what its rows read: lb of its
+// terms and ub of its target. A unit is listed under exactly the bounds it
+// reads, so a bound change queues only units that can derive from it.
 #pragma once
 
 #include <vector>
@@ -60,9 +67,13 @@ class CompiledModel {
   [[nodiscard]] double lb(VarId v) const { return lb_[static_cast<std::size_t>(v)]; }
   [[nodiscard]] double ub(VarId v) const { return ub_[static_cast<std::size_t>(v)]; }
 
-  /// Propagation units containing variable v.
-  [[nodiscard]] const std::vector<std::int32_t>& constraints_of(VarId v) const {
-    return vadj_[static_cast<std::size_t>(v)];
+  /// Propagation units that read lb(v), in the order of their first rows.
+  [[nodiscard]] const std::vector<std::int32_t>& lb_readers(VarId v) const {
+    return lb_readers_[static_cast<std::size_t>(v)];
+  }
+  /// Propagation units that read ub(v), in the order of their first rows.
+  [[nodiscard]] const std::vector<std::int32_t>& ub_readers(VarId v) const {
+    return ub_readers_[static_cast<std::size_t>(v)];
   }
 
   [[nodiscard]] int num_families() const {
@@ -108,7 +119,7 @@ class CompiledModel {
   std::vector<double> coef_;
   std::vector<VarId> var_;
   std::vector<CompiledConstraint> constraints_;
-  std::vector<std::vector<std::int32_t>> vadj_;
+  std::vector<std::vector<std::int32_t>> lb_readers_, ub_readers_;
   const std::vector<PathFamily>* families_ = nullptr;
   int num_round_units_ = 0;
   std::vector<VarType> types_;

@@ -70,6 +70,7 @@ Propagator::Propagator(const CompiledModel& model, double feasibility_tol,
     nodes = std::max(nodes, at(model.family(f).num_nodes()));
   }
   weight_.resize(nodes);
+  span_.resize(nodes);
   into_.resize(nodes);
   from_.resize(nodes);
   prev_.resize(nodes);
@@ -77,16 +78,13 @@ Propagator::Propagator(const CompiledModel& model, double feasibility_tol,
 }
 
 void Propagator::enqueue_var(VarId v, bool lb_changed, bool ub_changed) {
-  const int num_rows = model_.num_constraints();
-  for (const std::int32_t unit : model_.constraints_of(v)) {
+  if (lb_changed) enqueue(model_.lb_readers(v));
+  if (ub_changed) enqueue(model_.ub_readers(v));
+}
+
+void Propagator::enqueue(const std::vector<std::int32_t>& units) {
+  for (const std::int32_t unit : units) {
     if (in_queue_[static_cast<std::size_t>(unit)]) continue;
-    // A family reads only the lower bounds of its terms and the upper bound
-    // of its target.
-    if (unit >= num_rows &&
-        !(model_.family(unit - num_rows).target == v ? ub_changed
-                                                     : lb_changed)) {
-      continue;
-    }
     in_queue_[static_cast<std::size_t>(unit)] = true;
     queue_.push_back(unit);
   }
@@ -150,8 +148,9 @@ bool Propagator::process_constraint(int c, Domains& domains,
   const int len = model_.size(cc);
   if (!std::isfinite(cc.rhs)) return true;  // inactive cutoff row
 
-  // Row activity bounds with infinite-contribution counters.
-  double min_act = 0.0, max_act = 0.0;
+  // Row activity bounds with infinite-contribution counters, and the widest
+  // term |a|*(ub - lb).
+  double min_act = 0.0, max_act = 0.0, max_span = 0.0;
   int min_infs = 0, max_infs = 0;
   for (int k = 0; k < len; ++k) {
     const double a = coefs[k];
@@ -161,6 +160,7 @@ bool Propagator::process_constraint(int c, Domains& domains,
     const double contrib_max = a > 0.0 ? a * hi : a * lo;
     if (std::isfinite(contrib_min)) min_act += contrib_min; else ++min_infs;
     if (std::isfinite(contrib_max)) max_act += contrib_max; else ++max_infs;
+    max_span = std::max(max_span, contrib_max - contrib_min);
   }
 
   const bool need_le =
@@ -172,6 +172,13 @@ bool Propagator::process_constraint(int c, Domains& domains,
       (need_ge && max_infs == 0 && max_act < cc.rhs - tol_)) {
     if (log_ != nullptr) log_->conflict_row = c;
     return false;
+  }
+  // A term's new bound lies its side's slack (rhs - min_act, or
+  // max_act - rhs) beyond the bound it already has, so no term can move when
+  // even the widest one fits in that slack.
+  if ((!need_le || (min_infs == 0 && max_span <= cc.rhs - min_act)) &&
+      (!need_ge || (max_infs == 0 && max_span <= max_act - cc.rhs))) {
+    return true;
   }
 
   // Tighten each variable from the residual activity of the others.
@@ -240,13 +247,15 @@ bool Propagator::tightened(ConstraintId row, VarId v, bool is_lb,
 void Propagator::longest_paths(const PathFamily& fam, const Domains& domains) {
   const int n = fam.num_nodes();
   for (std::int32_t u = 0; u < n; ++u) {
-    double w = 0.0;
+    double w = 0.0, span = 0.0;
     for (std::int32_t k = fam.term_begin[at(u)]; k < fam.term_begin[at(u) + 1];
          ++k) {
       const LinTerm& t = fam.terms[at(k)];
       w += t.coef * domains.lb(t.var);
+      span = std::max(span, t.coef * (domains.ub(t.var) - domains.lb(t.var)));
     }
     weight_[at(u)] = w;
+    span_[at(u)] = span;
     into_[at(u)] = 0.0;
     prev_[at(u)] = -1;
   }
@@ -314,6 +323,9 @@ bool Propagator::process_family(int f, Domains& domains,
 
   for (std::int32_t u = 0; u < fam.num_nodes(); ++u) {
     const double through = into_[at(u)] + from_[at(u)];
+    // Each term's new ub lies (cap - through) / a above its lb: none moves
+    // when the widest term at u fits in that slack.
+    if (cap - through >= span_[at(u)]) continue;
     for (std::int32_t k = fam.term_begin[at(u)]; k < fam.term_begin[at(u) + 1];
          ++k) {
       const LinTerm& t = fam.terms[at(k)];

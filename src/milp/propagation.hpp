@@ -13,6 +13,15 @@
 // bounds its rows would give — lb(target) is the longest path, and each
 // term's bound comes from the longest path through its node. One family
 // visit counts as one visit in PropagationStats::constraints_processed.
+//
+// Propagation is lazy in two exact ways. A tightening queues only the units
+// that read the bound it moved (CompiledModel::lb_readers / ub_readers),
+// so every unit left unqueued would derive nothing. And a visit returns
+// before its per-term loop when even its widest term |a|*(ub - lb) fits in
+// the slack its activity leaves, so no term could move; a family skips each
+// node whose widest term fits in ub(target) minus the longest path through
+// it. Every derivation and conflict is the one the full rule gives (DESIGN
+// §10, "What propagation queues and skips").
 #pragma once
 
 #include <cstdint>
@@ -102,6 +111,8 @@ class Propagator {
                  PropagationStats& stats);
   /// Queues the units that read the changed bounds of v.
   void enqueue_var(VarId v, bool lb_changed, bool ub_changed);
+  /// Queues each of `units` that is not queued already.
+  void enqueue(const std::vector<std::int32_t>& units);
   void enqueue_all();
 
   const CompiledModel& model_;
@@ -111,11 +122,11 @@ class Propagator {
   std::vector<std::int32_t> queue_;
   std::vector<bool> in_queue_;
 
-  // Longest-path scratch, indexed by family node: node weight, longest path
-  // into the node (excluding it) and its argmax predecessor, longest path
-  // from the node (including it) and its argmax successor; -1 links end a
-  // path.
-  std::vector<double> weight_, into_, from_;
+  // Longest-path scratch, indexed by family node: node weight, widest term
+  // a*(ub - lb), longest path into the node (excluding it) and its argmax
+  // predecessor, longest path from the node (including it) and its argmax
+  // successor; -1 links end a path.
+  std::vector<double> weight_, span_, into_, from_;
   std::vector<std::int32_t> prev_, next_;
 };
 

@@ -14,6 +14,7 @@
 #include "milp/compiled.hpp"
 #include "milp/propagation.hpp"
 #include "milp/solver.hpp"
+#include "propagation_fixpoint.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -612,6 +613,48 @@ TEST(FormulationTest, PathFamiliesReachTheFixpointOfTheirRows) {
   }
   EXPECT_GT(agreed_bounds, 10);
   EXPECT_GT(agreed_conflicts, 10);
+}
+
+// Propagation from the bounds a fixing moved must end where a pass over
+// every unit ends: on random DAGs with random Y variables fixed one at a
+// time, with (7) as path families and in the flow form.
+TEST(FormulationTest, IncrementalPropagationReachesTheFullFixpoint) {
+  FormulationOptions flow;
+  flow.max_paths = 0;
+  int checked = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    for (const int num_tasks : {6, 10, 16}) {
+      workloads::RandomGraphOptions options;
+      options.num_tasks = num_tasks;
+      options.num_layers = std::max(2, num_tasks / 3);
+      options.seed = seed;
+      const graph::TaskGraph g = workloads::random_task_graph(options);
+      const arch::Device dev = arch::custom("d", 400, 4096, 100);
+      Rng rng(seed * 977 + static_cast<std::uint64_t>(num_tasks));
+      const int n = 3;
+      for (const FormulationOptions& form_options :
+           {FormulationOptions{}, flow}) {
+        const double d_max = min_latency(g, dev, n) * rng.uniform(1.0, 1.6);
+        const IlpFormulation form(g, dev, n, d_max, 0.0, form_options);
+        ASSERT_EQ(form.model().path_families().empty(),
+                  form_options.max_paths == 0);
+        std::vector<milp::VarId> ys;
+        for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
+          for (int p = 1; p <= n; ++p) {
+            for (int k = 0; k < form.num_points(t); ++k) {
+              ys.push_back(form.y(t, p, k));
+            }
+          }
+        }
+        checked +=
+            testing::check_incremental_fixpoint(form.model(), rng, 4, ys)
+                .checked;
+        ASSERT_FALSE(HasFailure()) << "seed " << seed << " tasks " << num_tasks
+                                   << " max_paths " << form_options.max_paths;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
 }
 
 /// Every root->leaf path of `g` as its task list, roots by ascending id,

@@ -235,6 +235,134 @@ TEST(PropagationTest, PathFamilyConflictCitesTheLongestPath) {
   }
 }
 
+// z = 1 lowers ub(x) through "fix" (z + x <= 1). Only units that read
+// ub(x) are queued by that: a <= row with positive terms reads lower bounds
+// only, a >= row reads ub of its positive terms, an = row every bound.
+TEST(PropagationTest, RowsAreQueuedOnlyForTheBoundsTheyRead) {
+  const auto visits = [](Sense sense) {
+    Model m;
+    const VarId x = m.add_binary("x");
+    const VarId y = m.add_binary("y");
+    const VarId z = m.add_binary("z");
+    const VarId w = m.add_binary("w");
+    m.add_constraint(LinExpr(z) + LinExpr(x) <= 1.0, "fix");
+    // None of these rows binds, so each visit derives nothing.
+    const LinExpr reader = LinExpr(x) + LinExpr(y);
+    if (sense == Sense::kEqual) {
+      m.add_constraint(reader - LinExpr(w) == 0.0, "reader");
+    } else {
+      m.add_constraint(reader, sense, sense == Sense::kLessEqual ? 2.0 : 0.0,
+                       "reader");
+    }
+    CompiledModel compiled(m);
+    Domains domains(compiled);
+    Propagator prop(compiled, 1e-7, 50);
+    PropagationStats st;
+    EXPECT_TRUE(prop.propagate(domains, {}, st));
+    EXPECT_EQ(st.bounds_tightened, 0);
+    domains.set_lb(z, 1.0);
+    st = {};
+    EXPECT_TRUE(prop.propagate(domains, {z}, st));
+    EXPECT_DOUBLE_EQ(domains.ub(x), 0.0);
+    EXPECT_EQ(st.bounds_tightened, 1);
+    return st.constraints_processed;
+  };
+  EXPECT_EQ(visits(Sense::kLessEqual), 1);  // "fix" alone
+  EXPECT_EQ(visits(Sense::kGreaterEqual), 2);
+  EXPECT_EQ(visits(Sense::kEqual), 2);
+
+  // A family reads lb of its terms and ub of its target: lowering ub(a)
+  // leaves it alone, lowering ub(t) to 10 queues it (its paths weigh 8 at
+  // most, so it derives nothing).
+  for (const bool target : {false, true}) {
+    Diamond dia(20);
+    dia.add_family(dia.family());
+    const VarId z = dia.m.add_binary("z");
+    if (target) {
+      dia.m.add_constraint(8.0 * LinExpr(z) + LinExpr(dia.t) <= 18.0, "fix");
+    } else {
+      dia.m.add_constraint(LinExpr(z) + LinExpr(dia.a) <= 1.0, "fix");
+    }
+    CompiledModel compiled(dia.m);
+    Domains domains(compiled);
+    Propagator prop(compiled, 1e-7, 50);
+    PropagationStats st;
+    ASSERT_TRUE(prop.propagate(domains, {}, st));
+    domains.set_lb(z, 1.0);
+    st = {};
+    ASSERT_TRUE(prop.propagate(domains, {z}, st));
+    EXPECT_EQ(st.bounds_tightened, 1);
+    EXPECT_EQ(st.constraints_processed, target ? 2 : 1);
+  }
+}
+
+// A term's new bound lies its side's slack beyond the bound it has, so a
+// visit whose widest term |a|*(ub - lb) fits in the slack returns before the
+// per-term loop. At the boundary the loop derives nothing either, and one
+// step inside it the loop's bound is what propagation ends with.
+TEST(PropagationTest, TighteningSkipIsExactAtTheBoundary) {
+  constexpr double kTol = 1e-7;
+  const auto propagate = [&](const Model& m, PropagationStats& st) {
+    CompiledModel compiled(m);
+    Domains domains(compiled);
+    Propagator prop(compiled, kTol, 50);
+    EXPECT_TRUE(prop.propagate(domains, {}, st));
+    return std::vector<double>{domains.lb(0), domains.ub(0), domains.lb(1),
+                               domains.ub(1)};
+  };
+  // Integral terms: 3x + 2y with x in [0, 4] and y in [0, 5]; the widest
+  // term spans 12.
+  for (const Sense sense : {Sense::kLessEqual, Sense::kGreaterEqual}) {
+    const bool le = sense == Sense::kLessEqual;
+    for (const double step : {0.0, 1.0}) {
+      Model m;
+      const VarId x = m.add_integer(0, 4, "x");
+      const VarId y = m.add_integer(0, 5, "y");
+      // <=: slack rhs - 0; >=: slack 22 - rhs.
+      const double slack = 12.0 - step;
+      m.add_constraint(3.0 * LinExpr(x) + 2.0 * LinExpr(y), sense,
+                       le ? slack : 22.0 - slack, "r");
+      PropagationStats st;
+      const std::vector<double> b = propagate(m, st);
+      EXPECT_EQ(st.bounds_tightened, step == 0.0 ? 0 : 1);
+      // One step inside: x <= floor(11 / 3) = 3, or x >= ceil(1 / 3) = 1.
+      EXPECT_EQ(b, (step == 0.0 ? std::vector<double>{0, 4, 0, 5}
+                    : le        ? std::vector<double>{0, 3, 0, 5}
+                                : std::vector<double>{1, 4, 0, 5}));
+    }
+  }
+  // Continuous terms: 2.5x + y <= rhs with x in [0, 4], y in [0, 1]. The
+  // per-term loop moves ub(x) only when the slack is more than 2.5 * tol
+  // below the span of 10.
+  for (const double below : {0.0, 0.5 * 2.5 * kTol, 2.0 * 2.5 * kTol}) {
+    Model m;
+    const VarId x = m.add_continuous(0, 4, "x");
+    const VarId y = m.add_continuous(0, 1, "y");
+    m.add_constraint(2.5 * LinExpr(x) + LinExpr(y) <= 10.0 - below, "r");
+    PropagationStats st;
+    const std::vector<double> b = propagate(m, st);
+    const bool moves = below > 2.5 * kTol;
+    EXPECT_EQ(st.bounds_tightened, moves ? 1 : 0) << below;
+    EXPECT_DOUBLE_EQ(b[1], moves ? (10.0 - below) / 2.5 : 4.0) << below;
+  }
+  // A family node: b = 1 makes every path through a weigh 5 at least, and
+  // a's term spans 2. ub(t) = 7 leaves exactly that room; 6 leaves none.
+  for (const double cap : {7.0, 6.0}) {
+    Diamond dia(cap);
+    dia.add_family(dia.family());
+    dia.m.set_bounds(dia.b, 1, 1);
+    CompiledModel compiled(dia.m);
+    Domains domains(compiled);
+    Propagator prop(compiled, kTol, 50);
+    PropagationStats st;
+    ASSERT_TRUE(prop.propagate(domains, {}, st));
+    EXPECT_DOUBLE_EQ(domains.lb(dia.t), 5.0);
+    EXPECT_EQ(st.bounds_tightened, cap == 7.0 ? 1 : 2);
+    EXPECT_DOUBLE_EQ(domains.ub(dia.a), cap == 7.0 ? 1.0 : 0.0);
+    EXPECT_DOUBLE_EQ(domains.ub(dia.d), 1.0);
+  }
+}
+
 TEST(PropagationTest, ValidateRejectsFamiliesThatDoNotMatchTheirRows) {
   {
     // Rows are built from the family, so only its structure can be wrong.

@@ -5,6 +5,7 @@
 #include "brute_force.hpp"
 #include "milp/checker.hpp"
 #include "milp/solver.hpp"
+#include "propagation_fixpoint.hpp"
 #include "support/rng.hpp"
 
 namespace sparcs::milp {
@@ -115,6 +116,52 @@ TEST_P(RandomMilpTest, MixedIntegerAgainstBruteForceOnIntegers) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMilpTest,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+/// Random program over general integers and continuous variables whose rows
+/// carry terms of both signs.
+Model random_mixed_model(Rng& rng) {
+  Model m;
+  for (int i = 0; i < 6; ++i) m.add_integer(-2, 4, "z" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) {
+    m.add_continuous(-5.0, 10.0, "c" + std::to_string(i));
+  }
+  for (int r = 0; r < 7; ++r) {
+    LinExpr lhs;
+    for (VarId v = 0; v < m.num_vars(); ++v) {
+      if (rng.chance(0.5)) {
+        lhs += 0.5 * static_cast<double>(rng.uniform_int(-5, 5)) * LinExpr(v);
+      }
+    }
+    const int pick = static_cast<int>(rng.uniform_int(0, 2));
+    const Sense sense = pick == 0   ? Sense::kLessEqual
+                        : pick == 1 ? Sense::kGreaterEqual
+                                    : Sense::kEqual;
+    m.add_constraint(lhs, sense, static_cast<double>(rng.uniform_int(-6, 10)),
+                     "r" + std::to_string(r));
+  }
+  return m;
+}
+
+// Propagation queues a unit only when a bound it reads moves. Fixing random
+// variables one at a time, the fixpoint each propagate(d, {v}) reaches must
+// be one that a pass over every row cannot tighten, on binary and on mixed
+// programs.
+TEST(RandomPropagationTest, IncrementalPropagationReachesTheFullFixpoint) {
+  int checked = 0, conflicts = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    for (const Model& m :
+         {random_binary_model(seed + 500, 14, 9), random_mixed_model(rng)}) {
+      const testing::FixpointCounts counts =
+          testing::check_incremental_fixpoint(m, rng, 6);
+      checked += counts.checked;
+      conflicts += counts.conflicts;
+      ASSERT_FALSE(HasFailure()) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(checked, 300);
+  EXPECT_GT(conflicts, 50);
+}
 
 }  // namespace
 }  // namespace sparcs::milp
