@@ -53,10 +53,10 @@ IlpFormulation::IlpFormulation(const graph::TaskGraph& graph,
   milp::PathFamily dag = task_dag(graph_);
   dag.count_paths();
   if (static_cast<std::uint64_t>(dag.num_paths) > options.max_paths) {
-    SPARCS_WLOG << "the task graph has more than " << options.max_paths
-                << " root->leaf paths; falling back to the flow-based "
-                   "latency form";
-    add_latency_flow_based();
+    SPARCS_ILOG << "the task graph has more than " << options.max_paths
+                << " root->leaf paths; (7) uses per-partition potentials "
+                   "instead of one row per path";
+    add_latency_potentials();
   } else {
     add_latency_path_based(dag);
   }
@@ -157,12 +157,6 @@ LinExpr IlpFormulation::y_range_sum(TaskId t, int p_lo, int p_hi) const {
   return expr;
 }
 
-LinExpr IlpFormulation::task_latency_expr(TaskId t) const {
-  LinExpr expr;
-  for (int p = 1; p <= n_; ++p) expr += task_latency_in_partition(t, p);
-  return expr;
-}
-
 LinExpr IlpFormulation::task_latency_in_partition(TaskId t, int p) const {
   LinExpr expr;
   const auto& points = graph_.task(t).design_points;
@@ -170,16 +164,6 @@ LinExpr IlpFormulation::task_latency_in_partition(TaskId t, int p) const {
     const double latency =
         points[static_cast<std::size_t>(design_point_index(t, k))].latency_ns;
     expr += LinExpr(y(t, p, k), latency);
-  }
-  return expr;
-}
-
-LinExpr IlpFormulation::partition_index_expr(TaskId t) const {
-  LinExpr expr;
-  for (int p = 1; p <= n_; ++p) {
-    for (int k = 0; k < num_points(t); ++k) {
-      expr += LinExpr(y(t, p, k), static_cast<double>(p));
-    }
   }
   return expr;
 }
@@ -314,51 +298,34 @@ void IlpFormulation::add_latency_path_based(const milp::PathFamily& dag) {
   }
 }
 
-// Flow-based alternative to (7): completion times chain along edges that do
-// not cross a partition boundary; d_p dominates completions inside p. The
-// big-M is the sum of every task's largest latency, which bounds any
-// completion time inside a partition whatever the window.
-void IlpFormulation::add_latency_flow_based() {
-  double big_m = 0.0;
-  for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-    big_m += graph_.max_latency(t);
-  }
-  std::vector<VarId> completion;
-  completion.reserve(static_cast<std::size_t>(graph_.num_tasks()));
-  for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-    const VarId c = model_.add_continuous(0.0, big_m,
-                                          "c_" + graph_.task(t).name);
-    completion.push_back(c);
-    // Completion covers at least the task's own latency.
-    model_.add_constraint(task_latency_expr(t) - LinExpr(c) <= 0.0,
-                          "cself_" + graph_.task(t).name);
-  }
-  for (std::size_t ei = 0; ei < graph_.edges().size(); ++ei) {
-    const graph::DataEdge& e = graph_.edges()[ei];
-    // z = 1 iff the edge crosses partitions.
-    const VarId z = model_.add_binary(str_format(
-        "z_%s_%s", graph_.task(e.from).name.c_str(),
-        graph_.task(e.to).name.c_str()));
-    LinExpr diff = partition_index_expr(e.to) - partition_index_expr(e.from);
-    model_.add_constraint(static_cast<double>(n_) * LinExpr(z) >= diff,
-                          str_format("zlo_e%zu", ei));
-    model_.add_constraint(LinExpr(z) <= diff, str_format("zhi_e%zu", ei));
-    // Same-partition chaining: c_t2 >= c_t1 + latency(t2) - M*z.
-    LinExpr chain =
-        LinExpr(completion[static_cast<std::size_t>(e.from)]) +
-        task_latency_expr(e.to) - LinExpr(completion[static_cast<std::size_t>(e.to)]) -
-        big_m * LinExpr(z);
-    model_.add_constraint(std::move(chain) <= 0.0,
-                          str_format("chain_e%zu", ei));
-  }
-  // d_p >= c_t when t is in p.
-  for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-    for (int p = 1; p <= n_; ++p) {
-      LinExpr lhs = LinExpr(completion[static_cast<std::size_t>(t)]) -
-                    LinExpr(d(p)) - big_m * (1.0 - y_sum(t, p));
-      model_.add_constraint(std::move(lhs) <= 0.0,
-                            str_format("dcover_%s_p%d",
-                                       graph_.task(t).name.c_str(), p));
+// (7) above the path cap: potentials s_pt >= 0 chained along the edges of
+// the transitive reduction, and d_p above every leaf. They project onto
+// exactly the path rows' polyhedron (DESIGN.md §3).
+void IlpFormulation::add_latency_potentials() {
+  const std::vector<int> edges = graph::transitive_reduction_edges(graph_);
+  for (int p = 1; p <= n_; ++p) {
+    std::vector<VarId> s;
+    for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
+      s.push_back(model_.add_continuous(
+          0.0, milp::kInfinity,
+          str_format("s_p%d_%s", p, graph_.task(t).name.c_str())));
+    }
+    // s_pt plus t's latency in p: the longest path in p that ends at t.
+    const auto ends_at = [&](TaskId t) {
+      return LinExpr(s[static_cast<std::size_t>(t)]) +
+             task_latency_in_partition(t, p);
+    };
+    for (const int ei : edges) {
+      const graph::DataEdge& e = graph_.edges()[static_cast<std::size_t>(ei)];
+      model_.add_constraint(
+          ends_at(e.from) <= LinExpr(s[static_cast<std::size_t>(e.to)]),
+          str_format("pot_edge_p%d_%s_%s", p, graph_.task(e.from).name.c_str(),
+                     graph_.task(e.to).name.c_str()));
+    }
+    for (const TaskId t : graph_.leaves()) {
+      model_.add_constraint(
+          ends_at(t) <= LinExpr(d(p)),
+          str_format("pot_leaf_p%d_%s", p, graph_.task(t).name.c_str()));
     }
   }
 }
@@ -366,7 +333,9 @@ void IlpFormulation::add_latency_flow_based() {
 // (8): eta dominates the partition index of every leaf task.
 void IlpFormulation::add_eta_definition() {
   for (const TaskId t : graph_.leaves()) {
-    model_.add_constraint(partition_index_expr(t) - LinExpr(eta_) <= 0.0,
+    LinExpr index;  // sum_{p,m} p * Y_ptm
+    for (int p = 1; p <= n_; ++p) index += static_cast<double>(p) * y_sum(t, p);
+    model_.add_constraint(std::move(index) - LinExpr(eta_) <= 0.0,
                           "eta_" + graph_.task(t).name);
   }
 }

@@ -27,8 +27,10 @@
 // Beyond the paper's model:
 //  - when the task graph has more than FormulationOptions::max_paths
 //    root->leaf paths (counted by milp::PathFamily::count_paths, saturating
-//    instead of overflowing), (7) falls back to a flow-based big-M form that
-//    stays polynomial in size;
+//    instead of overflowing), (7) is built from per-partition potentials
+//    s_pt >= 0: s_pv >= s_pu + sum_m D(m)*Y_pum per reduction edge and
+//    d_p >= s_pt + sum_m D(m)*Y_ptm per leaf, plain rows that project onto
+//    exactly the path rows' polyhedron (DESIGN.md §3);
 //  - one valid inequality: per-task area variables a_t, defined by (6)'s
 //    terms summed over the partitions, and the total-area row
 //    sum_t a_t <= N * R_max, which lets the solver's bound propagation
@@ -47,7 +49,7 @@ namespace sparcs::core {
 
 struct FormulationOptions {
   /// Root->leaf path count above which (7) switches from one row per path
-  /// to the flow-based latency form.
+  /// to per-partition potentials.
   std::size_t max_paths = 20000;
 };
 
@@ -103,7 +105,7 @@ class IlpFormulation {
   void add_memory();
   void add_resource();
   void add_latency_path_based(const milp::PathFamily& dag);
-  void add_latency_flow_based();
+  void add_latency_potentials();
   void add_eta_definition();
   void add_latency_window();
   /// Hints task t's Y variables toward `a`, or clears them when `a` does not
@@ -115,13 +117,9 @@ class IlpFormulation {
   /// Sum over partitions in [p_lo, p_hi] and module sets for task t.
   [[nodiscard]] milp::LinExpr y_range_sum(graph::TaskId t, int p_lo,
                                           int p_hi) const;
-  /// Task latency expression sum_{p,m} D(m) * Y_ptm.
-  [[nodiscard]] milp::LinExpr task_latency_expr(graph::TaskId t) const;
   /// Task latency restricted to partition p.
   [[nodiscard]] milp::LinExpr task_latency_in_partition(graph::TaskId t,
                                                         int p) const;
-  /// Task partition-index expression sum_{p,m} p * Y_ptm.
-  [[nodiscard]] milp::LinExpr partition_index_expr(graph::TaskId t) const;
 
   const graph::TaskGraph& graph_;
   const arch::Device& device_;

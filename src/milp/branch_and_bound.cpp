@@ -420,9 +420,10 @@ class BnbSearch {
   void mark_incomplete() { pool_.flag_incomplete(); }
   void search_loop();
   /// Enters the child that branch box [lo, hi] on `v` selects: imposes the
-  /// box and propagates from `v`. On a refutation (empty box or conflict)
-  /// records the proof leaf, the pruned count and the search-tree node, and
-  /// returns false. A donated subproblem enters through here as well.
+  /// box and propagates from the bounds of `v` it moved. On a refutation
+  /// (empty box or conflict) records the proof leaf, the pruned count and the
+  /// search-tree node, and returns false. A donated subproblem enters
+  /// through here as well.
   bool enter(VarId v, double lo, double hi);
   /// Search-tree record of a node at the current position, entered through
   /// [lo, hi] on `var` (-1: the root), under a freshly drawn id.
@@ -935,10 +936,14 @@ telemetry::TreeNode BnbSearch::tree_node(VarId var, double lo,
 }
 
 bool BnbSearch::enter(VarId v, double lo, double hi) {
-  domains_.set_lb(v, lo);
-  domains_.set_ub(v, hi);
+  bool lb_moved = domains_.set_lb(v, lo);
+  bool ub_moved = domains_.set_ub(v, hi);
+  // A donated subproblem arrives with its branch box already seated, so no
+  // bound moves here: it propagates from both of v's bounds.
+  if (!lb_moved && !ub_moved) lb_moved = ub_moved = true;
   const bool empty_box = domains_.lb(v) > domains_.ub(v);
-  if (!empty_box && propagator_.propagate(domains_, {v}, prop_stats_)) {
+  if (!empty_box && propagator_.propagate(domains_, {v}, prop_stats_,
+                                          lb_moved, ub_moved)) {
     stage_propagation_log();
     last_branch_ = {v, lo, hi};
     return true;

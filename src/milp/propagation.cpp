@@ -102,13 +102,14 @@ void Propagator::enqueue_all() {
 
 bool Propagator::propagate(Domains& domains,
                            const std::vector<VarId>& seed_vars,
-                           PropagationStats& stats) {
+                           PropagationStats& stats, bool lb_moved,
+                           bool ub_moved) {
   queue_.clear();
   std::fill(in_queue_.begin(), in_queue_.end(), false);
   if (seed_vars.empty()) {
     enqueue_all();
   } else {
-    for (const VarId v : seed_vars) enqueue_var(v, true, true);
+    for (const VarId v : seed_vars) enqueue_var(v, lb_moved, ub_moved);
   }
 
   const std::int64_t budget =

@@ -84,11 +84,13 @@ class Propagator {
   Propagator(const CompiledModel& model, double feasibility_tol,
              int max_rounds);
 
-  /// Propagates to a fixpoint starting from the units adjacent to
-  /// `seed_vars` (or all units when empty). Returns false on conflict (some
-  /// constraint proved unsatisfiable or a domain emptied).
+  /// Propagates to a fixpoint starting from the units that read the moved
+  /// bounds of `seed_vars` (lb when `lb_moved`, ub when `ub_moved`), or from
+  /// all units when it is empty. Returns false on conflict (some constraint
+  /// proved unsatisfiable or a domain emptied).
   bool propagate(Domains& domains, const std::vector<VarId>& seed_vars,
-                 PropagationStats& stats);
+                 PropagationStats& stats, bool lb_moved = true,
+                 bool ub_moved = true);
 
   /// Installs a derivation log (nullptr to detach). While attached, every
   /// bound tightening appends a Derivation and a conflict records its row or

@@ -23,6 +23,28 @@ void LpProblem::add_row(std::vector<LinTerm> terms, Sense sense, double rhs) {
 
 namespace {
 
+/// True when x meets every row of `problem` to within 5e-4 of the row's
+/// largest term |a_j x_j| or |rhs| (at least 1). Roundoff in the updated
+/// tableau can leave the basic values off B^-1 b while the reduced costs
+/// read optimal; correct optima stay within about 1e-4 (DESIGN §9).
+bool rows_hold(const LpProblem& problem, const std::vector<double>& x) {
+  for (const LpProblem::Row& row : problem.rows) {
+    double activity = 0.0;
+    double scale = std::max(1.0, std::abs(row.rhs));
+    for (const LinTerm& term : row.terms) {
+      const double ax = term.coef * x[static_cast<std::size_t>(term.var)];
+      activity += ax;
+      scale = std::max(scale, std::abs(ax));
+    }
+    const double excess = row.sense == Sense::kLessEqual ? activity - row.rhs
+                          : row.sense == Sense::kGreaterEqual
+                              ? row.rhs - activity
+                              : std::abs(activity - row.rhs);
+    if (excess > 5e-4 * scale) return false;
+  }
+  return true;
+}
+
 enum class ColStatus : std::uint8_t {
   kBasic,
   kAtLower,
@@ -576,9 +598,11 @@ LpResult SimplexTableau::run_phases() {
         bland_run = 0;
         continue;
       }
-      result.status = LpStatus::kOptimal;
       result.iterations = iterations_;
       extract(result);
+      result.status = rows_hold(problem_, result.x)
+                          ? LpStatus::kOptimal
+                          : LpStatus::kNumericalFailure;
       return result;
     }
     bool progress = false;

@@ -151,12 +151,12 @@ TEST(FormulationTest, LatencyFormsAgree) {
   const graph::TaskGraph g = diamond();
   const arch::Device dev = arch::custom("d", 200, 64, 10);
   for (int n = 1; n <= 3; ++n) {
-    FormulationOptions flow;
-    flow.max_paths = 0;  // the diamond's two paths exceed it
+    FormulationOptions potentials;
+    potentials.max_paths = 0;  // the diamond's two paths exceed it
     IlpFormulation f1(g, dev, n, max_latency(g, dev, n),
                       min_latency(g, dev, n));
     IlpFormulation f2(g, dev, n, max_latency(g, dev, n),
-                      min_latency(g, dev, n), flow);
+                      min_latency(g, dev, n), potentials);
     f1.set_latency_objective();
     f2.set_latency_objective();
     const milp::MilpSolution s1 = milp::Solver(f1.model(), milp::optimality_params()).solve();
@@ -241,16 +241,17 @@ TEST(FormulationTest, ShortcutEdgeKeepsTheOptimum) {
 }
 
 /// `diamonds` diamonds in a row (15 by default): joints j0..j15 with
-/// j_i -> {u_i, v_i} -> j_{i+1}, 46 tasks of one design point each and
-/// 2^15 = 32,768 root->leaf paths.
-graph::TaskGraph diamond_ladder(int diamonds = 15) {
+/// j_i -> {u_i, v_i} -> j_{i+1}, 46 tasks and 2^15 = 32,768 root->leaf
+/// paths. Every task has the design points `points` (one by default).
+graph::TaskGraph diamond_ladder(
+    int diamonds = 15,
+    const std::vector<graph::DesignPoint>& points = {{"m", 10, 100}}) {
   graph::TaskGraph g("ladder");
-  const std::vector<graph::DesignPoint> point = {{"m", 10, 100}};
-  graph::TaskId joint = g.add_task("j0", point);
+  graph::TaskId joint = g.add_task("j0", points);
   for (int i = 0; i < diamonds; ++i) {
-    const graph::TaskId u = g.add_task("u" + std::to_string(i), point);
-    const graph::TaskId v = g.add_task("v" + std::to_string(i), point);
-    const graph::TaskId next = g.add_task("j" + std::to_string(i + 1), point);
+    const graph::TaskId u = g.add_task("u" + std::to_string(i), points);
+    const graph::TaskId v = g.add_task("v" + std::to_string(i), points);
+    const graph::TaskId next = g.add_task("j" + std::to_string(i + 1), points);
     g.add_edge(joint, u, 1);
     g.add_edge(joint, v, 1);
     g.add_edge(u, next, 1);
@@ -260,15 +261,18 @@ graph::TaskGraph diamond_ladder(int diamonds = 15) {
   return g;
 }
 
-// More root->leaf paths than the default cap: (7) falls back to the
-// flow-based form on its own, and the model still finds the critical path.
-TEST(FormulationTest, PathCapFallsBackToTheFlowForm) {
+// More root->leaf paths than the default cap: (7) takes the potential form
+// on its own (a potential per task and partition, one row per edge and one
+// per leaf), and the model still finds the critical path.
+TEST(FormulationTest, PathCapBuildsThePotentialForm) {
   const graph::TaskGraph g = diamond_ladder();
   ASSERT_EQ(g.num_tasks(), 46);
   const arch::Device dev = arch::custom("d", 500, 4096, 10);
   IlpFormulation form(g, dev, 1, max_latency(g, dev, 1),
                       min_latency(g, dev, 1));
-  EXPECT_GT(count_named(form.model(), "chain_e"), 0);
+  EXPECT_EQ(count_named(form.model(), "s_p1_"), 46);
+  EXPECT_EQ(count_named(form.model(), "pot_edge_p1_"), 60);
+  EXPECT_EQ(count_named(form.model(), "pot_leaf_p1_j15"), 1);
   EXPECT_EQ(count_named(form.model(), "lat_path"), 0);
   form.set_latency_objective();
   const milp::MilpSolution s =
@@ -280,8 +284,8 @@ TEST(FormulationTest, PathCapFallsBackToTheFlowForm) {
 }
 
 // A ladder of 70 diamonds has 2^70 root->leaf paths, more than an int64
-// holds: the count saturates, and (7) takes the flow form.
-TEST(FormulationTest, PathCountSaturatesAndFallsBackToTheFlowForm) {
+// holds: the count saturates, and (7) takes the potential form.
+TEST(FormulationTest, PathCountSaturatesAndBuildsThePotentialForm) {
   const graph::TaskGraph g = diamond_ladder(70);
   milp::PathFamily dag;
   dag.topo_order = graph::topological_order(g);
@@ -298,9 +302,27 @@ TEST(FormulationTest, PathCountSaturatesAndFallsBackToTheFlowForm) {
   const arch::Device dev = arch::custom("d", 500, 4096, 10);
   const IlpFormulation form(g, dev, 1, max_latency(g, dev, 1),
                             min_latency(g, dev, 1));
-  EXPECT_GT(count_named(form.model(), "chain_e"), 0);
+  EXPECT_EQ(count_named(form.model(), "pot_edge_p1_"), 4 * 70);
   EXPECT_EQ(count_named(form.model(), "lat_path"), 0);
   EXPECT_TRUE(form.model().path_families().empty());
+}
+
+// A window below the optimum of the two-point ladder at N=1 (3070 ns: all
+// tasks on their small point, one joint on its fast one) is infeasible, and
+// its proof over the potential rows passes the exact checker.
+TEST(FormulationTest, PotentialFormInfeasibilityCertifies) {
+  const graph::TaskGraph g =
+      diamond_ladder(15, {{"s", 10, 100}, {"f", 40, 60}});
+  const arch::Device dev = arch::custom("d", 500, 4096, 10);
+  const IlpFormulation form(g, dev, 1, 3060, 0.0);
+  ASSERT_TRUE(form.model().path_families().empty());
+  milp::SolverParams params = milp::first_feasible_params();
+  params.num_threads = 1;
+  params.certify = milp::CertifyMode::kFull;
+  const milp::MilpSolution s = milp::Solver(form.model(), params).solve();
+  ASSERT_EQ(s.status, milp::SolveStatus::kInfeasible);
+  EXPECT_EQ(s.certified, milp::CertifyStatus::kCertified) << s.certify_detail;
+  EXPECT_EQ(s.stats.uncertified_verdicts, 0);
 }
 
 // Root->leaf path counts of small graphs, and FormulationOptions::max_paths
@@ -313,7 +335,7 @@ TEST(FormulationTest, PathCountsPickTheLatencyForm) {
     const IlpFormulation form(g, dev, 2, max_latency(g, dev, 2), 0.0,
                               options);
     const auto& families = form.model().path_families();
-    if (families.empty()) return std::int64_t{-1};  // the flow form
+    if (families.empty()) return std::int64_t{-1};  // the potential form
     EXPECT_EQ(families.size(), 2u);
     EXPECT_EQ(count_named(form.model(), "lat_path"),
               2 * families[0].num_paths);
@@ -455,7 +477,7 @@ TEST(FormulationTest, MovedWindowEqualsAFreshBuild) {
     for (const std::size_t max_paths : {FormulationOptions{}.max_paths,
                                         std::size_t{0}}) {
       FormulationOptions options;
-      options.max_paths = max_paths;  // 0 forces the flow form
+      options.max_paths = max_paths;  // 0 forces the potential form
       IlpFormulation moved(g, c.device, n, hi, lo, options);
       int step_no = 0;
       for (const Step& step : steps) {
@@ -617,10 +639,10 @@ TEST(FormulationTest, PathFamiliesReachTheFixpointOfTheirRows) {
 
 // Propagation from the bounds a fixing moved must end where a pass over
 // every unit ends: on random DAGs with random Y variables fixed one at a
-// time, with (7) as path families and in the flow form.
+// time, with (7) as path families and as potentials.
 TEST(FormulationTest, IncrementalPropagationReachesTheFullFixpoint) {
-  FormulationOptions flow;
-  flow.max_paths = 0;
+  FormulationOptions potentials;
+  potentials.max_paths = 0;
   int checked = 0;
   for (const std::uint64_t seed : {1, 2, 3}) {
     for (const int num_tasks : {6, 10, 16}) {
@@ -633,7 +655,7 @@ TEST(FormulationTest, IncrementalPropagationReachesTheFullFixpoint) {
       Rng rng(seed * 977 + static_cast<std::uint64_t>(num_tasks));
       const int n = 3;
       for (const FormulationOptions& form_options :
-           {FormulationOptions{}, flow}) {
+           {FormulationOptions{}, potentials}) {
         const double d_max = min_latency(g, dev, n) * rng.uniform(1.0, 1.6);
         const IlpFormulation form(g, dev, n, d_max, 0.0, form_options);
         ASSERT_EQ(form.model().path_families().empty(),

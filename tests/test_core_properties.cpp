@@ -1,6 +1,6 @@
 // Cross-cutting property sweeps over random instances:
-//  - the path-based and the flow-based latency forms each reach the
-//    exhaustive optimum;
+//  - the path-based and the potential latency forms each reach the
+//    exhaustive optimum, and their root LPs have the same optimum;
 //  - every solver-produced design passes the independent validator AND the
 //    ILP's own memory accounting matches the validator's;
 //  - no design holds more live data than max_live_memory, the bound below
@@ -19,6 +19,7 @@
 #include "core/formulation.hpp"
 #include "core/partitioner.hpp"
 #include "graph/algorithms.hpp"
+#include "milp/simplex.hpp"
 #include "milp/solver.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -48,7 +49,7 @@ TEST_P(FormulationVariantsTest, BothLatencyFormsReachTheExhaustiveOptimum) {
   const auto brute = exhaustive_optimal(g, dev, n);
   ASSERT_TRUE(brute.has_value()) << "seed " << GetParam();
 
-  // max_paths = 0 forces the flow-based latency form.
+  // max_paths = 0 forces the potential latency form.
   for (const std::size_t max_paths : {FormulationOptions{}.max_paths,
                                       std::size_t{0}}) {
     FormulationOptions options;
@@ -225,6 +226,62 @@ TEST(FormulationVariantsSweep, LatencyBoundSweepLiftsTheFloor) {
     }
   }
   EXPECT_GE(lifted, 1);
+}
+
+/// Largest violation of `lp`'s rows at x, each relative to the row's largest
+/// term |a_j x_j| or |rhs| (at least 1).
+double worst_row_violation(const milp::LpProblem& lp,
+                           const std::vector<double>& x) {
+  double worst = 0.0;
+  for (const milp::LpProblem::Row& row : lp.rows) {
+    double activity = 0.0;
+    double scale = std::max(1.0, std::abs(row.rhs));
+    for (const milp::LinTerm& term : row.terms) {
+      const double ax = term.coef * x[static_cast<std::size_t>(term.var)];
+      activity += ax;
+      scale = std::max(scale, std::abs(ax));
+    }
+    double violation = 0.0;
+    if (row.sense != milp::Sense::kGreaterEqual) {
+      violation = std::max(violation, activity - row.rhs);
+    }
+    if (row.sense != milp::Sense::kLessEqual) {
+      violation = std::max(violation, row.rhs - activity);
+    }
+    worst = std::max(worst, violation / scale);
+  }
+  return worst;
+}
+
+// The potentials project onto exactly the path rows' polyhedron, so the
+// latency objective's root LP has one optimum in both forms; and an LP the
+// simplex calls optimal has an x that meets its rows.
+TEST(FormulationVariantsSweep, PotentialRootLpEqualsThePathRootLp) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    workloads::RandomGraphOptions graph_options;  // 12 tasks, 3 points each
+    graph_options.seed = seed;
+    const graph::TaskGraph g = workloads::random_task_graph(graph_options);
+    const arch::Device dev = arch::custom("d", 300, 2048, 60);
+    const int n = min_area_partitions(g, dev) + 1;
+    double objective[2] = {0.0, 0.0};
+    for (const int form_index : {0, 1}) {
+      FormulationOptions options;
+      if (form_index == 1) options.max_paths = 0;  // the potential form
+      // d_min = 0: a window floor would pin both LPs at MinLatency(N).
+      IlpFormulation form(g, dev, n, max_latency(g, dev, n), 0.0, options);
+      ASSERT_EQ(form.model().path_families().empty(), form_index == 1);
+      form.set_latency_objective();
+      const milp::LpProblem lp = milp::relaxation_of(form.model());
+      const milp::LpResult result = milp::solve_lp(lp);
+      ASSERT_EQ(result.status, milp::LpStatus::kOptimal)
+          << "seed " << seed << " form " << form_index;
+      EXPECT_LE(worst_row_violation(lp, result.x), 1e-6)
+          << "seed " << seed << " form " << form_index;
+      objective[form_index] = result.objective;
+    }
+    EXPECT_NEAR(objective[1], objective[0], 1e-6 * std::abs(objective[0]))
+        << "seed " << seed;
+  }
 }
 
 }  // namespace
