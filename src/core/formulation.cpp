@@ -197,7 +197,7 @@ void IlpFormulation::add_temporal_order() {
 void IlpFormulation::add_memory() {
   // One w variable per edge per partition p in 2..N, with the linearized
   // lower bound w >= sum(t1 in 1..p-1) + sum(t2 in p..N) - 1 (eqs (4)/(5)).
-  std::vector<std::vector<VarId>> w(graph_.edges().size());
+  w_.assign(graph_.edges().size(), {});
   for (std::size_t ei = 0; ei < graph_.edges().size(); ++ei) {
     const graph::DataEdge& e = graph_.edges()[ei];
     if (e.data_units <= 0.0) continue;
@@ -206,7 +206,7 @@ void IlpFormulation::add_memory() {
           str_format("w_p%d_%s_%s", p, graph_.task(e.from).name.c_str(),
                      graph_.task(e.to).name.c_str()));
       model_.set_branch_hint(wv, 0.0);  // prefer "no crossing"
-      w[ei].push_back(wv);
+      w_[ei].push_back(wv);
       LinExpr forcing = y_range_sum(e.from, 1, p - 1) +
                         y_range_sum(e.to, p, n_) - LinExpr(wv);
       model_.add_constraint(std::move(forcing) <= 1.0,
@@ -231,7 +231,7 @@ void IlpFormulation::add_memory() {
     for (std::size_t ei = 0; ei < graph_.edges().size(); ++ei) {
       const graph::DataEdge& e = graph_.edges()[ei];
       if (e.data_units <= 0.0 || p < 2) continue;
-      usage += e.data_units * LinExpr(w[ei][static_cast<std::size_t>(p - 2)]);
+      usage += e.data_units * LinExpr(w_[ei][static_cast<std::size_t>(p - 2)]);
       any = true;
     }
     if (any) {
@@ -263,10 +263,12 @@ void IlpFormulation::add_resource() {
                           "area_p" + std::to_string(p));
   }
   LinExpr total_area;
+  a_.clear();
   for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
     const VarId a = model_.add_continuous(graph_.min_area(t),
                                           graph_.max_area(t),
                                           "a_" + graph_.task(t).name);
+    a_.push_back(a);
     model_.add_constraint(
         std::move(task_area[static_cast<std::size_t>(t)]) - LinExpr(a) == 0.0,
         "adef_" + graph_.task(t).name);
@@ -303,8 +305,9 @@ void IlpFormulation::add_latency_path_based(const milp::PathFamily& dag) {
 // exactly the path rows' polyhedron (DESIGN.md §3).
 void IlpFormulation::add_latency_potentials() {
   const std::vector<int> edges = graph::transitive_reduction_edges(graph_);
+  s_.assign(static_cast<std::size_t>(n_), {});
   for (int p = 1; p <= n_; ++p) {
-    std::vector<VarId> s;
+    std::vector<VarId>& s = s_[static_cast<std::size_t>(p - 1)];
     for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
       s.push_back(model_.add_continuous(
           0.0, milp::kInfinity,
@@ -408,6 +411,75 @@ PartitionedDesign IlpFormulation::decode(
   }
   recompute_latency(graph_, device_, design);
   return design;
+}
+
+std::vector<double> IlpFormulation::encode(
+    const PartitionedDesign& design) const {
+  SPARCS_REQUIRE(static_cast<int>(design.assignment.size()) ==
+                     graph_.num_tasks(),
+                 "design does not cover all tasks");
+  std::vector<double> values(static_cast<std::size_t>(model_.num_vars()), 0.0);
+  const auto set = [&](VarId v, double value) {
+    values[static_cast<std::size_t>(v)] = value;
+  };
+  const auto partition_of = [&](TaskId t) {
+    return design.assignment[static_cast<std::size_t>(t)].partition;
+  };
+  int eta = 1;
+  for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
+    const TaskAssignment& a = design.assignment[static_cast<std::size_t>(t)];
+    SPARCS_REQUIRE(a.partition >= 1 && a.partition <= n_,
+                   "task " + graph_.task(t).name + " lies outside 1..N");
+    int k = 0;
+    while (k < num_points(t) && design_point_index(t, k) != a.design_point) ++k;
+    SPARCS_REQUIRE(k < num_points(t),
+                   "task " + graph_.task(t).name + " has no such design point");
+    set(y(t, a.partition, k), 1.0);
+    set(a_[static_cast<std::size_t>(t)],
+        graph_.task(t).design_points[static_cast<std::size_t>(a.design_point)]
+            .area);
+    eta = std::max(eta, a.partition);
+  }
+  set(eta_, eta);
+  // w_pe: the edge's data crosses into p (producer before p, consumer at or
+  // after it).
+  for (std::size_t ei = 0; ei < w_.size(); ++ei) {
+    const graph::DataEdge& e = graph_.edges()[ei];
+    for (std::size_t i = 0; i < w_[ei].size(); ++i) {
+      const int p = static_cast<int>(i) + 2;
+      set(w_[ei][i],
+          partition_of(e.from) < p && partition_of(e.to) >= p ? 1.0 : 0.0);
+    }
+  }
+  // Longest path in p ending before each task (s_pt), through tasks at
+  // their latency in p and zero elsewhere; d_p is the longest over leaves.
+  const std::vector<TaskId> topo = graph::topological_order(graph_);
+  std::vector<double> start(static_cast<std::size_t>(graph_.num_tasks()));
+  for (int p = 1; p <= n_; ++p) {
+    std::fill(start.begin(), start.end(), 0.0);
+    double longest = 0.0;
+    for (const TaskId t : topo) {
+      const TaskAssignment& a = design.assignment[static_cast<std::size_t>(t)];
+      const double latency =
+          a.partition == p ? graph_.task(t)
+                                 .design_points[static_cast<std::size_t>(
+                                     a.design_point)]
+                                 .latency_ns
+                           : 0.0;
+      const double end = start[static_cast<std::size_t>(t)] + latency;
+      longest = std::max(longest, end);
+      for (const TaskId s : graph_.successors(t)) {
+        double& next = start[static_cast<std::size_t>(s)];
+        next = std::max(next, end);
+      }
+      if (!s_.empty()) {
+        set(s_[static_cast<std::size_t>(p - 1)][static_cast<std::size_t>(t)],
+            start[static_cast<std::size_t>(t)]);
+      }
+    }
+    set(d(p), longest);
+  }
+  return values;
 }
 
 }  // namespace sparcs::core

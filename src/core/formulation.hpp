@@ -97,6 +97,13 @@ class IlpFormulation {
   /// recomputed from the assignment, not read from d_p).
   [[nodiscard]] PartitionedDesign decode(
       const std::vector<double>& values) const;
+  /// Inverse of decode(): the assignment of every variable (Y, w, d_p, eta,
+  /// a_t, and s_pt above the path cap) that puts `design` into the model, for
+  /// certify_feasible to check exactly. d_p is the longest path in p, with
+  /// the tasks of other partitions at zero latency. REQUIREs every task in
+  /// 1..N at one of its design points.
+  [[nodiscard]] std::vector<double> encode(
+      const PartitionedDesign& design) const;
 
  private:
   void create_variables();
@@ -132,6 +139,12 @@ class IlpFormulation {
   std::vector<std::vector<int>> sorted_points_;
   std::vector<milp::VarId> d_;
   milp::VarId eta_ = -1;
+  /// w_[edge][p - 2] for p in 2..N; empty without the memory block or for
+  /// an edge that carries no data.
+  std::vector<std::vector<milp::VarId>> w_;
+  std::vector<milp::VarId> a_;  ///< a_t, per task
+  /// s_[p - 1][t], built above the path cap only.
+  std::vector<std::vector<milp::VarId>> s_;
   milp::ConstraintId latency_ub_ = -1, latency_lb_ = -1;
 };
 

@@ -6,6 +6,7 @@
 #include "core/baselines.hpp"
 #include "core/bounds.hpp"
 #include "core/formulation.hpp"
+#include "milp/certify.hpp"
 #include "milp/solver.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
@@ -123,6 +124,23 @@ Probe solve_window(std::optional<StageSession>& session,
   return probe;
 }
 
+/// Slack around LB(N) for the floating-point LP or MILP that computed it:
+/// it keeps a bound rounded up from refuting a target that touches the true
+/// bound, and a bound rounded down from passing over a design at the true
+/// bound.
+double bound_slack(double bound) { return 1e-6 * std::max(1.0, bound); }
+
+/// A probe row of the window [d_min, target] that no search settled.
+Probe unsearched_probe(int num_partitions, double target, double d_min,
+                       VerdictSource source) {
+  Probe probe;
+  probe.row.num_partitions = num_partitions;
+  probe.row.d_max_bound = target;
+  probe.row.d_min_bound = d_min;
+  probe.row.verdict_source = source;
+  return probe;
+}
+
 /// Refutes the window [d_min, target] with LB(N) instead of a search. Returns
 /// nullopt when the target reaches LB(N), or when under --certify=full the
 /// relaxation's infeasibility certificate does not verify: the window is
@@ -133,14 +151,9 @@ std::optional<Probe> refute_by_bound(const graph::TaskGraph& graph,
                                      double d_min,
                                      const ReduceLatencyParams& params) {
   const double bound = params.latency_bound.ns;
-  // The relative slack keeps an LB(N) that the floating-point LP or MILP
-  // rounded up from refuting a target that touches the true bound.
-  if (!(target < bound - 1e-6 * std::max(1.0, bound))) return std::nullopt;
-  Probe probe;
-  probe.row.num_partitions = num_partitions;
-  probe.row.d_max_bound = target;
-  probe.row.d_min_bound = d_min;
-  probe.row.verdict_source = VerdictSource::kLatencyBound;
+  if (!(target < bound - bound_slack(bound))) return std::nullopt;
+  Probe probe = unsearched_probe(num_partitions, target, d_min,
+                                 VerdictSource::kLatencyBound);
   if (params.budget.solver.certify == milp::CertifyMode::kFull) {
     Stopwatch stopwatch;
     const milp::MilpSolution proof = certify_latency_bound(
@@ -162,6 +175,62 @@ std::optional<Probe> refute_by_bound(const graph::TaskGraph& graph,
   }
   SPARCS_DLOG << "probe N=" << num_partitions << " window=[" << d_min << ", "
               << target << "] -> infeasible: below LB(N)=" << bound;
+  return probe;
+}
+
+/// Answers the window [d_min, target] with `design`, the fastest warm start
+/// that fits the target, when it costs at most LB(N): no design with at most
+/// N partitions is faster, so a search could find nothing better. Returns
+/// nullopt when it does not, or when under --certify the design fails the
+/// exact check against the stage's model (built here on first use): the
+/// window is then searched as usual.
+std::optional<Probe> answer_by_bound(std::optional<StageSession>& session,
+                                     const graph::TaskGraph& graph,
+                                     const arch::Device& device,
+                                     int num_partitions, double target,
+                                     double d_min,
+                                     const ReduceLatencyParams& params,
+                                     const PartitionedDesign* design) {
+  const double bound = params.latency_bound.ns;
+  if (design == nullptr ||
+      !(design->total_latency_ns <= bound + bound_slack(bound)) ||
+      !(design->total_latency_ns <= target) ||
+      !(design->total_latency_ns >= d_min)) {
+    return std::nullopt;
+  }
+  Probe probe = unsearched_probe(num_partitions, target, d_min,
+                                 VerdictSource::kWarmStart);
+  if (params.budget.solver.certify != milp::CertifyMode::kOff) {
+    Stopwatch stopwatch;
+    if (!session) {
+      session.emplace(graph, device, num_partitions, target, d_min,
+                      params.budget.formulation);
+    }
+    IlpFormulation& formulation = session->formulation;
+    formulation.set_window(target, d_min);
+    const milp::CertifyCheck check = milp::certify_feasible(
+        formulation.model(), formulation.encode(*design));
+    if (!check.ok) {
+      SPARCS_WLOG << "probe N=" << num_partitions << " window=[" << d_min
+                  << ", " << target << "]: the warm start at LB(N)=" << bound
+                  << " failed the exact check (" << check.detail
+                  << "); searching the window";
+      return std::nullopt;
+    }
+    probe.row.seconds = stopwatch.seconds();
+    probe.row.stats.certificates_checked = 1;
+    probe.row.certified = milp::CertifyStatus::kCertified;
+  }
+  // The design as the stage's own model would decode it: N partitions
+  // allocated.
+  probe.design = *design;
+  probe.design->num_partitions_allocated = num_partitions;
+  recompute_latency(graph, device, *probe.design);
+  probe.row.outcome = IterationOutcome::kFeasible;
+  probe.row.achieved_latency = probe.design->total_latency_ns;
+  SPARCS_DLOG << "probe N=" << num_partitions << " window=[" << d_min << ", "
+              << target << "] -> feasible: a warm start meets LB(N)="
+              << bound;
   return probe;
 }
 
@@ -225,36 +294,41 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
       portfolio.push_back(std::move(*design));
     }
   }
-  // Best hint for a window: the fastest portfolio design that satisfies the
-  // latency bound, else the fastest overall (pure guidance).
-  auto pick_hint = [&](double window_max) -> const PartitionedDesign* {
-    const PartitionedDesign* fitting = nullptr;
-    const PartitionedDesign* fastest = nullptr;
+  // The fastest portfolio design that satisfies a window's latency bound,
+  // or null.
+  auto fastest = [&](double window_max) {
+    const PartitionedDesign* best = nullptr;
     for (const PartitionedDesign& design : portfolio) {
-      if (fastest == nullptr ||
-          design.total_latency_ns < fastest->total_latency_ns) {
-        fastest = &design;
-      }
       if (design.total_latency_ns <= window_max + 1e-9 &&
-          (fitting == nullptr ||
-           design.total_latency_ns < fitting->total_latency_ns)) {
-        fitting = &design;
+          (best == nullptr ||
+           design.total_latency_ns < best->total_latency_ns)) {
+        best = &design;
       }
     }
-    return fitting != nullptr ? fitting : fastest;
+    return best;
   };
 
-  // One probe of [d_min, target]: refuted by LB(N) when the target lies
-  // below it, else searched with the best portfolio hint on the stage's
-  // session, which the first searched probe builds.
+  // One probe of [d_min, target], settled one of three ways: refuted by
+  // LB(N) when the target lies below it; answered by the fastest fitting
+  // warm start when that costs LB(N); else searched on the stage's session,
+  // which the first searched (or certified) probe builds, hinted by that
+  // warm start or, when none fits, the fastest one (pure guidance).
   std::optional<StageSession> session;
   auto probe_window = [&](double target) {
     if (std::optional<Probe> refuted = refute_by_bound(
             graph, device, num_partitions, target, d_min, params)) {
       return std::move(*refuted);
     }
+    const PartitionedDesign* fitting = fastest(target);
+    if (std::optional<Probe> answered =
+            answer_by_bound(session, graph, device, num_partitions, target,
+                            d_min, params, fitting)) {
+      return std::move(*answered);
+    }
+    const PartitionedDesign* hint =
+        fitting != nullptr ? fitting : fastest(milp::kInfinity);
     return solve_window(session, graph, device, num_partitions, target, d_min,
-                        params, pick_hint(target));
+                        params, hint);
   };
 
   // Everything a checkpoint needs to re-enter the loop below, published

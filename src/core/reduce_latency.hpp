@@ -4,9 +4,13 @@
 // feasible probe moves the upper bound down to the achieved latency, an
 // infeasible probe moves the lower bound up to the probed midpoint, until
 // the window (or the gap to the incumbent) is below the latency tolerance
-// delta. A stage builds one IlpFormulation and one milp::Solver session, at
-// its first probe that LB(N) does not refute; every searched probe moves
-// the window on that model (IlpFormulation::set_window) and re-solves the
+// delta. A probe is settled one of three ways: refuted by LB(N) when its
+// target lies below the bound; answered by a warm-start design that fits the
+// target and costs LB(N) (the stage's optimum); or searched. A stage builds
+// one IlpFormulation and one milp::Solver session, at its first searched
+// probe, or at its first answered one under --certify, whose design the
+// exact checker verifies against the model; every searched probe moves the
+// window on that model (IlpFormulation::set_window) and re-solves the
 // session.
 #pragma once
 
@@ -41,7 +45,8 @@ struct ReduceLatencyParams {
   /// Shared tolerance/limit/formulation block (delta, solver, formulation).
   SearchBudget budget;
   /// LB(N) (core/bounds latency_relaxation_bound): a probe whose target lies
-  /// below it is refuted without a search, and its levels seed the warm-start
+  /// below it is refuted without a search, a warm start that costs it
+  /// answers a probe without one, and its levels seed the warm-start
   /// portfolio through level_fill. 0 ns = no bound.
   LatencyBound latency_bound;
   /// Optional warm start for the first probe (e.g. the best design from a

@@ -41,6 +41,9 @@ enum class VerdictSource : std::uint8_t {
   /// The window lies below LB(N) (core/bounds): no design with at most N
   /// partitions reaches its target, so no search ran.
   kLatencyBound,
+  /// A warm-start design fits the window and meets LB(N): it is the
+  /// stage's optimum, so no search ran.
+  kWarmStart,
 };
 
 /// Label of a verdict source, shared by the report JSON and the trace CSV.
@@ -50,6 +53,8 @@ enum class VerdictSource : std::uint8_t {
       return "search";
     case VerdictSource::kLatencyBound:
       return "latency bound";
+    case VerdictSource::kWarmStart:
+      return "warm start";
   }
   return "unknown";
 }

@@ -74,6 +74,9 @@ std::string render_trace(const core::Trace& trace, double ct_ns,
     switch (row.outcome) {
       case core::IterationOutcome::kFeasible:
         da = trim_double(row.achieved_latency - shift, 1);
+        if (row.verdict_source == core::VerdictSource::kWarmStart) {
+          da += " (WS)";
+        }
         break;
       case core::IterationOutcome::kInfeasible:
         da = row.verdict_source == core::VerdictSource::kLatencyBound

@@ -28,7 +28,9 @@ class AsciiTable {
 };
 
 /// Renders an iteration trace in the layout of the paper's Tables 1/3-8:
-/// columns N, I, Dmax, Dmin, Da (with "Inf." for infeasible iterations).
+/// columns N, I, Dmax, Dmin, Da (with "Inf." for infeasible iterations,
+/// "Inf. (LB)" for windows below LB(N) and " (WS)" after the Da of a window
+/// answered by a warm start at LB(N)).
 /// `subtract_reconfig` reproduces the paper's "Bound (without N*Ct)"
 /// convention by subtracting N*ct_ns from the printed bounds.
 std::string render_trace(const core::Trace& trace, double ct_ns,

@@ -13,6 +13,8 @@ namespace {
 using u128 = unsigned __int128;
 using i128 = __int128;
 
+constexpr i128 kI128Min = -static_cast<i128>(~u128{0} >> 1) - 1;  // -2^127
+
 u128 magnitude_of(i128 v) {
   return v < 0 ? ~static_cast<u128>(v) + 1 : static_cast<u128>(v);
 }
@@ -21,6 +23,7 @@ u128 magnitude_of(i128 v) {
 u128 gcd_u128(u128 a, u128 b) {
   if (a == 0) return b;
   if (b == 0) return a;
+  if (a == 1 || b == 1) return 1;
   int shift = 0;
   while (((a | b) & 1) == 0) {
     a >>= 1;
@@ -281,6 +284,10 @@ Rational::Rational(std::int64_t num, std::int64_t den) {
 }
 
 Rational Rational::make_small(i128 num, i128 den) {
+  if (num == kI128Min || den == kI128Min) {
+    // -2^127 has no negation in __int128; the big representation is exact.
+    return Rational(BigInt::from_i128(num), BigInt::from_i128(den));
+  }
   Rational out;
   if (den < 0) {
     num = -num;
@@ -373,6 +380,15 @@ Rational Rational::negated() const {
 }
 
 Rational Rational::operator+(const Rational& other) const {
+  if (!big_ && !other.big_ && den_ == 1 && other.den_ == 1) {
+    // Integers: the sum is already normalized.
+    i128 sum = 0;
+    if (!__builtin_add_overflow(num_, other.num_, &sum) && sum != kI128Min) {
+      Rational out;
+      out.num_ = sum;
+      return out;
+    }
+  }
   if (!big_ && !other.big_) {
     // a/b + c/d = (a*d + c*b) / (b*d), each product overflow-checked.
     i128 ad = 0, cb = 0, bd = 0, sum = 0;
@@ -392,6 +408,16 @@ Rational Rational::operator-(const Rational& other) const {
 }
 
 Rational Rational::operator*(const Rational& other) const {
+  if (!big_ && !other.big_ && den_ == 1 && other.den_ == 1) {
+    // Integers: nothing to cross-reduce.
+    i128 product = 0;
+    if (!__builtin_mul_overflow(num_, other.num_, &product) &&
+        product != kI128Min) {
+      Rational out;
+      out.num_ = product;
+      return out;
+    }
+  }
   if (!big_ && !other.big_) {
     // Cross-reduce first so products of already-reduced values rarely
     // overflow: (a/b)*(c/d) with g1=gcd(a,d), g2=gcd(c,b).

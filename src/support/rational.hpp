@@ -17,7 +17,10 @@
 //    power of two lands in the numerator or denominator verbatim (|e| can
 //    reach 1074, so this is a routine promotion trigger).
 //  - Every value is kept normalized (gcd-reduced, denominator > 0) and
-//    demoted back to the __int128 representation when it fits again.
+//    demoted back to the __int128 representation when it fits again; -2^127
+//    has no negation there and stays big.
+//  - A sum or product of two integers (the bulk of a certificate check's
+//    row activities) skips the gcd and the cross-reduction.
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,10 @@
 #include "core/refine_partitions.hpp"
 #include "milp/solver.hpp"
 #include "support/error.hpp"
+#include "warm_start_rows.hpp"
 #include "workloads/ar_filter.hpp"
 #include "workloads/dct.hpp"
+#include "workloads/ewf.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sparcs::core {
@@ -322,9 +324,9 @@ TEST(RefinePartitionsTest, ArTable1Trace) {
 }
 
 // Table 3 (DCT, Rmax 576, Ct 100 ns, delta 200 ns) at a 5000-node cap per
-// probe: each stage's first probe finds the level fill of LB(N)'s optimum,
-// a design at LB(N) = 3170/3030/3030 ns for N = 5/6/7, and LB(N) refutes
-// every later window without a search. No probe reaches its node cap.
+// probe: each stage's first window is answered by the level fill of LB(N)'s
+// optimum, a warm start at LB(N) = 3170/3030/3030 ns for N = 5/6/7, and
+// LB(N) refutes every later window. No probe of the sweep runs a search.
 TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
   const graph::TaskGraph g = workloads::dct_task_graph();
   const arch::Device dev = arch::custom("dct", 576, 4096, 100);
@@ -336,25 +338,28 @@ TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
   ASSERT_TRUE(report.feasible);
   EXPECT_DOUBLE_EQ(report.achieved_latency, 3030.0);
   EXPECT_EQ(report.best_num_partitions, 6);
+  EXPECT_TRUE(validate_design(g, dev, *report.best).ok);
 
+  constexpr VerdictSource kWarm = VerdictSource::kWarmStart;
+  constexpr VerdictSource kBound = VerdictSource::kLatencyBound;
   struct Window {
     int n, iteration;
     double d_max, d_min;
-    bool bound_refuted;
+    VerdictSource source;
     double found;  ///< Da of a found design; 0 on a refuted window
   };
   const Window expected[] = {
-      {5, 1, 25940.0, 1295.0, false, 3170.0},
-      {5, 2, 2835.3125, 1295.0, true, 0.0},
-      {5, 3, 3015.81787109375, 2835.3125, true, 0.0},
-      {6, 1, 3170.0, 1395.0, false, 3030.0},
-      {6, 2, 2282.5, 1395.0, true, 0.0},
-      {6, 3, 2726.25, 2282.5, true, 0.0},
-      {6, 4, 2948.125, 2726.25, true, 0.0},
-      {7, 1, 3030.0, 1495.0, false, 3030.0},
-      {7, 2, 2262.5, 1495.0, true, 0.0},
-      {7, 3, 2646.25, 2262.5, true, 0.0},
-      {7, 4, 2838.125, 2646.25, true, 0.0},
+      {5, 1, 25940.0, 1295.0, kWarm, 3170.0},
+      {5, 2, 2835.3125, 1295.0, kBound, 0.0},
+      {5, 3, 3015.81787109375, 2835.3125, kBound, 0.0},
+      {6, 1, 3170.0, 1395.0, kWarm, 3030.0},
+      {6, 2, 2282.5, 1395.0, kBound, 0.0},
+      {6, 3, 2726.25, 2282.5, kBound, 0.0},
+      {6, 4, 2948.125, 2726.25, kBound, 0.0},
+      {7, 1, 3030.0, 1495.0, kWarm, 3030.0},
+      {7, 2, 2262.5, 1495.0, kBound, 0.0},
+      {7, 3, 2646.25, 2262.5, kBound, 0.0},
+      {7, 4, 2838.125, 2646.25, kBound, 0.0},
   };
   ASSERT_EQ(report.trace.size(), std::size(expected));
   for (std::size_t i = 0; i < report.trace.size(); ++i) {
@@ -364,23 +369,18 @@ TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
     EXPECT_EQ(row.iteration, want.iteration) << "row " << i;
     EXPECT_DOUBLE_EQ(row.d_max_bound, want.d_max) << "row " << i;
     EXPECT_DOUBLE_EQ(row.d_min_bound, want.d_min) << "row " << i;
-    EXPECT_NE(row.outcome, IterationOutcome::kLimit) << "row " << i;
+    EXPECT_EQ(row.verdict_source, want.source) << "row " << i;
+    EXPECT_EQ(row.outcome, want.source == kWarm ? IterationOutcome::kFeasible
+                                                : IterationOutcome::kInfeasible)
+        << "row " << i;
     EXPECT_DOUBLE_EQ(row.achieved_latency, want.found) << "row " << i;
-    if (want.bound_refuted) {
-      EXPECT_EQ(row.outcome, IterationOutcome::kInfeasible) << "row " << i;
-      EXPECT_EQ(row.verdict_source, VerdictSource::kLatencyBound)
-          << "row " << i;
-      EXPECT_EQ(row.nodes, 0) << "row " << i;
-    } else {
-      EXPECT_EQ(row.outcome, IterationOutcome::kFeasible) << "row " << i;
-      EXPECT_EQ(row.verdict_source, VerdictSource::kSearch) << "row " << i;
-      EXPECT_GT(row.nodes, 0) << "row " << i;
-    }
+    EXPECT_EQ(row.nodes, 0) << "row " << i;
   }
 }
 
 // Under --certify=full each bound-refuted window carries the relaxation's
-// own certified infeasibility proof, and the run stays fully certified.
+// own certified infeasibility proof, each warm-start answer passes the exact
+// check against its stage's model, and the run stays fully certified.
 TEST(RefinePartitionsTest, DctTable3BoundVerdictsAreCertified) {
   const graph::TaskGraph g = workloads::dct_task_graph();
   const arch::Device dev = arch::custom("dct", 576, 4096, 100);
@@ -392,16 +392,51 @@ TEST(RefinePartitionsTest, DctTable3BoundVerdictsAreCertified) {
   const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
   EXPECT_DOUBLE_EQ(report.achieved_latency, 3030.0);
   EXPECT_FALSE(report.uncertified());
-  int bound_rows = 0;
+  int bound_rows = 0, warm_start_rows = 0;
   for (const IterationRecord& row : report.trace) {
     EXPECT_NE(row.outcome, IterationOutcome::kLimit);
-    if (row.verdict_source != VerdictSource::kLatencyBound) continue;
-    ++bound_rows;
-    EXPECT_EQ(row.outcome, IterationOutcome::kInfeasible);
+    if (row.verdict_source == VerdictSource::kSearch) continue;
     EXPECT_EQ(row.certified, milp::CertifyStatus::kCertified);
     EXPECT_GE(row.stats.certificates_checked, 1);
+    if (row.verdict_source == VerdictSource::kWarmStart) {
+      ++warm_start_rows;
+      EXPECT_EQ(row.outcome, IterationOutcome::kFeasible);
+      EXPECT_EQ(row.nodes, 0);
+    } else {
+      ++bound_rows;
+      EXPECT_EQ(row.outcome, IterationOutcome::kInfeasible);
+    }
   }
   EXPECT_EQ(bound_rows, 8);
+  EXPECT_EQ(warm_start_rows, 3);
+}
+
+// EWF on the DCT's device: N=1 ends at Da = 1130 ns, and at N=2 the
+// portfolio holds a design at LB(2) = 1110 ns, which answers the stage's
+// only window without a search.
+TEST(RefinePartitionsTest, EwfSecondStageIsAnsweredByItsWarmStart) {
+  const graph::TaskGraph g = workloads::ewf_task_graph();
+  const arch::Device dev = arch::custom("ewf", 576, 4096, 100);
+  PartitionerOptions options;
+  options.budget.solver.num_threads = 1;
+  const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+  ASSERT_TRUE(report.feasible);
+  EXPECT_DOUBLE_EQ(report.achieved_latency, 1110.0);
+  EXPECT_EQ(report.best_num_partitions, 2);
+  EXPECT_DOUBLE_EQ(latency_relaxation_bound(g, dev, 2).ns, 1110.0);
+  ASSERT_FALSE(report.trace.empty());
+  const IterationRecord& last = report.trace.back();
+  EXPECT_EQ(last.num_partitions, 2);
+  EXPECT_EQ(last.iteration, 1);
+  EXPECT_EQ(last.verdict_source, VerdictSource::kWarmStart);
+  EXPECT_EQ(last.outcome, IterationOutcome::kFeasible);
+  EXPECT_DOUBLE_EQ(last.achieved_latency, 1110.0);
+  EXPECT_EQ(last.nodes, 0);
+  for (const IterationRecord& row : report.trace) {
+    if (row.num_partitions == 1) {
+      EXPECT_EQ(row.verdict_source, VerdictSource::kSearch);
+    }
+  }
 }
 
 // Property sweep: on random small graphs the iterative result is within
@@ -422,6 +457,9 @@ TEST_P(RandomGraphOptimalityTest, IterativeWithinDeltaOfExhaustive) {
   options.budget.delta = 25.0;
   options.gamma = 1;
   const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+  // Seed 7 answers its three stages by warm starts at LB(N).
+  EXPECT_GE(testing::expect_warm_start_rows(g, dev, report),
+            GetParam() == 7 ? 3 : 0);
 
   const int n_hi = max_area_partitions(g, dev) + 1;
   const auto brute = exhaustive_optimal(g, dev, n_hi);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -323,6 +324,128 @@ TEST(FormulationTest, PotentialFormInfeasibilityCertifies) {
   ASSERT_EQ(s.status, milp::SolveStatus::kInfeasible);
   EXPECT_EQ(s.certified, milp::CertifyStatus::kCertified) << s.certify_detail;
   EXPECT_EQ(s.stats.uncertified_verdicts, 0);
+}
+
+/// The greedy first-fit designs of `g` on `dev` and its min-area level fill.
+std::vector<PartitionedDesign> baseline_designs(const graph::TaskGraph& g,
+                                                const arch::Device& dev) {
+  std::vector<PartitionedDesign> designs;
+  for (const PointPolicy policy :
+       {PointPolicy::kMinArea, PointPolicy::kMinLatency}) {
+    if (auto design = greedy_first_fit(g, dev, policy)) {
+      designs.push_back(std::move(*design));
+    }
+  }
+  if (auto design = level_fill(g, dev, min_area_partitions(g, dev) + 1, {})) {
+    designs.push_back(std::move(*design));
+  }
+  return designs;
+}
+
+// encode() puts a valid design into the model: the exact checker accepts
+// the assignment, at the design's own partition count and one above it, and
+// decode() gives the design back. Both latency forms, with and without the
+// memory block.
+TEST(FormulationTest, EncodeIsTheInverseOfDecode) {
+  struct Case {
+    std::string name;
+    graph::TaskGraph graph;
+    arch::Device device;
+    FormulationOptions options;
+  };
+  FormulationOptions potentials;
+  potentials.max_paths = 0;
+  std::vector<Case> cases = {
+      {"ar", workloads::ar_filter_task_graph(),
+       arch::custom("ar", 200, 64, 50), {}},
+      {"dct", workloads::dct_task_graph(), arch::custom("dct", 576, 4096, 100),
+       {}},
+      {"ewf", workloads::ewf_task_graph(), arch::custom("ewf", 576, 4096, 100),
+       {}},
+      {"ladder", diamond_ladder(15, {{"s", 10, 100}, {"f", 40, 60}}),
+       arch::custom("ladder", 500, 4096, 10), {}},
+  };
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    workloads::RandomGraphOptions options;
+    options.num_tasks = 8;
+    options.num_layers = 3;
+    options.seed = seed;
+    for (const double mmax : {2048.0, 40.0}) {
+      for (const FormulationOptions& form_options :
+           {FormulationOptions{}, potentials}) {
+        cases.push_back({"random" + std::to_string(seed),
+                         workloads::random_task_graph(options),
+                         arch::custom("d", 300, mmax, 60), form_options});
+      }
+    }
+  }
+  int checked = 0, with_memory = 0, with_potentials = 0;
+  for (const Case& c : cases) {
+    const graph::TaskGraph& g = c.graph;
+    for (const PartitionedDesign& design : baseline_designs(g, c.device)) {
+      ASSERT_TRUE(validate_design(g, c.device, design).ok) << c.name;
+      const int used = design.num_partitions_used;
+      for (const int n : {used, used + 1}) {
+        const IlpFormulation form(g, c.device, n, max_latency(g, c.device, n),
+                                  0.0, c.options);
+        const std::vector<double> values = form.encode(design);
+        const milp::CertifyCheck check =
+            milp::certify_feasible(form.model(), values);
+        EXPECT_TRUE(check.ok) << c.name << " N=" << n << ": " << check.detail;
+        PartitionedDesign want = design;
+        want.num_partitions_allocated = n;
+        recompute_latency(g, c.device, want);
+        const PartitionedDesign back = form.decode(values);
+        ASSERT_EQ(back.assignment.size(), want.assignment.size());
+        for (std::size_t t = 0; t < want.assignment.size(); ++t) {
+          EXPECT_EQ(back.assignment[t].partition, want.assignment[t].partition)
+              << c.name << " N=" << n << " task " << t;
+          EXPECT_EQ(back.assignment[t].design_point,
+                    want.assignment[t].design_point)
+              << c.name << " N=" << n << " task " << t;
+        }
+        EXPECT_EQ(back.num_partitions_allocated, n);
+        EXPECT_EQ(back.num_partitions_used, want.num_partitions_used);
+        EXPECT_EQ(back.partition_latency_ns, want.partition_latency_ns);
+        EXPECT_EQ(back.total_latency_ns, want.total_latency_ns);
+        ++checked;
+        with_memory += count_named(form.model(), "w_p") > 0;
+        with_potentials += count_named(form.model(), "s_p") > 0;
+      }
+    }
+  }
+  EXPECT_GE(checked, 40);
+  EXPECT_GE(with_memory, 4);
+  EXPECT_GE(with_potentials, 10);
+}
+
+// The exact check of an encoded design sees what the model forbids: a
+// window below the design's latency, and a producer moved after its
+// consumer.
+TEST(FormulationTest, EncodedDesignOutsideTheModelFailsTheCheck) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("dct", 576, 4096, 100);
+  const std::optional<PartitionedDesign> design =
+      greedy_first_fit(g, dev, PointPolicy::kMinArea);
+  ASSERT_TRUE(design.has_value());
+  const int n = design->num_partitions_used;
+  ASSERT_GE(n, 2);
+  IlpFormulation form(g, dev, n, design->total_latency_ns, 0.0);
+  EXPECT_TRUE(milp::certify_feasible(form.model(), form.encode(*design)).ok);
+  form.set_window(design->total_latency_ns - 1.0, 0.0);
+  EXPECT_FALSE(milp::certify_feasible(form.model(), form.encode(*design)).ok);
+
+  form.set_window(max_latency(g, dev, n), 0.0);
+  PartitionedDesign reordered = *design;
+  const graph::TaskId root = graph::topological_order(g).front();
+  ASSERT_FALSE(g.successors(root).empty());
+  ASSERT_LT(reordered.assignment[static_cast<std::size_t>(
+                                     g.successors(root).front())]
+                .partition,
+            n);
+  reordered.assignment[static_cast<std::size_t>(root)].partition = n;
+  EXPECT_FALSE(
+      milp::certify_feasible(form.model(), form.encode(reordered)).ok);
 }
 
 // Root->leaf path counts of small graphs, and FormulationOptions::max_paths

@@ -80,14 +80,22 @@ TEST(TraceRenderTest, MarksBoundRefutedRows) {
   core::Trace trace;
   core::IterationRecord r;
   r.num_partitions = 6;
+  r.iteration = 1;
+  r.d_max_bound = 3170;
+  r.d_min_bound = 1395;
+  r.outcome = core::IterationOutcome::kFeasible;
+  r.verdict_source = core::VerdictSource::kWarmStart;
+  r.achieved_latency = 3030;
+  trace.push_back(r);
   r.iteration = 2;
   r.d_max_bound = 2657.5;
-  r.d_min_bound = 1395;
   r.outcome = core::IterationOutcome::kInfeasible;
   r.verdict_source = core::VerdictSource::kLatencyBound;
+  r.achieved_latency = 0;
   trace.push_back(r);
   const std::string s = render_trace(trace, 100.0, /*subtract_reconfig=*/false);
-  EXPECT_NE(s.find("| Inf. (LB) |"), std::string::npos) << s;
+  EXPECT_NE(s.find("| 3030 (WS) |"), std::string::npos) << s;
+  EXPECT_NE(s.find("| Inf. (LB)"), std::string::npos) << s;
 }
 
 TEST(TraceRenderTest, ShowsSolverStatsColumns) {

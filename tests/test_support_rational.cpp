@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <string>
 
 namespace sparcs::support {
 namespace {
@@ -119,6 +121,66 @@ TEST(RationalTest, PromotedValuesDemoteWhenSmallAgain) {
   const Rational one = (big * big) / (big * big);
   EXPECT_EQ(one, Rational(1));
   EXPECT_FALSE(one.is_promoted());
+}
+
+// Integer sums and products at the __int128 edge leave the fast path for
+// BigInt and stay exact, -2^127 included.
+TEST(RationalTest, IntegerEdgePromotesExactly) {
+  const Rational two126 = Rational::from_double(std::ldexp(1.0, 126));
+  ASSERT_FALSE(two126.is_promoted());
+  const char* kTwo127 = "170141183460469231731687303715884105728";
+  const Rational max = two126 + (two126 - Rational(1));  // 2^127 - 1
+  EXPECT_FALSE(max.is_promoted());
+  EXPECT_EQ(max.to_string(), "170141183460469231731687303715884105727");
+  EXPECT_TRUE((max + Rational(1)).is_promoted());
+  EXPECT_EQ((max + Rational(1)).to_string(), kTwo127);
+  EXPECT_EQ((two126 + two126).to_string(), kTwo127);
+
+  const Rational low = two126.negated() + two126.negated();  // -2^127
+  EXPECT_TRUE(low.is_promoted());
+  EXPECT_EQ(low.to_string(), std::string("-") + kTwo127);
+  EXPECT_EQ(low.negated().to_string(), kTwo127);
+  EXPECT_EQ(low + two126 + two126, Rational(0));
+
+  const Rational two63 = Rational::from_double(std::ldexp(1.0, 63));
+  const Rational two64 = Rational::from_double(std::ldexp(1.0, 64));
+  EXPECT_TRUE((two63 * two64).is_promoted());
+  EXPECT_EQ((two63 * two64).to_string(), kTwo127);
+  EXPECT_EQ((two63.negated() * two64).to_string(), std::string("-") + kTwo127);
+  EXPECT_EQ((two64 * two64).to_string(),
+            "340282366920938463463374607431768211456");
+  EXPECT_FALSE((two63 * two63).is_promoted());
+}
+
+// Random dyadic values, integers up to 2^127 about half the time: their sums
+// and products equal the same operations routed through halves, whose
+// denominators keep them off the integer fast path.
+TEST(RationalTest, IntegerFastPathMatchesTheGeneralPath) {
+  std::mt19937_64 rng(20260419);
+  const auto dyadic = [&] {
+    // |m| < 2^53, scaled by 2^e for e in [-40, 73].
+    const auto m = static_cast<std::int64_t>(rng() >> 11) -
+                   (std::int64_t{1} << 52);
+    const int e = static_cast<int>(rng() % 114) - 40;
+    return Rational::from_double(std::ldexp(static_cast<double>(m), e));
+  };
+  const Rational half(1, 2);
+  int integer_pairs = 0, promoted = 0;
+  for (int i = 0; i < 600; ++i) {
+    const Rational x = dyadic();
+    const Rational y = dyadic();
+    integer_pairs += x.is_integer() && y.is_integer();
+    const Rational sum = x + y;
+    const Rational product = x * y;
+    promoted += sum.is_promoted() || product.is_promoted();
+    const Rational via_halves_sum = (x * half + y * half) / half;
+    const Rational via_halves_product = (x * half) * (y * half) / half / half;
+    EXPECT_EQ(sum.to_string(), via_halves_sum.to_string());
+    EXPECT_EQ(product.to_string(), via_halves_product.to_string());
+    EXPECT_EQ(sum - y, x);
+  }
+  EXPECT_GE(integer_pairs, 150);
+  EXPECT_GE(promoted, 30);
 }
 
 TEST(RationalTest, FloorCeil) {
