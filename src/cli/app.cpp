@@ -792,9 +792,9 @@ int run(const std::vector<std::string>& args, std::ostream& out,
         parsed.quiet ? LogLevel::kError : LogLevel::kWarning));
     ObservabilityGuard observability(parsed, out, err);
 
-    // One cancellation token is shared by the signal handler, the deadline
-    // watchdog and every solve: SIGINT/SIGTERM preempt the run through the
-    // same cooperative path a deadline uses.
+    // One cancellation token is shared by the signal handler and every
+    // solve: SIGINT/SIGTERM preempt the run through the same cooperative
+    // path a deadline uses.
     milp::CancelToken run_cancel = milp::CancelToken::create();
     SignalGuard signals(run_cancel);
     bool artifacts_ok = true;
@@ -867,8 +867,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       }
       out << "degraded: budget/deadline expired or verdicts went uncertified ("
           << probed << " bounds probed, " << cut_short << " cut short, "
-          << skipped << " skipped, " << degraded_stages << " uncertified"
-          << (report.watchdog_fired ? "; watchdog fired" : "") << ")\n";
+          << skipped << " skipped, " << degraded_stages << " uncertified)\n";
     }
     if (!report.feasible) {
       out << "no feasible partitioning in the explored range\n";

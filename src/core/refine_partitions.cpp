@@ -7,7 +7,6 @@
 
 #include "core/bounds.hpp"
 #include "core/checkpoint.hpp"
-#include "core/deadline.hpp"
 #include "core/partitioner.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
@@ -119,16 +118,6 @@ PartitionerReport TemporalPartitioner::run() const {
       open_checkpoint(graph_, device_, options_, result.delta_used);
   result.resume_error = std::move(session.resume_error);
   result.resumed = session.restored.has_value();
-
-  // Deadline enforcement is layered: every solve clamps its time limit to
-  // the remaining budget (cooperative), and the watchdog force-cancels the
-  // run through the token if a solve still overruns by the grace margin.
-  if (budget.deadline.valid() && !budget.solver.cancel.valid()) {
-    inner.budget.solver.cancel = milp::CancelToken::create();
-  }
-  DeadlineWatchdog watchdog(budget.deadline,
-                            DeadlineWatchdog::default_grace_sec(budget.deadline),
-                            budget.solver.cancel);
 
   trace::Span sweep_span("Refine_Partitions_Bound");
   Stopwatch stopwatch;
@@ -248,7 +237,6 @@ PartitionerReport TemporalPartitioner::run() const {
     }
     telemetry::publish_degraded(result.degraded);
     telemetry::set_stage("done", result.best_num_partitions);
-    result.watchdog_fired = watchdog.fired();
     if (result.best) {
       const DesignCheck check = validate_design(graph_, device_, *result.best);
       SPARCS_CHECK(check.ok, "partitioner returned an invalid design: " +

@@ -79,9 +79,6 @@ struct PartitionerReport : SweepOutcome {
   /// verdict: `best` (when present) is an anytime incumbent, not the
   /// converged answer.
   bool degraded = false;
-  /// True when the deadline watchdog had to force-cancel the run (a solve
-  /// overran the deadline by more than the grace margin).
-  bool watchdog_fired = false;
   /// Derived inputs, for reporting.
   int n_min_lower = 0;
   int n_min_upper = 0;

@@ -56,7 +56,6 @@ std::string PartitionerReport::to_json() const {
   w.field("seconds", seconds);
   w.field("stopped_by_lower_bound", stopped_by_lower_bound);
   w.field("degraded", degraded);
-  w.field("watchdog_fired", watchdog_fired);
   w.field("n_min_lower", n_min_lower);
   w.field("n_min_upper", n_min_upper);
   w.field("delta_used_ns", delta_used);

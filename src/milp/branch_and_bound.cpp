@@ -1111,8 +1111,8 @@ void BnbSearch::run_worker() {
     double stall_sec = 0.0;
     if (SPARCS_FAILPOINT_STALL("milp.bnb.worker_stall", &stall_sec) &&
         stall_sec > 0.0) {
-      // Simulates a wedged worker; the deadline watchdog (or the time limit)
-      // must still terminate the solve through cooperative cancellation.
+      // Simulates a wedged worker; the other workers and the time limit
+      // must still terminate the solve once it wakes.
       std::this_thread::sleep_for(std::chrono::duration<double>(stall_sec));
     }
     rank_ = std::move(node.rank);

@@ -23,6 +23,25 @@ void LpProblem::add_row(std::vector<LinTerm> terms, Sense sense, double rhs) {
 
 namespace {
 
+constexpr int kMaxIterations = 200000;
+constexpr double kPivotTol = 1e-9;
+/// Hard cap on tableau entries (rows * columns) to avoid runaway memory;
+/// exceeding it throws InvalidArgumentError.
+constexpr std::int64_t kMaxTableauEntries = 60'000'000;
+
+/// Give up on anti-cycling once Bland's rule has run this many iterations
+/// without terminating; the solve returns kNumericalFailure instead of
+/// spinning until kMaxIterations.
+constexpr int kCycleLimit = 20000;
+
+/// Numerical-failure recovery attempts in solve_lp: each retry restarts
+/// with Bland's rule from iteration 0, and retries past the first also
+/// perturb the finite variable bounds outward (keeping the original
+/// feasible region a subset, so bounding stays conservative).
+constexpr int kMaxRecoveries = 2;
+/// Relative magnitude of the outward bound perturbation per retry.
+constexpr double kPerturbation = 1e-9;
+
 /// True when x meets every row of `problem` to within 5e-4 of the row's
 /// largest term |a_j x_j| or |rhs| (at least 1). Roundoff in the updated
 /// tableau can leave the basic values off B^-1 b while the reduced costs
@@ -179,7 +198,7 @@ void SimplexTableau::build(const LpProblem& problem) {
   }
   ncols_ = first_artificial_ + n_art;
   SPARCS_REQUIRE(static_cast<std::int64_t>(m_) * ncols_ <=
-                     params_.max_tableau_entries,
+                     kMaxTableauEntries,
                  "LP too large for the dense simplex tableau");
   lb_.resize(static_cast<std::size_t>(ncols_), 0.0);
   ub_.resize(static_cast<std::size_t>(ncols_), kInfinity);
@@ -317,7 +336,7 @@ bool SimplexTableau::iterate(int entering, bool* made_progress) {
   bool leave_at_upper = false;
   for (int i = 0; i < m_; ++i) {
     const double y = tab(i, entering);
-    if (std::abs(y) < params_.pivot_tol) continue;
+    if (std::abs(y) < kPivotTol) continue;
     const int b = basis_[static_cast<std::size_t>(i)];
     const double v = xb_[static_cast<std::size_t>(i)];
     const double delta = -static_cast<double>(dir) * y;  // d(xB_i)/dt
@@ -334,8 +353,8 @@ bool SimplexTableau::iterate(int entering, bool* made_progress) {
     }
     double t_i = (limit - v) / delta;
     if (t_i < 0.0) t_i = 0.0;  // degenerate step
-    if (t_i < t_max - params_.pivot_tol ||
-        (t_i < t_max + params_.pivot_tol &&
+    if (t_i < t_max - kPivotTol ||
+        (t_i < t_max + kPivotTol &&
          std::abs(y) > std::abs(leave_pivot))) {
       if (t_i <= t_max) {
         t_max = t_i;
@@ -549,7 +568,7 @@ LpResult SimplexTableau::run_phases() {
   }
   if (SPARCS_FAILPOINT("milp.simplex.cycle")) {
     // Emulates the degenerate-cycling detector giving up (Bland's rule ran
-    // cycle_limit iterations without terminating).
+    // kCycleLimit iterations without terminating).
     result.status = LpStatus::kNumericalFailure;
     return result;
   }
@@ -560,7 +579,7 @@ LpResult SimplexTableau::run_phases() {
     if (bland) {
       // Bland's rule terminates in exact arithmetic; if it spins this long we
       // are cycling on roundoff and no pivoting rule will save us.
-      if (++bland_run > params_.cycle_limit) {
+      if (++bland_run > kCycleLimit) {
         result.status = LpStatus::kNumericalFailure;
         result.iterations = iterations_;
         return result;
@@ -574,7 +593,7 @@ LpResult SimplexTableau::run_phases() {
       // The incrementally updated cost row drifts, most on rows with wide
       // coefficient ranges: conclude infeasibility only if fresh reduced
       // costs admit no entering column either. A refresh that finds one is
-      // followed by an iteration, so max_iterations still bounds the loop.
+      // followed by an iteration, so kMaxIterations still bounds the loop.
       compute_reduced_costs();
       ++refactorizations_;
       entering = choose_entering(bland);
@@ -619,7 +638,7 @@ LpResult SimplexTableau::run_phases() {
       return result;
     }
     stall = progress ? 0 : stall + 1;
-    if (++iterations_ >= params_.max_iterations) {
+    if (++iterations_ >= kMaxIterations) {
       result.status = LpStatus::kIterationLimit;
       result.iterations = iterations_;
       return result;
@@ -687,7 +706,7 @@ LpResult solve_lp(const LpProblem& problem, const LpParams& params) {
   // attempts). Iteration/pivot counts accumulate across attempts.
   for (int attempt = 1;
        result.status == LpStatus::kNumericalFailure &&
-       attempt <= params.max_recoveries;
+       attempt <= kMaxRecoveries;
        ++attempt) {
     SPARCS_LOG(kDebug) << "simplex recovery attempt " << attempt
                        << " (Bland" << (attempt > 1 ? " + perturbation" : "")
@@ -697,7 +716,7 @@ LpResult solve_lp(const LpProblem& problem, const LpParams& params) {
     LpResult prior = result;
     if (attempt > 1) {
       const LpProblem perturbed = perturb_bounds_outward(
-          problem, params.perturbation * static_cast<double>(attempt));
+          problem, kPerturbation * static_cast<double>(attempt));
       result = SimplexTableau(perturbed, retry).run();
     } else {
       result = SimplexTableau(problem, retry).run();

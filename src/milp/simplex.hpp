@@ -48,28 +48,10 @@ struct LpProblem {
 };
 
 struct LpParams {
-  int max_iterations = 200000;
   double feasibility_tol = 1e-7;
   double optimality_tol = 1e-7;
-  double pivot_tol = 1e-9;
   /// Switch to Bland's rule after this many iterations without improvement.
   int stall_threshold = 500;
-  /// Hard cap on tableau entries (rows * columns) to avoid runaway memory;
-  /// exceeding it throws InvalidArgumentError.
-  std::int64_t max_tableau_entries = 60'000'000;
-
-  /// Give up on anti-cycling once Bland's rule has run this many iterations
-  /// without terminating; the solve returns kNumericalFailure instead of
-  /// spinning until max_iterations.
-  int cycle_limit = 20000;
-
-  /// Numerical-failure recovery attempts in solve_lp: each retry restarts
-  /// with Bland's rule from iteration 0, and retries past the first also
-  /// perturb the finite variable bounds outward (keeping the original
-  /// feasible region a subset, so bounding stays conservative). 0 disables.
-  int max_recoveries = 2;
-  /// Relative magnitude of the outward bound perturbation per retry.
-  double perturbation = 1e-9;
 
   /// Polled roughly every 128 iterations; returning true aborts the solve
   /// with kIterationLimit. Lets a deadline or cancellation unwind from

@@ -9,6 +9,7 @@
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 #include "support/span.hpp"
+#include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
 
 namespace sparcs::milp {
@@ -102,18 +103,23 @@ MilpSolution Solver::solve() {
   if (live.id() != 0) {
     span.arg("corr", static_cast<std::int64_t>(live.id()));
   }
+  const Stopwatch elapsed;
   MilpSolution solution = solve_branch_and_bound(model_, params_, live.slot());
   certify_verdict(model_, params_, solution);
   if (solution.certified == CertifyStatus::kUncertified && !params_.distrust) {
     // Distrust-and-retry: one re-solve under numerically cautious settings
     // (Bland's rule from the start, tightened tolerances). The retry's
     // verdict replaces the distrusted one; its stats absorb the first
-    // attempt's so the session accounts for the total work.
+    // attempt's so the session accounts for the total work. It runs on what
+    // the first attempt left of the time and node limits, so the two
+    // attempts together stay inside the solve's budget.
     SPARCS_WLOG << "verdict " << to_string(solution.status)
                 << " failed exact certification (" << solution.certify_detail
                 << "); re-solving with distrust settings";
     SolverParams retry_params = params_;
     retry_params.distrust = true;
+    retry_params.time_limit_sec -= elapsed.seconds();
+    retry_params.node_limit -= solution.stats.nodes_explored;
     MilpSolution retried =
         solve_branch_and_bound(model_, retry_params, live.slot());
     retried.stats.merge(solution.stats);

@@ -178,7 +178,8 @@ struct SolverParams {
   CancelToken cancel;
 
   /// Certify verdicts in exact rational arithmetic (milp/certify). A failed
-  /// check triggers one distrust re-solve; see Solver::solve().
+  /// check triggers one distrust re-solve within the same time and node
+  /// limits; see Solver::solve().
   CertifyMode certify = CertifyMode::kOff;
 
   /// Distrust mode, set internally by the certification retry: the simplex

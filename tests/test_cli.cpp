@@ -334,7 +334,7 @@ TEST(CliTest, NegativeDeltaIsBadInput) {
 
 TEST(CliTest, DeadlineBeyondTheClockRangeStillSucceeds) {
   // 1e300 s overflows the steady clock's nanoseconds; the deadline must
-  // saturate rather than wedge the deadline watchdog.
+  // saturate rather than wrap into the past or overflow a time limit.
   const CliRun r =
       run_cli({"--workload", "ar", "--quiet", "--deadline-sec", "1e300"});
   EXPECT_EQ(r.exit_code, 0) << r.err;

@@ -1,7 +1,7 @@
-// Deadline, watchdog and anytime-degradation tests: a tight deadline must
-// return a degraded report promptly with a per-stage account, an inert or
-// generous deadline must leave results identical to an unconstrained run,
-// and the watchdog must force-cancel a run that overstays its grace.
+// Deadline and anytime-degradation tests: a tight deadline must return a
+// degraded report promptly with a per-stage account, an inert or generous
+// deadline must leave results identical to an unconstrained run, and an
+// overrun deadline must never cancel the caller's token.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +16,7 @@
 #include "support/stopwatch.hpp"
 #include "workloads/ar_filter.hpp"
 #include "workloads/dct.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace sparcs::core {
 namespace {
@@ -39,14 +40,12 @@ TEST(DeadlineTest, InertDeadlineNeverExpires) {
   EXPECT_FALSE(d.valid());
   EXPECT_FALSE(d.expired());
   EXPECT_TRUE(std::isinf(d.remaining_sec()));
-  EXPECT_TRUE(std::isinf(d.horizon_sec()));
 }
 
 TEST(DeadlineTest, ExpiresAfterHorizon) {
   const Deadline d = Deadline::after_seconds(0.02);
   EXPECT_TRUE(d.valid());
   EXPECT_LE(d.remaining_sec(), 0.02);
-  EXPECT_DOUBLE_EQ(d.horizon_sec(), 0.02);
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   EXPECT_TRUE(d.expired());
   EXPECT_LT(d.remaining_sec(), 0.0);
@@ -69,52 +68,14 @@ TEST(DeadlineTest, BudgetClampsSolverTimeLimit) {
   EXPECT_GT(budget.clamped_solver().time_limit_sec, 0.0);
 }
 
-TEST(DeadlineTest, WatchdogFiresPastGraceAndCancels) {
-  const milp::CancelToken token = milp::CancelToken::create();
-  const Deadline d = Deadline::after_seconds(0.01);
-  DeadlineWatchdog watchdog(d, /*grace_sec=*/0.01, token);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_TRUE(watchdog.fired());
-  EXPECT_TRUE(token.cancelled());
-}
-
-TEST(DeadlineTest, WatchdogStandsDownOnDestruction) {
-  const milp::CancelToken token = milp::CancelToken::create();
-  {
-    const Deadline d = Deadline::after_seconds(60.0);
-    DeadlineWatchdog watchdog(d, 0.1, token);
-    EXPECT_FALSE(watchdog.fired());
-  }  // destroyed long before expiry: must not fire
-  EXPECT_FALSE(token.cancelled());
-}
-
 // Horizons beyond the steady clock's range (int64 nanoseconds) are capped
-// instead of overflowing: the deadline stays in the future and the watchdog
-// waits, then stands down promptly when destroyed.
-TEST(DeadlineTest, FarDeadlinesAreCappedAndTheWatchdogStandsDown) {
+// instead of overflowing: the deadline stays in the future.
+TEST(DeadlineTest, FarDeadlinesAreCapped) {
   for (const double horizon : {1e10, 1e300}) {
     const Deadline d = Deadline::after_seconds(horizon);
     EXPECT_FALSE(d.expired()) << horizon;
     EXPECT_GT(d.remaining_sec(), 1e8) << horizon;
-    const milp::CancelToken token = milp::CancelToken::create();
-    Stopwatch clock;
-    {
-      DeadlineWatchdog watchdog(d, DeadlineWatchdog::default_grace_sec(d),
-                                token);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      EXPECT_FALSE(watchdog.fired()) << horizon;
-    }
-    EXPECT_LT(clock.seconds(), 1.0) << horizon;
-    EXPECT_FALSE(token.cancelled()) << horizon;
   }
-}
-
-TEST(DeadlineTest, DefaultGraceScalesWithHorizon) {
-  EXPECT_GE(DeadlineWatchdog::default_grace_sec(Deadline::after_seconds(0.1)),
-            0.05);
-  EXPECT_NEAR(
-      DeadlineWatchdog::default_grace_sec(Deadline::after_seconds(10.0)), 1.0,
-      1e-9);
 }
 
 TEST(DeadlineDegradationTest, TightDeadlineReturnsDegradedReportPromptly) {
@@ -129,7 +90,7 @@ TEST(DeadlineDegradationTest, TightDeadlineReturnsDegradedReportPromptly) {
   Stopwatch stopwatch;
   const PartitionerReport report =
       TemporalPartitioner(g, dev, options).run();
-  // Generous ceiling (deadline + grace + slack); the point is that the run
+  // Generous ceiling (deadline + slack); the point is that the run
   // did not last anywhere near the unconstrained sweep.
   EXPECT_LT(stopwatch.seconds(), 2.0);
   EXPECT_TRUE(report.degraded);
@@ -160,7 +121,6 @@ TEST(DeadlineDegradationTest, GenerousDeadlineMatchesUnconstrainedRun) {
       TemporalPartitioner(g, dev, slow_options()).run();
   ASSERT_TRUE(unconstrained.feasible);
   EXPECT_FALSE(unconstrained.degraded);
-  EXPECT_FALSE(unconstrained.watchdog_fired);
 
   PartitionerOptions with_deadline = slow_options();
   with_deadline.budget.deadline = Deadline::after_seconds(300.0);
@@ -168,7 +128,6 @@ TEST(DeadlineDegradationTest, GenerousDeadlineMatchesUnconstrainedRun) {
       TemporalPartitioner(g, dev, with_deadline).run();
   ASSERT_TRUE(report.feasible);
   EXPECT_FALSE(report.degraded);
-  EXPECT_FALSE(report.watchdog_fired);
   EXPECT_DOUBLE_EQ(report.achieved_latency, unconstrained.achieved_latency);
   EXPECT_EQ(report.best_num_partitions, unconstrained.best_num_partitions);
   EXPECT_EQ(report.trace.size(), unconstrained.trace.size());
@@ -179,6 +138,28 @@ TEST(DeadlineDegradationTest, GenerousDeadlineMatchesUnconstrainedRun) {
     EXPECT_EQ(report.stages[i].status, unconstrained.stages[i].status);
     EXPECT_EQ(report.stages[i].solves, unconstrained.stages[i].solves);
   }
+}
+
+TEST(DeadlineDegradationTest, OverrunDeadlineLeavesTheCallersTokenAlone) {
+  // The formulation build of this 300-task graph reads no budget, so the
+  // run overruns a 20 ms deadline by about 0.2 s (0.22 s in all on a 4-vCPU
+  // x86 host). The sweep must end degraded once the build returns, and must
+  // not report the overrun through the caller's token: a tripped token
+  // means a client cancelled.
+  workloads::RandomGraphOptions shape;
+  shape.num_tasks = 300;
+  shape.num_layers = 60;
+  shape.seed = 3;
+  const graph::TaskGraph g = workloads::random_task_graph(shape);
+  PartitionerOptions options;
+  options.budget.solver.num_threads = 1;
+  options.budget.solver.cancel = milp::CancelToken::create();
+  options.budget.deadline = Deadline::after_seconds(0.02);
+  const PartitionerReport report =
+      TemporalPartitioner(g, arch::custom("wide", 1000, 4096, 100), options)
+          .run();
+  EXPECT_TRUE(report.degraded);
+  EXPECT_FALSE(options.budget.solver.cancel.cancelled());
 }
 
 TEST(DeadlineDegradationTest, StageAccountIsConsistentWhenUnconstrained) {

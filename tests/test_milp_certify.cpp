@@ -353,6 +353,35 @@ TEST_F(CertifyFailpointTest, CorruptRayDemotesVerdictAfterDistrustRetry) {
   EXPECT_EQ(s.stats.uncertified_verdicts, 1);
 }
 
+TEST_F(CertifyFailpointTest, DistrustRetryStaysInsideTheSolvesNodeBudget) {
+  // 2(x1 + ... + x5) = 5 has no integer solution, but the row tightens no
+  // bound until two variables are fixed to the same value, so propagation
+  // refutes it in a tree of k nodes. With corrupt_proof the first attempt's proof fails
+  // its check, and the distrust retry must search on what is left of the
+  // node limit: k + k/2 nodes in all cannot hold a second k-node search.
+  Model m("odd_sum");
+  LinExpr twice_sum;
+  for (int i = 0; i < 5; ++i) {
+    twice_sum += 2.0 * LinExpr(m.add_binary("x" + std::to_string(i)));
+  }
+  m.add_constraint(std::move(twice_sum) == 5.0, "odd");
+  SolverParams params;
+  params.num_threads = 1;
+  params.certify = CertifyMode::kFull;
+  const MilpSolution clean = Solver(m, params).solve();
+  ASSERT_EQ(clean.status, SolveStatus::kInfeasible);
+  ASSERT_EQ(clean.certified, CertifyStatus::kCertified);
+  const std::int64_t k = clean.stats.nodes_explored;
+  ASSERT_GE(k, 4);
+
+  failpoint::arm("milp.certify.corrupt_proof");
+  params.node_limit = k + k / 2;
+  const MilpSolution s = Solver(m, params).solve();
+  EXPECT_EQ(s.stats.certify_retries, 1);
+  EXPECT_EQ(s.status, SolveStatus::kLimitReached);
+  EXPECT_LE(s.stats.nodes_explored, params.node_limit);
+}
+
 TEST_F(CertifyFailpointTest, CorruptProofDegradesSweepWithoutChangingLatency) {
   // End-to-end: with corrupt certificates the sweep's infeasible probes go
   // uncertified and the affected stages stop on a conservative window. The
