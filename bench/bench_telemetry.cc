@@ -1,7 +1,7 @@
 // Telemetry-overhead microbenchmarks backing the pipeline's core invariant:
-// with every observability subsystem disabled, an instrumented hot path pays
-// one relaxed atomic load (or one null check) per call site. The flags-off
-// variants must stay within noise of the raw loop; the flags-on variants
+// with no observer bound to the thread, an instrumented hot path pays one
+// thread-local load (or one null check) per call site. The disabled
+// variants must stay within noise of the raw loop; the enabled variants
 // document what turning each feature on costs.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 
 #include "milp/solver.hpp"
 #include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/telemetry.hpp"
 
 namespace {
@@ -25,64 +26,68 @@ void BM_DisabledBaseline(benchmark::State& state) {
 BENCHMARK(BM_DisabledBaseline);
 
 void BM_DisabledSolveScope(benchmark::State& state) {
-  telemetry::set_active(false);
   for (auto _ : state) {
-    telemetry::SolveScope scope("bench");
+    telemetry::SolveScope scope;
     benchmark::DoNotOptimize(scope.slot());
   }
 }
 BENCHMARK(BM_DisabledSolveScope);
 
+/// The branch & bound's tree check: the run's tree, or null.
 void BM_DisabledTreeRecord(benchmark::State& state) {
-  telemetry::set_tree_active(false);
   const telemetry::TreeNode node{1, 0, 1, 2, 0.0, 1.0,
                                  telemetry::NodeKind::kBranched};
   for (auto _ : state) {
-    telemetry::tree_record(node);
+    const Observer* observer = current_observer();
+    telemetry::SearchTree* tree =
+        observer != nullptr ? observer->tree() : nullptr;
+    if (tree != nullptr) tree->record(node);
+    benchmark::DoNotOptimize(tree);
   }
 }
 BENCHMARK(BM_DisabledTreeRecord);
 
 void BM_DisabledStagePublish(benchmark::State& state) {
-  telemetry::set_active(false);
   for (auto _ : state) {
     telemetry::set_stage("bench", 1);
+    benchmark::ClobberMemory();  // reload the binding every iteration
   }
 }
 BENCHMARK(BM_DisabledStagePublish);
 
+/// A metrics export site: the run's registry, or nothing to do.
 void BM_DisabledCounterAdd(benchmark::State& state) {
-  metrics::set_enabled(false);
-  metrics::Counter& counter = metrics::registry().counter("bench.counter");
   for (auto _ : state) {
-    counter.add(1);
+    const Observer* observer = current_observer();
+    if (observer != nullptr && observer->metrics() != nullptr) {
+      observer->metrics()->counter("bench.counter").add(1);
+    }
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_DisabledCounterAdd);
 
 void BM_EnabledLivePublish(benchmark::State& state) {
-  telemetry::set_active(true);
-  {
-    telemetry::SolveScope scope("bench");
-    telemetry::LiveSolve* live = scope.slot();
-    for (auto _ : state) {
-      live->nodes.fetch_add(1, std::memory_order_relaxed);
-    }
+  std::ostringstream sink;
+  Observer::Options options;
+  options.telemetry = &sink;
+  options.sample_interval_sec = 10.0;
+  Observer observer(options);
+  const ObserverScope bind(&observer);
+  telemetry::SolveScope scope;
+  telemetry::LiveSolve* live = scope.slot();
+  for (auto _ : state) {
+    live->nodes.fetch_add(1, std::memory_order_relaxed);
   }
-  telemetry::set_active(false);
 }
 BENCHMARK(BM_EnabledLivePublish);
 
 void BM_EnabledTreeRecord(benchmark::State& state) {
-  telemetry::set_tree_active(true);
-  telemetry::tree_clear();
+  telemetry::SearchTree tree;
   for (auto _ : state) {
-    const std::int64_t id = telemetry::tree_next_id();
-    telemetry::tree_record({id, id - 1, 1, 2, 0.0, 1.0,
-                            telemetry::NodeKind::kIntegral});
+    const std::int64_t id = tree.next_id();
+    tree.record({id, id - 1, 1, 2, 0.0, 1.0, telemetry::NodeKind::kIntegral});
   }
-  telemetry::set_tree_active(false);
-  telemetry::tree_clear();
 }
 BENCHMARK(BM_EnabledTreeRecord);
 
@@ -100,7 +105,6 @@ milp::Model pick_model(int vars, int k) {
 }
 
 void BM_SolveTelemetryOff(benchmark::State& state) {
-  telemetry::set_active(false);
   const milp::Model m = pick_model(24, 6);
   milp::SolverParams params = milp::first_feasible_params();
   params.num_threads = 1;
@@ -113,11 +117,11 @@ BENCHMARK(BM_SolveTelemetryOff);
 
 void BM_SolveTelemetryOn(benchmark::State& state) {
   std::ostringstream sink;
-  telemetry::SamplerOptions options;
-  options.sink = &sink;
-  options.interval_sec = 0.05;
-  options.include_metrics = false;
-  telemetry::start_sampler(options);
+  Observer::Options options;
+  options.telemetry = &sink;
+  options.sample_interval_sec = 0.05;
+  Observer observer(options);
+  const ObserverScope bind(&observer);
   const milp::Model m = pick_model(24, 6);
   milp::SolverParams params = milp::first_feasible_params();
   params.num_threads = 1;
@@ -125,7 +129,6 @@ void BM_SolveTelemetryOn(benchmark::State& state) {
     milp::MilpSolution s = milp::Solver(m, params).solve();
     benchmark::DoNotOptimize(s.status);
   }
-  telemetry::stop_sampler();
 }
 BENCHMARK(BM_SolveTelemetryOn);
 

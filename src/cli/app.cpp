@@ -27,6 +27,7 @@
 #include "support/error.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/span.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
@@ -153,6 +154,9 @@ struct Arguments {
 std::atomic<bool> g_preempted{false};
 std::atomic<int> g_signal{0};
 milp::CancelToken g_signal_token;  // NOLINT: reassigned per run()
+/// Held by each SignalGuard: the handlers and the token they trip are
+/// process-wide, so in-process runs (tests, embedders) take turns.
+std::mutex g_signal_mutex;
 
 void handle_preempt_signal(int sig) {
   g_signal.store(sig, std::memory_order_relaxed);
@@ -162,10 +166,11 @@ void handle_preempt_signal(int sig) {
 
 /// Installs the preemption handlers for the duration of one run() and
 /// restores default dispositions afterwards, so embedding processes (tests)
-/// keep their own signal behavior outside the run.
+/// keep their own signal behavior outside the run. Concurrent guards wait
+/// for each other.
 class SignalGuard {
  public:
-  explicit SignalGuard(milp::CancelToken token) {
+  explicit SignalGuard(milp::CancelToken token) : lock_(g_signal_mutex) {
     g_signal_token = std::move(token);
     g_preempted.store(false, std::memory_order_relaxed);
     g_signal.store(0, std::memory_order_relaxed);
@@ -188,6 +193,7 @@ class SignalGuard {
   }
 
  private:
+  std::lock_guard<std::mutex> lock_;
   void (*previous_int_)(int) = SIG_DFL;
   void (*previous_term_)(int) = SIG_DFL;
 };
@@ -282,92 +288,34 @@ Arguments parse_args(const std::vector<std::string>& args) {
   return parsed;
 }
 
-/// Enables the requested observability subsystems (metrics registry, trace
-/// recorder, telemetry sampler, search-tree recorder, JSON log sink) for the
-/// duration of one `run()`, and writes their output files in finalize()
-/// (called explicitly so a write failure can drive the exit code; the
-/// destructor finalizes as a backstop when an exception unwinds past it).
-/// Restores the disabled state on every exit path so repeated in-process
-/// runs (tests, library embedding) start clean.
-///
-/// Sharing rules: every subsystem this guard touches — the metrics registry,
-/// the trace recorder, the sampler, the search-tree recorder, the *global*
-/// JSON log sink (set_json_log_sink) and reset_pipeline() — is process-global
-/// state; there is exactly one observability pipeline per process. Guards are
-/// therefore serialized on a process-wide mutex held from construction until
-/// finalize(): concurrent in-process run() calls (tests, embedders) queue
-/// here instead of interleaving resets and sink swaps mid-run. Code that
-/// needs concurrent per-run observability must not use this guard — the
-/// solve service attaches per-job correlation-routed log sinks
-/// (add_correlation_json_log_sink) and per-job artifacts instead.
+/// The run's observer (support/observer.hpp), bound to the calling thread
+/// for the duration of one `run()`: it collects what the flags ask for
+/// (metrics registry, trace spans, telemetry sampler, search tree, JSON log)
+/// and finalize() lands each as its artifact file (called explicitly so a
+/// write failure can drive the exit code; the destructor finalizes as a
+/// backstop when an exception unwinds past it).
 class ObservabilityGuard {
  public:
   ObservabilityGuard(const Arguments& parsed, std::ostream& out,
                      std::ostream& err)
-      : lock_(pipeline_mutex()),
-        metrics_file_(parsed.metrics_json_file),
+      : metrics_file_(parsed.metrics_json_file),
         trace_file_(parsed.trace_json_file),
         telemetry_file_(parsed.telemetry_jsonl_file),
         tree_json_file_(parsed.search_tree_json_file),
         tree_dot_file_(parsed.search_tree_dot_file),
         log_json_file_(parsed.log_json_file),
         out_(out),
-        err_(err) {
-    // The telemetry samples embed a metrics snapshot, so --telemetry-jsonl
-    // turns collection on even without --metrics-json (which controls only
-    // whether the end-of-run snapshot file is written).
-    if (!metrics_file_.empty() || !telemetry_file_.empty()) {
-      metrics::registry().reset();
-      metrics::set_enabled(true);
-    }
-    if (!trace_file_.empty()) {
-      trace::clear();
-      trace::set_enabled(true);
-    }
-    telemetry::reset_pipeline();
-    if (!tree_json_file_.empty() || !tree_dot_file_.empty()) {
-      telemetry::tree_clear();
-      telemetry::set_tree_active(true);
-    }
-    if (!log_json_file_.empty()) {
-      log_json_os_.open(log_json_file_);
-      if (log_json_os_.good()) {
-        set_json_log_sink(&log_json_os_);
-        // Correlation ids are only allocated while telemetry is active;
-        // without this a sampler-less --log-json run would log corr-less
-        // records that cannot be joined with --trace-json spans.
-        telemetry::set_active(true);
-        activated_telemetry_ = true;
-      } else {
-        SPARCS_ELOG << "cannot write JSON logs to " << log_json_file_;
-        log_json_file_.clear();
-      }
-    }
-    if (!telemetry_file_.empty() || parsed.progress) {
-      std::ostream* sink = &discard_;
-      if (!telemetry_file_.empty()) {
-        telemetry_os_.open(telemetry_file_);
-        if (telemetry_os_.good()) {
-          sink = &telemetry_os_;
-        } else {
-          SPARCS_ELOG << "cannot write telemetry to " << telemetry_file_;
-          telemetry_file_.clear();
-        }
-      }
-      // --progress without --telemetry-jsonl still runs the sampler (it
-      // drives the progress line); records go to an in-memory discard
-      // buffer, bounded by the CLI run's lifetime.
-      telemetry::SamplerOptions sampler;
-      sampler.interval_sec = parsed.telemetry_interval_ms / 1000.0;
-      sampler.sink = sink;
-      sampler.progress = parsed.progress ? &err : nullptr;
-      sampler.include_metrics = true;
-      sampler_started_ = telemetry::start_sampler(sampler);
-    }
-  }
+        err_(err),
+        observer_(options(parsed)),
+        bind_(&observer_) {}
   ObservabilityGuard(const ObservabilityGuard&) = delete;
   ObservabilityGuard& operator=(const ObservabilityGuard&) = delete;
   ~ObservabilityGuard() { finalize(); }
+
+  /// Writes one telemetry sample now, when the run is sampled.
+  void sample(const char* trigger) {
+    if (observer_.sampler() != nullptr) observer_.sampler()->sample(trigger);
+  }
 
   /// Stops the collectors and lands every requested artifact atomically.
   /// Idempotent; returns false if any artifact failed to land (including a
@@ -378,8 +326,8 @@ class ObservabilityGuard {
     if (finalized_) return finalize_ok_;
     finalized_ = true;
     bool ok = true;
-    if (sampler_started_) {
-      telemetry::stop_sampler();
+    if (observer_.sampler() != nullptr) {
+      observer_.sampler()->stop();
       if (!telemetry_file_.empty()) {
         telemetry_os_.flush();
         if (telemetry_os_.good()) {
@@ -391,39 +339,30 @@ class ObservabilityGuard {
         }
       }
     }
-    if (!metrics_file_.empty() || !telemetry_file_.empty()) {
-      metrics::set_enabled(false);
-    }
     if (!metrics_file_.empty()) {
       ok &= write_artifact(metrics_file_,
-                           metrics::registry().snapshot().to_json() + "\n",
+                           observer_.metrics()->snapshot().to_json() + "\n",
                            "metrics", out_, err_);
     }
     if (!trace_file_.empty()) {
-      trace::set_enabled(false);
       std::ostringstream os;
-      trace::write_chrome_json(os);
+      observer_.spans()->write_chrome_json(os);
       os << "\n";
       ok &= write_artifact(trace_file_, os.str(), "trace", out_, err_);
     }
-    if (!tree_json_file_.empty() || !tree_dot_file_.empty()) {
-      telemetry::set_tree_active(false);
-      if (!tree_json_file_.empty()) {
-        std::ostringstream os;
-        telemetry::write_tree_json(os);
-        ok &= write_artifact(tree_json_file_, os.str(), "search tree", out_,
-                             err_);
-      }
-      if (!tree_dot_file_.empty()) {
-        std::ostringstream os;
-        telemetry::write_tree_dot(os);
-        ok &= write_artifact(tree_dot_file_, os.str(), "search tree", out_,
-                             err_);
-      }
-      telemetry::tree_clear();
+    if (!tree_json_file_.empty()) {
+      std::ostringstream os;
+      observer_.tree()->write_json(os);
+      ok &= write_artifact(tree_json_file_, os.str(), "search tree", out_,
+                           err_);
+    }
+    if (!tree_dot_file_.empty()) {
+      std::ostringstream os;
+      observer_.tree()->write_dot(os);
+      ok &= write_artifact(tree_dot_file_, os.str(), "search tree", out_,
+                           err_);
     }
     if (!log_json_file_.empty()) {
-      set_json_log_sink(nullptr);
       log_json_os_.flush();
       if (!log_json_os_.good()) {
         err_ << "warning: JSON log stream to " << log_json_file_
@@ -431,21 +370,49 @@ class ObservabilityGuard {
         ok = false;
       }
     }
-    if (activated_telemetry_) telemetry::set_active(false);
-    telemetry::reset_pipeline();
     finalize_ok_ = ok;
-    lock_.unlock();
     return ok;
   }
 
  private:
-  /// Leaked (never destroyed) so guards in static-teardown paths stay safe.
-  static std::mutex& pipeline_mutex() {
-    static std::mutex* mu = new std::mutex;
-    return *mu;
+  /// Opens the JSONL streams and says what the observer collects. The
+  /// telemetry samples embed a metrics snapshot, so --telemetry-jsonl turns
+  /// collection on even without --metrics-json (which controls only whether
+  /// the end-of-run snapshot file is written).
+  Observer::Options options(const Arguments& parsed) {
+    Observer::Options options;
+    options.metrics = !metrics_file_.empty() || !telemetry_file_.empty();
+    options.spans = !trace_file_.empty();
+    options.tree = !tree_json_file_.empty() || !tree_dot_file_.empty();
+    if (!log_json_file_.empty()) {
+      log_json_os_.open(log_json_file_);
+      if (log_json_os_.good()) {
+        options.log_json = &log_json_os_;
+      } else {
+        SPARCS_ELOG << "cannot write JSON logs to " << log_json_file_;
+        log_json_file_.clear();
+      }
+    }
+    if (!telemetry_file_.empty() || parsed.progress) {
+      // --progress without --telemetry-jsonl still runs the sampler (it
+      // drives the progress line); records go to an in-memory discard
+      // buffer, bounded by the CLI run's lifetime.
+      options.telemetry = &discard_;
+      if (!telemetry_file_.empty()) {
+        telemetry_os_.open(telemetry_file_);
+        if (telemetry_os_.good()) {
+          options.telemetry = &telemetry_os_;
+        } else {
+          SPARCS_ELOG << "cannot write telemetry to " << telemetry_file_;
+          telemetry_file_.clear();
+        }
+      }
+      options.progress = parsed.progress ? &err_ : nullptr;
+      options.sample_interval_sec = parsed.telemetry_interval_ms / 1000.0;
+    }
+    return options;
   }
 
-  std::unique_lock<std::mutex> lock_;
   std::string metrics_file_;
   std::string trace_file_;
   std::string telemetry_file_;
@@ -457,8 +424,8 @@ class ObservabilityGuard {
   std::ofstream telemetry_os_;
   std::ofstream log_json_os_;
   std::ostringstream discard_;
-  bool sampler_started_ = false;
-  bool activated_telemetry_ = false;
+  Observer observer_;
+  ObserverScope bind_;
   bool finalized_ = false;
   bool finalize_ok_ = true;
 };
@@ -790,13 +757,13 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     // in-process invocations do not inherit a previous run's level.
     set_log_level(parsed.log_level.value_or(
         parsed.quiet ? LogLevel::kError : LogLevel::kWarning));
-    ObservabilityGuard observability(parsed, out, err);
 
     // One cancellation token is shared by the signal handler and every
     // solve: SIGINT/SIGTERM preempt the run through the same cooperative
     // path a deadline uses.
     milp::CancelToken run_cancel = milp::CancelToken::create();
     SignalGuard signals(run_cancel);
+    ObservabilityGuard observability(parsed, out, err);
     bool artifacts_ok = true;
 
     int code = [&]() -> int {
@@ -917,7 +884,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       // Grab one last telemetry sample while the sampler is still running so
       // the JSONL stream records the preemption, then report and remap the
       // exit code: 5 says "interrupted, state flushed, resume with --resume".
-      telemetry::sample_now("preempt");
+      observability.sample("preempt");
       err << "preempted by " << SignalGuard::signal_name()
           << ": best incumbent reported, artifacts flushed"
           << (parsed.checkpoint_file.empty()

@@ -52,17 +52,16 @@ Probe solve_window(std::optional<StageSession>& session,
   row.num_partitions = num_partitions;
   row.d_max_bound = d_max;
   row.d_min_bound = d_min;
-  // Fresh correlation id scoped over the probe: the span below and the
-  // Solver::solve inside share it, which is what lets a telemetry sample, a
-  // JSON log line and this trace span be joined post-hoc.
-  const std::uint64_t corr =
-      telemetry::active() ? telemetry::next_correlation_id() : 0;
-  telemetry::CorrelationScope corr_scope(corr);
+  // The probe's correlation id (the run's, or a fresh one when the run binds
+  // none): the span below and the Solver::solve inside share it, which is
+  // what lets a telemetry sample, a JSON log line and this trace span be
+  // joined post-hoc.
+  const telemetry::CorrelationScope corr;
   trace::Span span("Reduce_Latency probe");
   span.arg("N", static_cast<std::int64_t>(num_partitions));
   span.arg("d_max", d_max);
   span.arg("d_min", d_min);
-  if (corr != 0) span.arg("corr", static_cast<std::int64_t>(corr));
+  if (corr.id() != 0) span.arg("corr", static_cast<std::int64_t>(corr.id()));
   Stopwatch stopwatch;
   if (!session) {
     session.emplace(graph, device, num_partitions, d_max, d_min,

@@ -11,6 +11,7 @@
 #include "support/error.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/span.hpp"
 #include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
@@ -329,8 +330,9 @@ PartitionerReport TemporalPartitioner::run() const {
   sweep_span.arg("Da_ns", result.achieved_latency);
   sweep_span.arg("best_N", static_cast<std::int64_t>(result.best_num_partitions));
   sweep_span.arg("ilp_solves", static_cast<std::int64_t>(result.ilp_solves));
-  if (metrics::enabled()) {
-    metrics::Registry& reg = metrics::registry();
+  const Observer* observer = current_observer();
+  if (observer != nullptr && observer->metrics() != nullptr) {
+    metrics::Registry& reg = *observer->metrics();
     reg.counter("core.sweeps").add(1);
     if (result.degraded) reg.counter("core.sweeps_degraded").add(1);
     reg.counter("core.ilp_solves").add(result.ilp_solves);

@@ -22,6 +22,7 @@
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/logging.hpp"
+#include "support/observer.hpp"
 #include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
 
@@ -372,7 +373,8 @@ class BnbSearch {
                     params.max_propagation_rounds),
         model_(model),
         live_(live),
-        tree_on_(telemetry::tree_active()),
+        tree_(current_observer() != nullptr ? current_observer()->tree()
+                                            : nullptr),
         proof_on_(params.certify == CertifyMode::kFull) {
     if (proof_on_) propagator_.set_log(&prop_log_);
   }
@@ -544,12 +546,13 @@ class BnbSearch {
   std::int64_t nodes_ = 0;
   bool stop_ = false;
 
-  // -- telemetry (all inert unless live_ / tree_on_ are set) ---------------
+  // -- telemetry (all inert unless live_ / tree_ are set) ------------------
   telemetry::LiveSolve* live_ = nullptr;  ///< live slot; null = off
-  const bool tree_on_;                    ///< cached once per search
+  /// The run's search tree; null = not recording. Cached once per search.
+  telemetry::SearchTree* const tree_;
   /// Search-tree parent of this (sub)tree's base node.
   std::int64_t tree_parent_ = -1;
-  /// Owner node id of each open frame; parallel to stack_ while tree_on_.
+  /// Owner node id of each open frame; parallel to stack_ while tree_ is set.
   std::vector<std::int64_t> frame_node_ids_;
   /// Branch applied to enter the node about to descend (var -1: root).
   struct {
@@ -926,7 +929,7 @@ void BnbSearch::donate_siblings(Frame& frame, std::int64_t tree_id) {
 telemetry::TreeNode BnbSearch::tree_node(VarId var, double lo,
                                          double hi) const {
   telemetry::TreeNode node;
-  node.id = telemetry::tree_next_id();
+  node.id = tree_->next_id();
   node.parent = frame_node_ids_.empty() ? tree_parent_ : frame_node_ids_.back();
   node.depth = static_cast<std::int32_t>(rank_.size());
   node.branch_var = var;
@@ -960,11 +963,11 @@ bool BnbSearch::enter(VarId v, double lo, double hi) {
     record_conflict_leaf();
   }
   ++stats_.nodes_pruned_infeasible;
-  if (tree_on_) {
+  if (tree_ != nullptr) {
     // The refuted node never descends, so its record is created here.
     telemetry::TreeNode node = tree_node(v, lo, hi);
     node.kind = telemetry::NodeKind::kPrunedInfeasible;
-    telemetry::tree_record(node);
+    tree_->record(node);
   }
   return false;
 }
@@ -992,7 +995,7 @@ void BnbSearch::search_loop() {
       // branches.
       telemetry::TreeNode tnode;
       bool tnode_recorded = false;
-      if (tree_on_) {
+      if (tree_ != nullptr) {
         tnode = tree_node(last_branch_.var, last_branch_.lo, last_branch_.hi);
       }
       // Node body under an allocation guard: on bad_alloc the node is rolled
@@ -1004,11 +1007,11 @@ void BnbSearch::search_loop() {
         if (v < 0) {
           const std::int64_t rejections_before = stats_.checker_rejections;
           const bool stop_now = handle_leaf();
-          if (tree_on_) {
+          if (tree_ != nullptr) {
             tnode.kind = stats_.checker_rejections > rejections_before
                              ? telemetry::NodeKind::kRejected
                              : telemetry::NodeKind::kIntegral;
-            telemetry::tree_record(tnode);
+            tree_->record(tnode);
           }
           if (stop_now) break;
           descend = false;  // backtrack to explore alternatives
@@ -1019,9 +1022,9 @@ void BnbSearch::search_loop() {
           // Without an incumbent the prune can only come from an infeasible
           // relaxation, so the stashed LP certificate refutes this node.
           record_lp_leaf();
-          if (tree_on_) {
+          if (tree_ != nullptr) {
             tnode.kind = telemetry::NodeKind::kPrunedBound;
-            telemetry::tree_record(tnode);
+            tree_->record(tnode);
           }
           descend = false;
           continue;
@@ -1044,12 +1047,12 @@ void BnbSearch::search_loop() {
         if (frame.branches.size() > 1 && pool_.hungry()) {
           donate_siblings(frame, tnode.id);
         }
-        if (tree_on_) {
+        if (tree_ != nullptr) {
           // Record (and register as owner) before the stack pushes: a push
           // failure below leaves a childless "branched" record, which the
           // dump-time fixup relabels as "budget".
           tnode.kind = telemetry::NodeKind::kBranched;
-          telemetry::tree_record(tnode);
+          tree_->record(tnode);
           tnode_recorded = true;
           frame_node_ids_.push_back(tnode.id);
         }
@@ -1059,7 +1062,7 @@ void BnbSearch::search_loop() {
         // Re-pair the position with the frame stack (a frame push that threw
         // left no frame; the domains are still at this node's fixpoint).
         rank_.resize(base_depth_ + stack_.size());
-        if (tree_on_) {
+        if (tree_ != nullptr) {
           // Re-pair the owner-id vector with the frame stack, then record
           // the dropped node with its real reason (unless already recorded).
           while (frame_node_ids_.size() > stack_.size()) {
@@ -1067,7 +1070,7 @@ void BnbSearch::search_loop() {
           }
           if (!tnode_recorded) {
             tnode.kind = telemetry::NodeKind::kBudget;
-            telemetry::tree_record(tnode);
+            tree_->record(tnode);
           }
         }
         ++stats_.allocation_failures;
@@ -1094,7 +1097,7 @@ void BnbSearch::search_loop() {
     if (top.next >= top.branches.size()) {
       stack_.pop_back();
       rank_.pop_back();
-      if (tree_on_ && !frame_node_ids_.empty()) frame_node_ids_.pop_back();
+      if (tree_ != nullptr && !frame_node_ids_.empty()) frame_node_ids_.pop_back();
       descend = false;
       continue;
     }
@@ -1121,7 +1124,7 @@ void BnbSearch::run_worker() {
     stop_ = false;
     seen_candidate_version_ = ~std::uint64_t{0};
     have_candidate_copy_ = false;
-    if (tree_on_) {
+    if (tree_ != nullptr) {
       frame_node_ids_.clear();
       tree_parent_ = node.tree_parent;
     }
@@ -1204,16 +1207,19 @@ MilpSolution solve_branch_and_bound(const Model& model,
     }
   };
   // Worker 0 runs on the calling thread, so a one-thread solve starts none.
-  // Helpers adopt the caller's correlation id so their log lines and spans
-  // join the solve's. The search is exact at any worker count, so a helper
-  // the system refuses to start only costs speed.
+  // Helpers adopt the caller's observer and correlation id so their log
+  // lines, spans and tree nodes land in the solve's run and join the solve's
+  // records. The search is exact at any worker count, so a helper the system
+  // refuses to start only costs speed.
+  Observer* const observer = current_observer();
   const std::uint64_t correlation = telemetry::current_correlation_id();
   std::vector<std::thread> helpers;
   helpers.reserve(static_cast<std::size_t>(num_workers - 1));
   try {
     for (int i = 1; i < num_workers; ++i) {
-      helpers.emplace_back([&work, correlation, i] {
-        telemetry::CorrelationScope corr(correlation);
+      helpers.emplace_back([&work, observer, correlation, i] {
+        const ObserverScope bind(observer);
+        const telemetry::CorrelationScope corr(correlation);
         work(i);
       });
     }
@@ -1240,7 +1246,6 @@ MilpSolution solve_branch_and_bound(const Model& model,
                        return a.t_sec < b.t_sec;
                      });
   }
-  result.seconds = pool.stopwatch.seconds();
 
   const bool limit_stopped = pool.limit_hit();
   if (pool.have_solution() && first_feasible_mode && limit_stopped) {

@@ -36,7 +36,7 @@ namespace sparcs::milp {
 
 /// Solves `model` with propagation-based branch & bound. `live` is the live
 /// telemetry slot of the enclosing solve (owned by the Solver session's
-/// telemetry::SolveScope); null when telemetry is inactive.
+/// telemetry::SolveScope); null when the run is not sampled.
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,
                                     telemetry::LiveSolve* live = nullptr);

@@ -1,13 +1,12 @@
 #include "milp/solver.hpp"
 
-#include <array>
-#include <iterator>
 #include <utility>
 
 #include "milp/branch_and_bound.hpp"
 #include "milp/certify.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/span.hpp"
 #include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
@@ -55,34 +54,19 @@ void certify_verdict(const Model& model, const SolverParams& params,
   }
 }
 
-/// Publishes one solve's statistics to the process-wide metrics registry.
-/// Handles are resolved once; the adds are relaxed atomics gated on the
-/// global enable flag, so the per-solve cost is negligible either way.
+/// Publishes one solve's statistics to the bound observer's metrics
+/// registry, if it collects one.
 void export_to_registry(const MilpSolution& solution) {
-  if (!metrics::enabled()) return;
-  metrics::Registry& reg = metrics::registry();
-  static metrics::Counter& solves = reg.counter("milp.solves");
-  // One handle per field-table row; null for rows published as no counter.
-  static const auto counters = [&reg] {
-    std::array<metrics::Counter*, std::size(kSolverStatsFields)> handles{};
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      const char* metric = kSolverStatsFields[i].metric;
-      if (metric != nullptr) handles[i] = &reg.counter(metric);
-    }
-    return handles;
-  }();
-  static metrics::Timer& solve_timer = reg.timer("milp.solve");
-  static metrics::Gauge& depth_gauge = reg.gauge("milp.bnb.last_max_depth");
-
+  const Observer* observer = current_observer();
+  if (observer == nullptr || observer->metrics() == nullptr) return;
+  metrics::Registry& reg = *observer->metrics();
   const SolverStats& s = solution.stats;
-  solves.add(1);
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (counters[i] != nullptr) {
-      counters[i]->add(s.*kSolverStatsFields[i].member);
-    }
+  reg.counter("milp.solves").add(1);
+  for (const auto& field : kSolverStatsFields) {
+    if (field.metric != nullptr) reg.counter(field.metric).add(s.*field.member);
   }
-  solve_timer.record(solution.seconds);
-  depth_gauge.set(static_cast<double>(s.max_depth));
+  reg.timer("milp.solve").record(solution.seconds);
+  reg.gauge("milp.bnb.last_max_depth").set(static_cast<double>(s.max_depth));
 }
 
 }  // namespace
@@ -91,9 +75,9 @@ Solver::Solver(const Model& model, SolverParams params)
     : model_(model), params_(std::move(params)) {}
 
 MilpSolution Solver::solve() {
-  // Registers the solve in the live telemetry table (no-op while telemetry
-  // is inactive) and pins its correlation id to this thread.
-  telemetry::SolveScope live("milp::solve");
+  // Pins the solve's correlation id to this thread and, when the run is
+  // sampled, publishes the solve as the run's live solve.
+  telemetry::SolveScope live;
   // "milp::solve" is the span name trace consumers key on (DESIGN.md span
   // tree), so it stays fixed.
   trace::Span span("milp::solve");
@@ -138,6 +122,8 @@ MilpSolution Solver::solve() {
   }
   span.arg("nodes", solution.stats.nodes_explored);
   span.arg("simplex_iterations", solution.stats.simplex_iterations);
+  // Both attempts of a distrust retry and their certificate checks count.
+  solution.seconds = elapsed.seconds();
   export_to_registry(solution);
   return solution;
 }

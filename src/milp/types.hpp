@@ -315,6 +315,8 @@ struct MilpSolution {
   SolveStatus status = SolveStatus::kLimitReached;
   double objective = 0.0;              ///< valid when a solution exists
   std::vector<double> values;          ///< per-variable values (empty if none)
+  /// Wall time of the whole Solver::solve, retry and certificate checks
+  /// included (0 from solve_branch_and_bound alone).
   double seconds = 0.0;
   SolverStats stats;                   ///< per-layer search statistics
 

@@ -17,7 +17,7 @@
 #include "support/atomic_file.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
-#include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/report_writer.hpp"
 #include "support/telemetry.hpp"
 #include "workloads/builtin.hpp"
@@ -230,11 +230,6 @@ int Server::serve() {
     }
   }
 
-  // Correlation ids are only allocated while telemetry is active; without
-  // this, concurrent jobs could not be told apart in logs or trace spans.
-  const bool telemetry_was_active = telemetry::active();
-  telemetry::set_active(true);
-
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -282,7 +277,6 @@ int Server::serve() {
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
   listening_.store(false, std::memory_order_release);
-  telemetry::set_active(telemetry_was_active);
   return 0;
 }
 
@@ -314,22 +308,18 @@ void Server::worker_loop() {
 }
 
 void Server::run_job(const std::shared_ptr<Job>& job) {
-  // The correlation scope is what joins this job's log lines, trace spans
-  // and telemetry entries across the solver's worker threads.
-  const telemetry::CorrelationScope scope(job->correlation);
-  static metrics::Counter& jobs_started =
-      metrics::registry().counter("service.jobs.started");
-  jobs_started.add();
-
+  // The job's observer owns its JSON log stream, and its correlation scope
+  // joins every record the job emits, on this thread and on the solver's
+  // helper threads, which inherit both.
   std::ofstream log_os;
-  bool log_sink_registered = false;
   if (!options_.artifact_dir.empty()) {
     log_os.open(options_.artifact_dir + "/" + job->name + ".logs.jsonl");
-    if (log_os.good()) {
-      add_correlation_json_log_sink(job->correlation, &log_os);
-      log_sink_registered = true;
-    }
   }
+  Observer::Options observe;
+  if (log_os.is_open()) observe.log_json = &log_os;
+  Observer observer(observe);
+  const ObserverScope bind(&observer);
+  const telemetry::CorrelationScope scope(job->correlation);
 
   JobState state = JobState::kDone;
   JobResult result;
@@ -374,13 +364,6 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     SPARCS_WLOG << job->name << ": failed: " << e.what();
   }
 
-  if (log_sink_registered) {
-    remove_correlation_json_log_sink(job->correlation);
-    log_os.flush();
-  }
-  static metrics::Counter& jobs_finished =
-      metrics::registry().counter("service.jobs.finished");
-  jobs_finished.add();
   queue_.finish(job, state, std::move(result));
 }
 
@@ -479,9 +462,6 @@ std::string Server::handle_submit(const SubmitRequest& submit,
     w.field("code", admit.code);
     w.field("message", admit.message);
     w.end_object();
-    static metrics::Counter& rejected =
-        metrics::registry().counter("service.jobs.rejected");
-    rejected.add();
   }
   w.field("queue_depth", queue_.queue_depth());
   w.field("running", queue_.running());

@@ -9,11 +9,11 @@
 //        service/protocol.hpp; responses are written in request order
 //   worker pool (ServerOptions::num_workers threads)
 //     '- each worker pops admitted jobs from the JobQueue and runs
-//        core::TemporalPartitioner under a per-job telemetry
-//        CorrelationScope, with the job's own CancelToken, a Deadline armed
-//        at start, and (when an artifact dir is configured) the job's own
-//        checkpoint file, report JSON and correlated JSONL log — every
-//        per-process facility of the one-shot CLI, made per-job.
+//        core::TemporalPartitioner under the job's own Observer and
+//        telemetry CorrelationScope, with the job's own CancelToken, a
+//        Deadline armed at start, and (when an artifact dir is configured)
+//        the job's own checkpoint file, report JSON and JSONL log — every
+//        facility of the one-shot CLI, made per-job.
 //
 // Shutdown: the "shutdown" op or a cancellation request on
 // ServerOptions::stop (the CLI wires SIGINT/SIGTERM to it) stops the accept

@@ -3,11 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
-#include <ostream>
 #include <string_view>
-#include <unordered_map>
 
+#include "support/observer.hpp"
 #include "support/report_writer.hpp"
 #include "support/telemetry.hpp"
 
@@ -15,20 +13,6 @@ namespace sparcs {
 namespace {
 
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarning)};
-
-// The JSON sink is cold-path state: the pointer is only consulted after a
-// statement passed the level gate (so the statement already pays for an
-// fputs), and reads share the mutex that serializes sink writes.
-std::mutex g_json_sink_mu;
-std::ostream* g_json_sink = nullptr;
-
-/// Correlation-routed sinks (solve service: one per job). Guarded by
-/// g_json_sink_mu like the global sink; leaked so teardown order with
-/// late-logging static destructors stays safe.
-std::unordered_map<std::uint64_t, std::ostream*>& correlation_sinks() {
-  static auto* sinks = new std::unordered_map<std::uint64_t, std::ostream*>;
-  return *sinks;
-}
 
 constexpr std::string_view level_tag(LogLevel level) {
   switch (level) {
@@ -84,26 +68,6 @@ LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
 
 void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
 
-void set_json_log_sink(std::ostream* sink) {
-  std::lock_guard<std::mutex> lock(g_json_sink_mu);
-  g_json_sink = sink;
-}
-
-void add_correlation_json_log_sink(std::uint64_t correlation,
-                                   std::ostream* sink) {
-  std::lock_guard<std::mutex> lock(g_json_sink_mu);
-  if (sink == nullptr) {
-    correlation_sinks().erase(correlation);
-  } else {
-    correlation_sinks()[correlation] = sink;
-  }
-}
-
-void remove_correlation_json_log_sink(std::uint64_t correlation) {
-  std::lock_guard<std::mutex> lock(g_json_sink_mu);
-  correlation_sinks().erase(correlation);
-}
-
 namespace detail {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -122,34 +86,19 @@ LogMessage::~LogMessage() {
   text.append(file).append(":").append(std::to_string(line_)).append("] ");
   text.append(message).append("\n");
   std::fputs(text.c_str(), stderr);
-  {
-    std::lock_guard<std::mutex> lock(g_json_sink_mu);
-    const std::uint64_t corr = telemetry::current_correlation_id();
-    std::ostream* corr_sink = nullptr;
-    if (corr != 0 && !correlation_sinks().empty()) {
-      const auto it = correlation_sinks().find(corr);
-      if (it != correlation_sinks().end()) corr_sink = it->second;
-    }
-    if (g_json_sink != nullptr || corr_sink != nullptr) {
-      report::ReportWriter w;
-      w.begin_object();
-      w.field("t_sec", elapsed_seconds());
-      w.field("level", std::string(level_name(level_)));
-      w.field("file", std::string(file));
-      w.field("line", static_cast<std::int64_t>(line_));
-      if (corr != 0) w.field("corr", static_cast<std::int64_t>(corr));
-      w.field("msg", message);
-      w.end_object();
-      if (g_json_sink != nullptr) {
-        *g_json_sink << w.str() << '\n';
-        g_json_sink->flush();
-      }
-      if (corr_sink != nullptr) {
-        *corr_sink << w.str() << '\n';
-        corr_sink->flush();
-      }
-    }
-  }
+  Observer* observer = current_observer();
+  if (observer == nullptr || !observer->logs_json()) return;
+  const std::uint64_t corr = telemetry::current_correlation_id();
+  report::ReportWriter w;
+  w.begin_object();
+  w.field("t_sec", elapsed_seconds());
+  w.field("level", std::string(level_name(level_)));
+  w.field("file", std::string(file));
+  w.field("line", static_cast<std::int64_t>(line_));
+  if (corr != 0) w.field("corr", static_cast<std::int64_t>(corr));
+  w.field("msg", message);
+  w.end_object();
+  observer->write_log(w.str());
 }
 
 }  // namespace detail

@@ -1,33 +1,25 @@
 #include "support/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <sstream>
 
 #include "support/report_writer.hpp"
-#include "support/strings.hpp"
 
 namespace sparcs::metrics {
 namespace {
 
-std::atomic<bool> g_enabled{false};
-
-std::uint64_t monotonic_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+template <typename T, typename Entries>
+T& find_or_add(Entries& entries, const std::string& name) {
+  for (const auto& entry : entries) {
+    if (entry.name == name) return *entry.metric;
+  }
+  entries.push_back({name, std::make_unique<T>()});
+  return *entries.back().metric;
 }
 
 }  // namespace
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
 void Timer::record(double seconds) {
-  if (!enabled()) return;
   if (!(seconds >= 0.0)) seconds = 0.0;  // clamp negatives and NaN
   const double us = seconds * 1e6;
   int bucket = 0;
@@ -54,17 +46,9 @@ Timer::Stats Timer::stats() const {
   return s;
 }
 
-void Timer::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-  std::fill(buckets_, buckets_ + kNumBuckets, 0);
-}
-
 std::string MetricsSnapshot::to_json() const {
   report::ReportWriter w;
   w.begin_object();
-  w.field("epoch", static_cast<std::int64_t>(epoch));
   w.begin_object("counters");
   for (const auto& counter : counters) {
     w.field(counter.name, counter.value);
@@ -106,35 +90,22 @@ std::string MetricsSnapshot::to_json() const {
 
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& entry : counters_) {
-    if (entry.name == name) return *entry.metric;
-  }
-  counters_.push_back({name, std::make_unique<Counter>()});
-  return *counters_.back().metric;
+  return find_or_add<Counter>(counters_, name);
 }
 
 Gauge& Registry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& entry : gauges_) {
-    if (entry.name == name) return *entry.metric;
-  }
-  gauges_.push_back({name, std::make_unique<Gauge>()});
-  return *gauges_.back().metric;
+  return find_or_add<Gauge>(gauges_, name);
 }
 
 Timer& Registry::timer(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& entry : timers_) {
-    if (entry.name == name) return *entry.metric;
-  }
-  timers_.push_back({name, std::make_unique<Timer>()});
-  return *timers_.back().metric;
+  return find_or_add<Timer>(timers_, name);
 }
 
 MetricsSnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
-  snap.epoch = epoch_.load(std::memory_order_relaxed);
   snap.counters.reserve(counters_.size());
   for (const auto& entry : counters_) {
     snap.counters.push_back({entry.name, entry.metric->value()});
@@ -152,32 +123,6 @@ MetricsSnapshot Registry::snapshot() const {
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.timers.begin(), snap.timers.end(), by_name);
   return snap;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Bump the epoch first: a consumer diffing a pre-reset snapshot against a
-  // post-reset one sees a changed epoch no matter how the stores interleave
-  // with its second snapshot (which serializes on mu_ anyway).
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  for (const auto& entry : counters_) entry.metric->reset();
-  for (const auto& entry : gauges_) entry.metric->reset();
-  for (const auto& entry : timers_) entry.metric->reset();
-}
-
-Registry& registry() {
-  static Registry* instance = new Registry();  // never destroyed: handles
-  return *instance;                            // must outlive all callers
-}
-
-ScopedTimer::ScopedTimer(Timer& timer) : timer_(&timer) {
-  if (enabled()) start_ns_ = monotonic_ns();
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (start_ns_ != 0) {
-    timer_->record(static_cast<double>(monotonic_ns() - start_ns_) * 1e-9);
-  }
 }
 
 }  // namespace sparcs::metrics

@@ -1,27 +1,14 @@
-// Process-wide metrics registry: counters, gauges and timers/histograms.
+// Metrics registry: counters, gauges and timers/histograms.
 //
-// Collection is off by default and every primitive is near-zero-cost while
-// disabled (one relaxed atomic load); call sites therefore instrument hot
-// paths unconditionally. Handles returned by the registry are stable for the
-// process lifetime, so call sites may cache them in function-local statics.
-// Snapshots render to JSON for the CLI's --metrics-json export.
+// Each run that collects metrics owns one Registry through its Observer
+// (support/observer.hpp); call sites ask the bound observer for it and skip
+// the export when there is none. Handles returned by a registry are stable
+// for the registry's lifetime. Snapshots render to JSON for the CLI's
+// --metrics-json export and the telemetry samples.
 //
-// Snapshot-consistency contract
-// -----------------------------
-// The hot mutation paths (Counter::add, Gauge::set, Timer::record) stay
-// lock-free-or-local: concurrent with them,
-//  * Registry::snapshot() and Registry::reset() serialize against each other
-//    under the registry mutex, so a snapshot never observes a half-applied
-//    registry-wide reset (some metrics zeroed, others not).
-//  * Each snapshot carries the registry's reset epoch. Consumers computing
-//    deltas between two snapshots (the telemetry sampler) must discard the
-//    delta when the epoch changed in between — the counters restarted.
-//  * Per-metric reset() on a cached handle is an atomic exchange (Counter,
-//    Gauge) or mutex-guarded (Timer): safe concurrent with add()/record(),
-//    but it bypasses the registry epoch, so it is reserved for tests and
-//    single-threaded phases. Production code resets via Registry::reset().
-// Timer::record/stats/reset share the per-timer mutex, so Stats is always
-// internally consistent (count matches the bucket sum).
+// Counter::add and Gauge::set are relaxed atomics, safe from any thread of
+// the run. Timer::record and Timer::stats share the per-timer mutex, so
+// Stats is always internally consistent (count matches the bucket sum).
 #pragma once
 
 #include <atomic>
@@ -33,25 +20,15 @@
 
 namespace sparcs::metrics {
 
-/// True when metric collection is globally enabled (default: off).
-bool enabled();
-
-/// Globally enables or disables metric collection.
-void set_enabled(bool on);
-
 /// Monotonically increasing integer metric.
 class Counter {
  public:
   void add(std::int64_t delta = 1) {
-    if (enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  /// Atomic exchange, so a concurrent add() either lands before the reset
-  /// (and is zeroed with everything else) or fully after (and survives) —
-  /// never torn. See the snapshot-consistency contract above.
-  void reset() { value_.exchange(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -60,13 +37,10 @@ class Counter {
 /// Last-value metric (e.g. "best latency so far").
 class Gauge {
  public:
-  void set(double value) {
-    if (enabled()) value_.store(value, std::memory_order_relaxed);
-  }
+  void set(double value) { value_.store(value, std::memory_order_relaxed); }
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.exchange(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -90,7 +64,6 @@ class Timer {
     std::vector<std::int64_t> buckets;  ///< kNumBuckets log2(us) counts
   };
   [[nodiscard]] Stats stats() const;
-  void reset();
 
  private:
   mutable std::mutex mu_;
@@ -118,36 +91,22 @@ struct MetricsSnapshot {
   std::vector<CounterEntry> counters;
   std::vector<GaugeEntry> gauges;
   std::vector<TimerEntry> timers;
-  /// Registry reset epoch at snapshot time: deltas between two snapshots are
-  /// only meaningful while their epochs match.
-  std::uint64_t epoch = 0;
 
   /// Renders {"counters":{...},"gauges":{...},"timers":{...}}. Timers render
   /// count/sum/min/max/mean in seconds plus the non-empty log2(us) buckets.
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Name -> metric registry. Thread-safe; returned references remain valid for
-/// the process lifetime (reset() zeroes values but never drops registrations).
+/// Name -> metric registry. Thread-safe; returned references remain valid
+/// for the registry's lifetime.
 class Registry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Timer& timer(const std::string& name);
 
-  /// Copies every metric, sorted by name within each kind. Serialized
-  /// against reset() under the registry mutex, so the copy is never a mix of
-  /// pre- and post-reset values; the snapshot records the current epoch.
+  /// Copies every metric, sorted by name within each kind.
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Zeroes every registered metric (registrations and handles survive) and
-  /// advances the reset epoch so in-flight snapshot deltas invalidate.
-  void reset();
-
-  /// Number of reset() calls so far.
-  [[nodiscard]] std::uint64_t epoch() const {
-    return epoch_.load(std::memory_order_relaxed);
-  }
 
  private:
   template <typename T>
@@ -156,27 +115,9 @@ class Registry {
     std::unique_ptr<T> metric;
   };
   mutable std::mutex mu_;
-  std::atomic<std::uint64_t> epoch_{0};
   std::vector<Named<Counter>> counters_;
   std::vector<Named<Gauge>> gauges_;
   std::vector<Named<Timer>> timers_;
-};
-
-/// The process-wide registry.
-Registry& registry();
-
-/// RAII timer: records the elapsed time into `timer` on destruction when
-/// metric collection is enabled (start timestamp is only taken when enabled).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& timer);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer* timer_;
-  std::uint64_t start_ns_ = 0;  ///< 0 == collection was off at construction
 };
 
 }  // namespace sparcs::metrics

@@ -1,51 +1,63 @@
 // Scoped spans emitting Chrome trace-event / Perfetto-compatible JSON.
 //
-// Tracing is off by default; an inactive Span costs one relaxed atomic load.
-// When enabled, each Span records one complete ("ph":"X") event with
-// microsecond start/duration timestamps, so a whole Refine_Partitions_Bound
-// sweep — with nested spans for every Reduce_Latency probe, milp::solve call
-// and simplex run — can be opened in chrome://tracing or ui.perfetto.dev.
+// A span records into the trace::Recorder of the observer bound to its
+// thread (support/observer.hpp); with no observer bound, or one that does not
+// record spans, a Span costs one thread-local load. Each recorded Span is one
+// complete ("ph":"X") event with microsecond start/duration timestamps, so a
+// whole Refine_Partitions_Bound sweep — with nested spans for every
+// Reduce_Latency probe, milp::solve call and simplex run — can be opened in
+// chrome://tracing or ui.perfetto.dev.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <string>
+#include <vector>
+
+#include "support/observer.hpp"
 
 namespace sparcs::trace {
 
-/// True when span recording is globally enabled (default: off).
-bool enabled();
+/// One run's span events.
+class Recorder {
+ public:
+  void record(std::string name, std::uint64_t ts_us, std::uint64_t dur_us,
+              std::string args_json);
 
-/// Globally enables or disables span recording.
-void set_enabled(bool on);
+  /// Number of events recorded so far.
+  [[nodiscard]] std::size_t size() const;
 
-/// Drops every recorded event.
-void clear();
+  /// Writes the events as a Chrome trace-event JSON array:
+  /// [{"name":..,"cat":"sparcs","ph":"X","ts":..,"dur":..,"pid":..,"tid":..,
+  ///   "args":{..}}, ...]. Loadable by chrome://tracing and Perfetto.
+  void write_chrome_json(std::ostream& os) const;
 
-/// Number of events recorded so far.
-std::size_t num_events();
-
-/// Writes the recorded events as a Chrome trace-event JSON array:
-/// [{"name":..,"cat":"sparcs","ph":"X","ts":..,"dur":..,"pid":..,"tid":..,
-///   "args":{..}}, ...]. Loadable by chrome://tracing and Perfetto.
-void write_chrome_json(std::ostream& os);
-
-namespace detail {
-void record_complete_event(std::string name, std::uint64_t ts_us,
-                           std::uint64_t dur_us, std::string args_json);
-std::uint64_t now_us();
-}  // namespace detail
+ private:
+  struct Event {
+    std::string name;
+    std::uint64_t ts_us;
+    std::uint64_t dur_us;
+    int tid;
+    std::string args_json;
+  };
+  mutable std::mutex mu_;
+  std::vector<Event> events_;
+};
 
 /// RAII span: measures from construction to destruction. `arg()` attaches
 /// key/value pairs rendered into the event's "args" object; all calls are
-/// no-ops while tracing is disabled.
+/// no-ops while the span is not recording.
 class Span {
  public:
   explicit Span(const char* name) {
-    if (enabled()) begin(name);
+    const Observer* observer = current_observer();
+    if (observer != nullptr && observer->spans() != nullptr) {
+      begin(observer->spans(), name);
+    }
   }
   ~Span() {
-    if (active_) end();
+    if (recorder_ != nullptr) end();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -55,10 +67,10 @@ class Span {
   void arg(const char* key, const std::string& value);
 
  private:
-  void begin(const char* name);
+  void begin(Recorder* recorder, const char* name);
   void end();
 
-  bool active_ = false;
+  Recorder* recorder_ = nullptr;
   std::string name_;
   std::string args_json_;  ///< comma-joined "key":value fragments
   std::uint64_t start_us_ = 0;

@@ -1,27 +1,21 @@
 #include "support/telemetry.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <unordered_set>
-#include <vector>
 
 #include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/report_writer.hpp"
 
 namespace sparcs::telemetry {
 namespace {
 
-std::atomic<bool> g_active{false};
 std::atomic<std::uint64_t> g_next_correlation{1};
 thread_local std::uint64_t t_correlation = 0;
 
@@ -36,231 +30,7 @@ std::uint64_t now_us() {
           .count());
 }
 
-// -- live solve table -------------------------------------------------------
-
-LiveSolve g_live[kLiveSolveSlots];
-std::atomic<std::int64_t> g_solves_completed{0};
-std::atomic<std::int64_t> g_slots_exhausted{0};
-
-// -- pipeline state ---------------------------------------------------------
-
-std::atomic<const char*> g_stage{nullptr};  ///< string literal or null
-std::atomic<int> g_stage_n{0};
-std::atomic<double> g_best_latency{0.0};
-std::atomic<bool> g_has_best{false};
-std::atomic<int> g_best_n{0};
-std::atomic<bool> g_degraded{false};
-
-// -- search tree ------------------------------------------------------------
-
-std::atomic<bool> g_tree_active{false};
-std::atomic<std::int64_t> g_tree_next_id{0};
-
-struct TreeState {
-  std::mutex mu;
-  std::deque<TreeNode> nodes;
-  std::size_t capacity = 1 << 16;
-  std::int64_t recorded = 0;
-  std::int64_t evicted = 0;
-};
-
-TreeState& tree_state() {
-  static TreeState* state = new TreeState;  // leaked: immortal
-  return *state;
-}
-
-/// Copies the ring and re-labels interior nodes whose children are absent
-/// from the dump (evicted, or never explored because a limit fired) as
-/// kBudget, so every non-root node either explains its pruning or has
-/// children present.
-std::vector<TreeNode> dump_nodes(std::int64_t* recorded, std::int64_t* evicted,
-                                 std::size_t* capacity) {
-  TreeState& state = tree_state();
-  std::vector<TreeNode> nodes;
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    nodes.assign(state.nodes.begin(), state.nodes.end());
-    *recorded = state.recorded;
-    *evicted = state.evicted;
-    *capacity = state.capacity;
-  }
-  std::unordered_set<std::int64_t> parents;
-  parents.reserve(nodes.size());
-  for (const TreeNode& node : nodes) {
-    if (node.parent >= 0) parents.insert(node.parent);
-  }
-  for (TreeNode& node : nodes) {
-    if (node.kind == NodeKind::kBranched && parents.count(node.id) == 0) {
-      node.kind = NodeKind::kBudget;
-    }
-  }
-  return nodes;
-}
-
-// -- sampler ----------------------------------------------------------------
-
-/// Serializes every record written to the JSONL sink (sampler thread,
-/// stage-transition samples from the pipeline thread, convergence records)
-/// and guards the sink/progress pointers themselves.
-std::mutex g_sink_mu;
-std::ostream* g_sink = nullptr;
-std::ostream* g_progress = nullptr;
-bool g_include_metrics = true;
-milp::CancelToken g_sampler_cancel;
-std::uint64_t g_sampler_start_us = 0;
-std::int64_t g_samples = 0;
-
-struct SamplerThread {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::thread thread;
-  bool running = false;
-  bool stop_requested = false;
-  double interval_sec = 0.2;
-  bool active_before = false;  ///< telemetry flag predating this sampler
-};
-
-SamplerThread& sampler_thread() {
-  static SamplerThread* thread = new SamplerThread;  // leaked: immortal
-  return *thread;
-}
-
-double sink_elapsed_sec() {
-  return static_cast<double>(now_us() - g_sampler_start_us) / 1e6;
-}
-
-/// Writes one "sample" record. Caller must NOT hold g_sink_mu.
-void emit_sample(const char* trigger) {
-  // Gather the expensive bits before taking the sink lock.
-  const MemoryStatus mem = read_memory_status();
-  std::string metrics_json;
-  {
-    std::lock_guard<std::mutex> lock(g_sink_mu);
-    if (g_sink == nullptr) return;
-    if (g_include_metrics && metrics::enabled()) {
-      metrics_json = metrics::registry().snapshot().to_json();
-    }
-    report::ReportWriter w;
-    w.begin_object();
-    w.field("type", "sample");
-    w.field("t_sec", sink_elapsed_sec());
-    w.field("trigger", trigger);
-    const char* stage = g_stage.load(std::memory_order_relaxed);
-    w.field("stage", stage != nullptr ? stage : "idle");
-    w.field("N", g_stage_n.load(std::memory_order_relaxed));
-    if (g_has_best.load(std::memory_order_relaxed)) {
-      w.field("best_latency_ns", g_best_latency.load(std::memory_order_relaxed));
-      w.field("best_n", g_best_n.load(std::memory_order_relaxed));
-    }
-    w.field("degraded", g_degraded.load(std::memory_order_relaxed));
-    if (g_sampler_cancel.cancelled()) w.field("cancelled", true);
-    w.field("solves_completed",
-            g_solves_completed.load(std::memory_order_relaxed));
-    const std::int64_t exhausted =
-        g_slots_exhausted.load(std::memory_order_relaxed);
-    if (exhausted > 0) w.field("live_solve_slots_exhausted", exhausted);
-    w.field("rss_kb", mem.rss_kb);
-    w.field("rss_peak_kb", mem.rss_peak_kb);
-    w.begin_array("solves");
-    const std::uint64_t now = now_us();
-    for (LiveSolve& slot : g_live) {
-      const std::uint64_t corr =
-          slot.correlation.load(std::memory_order_acquire);
-      if (corr == 0) continue;
-      w.begin_object();
-      w.field("corr", static_cast<std::int64_t>(corr));
-      const std::uint64_t start = slot.start_us.load(std::memory_order_relaxed);
-      w.field("elapsed_sec",
-              static_cast<double>(now > start ? now - start : 0) / 1e6);
-      w.field("nodes", slot.nodes.load(std::memory_order_relaxed));
-      w.field("open_nodes", slot.open_nodes.load(std::memory_order_relaxed));
-      w.field("lp_iterations",
-              slot.lp_iterations.load(std::memory_order_relaxed));
-      w.field("incumbent_updates",
-              slot.incumbent_updates.load(std::memory_order_relaxed));
-      const bool has_inc = slot.has_incumbent.load(std::memory_order_relaxed);
-      const bool has_bound = slot.has_bound.load(std::memory_order_relaxed);
-      const double inc = slot.incumbent.load(std::memory_order_relaxed);
-      const double bound = slot.best_bound.load(std::memory_order_relaxed);
-      if (has_inc) w.field("incumbent", inc);
-      if (has_bound && std::isfinite(bound)) w.field("bound", bound);
-      if (has_inc && has_bound && std::isfinite(bound)) {
-        w.field("gap", std::fabs(inc - bound) /
-                           std::max(1e-9, std::fabs(inc)));
-      }
-      w.end_object();
-    }
-    w.end_array();
-    if (!metrics_json.empty()) w.raw_field("metrics", metrics_json);
-    w.end_object();
-    *g_sink << w.str() << '\n';
-    g_sink->flush();
-    ++g_samples;
-    if (g_progress != nullptr) {
-      const char* progress_stage = stage != nullptr ? stage : "idle";
-      char line[256];
-      if (g_has_best.load(std::memory_order_relaxed)) {
-        std::snprintf(line, sizeof(line),
-                      "\r[%s N=%d] best=%.0f ns solves=%lld elapsed=%.1fs   ",
-                      progress_stage, g_stage_n.load(std::memory_order_relaxed),
-                      g_best_latency.load(std::memory_order_relaxed),
-                      static_cast<long long>(
-                          g_solves_completed.load(std::memory_order_relaxed)),
-                      sink_elapsed_sec());
-      } else {
-        std::snprintf(line, sizeof(line),
-                      "\r[%s N=%d] best=- solves=%lld elapsed=%.1fs   ",
-                      progress_stage, g_stage_n.load(std::memory_order_relaxed),
-                      static_cast<long long>(
-                          g_solves_completed.load(std::memory_order_relaxed)),
-                      sink_elapsed_sec());
-      }
-      *g_progress << line;
-      g_progress->flush();
-    }
-  }
-}
-
-/// Writes the small lifecycle records ("start" / "final"). Caller must NOT
-/// hold g_sink_mu.
-void emit_lifecycle(const char* type, double interval_sec) {
-  std::lock_guard<std::mutex> lock(g_sink_mu);
-  if (g_sink == nullptr) return;
-  report::ReportWriter w;
-  w.begin_object();
-  w.field("type", type);
-  w.field("t_sec", sink_elapsed_sec());
-  if (interval_sec > 0) w.field("interval_sec", interval_sec);
-  w.field("degraded", g_degraded.load(std::memory_order_relaxed));
-  if (g_sampler_cancel.cancelled()) w.field("cancelled", true);
-  w.field("samples", g_samples);
-  w.field("solves_completed",
-          g_solves_completed.load(std::memory_order_relaxed));
-  w.end_object();
-  *g_sink << w.str() << '\n';
-  g_sink->flush();
-}
-
-void sampler_loop() {
-  SamplerThread& st = sampler_thread();
-  std::unique_lock<std::mutex> lock(st.mu);
-  while (!st.stop_requested) {
-    const auto interval =
-        std::chrono::duration<double>(std::max(0.001, st.interval_sec));
-    st.cv.wait_for(lock, interval,
-                   [&st] { return st.stop_requested; });
-    if (st.stop_requested) break;
-    lock.unlock();
-    emit_sample("interval");
-    lock.lock();
-  }
-}
-
 }  // namespace
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
-
-void set_active(bool on) { g_active.store(on, std::memory_order_relaxed); }
 
 std::uint64_t next_correlation_id() {
   return g_next_correlation.fetch_add(1, std::memory_order_relaxed);
@@ -268,120 +38,28 @@ std::uint64_t next_correlation_id() {
 
 std::uint64_t current_correlation_id() { return t_correlation; }
 
-CorrelationScope::CorrelationScope(std::uint64_t id) : prev_(t_correlation) {
+CorrelationScope::CorrelationScope(std::uint64_t id)
+    : previous_(t_correlation), id_(id) {
   t_correlation = id;
 }
 
-CorrelationScope::~CorrelationScope() { t_correlation = prev_; }
-
-SolveScope::SolveScope(const char* /*what*/) {
-  if (!active()) return;
-  std::uint64_t id = t_correlation;
-  if (id == 0) {
-    id = next_correlation_id();
-    prev_tls_ = t_correlation;
-    t_correlation = id;
-    swapped_tls_ = true;
-  }
-  id_ = id;
-  for (LiveSolve& slot : g_live) {
-    std::uint64_t expected = 0;
-    // Acquire-release pairs with the release store in the destructor: a
-    // thread that re-claims a slot sees every plain reset below it.
-    if (slot.correlation.compare_exchange_strong(expected, id,
-                                                 std::memory_order_acq_rel)) {
-      slot.nodes.store(0, std::memory_order_relaxed);
-      slot.open_nodes.store(0, std::memory_order_relaxed);
-      slot.lp_iterations.store(0, std::memory_order_relaxed);
-      slot.incumbent_updates.store(0, std::memory_order_relaxed);
-      slot.incumbent.store(0.0, std::memory_order_relaxed);
-      slot.has_incumbent.store(false, std::memory_order_relaxed);
-      slot.best_bound.store(0.0, std::memory_order_relaxed);
-      slot.has_bound.store(false, std::memory_order_relaxed);
-      slot.start_us.store(now_us(), std::memory_order_relaxed);
-      slot_ = &slot;
-      break;
-    }
-  }
-  if (slot_ == nullptr) {
-    // Table full: degrade gracefully — the scope still carries an id
-    // (correlation, logs and spans keep working), it just does not show up
-    // in sample records. Account for the shortfall so operators can see it.
-    g_slots_exhausted.fetch_add(1, std::memory_order_relaxed);
-    static metrics::Counter& exhausted =
-        metrics::registry().counter("telemetry.live_solve.slot_exhausted");
-    exhausted.add();
+CorrelationScope::CorrelationScope()
+    : previous_(t_correlation), id_(t_correlation) {
+  if (id_ == 0 && current_observer() != nullptr) {
+    id_ = next_correlation_id();
+    t_correlation = id_;
   }
 }
 
-SolveScope::~SolveScope() {
-  if (slot_ != nullptr) {
-    slot_->correlation.store(0, std::memory_order_release);
-    g_solves_completed.fetch_add(1, std::memory_order_relaxed);
-  } else if (id_ != 0) {
-    g_solves_completed.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (swapped_tls_) t_correlation = prev_tls_;
+CorrelationScope::~CorrelationScope() { t_correlation = previous_; }
+
+void SolveScope::begin() {
+  correlation_.emplace();
+  sampler_ = current_sampler();
+  if (sampler_ != nullptr) slot_ = sampler_->claim(correlation_->id());
 }
 
-std::int64_t solves_completed() {
-  return g_solves_completed.load(std::memory_order_relaxed);
-}
-
-std::int64_t live_solve_slots_in_use() {
-  std::int64_t in_use = 0;
-  for (LiveSolve& slot : g_live) {
-    if (slot.correlation.load(std::memory_order_acquire) != 0) ++in_use;
-  }
-  return in_use;
-}
-
-std::int64_t live_solve_slots_exhausted() {
-  return g_slots_exhausted.load(std::memory_order_relaxed);
-}
-
-void set_stage(const char* stage, int num_partitions) {
-  if (!active()) return;
-  g_stage.store(stage, std::memory_order_relaxed);
-  g_stage_n.store(num_partitions, std::memory_order_relaxed);
-  // Synchronous record: guarantees >= 1 sample per stage however short the
-  // stage or coarse the interval.
-  emit_sample("stage");
-}
-
-void publish_best_latency(double latency_ns, int num_partitions) {
-  if (!active()) return;
-  g_best_latency.store(latency_ns, std::memory_order_relaxed);
-  g_best_n.store(num_partitions, std::memory_order_relaxed);
-  g_has_best.store(true, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(g_sink_mu);
-  if (g_sink == nullptr) return;
-  report::ReportWriter w;
-  w.begin_object();
-  w.field("type", "convergence");
-  w.field("t_sec", sink_elapsed_sec());
-  w.field("N", num_partitions);
-  w.field("incumbent_latency_ns", latency_ns);
-  w.field("corr", static_cast<std::int64_t>(t_correlation));
-  w.end_object();
-  *g_sink << w.str() << '\n';
-  g_sink->flush();
-}
-
-void publish_degraded(bool degraded) {
-  g_degraded.store(degraded, std::memory_order_relaxed);
-}
-
-void reset_pipeline() {
-  g_stage.store(nullptr, std::memory_order_relaxed);
-  g_stage_n.store(0, std::memory_order_relaxed);
-  g_best_latency.store(0.0, std::memory_order_relaxed);
-  g_has_best.store(false, std::memory_order_relaxed);
-  g_best_n.store(0, std::memory_order_relaxed);
-  g_degraded.store(false, std::memory_order_relaxed);
-  g_solves_completed.store(0, std::memory_order_relaxed);
-  g_slots_exhausted.store(0, std::memory_order_relaxed);
-}
+void SolveScope::release() { sampler_->release(slot_); }
 
 const char* to_string(NodeKind kind) {
   switch (kind) {
@@ -401,68 +79,49 @@ const char* to_string(NodeKind kind) {
   return "unknown";
 }
 
-bool tree_active() { return g_tree_active.load(std::memory_order_relaxed); }
-
-void set_tree_active(bool on) {
-  g_tree_active.store(on, std::memory_order_relaxed);
-}
-
-void set_tree_capacity(std::size_t cap) {
-  TreeState& state = tree_state();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.capacity = std::max<std::size_t>(1, cap);
-  while (state.nodes.size() > state.capacity) {
-    state.nodes.pop_front();
-    ++state.evicted;
+void SearchTree::record(const TreeNode& node) {
+  std::lock_guard<std::mutex> lock(mu_);
+  nodes_.push_back(node);
+  ++recorded_;
+  while (nodes_.size() > kCapacity) {
+    nodes_.pop_front();
+    ++evicted_;
   }
 }
 
-void tree_clear() {
-  TreeState& state = tree_state();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.nodes.clear();
-  state.recorded = 0;
-  state.evicted = 0;
-  g_tree_next_id.store(0, std::memory_order_relaxed);
+std::size_t SearchTree::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return nodes_.size();
 }
 
-std::int64_t tree_next_id() {
-  return g_tree_next_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-void tree_record(const TreeNode& node) {
-  // Self-gating so direct callers pay one relaxed load while recording is
-  // off; the solver additionally caches tree_active() once per solve.
-  if (!tree_active()) return;
-  TreeState& state = tree_state();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.nodes.push_back(node);
-  ++state.recorded;
-  while (state.nodes.size() > state.capacity) {
-    state.nodes.pop_front();
-    ++state.evicted;
+/// Copies the ring and re-labels interior nodes whose children are absent
+/// from the dump (evicted, or never explored because a limit fired) as
+/// kBudget, so every non-root node either explains its pruning or has
+/// children present. Called with mu_ held.
+std::vector<TreeNode> SearchTree::dump() const {
+  std::vector<TreeNode> nodes(nodes_.begin(), nodes_.end());
+  std::unordered_set<std::int64_t> parents;
+  parents.reserve(nodes.size());
+  for (const TreeNode& node : nodes) {
+    if (node.parent >= 0) parents.insert(node.parent);
   }
+  for (TreeNode& node : nodes) {
+    if (node.kind == NodeKind::kBranched && parents.count(node.id) == 0) {
+      node.kind = NodeKind::kBudget;
+    }
+  }
+  return nodes;
 }
 
-std::size_t tree_size() {
-  TreeState& state = tree_state();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return state.nodes.size();
-}
-
-void write_tree_json(std::ostream& os) {
-  std::int64_t recorded = 0;
-  std::int64_t evicted = 0;
-  std::size_t capacity = 0;
-  const std::vector<TreeNode> nodes =
-      dump_nodes(&recorded, &evicted, &capacity);
+void SearchTree::write_json(std::ostream& os) const {
+  std::lock_guard<std::mutex> lock(mu_);
   report::ReportWriter w;
   w.begin_object();
-  w.field("capacity", static_cast<std::int64_t>(capacity));
-  w.field("recorded", recorded);
-  w.field("evicted", evicted);
+  w.field("capacity", static_cast<std::int64_t>(kCapacity));
+  w.field("recorded", recorded_);
+  w.field("evicted", evicted_);
   w.begin_array("nodes");
-  for (const TreeNode& node : nodes) {
+  for (const TreeNode& node : dump()) {
     w.begin_object();
     w.field("id", node.id);
     w.field("parent", node.parent);
@@ -480,14 +139,11 @@ void write_tree_json(std::ostream& os) {
   os << w.str() << '\n';
 }
 
-void write_tree_dot(std::ostream& os) {
-  std::int64_t recorded = 0;
-  std::int64_t evicted = 0;
-  std::size_t capacity = 0;
-  const std::vector<TreeNode> nodes =
-      dump_nodes(&recorded, &evicted, &capacity);
+void SearchTree::write_dot(std::ostream& os) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<TreeNode> nodes = dump();
   os << "digraph search_tree {\n"
-     << "  // recorded=" << recorded << " evicted=" << evicted << "\n"
+     << "  // recorded=" << recorded_ << " evicted=" << evicted_ << "\n"
      << "  node [shape=box, fontsize=10];\n";
   for (const TreeNode& node : nodes) {
     const char* color = "black";
@@ -523,65 +179,202 @@ void write_tree_dot(std::ostream& os) {
   os << "}\n";
 }
 
-bool start_sampler(const SamplerOptions& options) {
-  if (options.sink == nullptr) return false;
-  SamplerThread& st = sampler_thread();
-  std::lock_guard<std::mutex> lifecycle(st.mu);
-  if (st.running) return false;
+Sampler::Sampler(std::ostream& sink, std::ostream* progress,
+                 double interval_sec, const metrics::Registry* metrics)
+    : sink_(&sink),
+      progress_(progress),
+      interval_sec_(interval_sec),
+      metrics_(metrics),
+      start_us_(now_us()) {
   {
-    std::lock_guard<std::mutex> lock(g_sink_mu);
-    g_sink = options.sink;
-    g_progress = options.progress;
-    g_include_metrics = options.include_metrics;
-    g_sampler_cancel = options.cancel;
-    g_sampler_start_us = now_us();
-    g_samples = 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    emit_lifecycle("start", interval_sec_);
   }
-  st.interval_sec = options.interval_sec;
-  st.stop_requested = false;
-  st.active_before = active();
-  set_active(true);
-  emit_lifecycle("start", options.interval_sec);
-  st.thread = std::thread(sampler_loop);
-  st.running = true;
-  return true;
+  thread_ = std::thread([this] { run(); });
 }
 
-void stop_sampler() {
-  SamplerThread& st = sampler_thread();
-  {
-    std::lock_guard<std::mutex> lock(st.mu);
-    if (!st.running) return;
-    st.stop_requested = true;
+Sampler::~Sampler() { stop(); }
+
+void Sampler::run() {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto interval =
+      std::chrono::duration<double>(std::max(0.001, interval_sec_));
+  while (!wake_.wait_for(lock, interval, [this] { return stop_requested_; })) {
+    lock.unlock();
+    sample("interval");
+    lock.lock();
   }
-  st.cv.notify_all();
-  st.thread.join();
+}
+
+void Sampler::stop() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stop_requested_) return;
+    stop_requested_ = true;
+  }
+  wake_.notify_all();
+  thread_.join();
   // One last sample so the stream's trailing state (degraded flag, final
   // incumbent) is always observable, then the lifecycle summary.
-  emit_sample("final");
+  sample("final");
+  std::lock_guard<std::mutex> lock(mu_);
   emit_lifecycle("final", 0.0);
-  std::lock_guard<std::mutex> lifecycle(st.mu);
-  {
-    std::lock_guard<std::mutex> lock(g_sink_mu);
-    if (g_progress != nullptr) {
-      *g_progress << '\n';
-      g_progress->flush();
-    }
-    g_sink = nullptr;
-    g_progress = nullptr;
-    g_sampler_cancel = milp::CancelToken();
+  if (progress_ != nullptr) {
+    *progress_ << '\n';
+    progress_->flush();
   }
-  st.running = false;
-  set_active(st.active_before);
+  sink_ = nullptr;
 }
 
-bool sampler_running() {
-  SamplerThread& st = sampler_thread();
-  std::lock_guard<std::mutex> lock(st.mu);
-  return st.running;
+void Sampler::sample(const char* trigger) {
+  // Gather the expensive bits before taking the lock.
+  const MemoryStatus memory = read_memory_status();
+  std::lock_guard<std::mutex> lock(mu_);
+  emit_sample(trigger, memory);
 }
 
-void sample_now(const char* trigger) { emit_sample(trigger); }
+void Sampler::emit_sample(const char* trigger, const MemoryStatus& memory) {
+  if (sink_ == nullptr) return;
+  report::ReportWriter w;
+  w.begin_object();
+  w.field("type", "sample");
+  const double t_sec = static_cast<double>(now_us() - start_us_) / 1e6;
+  w.field("t_sec", t_sec);
+  w.field("trigger", trigger);
+  const char* stage = stage_ != nullptr ? stage_ : "idle";
+  w.field("stage", stage);
+  w.field("N", stage_n_);
+  if (has_best_) {
+    w.field("best_latency_ns", best_latency_);
+    w.field("best_n", best_n_);
+  }
+  w.field("degraded", degraded_);
+  w.field("solves_completed", solves_completed_);
+  w.field("rss_kb", memory.rss_kb);
+  w.field("rss_peak_kb", memory.rss_peak_kb);
+  w.begin_array("solves");
+  const std::uint64_t corr = live_.correlation.load(std::memory_order_acquire);
+  if (corr != 0) {
+    w.begin_object();
+    w.field("corr", static_cast<std::int64_t>(corr));
+    const std::uint64_t now = now_us();
+    const std::uint64_t start = live_.start_us.load(std::memory_order_relaxed);
+    w.field("elapsed_sec",
+            static_cast<double>(now > start ? now - start : 0) / 1e6);
+    w.field("nodes", live_.nodes.load(std::memory_order_relaxed));
+    w.field("open_nodes", live_.open_nodes.load(std::memory_order_relaxed));
+    w.field("lp_iterations",
+            live_.lp_iterations.load(std::memory_order_relaxed));
+    w.field("incumbent_updates",
+            live_.incumbent_updates.load(std::memory_order_relaxed));
+    const bool has_inc = live_.has_incumbent.load(std::memory_order_relaxed);
+    const bool has_bound = live_.has_bound.load(std::memory_order_relaxed);
+    const double inc = live_.incumbent.load(std::memory_order_relaxed);
+    const double bound = live_.best_bound.load(std::memory_order_relaxed);
+    if (has_inc) w.field("incumbent", inc);
+    if (has_bound && std::isfinite(bound)) w.field("bound", bound);
+    if (has_inc && has_bound && std::isfinite(bound)) {
+      w.field("gap", std::fabs(inc - bound) / std::max(1e-9, std::fabs(inc)));
+    }
+    w.end_object();
+  }
+  w.end_array();
+  if (metrics_ != nullptr) w.raw_field("metrics", metrics_->snapshot().to_json());
+  w.end_object();
+  *sink_ << w.str() << '\n';
+  sink_->flush();
+  ++samples_;
+  if (progress_ != nullptr) {
+    char line[256];
+    if (has_best_) {
+      std::snprintf(line, sizeof(line),
+                    "\r[%s N=%d] best=%.0f ns solves=%lld elapsed=%.1fs   ",
+                    stage, stage_n_, best_latency_,
+                    static_cast<long long>(solves_completed_), t_sec);
+    } else {
+      std::snprintf(line, sizeof(line),
+                    "\r[%s N=%d] best=- solves=%lld elapsed=%.1fs   ", stage,
+                    stage_n_, static_cast<long long>(solves_completed_),
+                    t_sec);
+    }
+    *progress_ << line;
+    progress_->flush();
+  }
+}
+
+void Sampler::emit_lifecycle(const char* type, double interval_sec) {
+  report::ReportWriter w;
+  w.begin_object();
+  w.field("type", type);
+  w.field("t_sec", static_cast<double>(now_us() - start_us_) / 1e6);
+  if (interval_sec > 0) w.field("interval_sec", interval_sec);
+  w.field("degraded", degraded_);
+  w.field("samples", samples_);
+  w.field("solves_completed", solves_completed_);
+  w.end_object();
+  *sink_ << w.str() << '\n';
+  sink_->flush();
+}
+
+void Sampler::set_stage(const char* stage, int num_partitions) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stage_ = stage;
+    stage_n_ = num_partitions;
+  }
+  // Synchronous record: guarantees >= 1 sample per stage however short the
+  // stage or coarse the interval.
+  sample("stage");
+}
+
+void Sampler::publish_best_latency(double latency_ns, int num_partitions) {
+  std::lock_guard<std::mutex> lock(mu_);
+  best_latency_ = latency_ns;
+  best_n_ = num_partitions;
+  has_best_ = true;
+  if (sink_ == nullptr) return;
+  report::ReportWriter w;
+  w.begin_object();
+  w.field("type", "convergence");
+  w.field("t_sec", static_cast<double>(now_us() - start_us_) / 1e6);
+  w.field("N", num_partitions);
+  w.field("incumbent_latency_ns", latency_ns);
+  w.field("corr", static_cast<std::int64_t>(t_correlation));
+  w.end_object();
+  *sink_ << w.str() << '\n';
+  sink_->flush();
+}
+
+void Sampler::publish_degraded(bool degraded) {
+  std::lock_guard<std::mutex> lock(mu_);
+  degraded_ = degraded;
+}
+
+LiveSolve* Sampler::claim(std::uint64_t correlation) {
+  std::uint64_t expected = 0;
+  // Acquire-release pairs with the release store in release(): a solve that
+  // claims the slot after another sees every plain reset below it.
+  if (!live_.correlation.compare_exchange_strong(expected, correlation,
+                                                 std::memory_order_acq_rel)) {
+    return nullptr;
+  }
+  live_.nodes.store(0, std::memory_order_relaxed);
+  live_.open_nodes.store(0, std::memory_order_relaxed);
+  live_.lp_iterations.store(0, std::memory_order_relaxed);
+  live_.incumbent_updates.store(0, std::memory_order_relaxed);
+  live_.incumbent.store(0.0, std::memory_order_relaxed);
+  live_.has_incumbent.store(false, std::memory_order_relaxed);
+  live_.best_bound.store(0.0, std::memory_order_relaxed);
+  live_.has_bound.store(false, std::memory_order_relaxed);
+  live_.start_us.store(now_us(), std::memory_order_relaxed);
+  return &live_;
+}
+
+void Sampler::release(LiveSolve* slot) {
+  slot->correlation.store(0, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++solves_completed_;
+}
 
 MemoryStatus read_memory_status() {
   MemoryStatus status;

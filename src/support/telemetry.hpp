@@ -1,38 +1,38 @@
-// Live telemetry pipeline: a background sampler that streams newline-
-// delimited JSON records describing what the solver is doing *right now*
-// (per-solve incumbent/bound/gap/node counts, pipeline stage, RSS), plus the
+// Live telemetry: the sampler that streams newline-delimited JSON records
+// describing what a run is doing *right now* (its in-flight solve's
+// incumbent/bound/gap/node counts, pipeline stage, RSS), plus the
 // correlation-id and search-tree machinery the rest of the observability
-// stack joins on.
+// stack joins on. The sampler and the tree belong to a run's Observer
+// (support/observer.hpp); with no observer bound, or one without them, every
+// publisher here costs one thread-local load.
 //
-// Everything here follows the repository's observability invariant: disabled
-// paths cost one relaxed atomic load (or one null-pointer check), so call
-// sites instrument hot paths unconditionally. The sampler thread shuts down
-// through a condition variable and is joined before stop_sampler() returns,
-// which keeps teardown clean under Deadline/CancelToken cancellation.
-//
-// Correlation: every MILP solve is tagged with a process-unique correlation
-// id (a plain uint64). The id lives in thread-local storage for the duration
-// of the solve (worker threads inherit it explicitly), flows into trace-span
-// args ("corr"), JSON log records ("corr") and the sampler's per-solve
-// entries, so one solve can be joined across all three streams.
+// Correlation: a MILP solve is tagged with a process-unique correlation id
+// (a plain uint64) that lives in thread-local storage for the duration of the
+// solve (worker threads inherit it explicitly) and flows into trace-span args
+// ("corr"), JSON log records ("corr") and the sampler's per-solve entries, so
+// one solve can be joined across all three streams.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
-#include "milp/types.hpp"
+#include "support/observer.hpp"
+
+namespace sparcs::metrics {
+class Registry;
+}  // namespace sparcs::metrics
 
 namespace sparcs::telemetry {
 
-/// True when the telemetry pipeline is on (sampler running, or a consumer
-/// such as the JSON log sink wants correlation ids). One relaxed load.
-bool active();
-
-/// Globally enables or disables telemetry publishing (the sampler flips this
-/// on its own when started/stopped; tests and embedders may set it directly).
-void set_active(bool on);
+class Sampler;
 
 // ---------------------------------------------------------------------------
 // Correlation ids
@@ -44,29 +44,35 @@ std::uint64_t next_correlation_id();
 /// The correlation id attached to the calling thread (0 = none).
 std::uint64_t current_correlation_id();
 
-/// RAII swap of the calling thread's correlation id; used by solve probes to
-/// scope an id over a FormModel+SolveModel round trip, and by solver worker
-/// threads to inherit the spawning solve's id.
+/// RAII swap of the calling thread's correlation id. The explicit form binds
+/// a given id (a service job's, or a spawning solve's on its helper threads);
+/// the default form applies the one id rule: keep the id already bound, and
+/// bind a fresh one only when none is and an observer is.
 class CorrelationScope {
  public:
   explicit CorrelationScope(std::uint64_t id);
+  CorrelationScope();
   ~CorrelationScope();
   CorrelationScope(const CorrelationScope&) = delete;
   CorrelationScope& operator=(const CorrelationScope&) = delete;
 
+  /// The id bound over the scope (0 = none).
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+
  private:
-  std::uint64_t prev_;
+  std::uint64_t previous_;
+  std::uint64_t id_;
 };
 
 // ---------------------------------------------------------------------------
-// Live solve table
+// Live solve
 // ---------------------------------------------------------------------------
 
-/// Live state of one in-flight MILP solve. Publishers use relaxed stores,
-/// the sampler uses relaxed loads: every field is an independent progress
-/// indicator, so cross-field tearing is acceptable by design.
+/// Live state of the run's in-flight MILP solve. Publishers use relaxed
+/// stores, the sampler uses relaxed loads: every field is an independent
+/// progress indicator, so cross-field tearing is acceptable by design.
 struct LiveSolve {
-  std::atomic<std::uint64_t> correlation{0};  ///< 0 = slot free
+  std::atomic<std::uint64_t> correlation{0};  ///< 0 = no solve in flight
   std::atomic<std::int64_t> nodes{0};
   std::atomic<std::int64_t> open_nodes{0};  ///< DFS stack / subproblem pool
   std::atomic<std::int64_t> lp_iterations{0};
@@ -82,66 +88,35 @@ struct LiveSolve {
   std::atomic<std::uint64_t> start_us{0};  ///< monotonic, sampler-relative
 };
 
-/// RAII registration of one MILP solve in the live table. Inert (id() == 0,
-/// slot() == nullptr) while telemetry is inactive; when the table is full the
-/// scope still carries an id but publishes nowhere.
+/// RAII registration of one MILP solve: binds its correlation id (the
+/// default CorrelationScope rule) and, when the bound observer samples,
+/// claims the run's LiveSolve. A run has at most one solve in flight (the
+/// sweep is serial; B&B helper threads share their solve's LiveSolve), so a
+/// second concurrent scope finds it taken and publishes nowhere.
 class SolveScope {
  public:
-  explicit SolveScope(const char* what);
-  ~SolveScope();
+  SolveScope() {
+    if (current_observer() != nullptr) begin();
+  }
+  ~SolveScope() {
+    if (slot_ != nullptr) release();
+  }
   SolveScope(const SolveScope&) = delete;
   SolveScope& operator=(const SolveScope&) = delete;
 
-  [[nodiscard]] std::uint64_t id() const { return id_; }
+  [[nodiscard]] std::uint64_t id() const {
+    return correlation_ ? correlation_->id() : 0;
+  }
   [[nodiscard]] LiveSolve* slot() const { return slot_; }
 
  private:
+  void begin();
+  void release();
+
+  std::optional<CorrelationScope> correlation_;
+  Sampler* sampler_ = nullptr;
   LiveSolve* slot_ = nullptr;
-  std::uint64_t id_ = 0;
-  std::uint64_t prev_tls_ = 0;
-  bool swapped_tls_ = false;
 };
-
-/// Number of solves completed since process start while telemetry was active
-/// (drives the --progress line's solve counter).
-std::int64_t solves_completed();
-
-/// Capacity of the live solve table (slots are CAS-claimed per in-flight
-/// solve; scopes beyond the capacity degrade gracefully, see below).
-inline constexpr int kLiveSolveSlots = 64;
-
-/// Slots currently claimed by in-flight solves (scans the table; cheap).
-std::int64_t live_solve_slots_in_use();
-
-/// SolveScopes constructed while every slot was taken, since the last
-/// reset_pipeline(). Such scopes keep a working correlation id (logs and
-/// trace spans stay joinable) — they are merely invisible to the sampler's
-/// per-solve entries. Each occurrence also bumps the
-/// "telemetry.live_solve.slot_exhausted" metrics counter, so a service
-/// running more concurrent solves than the table holds sees the shortfall
-/// in its metrics instead of silently losing coverage.
-std::int64_t live_solve_slots_exhausted();
-
-// ---------------------------------------------------------------------------
-// Pipeline stage (the partition sweep publishes, the sampler reads)
-// ---------------------------------------------------------------------------
-
-/// Publishes the sweep's current stage. `stage` must be a string literal (or
-/// otherwise immortal). Triggers an immediate sampler record, so every stage
-/// transition yields at least one sample even under coarse intervals.
-void set_stage(const char* stage, int num_partitions);
-
-/// Publishes an improved incumbent design (monotonically non-increasing
-/// latency over a run) and emits a "convergence" JSONL record.
-void publish_best_latency(double latency_ns, int num_partitions);
-
-/// Publishes the run's degraded flag (budget/deadline expiry mid-sweep);
-/// reflected in sample records and the sampler's final record.
-void publish_degraded(bool degraded);
-
-/// Clears stage/incumbent/degraded state and the completed-solve counter
-/// between runs (CLI entry).
-void reset_pipeline();
 
 // ---------------------------------------------------------------------------
 // Search-tree introspection
@@ -169,78 +144,43 @@ struct TreeNode {
   NodeKind kind = NodeKind::kBranched;
 };
 
-/// True when per-node recording is on. One relaxed load; the solver caches
-/// it once per solve.
-bool tree_active();
+/// One run's branch & bound nodes, across its worker threads and solves, in
+/// a ring buffer (oldest records evicted first; parents are recorded before
+/// their children, so surviving interior nodes keep their children).
+class SearchTree {
+ public:
+  static constexpr std::size_t kCapacity = 1 << 16;
 
-/// Enables/disables per-node recording (records accumulate across solves
-/// until tree_clear()).
-void set_tree_active(bool on);
+  /// Allocates the next node id (unique across the run's workers and solves).
+  std::int64_t next_id() {
+    return next_id_.fetch_add(1, std::memory_order_relaxed);
+  }
 
-/// Caps the ring buffer (oldest records evicted first; parents are recorded
-/// before their children, so surviving interior nodes keep their children).
-void set_tree_capacity(std::size_t cap);
+  void record(const TreeNode& node);
 
-/// Drops every recorded node and resets the id counter.
-void tree_clear();
+  /// Nodes currently held (after eviction).
+  [[nodiscard]] std::size_t size() const;
 
-/// Allocates the next node id (process-wide, so ids are unique across
-/// worker threads and across solves).
-std::int64_t tree_next_id();
+  /// Writes {"capacity":..,"recorded":..,"evicted":..,"nodes":[...]}. A node
+  /// recorded as "branched" whose children were all evicted or never
+  /// explored (budget cut) is re-labelled "budget" at dump time, so every
+  /// non-root node in the dump carries a prune reason or has children
+  /// present.
+  void write_json(std::ostream& os) const;
 
-/// Records one node (no-op while recording is disabled).
-void tree_record(const TreeNode& node);
+  /// Graphviz rendering of the same dump (one node per record, edges to
+  /// parents, prune reason as label/color).
+  void write_dot(std::ostream& os) const;
 
-/// Nodes currently held (after eviction).
-std::size_t tree_size();
+ private:
+  std::vector<TreeNode> dump() const;
 
-/// Writes {"capacity":..,"recorded":..,"evicted":..,"nodes":[...]}. A node
-/// recorded as "branched" whose children were all evicted or never explored
-/// (budget cut) is re-labelled "budget" at dump time, so every non-root node
-/// in the dump carries a prune reason or has children present.
-void write_tree_json(std::ostream& os);
-
-/// Graphviz rendering of the same dump (one node per record, edges to
-/// parents, prune reason as label/color).
-void write_tree_dot(std::ostream& os);
-
-// ---------------------------------------------------------------------------
-// Sampler
-// ---------------------------------------------------------------------------
-
-struct SamplerOptions {
-  /// Sampling period. Stage transitions and convergence events also emit
-  /// records immediately, so coarse intervals still capture every stage.
-  double interval_sec = 0.2;
-  /// JSONL sink (one record per line); must outlive the sampler. Required.
-  std::ostream* sink = nullptr;
-  /// When set, a single-line progress report (stage, N, incumbent, solves,
-  /// elapsed) is rewritten here on every sample ('\r'-terminated).
-  std::ostream* progress = nullptr;
-  /// Include a counters/gauges section from the metrics registry in each
-  /// sample (only when metric collection is enabled).
-  bool include_metrics = true;
-  /// Optional: when this token reports cancellation the sampler marks its
-  /// records "cancelled":true (it keeps sampling until stop_sampler(), so
-  /// the shutdown path stays observable).
-  milp::CancelToken cancel;
+  std::atomic<std::int64_t> next_id_{0};
+  mutable std::mutex mu_;
+  std::deque<TreeNode> nodes_;
+  std::int64_t recorded_ = 0;
+  std::int64_t evicted_ = 0;
 };
-
-/// Starts the process-wide sampler thread and flips telemetry active. Writes
-/// a "start" record immediately. Returns false (and does nothing) when a
-/// sampler is already running or options.sink is null.
-bool start_sampler(const SamplerOptions& options);
-
-/// Stops and joins the sampler thread, writing a "final" record (elapsed,
-/// sample count, degraded flag). Telemetry stays active only if it was
-/// activated independently of the sampler. No-op without a running sampler.
-void stop_sampler();
-
-[[nodiscard]] bool sampler_running();
-
-/// Forces one sample record now (no-op without a running sampler). `trigger`
-/// tags the record ("interval", "stage", "manual", ...).
-void sample_now(const char* trigger = "manual");
 
 // ---------------------------------------------------------------------------
 // Process memory (Linux /proc/self/status; zeros elsewhere)
@@ -252,5 +192,103 @@ struct MemoryStatus {
 };
 
 [[nodiscard]] MemoryStatus read_memory_status();
+
+// ---------------------------------------------------------------------------
+// Sampler
+// ---------------------------------------------------------------------------
+
+/// A run's live state (stage, incumbent, degraded flag, its LiveSolve) and
+/// the background thread that samples it into a JSONL stream. Construction
+/// writes a "start" record and starts the thread; stop() (or destruction)
+/// joins it through a condition variable and writes a last sample and a
+/// "final" record, so teardown is clean under cancellation too.
+class Sampler {
+ public:
+  /// `sink` receives one record per line; `progress`, when set, gets a
+  /// single '\r'-rewritten status line per sample; `metrics`, when set, is
+  /// embedded in every sample. All must outlive the sampler.
+  Sampler(std::ostream& sink, std::ostream* progress, double interval_sec,
+          const metrics::Registry* metrics);
+  ~Sampler();
+  Sampler(const Sampler&) = delete;
+  Sampler& operator=(const Sampler&) = delete;
+
+  /// Stops and joins the thread and writes the closing records. Idempotent;
+  /// records published afterwards are dropped.
+  void stop();
+
+  /// Writes one "sample" record now, tagged with `trigger` ("interval",
+  /// "stage", "preempt", ...).
+  void sample(const char* trigger);
+
+  void set_stage(const char* stage, int num_partitions);
+  void publish_best_latency(double latency_ns, int num_partitions);
+  void publish_degraded(bool degraded);
+
+  /// Claims the run's LiveSolve for solve `correlation`; null while another
+  /// solve holds it.
+  LiveSolve* claim(std::uint64_t correlation);
+  void release(LiveSolve* slot);
+
+ private:
+  void run();
+  // Both write one record; mu_ held.
+  void emit_sample(const char* trigger, const MemoryStatus& memory);
+  void emit_lifecycle(const char* type, double interval_sec);
+
+  /// Serializes every record and guards the fields below.
+  std::mutex mu_;
+  std::condition_variable wake_;
+  std::ostream* sink_;  ///< null once stopped
+  std::ostream* progress_;
+  const double interval_sec_;
+  const metrics::Registry* const metrics_;
+  const std::uint64_t start_us_;
+  bool stop_requested_ = false;
+  std::int64_t samples_ = 0;
+  std::int64_t solves_completed_ = 0;
+  const char* stage_ = nullptr;  ///< string literal or null
+  int stage_n_ = 0;
+  bool has_best_ = false;
+  double best_latency_ = 0.0;
+  int best_n_ = 0;
+  bool degraded_ = false;
+  LiveSolve live_;
+  std::thread thread_;
+};
+
+// ---------------------------------------------------------------------------
+// Pipeline state (the partition sweep publishes, the sampler reads); each a
+// no-op unless the bound observer samples.
+// ---------------------------------------------------------------------------
+
+/// The bound observer's sampler; null when nothing samples.
+inline Sampler* current_sampler() {
+  const Observer* observer = current_observer();
+  return observer != nullptr ? observer->sampler() : nullptr;
+}
+
+/// Publishes the sweep's current stage. `stage` must be a string literal (or
+/// otherwise immortal). Triggers an immediate sampler record, so every stage
+/// transition yields at least one sample even under coarse intervals.
+inline void set_stage(const char* stage, int num_partitions) {
+  if (Sampler* sampler = current_sampler()) {
+    sampler->set_stage(stage, num_partitions);
+  }
+}
+
+/// Publishes an improved incumbent design (monotonically non-increasing
+/// latency over a run) and emits a "convergence" JSONL record.
+inline void publish_best_latency(double latency_ns, int num_partitions) {
+  if (Sampler* sampler = current_sampler()) {
+    sampler->publish_best_latency(latency_ns, num_partitions);
+  }
+}
+
+/// Publishes the run's degraded flag (budget/deadline expiry mid-sweep);
+/// reflected in sample records and the sampler's final record.
+inline void publish_degraded(bool degraded) {
+  if (Sampler* sampler = current_sampler()) sampler->publish_degraded(degraded);
+}
 
 }  // namespace sparcs::telemetry

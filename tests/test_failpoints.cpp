@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -15,6 +16,7 @@
 #include "milp/simplex.hpp"
 #include "milp/solver.hpp"
 #include "support/failpoint.hpp"
+#include "support/observer.hpp"
 #include "support/telemetry.hpp"
 #include "workloads/dct.hpp"
 
@@ -249,26 +251,30 @@ TEST_F(FailpointTest, StalledWorkerStillTerminates) {
 
 // --- telemetry under induced failure ---------------------------------------
 
-/// FailpointTest plus a running telemetry sampler writing to an in-memory
-/// sink; teardown restores the process-default disabled telemetry state.
+/// FailpointTest plus an observer, bound to the test's thread, whose sampler
+/// writes to an in-memory sink.
 class TelemetryFailpointTest : public FailpointTest {
  protected:
   void SetUp() override {
     FailpointTest::SetUp();
-    telemetry::reset_pipeline();
-    telemetry::SamplerOptions options;
-    options.sink = &sink_;
-    options.interval_sec = 0.01;
-    options.include_metrics = false;
-    ASSERT_TRUE(telemetry::start_sampler(options));
+    if (IsSkipped()) return;
+    Observer::Options options;
+    options.telemetry = &sink_;
+    options.sample_interval_sec = 0.01;
+    observer_ = std::make_unique<Observer>(options);
+    bind_ = std::make_unique<ObserverScope>(observer_.get());
   }
   void TearDown() override {
-    if (telemetry::sampler_running()) telemetry::stop_sampler();
-    telemetry::reset_pipeline();
+    bind_.reset();
+    observer_.reset();
     FailpointTest::TearDown();
   }
 
+  void stop_sampler() { observer_->sampler()->stop(); }
+
   std::ostringstream sink_;
+  std::unique_ptr<Observer> observer_;
+  std::unique_ptr<ObserverScope> bind_;
 };
 
 TEST_F(TelemetryFailpointTest, SolveTimeoutYieldsWellFormedJsonl) {
@@ -278,7 +284,7 @@ TEST_F(TelemetryFailpointTest, SolveTimeoutYieldsWellFormedJsonl) {
   const milp::MilpSolution s =
       milp::Solver(knapsack_model(), params).solve();
   EXPECT_EQ(s.status, milp::SolveStatus::kLimitReached);
-  telemetry::stop_sampler();
+  stop_sampler();
   const std::string jsonl = sink_.str();
   EXPECT_TRUE(is_valid_json_lines(jsonl));
   // The stream closes with a well-formed final record even though the solve
@@ -304,7 +310,7 @@ TEST_F(TelemetryFailpointTest, StalledWorkerKeepsSamplerAlive) {
   params.time_limit_sec = 30.0;
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   ASSERT_EQ(s.status, milp::SolveStatus::kFeasible);
-  telemetry::stop_sampler();
+  stop_sampler();
   // The sampler kept emitting interval records while the workers stalled.
   const std::string jsonl = sink_.str();
   EXPECT_TRUE(is_valid_json_lines(jsonl));
@@ -327,7 +333,7 @@ TEST_F(TelemetryFailpointTest, DegradedSweepIsReflectedInFinalRecord) {
       core::TemporalPartitioner(graph, device, options).run();
   EXPECT_FALSE(result.best.has_value());
   EXPECT_TRUE(result.degraded);
-  telemetry::stop_sampler();
+  stop_sampler();
   const std::string jsonl = sink_.str();
   EXPECT_TRUE(is_valid_json_lines(jsonl));
   const std::size_t last = jsonl.rfind("{\"type\": \"final\"");

@@ -20,7 +20,9 @@
 #include "milp/solver.hpp"
 #include "support/failpoint.hpp"
 #include "support/json.hpp"
+#include "support/observer.hpp"
 #include "support/telemetry.hpp"
+#include "support/stopwatch.hpp"
 #include "workloads/ar_filter.hpp"
 
 namespace sparcs::milp {
@@ -295,13 +297,16 @@ TEST(CertifyInfeasibleTest, MultiWorkerProofAndTreeStayWhole) {
   SolverParams params;
   params.num_threads = 4;
   params.certify = CertifyMode::kFull;
-  telemetry::tree_clear();
-  telemetry::set_tree_active(true);
-  const MilpSolution s = Solver(pigeonhole_model(), params).solve();
-  telemetry::set_tree_active(false);
+  Observer::Options record_tree;
+  record_tree.tree = true;
+  Observer observer(record_tree);
+  MilpSolution s;
+  {
+    const ObserverScope bind(&observer);
+    s = Solver(pigeonhole_model(), params).solve();
+  }
   std::ostringstream dump;
-  telemetry::write_tree_json(dump);
-  telemetry::tree_clear();
+  observer.tree()->write_json(dump);
 
   ASSERT_EQ(s.status, SolveStatus::kInfeasible);
   EXPECT_EQ(s.certified, CertifyStatus::kCertified) << s.certify_detail;
@@ -380,6 +385,30 @@ TEST_F(CertifyFailpointTest, DistrustRetryStaysInsideTheSolvesNodeBudget) {
   EXPECT_EQ(s.stats.certify_retries, 1);
   EXPECT_EQ(s.status, SolveStatus::kLimitReached);
   EXPECT_LE(s.stats.nodes_explored, params.node_limit);
+}
+
+TEST_F(CertifyFailpointTest, SolveSecondsCoverBothAttemptsOfADistrustRetry) {
+  // 2(x1 + ... + x17) = 17: a refutation large enough to time. With
+  // corrupt_proof the first attempt's certificate fails and the distrust
+  // retry searches again; the reported seconds must cover both attempts and
+  // their checks, i.e. the whole wall time of solve().
+  Model m("odd_sum");
+  LinExpr twice_sum;
+  for (int i = 0; i < 17; ++i) {
+    twice_sum += 2.0 * LinExpr(m.add_binary("x" + std::to_string(i)));
+  }
+  m.add_constraint(std::move(twice_sum) == 17.0, "odd");
+  SolverParams params;
+  params.num_threads = 1;
+  params.certify = CertifyMode::kFull;
+  failpoint::arm("milp.certify.corrupt_proof");
+  Solver solver(m, params);
+  const Stopwatch wall;
+  const MilpSolution s = solver.solve();
+  const double wall_sec = wall.seconds();
+  EXPECT_EQ(s.stats.certify_retries, 1);
+  EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  EXPECT_NEAR(s.seconds, wall_sec, 0.1 * wall_sec);
 }
 
 TEST_F(CertifyFailpointTest, CorruptProofDegradesSweepWithoutChangingLatency) {

@@ -14,6 +14,7 @@
 #include "milp/checker.hpp"
 #include "milp/solver.hpp"
 #include "support/logging.hpp"
+#include "support/observer.hpp"
 #include "support/telemetry.hpp"
 
 namespace sparcs::milp {
@@ -274,29 +275,34 @@ TEST(MilpSessionTest, FourWorkerOptimalityMatchesOneWorker) {
 }
 
 TEST(MilpSessionTest, SearchLogLinesKeepTheCallersCorrelationId) {
-  // The solve service routes a job's log lines by the correlation id bound
-  // to its thread. With live telemetry off, the search must leave that id in
-  // place on the calling thread and hand it to its helper threads.
+  // A service job binds its observer and correlation id to its thread. The
+  // search must leave that id in place on the calling thread and hand both
+  // to its helper threads, so every line lands in the job's log with the
+  // job's id.
   const Model m = pick7_model();
   constexpr std::uint64_t kJob = 4242;
   const std::string line = "incumbent objective";
   std::ostringstream sink;
+  Observer::Options options;
+  options.log_json = &sink;
+  Observer observer(options);
   const LogLevel before = log_level();
   set_log_level(LogLevel::kDebug);
-  add_correlation_json_log_sink(kJob, &sink);
   int seen = 0;
   for (const int threads : {1, 4}) {
+    const ObserverScope bind(&observer);
     telemetry::CorrelationScope job(kJob);
     SolverParams params = first_feasible_params();
     params.num_threads = threads;
     EXPECT_EQ(Solver(m, params).solve().status, SolveStatus::kFeasible);
-    // The accepted leaf's debug line reached the job's sink.
+    // The accepted leaf's debug line reached the job's log.
     const int now = count_of(sink.str(), line);
     EXPECT_GT(now, seen) << threads << " threads";
     seen = now;
   }
-  remove_correlation_json_log_sink(kJob);
   set_log_level(before);
+  EXPECT_EQ(count_of(sink.str(), "\"corr\": 4242"),
+            count_of(sink.str(), "\n"));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -748,8 +749,15 @@ TEST_F(ServiceTest, ShutdownPreemptsRunningJobThroughTheCancelPath) {
 
 TEST_F(ServiceTest, PerJobArtifactsLandUnderTheArtifactDir) {
   start(/*workers=*/1);
+  // At debug level every searched probe logs one "probe N=" line; the job's
+  // log must hold all of them, under the job's correlation id.
+  set_log_level(LogLevel::kDebug);
   Client client(socket_path());
-  const json::Value admitted = parse_ok(client.call(submit_workload("ar")));
+  Request submit = submit_workload("ar");
+  submit.submit.rmax = 200.0;
+  submit.submit.ct = 50.0;
+  submit.submit.delta = 20.0;
+  const json::Value admitted = parse_ok(client.call(submit));
   Request result;
   result.op = "result";
   result.job = admitted.member_string("job");
@@ -764,14 +772,30 @@ TEST_F(ServiceTest, PerJobArtifactsLandUnderTheArtifactDir) {
   std::ifstream logs(base + ".logs.jsonl");
   std::string line;
   int records = 0;
+  std::map<std::int64_t, int> probe_records;  // by partition count N
   const std::int64_t corr = done.member_int("corr");
   while (std::getline(logs, line)) {
     if (line.empty()) continue;
     ++records;
     const json::Value record = parse_ok(line);
     EXPECT_EQ(record.member_int("corr"), corr) << line;
+    const std::string msg = record.member_string("msg");
+    if (msg.rfind("probe N=", 0) == 0) {
+      ++probe_records[std::stoll(msg.substr(std::string("probe N=").size()))];
+    }
   }
   EXPECT_GT(records, 0);
+  // At least one probe record per row of the job's trace.
+  const json::Value* report = done.find("report");
+  ASSERT_NE(report, nullptr);
+  const json::Value* trace = report->find("trace");
+  ASSERT_NE(trace, nullptr);
+  ASSERT_GE(trace->array().size(), 2u);
+  std::map<std::int64_t, int> rows;
+  for (const json::Value& row : trace->array()) ++rows[row.member_int("N")];
+  for (const auto& [n, count] : rows) {
+    EXPECT_GE(probe_records[n], count) << "N=" << n;
+  }
 }
 
 }  // namespace

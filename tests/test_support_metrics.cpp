@@ -1,6 +1,6 @@
 // Tests for the metrics registry (support/metrics.hpp) and the trace spans
 // (support/span.hpp): registry semantics, snapshot JSON well-formedness,
-// timer monotonicity, concurrent counter increments, and the Chrome
+// timer statistics, concurrent counter increments, and the Chrome
 // trace-event shape of the span export.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/span.hpp"
 #include "json_checker.hpp"
 
@@ -23,17 +24,27 @@ namespace {
 // the telemetry and failpoint suites).
 using sparcs::testing::is_valid_json;
 
-// Every test leaves collection disabled and the stores clean, matching the
-// process default, so suites sharing the process never observe stale state.
+/// A fresh registry per test.
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    metrics::set_enabled(false);
-    metrics::registry().reset();
-    trace::set_enabled(false);
-    trace::clear();
+  metrics::Registry registry_;
+};
+
+/// Binds an observer that records spans for the test's duration.
+class SpanTest : public ::testing::Test {
+ protected:
+  [[nodiscard]] std::string chrome_json() const {
+    std::ostringstream os;
+    observer_.spans()->write_chrome_json(os);
+    return os.str();
   }
-  void TearDown() override { SetUp(); }
+
+  Observer observer_{[] {
+    Observer::Options options;
+    options.spans = true;
+    return options;
+  }()};
+  ObserverScope bind_{&observer_};
 };
 
 TEST(JsonCheckerSelfTest, AcceptsAndRejects) {
@@ -48,32 +59,19 @@ TEST(JsonCheckerSelfTest, AcceptsAndRejects) {
 }
 
 TEST_F(MetricsTest, RegistryReturnsStableHandles) {
-  metrics::Counter& a = metrics::registry().counter("test.stable");
-  metrics::Counter& b = metrics::registry().counter("test.stable");
+  metrics::Counter& a = registry_.counter("test.stable");
+  metrics::Counter& b = registry_.counter("test.stable");
   EXPECT_EQ(&a, &b);
-  metrics::Counter& c = metrics::registry().counter("test.other");
+  metrics::Counter& c = registry_.counter("test.other");
   EXPECT_NE(&a, &c);
-  metrics::Timer& t1 = metrics::registry().timer("test.stable");
-  metrics::Timer& t2 = metrics::registry().timer("test.stable");
+  metrics::Timer& t1 = registry_.timer("test.stable");
+  metrics::Timer& t2 = registry_.timer("test.stable");
   EXPECT_EQ(&t1, &t2);  // same name, different kind: fine, separate stores
 }
 
-TEST_F(MetricsTest, DisabledCollectionIsANoOp) {
-  metrics::Counter& counter = metrics::registry().counter("test.noop");
-  metrics::Gauge& gauge = metrics::registry().gauge("test.noop");
-  metrics::Timer& timer = metrics::registry().timer("test.noop");
-  counter.add(7);
-  gauge.set(3.5);
-  timer.record(0.25);
-  EXPECT_EQ(counter.value(), 0);
-  EXPECT_EQ(gauge.value(), 0.0);
-  EXPECT_EQ(timer.stats().count, 0);
-}
-
-TEST_F(MetricsTest, EnabledCollectionRecords) {
-  metrics::set_enabled(true);
-  metrics::Counter& counter = metrics::registry().counter("test.on");
-  metrics::Gauge& gauge = metrics::registry().gauge("test.on");
+TEST_F(MetricsTest, CollectionRecords) {
+  metrics::Counter& counter = registry_.counter("test.on");
+  metrics::Gauge& gauge = registry_.gauge("test.on");
   counter.add();
   counter.add(41);
   gauge.set(-2.5);
@@ -81,20 +79,8 @@ TEST_F(MetricsTest, EnabledCollectionRecords) {
   EXPECT_EQ(gauge.value(), -2.5);
 }
 
-TEST_F(MetricsTest, ResetZeroesButKeepsHandles) {
-  metrics::set_enabled(true);
-  metrics::Counter& counter = metrics::registry().counter("test.reset");
-  counter.add(5);
-  metrics::registry().reset();
-  EXPECT_EQ(counter.value(), 0);
-  EXPECT_EQ(&counter, &metrics::registry().counter("test.reset"));
-  counter.add(1);
-  EXPECT_EQ(counter.value(), 1);
-}
-
 TEST_F(MetricsTest, TimerStatsAreConsistent) {
-  metrics::set_enabled(true);
-  metrics::Timer& timer = metrics::registry().timer("test.timer");
+  metrics::Timer& timer = registry_.timer("test.timer");
   const double durations[] = {1e-6, 5e-4, 0.002, 0.002};
   for (const double d : durations) timer.record(d);
   const metrics::Timer::Stats stats = timer.stats();
@@ -110,38 +96,8 @@ TEST_F(MetricsTest, TimerStatsAreConsistent) {
   EXPECT_EQ(bucket_total, stats.count);
 }
 
-TEST_F(MetricsTest, ScopedTimerIsMonotonic) {
-  metrics::set_enabled(true);
-  metrics::Timer& timer = metrics::registry().timer("test.scoped");
-  {
-    metrics::ScopedTimer scope(timer);
-  }
-  const metrics::Timer::Stats first = timer.stats();
-  EXPECT_EQ(first.count, 1);
-  EXPECT_GE(first.sum_sec, 0.0);
-  {
-    metrics::ScopedTimer scope(timer);
-    // Burn a little time so the second sample is strictly measurable.
-    volatile std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
-  }
-  const metrics::Timer::Stats second = timer.stats();
-  EXPECT_EQ(second.count, 2);
-  EXPECT_GE(second.sum_sec, first.sum_sec);  // elapsed time never goes back
-  EXPECT_GE(second.max_sec, second.min_sec);
-}
-
-TEST_F(MetricsTest, ScopedTimerRespectsDisabled) {
-  metrics::Timer& timer = metrics::registry().timer("test.scoped.off");
-  {
-    metrics::ScopedTimer scope(timer);
-  }
-  EXPECT_EQ(timer.stats().count, 0);
-}
-
 TEST_F(MetricsTest, ConcurrentCounterIncrementsAreExact) {
-  metrics::set_enabled(true);
-  metrics::Counter& counter = metrics::registry().counter("test.threads");
+  metrics::Counter& counter = registry_.counter("test.threads");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> workers;
@@ -156,12 +112,11 @@ TEST_F(MetricsTest, ConcurrentCounterIncrementsAreExact) {
 }
 
 TEST_F(MetricsTest, SnapshotJsonIsWellFormed) {
-  metrics::set_enabled(true);
-  metrics::registry().counter("snap.counter").add(3);
-  metrics::registry().gauge("snap.gauge").set(1.25);
-  metrics::registry().timer("snap.timer").record(0.001);
-  metrics::registry().counter("snap.\"quoted\"\n").add(1);  // escaping
-  const std::string json = metrics::registry().snapshot().to_json();
+  registry_.counter("snap.counter").add(3);
+  registry_.gauge("snap.gauge").set(1.25);
+  registry_.timer("snap.timer").record(0.001);
+  registry_.counter("snap.\"quoted\"\n").add(1);  // escaping
+  const std::string json = registry_.snapshot().to_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
@@ -171,26 +126,27 @@ TEST_F(MetricsTest, SnapshotJsonIsWellFormed) {
 }
 
 TEST_F(MetricsTest, SnapshotIsSortedByName) {
-  metrics::set_enabled(true);
-  metrics::registry().counter("z.last").add(1);
-  metrics::registry().counter("a.first").add(1);
-  const metrics::MetricsSnapshot snapshot = metrics::registry().snapshot();
+  registry_.counter("z.last").add(1);
+  registry_.counter("a.first").add(1);
+  const metrics::MetricsSnapshot snapshot = registry_.snapshot();
   ASSERT_GE(snapshot.counters.size(), 2u);
   for (std::size_t i = 1; i < snapshot.counters.size(); ++i) {
     EXPECT_LE(snapshot.counters[i - 1].name, snapshot.counters[i].name);
   }
 }
 
-TEST_F(MetricsTest, DisabledSpansRecordNothing) {
+TEST(SpanUnboundTest, SpansWithoutAnObserverRecordNothing) {
+  Observer::Options options;
+  options.spans = true;
+  Observer observer(options);
   {
     trace::Span span("never");
     span.arg("k", std::int64_t{1});
   }
-  EXPECT_EQ(trace::num_events(), 0u);
+  EXPECT_EQ(observer.spans()->size(), 0u);
 }
 
-TEST_F(MetricsTest, SpanJsonHasChromeTraceShape) {
-  trace::set_enabled(true);
+TEST_F(SpanTest, SpanJsonHasChromeTraceShape) {
   {
     trace::Span outer("outer");
     outer.arg("n", std::int64_t{3});
@@ -200,11 +156,8 @@ TEST_F(MetricsTest, SpanJsonHasChromeTraceShape) {
       trace::Span inner("inner");
     }
   }
-  trace::set_enabled(false);
-  EXPECT_EQ(trace::num_events(), 2u);
-  std::ostringstream os;
-  trace::write_chrome_json(os);
-  const std::string json = os.str();
+  EXPECT_EQ(observer_.spans()->size(), 2u);
+  const std::string json = chrome_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_EQ(json.front(), '[');
   for (const char* key :
@@ -217,25 +170,28 @@ TEST_F(MetricsTest, SpanJsonHasChromeTraceShape) {
   EXPECT_NE(json.find("\"n\":3"), std::string::npos);
 }
 
-TEST_F(MetricsTest, SpanClearDropsEvents) {
-  trace::set_enabled(true);
-  { trace::Span span("dropped"); }
-  ASSERT_GE(trace::num_events(), 1u);
-  trace::clear();
-  EXPECT_EQ(trace::num_events(), 0u);
-  std::ostringstream os;
-  trace::write_chrome_json(os);
-  EXPECT_TRUE(is_valid_json(os.str()));
+TEST_F(SpanTest, SpanRecordsIntoTheObserverItStartedUnder) {
+  Observer::Options options;
+  options.spans = true;
+  Observer other(options);
+  {
+    trace::Span span("started here");
+    const ObserverScope rebind(&other);
+    trace::Span nested("nested elsewhere");
+  }
+  EXPECT_EQ(observer_.spans()->size(), 1u);
+  EXPECT_EQ(other.spans()->size(), 1u);
+  EXPECT_NE(chrome_json().find("started here"), std::string::npos);
 }
 
-TEST_F(MetricsTest, EmptyTraceExportIsLiteralEmptyArray) {
+TEST(SpanUnboundTest, EmptyTraceExportIsLiteralEmptyArray) {
+  const trace::Recorder recorder;
   std::ostringstream os;
-  trace::write_chrome_json(os);
+  recorder.write_chrome_json(os);
   EXPECT_EQ(os.str(), "[]\n");
 }
 
-TEST_F(MetricsTest, SpanArgEscapesHostileStrings) {
-  trace::set_enabled(true);
+TEST_F(SpanTest, SpanArgEscapesHostileStrings) {
   {
     trace::Span span("escape");
     span.arg("quote", std::string("she said \"hi\""));
@@ -243,15 +199,13 @@ TEST_F(MetricsTest, SpanArgEscapesHostileStrings) {
     span.arg("newline", std::string("line1\nline2"));
     span.arg("control", std::string("bell\x07tab\tend"));
   }
-  trace::set_enabled(false);
-  std::ostringstream os;
-  trace::write_chrome_json(os);
-  const std::string json = os.str();
+  const std::string json = chrome_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_NE(json.find("\\\"hi\\\""), std::string::npos);
   EXPECT_NE(json.find("C:\\\\path\\\\file"), std::string::npos);
   EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
   EXPECT_NE(json.find("\\u0007"), std::string::npos);
+  EXPECT_NE(json.find("tab\\tend"), std::string::npos);
 }
 
 }  // namespace

@@ -1,22 +1,30 @@
-// Tests for the live telemetry pipeline (support/telemetry.hpp): correlation
-// ids, the live solve table, sampler lifecycle and JSONL shape, search-tree
-// recording and dump invariants, the JSON log sink, the metrics snapshot
-// epoch contract, and the solver's convergence timeline.
+// Tests for the run-owned observability pipeline (support/observer.hpp and
+// support/telemetry.hpp): correlation ids, the live solve, sampler lifecycle
+// and JSONL shape, search-tree recording and dump invariants, the JSON log
+// stream, the solver's convergence timeline, and the isolation of concurrent
+// runs that each own an observer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "arch/device.hpp"
+#include "core/partitioner.hpp"
 #include "json_checker.hpp"
 #include "milp/solver.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
+#include "support/observer.hpp"
 #include "support/span.hpp"
 #include "support/telemetry.hpp"
+#include "workloads/ar_filter.hpp"
 
 namespace sparcs {
 namespace {
@@ -24,30 +32,29 @@ namespace {
 using sparcs::testing::is_valid_json;
 using sparcs::testing::is_valid_json_lines;
 
-/// Leaves every telemetry/metrics/trace subsystem in the process-default
-/// disabled state, so suites sharing the binary never see stale state.
-class TelemetryTest : public ::testing::Test {
- protected:
-  void SetUp() override { reset(); }
-  void TearDown() override { reset(); }
+/// An observer that samples into `sink`; interval samples effectively off.
+Observer::Options sampled(std::ostream& sink) {
+  Observer::Options options;
+  options.telemetry = &sink;
+  options.sample_interval_sec = 10.0;
+  return options;
+}
 
-  static void reset() {
-    if (telemetry::sampler_running()) telemetry::stop_sampler();
-    telemetry::set_active(false);
-    telemetry::set_tree_active(false);
-    telemetry::tree_clear();
-    telemetry::reset_pipeline();
-    set_json_log_sink(nullptr);
-    metrics::set_enabled(false);
-    metrics::registry().reset();
-    trace::set_enabled(false);
-    trace::clear();
+/// Sets the process-wide log level for one test and restores it after.
+class LogLevelScope {
+ public:
+  explicit LogLevelScope(LogLevel level) : previous_(log_level()) {
+    set_log_level(level);
   }
+  ~LogLevelScope() { set_log_level(previous_); }
+
+ private:
+  LogLevel previous_;
 };
 
 // --- correlation ids -------------------------------------------------------
 
-TEST_F(TelemetryTest, CorrelationIdsAreUniqueAndNonZero) {
+TEST(TelemetryTest, CorrelationIdsAreUniqueAndNonZero) {
   const std::uint64_t a = telemetry::next_correlation_id();
   const std::uint64_t b = telemetry::next_correlation_id();
   EXPECT_NE(a, 0u);
@@ -55,7 +62,7 @@ TEST_F(TelemetryTest, CorrelationIdsAreUniqueAndNonZero) {
   EXPECT_NE(a, b);
 }
 
-TEST_F(TelemetryTest, CorrelationScopeNestsAndRestores) {
+TEST(TelemetryTest, CorrelationScopeNestsAndRestores) {
   EXPECT_EQ(telemetry::current_correlation_id(), 0u);
   {
     telemetry::CorrelationScope outer(7);
@@ -69,35 +76,74 @@ TEST_F(TelemetryTest, CorrelationScopeNestsAndRestores) {
   EXPECT_EQ(telemetry::current_correlation_id(), 0u);
 }
 
-// --- live solve table ------------------------------------------------------
+TEST(TelemetryTest, DefaultCorrelationScopeAllocatesOnlyWhenObservedAndUnbound) {
+  {
+    // No observer: nothing is recorded, so no id is spent.
+    const telemetry::CorrelationScope scope;
+    EXPECT_EQ(scope.id(), 0u);
+  }
+  Observer observer({});
+  const ObserverScope bind(&observer);
+  {
+    const telemetry::CorrelationScope fresh;
+    EXPECT_NE(fresh.id(), 0u);
+    EXPECT_EQ(telemetry::current_correlation_id(), fresh.id());
+  }
+  EXPECT_EQ(telemetry::current_correlation_id(), 0u);
+  // A run that binds its own id (a service job) keeps it for its probes.
+  const telemetry::CorrelationScope job(4242);
+  const telemetry::CorrelationScope probe;
+  EXPECT_EQ(probe.id(), 4242u);
+}
 
-TEST_F(TelemetryTest, SolveScopeInertWhileInactive) {
-  telemetry::SolveScope scope("test");
+// --- live solve ------------------------------------------------------------
+
+TEST(TelemetryTest, SolveScopeInertWithoutObserver) {
+  telemetry::SolveScope scope;
   EXPECT_EQ(scope.id(), 0u);
   EXPECT_EQ(scope.slot(), nullptr);
   EXPECT_EQ(telemetry::current_correlation_id(), 0u);
 }
 
-TEST_F(TelemetryTest, SolveScopeClaimsAndReleasesSlot) {
-  telemetry::set_active(true);
-  const std::int64_t completed_before = telemetry::solves_completed();
-  {
-    telemetry::SolveScope scope("test");
-    ASSERT_NE(scope.slot(), nullptr);
-    EXPECT_NE(scope.id(), 0u);
-    EXPECT_EQ(telemetry::current_correlation_id(), scope.id());
-    EXPECT_EQ(scope.slot()->correlation.load(), scope.id());
-    scope.slot()->nodes.fetch_add(5);
-  }
-  EXPECT_EQ(telemetry::solves_completed(), completed_before + 1);
-  EXPECT_EQ(telemetry::current_correlation_id(), 0u);
+TEST(TelemetryTest, SolveScopeClaimsNoSlotUnlessTheRunIsSampled) {
+  Observer observer({});
+  const ObserverScope bind(&observer);
+  const telemetry::SolveScope scope;
+  EXPECT_NE(scope.id(), 0u);
+  EXPECT_EQ(scope.slot(), nullptr);
 }
 
-TEST_F(TelemetryTest, SolveScopeReusesCallerCorrelation) {
-  telemetry::set_active(true);
+TEST(TelemetryTest, SolveScopeClaimsAndReleasesTheRunsLiveSolve) {
+  std::ostringstream sink;
+  {
+    Observer observer(sampled(sink));
+    const ObserverScope bind(&observer);
+    {
+      telemetry::SolveScope scope;
+      ASSERT_NE(scope.slot(), nullptr);
+      EXPECT_NE(scope.id(), 0u);
+      EXPECT_EQ(telemetry::current_correlation_id(), scope.id());
+      EXPECT_EQ(scope.slot()->correlation.load(), scope.id());
+      // The run has one live solve: a second concurrent scope gets none.
+      const telemetry::SolveScope nested;
+      EXPECT_EQ(nested.slot(), nullptr);
+      scope.slot()->nodes.fetch_add(5);
+    }
+    EXPECT_EQ(telemetry::current_correlation_id(), 0u);
+  }
+  const std::string jsonl = sink.str();
+  const std::size_t last = jsonl.rfind("{\"type\": \"final\"");
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_NE(jsonl.find("\"solves_completed\": 1", last), std::string::npos);
+}
+
+TEST(TelemetryTest, SolveScopeReusesCallerCorrelation) {
+  std::ostringstream sink;
+  Observer observer(sampled(sink));
+  const ObserverScope bind(&observer);
   telemetry::CorrelationScope outer(telemetry::next_correlation_id());
   const std::uint64_t outer_id = telemetry::current_correlation_id();
-  telemetry::SolveScope scope("test");
+  telemetry::SolveScope scope;
   // A solve launched under an existing correlation id (a Reduce_Latency
   // probe) keeps it, so the probe's span and the solve's records join.
   EXPECT_EQ(scope.id(), outer_id);
@@ -105,31 +151,29 @@ TEST_F(TelemetryTest, SolveScopeReusesCallerCorrelation) {
 
 // --- sampler ---------------------------------------------------------------
 
-TEST_F(TelemetryTest, SamplerRequiresSink) {
-  telemetry::SamplerOptions options;
-  options.sink = nullptr;
-  EXPECT_FALSE(telemetry::start_sampler(options));
-  EXPECT_FALSE(telemetry::sampler_running());
+TEST(TelemetryTest, ObserverSamplesOnlyWithATelemetryStream) {
+  Observer observer({});
+  EXPECT_EQ(observer.sampler(), nullptr);
+  EXPECT_EQ(observer.metrics(), nullptr);
+  EXPECT_EQ(observer.spans(), nullptr);
+  EXPECT_EQ(observer.tree(), nullptr);
+  EXPECT_FALSE(observer.logs_json());
+  // Publishing without a sampler is a no-op.
+  const ObserverScope bind(&observer);
+  telemetry::set_stage("phase1", 3);
 }
 
-TEST_F(TelemetryTest, SamplerEmitsWellFormedJsonl) {
+TEST(TelemetryTest, SamplerEmitsWellFormedJsonl) {
   std::ostringstream sink;
-  telemetry::SamplerOptions options;
-  options.sink = &sink;
-  options.interval_sec = 10.0;  // interval samples effectively disabled
-  ASSERT_TRUE(telemetry::start_sampler(options));
-  EXPECT_TRUE(telemetry::sampler_running());
-  EXPECT_TRUE(telemetry::active());
-  // A second sampler cannot start while one runs.
-  EXPECT_FALSE(telemetry::start_sampler(options));
-
-  telemetry::set_stage("phase1", 3);
-  telemetry::publish_best_latency(4000.0, 3);
-  telemetry::publish_best_latency(3500.0, 4);
-  telemetry::sample_now();
-  telemetry::stop_sampler();
-  EXPECT_FALSE(telemetry::sampler_running());
-  EXPECT_FALSE(telemetry::active());
+  Observer observer(sampled(sink));
+  {
+    const ObserverScope bind(&observer);
+    telemetry::set_stage("phase1", 3);
+    telemetry::publish_best_latency(4000.0, 3);
+    telemetry::publish_best_latency(3500.0, 4);
+    observer.sampler()->sample("manual");
+  }
+  observer.sampler()->stop();
 
   const std::string jsonl = sink.str();
   EXPECT_TRUE(is_valid_json_lines(jsonl));
@@ -140,39 +184,58 @@ TEST_F(TelemetryTest, SamplerEmitsWellFormedJsonl) {
   EXPECT_NE(jsonl.find("\"stage\": \"phase1\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"trigger\": \"stage\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"incumbent_latency_ns\": 3500"), std::string::npos);
+  // Nothing is written once the sampler stopped.
+  const std::size_t size = jsonl.size();
+  observer.sampler()->sample("late");
+  EXPECT_EQ(sink.str().size(), size);
 }
 
-TEST_F(TelemetryTest, SamplerReportsLiveSolves) {
-  std::ostringstream sink;
-  telemetry::SamplerOptions options;
-  options.sink = &sink;
-  options.interval_sec = 10.0;
-  options.include_metrics = false;
-  ASSERT_TRUE(telemetry::start_sampler(options));
+TEST(TelemetryTest, SamplesEmbedMetricsWhenTheRunCollectsThem) {
+  std::ostringstream with_sink, without_sink;
+  Observer::Options options = sampled(with_sink);
+  options.metrics = true;
   {
-    telemetry::SolveScope scope("test");
+    Observer observer(options);
+    observer.metrics()->counter("test.counter").add(3);
+    observer.sampler()->sample("manual");
+  }
+  {
+    Observer observer(sampled(without_sink));
+    observer.sampler()->sample("manual");
+  }
+  EXPECT_NE(with_sink.str().find("\"test.counter\": 3"), std::string::npos);
+  EXPECT_EQ(without_sink.str().find("\"metrics\""), std::string::npos);
+}
+
+TEST(TelemetryTest, SamplerReportsLiveSolves) {
+  std::ostringstream sink;
+  Observer observer(sampled(sink));
+  {
+    const ObserverScope bind(&observer);
+    telemetry::SolveScope scope;
     ASSERT_NE(scope.slot(), nullptr);
     scope.slot()->nodes.store(42);
     scope.slot()->incumbent.store(123.0);
     scope.slot()->has_incumbent.store(true);
-    telemetry::sample_now();
+    observer.sampler()->sample("manual");
   }
-  telemetry::stop_sampler();
+  observer.sampler()->stop();
   const std::string jsonl = sink.str();
   EXPECT_TRUE(is_valid_json_lines(jsonl));
   EXPECT_NE(jsonl.find("\"nodes\": 42"), std::string::npos);
   EXPECT_NE(jsonl.find("\"incumbent\": 123"), std::string::npos);
 }
 
-TEST_F(TelemetryTest, ProgressLineIsRewrittenInPlace) {
+TEST(TelemetryTest, ProgressLineIsRewrittenInPlace) {
   std::ostringstream sink, progress;
-  telemetry::SamplerOptions options;
-  options.sink = &sink;
+  Observer::Options options = sampled(sink);
   options.progress = &progress;
-  options.interval_sec = 10.0;
-  ASSERT_TRUE(telemetry::start_sampler(options));
-  telemetry::set_stage("phase2", 6);
-  telemetry::stop_sampler();
+  Observer observer(options);
+  {
+    const ObserverScope bind(&observer);
+    telemetry::set_stage("phase2", 6);
+  }
+  observer.sampler()->stop();
   const std::string text = progress.str();
   EXPECT_NE(text.find('\r'), std::string::npos);
   EXPECT_NE(text.find("phase2"), std::string::npos);
@@ -181,24 +244,21 @@ TEST_F(TelemetryTest, ProgressLineIsRewrittenInPlace) {
 
 // --- search tree -----------------------------------------------------------
 
-TEST_F(TelemetryTest, TreeDumpRelabelsChildlessBranchedNodes) {
-  telemetry::set_tree_active(true);
-  const std::int64_t root = telemetry::tree_next_id();
-  telemetry::tree_record({root, -1, 0, -1, 0.0, 0.0,
-                          telemetry::NodeKind::kBranched});
-  const std::int64_t child = telemetry::tree_next_id();
-  telemetry::tree_record({child, root, 1, 4, 1.0, 1.0,
-                          telemetry::NodeKind::kBranched});
-  const std::int64_t leaf = telemetry::tree_next_id();
-  telemetry::tree_record({leaf, child, 2, 5, 0.0, 0.0,
-                          telemetry::NodeKind::kIntegral});
-  const std::int64_t abandoned = telemetry::tree_next_id();
-  telemetry::tree_record({abandoned, root, 1, 4, 0.0, 0.0,
-                          telemetry::NodeKind::kBranched});
-  EXPECT_EQ(telemetry::tree_size(), 4u);
+TEST(TelemetryTest, TreeDumpRelabelsChildlessBranchedNodes) {
+  telemetry::SearchTree tree;
+  const std::int64_t root = tree.next_id();
+  tree.record({root, -1, 0, -1, 0.0, 0.0, telemetry::NodeKind::kBranched});
+  const std::int64_t child = tree.next_id();
+  tree.record({child, root, 1, 4, 1.0, 1.0, telemetry::NodeKind::kBranched});
+  const std::int64_t leaf = tree.next_id();
+  tree.record({leaf, child, 2, 5, 0.0, 0.0, telemetry::NodeKind::kIntegral});
+  const std::int64_t abandoned = tree.next_id();
+  tree.record(
+      {abandoned, root, 1, 4, 0.0, 0.0, telemetry::NodeKind::kBranched});
+  EXPECT_EQ(tree.size(), 4u);
 
   std::ostringstream json;
-  telemetry::write_tree_json(json);
+  tree.write_json(json);
   ASSERT_TRUE(is_valid_json(json.str()));
   // `abandoned` branched but no child record exists: relabelled "budget" so
   // every non-root node in the dump has a prune reason or children.
@@ -208,58 +268,61 @@ TEST_F(TelemetryTest, TreeDumpRelabelsChildlessBranchedNodes) {
   EXPECT_NE(text.find("\"integral\""), std::string::npos);
 
   std::ostringstream dot;
-  telemetry::write_tree_dot(dot);
+  tree.write_dot(dot);
   EXPECT_NE(dot.str().find("digraph"), std::string::npos);
   EXPECT_NE(dot.str().find("->"), std::string::npos);
 }
 
-TEST_F(TelemetryTest, TreeRingBufferEvictsOldestFirst) {
-  telemetry::set_tree_active(true);
-  telemetry::set_tree_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    const std::int64_t id = telemetry::tree_next_id();
-    telemetry::tree_record({id, id - 1, i, 0, 0.0, 0.0,
-                            telemetry::NodeKind::kIntegral});
+TEST(TelemetryTest, TreeRingBufferEvictsOldestFirst) {
+  telemetry::SearchTree tree;
+  constexpr std::size_t kRecords = telemetry::SearchTree::kCapacity + 6;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    const std::int64_t id = tree.next_id();
+    tree.record({id, id - 1, 1, 0, 0.0, 0.0, telemetry::NodeKind::kIntegral});
   }
-  EXPECT_EQ(telemetry::tree_size(), 4u);
+  EXPECT_EQ(tree.size(), telemetry::SearchTree::kCapacity);
   std::ostringstream json;
-  telemetry::write_tree_json(json);
-  EXPECT_TRUE(is_valid_json(json.str()));
-  EXPECT_NE(json.str().find("\"evicted\": 6"), std::string::npos);
-  telemetry::set_tree_capacity(1 << 16);  // restore the default
+  tree.write_json(json);
+  const json::ParseResult dump = json::parse(json.str());
+  ASSERT_TRUE(dump.ok) << dump.error;
+  EXPECT_EQ(dump.value.member_int("evicted"), 6);
+  // The oldest records went first: the dump starts at id 6.
+  EXPECT_EQ(dump.value.find("nodes")->array().front().member_int("id"), 6);
 }
 
-TEST_F(TelemetryTest, TreeRecordingDisabledIsNoop) {
-  telemetry::tree_record({telemetry::tree_next_id(), -1, 0, -1, 0.0, 0.0,
-                          telemetry::NodeKind::kBranched});
-  EXPECT_EQ(telemetry::tree_size(), 0u);
+TEST(TelemetryTest, EmptyTreeDumpIsValidJson) {
+  const telemetry::SearchTree tree;
   std::ostringstream json;
-  telemetry::write_tree_json(json);
+  tree.write_json(json);
   EXPECT_TRUE(is_valid_json(json.str()));
+  EXPECT_NE(json.str().find("\"recorded\": 0"), std::string::npos);
 }
 
-// --- JSON log sink ---------------------------------------------------------
+// --- JSON log stream -------------------------------------------------------
 
-TEST_F(TelemetryTest, JsonLogSinkEscapesAndCarriesCorrelation) {
+TEST(TelemetryTest, JsonLogEscapesAndCarriesCorrelation) {
   std::ostringstream sink;
-  set_json_log_sink(&sink);
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kWarning);
-  telemetry::set_active(true);
+  Observer::Options options;
+  options.log_json = &sink;
+  Observer observer(options);
+  const LogLevelScope level(LogLevel::kWarning);
   {
-    telemetry::CorrelationScope scope(1234);
-    SPARCS_WLOG << "quote \" backslash \\ newline \n tab \t done";
+    const ObserverScope bind(&observer);
+    {
+      telemetry::CorrelationScope scope(1234);
+      SPARCS_WLOG << "quote \" backslash \\ newline \n tab \t done";
+    }
+    SPARCS_WLOG << "no correlation";
   }
-  SPARCS_WLOG << "no correlation";
-  set_json_log_sink(nullptr);
-  set_log_level(before);
+  SPARCS_WLOG << "unbound: not mirrored";
 
   const std::string jsonl = sink.str();
   ASSERT_TRUE(is_valid_json_lines(jsonl));
   EXPECT_NE(jsonl.find("\"corr\": 1234"), std::string::npos);
   EXPECT_NE(jsonl.find("\"level\": \"warning\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\\\"") , std::string::npos);
+  EXPECT_NE(jsonl.find("\\\""), std::string::npos);
   EXPECT_NE(jsonl.find("\\n"), std::string::npos);
+  EXPECT_EQ(jsonl.find("unbound"), std::string::npos);
   // The second statement ran without a bound id: no "corr" on its line.
   const std::size_t second = jsonl.find("no correlation");
   ASSERT_NE(second, std::string::npos);
@@ -267,21 +330,10 @@ TEST_F(TelemetryTest, JsonLogSinkEscapesAndCarriesCorrelation) {
   EXPECT_EQ(jsonl.find("\"corr\"", line_start), std::string::npos);
 }
 
-// --- metrics snapshot epoch (snapshot-consistency contract) ----------------
+// --- metrics snapshots under concurrent writers ----------------------------
 
-TEST_F(TelemetryTest, SnapshotEpochAdvancesOnRegistryReset) {
-  metrics::Registry& reg = metrics::registry();
-  const std::uint64_t before = reg.snapshot().epoch;
-  reg.reset();
-  EXPECT_EQ(reg.snapshot().epoch, before + 1);
-  const std::string json = reg.snapshot().to_json();
-  EXPECT_TRUE(is_valid_json(json));
-  EXPECT_NE(json.find("\"epoch\""), std::string::npos);
-}
-
-TEST_F(TelemetryTest, SnapshotsStayConsistentUnderConcurrentAddAndReset) {
-  metrics::set_enabled(true);
-  metrics::Registry& reg = metrics::registry();
+TEST(TelemetryTest, SnapshotsStayMonotonicUnderConcurrentAdds) {
+  metrics::Registry reg;
   metrics::Counter& counter = reg.counter("test.stress");
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -290,24 +342,12 @@ TEST_F(TelemetryTest, SnapshotsStayConsistentUnderConcurrentAddAndReset) {
       while (!stop.load(std::memory_order_relaxed)) counter.add(1);
     });
   }
-  // Interleave snapshots and registry-wide resets against the writers. The
-  // contract under test: every snapshot is internally consistent, counter
-  // values never go negative, and deltas are only trusted within an epoch.
   std::int64_t last_value = 0;
-  std::uint64_t last_epoch = reg.snapshot().epoch;
   for (int i = 0; i < 200; ++i) {
-    if (i % 50 == 49) reg.reset();
     const metrics::MetricsSnapshot snap = reg.snapshot();
-    for (const auto& entry : snap.counters) {
-      EXPECT_GE(entry.value, 0);
-      if (entry.name == "test.stress") {
-        if (snap.epoch == last_epoch) {
-          EXPECT_GE(entry.value, last_value);
-        }
-        last_value = entry.value;
-        last_epoch = snap.epoch;
-      }
-    }
+    ASSERT_EQ(snap.counters.size(), 1u);
+    EXPECT_GE(snap.counters[0].value, last_value);
+    last_value = snap.counters[0].value;
   }
   stop.store(true);
   for (std::thread& w : writers) w.join();
@@ -315,7 +355,7 @@ TEST_F(TelemetryTest, SnapshotsStayConsistentUnderConcurrentAddAndReset) {
 
 // --- solver integration ----------------------------------------------------
 
-TEST_F(TelemetryTest, SolveRecordsConvergenceTimeline) {
+TEST(TelemetryTest, SolveRecordsConvergenceTimeline) {
   milp::Model m("knapsack");
   const milp::VarId a = m.add_binary("a");
   const milp::VarId b = m.add_binary("b");
@@ -348,7 +388,7 @@ TEST_F(TelemetryTest, SolveRecordsConvergenceTimeline) {
   EXPECT_NE(json.find("\"kind\": \"incumbent\""), std::string::npos);
 }
 
-TEST_F(TelemetryTest, ParallelSolveMergesOrderedConvergence) {
+TEST(TelemetryTest, ParallelSolveMergesOrderedConvergence) {
   milp::Model m("pick");
   std::vector<milp::VarId> xs;
   milp::LinExpr sum;
@@ -372,104 +412,229 @@ TEST_F(TelemetryTest, ParallelSolveMergesOrderedConvergence) {
   }
 }
 
-TEST_F(TelemetryTest, SolveUnderTelemetryPublishesLiveState) {
-  telemetry::set_active(true);
+TEST(TelemetryTest, SolveUnderObserverPublishesLiveStateAndTree) {
   std::ostringstream sink;
-  telemetry::SamplerOptions options;
-  options.sink = &sink;
-  options.interval_sec = 10.0;
-  options.include_metrics = false;
-  ASSERT_TRUE(telemetry::start_sampler(options));
-
-  telemetry::set_tree_active(true);
+  Observer::Options options = sampled(sink);
+  options.tree = true;
+  Observer observer(options);
   milp::Model m("tree");
-  std::vector<milp::VarId> xs;
   milp::LinExpr sum;
   for (int i = 0; i < 8; ++i) {
-    xs.push_back(m.add_binary("x" + std::to_string(i)));
-    sum += milp::LinExpr(xs.back());
+    sum += milp::LinExpr(m.add_binary("x" + std::to_string(i)));
   }
   m.add_constraint(sum == 4.0, "pick4");
   milp::SolverParams params;
   params.num_threads = 1;
-  const milp::MilpSolution s =
-      milp::Solver(m, milp::first_feasible_params(params)).solve();
-  EXPECT_EQ(s.status, milp::SolveStatus::kFeasible);
-  telemetry::stop_sampler();
+  const milp::SolverParams first = milp::first_feasible_params(params);
+  // Unbound, the same solve records nowhere.
+  EXPECT_EQ(milp::Solver(m, first).solve().status,
+            milp::SolveStatus::kFeasible);
+  EXPECT_EQ(observer.tree()->size(), 0u);
+  {
+    const ObserverScope bind(&observer);
+    EXPECT_EQ(milp::Solver(m, first).solve().status,
+              milp::SolveStatus::kFeasible);
+  }
+  observer.sampler()->stop();
 
-  EXPECT_GT(telemetry::tree_size(), 0u);
+  EXPECT_GT(observer.tree()->size(), 0u);
   std::ostringstream json;
-  telemetry::write_tree_json(json);
+  observer.tree()->write_json(json);
   EXPECT_TRUE(is_valid_json(json.str()));
   EXPECT_TRUE(is_valid_json_lines(sink.str()));
-  EXPECT_GE(telemetry::solves_completed(), 1);
+  EXPECT_NE(sink.str().find("\"solves_completed\": 1"), std::string::npos);
 }
 
-// --- live solve table exhaustion -------------------------------------------
+// --- isolation of concurrent runs ------------------------------------------
 
-TEST_F(TelemetryTest, SlotExhaustionDegradesGracefullyAndIsCounted) {
-  telemetry::set_active(true);
-  metrics::set_enabled(true);
+/// What one observer recorded, with times masked out.
+struct Recorded {
+  std::map<std::string, std::int64_t> counters;
+  std::map<std::string, double> gauges;
+  std::vector<std::string> span_names;
+  std::size_t tree_nodes = 0;
+  std::vector<std::string> log_messages;
+  std::vector<std::int64_t> log_corrs;
 
-  constexpr int kOverflow = 8;
-  std::vector<std::unique_ptr<telemetry::SolveScope>> scopes;
-  for (int i = 0; i < telemetry::kLiveSolveSlots + kOverflow; ++i) {
-    scopes.push_back(std::make_unique<telemetry::SolveScope>("exhaustion"));
+  bool operator==(const Recorded& other) const {
+    return counters == other.counters && gauges == other.gauges &&
+           span_names == other.span_names && tree_nodes == other.tree_nodes &&
+           log_messages == other.log_messages;
   }
-  EXPECT_EQ(telemetry::live_solve_slots_in_use(), telemetry::kLiveSolveSlots);
-  EXPECT_EQ(telemetry::live_solve_slots_exhausted(), kOverflow);
-  EXPECT_EQ(metrics::registry()
-                .counter("telemetry.live_solve.slot_exhausted")
-                .value(),
-            kOverflow);
-  // Overflow scopes degrade, not break: they carry a working correlation id
-  // (logs/spans stay joinable) and merely publish to no slot.
-  EXPECT_EQ(scopes.back()->slot(), nullptr);
-  EXPECT_NE(scopes.back()->id(), 0u);
-  EXPECT_NE(scopes.front()->slot(), nullptr);
+};
 
-  // LIFO teardown keeps each scope's thread-local correlation restore exact.
-  while (!scopes.empty()) scopes.pop_back();
-  EXPECT_EQ(telemetry::live_solve_slots_in_use(), 0);
-
-  telemetry::reset_pipeline();
-  EXPECT_EQ(telemetry::live_solve_slots_exhausted(), 0);
+Observer::Options everything(std::ostream& log) {
+  Observer::Options options;
+  options.metrics = true;
+  options.spans = true;
+  options.tree = true;
+  options.log_json = &log;
+  return options;
 }
 
-TEST_F(TelemetryTest, SlotExhaustionUnderConcurrentScopes) {
-  telemetry::set_active(true);
+Recorded recorded(const Observer& observer, const std::string& log) {
+  Recorded r;
+  for (const auto& c : observer.metrics()->snapshot().counters) {
+    r.counters[c.name] = c.value;
+  }
+  for (const auto& g : observer.metrics()->snapshot().gauges) {
+    r.gauges[g.name] = g.value;
+  }
+  std::ostringstream trace;
+  observer.spans()->write_chrome_json(trace);
+  const json::ParseResult events = json::parse(trace.str());
+  EXPECT_TRUE(events.ok) << events.error;
+  for (const json::Value& event : events.value.array()) {
+    r.span_names.push_back(event.member_string("name"));
+  }
+  std::sort(r.span_names.begin(), r.span_names.end());
+  r.tree_nodes = observer.tree()->size();
+  const std::regex seconds("[0-9.e+-]+ s\\b");
+  std::istringstream lines(log);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const json::ParseResult record = json::parse(line);
+    EXPECT_TRUE(record.ok) << line;
+    r.log_messages.push_back(
+        std::regex_replace(record.value.member_string("msg"), seconds, "# s"));
+    r.log_corrs.push_back(record.value.member_int("corr"));
+  }
+  return r;
+}
 
-  constexpr int kThreads = telemetry::kLiveSolveSlots + 16;
+/// The paper's AR filter on a 200-CLB device: a sweep that searches (the
+/// CLI's `--workload ar --rmax 200 --mmax 64 --delta 20`).
+struct ArRun {
+  double ct_ns;
+  int threads;
+
+  Recorded run() const {
+    std::ostringstream log;
+    Observer observer(everything(log));
+    {
+      const ObserverScope bind(&observer);
+      const core::PartitionerReport report = partition();
+      EXPECT_TRUE(report.feasible);
+    }
+    return recorded(observer, log.str());
+  }
+
+  core::PartitionerReport partition() const {
+    core::PartitionerOptions options;
+    options.budget.delta = 20.0;
+    options.budget.solver.num_threads = threads;
+    return core::TemporalPartitioner(workloads::ar_filter_task_graph(),
+                                     arch::custom("ar", 200.0, 64.0, ct_ns),
+                                     options)
+        .run();
+  }
+};
+
+/// Runs `body(i)` for i = 0 and 1 on two threads released together.
+template <typename Body>
+void run_concurrently(const Body& body) {
   std::atomic<int> ready{0};
-  std::atomic<bool> release{false};
-  std::atomic<int> without_slot{0};
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&] {
-      const telemetry::SolveScope scope("concurrent-exhaustion");
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
       ready.fetch_add(1);
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      if (scope.slot() == nullptr) without_slot.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      body(i);
     });
   }
-  while (ready.load() < kThreads) std::this_thread::yield();
-  // Every thread holds its scope at this point: the table must be full and
-  // the excess accounted, with no thread crashed or blocked.
-  EXPECT_EQ(telemetry::live_solve_slots_in_use(), telemetry::kLiveSolveSlots);
-  release.store(true, std::memory_order_release);
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(without_slot.load(), kThreads - telemetry::kLiveSolveSlots);
-  EXPECT_EQ(telemetry::live_solve_slots_exhausted(),
-            kThreads - telemetry::kLiveSolveSlots);
-  EXPECT_EQ(telemetry::live_solve_slots_in_use(), 0);
+}
+
+TEST(ObserverIsolationTest, ConcurrentRunsRecordExactlyWhatTheyRecordAlone) {
+  const LogLevelScope level(LogLevel::kDebug);
+  const ArRun runs[2] = {{50.0, 1}, {1.0, 1}};
+  const Recorded alone[2] = {runs[0].run(), runs[1].run()};
+  ASSERT_FALSE(alone[0] == alone[1]);  // the runs are told apart
+  for (const Recorded& r : alone) {
+    EXPECT_GT(r.counters.at("milp.solves"), 0);
+    EXPECT_GT(r.tree_nodes, 0u);
+    EXPECT_GT(std::count(r.span_names.begin(), r.span_names.end(),
+                         "Reduce_Latency probe"),
+              0);
+    EXPECT_FALSE(r.log_messages.empty());
+  }
+
+  Recorded together[2];
+  run_concurrently([&](int i) { together[i] = runs[i].run(); });
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(together[i].counters, alone[i].counters) << "run " << i;
+    EXPECT_EQ(together[i].gauges, alone[i].gauges) << "run " << i;
+    EXPECT_EQ(together[i].span_names, alone[i].span_names) << "run " << i;
+    EXPECT_EQ(together[i].tree_nodes, alone[i].tree_nodes) << "run " << i;
+    EXPECT_EQ(together[i].log_messages, alone[i].log_messages) << "run " << i;
+  }
+}
+
+/// A 0-1 knapsack of `items` items: at 48 or more variables an optimality
+/// solve runs two workers, and the tree is large enough to share.
+milp::Model knapsack(int items) {
+  milp::Model m("knapsack");
+  milp::LinExpr weight, value;
+  double capacity = 0.0;
+  for (int i = 0; i < items; ++i) {
+    const milp::VarId x = m.add_binary("x" + std::to_string(i));
+    const double w = 7.0 + (i * 13) % 17;
+    weight += w * milp::LinExpr(x);
+    value += (5.0 + (i * 11) % 19) * milp::LinExpr(x);
+    capacity += w / 2.0;
+  }
+  m.add_constraint(std::move(weight) <= capacity, "capacity");
+  m.set_objective(std::move(value), /*minimize=*/false);
+  return m;
+}
+
+TEST(ObserverIsolationTest, HelperThreadsRecordIntoTheirSolvesObserver) {
+  const LogLevelScope level(LogLevel::kDebug);
+  const milp::Model models[2] = {knapsack(48), knapsack(56)};
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "needs at least 2 hardware threads";
+  }
+  milp::SolverParams params = milp::optimality_params();
+  params.num_threads = 2;
+
+  std::ostringstream logs[2];
+  milp::MilpSolution solutions[2];
+  Observer observers[2] = {Observer(everything(logs[0])),
+                           Observer(everything(logs[1]))};
+  run_concurrently([&](int i) {
+    const ObserverScope bind(&observers[i]);
+    solutions[i] = milp::Solver(models[i], params).solve();
+  });
+
+  std::int64_t corrs[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    const milp::MilpSolution& s = solutions[i];
+    ASSERT_EQ(s.status, milp::SolveStatus::kOptimal) << "solve " << i;
+    // In optimality mode every node a worker explores, and every branch it
+    // refutes on entry, is one tree record: the observer holds all of the
+    // solve's nodes, the helper's included, and nobody else's.
+    EXPECT_EQ(static_cast<std::int64_t>(observers[i].tree()->size()),
+              s.stats.nodes_explored + s.stats.nodes_pruned_infeasible)
+        << "solve " << i;
+    // Every accepted incumbent logged one line on the worker that found it,
+    // and every line carries the solve's own correlation id.
+    const Recorded r = recorded(observers[i], logs[i].str());
+    const auto incumbents =
+        std::count_if(r.log_messages.begin(), r.log_messages.end(),
+                      [](const std::string& msg) {
+                        return msg.rfind("incumbent objective", 0) == 0;
+                      });
+    EXPECT_GE(incumbents, s.stats.incumbent_updates) << "solve " << i;
+    ASSERT_FALSE(r.log_corrs.empty());
+    corrs[i] = r.log_corrs.front();
+    for (const std::int64_t corr : r.log_corrs) EXPECT_EQ(corr, corrs[i]);
+  }
+  EXPECT_NE(corrs[0], corrs[1]);
 }
 
 // --- process memory --------------------------------------------------------
 
-TEST_F(TelemetryTest, MemoryStatusReadsRss) {
+TEST(TelemetryTest, MemoryStatusReadsRss) {
   const telemetry::MemoryStatus mem = telemetry::read_memory_status();
 #ifdef __linux__
   EXPECT_GT(mem.rss_kb, 0);
