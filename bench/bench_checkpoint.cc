@@ -40,8 +40,7 @@ core::SweepCheckpoint synthetic_checkpoint(int tasks) {
     cp.stages.push_back(core::StageAccount{n, core::StageStatus::kProbed,
                                            n, 2.5 * n});
   }
-  cp.in_progress = core::CheckpointInProgress{
-      9, core::BisectionWindow{4000.0, 2800.0, 3, design}};
+  cp.in_progress = core::BisectionWindow{4000.0, 2800.0, 3, design};
   return cp;
 }
 

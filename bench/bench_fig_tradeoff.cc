@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 
 #include "arch/device.hpp"
 #include "bench_common.hpp"
@@ -37,11 +38,13 @@ void BM_LatencyVsN(benchmark::State& state) {
       params.budget.solver.time_limit_sec = 3.0;
       params.budget.solver.node_limit = 500000;
       core::Trace trace;
-      const core::ReduceLatencyResult r = core::reduce_latency(
-          g, dev, n, core::max_latency(g, dev, n),
-          core::min_latency(g, dev, n), params, trace);
-      series.push_back({n, r.achieved_latency,
-                        r.best ? r.best->execution_latency_ns : 0.0});
+      core::BisectionWindow window{core::max_latency(g, dev, n),
+                                   core::min_latency(g, dev, n), 0,
+                                   std::nullopt};
+      core::reduce_latency(g, dev, n, window, params, trace);
+      const std::optional<core::PartitionedDesign>& best = window.incumbent;
+      series.push_back({n, best ? best->total_latency_ns : 0.0,
+                        best ? best->execution_latency_ns : 0.0});
     }
   }
 

@@ -166,16 +166,15 @@ bool parse_stage(const json::Value& v, StageAccount* out, std::string* error) {
   out->solves = static_cast<int>(v.member_int("solves", -1));
   out->seconds = v.member_double("seconds", -1.0);
   const std::string status = v.member_string("status");
+  // Only completed stages are committed: a cut-short stage lives in
+  // in_progress, and skipped ones never reach the state.
   if (status == to_string(StageStatus::kProbed)) {
     out->status = StageStatus::kProbed;
-  } else if (status == to_string(StageStatus::kCutShort)) {
-    out->status = StageStatus::kCutShort;
-  } else if (status == to_string(StageStatus::kSkipped)) {
-    out->status = StageStatus::kSkipped;
   } else if (status == to_string(StageStatus::kDegraded)) {
     out->status = StageStatus::kDegraded;
   } else {
-    return fail(error, "stage entry has unknown status '" + status + "'");
+    return fail(error, "stage entry has status '" + status +
+                           "', not a completed stage's");
   }
   if (out->num_partitions < 1 || out->solves < 0 || out->seconds < 0.0) {
     return fail(error, "stage entry for N=" +
@@ -254,16 +253,17 @@ std::string serialize_checkpoint(const SweepCheckpoint& cp,
   }
   w.end_array();
   if (cp.in_progress.has_value()) {
-    const CheckpointInProgress& ip = *cp.in_progress;
-    const BisectionWindow& window = ip.window;
+    const BisectionWindow& window = *cp.in_progress;
+    const PartitionedDesign& incumbent = window.incumbent.value();
     w.begin_object("in_progress");
-    w.field("num_partitions", ip.num_partitions);
+    // The window is always stage next_n's; the slot is kept for the format.
+    w.field("num_partitions", cp.next_n);
     w.field("d_max", window.d_max);
     w.field("d_min", window.d_min);
     w.field("iteration", window.iteration);
     // Redundant with the incumbent; written so the load can cross-check it.
-    w.field("achieved_latency_ns", window.incumbent.total_latency_ns);
-    write_design(w, "incumbent", window.incumbent);
+    w.field("achieved_latency_ns", incumbent.total_latency_ns);
+    write_design(w, "incumbent", incumbent);
     w.end_object();
   } else {
     w.raw_field("in_progress", "null");
@@ -382,13 +382,33 @@ CheckpointLoadResult parse_checkpoint(const std::string& sealed_text,
     result.error = "checkpoint is missing the stages array";
     return result;
   }
+  std::int64_t solves = 0;
+  bool best_stage_listed = false;
   for (const json::Value& entry : stages->array()) {
     StageAccount stage;
     if (!parse_stage(entry, &stage, &error)) {
       result.error = error;
       return result;
     }
+    // The sweep commits stages in N order, each before next_n moves past it.
+    const int previous_n =
+        cp.stages.empty() ? 0 : cp.stages.back().num_partitions;
+    if (stage.num_partitions <= previous_n ||
+        stage.num_partitions >= cp.next_n) {
+      result.error = "checkpoint stages are not ascending below next_n";
+      return result;
+    }
+    solves += stage.solves;
+    best_stage_listed |= stage.num_partitions == cp.best_num_partitions;
     cp.stages.push_back(stage);
+  }
+  if (solves != cp.ilp_solves) {
+    result.error = "checkpoint stage solves do not sum to ilp_solves";
+    return result;
+  }
+  if (cp.best && !best_stage_listed) {
+    result.error = "checkpoint best design comes from no committed stage";
+    return result;
   }
 
   const json::Value* in_progress = root.find("in_progress");
@@ -401,43 +421,43 @@ CheckpointLoadResult parse_checkpoint(const std::string& sealed_text,
       result.error = "complete checkpoint still carries in-progress state";
       return result;
     }
-    CheckpointInProgress ip;
-    BisectionWindow& window = ip.window;
-    ip.num_partitions =
+    BisectionWindow window;
+    const int num_partitions =
         static_cast<int>(in_progress->member_int("num_partitions", -1));
     window.d_max = in_progress->member_double("d_max", -1.0);
     window.d_min = in_progress->member_double("d_min", -1.0);
     window.iteration =
         static_cast<int>(in_progress->member_int("iteration", -1));
     const json::Value* incumbent = in_progress->find("incumbent");
+    PartitionedDesign& design = window.incumbent.emplace();
     if (incumbent == nullptr ||
         !parse_design(*incumbent, graph, device, "in-progress incumbent",
-                      &window.incumbent, &error)) {
+                      &design, &error)) {
       result.error = error.empty()
                          ? "in-progress state is missing its incumbent"
                          : error;
       return result;
     }
-    if (ip.num_partitions < 1 || window.iteration < 0 ||
-        window.d_min < 0.0 || window.d_max < window.d_min ||
-        window.incumbent.num_partitions_allocated != ip.num_partitions) {
+    if (num_partitions < 1 || window.iteration < 0 || window.d_min < 0.0 ||
+        window.d_max < window.d_min ||
+        design.num_partitions_allocated != num_partitions) {
       result.error = "in-progress window state is out of range";
       return result;
     }
     if (!matches_latency(
             in_progress->member_double("achieved_latency_ns", -1.0),
-            window.incumbent)) {
+            design)) {
       result.error =
           "checkpoint in-progress latency does not match its incumbent";
       return result;
     }
-    if (ip.num_partitions != cp.next_n) {
+    if (num_partitions != cp.next_n) {
       // The writer always snapshots the stage it declared as next; a
       // disagreement means the two halves come from different writes.
       result.error = "in-progress stage does not match the sweep position";
       return result;
     }
-    cp.in_progress = std::move(ip);
+    cp.in_progress = std::move(window);
   }
 
   result.status = CheckpointLoadStatus::kOk;

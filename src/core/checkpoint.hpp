@@ -3,12 +3,14 @@
 // The paper's outer loops (Refine_Partitions_Bound over Reduce_Latency) are
 // long-running searches whose only durable output used to be the final
 // report: a crash or preemption at minute 59 lost everything. A
-// SweepCheckpoint is a versioned snapshot of everything the sweep needs to
-// re-enter where it left off: the completed partition bounds with their
-// per-N accounts, the incumbent design and its latency Da (the carried upper
-// bound and warm-start hint), and — when a Reduce_Latency bisection was
-// interrupted mid-window — the exact (d_max, d_min, incumbent) window state,
-// so resume continues the subdivision instead of re-probing from scratch.
+// SweepCheckpoint is the sweep's state itself, and a snapshot is that state
+// written out: the completed partition bounds with their per-N accounts, the
+// incumbent design and its latency Da (the carried upper bound and
+// warm-start hint), and — while a Reduce_Latency bisection runs — its exact
+// (d_max, d_min, iteration, incumbent) window, so resume continues the
+// subdivision instead of re-probing from scratch. The state changes only
+// when a stage completes; the report is that state plus the one stage that
+// did not finish.
 //
 // Snapshots are sealed (CRC32 trailer, see support/atomic_file.hpp) and
 // written atomically; a resume validates version, CRC and a fingerprint of
@@ -37,26 +39,22 @@ namespace sparcs::core {
 /// rejected with kVersionSkew (never reinterpreted).
 inline constexpr int kCheckpointVersion = 2;
 
-/// Mid-bisection state of one interrupted Reduce_Latency(N) run: the window
-/// as left after the last recorded probe, plus this N's incumbent, so resume
-/// re-enters the subdivision loop at the exact next target the uninterrupted
-/// run would have probed.
-struct CheckpointInProgress {
-  int num_partitions = 0;
-  BisectionWindow window;
-};
-
-/// Durable state of the partition sweep between two solves: the sweep's
-/// outcome fields as of the last completed stage (`seconds` is the wall time
-/// accumulated before this run), plus where to re-enter.
+/// The partition sweep's own state (TemporalPartitioner::run keeps exactly
+/// one): the outcome of every completed stage, where to go next and, while a
+/// stage runs, its live window. A snapshot is this state as it stands;
+/// `seconds` is the wall time up to that write, summed over resumed runs.
 struct SweepCheckpoint : SweepOutcome {
   /// True only when the sweep reached natural termination: resuming a
   /// complete checkpoint reproduces the final report without solving.
   bool complete = false;
-  int next_n = 0;  ///< partition bound the sweep runs next
-  /// Completed stages live in `stages`; an interrupted stage lives here and
-  /// is re-entered (not re-counted) on resume.
-  std::optional<CheckpointInProgress> in_progress;
+  /// The partition bound the sweep runs next: one past the last completed
+  /// stage, or the stage `in_progress` belongs to.
+  int next_n = 0;
+  /// The window of stage `next_n` once it has an incumbent (it is written in
+  /// the file's in_progress slot, with next_n as its num_partitions).
+  /// Completed stages live in `stages`; this one is re-entered, not
+  /// re-counted, on resume.
+  std::optional<BisectionWindow> in_progress;
 };
 
 /// FNV-1a fingerprint of everything that determines the sweep's trajectory:

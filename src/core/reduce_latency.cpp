@@ -237,8 +237,7 @@ std::optional<Probe> answer_by_bound(std::optional<StageSession>& session,
 
 ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
                                    const arch::Device& device,
-                                   int num_partitions, double d_max,
-                                   double d_min,
+                                   int num_partitions, BisectionWindow& window,
                                    const ReduceLatencyParams& params,
                                    Trace& trace) {
   SPARCS_REQUIRE(params.budget.delta > 0.0,
@@ -246,17 +245,14 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   trace::Span span("Reduce_Latency");
   span.arg("N", static_cast<std::int64_t>(num_partitions));
   ReduceLatencyResult result;
-  // A resumed refinement continues the interrupted run's numbering: the
-  // solves it already recorded count toward this stage's total, so a resumed
-  // sweep reports the same per-stage solve counts as an uninterrupted one.
-  int iteration = params.resume ? params.resume->iteration : 0;
-  if (params.resume) result.ilp_solves = params.resume->iteration;
+  std::optional<PartitionedDesign>& incumbent = window.incumbent;
 
+  // Numbering continues from the window's count, so a restored window's
+  // trace rows and solve total line up with an uninterrupted run's.
   auto record = [&](Probe& probe) {
-    probe.row.iteration = ++iteration;
+    probe.row.iteration = ++window.iteration;
     trace.push_back(probe.row);
     result.solver_stats.merge(probe.row.stats);
-    ++result.ilp_solves;
   };
 
   // Warm-start portfolio (the analog of seeding CPLEX with MIP starts): the
@@ -315,73 +311,57 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   std::optional<StageSession> session;
   auto probe_window = [&](double target) {
     if (std::optional<Probe> refuted = refute_by_bound(
-            graph, device, num_partitions, target, d_min, params)) {
+            graph, device, num_partitions, target, window.d_min, params)) {
       return std::move(*refuted);
     }
     const PartitionedDesign* fitting = fastest(target);
     if (std::optional<Probe> answered =
             answer_by_bound(session, graph, device, num_partitions, target,
-                            d_min, params, fitting)) {
+                            window.d_min, params, fitting)) {
       return std::move(*answered);
     }
     const PartitionedDesign* hint =
         fitting != nullptr ? fitting : fastest(milp::kInfinity);
-    return solve_window(session, graph, device, num_partitions, target, d_min,
-                        params, hint);
-  };
-
-  // Everything a checkpoint needs to re-enter the loop below, published
-  // after every probe once an incumbent exists.
-  auto notify_progress = [&] {
-    if (params.on_progress && result.best) {
-      params.on_progress(
-          BisectionWindow{d_max, d_min, iteration, *result.best});
-    }
+    return solve_window(session, graph, device, num_partitions, target,
+                        window.d_min, params, hint);
   };
 
   if (params.budget.interrupted()) {
-    // Deadline already gone: report a cut-short, empty refinement rather
-    // than launching a solve that cannot finish.
+    // Deadline already gone: report a cut-short refinement rather than
+    // launching a solve that cannot finish.
     result.cut_short = true;
     return result;
   }
 
-  if (params.resume) {
-    // Re-enter the interrupted refinement: the initial probe already ran in
-    // the previous process, its incumbent and window carry over verbatim.
-    d_max = params.resume->d_max;
-    d_min = params.resume->d_min;
-    result.best = params.resume->incumbent;
-    result.achieved_latency = result.best->total_latency_ns;
-    portfolio.push_back(*result.best);
-    SPARCS_ILOG << "Reduce_Latency(N=" << num_partitions
-                << ") resumed from checkpoint: window=[" << d_min << ", "
-                << d_max << "], Da=" << result.achieved_latency << " after "
-                << iteration << " solves";
-  } else {
-    Probe probe = probe_window(d_max);
+  if (!incumbent) {
+    Probe probe = probe_window(window.d_max);
     record(probe);
     if (probe.row.outcome != IterationOutcome::kFeasible) {
       result.cut_short = params.budget.interrupted();
       result.degraded = probe.row.outcome == IterationOutcome::kUncertified;
       return result;  // Da = 0: this partition bound yields no solution
     }
-    result.best = std::move(probe.design);
-    result.achieved_latency = result.best->total_latency_ns;
-    portfolio.push_back(*result.best);
-    notify_progress();
+    incumbent = std::move(probe.design);
+    if (params.on_progress) params.on_progress(window);
+  } else {
+    SPARCS_ILOG << "Reduce_Latency(N=" << num_partitions
+                << ") resumed from checkpoint: window=[" << window.d_min
+                << ", " << window.d_max << "], Da="
+                << incumbent->total_latency_ns << " after "
+                << window.iteration << " solves";
   }
+  portfolio.push_back(*incumbent);
 
   // Binary subdivision of the latency window. A cancellation or an expired
   // deadline unwinds here directly instead of burning a (fast but pointless)
-  // probe per halving; `best` stays valid as the anytime incumbent.
-  while (d_max - d_min >= params.budget.delta &&
-         result.achieved_latency - d_min >= params.budget.delta &&
+  // probe per halving; the incumbent stays valid as the anytime result.
+  while (window.d_max - window.d_min >= params.budget.delta &&
+         incumbent->total_latency_ns - window.d_min >= params.budget.delta &&
          !(result.cut_short = params.budget.interrupted())) {
-    double target = (d_max + d_min) / 2.0;
+    double target = (window.d_max + window.d_min) / 2.0;
     // The probe must ask for something strictly better than the incumbent.
-    while (target >= result.achieved_latency) {
-      target = (target + d_min) / 2.0;
+    while (target >= incumbent->total_latency_ns) {
+      target = (target + window.d_min) / 2.0;
     }
     // Warm-start from the portfolio (which includes the running incumbent):
     // the next solution is often a local perturbation of one of its shapes.
@@ -396,18 +376,17 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
       break;
     }
     if (probe.row.outcome == IterationOutcome::kFeasible) {
-      result.best = std::move(probe.design);
-      result.achieved_latency = result.best->total_latency_ns;
-      d_max = result.achieved_latency;
-      portfolio.push_back(*result.best);
+      incumbent = std::move(probe.design);
+      window.d_max = incumbent->total_latency_ns;
+      portfolio.push_back(*incumbent);
     } else {
-      d_min = target;
+      window.d_min = target;
     }
-    notify_progress();
+    if (params.on_progress) params.on_progress(window);
   }
   SPARCS_ILOG << "Reduce_Latency(N=" << num_partitions
-              << ") achieved Da=" << result.achieved_latency << " ns in "
-              << result.ilp_solves << " solves";
+              << ") achieved Da=" << incumbent->total_latency_ns << " ns in "
+              << window.iteration << " solves";
   return result;
 }
 

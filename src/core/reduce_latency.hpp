@@ -11,7 +11,9 @@
 // probe, or at its first answered one under --certify, whose design the
 // exact checker verifies against the model; every searched probe moves the
 // window on that model (IlpFormulation::set_window) and re-solves the
-// session.
+// session. The stage's state is one BisectionWindow, passed by reference:
+// the caller owns it, so a checkpoint can store it and a resume can hand it
+// back.
 #pragma once
 
 #include <functional>
@@ -27,18 +29,18 @@
 
 namespace sparcs::core {
 
-/// Window state of a refinement between two probes: what a checkpoint saves
-/// (ReduceLatencyParams::on_progress) and what a resume re-enters
-/// (ReduceLatencyParams::resume). On resume the refinement skips the initial
-/// full-window probe and re-enters the subdivision loop exactly where the
-/// interrupted run left it: same window, same incumbent, and iteration
-/// numbering continuing from the saved count (so the resumed trace and solve
-/// totals line up with an uninterrupted run's).
+/// The whole state of one Reduce_Latency(N) stage between two probes: the
+/// window [d_min, d_max], the probes recorded so far, and the stage's
+/// incumbent once a probe found one. reduce_latency() moves it in place; a
+/// checkpoint stores it as it stands after a probe, and a resume passes the
+/// restored window back in.
 struct BisectionWindow {
   double d_max = 0.0;
   double d_min = 0.0;
-  int iteration = 0;  ///< probes already recorded
-  PartitionedDesign incumbent;
+  int iteration = 0;  ///< probes recorded; the stage's ILP solve count
+  /// The stage's best design (Da = its latency), or nullopt before the first
+  /// feasible probe or when the bound is infeasible (the paper's "Da = 0").
+  std::optional<PartitionedDesign> incumbent;
 };
 
 struct ReduceLatencyParams {
@@ -53,38 +55,32 @@ struct ReduceLatencyParams {
   /// smaller partition bound); a greedy first-fit placement is used when
   /// absent or unusable within the window.
   std::optional<PartitionedDesign> warm_start;
-  /// Re-enter an interrupted refinement instead of starting the window from
-  /// scratch (the caller's d_max/d_min arguments are superseded).
-  std::optional<BisectionWindow> resume;
   /// Observed after every probe that left an incumbent in hand, with the
-  /// current window state — everything a checkpoint needs to re-enter here.
+  /// window as it stands: everything a checkpoint needs to re-enter here.
   /// Runs on the refinement's own thread; keep it cheap and exception-free.
-  std::function<void(BisectionWindow window)> on_progress;
+  std::function<void(const BisectionWindow& window)> on_progress;
 };
 
+/// How a stage ended; its design and solve count are in the window.
 struct ReduceLatencyResult {
-  /// Best design found, or nullopt when the partition bound is infeasible
-  /// (the paper's "Da = 0" case).
-  std::optional<PartitionedDesign> best;
-  double achieved_latency = 0.0;  ///< Da; 0 when infeasible
-  int ilp_solves = 0;
-  milp::SolverStats solver_stats;  ///< aggregate over all probes
+  milp::SolverStats solver_stats;  ///< aggregate over this call's probes
   /// True when the refinement stopped early (deadline/cancellation) instead
-  /// of converging the window to delta: `best` is an anytime result.
+  /// of converging the window to delta: the incumbent is an anytime result.
   bool cut_short = false;
   /// True when a probe's verdict stayed uncertified after the distrust
   /// retry: the subdivision stopped on a conservative window (no bound was
-  /// moved on the distrusted verdict) and `best` is the last certified
-  /// incumbent. See DESIGN.md, "Certified verdicts".
+  /// moved on the distrusted verdict) and the incumbent is the last
+  /// certified one. See DESIGN.md, "Certified verdicts".
   bool degraded = false;
 };
 
-/// Runs the latency refinement for `num_partitions`, appending one
-/// IterationRecord per solve to `trace`.
+/// Runs the latency refinement for `num_partitions` on `window`, appending
+/// one IterationRecord per solve to `trace`. A window without an incumbent
+/// is probed whole first; a window restored from a checkpoint already has
+/// one and goes straight to the subdivision.
 ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
                                    const arch::Device& device,
-                                   int num_partitions, double d_max,
-                                   double d_min,
+                                   int num_partitions, BisectionWindow& window,
                                    const ReduceLatencyParams& params,
                                    Trace& trace);
 

@@ -119,68 +119,38 @@ PartitionerReport TemporalPartitioner::run() const {
       open_checkpoint(graph_, device_, options_, result.delta_used);
   result.resume_error = std::move(session.resume_error);
   result.resumed = session.restored.has_value();
+  CheckpointWriter* const writer = session.writer.get();
 
   trace::Span sweep_span("Refine_Partitions_Bound");
   Stopwatch stopwatch;
 
-  // ---- checkpoint plumbing ----
-  // `ckpt` is the evolving durable state. Its SweepOutcome half is copied
-  // from `result` at stage boundaries only, where result.stages holds
-  // completed stages and nothing else: a cut-short stage always ends the
-  // sweep (it means the deadline or cancel token fired, and both stay
-  // fired), and skipped placeholders are only appended on a degraded finish,
-  // which does not sync. Mid-refinement snapshots carry the pre-stage
-  // outcome plus an in_progress window; stage completions clear the window.
-  CheckpointWriter* const ckpt_writer = session.writer.get();
-  const SweepCheckpoint* const resume =
-      session.restored ? &*session.restored : nullptr;
-  SweepCheckpoint ckpt;
-  double base_seconds = 0.0;
-
-  auto sync_ckpt_outcome = [&] {
-    result.seconds = base_seconds + stopwatch.seconds();
-    static_cast<SweepOutcome&>(ckpt) = result;
-  };
-
-  /// Declares the stage the sweep is about to run: mid-refinement snapshots
-  /// written while it runs restore to "re-enter stage `stage_n`, globals as
-  /// of the previous stage" (the phase follows from whether `best` is set).
-  auto arm_stage = [&](int stage_n) {
-    inner.on_progress = nullptr;
-    if (ckpt_writer == nullptr) return;
-    ckpt.next_n = stage_n;
-    sync_ckpt_outcome();
-    inner.on_progress = [&ckpt, ckpt_writer,
-                         stage_n](BisectionWindow window) {
-      ckpt.in_progress = CheckpointInProgress{stage_n, std::move(window)};
-      ckpt_writer->write(ckpt, /*force=*/false);
-    };
-  };
-
-  /// Persists a completed (not cut-short) stage. Cut-short stages are never
-  /// recorded as done: a resume re-enters them through in_progress instead.
-  auto checkpoint_stage_done = [&](int stage_n, bool cut_short) {
-    if (ckpt_writer == nullptr || cut_short) return;
-    ckpt.in_progress.reset();
-    ckpt.next_n = stage_n + 1;
-    sync_ckpt_outcome();
-    ckpt_writer->write(ckpt, /*force=*/true);
-  };
-
-  if (resume != nullptr) {
-    // Restore the outcome of the interrupted run; the loop below then starts
-    // at the first stage the checkpoint does not account as completed.
-    static_cast<SweepOutcome&>(result) = *resume;
-    base_seconds = resume->seconds;
-    ckpt = *resume;
-    if (result.best) {
-      telemetry::publish_best_latency(result.achieved_latency,
-                                      result.best_num_partitions);
+  // The sweep's one state: restored from the checkpoint on resume, changed
+  // only when a stage completes, and written out as it stands. While a stage
+  // runs, `state.in_progress` is its window, which Reduce_Latency moves in
+  // place; a restored window re-enters its stage's bisection.
+  SweepCheckpoint state =
+      std::move(session.restored).value_or(SweepCheckpoint{});
+  if (result.resumed) {
+    if (state.best) {
+      telemetry::publish_best_latency(state.achieved_latency,
+                                      state.best_num_partitions);
     }
     SPARCS_ILOG << "Refine_Partitions_Bound: resuming from checkpoint ("
-                << resume->stages.size() << " stages done, phase "
-                << (resume->best ? 2 : 1) << ", next N=" << resume->next_n
-                << (resume->in_progress ? ", mid-refinement" : "") << ")";
+                << state.stages.size() << " stages done, phase "
+                << (state.best ? 2 : 1) << ", next N=" << state.next_n
+                << (state.in_progress ? ", mid-refinement" : "") << ")";
+  }
+  state.next_n = std::max(state.next_n, n_start);
+
+  /// Lands the state as it stands; `seconds` first gains the wall time
+  /// since the previous write, so it sums over this run and resumed ones.
+  auto write = [&](bool force) {
+    state.seconds += stopwatch.seconds();
+    stopwatch.reset();
+    if (writer != nullptr) writer->write(state, force);
+  };
+  if (writer != nullptr) {
+    inner.on_progress = [&write](const BisectionWindow&) { write(false); };
   }
 
   // Bounds only weaken along the sweep (DESIGN.md §10): once LB(N) falls to
@@ -191,115 +161,41 @@ PartitionerReport TemporalPartitioner::run() const {
   // stage.
   LatencyBoundSource reach = LatencyBoundSource::kMilp;
 
-  /// Appends the stage account for partition bound `n`: its solve count and
-  /// the solver wall time of the trace rows it appended.
-  auto record_stage = [&](int stage_n, const ReduceLatencyResult& reduced,
-                          std::size_t first_row) {
-    StageAccount account;
-    account.num_partitions = stage_n;
-    account.status = reduced.cut_short    ? StageStatus::kCutShort
-                     : reduced.degraded ? StageStatus::kDegraded
-                                        : StageStatus::kProbed;
-    account.solves = reduced.ilp_solves;
-    for (std::size_t i = first_row; i < result.trace.size(); ++i) {
-      account.seconds += result.trace[i].seconds;
-    }
-    result.stages.push_back(account);
-  };
-
-  auto finish = [&] {
-    // A stage interrupted mid-refinement — or stopped on an uncertified
-    // verdict — degrades the result even when the sweep then terminated at
-    // its natural end of range.
-    for (const StageAccount& account : result.stages) {
-      if (account.status == StageStatus::kCutShort ||
-          account.status == StageStatus::kDegraded) {
-        result.degraded = true;
-      }
-    }
-    result.feasible = result.best.has_value();
-    result.seconds = base_seconds + stopwatch.seconds();
-    if (ckpt_writer != nullptr) {
-      if (!result.degraded) {
-        // Natural termination: seal the checkpoint as a complete record of
-        // the answer; resuming it reproduces the report without solving.
-        ckpt.complete = true;
-        ckpt.in_progress.reset();
-        sync_ckpt_outcome();
-      }
-      // A degraded finish deliberately does NOT sync the outcome: the
-      // cut-short stage's partial solves are already folded into
-      // result.ilp_solves, but on resume that stage re-runs from
-      // in_progress and re-reports its full count — syncing here would
-      // double-count them. The checkpoint keeps the last consistent
-      // (stage-boundary) outcome plus the freshest in_progress window,
-      // which the throttle may have withheld from disk until now.
-      ckpt_writer->write(ckpt, /*force=*/true);
-    }
-    telemetry::publish_degraded(result.degraded);
-    telemetry::set_stage("done", result.best_num_partitions);
-    if (result.best) {
-      const DesignCheck check = validate_design(graph_, device_, *result.best);
-      SPARCS_CHECK(check.ok, "partitioner returned an invalid design: " +
-                                 check.violation);
-    }
-  };
-
-  if (resume != nullptr && resume->complete) {
-    // The interrupted run had already terminated naturally; the restored
-    // globals and stage accounts ARE the final answer.
-    finish();
-    return result;
-  }
-
-  // The stage (if any) the checkpoint left mid-refinement; consumed by the
-  // first matching stage below, which re-enters its bisection window.
-  int resume_mid_stage = -1;
-  if (resume != nullptr && resume->in_progress) {
-    resume_mid_stage = resume->in_progress->num_partitions;
-  }
-  auto consume_mid_stage = [&](int stage_n) {
-    inner.resume.reset();
-    if (resume_mid_stage != stage_n) return;
-    inner.resume = resume->in_progress->window;
-    resume_mid_stage = -1;
-  };
-
   // One stage per partition bound N, from N^l_min + alpha (or the first
   // bound a checkpoint left unfinished) upwards. Phase 1 runs until a first
   // design exists: each window is [MinLatency(N), MaxLatency(N)] and the
   // sweep may run up to n_phase1_cap. Phase 2 relaxes N up to n_stop looking
   // for strictly better designs: the achieved latency Da caps every further
   // window, the incumbent seeds it, and MinLatency(N) >= Da ends the sweep.
-  const int n_first =
-      resume != nullptr ? std::max(n_start, resume->next_n) : n_start;
-  for (int n = n_first;; ++n) {
-    const bool found = result.best.has_value();
+  // A complete checkpoint already holds the final answer.
+  const int n_first = state.next_n;
+  // The first bound the budget left unstarted (0: the budget never stopped
+  // the sweep), and the account of the stage it cut short, if any. A
+  // cut-short stage always ends the sweep: the deadline or the cancel token
+  // fired, and both stay fired.
+  int stopped_at = 0;
+  std::optional<StageAccount> cut_short;
+  while (!state.complete) {
+    const int n = state.next_n;
+    const bool found = state.best.has_value();
     if (found && n > n_stop) break;
-    // Phase 2 checks the budget before each stage, phase 1 after each one;
-    // either way the bounds left unprobed are accounted as skipped.
+    // Phase 2 checks the budget before each stage, phase 1 after each one.
     if ((found || n > n_first) && budget.interrupted()) {
-      result.degraded = true;
-      for (int skipped = n; skipped <= n_stop; ++skipped) {
-        result.stages.push_back(
-            StageAccount{skipped, StageStatus::kSkipped, 0, 0.0});
-      }
+      stopped_at = n;
       break;
     }
     if (!found && n > n_phase1_cap) break;  // no solution in explorable range
     telemetry::set_stage(found ? "phase2" : "phase1", n);
     const double d_min = min_latency(graph_, device_, n);
-    if (found && d_min >= result.achieved_latency) {
+    if (found && d_min >= state.achieved_latency) {
       // Even a perfect schedule at N partitions pays more reconfiguration
       // overhead than the incumbent: the incumbent is final.
-      result.stopped_by_lower_bound = true;
+      state.stopped_by_lower_bound = true;
       break;
     }
-    arm_stage(n);
-    consume_mid_stage(n);
     // Seed the new partition bound with the incumbent design: it stays valid
     // when N grows and focuses the solver on local improvements.
-    inner.warm_start = result.best;
+    inner.warm_start = state.best;
     LatencyBound bound{d_min, LatencyBoundSource::kMinLatency, {}};
     if (reach != LatencyBoundSource::kMinLatency) {
       bound = latency_relaxation_bound(graph_, device_, n,
@@ -308,25 +204,96 @@ PartitionerReport TemporalPartitioner::run() const {
     }
     reach = std::min(reach, bound.source);
     inner.latency_bound = std::move(bound);
-    const double d_max =
-        found ? result.achieved_latency : max_latency(graph_, device_, n);
-    const std::size_t first_row = result.trace.size();
-    ReduceLatencyResult reduced = reduce_latency(
-        graph_, device_, n, d_max, d_min, inner, result.trace);
-    result.ilp_solves += reduced.ilp_solves;
-    result.solver_stats.merge(reduced.solver_stats);
-    record_stage(n, reduced, first_row);
-    if (reduced.best &&
-        (!found || reduced.achieved_latency < result.achieved_latency)) {
-      result.best = std::move(reduced.best);
-      result.achieved_latency = reduced.achieved_latency;
-      result.best_num_partitions = n;
-      telemetry::publish_best_latency(result.achieved_latency, n);
+    if (!state.in_progress) {
+      const double d_max =
+          found ? state.achieved_latency : max_latency(graph_, device_, n);
+      state.in_progress = BisectionWindow{d_max, d_min, 0, std::nullopt};
     }
-    checkpoint_stage_done(n, reduced.cut_short);
+    BisectionWindow& window = *state.in_progress;
+    const std::size_t first_row = result.trace.size();
+    const ReduceLatencyResult reduced =
+        reduce_latency(graph_, device_, n, window, inner, result.trace);
+    result.solver_stats.merge(reduced.solver_stats);
+    // The stage's account: its solve count and the solver wall time of the
+    // trace rows this run appended for it.
+    StageAccount account{n,
+                         reduced.cut_short  ? StageStatus::kCutShort
+                         : reduced.degraded ? StageStatus::kDegraded
+                                            : StageStatus::kProbed,
+                         window.iteration, 0.0};
+    for (std::size_t i = first_row; i < result.trace.size(); ++i) {
+      account.seconds += result.trace[i].seconds;
+    }
+    if (reduced.cut_short) {
+      cut_short = account;
+      stopped_at = n + 1;
+      break;
+    }
+    // The stage completed: commit it.
+    state.stages.push_back(account);
+    state.ilp_solves += account.solves;
+    if (window.incumbent &&
+        (!found ||
+         window.incumbent->total_latency_ns < state.achieved_latency)) {
+      state.achieved_latency = window.incumbent->total_latency_ns;
+      state.best = std::move(window.incumbent);
+      state.best_num_partitions = n;
+      telemetry::publish_best_latency(state.achieved_latency, n);
+    }
+    state.in_progress.reset();
+    ++state.next_n;
+    write(/*force=*/true);
   }
 
-  finish();
+  // A stage stopped on an uncertified verdict degrades the result even when
+  // the sweep then terminated at its natural end of range.
+  result.degraded =
+      stopped_at > 0 ||
+      std::any_of(state.stages.begin(), state.stages.end(),
+                  [](const StageAccount& account) {
+                    return account.status == StageStatus::kDegraded;
+                  });
+  if (!result.degraded) {
+    // Natural termination: seal the state as a complete record of the
+    // answer; resuming it reproduces the report without solving.
+    state.complete = true;
+    state.in_progress.reset();
+  } else if (cut_short && !state.in_progress->incumbent) {
+    state.in_progress.reset();  // nothing to re-enter: the stage re-runs
+  }
+  write(/*force=*/true);
+
+  // The report: the committed state, plus the stage that did not finish
+  // (its partial solves and anytime incumbent) and the bounds never started.
+  static_cast<SweepOutcome&>(result) = state;
+  if (cut_short) {
+    result.stages.push_back(*cut_short);
+    result.ilp_solves += cut_short->solves;
+    if (state.in_progress) {
+      const PartitionedDesign& anytime = *state.in_progress->incumbent;
+      if (!result.best || anytime.total_latency_ns < result.achieved_latency) {
+        result.best = anytime;
+        result.achieved_latency = anytime.total_latency_ns;
+        result.best_num_partitions = cut_short->num_partitions;
+        telemetry::publish_best_latency(result.achieved_latency,
+                                        result.best_num_partitions);
+      }
+    }
+  }
+  if (stopped_at > 0) {
+    for (int skipped = stopped_at; skipped <= n_stop; ++skipped) {
+      result.stages.push_back(
+          StageAccount{skipped, StageStatus::kSkipped, 0, 0.0});
+    }
+  }
+  result.feasible = result.best.has_value();
+  telemetry::publish_degraded(result.degraded);
+  telemetry::set_stage("done", result.best_num_partitions);
+  if (result.best) {
+    const DesignCheck check = validate_design(graph_, device_, *result.best);
+    SPARCS_CHECK(check.ok, "partitioner returned an invalid design: " +
+                               check.violation);
+  }
   sweep_span.arg("Da_ns", result.achieved_latency);
   sweep_span.arg("best_N", static_cast<std::int64_t>(result.best_num_partitions));
   sweep_span.arg("ilp_solves", static_cast<std::int64_t>(result.ilp_solves));

@@ -14,6 +14,13 @@
 // derived from whether a design exists yet. Each stage computes LB(N) once,
 // before its Reduce_Latency call, and the trace rows follow in (N, iteration)
 // order because every stage appends its own rows as it runs.
+//
+// The loop's state is one SweepCheckpoint (core/checkpoint): restored on
+// resume, committed only when a stage completes, and written out as it
+// stands. A running stage's BisectionWindow lives in that state and is
+// passed by reference to Reduce_Latency. The report is built once, at the
+// end: the committed state, this run's trace and solver stats, the stage the
+// budget cut short (if any) and the bounds it never started.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +61,8 @@ struct StageAccount {
 
 /// The part of a sweep's outcome that a checkpoint stores and a resume
 /// restores (core/checkpoint). SweepCheckpoint and PartitionerReport both
-/// derive from it, so syncing one into the other is a single assignment.
+/// derive from it: the report starts as one assignment from the sweep's
+/// committed state.
 struct SweepOutcome {
   std::optional<PartitionedDesign> best;
   double achieved_latency = 0.0;  ///< Da of the returned design; 0 if none

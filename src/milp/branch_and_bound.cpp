@@ -1237,7 +1237,8 @@ MilpSolution solve_branch_and_bound(const Model& model,
   for (const SolverStats& stats : worker_stats) result.stats.merge(stats);
   {
     // Incumbent acceptances were recorded centrally (under the pool lock);
-    // bound events live in the worker stats merged above.
+    // bound events live in the worker stats merged above. All of them share
+    // the pool's clock, so one sort makes the solve's timeline.
     std::vector<ConvergenceEvent> accepted = pool.take_convergence();
     auto& timeline = result.stats.convergence;
     timeline.insert(timeline.end(), accepted.begin(), accepted.end());

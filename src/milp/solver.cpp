@@ -93,9 +93,10 @@ MilpSolution Solver::solve() {
   if (solution.certified == CertifyStatus::kUncertified && !params_.distrust) {
     // Distrust-and-retry: one re-solve under numerically cautious settings
     // (Bland's rule from the start, tightened tolerances). The retry's
-    // verdict replaces the distrusted one; its stats absorb the first
-    // attempt's so the session accounts for the total work. It runs on what
-    // the first attempt left of the time and node limits, so the two
+    // verdict replaces the distrusted one; its stats add to the first
+    // attempt's so the session accounts for the total work, and the
+    // timeline keeps attempt order (first attempt, then retry). It runs on
+    // what the first attempt left of the time and node limits, so the two
     // attempts together stay inside the solve's budget.
     SPARCS_WLOG << "verdict " << to_string(solution.status)
                 << " failed exact certification (" << solution.certify_detail
@@ -106,7 +107,8 @@ MilpSolution Solver::solve() {
     retry_params.node_limit -= solution.stats.nodes_explored;
     MilpSolution retried =
         solve_branch_and_bound(model_, retry_params, live.slot());
-    retried.stats.merge(solution.stats);
+    solution.stats.merge(retried.stats);
+    retried.stats = std::move(solution.stats);
     retried.stats.certify_retries += 1;
     solution = std::move(retried);
     certify_verdict(model_, retry_params, solution);

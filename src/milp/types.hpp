@@ -267,8 +267,10 @@ struct SolverStats {
   /// telemetry stream).
   [[nodiscard]] std::string to_json() const;
 
-  /// Accumulates another solve's stats (each counter by its merge rule;
-  /// timelines concatenate and re-sort by timestamp).
+  /// Accumulates another solve's stats: each counter by its merge rule, and
+  /// `other`'s timeline appended after this one's. Each solve's t_sec counts
+  /// from its own start, so timelines of different solves are never sorted
+  /// into one another.
   void merge(const SolverStats& other);
 };
 
@@ -298,10 +300,6 @@ inline void SolverStats::merge(const SolverStats& other) {
   }
   convergence.insert(convergence.end(), other.convergence.begin(),
                      other.convergence.end());
-  std::stable_sort(convergence.begin(), convergence.end(),
-                   [](const ConvergenceEvent& a, const ConvergenceEvent& b) {
-                     return a.t_sec < b.t_sec;
-                   });
 }
 
 /// Writes `events` as the "convergence" array member of the object `w` is

@@ -1,7 +1,7 @@
 // Crash-safety suite: the atomic-write/CRC layer, the JSON reader, the
 // checkpoint schema (fingerprint binding, corruption/version/mismatch
-// rejection) and the contract that matters most — a sweep interrupted at an
-// arbitrary checkpoint and resumed must report exactly what the
+// rejection) and the contract that matters most — a sweep interrupted after
+// any of its checkpoint writes and resumed must report exactly what the
 // uninterrupted run reports.
 #include <gtest/gtest.h>
 
@@ -308,37 +308,69 @@ TEST(CheckpointTest, GoldenMidBisectionSnapshotLoadsAndReserializes) {
   EXPECT_EQ(cp.stages[1].solves, 8);
   EXPECT_EQ(cp.stages[1].seconds, 0.003688754);
   ASSERT_TRUE(cp.in_progress.has_value());
-  EXPECT_EQ(cp.in_progress->num_partitions, 4);
-  const BisectionWindow& window = cp.in_progress->window;
+  const BisectionWindow& window = *cp.in_progress;
   EXPECT_EQ(window.d_max, 1120.0);
   EXPECT_EQ(window.d_min, 1117.5);
   EXPECT_EQ(window.iteration, 5);
-  EXPECT_EQ(window.incumbent.num_partitions_allocated, 4);
-  EXPECT_EQ(window.incumbent.total_latency_ns, 1120.0);
-  ASSERT_EQ(window.incumbent.assignment.size(), 6u);
-  EXPECT_EQ(window.incumbent.assignment[5].partition, 4);
+  ASSERT_TRUE(window.incumbent.has_value());
+  EXPECT_EQ(window.incumbent->num_partitions_allocated, 4);
+  EXPECT_EQ(window.incumbent->total_latency_ns, 1120.0);
+  ASSERT_EQ(window.incumbent->assignment.size(), 6u);
+  EXPECT_EQ(window.incumbent->assignment[5].partition, 4);
 
   EXPECT_EQ(serialize_checkpoint(cp, fp), kGoldenMidBisection);
 }
 
-TEST(CheckpointTest, InProgressLatencyMustMatchItsIncumbent) {
-  // The golden snapshot with in_progress.achieved_latency_ns edited and the
-  // CRC re-sealed: only the cross-check against the incumbent can catch it.
+/// Loads the golden snapshot with `from` replaced by `to` and the CRC
+/// re-sealed, so only the loader's own cross-checks can catch the edit.
+CheckpointLoadResult parse_edited_golden(const std::string& from,
+                                         const std::string& to) {
   std::string error;
   std::string body =
       atomicfile::unseal_json_with_crc(kGoldenMidBisection, &error).value();
-  const std::string from = "\"iteration\": 5,\"achieved_latency_ns\": 1120";
   const auto at = body.find(from);
-  ASSERT_NE(at, std::string::npos);
-  body.replace(at, from.size(),
-               "\"iteration\": 5,\"achieved_latency_ns\": 1119");
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) body.replace(at, from.size(), to);
   const std::uint64_t fp = checkpoint_fingerprint(
       ar_graph(), ar_device(), 0, 1, 5.0, 64, FormulationOptions{});
-  const CheckpointLoadResult r = parse_checkpoint(
-      atomicfile::seal_json_with_crc(body), fp, ar_graph(), ar_device());
+  return parse_checkpoint(atomicfile::seal_json_with_crc(body), fp,
+                          ar_graph(), ar_device());
+}
+
+TEST(CheckpointTest, InProgressLatencyMustMatchItsIncumbent) {
+  const CheckpointLoadResult r =
+      parse_edited_golden("\"iteration\": 5,\"achieved_latency_ns\": 1120",
+                          "\"iteration\": 5,\"achieved_latency_ns\": 1119");
   EXPECT_EQ(r.status, CheckpointLoadStatus::kCorrupt);
   EXPECT_NE(r.error.find("in-progress latency"), std::string::npos)
       << r.error;
+}
+
+// The committed stages are completed ones, in ascending N below next_n;
+// their solves sum to ilp_solves, and the best design comes from one of them.
+TEST(CheckpointTest, CommittedStagesMustBeTheSweepsOwn) {
+  const struct {
+    const char* from;
+    const char* to;
+    const char* error;
+  } edits[] = {
+      {"\"status\": \"probed\",\"solves\": 8",
+       "\"status\": \"probed\",\"solves\": 7", "do not sum"},
+      {"\"status\": \"probed\",\"solves\": 8",
+       "\"status\": \"cut-short\",\"solves\": 8", "not a completed"},
+      {"\"num_partitions\": 2,\"status\"", "\"num_partitions\": 3,\"status\"",
+       "not ascending"},
+      {"\"num_partitions\": 3,\"status\"", "\"num_partitions\": 4,\"status\"",
+       "not ascending"},
+      {"\"best_num_partitions\": 3", "\"best_num_partitions\": 1",
+       "no committed stage"},
+  };
+  for (const auto& edit : edits) {
+    const CheckpointLoadResult r = parse_edited_golden(edit.from, edit.to);
+    EXPECT_EQ(r.status, CheckpointLoadStatus::kCorrupt) << edit.to;
+    EXPECT_NE(r.error.find(edit.error), std::string::npos)
+        << edit.to << ": " << r.error;
+  }
 }
 
 TEST(CheckpointTest, WriterThrottlesUnforcedWritesAndReportsFailure) {
@@ -385,17 +417,20 @@ void expect_reports_equal(const PartitionerReport& base,
 }
 
 TEST(CheckpointResumeTest, InterruptedSweepResumesToIdenticalReport) {
+  // Count the baseline's durable writes, then interrupt after each one in
+  // turn, resume, and demand the uninterrupted report on every
+  // deterministic field.
   const std::string base_path = temp_path("ckpt_resume_base.json");
-  const PartitionerReport baseline =
-      run_partitioner(base_path, /*resume=*/false);
+  int total_writes = 0;
+  const PartitionerReport baseline = run_partitioner(
+      base_path, /*resume=*/false,
+      [&total_writes](const SweepCheckpoint&) { ++total_writes; });
   ASSERT_TRUE(baseline.feasible);
   ASSERT_FALSE(baseline.degraded);
+  ASSERT_GE(total_writes, 7);
   std::remove(base_path.c_str());
 
-  // Interrupt after the k-th durable checkpoint write — early, mid-sweep and
-  // late — then resume and demand the uninterrupted report, byte for byte on
-  // every deterministic field.
-  for (const int k : {1, 2, 4, 7}) {
+  for (int k = 1; k <= total_writes; ++k) {
     const std::string path =
         temp_path("ckpt_resume_k" + std::to_string(k) + ".json");
     milp::CancelToken cancel = milp::CancelToken::create();
@@ -407,8 +442,9 @@ TEST(CheckpointResumeTest, InterruptedSweepResumesToIdenticalReport) {
         },
         cancel);
     if (!interrupted.degraded) {
-      // The sweep finished before the k-th write: nothing was lost, and the
-      // run must simply match the baseline.
+      // The sweep had nothing left to run after the k-th write (the final
+      // seal, or the last stage's commit): it must simply match the
+      // baseline.
       expect_reports_equal(baseline, interrupted, "k=" + std::to_string(k));
     } else {
       const PartitionerReport resumed = run_partitioner(path, /*resume=*/true);

@@ -30,17 +30,24 @@ ReduceLatencyParams reduce_params(double delta) {
   return params;
 }
 
+/// The full window [MinLatency(N), MaxLatency(N)] of a fresh stage.
+BisectionWindow full_window(const graph::TaskGraph& g, const arch::Device& dev,
+                            int n) {
+  return BisectionWindow{max_latency(g, dev, n), min_latency(g, dev, n), 0,
+                         std::nullopt};
+}
+
 TEST(ReduceLatencyTest, FindsSolutionAndTightens) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = ar_device(50);
   Trace trace;
   const int n = 3;
-  const ReduceLatencyResult r =
-      reduce_latency(g, dev, n, max_latency(g, dev, n),
-                     min_latency(g, dev, n), reduce_params(20.0), trace);
-  ASSERT_TRUE(r.best.has_value());
-  EXPECT_GT(r.achieved_latency, 0.0);
-  EXPECT_TRUE(validate_design(g, dev, *r.best).ok);
+  BisectionWindow r = full_window(g, dev, n);
+  reduce_latency(g, dev, n, r, reduce_params(20.0), trace);
+  ASSERT_TRUE(r.incumbent.has_value());
+  EXPECT_GT(r.incumbent->total_latency_ns, 0.0);
+  EXPECT_TRUE(validate_design(g, dev, *r.incumbent).ok);
+  EXPECT_EQ(r.iteration, static_cast<int>(trace.size()));
   ASSERT_GE(trace.size(), 2u);
   // Feasible iterations must be monotonically improving.
   double last = 1e30;
@@ -50,7 +57,44 @@ TEST(ReduceLatencyTest, FindsSolutionAndTightens) {
       last = row.achieved_latency;
     }
   }
-  EXPECT_DOUBLE_EQ(last, r.achieved_latency);
+  EXPECT_DOUBLE_EQ(last, r.incumbent->total_latency_ns);
+}
+
+// A window restored after any probe re-enters the subdivision where it
+// stood: no full-window probe, the same remaining probes and the same
+// final window as the uninterrupted refinement.
+TEST(ReduceLatencyTest, RestoredWindowContinuesTheRefinement) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  const arch::Device dev = ar_device(50);
+  const int n = 3;
+  ReduceLatencyParams params = reduce_params(5.0);
+  params.budget.solver.num_threads = 1;
+  std::vector<BisectionWindow> snapshots;
+  params.on_progress = [&snapshots](const BisectionWindow& window) {
+    snapshots.push_back(window);
+  };
+  Trace full_trace;
+  BisectionWindow full = full_window(g, dev, n);
+  reduce_latency(g, dev, n, full, params, full_trace);
+  ASSERT_GE(snapshots.size(), 2u);
+  params.on_progress = nullptr;
+  for (const BisectionWindow& snapshot : snapshots) {
+    BisectionWindow window = snapshot;
+    Trace trace;
+    reduce_latency(g, dev, n, window, params, trace);
+    const auto done = static_cast<std::size_t>(snapshot.iteration);
+    ASSERT_EQ(done + trace.size(), full_trace.size()) << done;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_EQ(trace[i].iteration, full_trace[done + i].iteration);
+      EXPECT_EQ(trace[i].d_max_bound, full_trace[done + i].d_max_bound);
+      EXPECT_EQ(trace[i].outcome, full_trace[done + i].outcome);
+    }
+    EXPECT_EQ(window.iteration, full.iteration);
+    EXPECT_EQ(window.d_min, full.d_min);
+    EXPECT_EQ(window.d_max, full.d_max);
+    EXPECT_EQ(window.incumbent->total_latency_ns,
+              full.incumbent->total_latency_ns);
+  }
 }
 
 TEST(ReduceLatencyTest, InfeasibleBoundReturnsZero) {
@@ -58,11 +102,10 @@ TEST(ReduceLatencyTest, InfeasibleBoundReturnsZero) {
   // One partition cannot hold the whole filter (min total area 394 > 200).
   const arch::Device dev = ar_device(50);
   Trace trace;
-  const ReduceLatencyResult r =
-      reduce_latency(g, dev, 1, max_latency(g, dev, 1),
-                     min_latency(g, dev, 1), reduce_params(20.0), trace);
-  EXPECT_FALSE(r.best.has_value());
-  EXPECT_DOUBLE_EQ(r.achieved_latency, 0.0);
+  BisectionWindow r = full_window(g, dev, 1);
+  reduce_latency(g, dev, 1, r, reduce_params(20.0), trace);
+  EXPECT_FALSE(r.incumbent.has_value());
+  EXPECT_EQ(r.iteration, 1);
   EXPECT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].outcome, IterationOutcome::kInfeasible);
 }
@@ -72,25 +115,24 @@ TEST(ReduceLatencyTest, DeltaControlsIterationCount) {
   const arch::Device dev = ar_device(50);
   const int n = 3;
   Trace coarse_trace, fine_trace;
-  const ReduceLatencyResult coarse =
-      reduce_latency(g, dev, n, max_latency(g, dev, n),
-                     min_latency(g, dev, n), reduce_params(500.0),
-                     coarse_trace);
-  const ReduceLatencyResult fine =
-      reduce_latency(g, dev, n, max_latency(g, dev, n),
-                     min_latency(g, dev, n), reduce_params(10.0), fine_trace);
-  ASSERT_TRUE(coarse.best.has_value());
-  ASSERT_TRUE(fine.best.has_value());
+  BisectionWindow coarse = full_window(g, dev, n);
+  reduce_latency(g, dev, n, coarse, reduce_params(500.0), coarse_trace);
+  BisectionWindow fine = full_window(g, dev, n);
+  reduce_latency(g, dev, n, fine, reduce_params(10.0), fine_trace);
+  ASSERT_TRUE(coarse.incumbent.has_value());
+  ASSERT_TRUE(fine.incumbent.has_value());
   // A finer tolerance explores at least as much and never ends up worse.
   EXPECT_GE(fine_trace.size(), coarse_trace.size());
-  EXPECT_LE(fine.achieved_latency, coarse.achieved_latency + 1e-9);
+  EXPECT_LE(fine.incumbent->total_latency_ns,
+            coarse.incumbent->total_latency_ns + 1e-9);
 }
 
 TEST(ReduceLatencyTest, RejectsNonPositiveDelta) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = ar_device(50);
   Trace trace;
-  EXPECT_THROW(reduce_latency(g, dev, 2, 1e4, 0, reduce_params(0.0), trace),
+  BisectionWindow window{1e4, 0.0, 0, std::nullopt};
+  EXPECT_THROW(reduce_latency(g, dev, 2, window, reduce_params(0.0), trace),
                InvalidArgumentError);
 }
 
@@ -149,11 +191,10 @@ TEST(RefinePartitionsTest, SmallReconfigExploresLargerN) {
 
   // And the achieved latency must beat the best design at N = n_first.
   Trace trace;
-  const ReduceLatencyResult at_min = reduce_latency(
-      g, dev, n_first, max_latency(g, dev, n_first),
-      min_latency(g, dev, n_first), reduce_params(10.0), trace);
-  ASSERT_TRUE(at_min.best.has_value());
-  EXPECT_LT(r.achieved_latency, at_min.achieved_latency);
+  BisectionWindow at_min = full_window(g, dev, n_first);
+  reduce_latency(g, dev, n_first, at_min, reduce_params(10.0), trace);
+  ASSERT_TRUE(at_min.incumbent.has_value());
+  EXPECT_LT(r.achieved_latency, at_min.incumbent->total_latency_ns);
 }
 
 TEST(PartitionerTest, EndToEndReportIsConsistent) {

@@ -317,6 +317,26 @@ TEST(MilpSolverTest, FieldTableDrivesMergeAndJson) {
   EXPECT_GT(json.find("\"convergence\""), last_pos);
 }
 
+// Each solve's t_sec counts from its own start, so merging two solves
+// keeps their timelines whole, in merge order, even where the timestamps
+// interleave.
+TEST(MilpSolverTest, SolverStatsMergeConcatenatesTimelinesInMergeOrder) {
+  using Kind = ConvergenceEvent::Kind;
+  SolverStats first;
+  first.convergence = {{0.1, 30.0, 1, Kind::kIncumbent},
+                       {0.3, 20.0, 5, Kind::kIncumbent}};
+  SolverStats second;
+  second.convergence = {{0.05, 25.0, 2, Kind::kIncumbent},
+                        {0.2, 10.0, 9, Kind::kBound}};
+  first.merge(second);
+  std::vector<double> t_sec;
+  for (const ConvergenceEvent& event : first.convergence) {
+    t_sec.push_back(event.t_sec);
+  }
+  EXPECT_EQ(t_sec, (std::vector<double>{0.1, 0.3, 0.05, 0.2}));
+  EXPECT_EQ(first.convergence[2].objective, 25.0);
+}
+
 TEST(MilpSolverTest, InfeasibleModelCountsPrunedNodes) {
   Model m;
   const VarId x = m.add_binary("x");
