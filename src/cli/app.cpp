@@ -480,7 +480,7 @@ int run_serve(const std::vector<std::string>& args, std::ostream& out,
 
   // SIGINT/SIGTERM trip the server's stop token: the accept loop notices,
   // preempts in-flight jobs through their cancel tokens (running sweeps land
-  // checkpoints and reports on the way out) and returns cleanly.
+  // their reports on the way out) and returns cleanly.
   SignalGuard signals(options.stop);
   out << "serving on " << options.socket_path << "\n";
   service::Server server(std::move(options));
@@ -524,8 +524,6 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
       parsed.submit.request.priority = parse_number<int>(arg, value());
     } else if (arg == "--detach") {
       parsed.submit.request.detach = true;
-    } else if (arg == "--no-checkpoint") {
-      parsed.submit.request.checkpoint = false;
     } else if (arg == "--est-memory-mb") {
       parsed.submit.request.est_memory_mb = parse_number<double>(arg, value());
     } else if (!parsed.submit.parse(args, &i)) {
@@ -685,13 +683,13 @@ service (daemon):
                              submits are rejected with memory_limit
                              (default 4096)
   --serve-artifact-dir DIR   land per-job artifacts here (<job>.report.json,
-                             <job>.ckpt, <job>.logs.jsonl); omit to keep
-                             results in memory only
+                             <job>.logs.jsonl); omit to keep results in
+                             memory only
   --serve-threads-per-job N  default solver threads per job (default 1)
 
 service (client verbs; all print the raw JSON response to stdout):
   submit {<graph.tg>|--workload W} [--priority N] [--detach] [--wait]
-         [--no-checkpoint] [--est-memory-mb X] [the solve options above]
+         [--est-memory-mb X] [the solve options above]
                              queue one job; --wait blocks for its terminal
                              result (a second response line) and exits with
                              the job's one-shot-equivalent exit code; without
@@ -700,8 +698,8 @@ service (client verbs; all print the raw JSON response to stdout):
   result --job ID [--wait]   a terminal job's full report
   cancel --job ID            cancel a queued or running job
   list                       queue depth, running jobs, admission headroom
-  shutdown                   graceful daemon shutdown (in-flight jobs are
-                             preempted through their checkpoint path)
+  shutdown                   graceful daemon shutdown (queued jobs cancel;
+                             running jobs preempt and land their reports)
 
 signals:
   SIGINT/SIGTERM preempt the run gracefully: the in-flight solve cancels
@@ -768,7 +766,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
 
     int code = [&]() -> int {
     const service::JobSpec job =
-        service::resolve_job(parsed.solve.to_request(), "cli-device", 0);
+        service::resolve_job(parsed.solve.to_request(), 0);
     const graph::TaskGraph& graph = job.graph;
     const arch::Device& dev = job.device;
     out << "graph '" << graph.name() << "': " << graph.num_tasks()
@@ -801,8 +799,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
                                      report.to_json() + "\n", "report", out,
                                      err);
     }
-    const int run_code = core::run_exit_code(report.feasible, report.degraded,
-                                             report.uncertified());
+    const int run_code = core::run_exit_code(report);
     // Certification summary: how many verdicts were checked exactly and
     // whether any stayed uncertified after the distrust retry.
     if (options.budget.solver.certify != milp::CertifyMode::kOff) {

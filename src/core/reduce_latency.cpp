@@ -235,16 +235,28 @@ std::optional<Probe> answer_by_bound(std::optional<StageSession>& session,
 
 }  // namespace
 
-ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
-                                   const arch::Device& device,
-                                   int num_partitions, BisectionWindow& window,
-                                   const ReduceLatencyParams& params,
-                                   Trace& trace) {
+std::string to_string(StageStatus status) {
+  switch (status) {
+    case StageStatus::kProbed:
+      return "probed";
+    case StageStatus::kCutShort:
+      return "cut-short";
+    case StageStatus::kSkipped:
+      return "skipped";
+    case StageStatus::kDegraded:
+      return "degraded";
+  }
+  return "unknown";
+}
+
+StageStatus reduce_latency(const graph::TaskGraph& graph,
+                           const arch::Device& device, int num_partitions,
+                           BisectionWindow& window,
+                           const ReduceLatencyParams& params, Trace& trace) {
   SPARCS_REQUIRE(params.budget.delta > 0.0,
                  "latency tolerance delta must be > 0");
   trace::Span span("Reduce_Latency");
   span.arg("N", static_cast<std::int64_t>(num_partitions));
-  ReduceLatencyResult result;
   std::optional<PartitionedDesign>& incumbent = window.incumbent;
 
   // Numbering continues from the window's count, so a restored window's
@@ -252,7 +264,13 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   auto record = [&](Probe& probe) {
     probe.row.iteration = ++window.iteration;
     trace.push_back(probe.row);
-    result.solver_stats.merge(probe.row.stats);
+  };
+  // A search the deadline or the cancel token stopped decided nothing: it is
+  // not recorded and moves no bound, so the window (and a checkpoint of it)
+  // stays where the last settled probe left it.
+  auto interrupted = [&](const Probe& probe) {
+    return probe.row.outcome == IterationOutcome::kLimit &&
+           params.budget.interrupted();
   };
 
   // Warm-start portfolio (the analog of seeding CPLEX with MIP starts): the
@@ -329,17 +347,19 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   if (params.budget.interrupted()) {
     // Deadline already gone: report a cut-short refinement rather than
     // launching a solve that cannot finish.
-    result.cut_short = true;
-    return result;
+    return StageStatus::kCutShort;
   }
 
   if (!incumbent) {
     Probe probe = probe_window(window.d_max);
+    if (interrupted(probe)) return StageStatus::kCutShort;
     record(probe);
     if (probe.row.outcome != IterationOutcome::kFeasible) {
-      result.cut_short = params.budget.interrupted();
-      result.degraded = probe.row.outcome == IterationOutcome::kUncertified;
-      return result;  // Da = 0: this partition bound yields no solution
+      // Da = 0: this partition bound yields no solution.
+      if (params.budget.interrupted()) return StageStatus::kCutShort;
+      return probe.row.outcome == IterationOutcome::kUncertified
+                 ? StageStatus::kDegraded
+                 : StageStatus::kProbed;
     }
     incumbent = std::move(probe.design);
     if (params.on_progress) params.on_progress(window);
@@ -355,9 +375,13 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   // Binary subdivision of the latency window. A cancellation or an expired
   // deadline unwinds here directly instead of burning a (fast but pointless)
   // probe per halving; the incumbent stays valid as the anytime result.
+  StageStatus status = StageStatus::kProbed;
   while (window.d_max - window.d_min >= params.budget.delta &&
-         incumbent->total_latency_ns - window.d_min >= params.budget.delta &&
-         !(result.cut_short = params.budget.interrupted())) {
+         incumbent->total_latency_ns - window.d_min >= params.budget.delta) {
+    if (params.budget.interrupted()) {
+      status = StageStatus::kCutShort;
+      break;
+    }
     double target = (window.d_max + window.d_min) / 2.0;
     // The probe must ask for something strictly better than the incumbent.
     while (target >= incumbent->total_latency_ns) {
@@ -366,13 +390,17 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
     // Warm-start from the portfolio (which includes the running incumbent):
     // the next solution is often a local perturbation of one of its shapes.
     Probe probe = probe_window(target);
+    if (interrupted(probe)) {
+      status = StageStatus::kCutShort;
+      break;
+    }
     record(probe);
     if (probe.row.outcome == IterationOutcome::kUncertified) {
       // Conservative stop: raising d_min on a distrusted "infeasible" could
       // fence off the true optimum, and a distrusted "feasible" design must
       // not become the reported latency. The incumbent (last probe that DID
       // certify) stands; the window simply stops refining.
-      result.degraded = true;
+      status = StageStatus::kDegraded;
       break;
     }
     if (probe.row.outcome == IterationOutcome::kFeasible) {
@@ -387,7 +415,7 @@ ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
   SPARCS_ILOG << "Reduce_Latency(N=" << num_partitions
               << ") achieved Da=" << incumbent->total_latency_ns << " ns in "
               << window.iteration << " solves";
-  return result;
+  return status;
 }
 
 }  // namespace sparcs::core

@@ -13,11 +13,15 @@
 // window on that model (IlpFormulation::set_window) and re-solves the
 // session. The stage's state is one BisectionWindow, passed by reference:
 // the caller owns it, so a checkpoint can store it and a resume can hand it
-// back.
+// back. A search that a deadline or cancellation cuts short settles nothing:
+// it leaves no trace row and does not move the window, so a resume re-enters
+// that probe.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 
 #include "arch/device.hpp"
 #include "core/bounds.hpp"
@@ -61,27 +65,31 @@ struct ReduceLatencyParams {
   std::function<void(const BisectionWindow& window)> on_progress;
 };
 
-/// How a stage ended; its design and solve count are in the window.
-struct ReduceLatencyResult {
-  milp::SolverStats solver_stats;  ///< aggregate over this call's probes
-  /// True when the refinement stopped early (deadline/cancellation) instead
-  /// of converging the window to delta: the incumbent is an anytime result.
-  bool cut_short = false;
-  /// True when a probe's verdict stayed uncertified after the distrust
-  /// retry: the subdivision stopped on a conservative window (no bound was
-  /// moved on the distrusted verdict) and the incumbent is the last
-  /// certified one. See DESIGN.md, "Certified verdicts".
-  bool degraded = false;
+/// How a stage ended; its design and solve count are in the window, its
+/// trace rows in the caller's trace.
+enum class StageStatus : std::uint8_t {
+  kProbed,    ///< Reduce_Latency ran to natural termination
+  /// Reduce_Latency started but was interrupted (deadline or cancellation)
+  /// mid-refinement: the incumbent, if any, is an anytime result.
+  kCutShort,
+  kSkipped,   ///< never started: the budget/deadline expired first
+  /// An uncertified solver verdict stopped the stage's refinement on a
+  /// conservative window (no bound was moved on the distrusted verdict); its
+  /// incumbent (if any) is the last certified one, but the window did not
+  /// converge to delta. See DESIGN.md, "Certified verdicts".
+  kDegraded,
 };
 
+[[nodiscard]] std::string to_string(StageStatus status);
+
 /// Runs the latency refinement for `num_partitions` on `window`, appending
-/// one IterationRecord per solve to `trace`. A window without an incumbent
+/// one IterationRecord per settled probe to `trace` (the stage's solver
+/// stats are the merge of those rows' stats). A window without an incumbent
 /// is probed whole first; a window restored from a checkpoint already has
 /// one and goes straight to the subdivision.
-ReduceLatencyResult reduce_latency(const graph::TaskGraph& graph,
-                                   const arch::Device& device,
-                                   int num_partitions, BisectionWindow& window,
-                                   const ReduceLatencyParams& params,
-                                   Trace& trace);
+StageStatus reduce_latency(const graph::TaskGraph& graph,
+                           const arch::Device& device, int num_partitions,
+                           BisectionWindow& window,
+                           const ReduceLatencyParams& params, Trace& trace);
 
 }  // namespace sparcs::core

@@ -18,24 +18,10 @@
 
 namespace sparcs::core {
 
-std::string to_string(StageStatus status) {
-  switch (status) {
-    case StageStatus::kProbed:
-      return "probed";
-    case StageStatus::kCutShort:
-      return "cut-short";
-    case StageStatus::kSkipped:
-      return "skipped";
-    case StageStatus::kDegraded:
-      return "degraded";
-  }
-  return "unknown";
-}
-
-int run_exit_code(bool feasible, bool degraded, bool uncertified) {
-  if (uncertified) return 7;
-  if (degraded) return 3;
-  return feasible ? 0 : 2;
+int run_exit_code(const PartitionerReport& report) {
+  if (report.uncertified()) return 7;
+  if (report.degraded) return 3;
+  return report.feasible ? 0 : 2;
 }
 
 namespace {
@@ -211,20 +197,16 @@ PartitionerReport TemporalPartitioner::run() const {
     }
     BisectionWindow& window = *state.in_progress;
     const std::size_t first_row = result.trace.size();
-    const ReduceLatencyResult reduced =
-        reduce_latency(graph_, device_, n, window, inner, result.trace);
-    result.solver_stats.merge(reduced.solver_stats);
-    // The stage's account: its solve count and the solver wall time of the
-    // trace rows this run appended for it.
-    StageAccount account{n,
-                         reduced.cut_short  ? StageStatus::kCutShort
-                         : reduced.degraded ? StageStatus::kDegraded
-                                            : StageStatus::kProbed,
-                         window.iteration, 0.0};
+    StageAccount account{
+        n, reduce_latency(graph_, device_, n, window, inner, result.trace),
+        window.iteration, 0.0};
+    // The stage's solver stats and account seconds: those of the trace rows
+    // this run appended for it.
     for (std::size_t i = first_row; i < result.trace.size(); ++i) {
+      result.solver_stats.merge(result.trace[i].stats);
       account.seconds += result.trace[i].seconds;
     }
-    if (reduced.cut_short) {
+    if (account.status == StageStatus::kCutShort) {
       cut_short = account;
       stopped_at = n + 1;
       break;

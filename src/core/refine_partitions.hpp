@@ -23,7 +23,6 @@
 // budget cut short (if any) and the bounds it never started.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,19 +34,6 @@
 #include "graph/task_graph.hpp"
 
 namespace sparcs::core {
-
-/// How the sweep treated one partition bound N.
-enum class StageStatus : std::uint8_t {
-  kProbed,    ///< Reduce_Latency ran to natural termination
-  kCutShort,  ///< Reduce_Latency started but was interrupted mid-refinement
-  kSkipped,   ///< never started: the budget/deadline expired first
-  /// An uncertified solver verdict stopped the stage's refinement on a
-  /// conservative window; its incumbent (if any) is certified, but the
-  /// window did not converge to delta.
-  kDegraded,
-};
-
-[[nodiscard]] std::string to_string(StageStatus status);
 
 /// Per-partition-bound account of the sweep, the basis of the anytime
 /// degradation report: on budget expiry the caller can see exactly which N
@@ -111,7 +97,6 @@ struct PartitionerReport : SweepOutcome {
 /// Exit code of a finished run, shared by the CLI and the solve service:
 /// 7 when a verdict stayed uncertified, else 3 when degraded, else 2 when
 /// no design was found, else 0.
-[[nodiscard]] int run_exit_code(bool feasible, bool degraded,
-                                bool uncertified);
+[[nodiscard]] int run_exit_code(const PartitionerReport& report);
 
 }  // namespace sparcs::core

@@ -299,8 +299,7 @@ class WorkerPool {
   /// holds mu_, which keeps the timeline time-ordered across workers.
   void record_convergence_locked(double obj) {
     const double caller_obj = objective_flipped_ ? -obj : obj;
-    convergence_.push_back({stopwatch.seconds(), caller_obj, total_nodes(),
-                            ConvergenceEvent::Kind::kIncumbent});
+    convergence_.push_back({stopwatch.seconds(), caller_obj, total_nodes()});
     if (live_ != nullptr) {
       live_->incumbent.store(caller_obj, std::memory_order_relaxed);
       live_->has_incumbent.store(true, std::memory_order_relaxed);
@@ -438,8 +437,8 @@ class BnbSearch {
   /// the live telemetry slot (called every kLivePublishPeriod nodes).
   void publish_live();
   /// Solves one root LP with the true objective and publishes the resulting
-  /// dual bound to the live slot and the convergence timeline. Only runs
-  /// while a live telemetry slot is attached (costs one extra LP).
+  /// dual bound to the live slot only. Only runs while a live telemetry slot
+  /// is attached (costs one extra LP, which the solver stats do not count).
   void publish_root_bound();
   bool position_pruned();
   bool first_feasible_mode() const {
@@ -800,16 +799,15 @@ void BnbSearch::publish_root_bound() {
       compiled_.objective_terms().empty()) {
     return;
   }
+  // The LP is the observer's, not the solve's: it is not absorbed into the
+  // solver stats, so a sampled run counts what an unobserved one does.
   const FoldedLp node = fold_node_lp(/*with_objective=*/true);
   const LpResult lp_result = solve_lp(node.lp, node_lp_params());
-  absorb_lp(lp_result);
   if (lp_result.status != LpStatus::kOptimal) return;
   const double bound = lp_result.objective + node.offset;
-  const double caller_bound = compiled_.objective_flipped() ? -bound : bound;
-  live_->best_bound.store(caller_bound, std::memory_order_relaxed);
+  live_->best_bound.store(compiled_.objective_flipped() ? -bound : bound,
+                          std::memory_order_relaxed);
   live_->has_bound.store(true, std::memory_order_relaxed);
-  stats_.convergence.push_back({pool_.stopwatch.seconds(), caller_bound, nodes_,
-                                ConvergenceEvent::Kind::kBound});
 }
 
 void BnbSearch::record_incumbent(std::vector<double> values) {
@@ -1235,18 +1233,9 @@ MilpSolution solve_branch_and_bound(const Model& model,
 
   MilpSolution result;
   for (const SolverStats& stats : worker_stats) result.stats.merge(stats);
-  {
-    // Incumbent acceptances were recorded centrally (under the pool lock);
-    // bound events live in the worker stats merged above. All of them share
-    // the pool's clock, so one sort makes the solve's timeline.
-    std::vector<ConvergenceEvent> accepted = pool.take_convergence();
-    auto& timeline = result.stats.convergence;
-    timeline.insert(timeline.end(), accepted.begin(), accepted.end());
-    std::stable_sort(timeline.begin(), timeline.end(),
-                     [](const ConvergenceEvent& a, const ConvergenceEvent& b) {
-                       return a.t_sec < b.t_sec;
-                     });
-  }
+  // Incumbent acceptances were recorded centrally, under the pool lock and
+  // on the pool's clock, so they are already in time order.
+  result.stats.convergence = pool.take_convergence();
 
   const bool limit_stopped = pool.limit_hit();
   if (pool.have_solution() && first_feasible_mode && limit_stopped) {

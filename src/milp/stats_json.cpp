@@ -16,9 +16,7 @@ void write_convergence(report::ReportWriter& w,
     w.field("t_sec", event.t_sec);
     w.field("objective", event.objective);
     w.field("nodes", event.nodes);
-    w.field("kind", event.kind == ConvergenceEvent::Kind::kIncumbent
-                        ? "incumbent"
-                        : "bound");
+    w.field("kind", "incumbent");
     w.end_object();
   }
   w.end_array();

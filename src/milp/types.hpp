@@ -190,14 +190,12 @@ struct SolverParams {
 };
 
 /// One timestamped event on a solve's convergence timeline: an accepted
-/// incumbent or a tightened global bound, in caller convention (maximization
-/// objectives are reported as the caller sees them).
+/// incumbent, in caller convention (maximization objectives are reported as
+/// the caller sees them).
 struct ConvergenceEvent {
-  enum class Kind : std::uint8_t { kIncumbent, kBound };
   double t_sec = 0.0;      ///< since the solve started
-  double objective = 0.0;  ///< incumbent objective or bound value
+  double objective = 0.0;  ///< incumbent objective
   std::int64_t nodes = 0;  ///< nodes explored when the event fired
-  Kind kind = Kind::kIncumbent;
 };
 
 /// The SolverStats accumulators, one row each, in report (JSON key) order:
@@ -257,9 +255,9 @@ struct SolverStats {
   SPARCS_SOLVER_STATS_FIELDS(SPARCS_SOLVER_STATS_DECLARE)
 #undef SPARCS_SOLVER_STATS_DECLARE
 
-  /// Incumbent/bound improvement timeline, time-ordered. Incumbents are
-  /// recorded under the worker pool's shared lock and merged with the
-  /// workers' bound events by time.
+  /// Accepted-incumbent timeline of one solve, time-ordered: recorded under
+  /// the worker pool's shared lock. A merged stats keeps each solve's
+  /// timeline whole, in merge order.
   std::vector<ConvergenceEvent> convergence;
 
   /// Renders every accumulator plus the convergence timeline as one JSON

@@ -39,8 +39,8 @@ int JobInfo::exit_code() const {
     case JobState::kDone:
       break;
   }
-  return core::run_exit_code(result.feasible, result.degraded,
-                             result.uncertified);
+  // A done job always carries its report; without one it found no design.
+  return result.report != nullptr ? core::run_exit_code(*result.report) : 2;
 }
 
 JobQueue::JobQueue(Limits limits)

@@ -10,7 +10,9 @@
 // Ordering: higher priority first, FIFO (submission order) within a
 // priority. Worker threads block in pop() until a job or stop() arrives.
 // All mutable job state is guarded by the queue mutex; responders read
-// consistent copies through info()/list(), never the Job fields directly.
+// consistent JobInfo snapshots through lookup()/wait_terminal()/list(), never
+// the Job fields directly. A terminal job's result is its finished
+// PartitionerReport, held once and shared by every snapshot of the job.
 #pragma once
 
 #include <chrono>
@@ -49,24 +51,17 @@ struct JobSpec {
   std::string source;  ///< "ar" / "dct" / ... or "<inline>" for listings
   graph::TaskGraph graph;
   arch::Device device;
-  core::PartitionerOptions options;  ///< budget, certify, checkpoint, cancel
+  core::PartitionerOptions options;  ///< alpha/gamma, budget, certify
   double deadline_sec = 0.0;  ///< armed when the job *starts*, not at submit
-  /// Maintain a per-job sweep checkpoint (only effective when the server has
-  /// an artifact dir; the path is derived from the job name at run time).
-  bool checkpoint = true;
 };
 
 /// Outcome of a terminal job: what a worker reports back through finish(),
-/// kept on the Job and copied out whole in each JobInfo.
+/// kept on the Job. A JobInfo copies the report's pointer, never the report.
 struct JobResult {
-  bool feasible = false;
-  bool degraded = false;
-  bool uncertified = false;
-  double latency_ns = 0.0;
-  int num_partitions = 0;
-  int ilp_solves = 0;
+  /// The finished sweep's report; null when the job failed or was cancelled
+  /// while queued.
+  std::shared_ptr<const core::PartitionerReport> report;
   std::string error;        ///< kFailed diagnostic
-  std::string report_json;  ///< full PartitionerReport document
   std::string report_path;  ///< landed artifact, empty when not configured
 };
 
@@ -107,7 +102,8 @@ struct JobInfo {
   JobResult result;
 
   /// CLI-compatible exit code of a terminal job: 0 ok, 2 infeasible,
-  /// 3 degraded, 4 failed, 5 cancelled, 7 uncertified (-1 while live).
+  /// 3 degraded, 4 failed, 5 cancelled, 7 uncertified (-1 while live); a
+  /// done job's is its report's core::run_exit_code.
   [[nodiscard]] int exit_code() const;
 };
 

@@ -109,8 +109,6 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
                                     auto& field, OptionRange) {
       read_member(*options, "options.", key, field, violation);
     });
-    read_member(*options, "options.", "checkpoint", out->checkpoint,
-                violation);
     read_member(*options, "options.", "est_memory_mb", out->est_memory_mb,
                 violation);
   }
@@ -196,7 +194,6 @@ std::string serialize_request(const Request& request) {
         w.field(std::string(key), value);
       }
     });
-    w.field("checkpoint", s.checkpoint);
     if (s.est_memory_mb > 0.0) w.field("est_memory_mb", s.est_memory_mb);
     w.end_object();
   }

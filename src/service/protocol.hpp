@@ -8,7 +8,7 @@
 //   {"op":"submit", "workload":"ar"|"dct"|"ewf" | "graph_text":"<.tg text>",
 //    "priority":INT, "detach":BOOL, "options":{
 //        <the solve options of for_each_solve_option, by key>,
-//        "checkpoint":BOOL, "est_memory_mb":NUM}}
+//        "est_memory_mb":NUM}}
 //   {"op":"status",  "job":"job-N"}
 //   {"op":"result",  "job":"job-N", "wait":BOOL}
 //   {"op":"cancel",  "job":"job-N"}
@@ -16,7 +16,10 @@
 //   {"op":"shutdown"}
 //
 // Responses always carry "ok" and echo "op". Success responses add op-
-// specific fields (see server.cpp); failures look like
+// specific fields (see server.cpp): status and each list entry summarize a
+// terminal job's report (exit_code, feasible, degraded, uncertified,
+// latency_ns, num_partitions, ilp_solves), and result adds the report
+// itself as "report"; failures look like
 //   {"ok":false,"op":...,"error":{"code":"...","message":"..."}}
 // with machine-readable codes: parse_error, bad_request, unknown_job,
 // queue_full, memory_limit, not_finished, shutting_down.
@@ -48,8 +51,7 @@ struct SubmitRequest {
   double deadline_sec = 0.0;  ///< whole-job wall deadline; 0 = none
   int threads = 1;  ///< solver threads per job (0 = front door's default)
   std::string certify = "off";
-  bool checkpoint = true;        ///< arm the per-job sweep checkpoint
-  double est_memory_mb = 0.0;    ///< admission estimate override; 0 = derive
+  double est_memory_mb = 0.0;  ///< admission estimate override; 0 = derive
 };
 
 /// How a range-check message names an option: "--delta" or "options.delta".

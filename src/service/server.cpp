@@ -57,30 +57,34 @@ void append_job_fields(report::ReportWriter& w, const JobInfo& info,
   w.field("queued_sec", info.queued_sec);
   w.field("run_sec", info.run_sec);
   if (is_terminal(info.state)) {
+    // A job without a report (failed, or cancelled while queued) renders
+    // the summary of a report that found nothing.
+    static const core::PartitionerReport kNoReport;
     const JobResult& result = info.result;
+    const core::PartitionerReport& report =
+        result.report != nullptr ? *result.report : kNoReport;
     w.field("exit_code", info.exit_code());
-    w.field("feasible", result.feasible);
-    w.field("degraded", result.degraded);
-    w.field("uncertified", result.uncertified);
-    if (result.feasible) {
-      w.field("latency_ns", result.latency_ns);
-      w.field("num_partitions", result.num_partitions);
+    w.field("feasible", report.feasible);
+    w.field("degraded", report.degraded);
+    w.field("uncertified", report.uncertified());
+    if (report.feasible) {
+      w.field("latency_ns", report.achieved_latency);
+      w.field("num_partitions", report.best_num_partitions);
     }
-    w.field("ilp_solves", result.ilp_solves);
+    w.field("ilp_solves", report.ilp_solves);
     if (!result.error.empty()) w.field("error_message", result.error);
     if (!result.report_path.empty()) {
       w.field("report_path", result.report_path);
     }
-    if (include_report && !result.report_json.empty()) {
-      w.raw_field("report", result.report_json);
+    if (include_report && result.report != nullptr) {
+      w.raw_field("report", report.to_json());
     }
   }
 }
 
 }  // namespace
 
-JobSpec resolve_job(const SubmitRequest& request,
-                    const std::string& device_name, int default_threads,
+JobSpec resolve_job(const SubmitRequest& request, int default_threads,
                     int max_partitions) {
   JobSpec spec;
   arch::Device device{"defaults", 576.0, 4096.0, 100.0};
@@ -93,7 +97,7 @@ JobSpec resolve_job(const SubmitRequest& request,
     if (file.device) device = *file.device;
     spec.source = spec.graph.name().empty() ? "<inline>" : spec.graph.name();
   }
-  spec.device = arch::custom(device_name,
+  spec.device = arch::custom("cli-device",
                              request.rmax.value_or(device.resource_capacity),
                              request.mmax.value_or(device.memory_capacity),
                              request.ct.value_or(device.reconfig_time_ns));
@@ -111,7 +115,6 @@ JobSpec resolve_job(const SubmitRequest& request,
                  "unknown certify mode '" + request.certify + "'");
   options.budget.solver.certify = *certify;
   spec.deadline_sec = request.deadline_sec;
-  spec.checkpoint = request.checkpoint;
   return spec;
 }
 
@@ -258,8 +261,8 @@ int Server::serve() {
   }
 
   // Graceful shutdown: reject new work, preempt everything in flight
-  // through the jobs' cancel tokens (running sweeps land their checkpoints
-  // and reports on the way out), then tear the threads down.
+  // through the jobs' cancel tokens (running sweeps land their reports on
+  // the way out), then tear the threads down.
   stopping_.store(true, std::memory_order_release);
   const int preempted = queue_.cancel_all();
   if (preempted > 0) {
@@ -324,28 +327,17 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
   JobState state = JobState::kDone;
   JobResult result;
   try {
-    core::PartitionerOptions options = start_options(job->spec, job->cancel);
-    if (!options_.artifact_dir.empty() && job->spec.checkpoint) {
-      options.checkpoint.path =
-          options_.artifact_dir + "/" + job->name + ".ckpt";
-    }
     SPARCS_ILOG << job->name << ": solving '" << job->spec.source << "' ("
                 << job->spec.graph.num_tasks() << " tasks)";
-    const core::PartitionerReport report =
-        core::TemporalPartitioner(job->spec.graph, job->spec.device, options)
-            .run();
-    result.feasible = report.feasible;
-    result.degraded = report.degraded;
-    result.uncertified = report.uncertified();
-    result.latency_ns = report.achieved_latency;
-    result.num_partitions = report.best_num_partitions;
-    result.ilp_solves = report.ilp_solves;
-    result.report_json = report.to_json();
+    auto report = std::make_shared<const core::PartitionerReport>(
+        core::TemporalPartitioner(job->spec.graph, job->spec.device,
+                                  start_options(job->spec, job->cancel))
+            .run());
     if (!options_.artifact_dir.empty()) {
       const std::string path =
           options_.artifact_dir + "/" + job->name + ".report.json";
       std::string error;
-      if (atomicfile::write_file_atomic(path, result.report_json + "\n",
+      if (atomicfile::write_file_atomic(path, report->to_json() + "\n",
                                         &error)) {
         result.report_path = path;
       } else {
@@ -355,9 +347,10 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     }
     // A preempted sweep comes back degraded with the token tripped; a sweep
     // that finished before its cancel landed is still a completed job.
-    if (job->cancel.cancelled() && report.degraded) {
+    if (job->cancel.cancelled() && report->degraded) {
       state = JobState::kCancelled;
     }
+    result.report = std::move(report);
   } catch (const Error& e) {
     state = JobState::kFailed;
     result.error = e.what();
@@ -434,7 +427,7 @@ std::string Server::handle_submit(const SubmitRequest& submit,
   }
   auto job = std::make_shared<Job>();
   try {
-    job->spec = resolve_job(submit, "service-device", options_.threads_per_job,
+    job->spec = resolve_job(submit, options_.threads_per_job,
                             options_.max_partitions);
   } catch (const Error& e) {
     return error_response("submit", "bad_request", e.what());

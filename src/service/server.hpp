@@ -12,15 +12,15 @@
 //        core::TemporalPartitioner under the job's own Observer and
 //        telemetry CorrelationScope, with the job's own CancelToken, a
 //        Deadline armed at start, and (when an artifact dir is configured)
-//        the job's own checkpoint file, report JSON and JSONL log — every
-//        facility of the one-shot CLI, made per-job.
+//        the job's own report JSON and JSONL log. The finished report is the
+//        job's result: the queue keeps it once, and responses render it.
 //
 // Shutdown: the "shutdown" op or a cancellation request on
 // ServerOptions::stop (the CLI wires SIGINT/SIGTERM to it) stops the accept
 // loop, cancels every queued and in-flight job — running sweeps unwind
-// through the same anytime/checkpoint path a one-shot deadline uses, landing
-// their artifacts — then joins workers and connections and unlinks the
-// socket. serve() returns 0 on a clean shutdown.
+// through the same anytime path a one-shot deadline uses, landing their
+// reports — then joins workers and connections and unlinks the socket.
+// serve() returns 0 on a clean shutdown.
 #pragma once
 
 #include <atomic>
@@ -46,9 +46,8 @@ struct ServerOptions {
   /// Admission control (see JobQueue::Limits).
   int max_queue_depth = 16;
   double max_est_memory_mb = 4096.0;
-  /// Directory for per-job artifacts (<job>.report.json, <job>.ckpt,
-  /// <job>.logs.jsonl); empty keeps results in memory only. Created if
-  /// missing.
+  /// Directory for per-job artifacts (<job>.report.json, <job>.logs.jsonl);
+  /// empty keeps results in memory only. Created if missing.
   std::string artifact_dir;
   /// Default solver threads per job when a submit does not override; 1 keeps
   /// num_workers concurrent jobs from oversubscribing the machine.
@@ -63,11 +62,11 @@ struct ServerOptions {
 /// Resolves an in-range request into a job, for the one-shot CLI and the
 /// daemon alike: the graph (built-in workload or .tg text), the device (Rmax
 /// 576, Mmax 4096, Ct 100 ns; the file's device over those; rmax/mmax/ct over
-/// both; named `device_name`, which the checkpoint fingerprint includes) and
-/// the partitioner options (`default_threads` for threads = 0). Throws Error.
+/// both; named "cli-device", which a CLI checkpoint's fingerprint includes)
+/// and the partitioner options (`default_threads` for threads = 0). Throws
+/// Error.
 [[nodiscard]] JobSpec resolve_job(
-    const SubmitRequest& request, const std::string& device_name,
-    int default_threads,
+    const SubmitRequest& request, int default_threads,
     int max_partitions = core::PartitionerOptions{}.max_partitions);
 
 /// The job's partitioner options, armed to run now: `cancel` stops the run

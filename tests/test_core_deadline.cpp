@@ -4,6 +4,7 @@
 // overrun deadline must never cancel the caller's token.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -106,6 +107,22 @@ TEST(DeadlineDegradationTest, TightDeadlineReturnsDegradedReportPromptly) {
     }
   }
   EXPECT_TRUE(saw_unfinished);
+  // A search the deadline stopped settled nothing: the cut stage's rows are
+  // the probes it decided, so none of them ends at a limit (every probe's
+  // limit is clamped to the 20 ms deadline) and its solves count its rows.
+  const auto cut = std::find_if(
+      report.stages.begin(), report.stages.end(), [](const StageAccount& s) {
+        return s.status == StageStatus::kCutShort;
+      });
+  ASSERT_NE(cut, report.stages.end());
+  int rows = 0;
+  for (const IterationRecord& row : report.trace) {
+    if (row.num_partitions != cut->num_partitions) continue;
+    ++rows;
+    EXPECT_NE(row.outcome, IterationOutcome::kLimit)
+        << "N=" << row.num_partitions << " iteration " << row.iteration;
+  }
+  EXPECT_EQ(cut->solves, rows);
   // Any anytime incumbent handed back must be a valid design (the
   // partitioner re-validates it; reaching here means it passed).
   const std::string json = report.to_json();

@@ -321,13 +321,10 @@ TEST(MilpSolverTest, FieldTableDrivesMergeAndJson) {
 // keeps their timelines whole, in merge order, even where the timestamps
 // interleave.
 TEST(MilpSolverTest, SolverStatsMergeConcatenatesTimelinesInMergeOrder) {
-  using Kind = ConvergenceEvent::Kind;
   SolverStats first;
-  first.convergence = {{0.1, 30.0, 1, Kind::kIncumbent},
-                       {0.3, 20.0, 5, Kind::kIncumbent}};
+  first.convergence = {{0.1, 30.0, 1}, {0.3, 20.0, 5}};
   SolverStats second;
-  second.convergence = {{0.05, 25.0, 2, Kind::kIncumbent},
-                        {0.2, 10.0, 9, Kind::kBound}};
+  second.convergence = {{0.05, 25.0, 2}, {0.2, 10.0, 9}};
   first.merge(second);
   std::vector<double> t_sec;
   for (const ConvergenceEvent& event : first.convergence) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -60,7 +61,6 @@ TEST(ServiceProtocol, SubmitRoundTripsThroughSerializeAndParse) {
   request.submit.time_limit_sec = 2.5;
   request.submit.deadline_sec = 9.0;
   request.submit.certify = "incumbents";
-  request.submit.checkpoint = false;
   request.submit.est_memory_mb = 64.0;
 
   const std::string line = serialize_request(request);
@@ -79,8 +79,14 @@ TEST(ServiceProtocol, SubmitRoundTripsThroughSerializeAndParse) {
   EXPECT_DOUBLE_EQ(decoded.submit.time_limit_sec, 2.5);
   EXPECT_DOUBLE_EQ(decoded.submit.deadline_sec, 9.0);
   EXPECT_EQ(decoded.submit.certify, "incumbents");
-  EXPECT_FALSE(decoded.submit.checkpoint);
   EXPECT_DOUBLE_EQ(decoded.submit.est_memory_mb, 64.0);
+
+  // An older client's submit may still carry "checkpoint": like any key the
+  // protocol does not name, it is ignored.
+  EXPECT_TRUE(parse_request(
+      R"({"op":"submit","workload":"ar","options":{"checkpoint":"yes"}})",
+      &decoded, &error))
+      << error;
 }
 
 TEST(ServiceProtocol, RejectsMalformedRequests) {
@@ -142,8 +148,6 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
        "options.delta"},
       {R"({"op":"submit","workload":"ar","options":{"certify":5}})",
        "options.certify"},
-      {R"({"op":"submit","workload":"ar","options":{"checkpoint":"yes"}})",
-       "options.checkpoint"},
       {R"({"op":"submit","workload":"ar","options":{"est_memory_mb":"2"}})",
        "options.est_memory_mb"},
       {R"({"op":"submit","workload":"ar","detach":1})", "detach"},
@@ -177,7 +181,7 @@ TEST(ServiceProtocol, ResolveJobLayersTheDeviceAndCarriesTheOptions) {
   request.time_limit_sec = 3.0;
   request.threads = 0;
   request.certify = "full";
-  JobSpec spec = resolve_job(request, "cli-device", 3, 9);
+  JobSpec spec = resolve_job(request, 3, 9);
   EXPECT_EQ(spec.source, "ar");
   EXPECT_EQ(spec.device.name, "cli-device");
   EXPECT_DOUBLE_EQ(spec.device.resource_capacity, 576.0);
@@ -199,7 +203,7 @@ TEST(ServiceProtocol, ResolveJobLayersTheDeviceAndCarriesTheOptions) {
   request.ct.reset();
   request.threads = 2;
   request.deadline_sec = 30.0;
-  spec = resolve_job(request, "cli-device", 3, 9);
+  spec = resolve_job(request, 3, 9);
   EXPECT_EQ(spec.source, "filedemo");
   EXPECT_DOUBLE_EQ(spec.device.resource_capacity, 200.0);
   EXPECT_DOUBLE_EQ(spec.device.memory_capacity, 32.0);
@@ -218,7 +222,7 @@ TEST(ServiceProtocol, ResolveJobLayersTheDeviceAndCarriesTheOptions) {
 
   request.workload = "nope";
   request.graph_text.clear();
-  EXPECT_THROW((void)resolve_job(request, "cli-device", 3, 9), Error);
+  EXPECT_THROW((void)resolve_job(request, 3, 9), Error);
 }
 
 // The submit line a client sends is fixed byte for byte: the daemon, the
@@ -230,7 +234,7 @@ TEST(ServiceProtocol, SerializedSubmitIsStable) {
   EXPECT_EQ(serialize_request(request),
             R"({"op": "submit","workload": "ar","options": {"delta": 0,)"
             R"("alpha": 0,"gamma": 1,"time_limit_sec": 10,"deadline_sec": 0,)"
-            R"("threads": 1,"certify": "off","checkpoint": true}})");
+            R"("threads": 1,"certify": "off"}})");
   request.submit.priority = 3;
   request.submit.detach = true;
   request.submit.rmax = 200.0;
@@ -243,14 +247,13 @@ TEST(ServiceProtocol, SerializedSubmitIsStable) {
   request.submit.deadline_sec = 9.0;
   request.submit.threads = 0;
   request.submit.certify = "full";
-  request.submit.checkpoint = false;
   request.submit.est_memory_mb = 64.0;
   EXPECT_EQ(serialize_request(request),
             R"({"op": "submit","workload": "ar","priority": 3,"detach": true,)"
             R"("options": {"rmax": 200,"mmax": 64,"ct": 10000000,)"
             R"("delta": 20.5,"alpha": 2,"gamma": 0,"time_limit_sec": 2.5,)"
             R"("deadline_sec": 9,"threads": 0,"certify": "full",)"
-            R"("checkpoint": false,"est_memory_mb": 64}})");
+            R"("est_memory_mb": 64}})");
 }
 
 TEST(ServiceProtocol, ErrorResponseIsWellFormed) {
@@ -350,14 +353,17 @@ TEST(ServiceJobQueue, WaitTerminalBlocksUntilFinish) {
   const std::string name = queue.submit(job).name;
   std::thread finisher([&] {
     const std::shared_ptr<Job> popped = queue.pop(1);
+    auto report = std::make_shared<core::PartitionerReport>();
+    report->feasible = true;
     JobResult result;
-    result.feasible = true;
+    result.report = report;
     queue.finish(popped, JobState::kDone, result);
   });
   JobInfo info;
   ASSERT_TRUE(queue.wait_terminal(name, &info));
   EXPECT_EQ(info.state, JobState::kDone);
-  EXPECT_TRUE(info.result.feasible);
+  ASSERT_NE(info.result.report, nullptr);
+  EXPECT_TRUE(info.result.report->feasible);
   EXPECT_EQ(info.exit_code(), 0);
   finisher.join();
   EXPECT_FALSE(queue.wait_terminal("job-404", nullptr));
@@ -381,7 +387,7 @@ class ServiceTest : public ::testing::Test {
              double memory_mb = 4096.0, bool artifacts = true) {
     // The daemon runs at info level (run_serve does the same): per-job JSONL
     // logs are made of the workers' info-level records.
-    previous_log_level_ = log_level();
+    if (server_ == nullptr) previous_log_level_ = log_level();
     set_log_level(LogLevel::kInfo);
     char tmpl[] = "/tmp/sparcs_service_XXXXXX";
     ASSERT_NE(mkdtemp(tmpl), nullptr);
@@ -400,12 +406,18 @@ class ServiceTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    stop();
+    set_log_level(previous_log_level_);
+  }
+
+  /// Shuts the daemon down and removes its temp dir; start() may follow.
+  void stop() {
     if (server_ != nullptr && serve_thread_.joinable()) {
       server_->request_shutdown();
       serve_thread_.join();
     }
     if (!dir_.empty()) std::filesystem::remove_all(dir_);
-    set_log_level(previous_log_level_);
+    dir_.clear();
   }
 
   [[nodiscard]] std::string socket_path() const { return dir_ + "/solve.sock"; }
@@ -796,6 +808,101 @@ TEST_F(ServiceTest, PerJobArtifactsLandUnderTheArtifactDir) {
   for (const auto& [n, count] : rows) {
     EXPECT_GE(probe_records[n], count) << "N=" << n;
   }
+}
+
+/// A response line with what differs between runs and hosts masked: the
+/// timings, the correlation id, the daemon's temp dir and a failure's text
+/// (it names a source location).
+std::string masked(std::string line, const std::string& dir) {
+  static const std::regex volatile_field(
+      R"re("(queued_sec|run_sec|corr)": [^,}]+)re");
+  static const std::regex error_text(
+      R"re("error_message": "(\\.|[^"\\])*")re");
+  line = std::regex_replace(line, volatile_field, "\"$1\": X");
+  line = std::regex_replace(line, error_text, "\"error_message\": \"X\"");
+  for (std::size_t at; (at = line.find(dir)) != std::string::npos;) {
+    line.replace(at, dir.size(), "DIR");
+  }
+  return line;
+}
+
+// The status, result and list lines of a done, a failed and a
+// cancelled-while-queued job are fixed byte for byte (times masked): the
+// result embeds the job's report exactly as its landed artifact holds it, and
+// a job without a report renders the fields of one that found nothing.
+TEST_F(ServiceTest, JobResponsesKeepTheirBytes) {
+  auto call = [&](Client& client, const std::string& op,
+                  const std::string& job) {
+    Request request;
+    request.op = op;
+    request.job = job;
+    return client.call(request);
+  };
+
+  // No workers: the job is still queued when it is cancelled.
+  start(/*workers=*/0);
+  {
+    Client client(socket_path());
+    const std::string job =
+        parse_ok(client.call(submit_workload("ar"))).member_string("job");
+    ASSERT_EQ(parse_ok(call(client, "cancel", job)).member_string("state"),
+              "cancelled");
+    EXPECT_EQ(masked(call(client, "status", job), dir_),
+              R"({"ok": true,"op": "status","job": "job-1","state": "cancelled","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"cancel_requested": true,"queued_sec": X,"run_sec": X,"exit_code": 5,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0})");
+    EXPECT_EQ(masked(call(client, "result", job), dir_),
+              R"({"ok": true,"op": "result","job": "job-1","state": "cancelled","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"cancel_requested": true,"queued_sec": X,"run_sec": X,"exit_code": 5,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0})");
+    EXPECT_EQ(masked(call(client, "list", ""), dir_),
+              R"({"ok": true,"op": "list","queue_depth": 0,"running": 0,"est_memory_in_use_mb": 0,"max_queue_depth": 16,"max_est_memory_mb": 4096,"jobs": [{"job": "job-1","state": "cancelled","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"cancel_requested": true,"queued_sec": X,"run_sec": X,"exit_code": 5,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0}]})");
+  }
+  stop();
+
+  // The AR filter of Table 1 converges; at Ct 1e308 its latency bound
+  // overflows and the formulation refuses the model, so that job fails.
+  start(/*workers=*/1);
+  Client client(socket_path());
+  std::string jobs[2];
+  for (int i = 0; i < 2; ++i) {
+    Request submit = submit_workload("ar");
+    submit.submit.rmax = 200.0;
+    submit.submit.mmax = 64.0;
+    submit.submit.ct = i == 0 ? 50.0 : 1e308;
+    submit.submit.delta = 20.0;
+    jobs[i] = parse_ok(client.call(submit)).member_string("job");
+    Request wait;
+    wait.op = "result";
+    wait.job = jobs[i];
+    wait.wait = true;
+    (void)client.call(wait);
+  }
+  const json::Value failed = parse_ok(call(client, "status", jobs[1]));
+  const json::Value* message = failed.find("error_message");
+  ASSERT_NE(message, nullptr);
+  EXPECT_NE(message->as_string().find("non-finite rhs"), std::string::npos);
+
+  // The done job's result ends in its report, byte for byte the landed one.
+  std::string done_result = call(client, "result", jobs[0]);
+  std::ifstream landed(dir_ + "/artifacts/" + jobs[0] + ".report.json");
+  std::ostringstream report;
+  report << landed.rdbuf();
+  ASSERT_FALSE(report.str().empty());
+  const std::string report_member =
+      ",\"report\": " + report.str().substr(0, report.str().size() - 1) + "}";
+  ASSERT_GT(done_result.size(), report_member.size());
+  ASSERT_EQ(done_result.substr(done_result.size() - report_member.size()),
+            report_member);
+  done_result.resize(done_result.size() - report_member.size());
+  done_result += "}";
+
+  EXPECT_EQ(masked(call(client, "status", jobs[0]), dir_),
+            R"({"ok": true,"op": "status","job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"})");
+  EXPECT_EQ(masked(done_result, dir_),
+            R"({"ok": true,"op": "result","job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"})");
+  EXPECT_EQ(masked(call(client, "status", jobs[1]), dir_),
+            R"({"ok": true,"op": "status","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
+  EXPECT_EQ(masked(call(client, "result", jobs[1]), dir_),
+            R"({"ok": true,"op": "result","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
+  EXPECT_EQ(masked(call(client, "list", ""), dir_),
+            R"({"ok": true,"op": "list","queue_depth": 0,"running": 0,"est_memory_in_use_mb": 0,"max_queue_depth": 16,"max_est_memory_mb": 4096,"jobs": [{"job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"},{"job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"}]})");
 }
 
 }  // namespace

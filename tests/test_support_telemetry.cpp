@@ -376,10 +376,8 @@ TEST(TelemetryTest, SolveRecordsConvergenceTimeline) {
   for (const milp::ConvergenceEvent& e : s.stats.convergence) {
     EXPECT_GE(e.t_sec, last_t);
     last_t = e.t_sec;
-    if (e.kind == milp::ConvergenceEvent::Kind::kIncumbent) {
-      EXPECT_GE(e.objective, last_obj);
-      last_obj = e.objective;
-    }
+    EXPECT_GE(e.objective, last_obj);
+    last_obj = e.objective;
   }
   EXPECT_NEAR(last_obj, 20.0, 1e-6);
   const std::string json = s.stats.to_json();
@@ -409,6 +407,48 @@ TEST(TelemetryTest, ParallelSolveMergesOrderedConvergence) {
   for (const milp::ConvergenceEvent& e : s.stats.convergence) {
     EXPECT_GE(e.t_sec, last_t);  // merged timeline stays time-ordered
     last_t = e.t_sec;
+  }
+}
+
+// Sampling a solve only watches it: the root LP that feeds the live slot's
+// bound is the observer's, so an LP-bounded solve counts the same simplex
+// calls and records the same incumbent timeline with or without a sampler.
+TEST(TelemetryTest, SamplingLeavesTheSolversCountsAlone) {
+  milp::Model m("knapsack");
+  milp::LinExpr weight;
+  milp::LinExpr value;
+  for (int i = 0; i < 12; ++i) {
+    const milp::VarId x = m.add_binary("x" + std::to_string(i));
+    weight += static_cast<double>(3 + (i * 7) % 11) * milp::LinExpr(x);
+    value += static_cast<double>(5 + (i * 5) % 13) * milp::LinExpr(x);
+  }
+  m.add_constraint(weight <= 30.0, "cap");
+  m.set_objective(value, /*minimize=*/false);
+  milp::SolverParams params = milp::optimality_params();
+  params.num_threads = 1;
+
+  const milp::MilpSolution plain = milp::Solver(m, params).solve();
+  std::ostringstream sink;
+  Observer observer(sampled(sink));
+  milp::MilpSolution watched;
+  {
+    const ObserverScope bind(&observer);
+    watched = milp::Solver(m, params).solve();
+  }
+  observer.sampler()->stop();
+
+  ASSERT_EQ(plain.status, milp::SolveStatus::kOptimal);
+  ASSERT_EQ(watched.status, milp::SolveStatus::kOptimal);
+  EXPECT_GT(plain.stats.simplex_calls, 0);
+  for (const milp::SolverStatsField& f : milp::kSolverStatsFields) {
+    EXPECT_EQ(watched.stats.*f.member, plain.stats.*f.member) << f.name;
+  }
+  ASSERT_EQ(watched.stats.convergence.size(), plain.stats.convergence.size());
+  for (std::size_t i = 0; i < plain.stats.convergence.size(); ++i) {
+    EXPECT_EQ(watched.stats.convergence[i].objective,
+              plain.stats.convergence[i].objective);
+    EXPECT_EQ(watched.stats.convergence[i].nodes,
+              plain.stats.convergence[i].nodes);
   }
 }
 
