@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arch/device.hpp"
@@ -33,14 +34,16 @@ double max_latency(const graph::TaskGraph& graph, const arch::Device& device,
 double min_latency(const graph::TaskGraph& graph, const arch::Device& device,
                    int num_partitions);
 
-/// How latency_relaxation_bound reached LB(N). The enumerators are ordered
-/// by the strength of the bound.
+/// How LB(N) was reached. The enumerators are ordered by the strength of
+/// the bound.
 enum class LatencyBoundSource : std::uint8_t {
   /// MinLatency(N): the relaxation was skipped as too large, or its LP did
   /// not rise above MinLatency(N).
   kMinLatency,
-  kLp,    ///< the relaxation's LP: its MILP was not run, or did not close
-  kMilp,  ///< the relaxation's MILP optimum
+  kLp,    ///< the relaxation's LP: its optimum was not sought, or not reached
+  /// The relaxation's exact optimum R(N): the first feasible multiset of the
+  /// level walk, or the relaxation's MILP when the walk stopped.
+  kMilp,
 };
 
 /// LB(N) and how it was reached.
@@ -50,6 +53,41 @@ struct LatencyBound {
   /// kMilp only: the optimum's partition levels, each level l repeated c_l
   /// times, ascending. level_fill (core/baselines) packs a design to them.
   std::vector<double> levels;
+};
+
+/// Slack around LB(N) for the floating-point arithmetic that computed it,
+/// 1e-6 * max(1, LB(N)): it keeps a bound rounded up from refuting a target
+/// that touches the true bound, and a bound rounded down from passing over a
+/// design at the true bound.
+[[nodiscard]] double bound_slack(double bound);
+
+/// The most multisets one LatencyBoundWalk pops over its life. A stage that
+/// needs more falls back to the relaxation's MILP.
+inline constexpr std::int64_t kLevelWalkMaxPops = 50000;
+
+/// LB(N) for every stage of one sweep, from one walk over the multisets of
+/// levels in nondecreasing cost (DESIGN.md §10, "Latency relaxation LB(N)").
+/// A multiset of s levels answers every N >= s, so bound(N) continues the
+/// walk where the previous call stopped. Owned by one run; not shared.
+class LatencyBoundWalk {
+ public:
+  LatencyBoundWalk(const graph::TaskGraph& graph, const arch::Device& device);
+  ~LatencyBoundWalk();
+  LatencyBoundWalk(const LatencyBoundWalk&) = delete;
+  LatencyBoundWalk& operator=(const LatencyBoundWalk&) = delete;
+
+  /// LB(N), as latency_relaxation_bound below defines it. R(N) comes from
+  /// the walk; past kLevelWalkMaxPops pops, or when `solver`'s time limit or
+  /// cancel token stops the walk, from the relaxation's MILP.
+  LatencyBound bound(int num_partitions, const milp::SolverParams& solver = {},
+                     bool solve_milp = true);
+
+  /// Multisets popped so far.
+  [[nodiscard]] std::int64_t popped() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 /// LB(N): a lower bound on the latency of every design with at most N
@@ -62,9 +100,10 @@ struct LatencyBound {
 ///   sum_l x_kl = |class k| per class of tasks with identical design points,
 ///   MinAreaPartitions <= sum_l c_l <= N,  c_l integer,  x_kl >= 0 continuous.
 /// Its LP always runs. When the LP beats MinLatency(N) and `solve_milp` is
-/// set, the MILP runs under `solver`'s limits at one thread, and the LP value
-/// stands in when it does not close. Above milp::kLpBoundingMaxVars
-/// variables the relaxation is skipped and LB(N) = MinLatency(N).
+/// set, R(N) is sought exactly (LatencyBoundWalk), and the LP value stands
+/// in when that does not finish. Above milp::kLpBoundingMaxVars variables
+/// the relaxation is skipped and LB(N) = MinLatency(N). One-shot: a sweep
+/// asks one LatencyBoundWalk for all its stages.
 LatencyBound latency_relaxation_bound(const graph::TaskGraph& graph,
                                       const arch::Device& device,
                                       int num_partitions,

@@ -123,12 +123,6 @@ Probe solve_window(std::optional<StageSession>& session,
   return probe;
 }
 
-/// Slack around LB(N) for the floating-point LP or MILP that computed it:
-/// it keeps a bound rounded up from refuting a target that touches the true
-/// bound, and a bound rounded down from passing over a design at the true
-/// bound.
-double bound_slack(double bound) { return 1e-6 * std::max(1.0, bound); }
-
 /// A probe row of the window [d_min, target] that no search settled.
 Probe unsearched_probe(int num_partitions, double target, double d_min,
                        VerdictSource source) {

@@ -141,11 +141,13 @@ PartitionerReport TemporalPartitioner::run() const {
 
   // Bounds only weaken along the sweep (DESIGN.md §10): once LB(N) falls to
   // MinLatency(N), every larger N keeps its floor without the relaxation,
-  // since LP(N) does not increase with N while MinLatency(N) does; once the
-  // MILP fails to close within the stage budget, larger N use the LP alone,
-  // so a hard relaxation costs one budget per sweep rather than one per
-  // stage.
+  // since LP(N) does not increase with N while MinLatency(N) does; once R(N)
+  // is not reached within the stage budget (the walk stopped and its
+  // fallback MILP did not close), larger N use the LP alone, so a hard
+  // relaxation costs one budget per sweep rather than one per stage. One
+  // walk over the level multisets answers R(N) for every stage.
   LatencyBoundSource reach = LatencyBoundSource::kMilp;
+  LatencyBoundWalk bounds(graph_, device_);
 
   // One stage per partition bound N, from N^l_min + alpha (or the first
   // bound a checkpoint left unfinished) upwards. Phase 1 runs until a first
@@ -183,11 +185,12 @@ PartitionerReport TemporalPartitioner::run() const {
     // when N grows and focuses the solver on local improvements.
     inner.warm_start = state.best;
     LatencyBound bound{d_min, LatencyBoundSource::kMinLatency, {}};
+    Stopwatch bound_time;
     if (reach != LatencyBoundSource::kMinLatency) {
-      bound = latency_relaxation_bound(graph_, device_, n,
-                                       budget.clamped_solver(),
-                                       reach == LatencyBoundSource::kMilp);
+      bound = bounds.bound(n, budget.clamped_solver(),
+                           reach == LatencyBoundSource::kMilp);
     }
+    const double bound_seconds = bound_time.seconds();
     reach = std::min(reach, bound.source);
     inner.latency_bound = std::move(bound);
     if (!state.in_progress) {
@@ -199,9 +202,9 @@ PartitionerReport TemporalPartitioner::run() const {
     const std::size_t first_row = result.trace.size();
     StageAccount account{
         n, reduce_latency(graph_, device_, n, window, inner, result.trace),
-        window.iteration, 0.0};
-    // The stage's solver stats and account seconds: those of the trace rows
-    // this run appended for it.
+        window.iteration, bound_seconds};
+    // The stage's solver stats, and the rest of its account seconds: those
+    // of the trace rows this run appended for it.
     for (std::size_t i = first_row; i < result.trace.size(); ++i) {
       result.solver_stats.merge(result.trace[i].stats);
       account.seconds += result.trace[i].seconds;

@@ -12,8 +12,9 @@
 //
 // The sweep is one serial loop over N that carries Da forward; the phase is
 // derived from whether a design exists yet. Each stage computes LB(N) once,
-// before its Reduce_Latency call, and the trace rows follow in (N, iteration)
-// order because every stage appends its own rows as it runs.
+// before its Reduce_Latency call, from the one LatencyBoundWalk the run owns,
+// and the trace rows follow in (N, iteration) order because every stage
+// appends its own rows as it runs.
 //
 // The loop's state is one SweepCheckpoint (core/checkpoint): restored on
 // resume, committed only when a stage completes, and written out as it
@@ -42,7 +43,8 @@ struct StageAccount {
   int num_partitions = 0;
   StageStatus status = StageStatus::kProbed;
   int solves = 0;        ///< ILP solves spent on this bound
-  double seconds = 0.0;  ///< solver wall time spent on this bound
+  /// Wall time of this bound's LB(N) and of its trace rows' probes.
+  double seconds = 0.0;
 };
 
 /// The part of a sweep's outcome that a checkpoint stores and a resume

@@ -91,16 +91,17 @@ double max_live_memory(const graph::TaskGraph& graph) {
   return memory;
 }
 
-double partition_path_latency(const graph::TaskGraph& graph,
-                              const PartitionedDesign& design, int p) {
-  // Longest chain within the partition-p induced subgraph.
-  const std::vector<graph::TaskId> order = graph::topological_order(graph);
+std::vector<double> partition_path_latencies(const graph::TaskGraph& graph,
+                                             const PartitionedDesign& design) {
+  // Longest chain within each partition's induced subgraph, all partitions
+  // in one topological pass.
+  std::vector<double> latency(
+      static_cast<std::size_t>(std::max(0, design.num_partitions_allocated)),
+      0.0);
   std::vector<double> finish(static_cast<std::size_t>(graph.num_tasks()), 0.0);
-  double best = 0.0;
-  for (const graph::TaskId t : order) {
-    if (design.assignment[static_cast<std::size_t>(t)].partition != p) {
-      continue;
-    }
+  for (const graph::TaskId t : graph::topological_order(graph)) {
+    const int p = design.assignment[static_cast<std::size_t>(t)].partition;
+    if (p < 1 || p > design.num_partitions_allocated) continue;
     double start = 0.0;
     for (const graph::TaskId pred : graph.predecessors(t)) {
       if (design.assignment[static_cast<std::size_t>(pred)].partition == p) {
@@ -109,27 +110,23 @@ double partition_path_latency(const graph::TaskGraph& graph,
     }
     finish[static_cast<std::size_t>(t)] =
         start + task_latency(graph, design, t);
-    best = std::max(best, finish[static_cast<std::size_t>(t)]);
+    double& d = latency[static_cast<std::size_t>(p - 1)];
+    d = std::max(d, finish[static_cast<std::size_t>(t)]);
   }
-  return best;
+  return latency;
 }
 
 void recompute_latency(const graph::TaskGraph& graph,
                        const arch::Device& device, PartitionedDesign& design) {
-  const int n_parts = design.num_partitions_allocated;
-  design.partition_latency_ns.assign(static_cast<std::size_t>(n_parts), 0.0);
   int eta = 0;
   for (graph::TaskId t = 0; t < graph.num_tasks(); ++t) {
     eta = std::max(eta,
                    design.assignment[static_cast<std::size_t>(t)].partition);
   }
   design.num_partitions_used = eta;
+  design.partition_latency_ns = partition_path_latencies(graph, design);
   double total = 0.0;
-  for (int p = 1; p <= n_parts; ++p) {
-    const double d = partition_path_latency(graph, design, p);
-    design.partition_latency_ns[static_cast<std::size_t>(p - 1)] = d;
-    total += d;
-  }
+  for (const double d : design.partition_latency_ns) total += d;
   design.execution_latency_ns = total;
   design.total_latency_ns = total + eta * device.reconfig_time_ns;
 }

@@ -48,10 +48,11 @@ double partition_memory(const graph::TaskGraph& graph,
 /// this, the memory constraint cannot bind.
 double max_live_memory(const graph::TaskGraph& graph);
 
-/// Critical-path latency of the tasks mapped to partition p (edges between
-/// co-located tasks chain; cross-partition edges do not).
-double partition_path_latency(const graph::TaskGraph& graph,
-                              const PartitionedDesign& design, int p);
+/// Critical-path latency of the tasks mapped to each partition (edges
+/// between co-located tasks chain; cross-partition edges do not): partition
+/// p at index p-1, num_partitions_allocated entries.
+std::vector<double> partition_path_latencies(const graph::TaskGraph& graph,
+                                             const PartitionedDesign& design);
 
 /// Recomputes partition_latency_ns / execution / total / eta fields from the
 /// assignment. Called by decoders after the solver returns.

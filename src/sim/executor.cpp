@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "support/error.hpp"
@@ -106,8 +107,10 @@ double estimated_makespan(const graph::TaskGraph& graph,
   const double ct = device.reconfig_time_ns;
   double exec_finish = 0.0;
   double loader_free = 0.0;
+  const std::vector<double> latency =
+      core::partition_path_latencies(graph, design);
   for (int p = 1; p <= design.num_partitions_allocated; ++p) {
-    const double d = core::partition_path_latency(graph, design, p);
+    const double d = latency[static_cast<std::size_t>(p - 1)];
     bool used = false;
     for (const core::TaskAssignment& a : design.assignment) {
       if (a.partition == p) {

@@ -419,6 +419,25 @@ TEST(RefinePartitionsTest, DctTable3RefutesWindowsBelowTheLatencyBound) {
   }
 }
 
+// A stage's account includes its LB(N): Table 3's stages run no search,
+// yet each one spent time walking the level multisets for its bound.
+TEST(RefinePartitionsTest, DctTable3StagesAccountTheirBoundTime) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("dct", 576, 4096, 100);
+  PartitionerOptions options;
+  options.budget.delta = 200.0;
+  options.budget.solver.num_threads = 1;
+  options.budget.solver.node_limit = 5000;
+  const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+  ASSERT_EQ(report.stages.size(), 3u);
+  for (const StageAccount& stage : report.stages) {
+    EXPECT_GT(stage.seconds, 0.0) << "N=" << stage.num_partitions;
+  }
+  for (const IterationRecord& row : report.trace) {
+    EXPECT_EQ(row.seconds, 0.0);
+  }
+}
+
 // Under --certify=full each bound-refuted window carries the relaxation's
 // own certified infeasibility proof, each warm-start answer passes the exact
 // check against its stage's model, and the run stays fully certified.

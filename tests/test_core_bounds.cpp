@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "arch/device.hpp"
 #include "core/bounds.hpp"
@@ -148,6 +151,74 @@ TEST(LatencyRelaxationTest, CertifiesTargetsBelowTheBound) {
   EXPECT_GE(below.stats.certificates_checked, 1);
   const milp::MilpSolution at = certify_latency_bound(g, dev, 6, 3030.0);
   EXPECT_TRUE(at.has_solution());
+}
+
+/// Checks `bound` against the relaxation's own certificate form: a design
+/// of the relaxation costs LB(N), and none costs LB(N) - 1 (certified).
+/// Latencies and C_T are whole ns here, so R(N) is too.
+void expect_certified_optimum(const graph::TaskGraph& g,
+                              const arch::Device& dev, int n,
+                              const LatencyBound& bound) {
+  EXPECT_TRUE(certify_latency_bound(g, dev, n, bound.ns).has_solution())
+      << "N=" << n;
+  const milp::MilpSolution below =
+      certify_latency_bound(g, dev, n, bound.ns - 1.0);
+  EXPECT_EQ(below.status, milp::SolveStatus::kInfeasible) << "N=" << n;
+  EXPECT_EQ(below.certified, milp::CertifyStatus::kCertified) << "N=" << n;
+}
+
+// The walk's R(N) against the relaxation's MILP, on the DCT at the devices
+// of Tables 3-8 over each sweep's partition range: every LB(N) the walk
+// finds is the relaxation's certified optimum. One walk answers the whole
+// range, as it does in a sweep, and a repeated N pops nothing new.
+TEST(LatencyRelaxationTest, WalkFindsTheCertifiedOptimumAtTheDctTables) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  int exact = 0;
+  for (const double rmax : {576.0, 1024.0}) {
+    for (const double ct : {100.0, 1e7}) {
+      const arch::Device dev = arch::custom("d", rmax, 4096, ct);
+      LatencyBoundWalk walk(g, dev);
+      for (int n = min_area_partitions(g, dev);
+           n <= max_area_partitions(g, dev) + 1; ++n) {
+        const LatencyBound bound = walk.bound(n);
+        EXPECT_EQ(bound.ns, latency_relaxation_bound(g, dev, n).ns)
+            << "Rmax " << rmax << " Ct " << ct << " N=" << n;
+        const std::int64_t popped = walk.popped();
+        EXPECT_EQ(walk.bound(n).levels, bound.levels);
+        EXPECT_EQ(walk.popped(), popped);
+        if (bound.source != LatencyBoundSource::kMilp) continue;
+        ++exact;
+        expect_certified_optimum(g, dev, n, bound);
+      }
+    }
+  }
+  EXPECT_EQ(exact, 8);
+}
+
+// Twelve tasks with the same 24 points: latency 100 + 10j at area 76 - j.
+// At Rmax 106 twelve tasks at the least area, 53, need MinAreaPartitions = 6
+// partitions, two per partition at the slowest level, 330 ns. At C_T = 1 ms
+// every multiset of up to 5 levels is cheaper than any of 6, and there are
+// C(29, 5) - 1 = 118,754 of them: the walk reaches its cap before any
+// multiset it could check, and the MILP gives LB(6) = 6 (C_T + 330), which
+// the LP already reaches. (The relaxation's proof at LB(6) - 1 outgrows the
+// proof recorder's cap here, so only the design at LB(6) is certified.)
+TEST(LatencyRelaxationTest, WalkPastItsCapFallsBackToTheMilp) {
+  std::vector<graph::DesignPoint> points;
+  for (int j = 0; j < 24; ++j) {
+    points.push_back({"p" + std::to_string(j), 76.0 - j, 100.0 + 10 * j});
+  }
+  graph::TaskGraph g("levels");
+  for (int i = 0; i < 12; ++i) g.add_task("t" + std::to_string(i), points);
+  const arch::Device dev = arch::custom("d", 106, 4096, 1e6);
+  ASSERT_EQ(min_area_partitions(g, dev), 6);
+  LatencyBoundWalk walk(g, dev);
+  const LatencyBound bound = walk.bound(6);
+  EXPECT_EQ(walk.popped(), kLevelWalkMaxPops);
+  EXPECT_EQ(bound.source, LatencyBoundSource::kMilp);
+  EXPECT_NEAR(bound.ns, 6 * (1e6 + 330.0), 1e-6);
+  EXPECT_EQ(bound.levels, std::vector<double>(6, 330.0));
+  EXPECT_TRUE(certify_latency_bound(g, dev, 6, bound.ns).has_solution());
 }
 
 }  // namespace

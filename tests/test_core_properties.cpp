@@ -8,7 +8,8 @@
 //  - the iterative partitioner never loses to the greedy baselines, and a
 //    stage answered by a warm start at LB(N) runs no search after it;
 //  - LB(N) never exceeds the exhaustive optimum over at most N partitions,
-//    and the level fill of its optimum is a valid design no faster than it.
+//    is the relaxation's certified optimum, and the level fill of its
+//    optimum is a valid design no faster than it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,6 +171,32 @@ TEST_P(FormulationVariantsTest, LatencyBoundNeverExceedsTheExhaustiveOptimum) {
   }
 }
 
+// The walk's R(N) is the relaxation's optimum: its certificate form has a
+// design at LB(N) and none at LB(N) - 1 (certified). These graphs have whole
+// ns latencies and C_T, so R(N) is whole too. The proof at LB(N) - 1 is
+// checked on the 300-unit device only: at 200 units the exact check of one
+// such proof takes up to 42 s (its rationals outgrow 128 bits).
+TEST_P(FormulationVariantsTest, LatencyBoundIsTheCertifiedRelaxationOptimum) {
+  const graph::TaskGraph g = seeded_graph(GetParam());
+  for (const double rmax : {300.0, 200.0}) {
+    const arch::Device dev = arch::custom("d", rmax, 2048, 60);
+    const int n_lo = min_area_partitions(g, dev);
+    for (int n = n_lo; n <= n_lo + 2; ++n) {
+      const LatencyBound bound = latency_relaxation_bound(g, dev, n);
+      if (bound.source != LatencyBoundSource::kMilp) continue;
+      EXPECT_TRUE(certify_latency_bound(g, dev, n, bound.ns).has_solution())
+          << "seed " << GetParam() << " Rmax " << rmax << " N=" << n;
+      if (rmax != 300.0) continue;
+      const milp::MilpSolution below =
+          certify_latency_bound(g, dev, n, bound.ns - 1.0);
+      EXPECT_EQ(below.status, milp::SolveStatus::kInfeasible)
+          << "seed " << GetParam() << " Rmax " << rmax << " N=" << n;
+      EXPECT_EQ(below.certified, milp::CertifyStatus::kCertified)
+          << "seed " << GetParam() << " Rmax " << rmax << " N=" << n;
+    }
+  }
+}
+
 // level_fill packed to LB(N)'s levels gives a valid design within N
 // partitions, never below LB(N), and the same design on every call.
 TEST_P(FormulationVariantsTest, LevelFillOfTheBoundIsAValidDesign) {
@@ -231,6 +258,24 @@ TEST(FormulationVariantsSweep, LatencyBoundSweepLiftsTheFloor) {
     }
   }
   EXPECT_GE(lifted, 1);
+}
+
+// LatencyBoundIsTheCertifiedRelaxationOptimum is vacuous unless the
+// relaxation's optimum is LB(N) on some of its instances.
+TEST(FormulationVariantsSweep, LatencyBoundSweepReachesTheRelaxationOptimum) {
+  int exact = 0;
+  for (std::uint64_t seed = 1; seed < 11; ++seed) {
+    const graph::TaskGraph g = seeded_graph(seed);
+    for (const double rmax : {300.0, 200.0}) {
+      const arch::Device dev = arch::custom("d", rmax, 2048, 60);
+      const int n_lo = min_area_partitions(g, dev);
+      LatencyBoundWalk walk(g, dev);
+      for (int n = n_lo; n <= n_lo + 2; ++n) {
+        if (walk.bound(n).source == LatencyBoundSource::kMilp) ++exact;
+      }
+    }
+  }
+  EXPECT_GE(exact, 1);
 }
 
 /// Largest violation of `lp`'s rows at x, each relative to the row's largest

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/device.hpp"
 #include "core/solution.hpp"
 #include "graph/task_graph.hpp"
@@ -90,8 +92,8 @@ struct Fig4 {
 
 TEST(SolutionTest, Fig4PartitionLatencyIsLongestMappedPath) {
   Fig4 f;
-  EXPECT_DOUBLE_EQ(partition_path_latency(f.g, f.design, 1), 400.0);
-  EXPECT_DOUBLE_EQ(partition_path_latency(f.g, f.design, 2), 300.0);
+  EXPECT_EQ(partition_path_latencies(f.g, f.design),
+            (std::vector<double>{400.0, 300.0}));
   EXPECT_DOUBLE_EQ(f.design.execution_latency_ns, 700.0);
   EXPECT_EQ(f.design.num_partitions_used, 2);
   EXPECT_DOUBLE_EQ(f.design.total_latency_ns, 700.0 + 2 * 25.0);
@@ -103,9 +105,9 @@ TEST(SolutionTest, Fig4CrossPartitionEdgesDoNotChain) {
   // a2 chains with nothing in partition 2 except via d1.
   f.design.assignment[1] = {2, 0};
   recompute_latency(f.g, f.dev, f.design);
-  EXPECT_DOUBLE_EQ(partition_path_latency(f.g, f.design, 1), 400.0);
   // In partition 2: a2 (250) -> d1 (300) chains: 550.
-  EXPECT_DOUBLE_EQ(partition_path_latency(f.g, f.design, 2), 550.0);
+  EXPECT_EQ(partition_path_latencies(f.g, f.design),
+            (std::vector<double>{400.0, 550.0}));
 }
 
 TEST(SolutionTest, PartitionAreaSumsSelectedPoints) {
