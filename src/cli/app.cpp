@@ -766,7 +766,9 @@ int run(const std::vector<std::string>& args, std::ostream& out,
 
     int code = [&]() -> int {
     const service::JobSpec job =
-        service::resolve_job(parsed.solve.to_request(), 0);
+        service::resolve_job(parsed.solve.to_request(), 0,
+                             core::PartitionerOptions{}.max_partitions,
+                             service::OptionSpelling::kFlag);
     const graph::TaskGraph& graph = job.graph;
     const arch::Device& dev = job.device;
     out << "graph '" << graph.name() << "': " << graph.num_tasks()

@@ -66,6 +66,14 @@ class TemporalPartitioner {
   PartitionerOptions options_;
 };
 
+/// The largest partition bound N whose MaxLatency(N) a sweep with these
+/// options computes: the phase-1 cap, or the start bound when alpha puts it
+/// higher. MaxLatency grows with N, so a finite value there covers the
+/// whole sweep.
+[[nodiscard]] int max_latency_partitions(const graph::TaskGraph& graph,
+                                         const arch::Device& device,
+                                         const PartitionerOptions& options);
+
 /// Result of an optimal-ILP reference solve.
 struct OptimalResult {
   milp::SolveStatus status = milp::SolveStatus::kLimitReached;

@@ -76,20 +76,51 @@ CheckpointSession open_checkpoint(const graph::TaskGraph& graph,
   return session;
 }
 
-}  // namespace
+/// The sweep's partition bounds: N^l_min and N^u_min, the start bound, the
+/// bound phase 2 stops at, and how far phase 1 may grow N.
+struct SweepBounds {
+  int n_min_lower = 0;
+  int n_min_upper = 0;
+  int n_start = 0;
+  int n_stop = 0;
+  int n_phase1_cap = 0;
+};
 
-PartitionerReport TemporalPartitioner::run() const {
-  PartitionerReport result;
-  result.n_min_lower = min_area_partitions(graph_, device_);
-  result.n_min_upper = max_area_partitions(graph_, device_);
-  const int n_start = result.n_min_lower + options_.alpha;
-  const int n_stop = result.n_min_upper + options_.gamma;
+SweepBounds sweep_bounds(const graph::TaskGraph& graph,
+                         const arch::Device& device,
+                         const PartitionerOptions& options) {
+  SweepBounds b;
+  b.n_min_lower = min_area_partitions(graph, device);
+  b.n_min_upper = max_area_partitions(graph, device);
+  b.n_start = b.n_min_lower + options.alpha;
+  b.n_stop = b.n_min_upper + options.gamma;
   // Until a first design exists N grows past n_stop if it must. Any design
   // uses at most one partition per task, so feasibility is settled once N
   // reaches the task count (or the start N, when alpha puts it higher):
   // growing N further cannot help.
-  const int n_phase1_cap = std::min(
-      options_.max_partitions, std::max({graph_.num_tasks(), n_stop, n_start}));
+  b.n_phase1_cap =
+      std::min(options.max_partitions,
+               std::max({graph.num_tasks(), b.n_stop, b.n_start}));
+  return b;
+}
+
+}  // namespace
+
+int max_latency_partitions(const graph::TaskGraph& graph,
+                           const arch::Device& device,
+                           const PartitionerOptions& options) {
+  const SweepBounds b = sweep_bounds(graph, device, options);
+  return std::max(b.n_start, b.n_phase1_cap);
+}
+
+PartitionerReport TemporalPartitioner::run() const {
+  PartitionerReport result;
+  const SweepBounds range = sweep_bounds(graph_, device_, options_);
+  result.n_min_lower = range.n_min_lower;
+  result.n_min_upper = range.n_min_upper;
+  const int n_start = range.n_start;
+  const int n_stop = range.n_stop;
+  const int n_phase1_cap = range.n_phase1_cap;
 
   // An unset tolerance is 2% of MaxLatency at the start bound.
   ReduceLatencyParams inner;

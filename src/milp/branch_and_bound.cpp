@@ -464,10 +464,12 @@ class BnbSearch {
     return std::move(pending_derivations_);
   }
   /// Parks a successful propagate() call's derivations for the node it just
-  /// entered, and resets the log for the next call.
+  /// entered, and resets the log for the next call. The log keeps its
+  /// capacity, so the node's copy is the one allocation per node.
   void stage_propagation_log() {
     if (!proof_on_) return;
-    pending_derivations_ = std::move(prop_log_.derivations);
+    pending_derivations_.assign(prop_log_.derivations.begin(),
+                                prop_log_.derivations.end());
     prop_log_.clear();
   }
   /// Records the refutation of a node whose entry propagate() failed, using
@@ -477,7 +479,8 @@ class BnbSearch {
     ProofNode node;
     node.rank = rank_;
     node.kind = ProofNode::Kind::kConflict;
-    node.derivations = std::move(prop_log_.derivations);
+    node.derivations.assign(prop_log_.derivations.begin(),
+                            prop_log_.derivations.end());
     node.conflict_row = prop_log_.conflict_row;
     node.conflict_var = prop_log_.conflict_var;
     prop_log_.clear();

@@ -30,14 +30,23 @@ ExactRow make_exact_row(const ConstraintInfo& info) {
   ExactRow row;
   row.sense = info.sense;
   row.rhs = Rational::from_double(info.rhs);
-  std::map<VarId, Rational> merged;
+  row.terms.reserve(info.terms.size());
   for (const LinTerm& t : info.terms) {
-    merged[t.var] += Rational::from_double(t.coef);
+    row.terms.emplace_back(t.var, Rational::from_double(t.coef));
   }
-  row.terms.reserve(merged.size());
-  for (auto& [var, coef] : merged) {
-    if (!coef.is_zero()) row.terms.emplace_back(var, std::move(coef));
+  // Sort by variable and merge each run of duplicates into its first term.
+  std::sort(row.terms.begin(), row.terms.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < row.terms.size(); ++i) {
+    if (kept > 0 && row.terms[kept - 1].first == row.terms[i].first) {
+      row.terms[kept - 1].second += row.terms[i].second;
+    } else {
+      row.terms[kept++] = std::move(row.terms[i]);
+    }
   }
+  row.terms.resize(kept);
+  std::erase_if(row.terms, [](const auto& t) { return t.second.is_zero(); });
   return row;
 }
 
@@ -57,26 +66,35 @@ class ExactDomains {
     }
   }
 
-  [[nodiscard]] const Bound& lb(VarId v) const {
-    return lb_[static_cast<std::size_t>(v)];
+  /// The bound, or null when it is absent (infinite).
+  [[nodiscard]] const Rational* lb(VarId v) const {
+    const Bound& b = lb_[static_cast<std::size_t>(v)];
+    return b.has_value() ? &*b : nullptr;
   }
-  [[nodiscard]] const Bound& ub(VarId v) const {
-    return ub_[static_cast<std::size_t>(v)];
+  [[nodiscard]] const Rational* ub(VarId v) const {
+    const Bound& b = ub_[static_cast<std::size_t>(v)];
+    return b.has_value() ? &*b : nullptr;
+  }
+  /// True when the variable's lower bound exceeds its upper bound.
+  [[nodiscard]] bool empty(VarId v) const {
+    const Rational* lo = lb(v);
+    const Rational* hi = ub(v);
+    return lo != nullptr && hi != nullptr && *lo > *hi;
   }
 
   /// Raises the lower bound when `value` is stronger (trail-recorded).
-  void tighten_lb(VarId v, const Rational& value) {
+  void tighten_lb(VarId v, Rational value) {
     Bound& slot = lb_[static_cast<std::size_t>(v)];
     if (slot.has_value() && *slot >= value) return;
-    trail_.push_back({v, true, slot});
-    slot = value;
+    trail_.push_back({v, true, std::move(slot)});
+    slot = std::move(value);
   }
 
-  void tighten_ub(VarId v, const Rational& value) {
+  void tighten_ub(VarId v, Rational value) {
     Bound& slot = ub_[static_cast<std::size_t>(v)];
     if (slot.has_value() && *slot <= value) return;
-    trail_.push_back({v, false, slot});
-    slot = value;
+    trail_.push_back({v, false, std::move(slot)});
+    slot = std::move(value);
   }
 
   [[nodiscard]] std::size_t checkpoint() const { return trail_.size(); }
@@ -103,52 +121,46 @@ class ExactDomains {
   std::vector<TrailEntry> trail_;
 };
 
-/// Minimum of coef*x over the box of `var`; nullopt when unbounded below.
-Bound term_min(const ExactDomains& box, VarId var, const Rational& coef) {
-  const Bound& b = coef.sign() > 0 ? box.lb(var) : box.ub(var);
-  if (!b.has_value()) return std::nullopt;
-  return coef * *b;
+/// The bound of `var` that minimizes coef*x over its box (null: unbounded).
+const Rational* min_bound(const ExactDomains& box, VarId var,
+                          const Rational& coef) {
+  return coef.sign() > 0 ? box.lb(var) : box.ub(var);
 }
 
-/// Maximum of coef*x over the box of `var`; nullopt when unbounded above.
-Bound term_max(const ExactDomains& box, VarId var, const Rational& coef) {
-  const Bound& b = coef.sign() > 0 ? box.ub(var) : box.lb(var);
-  if (!b.has_value()) return std::nullopt;
-  return coef * *b;
+/// The bound of `var` that maximizes coef*x over its box (null: unbounded).
+const Rational* max_bound(const ExactDomains& box, VarId var,
+                          const Rational& coef) {
+  return coef.sign() > 0 ? box.ub(var) : box.lb(var);
+}
+
+/// Adds to `sum` each of the row's terms, `skip` left out, at its minimum (or
+/// maximum) over the box; false when a term is unbounded that way.
+bool add_activity(const ExactRow& row, const ExactDomains& box, bool min_side,
+                  Rational& sum, VarId skip = -1) {
+  for (const auto& [var, coef] : row.terms) {
+    if (var == skip) continue;
+    const Rational* b =
+        min_side ? min_bound(box, var, coef) : max_bound(box, var, coef);
+    if (b == nullptr) return false;
+    sum.add_product(coef, *b);
+  }
+  return true;
 }
 
 /// True when the row is exactly violated over the whole box (its minimum
 /// activity exceeds the rhs, or its maximum activity falls short of it).
 bool row_conflicts(const ExactRow& row, const ExactDomains& box) {
-  const bool need_le =
-      row.sense == Sense::kLessEqual || row.sense == Sense::kEqual;
-  const bool need_ge =
-      row.sense == Sense::kGreaterEqual || row.sense == Sense::kEqual;
-  if (need_le) {
+  if (row.sense == Sense::kLessEqual || row.sense == Sense::kEqual) {
     Rational min_act;
-    bool finite = true;
-    for (const auto& [var, coef] : row.terms) {
-      const Bound c = term_min(box, var, coef);
-      if (!c.has_value()) {
-        finite = false;
-        break;
-      }
-      min_act += *c;
+    if (add_activity(row, box, true, min_act) && min_act > row.rhs) {
+      return true;
     }
-    if (finite && min_act > row.rhs) return true;
   }
-  if (need_ge) {
+  if (row.sense == Sense::kGreaterEqual || row.sense == Sense::kEqual) {
     Rational max_act;
-    bool finite = true;
-    for (const auto& [var, coef] : row.terms) {
-      const Bound c = term_max(box, var, coef);
-      if (!c.has_value()) {
-        finite = false;
-        break;
-      }
-      max_act += *c;
+    if (add_activity(row, box, false, max_act) && max_act < row.rhs) {
+      return true;
     }
-    if (finite && max_act < row.rhs) return true;
   }
   return false;
 }
@@ -160,15 +172,12 @@ bool row_conflicts(const ExactRow& row, const ExactDomains& box) {
 /// conflict fails to verify.
 void replay_derivation(const ExactRow& row, const Derivation& d,
                        bool integral, ExactDomains& box) {
-  Rational a;
-  for (const auto& [var, coef] : row.terms) {
-    if (var == d.var) {
-      a = coef;
-      break;
-    }
-  }
+  const auto term =
+      std::find_if(row.terms.begin(), row.terms.end(),
+                   [&d](const auto& t) { return t.first == d.var; });
+  if (term == row.terms.end()) return;  // derivation names an absent var
+  const Rational& a = term->second;
   const int sa = a.sign();
-  if (sa == 0) return;  // derivation names a var absent from the row
   // Which activity side implies this bound is determined by the recorded
   // side and the coefficient sign: a lower bound on var comes from the
   // row's max-activity side when a > 0 and min-activity side when a < 0.
@@ -182,20 +191,16 @@ void replay_derivation(const ExactRow& row, const Derivation& d,
     return;
   }
   Rational residual;
-  for (const auto& [var, coef] : row.terms) {
-    if (var == d.var) continue;
-    const Bound c =
-        use_min_side ? term_min(box, var, coef) : term_max(box, var, coef);
-    if (!c.has_value()) return;  // residual unbounded: nothing implied
-    residual += *c;
+  if (!add_activity(row, box, use_min_side, residual, d.var)) {
+    return;  // residual unbounded: nothing implied
   }
-  Rational bound = (row.rhs - residual) / a;
+  // The implied bound is (rhs - residual) / a; an integral variable rounds
+  // it inward.
+  const Rational slack = row.rhs - residual;
   if (d.is_lb) {
-    if (integral) bound = bound.ceil();
-    box.tighten_lb(d.var, bound);
+    box.tighten_lb(d.var, integral ? slack.ceil_quotient(a) : slack / a);
   } else {
-    if (integral) bound = bound.floor();
-    box.tighten_ub(d.var, bound);
+    box.tighten_ub(d.var, integral ? slack.floor_quotient(a) : slack / a);
   }
 }
 
@@ -235,19 +240,19 @@ CertifyCheck check_farkas(const std::vector<ExactRow>& rows,
       out.detail = sparcs::str_format("positive multiplier on >= row %d", c);
       return out;
     }
-    for (const auto& [var, coef] : row.terms) w[var] += yi * coef;
-    yb += yi * row.rhs;
+    for (const auto& [var, coef] : row.terms) w[var].add_product(yi, coef);
+    yb.add_product(yi, row.rhs);
   }
   Rational box_min;
   for (const auto& [var, coef] : w) {
     if (coef.is_zero()) continue;
-    const Bound c = term_min(box, var, coef);
-    if (!c.has_value()) {
+    const Rational* b = min_bound(box, var, coef);
+    if (b == nullptr) {
       out.detail =
           sparcs::str_format("farkas aggregate unbounded on var %d", var);
       return out;
     }
-    box_min += *c;
+    box_min.add_product(coef, *b);
   }
   if (box_min > yb) {
     out.ok = true;
@@ -264,9 +269,9 @@ CertifyCheck check_farkas(const std::vector<ExactRow>& rows,
 CertifyCheck check_branch_coverage(const ProofNode& node,
                                    const ExactDomains& box) {
   CertifyCheck out;
-  const Bound& lo = box.lb(node.var);
-  const Bound& hi = box.ub(node.var);
-  if (!lo.has_value() || !hi.has_value()) {
+  const Rational* lo = box.lb(node.var);
+  const Rational* hi = box.ub(node.var);
+  if (lo == nullptr || hi == nullptr) {
     out.detail = sparcs::str_format(
         "branched var %d has an unbounded domain", node.var);
     return out;
@@ -319,6 +324,27 @@ std::string rank_string(const std::vector<std::int32_t>& rank) {
     out += std::to_string(digit);
   }
   return out;
+}
+
+/// True when `rank` orders before `parent` extended by `last` (the rank of
+/// child `last` of `parent`), without building that rank.
+bool rank_before_child(const std::vector<std::int32_t>& rank,
+                       const std::vector<std::int32_t>& parent,
+                       std::int32_t last) {
+  const std::size_t n = parent.size();
+  const std::size_t common = std::min(rank.size(), n);
+  for (std::size_t i = 0; i < common; ++i) {
+    if (rank[i] != parent[i]) return rank[i] < parent[i];
+  }
+  if (rank.size() <= n) return true;  // a prefix of the child's rank
+  return rank[n] < last;
+}
+
+bool is_child_rank(const std::vector<std::int32_t>& rank,
+                   const std::vector<std::int32_t>& parent,
+                   std::int32_t last) {
+  return rank.size() == parent.size() + 1 && rank.back() == last &&
+         std::equal(parent.begin(), parent.end(), rank.begin());
 }
 
 }  // namespace
@@ -405,7 +431,7 @@ CertifyCheck certify_feasible(const Model& model,
       const ExactRow& row = rows[static_cast<std::size_t>(c)];
       Rational lhs;
       for (const auto& [var, coef] : row.terms) {
-        lhs += coef * point[static_cast<std::size_t>(var)];
+        lhs.add_product(coef, point[static_cast<std::size_t>(var)]);
       }
       const int cmp = lhs.compare(row.rhs);
       const bool bad = (row.sense == Sense::kLessEqual && cmp > 0) ||
@@ -448,9 +474,7 @@ CertifyCheck certify_feasible(const Model& model,
         replay_derivation(row, d, /*integral=*/false, box);
         d.is_lb = true;
         replay_derivation(row, d, /*integral=*/false, box);
-        const Bound& lo = box.lb(var);
-        const Bound& hi = box.ub(var);
-        if (lo.has_value() && hi.has_value() && *lo > *hi) {
+        if (box.empty(var)) {
           out.detail = sparcs::str_format(
               "no exact completion: var %s interval is empty",
               model.var(var).name.c_str());
@@ -465,12 +489,12 @@ CertifyCheck certify_feasible(const Model& model,
   for (VarId v = 0; v < model.num_vars(); ++v) {
     if (model.var(v).type != VarType::kContinuous) continue;
     const auto i = static_cast<std::size_t>(v);
-    const Bound& lo = box.lb(v);
-    const Bound& hi = box.ub(v);
-    if (lo.has_value() && repaired[i] < *lo) {
+    const Rational* lo = box.lb(v);
+    const Rational* hi = box.ub(v);
+    if (lo != nullptr && repaired[i] < *lo) {
       repaired[i] = *lo;
       ++repairs;
-    } else if (hi.has_value() && repaired[i] > *hi) {
+    } else if (hi != nullptr && repaired[i] > *hi) {
       repaired[i] = *hi;
       ++repairs;
     }
@@ -497,17 +521,33 @@ CertifyCheck certify_infeasible(const Model& model,
     out.detail = "empty infeasibility proof";
     return out;
   }
-  std::map<std::vector<std::int32_t>, const ProofNode*> by_rank;
-  for (const ProofNode& node : proof.nodes) {
-    if (!by_rank.emplace(node.rank, &node).second) {
-      out.detail =
-          sparcs::str_format("duplicate proof node %s",
-                              rank_string(node.rank).c_str());
-      return out;
+  // Node pointers sorted by rank (lexicographic, so the root comes first):
+  // the walk looks each child up in it.
+  std::vector<const ProofNode*> by_rank;
+  by_rank.reserve(proof.nodes.size());
+  for (const ProofNode& node : proof.nodes) by_rank.push_back(&node);
+  const auto rank_less = [](const ProofNode* a, const ProofNode* b) {
+    return a->rank < b->rank;
+  };
+  // A lone worker records its nodes in depth-first order, already sorted.
+  if (!std::is_sorted(by_rank.begin(), by_rank.end(), rank_less)) {
+    std::stable_sort(by_rank.begin(), by_rank.end(), rank_less);
+  }
+  // Of several duplicates, name the one that comes first in node order
+  // after its twin.
+  const ProofNode* duplicate = nullptr;
+  for (std::size_t i = 1; i < by_rank.size(); ++i) {
+    if (by_rank[i]->rank == by_rank[i - 1]->rank &&
+        (duplicate == nullptr || by_rank[i] < duplicate)) {
+      duplicate = by_rank[i];
     }
   }
-  const auto root_it = by_rank.find({});
-  if (root_it == by_rank.end()) {
+  if (duplicate != nullptr) {
+    out.detail = sparcs::str_format("duplicate proof node %s",
+                                     rank_string(duplicate->rank).c_str());
+    return out;
+  }
+  if (!by_rank.front()->rank.empty()) {
     out.detail = "proof has no root node";
     return out;
   }
@@ -529,7 +569,10 @@ CertifyCheck certify_infeasible(const Model& model,
     bool entered = false;
   };
   std::vector<WalkItem> stack;
-  stack.push_back({root_it->second, box.checkpoint()});
+  stack.push_back({by_rank.front(), box.checkpoint()});
+  // The depth-first walk visits ranks in sorted order, so each child is
+  // usually the node after the one entered last.
+  std::size_t next = 1;
 
   auto fail_at = [&out](const ProofNode& node, std::string reason) {
     out.ok = false;
@@ -574,9 +617,7 @@ CertifyCheck certify_infeasible(const Model& model,
                 rows[static_cast<std::size_t>(node.conflict_row)], box);
           } else if (node.conflict_var >= 0 &&
                      node.conflict_var < model.num_vars()) {
-            const Bound& lo = box.lb(node.conflict_var);
-            const Bound& hi = box.ub(node.conflict_var);
-            proven = lo.has_value() && hi.has_value() && *lo > *hi;
+            proven = box.empty(node.conflict_var);
           }
           if (!proven) {
             return fail_at(node, "conflict does not hold exactly");
@@ -587,9 +628,7 @@ CertifyCheck certify_infeasible(const Model& model,
           if (node.var < 0 || node.var >= model.num_vars()) {
             return fail_at(node, "empty-box leaf names an unknown var");
           }
-          const Bound& lo = box.lb(node.var);
-          const Bound& hi = box.ub(node.var);
-          if (!(lo.has_value() && hi.has_value() && *lo > *hi)) {
+          if (!box.empty(node.var)) {
             return fail_at(node, "domain is not exactly empty");
           }
           break;
@@ -612,17 +651,26 @@ CertifyCheck certify_infeasible(const Model& model,
     }
     // Descend into the next child: apply its branch box, then look it up.
     const std::size_t j = item.next_child++;
-    std::vector<std::int32_t> child_rank = node.rank;
-    child_rank.push_back(static_cast<std::int32_t>(j));
-    const auto child_it = by_rank.find(child_rank);
-    if (child_it == by_rank.end()) {
-      return fail_at(node, sparcs::str_format("child %zu has no proof", j));
+    const auto last = static_cast<std::int32_t>(j);
+    auto child_it = by_rank.begin() + static_cast<std::ptrdiff_t>(next);
+    if (child_it == by_rank.end() ||
+        !is_child_rank((*child_it)->rank, node.rank, last)) {
+      child_it = std::lower_bound(
+          by_rank.begin(), by_rank.end(), last,
+          [&node](const ProofNode* other, std::int32_t index) {
+            return rank_before_child(other->rank, node.rank, index);
+          });
+      if (child_it == by_rank.end() ||
+          !is_child_rank((*child_it)->rank, node.rank, last)) {
+        return fail_at(node, sparcs::str_format("child %zu has no proof", j));
+      }
     }
+    next = static_cast<std::size_t>(child_it - by_rank.begin()) + 1;
     const auto [blo, bhi] = node.branches[j];
     const std::size_t mark = box.checkpoint();
     box.tighten_lb(node.var, Rational::from_double(blo));
     box.tighten_ub(node.var, Rational::from_double(bhi));
-    stack.push_back({child_it->second, mark});
+    stack.push_back({*child_it, mark});
   }
   out.ok = true;
   return out;

@@ -6,12 +6,15 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
+#include "core/bounds.hpp"
 #include "core/deadline.hpp"
+#include "graph/algorithms.hpp"
 #include "io/tg_format.hpp"
 #include "service/protocol.hpp"
 #include "support/atomic_file.hpp"
@@ -19,6 +22,7 @@
 #include "support/logging.hpp"
 #include "support/observer.hpp"
 #include "support/report_writer.hpp"
+#include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "workloads/builtin.hpp"
 
@@ -85,7 +89,7 @@ void append_job_fields(report::ReportWriter& w, const JobInfo& info,
 }  // namespace
 
 JobSpec resolve_job(const SubmitRequest& request, int default_threads,
-                    int max_partitions) {
+                    int max_partitions, OptionSpelling spelling) {
   JobSpec spec;
   arch::Device device{"defaults", 576.0, 4096.0, 100.0};
   if (!request.workload.empty()) {
@@ -115,6 +119,21 @@ JobSpec resolve_job(const SubmitRequest& request, int default_threads,
                  "unknown certify mode '" + request.certify + "'");
   options.budget.solver.certify = *certify;
   spec.deadline_sec = request.deadline_sec;
+  // Every window's upper end is MaxLatency(N) at most, and the formulation
+  // needs it finite: reject a device that overflows it before any solve.
+  const int n = core::max_latency_partitions(spec.graph, spec.device, options);
+  const double bound = core::max_latency(spec.graph, spec.device, n);
+  if (!std::isfinite(bound)) {
+    const std::string ct =
+        spelling == OptionSpelling::kFlag ? "--ct" : "options.ct";
+    const double serial = graph::total_task_weight(
+        spec.graph, [&](graph::TaskId t) { return spec.graph.max_latency(t); });
+    require_input(std::isfinite(serial),
+                  "the graph's task latencies sum past the double range");
+    throw InvalidArgumentError(str_format(
+        "%s %g overflows the latency bound MaxLatency(N=%d)", ct.c_str(),
+        spec.device.reconfig_time_ns, n));
+  }
   return spec;
 }
 

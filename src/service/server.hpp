@@ -64,10 +64,12 @@ struct ServerOptions {
 /// 576, Mmax 4096, Ct 100 ns; the file's device over those; rmax/mmax/ct over
 /// both; named "cli-device", which a CLI checkpoint's fingerprint includes)
 /// and the partitioner options (`default_threads` for threads = 0). Throws
-/// Error.
+/// Error; a latency bound MaxLatency(N) that overflows a double for some N
+/// of the sweep is an input error naming the ct option as `spelling` says.
 [[nodiscard]] JobSpec resolve_job(
     const SubmitRequest& request, int default_threads,
-    int max_partitions = core::PartitionerOptions{}.max_partitions);
+    int max_partitions = core::PartitionerOptions{}.max_partitions,
+    OptionSpelling spelling = OptionSpelling::kJsonKey);
 
 /// The job's partitioner options, armed to run now: `cancel` stops the run
 /// and its wall deadline, if any, starts counting.

@@ -1,5 +1,6 @@
 #include "support/rational.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -19,24 +20,46 @@ u128 magnitude_of(i128 v) {
   return v < 0 ? ~static_cast<u128>(v) + 1 : static_cast<u128>(v);
 }
 
-/// Binary gcd on unsigned 128-bit magnitudes (no division).
+int ctz_u128(u128 v) {  // v != 0
+  const auto low = static_cast<std::uint64_t>(v);
+  return low != 0 ? __builtin_ctzll(low)
+                  : 64 + __builtin_ctzll(static_cast<std::uint64_t>(v >> 64));
+}
+
+/// Binary gcd of an odd `x` and a non-zero `y`.
+std::uint64_t odd_gcd_u64(std::uint64_t x, std::uint64_t y) {
+  while (y != 0) {
+    y >>= __builtin_ctzll(y);
+    if (x > y) std::swap(x, y);
+    y -= x;
+  }
+  return x;
+}
+
+std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  const int shift = __builtin_ctzll(a | b);
+  return odd_gcd_u64(a >> __builtin_ctzll(a), b) << shift;
+}
+
+/// Binary gcd on unsigned magnitudes (no division); runs on 64-bit words
+/// once both operands fit them.
 u128 gcd_u128(u128 a, u128 b) {
   if (a == 0) return b;
   if (b == 0) return a;
   if (a == 1 || b == 1) return 1;
-  int shift = 0;
-  while (((a | b) & 1) == 0) {
-    a >>= 1;
-    b >>= 1;
-    ++shift;
-  }
-  while ((a & 1) == 0) a >>= 1;
-  while (b != 0) {
-    while ((b & 1) == 0) b >>= 1;
+  const int shift = ctz_u128(a | b);
+  a >>= ctz_u128(a);
+  while (b >> 64 != 0 || a >> 64 != 0) {
+    b >>= ctz_u128(b);
     if (a > b) std::swap(a, b);
     b -= a;
+    if (b == 0) return a << shift;
   }
-  return a << shift;
+  return static_cast<u128>(odd_gcd_u64(static_cast<std::uint64_t>(a),
+                                       static_cast<std::uint64_t>(b)))
+         << shift;
 }
 
 }  // namespace
@@ -189,22 +212,91 @@ BigInt BigInt::shifted_left(int bits) const {
 void BigInt::divmod(const BigInt& divisor, BigInt* quotient,
                     BigInt* remainder) const {
   SPARCS_REQUIRE(!divisor.is_zero(), "BigInt division by zero");
-  // Shift-subtract long division on magnitudes, msb -> lsb.
   BigInt q, r;
-  const std::size_t total_bits = limbs_.size() * 32;
-  q.limbs_.assign(limbs_.size(), 0);
-  BigInt div_mag = divisor;
-  div_mag.negative_ = false;
-  for (std::size_t bit = total_bits; bit-- > 0;) {
-    // r = (r << 1) | bit_of(*this, bit)
-    r = r.shifted_left(1);
-    if ((limbs_[bit / 32] >> (bit % 32)) & 1u) {
-      if (r.limbs_.empty()) r.limbs_.push_back(0);
-      r.limbs_[0] |= 1u;
+  if (compare_magnitude(divisor) < 0) {
+    r = *this;
+  } else if (divisor.limbs_.size() == 1) {
+    // Short division: one 64-by-32-bit step per limb, msb -> lsb.
+    const std::uint64_t d = divisor.limbs_[0];
+    q.limbs_.resize(limbs_.size());
+    std::uint64_t rem = 0;
+    for (std::size_t i = limbs_.size(); i-- > 0;) {
+      const std::uint64_t cur = (rem << 32) | limbs_[i];
+      q.limbs_[i] = static_cast<std::uint32_t>(cur / d);
+      rem = cur % d;
     }
-    if (!(r.compare_magnitude(div_mag) < 0)) {
-      r = sub_magnitude(r, div_mag, false);
-      q.limbs_[bit / 32] |= (1u << (bit % 32));
+    r.limbs_.push_back(static_cast<std::uint32_t>(rem));
+  } else {
+    // Knuth, TAOCP vol. 2, 4.3.1, Algorithm D on base-2^32 limbs.
+    constexpr std::uint64_t kBase = std::uint64_t{1} << 32;
+    const std::size_t n = divisor.limbs_.size();
+    const std::size_t m = limbs_.size() - n;
+    // D1: normalize so the divisor's top limb has its high bit set; the
+    // dividend gains one limb for the shifted-out bits.
+    const int s = __builtin_clz(divisor.limbs_[n - 1]);
+    const auto shift = [s](const std::vector<std::uint32_t>& in,
+                           std::size_t out_size) {
+      std::vector<std::uint32_t> out(out_size, 0);
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        const std::uint64_t wide = static_cast<std::uint64_t>(in[i]) << s;
+        out[i] |= static_cast<std::uint32_t>(wide);
+        if (i + 1 < out_size) {
+          out[i + 1] = static_cast<std::uint32_t>(wide >> 32);
+        }
+      }
+      return out;
+    };
+    const std::vector<std::uint32_t> v = shift(divisor.limbs_, n);
+    std::vector<std::uint32_t> u = shift(limbs_, limbs_.size() + 1);
+    q.limbs_.resize(m + 1);
+    for (std::size_t j = m + 1; j-- > 0;) {
+      // D3: estimate q̂ from the top two limbs, then correct it (at most
+      // twice) with the divisor's second limb.
+      const std::uint64_t top =
+          (static_cast<std::uint64_t>(u[j + n]) << 32) | u[j + n - 1];
+      std::uint64_t qhat = top / v[n - 1];
+      std::uint64_t rhat = top % v[n - 1];
+      while (qhat >= kBase ||
+             qhat * v[n - 2] > ((rhat << 32) | u[j + n - 2])) {
+        --qhat;
+        rhat += v[n - 1];
+        if (rhat >= kBase) break;
+      }
+      // D4: u[j .. j+n] -= q̂ * v.
+      std::int64_t borrow = 0;
+      std::uint64_t carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t product = qhat * v[i] + carry;
+        carry = product >> 32;
+        const std::int64_t diff =
+            static_cast<std::int64_t>(u[i + j]) - borrow -
+            static_cast<std::int64_t>(product & 0xffffffffu);
+        u[i + j] = static_cast<std::uint32_t>(diff);
+        borrow = diff < 0 ? 1 : 0;
+      }
+      const std::int64_t diff = static_cast<std::int64_t>(u[j + n]) - borrow -
+                                static_cast<std::int64_t>(carry);
+      u[j + n] = static_cast<std::uint32_t>(diff);
+      // D5/D6: q̂ was one too large (rare): add the divisor back.
+      if (diff < 0) {
+        --qhat;
+        std::uint64_t add_carry = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t sum =
+              static_cast<std::uint64_t>(u[i + j]) + v[i] + add_carry;
+          u[i + j] = static_cast<std::uint32_t>(sum);
+          add_carry = sum >> 32;
+        }
+        u[j + n] = static_cast<std::uint32_t>(u[j + n] + add_carry);
+      }
+      q.limbs_[j] = static_cast<std::uint32_t>(qhat);
+    }
+    // D8: the remainder is u[0 .. n) shifted back down.
+    r.limbs_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t wide =
+          (static_cast<std::uint64_t>(u[i + 1]) << 32) | u[i];
+      r.limbs_[i] = static_cast<std::uint32_t>(wide >> s);
     }
   }
   // Truncated division: quotient sign = operand signs xor, remainder takes
@@ -246,7 +338,7 @@ bool BigInt::fits_i128(i128* out) const {
 
 std::string BigInt::to_string() const {
   if (is_zero()) return "0";
-  // Peel 9 decimal digits at a time with the shift-subtract divmod.
+  // Peel 9 decimal digits at a time with the short divmod.
   BigInt value = *this;
   value.negative_ = false;
   const BigInt chunk = BigInt(1000000000);
@@ -283,6 +375,10 @@ Rational::Rational(std::int64_t num, std::int64_t den) {
   *this = make_small(num, den);
 }
 
+std::unique_ptr<Rational::Big> Rational::clone(const Big& big) {
+  return std::make_unique<Big>(big);
+}
+
 Rational Rational::make_small(i128 num, i128 den) {
   if (num == kI128Min || den == kI128Min) {
     // -2^127 has no negation in __int128; the big representation is exact.
@@ -293,7 +389,17 @@ Rational Rational::make_small(i128 num, i128 den) {
     num = -num;
     den = -den;
   }
-  const u128 g = gcd_u128(magnitude_of(num), magnitude_of(den));
+  const u128 num_mag = magnitude_of(num);
+  if ((num_mag | static_cast<u128>(den)) >> 64 == 0) {
+    // Both fit 64-bit words: reduce there.
+    const auto n = static_cast<std::uint64_t>(num_mag);
+    const auto d = static_cast<std::uint64_t>(den);
+    const std::uint64_t g = gcd_u64(n, d);
+    out.num_ = num < 0 ? -static_cast<i128>(n / g) : static_cast<i128>(n / g);
+    out.den_ = d / g;
+    return out;
+  }
+  const u128 g = gcd_u128(num_mag, magnitude_of(den));
   if (g > 1) {
     // Dividing by the gcd of the magnitudes is exact; do it on magnitudes to
     // sidestep the -2^127 edge case.
@@ -332,42 +438,49 @@ Rational::Rational(BigInt num, BigInt den) {
     den_ = small_den;
     return;
   }
-  big_ = true;
-  bnum_ = std::move(num);
-  bden_ = std::move(den);
+  big_ = std::make_unique<Big>(Big{std::move(num), std::move(den)});
 }
 
 BigInt Rational::big_num() const {
-  return big_ ? bnum_ : BigInt::from_i128(num_);
+  return big_ ? big_->num : BigInt::from_i128(num_);
 }
 
 BigInt Rational::big_den() const {
-  return big_ ? bden_ : BigInt::from_i128(den_);
+  return big_ ? big_->den : BigInt::from_i128(den_);
 }
+
+int Rational::big_sign() const { return big_->num.sign(); }
 
 Rational Rational::from_double(double value) {
   SPARCS_REQUIRE(std::isfinite(value), "rational from non-finite double");
-  if (value == 0.0) return Rational();
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (value >= -kTwo63 && value < kTwo63) {
+    // Integral doubles (the bulk of a model's data) convert directly.
+    const auto whole = static_cast<std::int64_t>(value);
+    if (static_cast<double>(whole) == value) return integer(whole);
+  }
   int exp = 0;
   const double mantissa = std::frexp(value, &exp);
   // mantissa * 2^53 is an integer with |.| < 2^53.
-  const auto scaled = static_cast<std::int64_t>(std::ldexp(mantissa, 53));
+  auto scaled = static_cast<std::int64_t>(std::ldexp(mantissa, 53));
   exp -= 53;
   if (exp >= 0) {
-    if (exp <= 70) {
-      return make_small(static_cast<i128>(scaled) << exp, 1);
-    }
+    if (exp <= 70) return integer(static_cast<i128>(scaled) << exp);
     return Rational(BigInt::from_i128(scaled).shifted_left(exp), BigInt(1));
   }
-  if (-exp <= 70) {
-    return make_small(scaled, i128{1} << -exp);
+  // scaled / 2^-exp: the gcd is the power of two scaled's trailing zeros
+  // share with the denominator.
+  const int shift =
+      std::min(__builtin_ctzll(static_cast<std::uint64_t>(scaled)), -exp);
+  scaled >>= shift;  // exact: the bits shifted out are zero
+  exp += shift;
+  if (-exp <= 126) {
+    Rational out;
+    out.num_ = scaled;
+    out.den_ = i128{1} << -exp;
+    return out;
   }
   return Rational(BigInt::from_i128(scaled), BigInt(1).shifted_left(-exp));
-}
-
-int Rational::sign() const {
-  if (big_) return bnum_.sign();
-  return num_ < 0 ? -1 : (num_ > 0 ? 1 : 0);
 }
 
 Rational Rational::negated() const {
@@ -376,17 +489,15 @@ Rational Rational::negated() const {
     out.num_ = -out.num_;
     return out;
   }
-  return Rational(bnum_.negated(), bden_);
+  return Rational(big_->num.negated(), big_->den);
 }
 
-Rational Rational::operator+(const Rational& other) const {
+Rational Rational::add(const Rational& other) const {
   if (!big_ && !other.big_ && den_ == 1 && other.den_ == 1) {
     // Integers: the sum is already normalized.
     i128 sum = 0;
     if (!__builtin_add_overflow(num_, other.num_, &sum) && sum != kI128Min) {
-      Rational out;
-      out.num_ = sum;
-      return out;
+      return integer(sum);
     }
   }
   if (!big_ && !other.big_) {
@@ -403,19 +514,13 @@ Rational Rational::operator+(const Rational& other) const {
   return Rational(num, big_den() * other.big_den());
 }
 
-Rational Rational::operator-(const Rational& other) const {
-  return *this + other.negated();
-}
-
-Rational Rational::operator*(const Rational& other) const {
+Rational Rational::multiply(const Rational& other) const {
   if (!big_ && !other.big_ && den_ == 1 && other.den_ == 1) {
     // Integers: nothing to cross-reduce.
     i128 product = 0;
     if (!__builtin_mul_overflow(num_, other.num_, &product) &&
         product != kI128Min) {
-      Rational out;
-      out.num_ = product;
-      return out;
+      return integer(product);
     }
   }
   if (!big_ && !other.big_) {
@@ -438,17 +543,25 @@ Rational Rational::operator*(const Rational& other) const {
 
 Rational Rational::operator/(const Rational& other) const {
   SPARCS_REQUIRE(other.sign() != 0, "rational division by zero");
-  Rational flipped;
-  if (!other.big_) {
-    flipped.num_ = other.num_ < 0 ? -other.den_ : other.den_;
-    flipped.den_ = other.num_ < 0 ? -other.num_ : other.num_;
-  } else {
+  if (small_integer() && other.small_integer()) {
+    // Integers: an exact quotient needs no gcd; only -2^63 / -1 would
+    // overflow 64 bits, and dividing by -1 is a negation.
+    const auto a = static_cast<std::int64_t>(num_);
+    const auto b = static_cast<std::int64_t>(other.num_);
+    if (b == -1) return integer(-num_);
+    if (a % b == 0) return integer(a / b);
+    return make_small(a, b);
+  }
+  if (other.big_) {
     return Rational(big_num() * other.big_den(), big_den() * other.big_num());
   }
+  Rational flipped;
+  flipped.num_ = other.num_ < 0 ? -other.den_ : other.den_;
+  flipped.den_ = other.num_ < 0 ? -other.num_ : other.num_;
   return *this * flipped;
 }
 
-int Rational::compare(const Rational& other) const {
+int Rational::cross_compare(const Rational& other) const {
   if (!big_ && !other.big_) {
     i128 ad = 0, cb = 0;
     if (!__builtin_mul_overflow(num_, other.den_, &ad) &&
@@ -462,24 +575,34 @@ int Rational::compare(const Rational& other) const {
 bool Rational::is_integer() const {
   if (!big_) return den_ == 1;
   i128 v = 0;
-  return bden_.fits_i128(&v) && v == 1;
+  return big_->den.fits_i128(&v) && v == 1;
 }
 
 Rational Rational::floor() const {
   if (!big_) {
     i128 q = num_ / den_;
     if (num_ % den_ != 0 && num_ < 0) --q;
-    Rational out;
-    out.num_ = q;
-    return out;
+    return integer(q);
   }
   BigInt q, r;
-  bnum_.divmod(bden_, &q, &r);
-  if (!r.is_zero() && bnum_.sign() < 0) q = q - BigInt(1);
+  big_->num.divmod(big_->den, &q, &r);
+  if (!r.is_zero() && big_->num.sign() < 0) q = q - BigInt(1);
   return Rational(std::move(q), BigInt(1));
 }
 
-Rational Rational::ceil() const { return negated().floor().negated(); }
+Rational Rational::ceil() const {
+  if (!big_) {
+    i128 q = num_ / den_;
+    if (num_ % den_ != 0 && num_ > 0) ++q;
+    return integer(q);
+  }
+  return negated().floor().negated();
+}
+
+Rational Rational::general_quotient(const Rational& divisor, bool up) const {
+  const Rational exact = *this / divisor;  // REQUIREs a non-zero divisor
+  return up ? exact.ceil() : exact.floor();
+}
 
 std::string Rational::to_string() const {
   if (is_integer()) return big_num().to_string();
@@ -490,12 +613,12 @@ double Rational::to_double() const {
   if (!big_) {
     return static_cast<double>(num_) / static_cast<double>(den_);
   }
-  const double num = bnum_.to_double();
-  const double den = bden_.to_double();
+  const double num = big_->num.to_double();
+  const double den = big_->den.to_double();
   if (std::isfinite(num) && std::isfinite(den)) return num / den;
   // Both huge: compare magnitudes through a scaled quotient.
   BigInt q;
-  bnum_.divmod(bden_, &q, nullptr);
+  big_->num.divmod(big_->den, &q, nullptr);
   return q.to_double();
 }
 

@@ -1,29 +1,35 @@
 // Exact rational arithmetic for certificate checking.
 //
 // Rational keeps its numerator/denominator in __int128 while they fit and
-// every operation checks for overflow with the compiler intrinsics; the
-// moment a product or sum would overflow, the value is promoted to an
-// arbitrary-precision sign-magnitude integer (BigInt) and stays exact. The
-// certificate checker (milp/certify) is the only performance-sensitive user,
-// and its inputs are doubles, whose exact rational form is num/2^k — small
-// enough that the fast path handles almost every operation.
+// every operation that could overflow checks for it with the compiler
+// intrinsics; the moment a product or sum would overflow, the value is
+// promoted to an arbitrary-precision sign-magnitude integer (BigInt) and
+// stays exact. The certificate checker (milp/certify) is the only
+// performance-sensitive user, and its inputs are doubles, whose exact
+// rational form is num/2^k — small enough that the fast path handles almost
+// every operation.
 //
 // Design notes:
-//  - Rationals never divide integers except in floor()/round-trip printing:
-//    a/b is multiplication by the flipped operand, so BigInt only needs
-//    addition, subtraction, multiplication, comparison and a shift-subtract
-//    divmod (used by floor/ceil, gcd reduction and decimal printing).
+//  - Rationals never divide integers except in floor()/ceil(), the floor or
+//    ceil of a quotient, and printing: a/b is multiplication by the flipped
+//    operand. BigInt divides by limbs (Knuth's Algorithm D, with a one-limb
+//    short division), which gcd reduction, floor/ceil and printing share.
 //  - from_double() is exact: d == m * 2^e is decomposed with frexp and the
 //    power of two lands in the numerator or denominator verbatim (|e| can
 //    reach 1074, so this is a routine promotion trigger).
 //  - Every value is kept normalized (gcd-reduced, denominator > 0) and
 //    demoted back to the __int128 representation when it fits again; -2^127
 //    has no negation there and stays big.
-//  - A sum or product of two integers (the bulk of a certificate check's
-//    row activities) skips the gcd and the cross-reduction.
+//  - The BigInt pair of a promoted value sits behind one pointer, so a small
+//    value is two words and a null pointer and copies as plain words.
+//  - The integer fast path is inline: sign, compare at equal denominators,
+//    and +, -, * when both operands are integers within +-2^63 (the result
+//    then fits __int128 with room to spare and needs no overflow check).
+//    Everything else goes out of line through the checked general path.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,28 +89,87 @@ class Rational {
  public:
   Rational() = default;
   Rational(std::int64_t value)  // NOLINT(google-explicit-constructor)
-      : num_(value), den_(1) {}
+      : num_(value) {}
   /// num/den in small representation; REQUIREs den != 0.
   Rational(std::int64_t num, std::int64_t den);
+
+  Rational(const Rational& other)
+      : num_(other.num_), den_(other.den_),
+        big_(other.big_ ? clone(*other.big_) : nullptr) {}
+  Rational(Rational&&) noexcept = default;
+  Rational& operator=(const Rational& other) {
+    if (this != &other) {
+      num_ = other.num_;
+      den_ = other.den_;
+      big_ = other.big_ ? clone(*other.big_) : nullptr;
+    }
+    return *this;
+  }
+  Rational& operator=(Rational&&) noexcept = default;
+  ~Rational() = default;
 
   /// Exact conversion of a finite double (REQUIREs finiteness).
   static Rational from_double(double value);
 
-  [[nodiscard]] int sign() const;
-  [[nodiscard]] bool is_zero() const { return sign() == 0; }
+  [[nodiscard]] int sign() const {
+    if (!big_) return (num_ > 0) - (num_ < 0);
+    return big_sign();
+  }
+  [[nodiscard]] bool is_zero() const { return !big_ && num_ == 0; }
   [[nodiscard]] Rational negated() const;
 
-  [[nodiscard]] Rational operator+(const Rational& other) const;
-  [[nodiscard]] Rational operator-(const Rational& other) const;
-  [[nodiscard]] Rational operator*(const Rational& other) const;
+  [[nodiscard]] Rational operator+(const Rational& other) const {
+    if (small_integer() && other.small_integer()) {
+      return integer(num_ + other.num_);
+    }
+    return add(other);
+  }
+  [[nodiscard]] Rational operator-(const Rational& other) const {
+    if (small_integer() && other.small_integer()) {
+      return integer(num_ - other.num_);
+    }
+    return add(other.negated());
+  }
+  [[nodiscard]] Rational operator*(const Rational& other) const {
+    if (small_integer() && other.small_integer()) {
+      return integer(wide_product(num_, other.num_));
+    }
+    return multiply(other);
+  }
   /// REQUIREs a non-zero divisor.
   [[nodiscard]] Rational operator/(const Rational& other) const;
-  Rational& operator+=(const Rational& other) { return *this = *this + other; }
-  Rational& operator-=(const Rational& other) { return *this = *this - other; }
+  Rational& operator+=(const Rational& other) {
+    if (small_integer() && other.small_integer()) {
+      num_ += other.num_;
+      return *this;
+    }
+    return *this = add(other);
+  }
+  Rational& operator-=(const Rational& other) {
+    if (small_integer() && other.small_integer()) {
+      num_ -= other.num_;
+      return *this;
+    }
+    return *this = add(other.negated());
+  }
   Rational& operator*=(const Rational& other) { return *this = *this * other; }
 
+  /// *this += a * b, in place; the row-activity accumulation of the checker.
+  Rational& add_product(const Rational& a, const Rational& b) {
+    if (small_integer() && a.small_integer() && b.small_integer()) {
+      num_ += wide_product(a.num_, b.num_);  // |.| <= 2^63 + 2^126 < 2^127
+      return *this;
+    }
+    return *this += a * b;
+  }
+
   /// Three-way compare via cross multiplication (denominators positive).
-  [[nodiscard]] int compare(const Rational& other) const;
+  [[nodiscard]] int compare(const Rational& other) const {
+    if (!big_ && !other.big_ && den_ == other.den_) {
+      return (num_ > other.num_) - (num_ < other.num_);
+    }
+    return cross_compare(other);
+  }
   bool operator==(const Rational& other) const { return compare(other) == 0; }
   bool operator!=(const Rational& other) const { return compare(other) != 0; }
   bool operator<(const Rational& other) const { return compare(other) < 0; }
@@ -115,10 +180,19 @@ class Rational {
   /// Largest integer <= value / smallest integer >= value, as a Rational.
   [[nodiscard]] Rational floor() const;
   [[nodiscard]] Rational ceil() const;
+  /// floor(*this / divisor) and ceil(*this / divisor) as one operation
+  /// (REQUIRE a non-zero divisor); integer operands divide in one 64-bit
+  /// step, without a gcd.
+  [[nodiscard]] Rational floor_quotient(const Rational& divisor) const {
+    return quotient(divisor, /*up=*/false);
+  }
+  [[nodiscard]] Rational ceil_quotient(const Rational& divisor) const {
+    return quotient(divisor, /*up=*/true);
+  }
   [[nodiscard]] bool is_integer() const;
 
   /// True when this value ever left the __int128 fast path (test hook).
-  [[nodiscard]] bool is_promoted() const { return big_; }
+  [[nodiscard]] bool is_promoted() const { return big_ != nullptr; }
 
   /// "num/den" (or just "num" for integers), exact.
   [[nodiscard]] std::string to_string() const;
@@ -126,15 +200,58 @@ class Rational {
   [[nodiscard]] double to_double() const;
 
  private:
+  struct Big {
+    BigInt num, den;
+  };
+
+  /// An integer within +-2^63 in the small representation.
+  [[nodiscard]] bool small_integer() const {
+    return !big_ && den_ == 1 &&
+           num_ == static_cast<__int128>(static_cast<std::int64_t>(num_));
+  }
+  /// The product of two values within +-2^63, as one 64x64->128 multiply.
+  static __int128 wide_product(__int128 a, __int128 b) {
+    return static_cast<__int128>(static_cast<std::int64_t>(a)) *
+           static_cast<std::int64_t>(b);
+  }
+  static Rational integer(__int128 value) {
+    Rational out;
+    out.num_ = value;
+    return out;
+  }
+  static std::unique_ptr<Big> clone(const Big& big);
+
   Rational(BigInt num, BigInt den);  ///< normalizes and maybe demotes
   static Rational make_small(__int128 num, __int128 den);
+  [[nodiscard]] Rational add(const Rational& other) const;
+  [[nodiscard]] Rational multiply(const Rational& other) const;
+  [[nodiscard]] int cross_compare(const Rational& other) const;
+  /// floor(*this / divisor), rounded up instead when `up` is set.
+  [[nodiscard]] Rational quotient(const Rational& divisor, bool up) const {
+    // Only -2^63 / -1 overflows the 64-bit division; -1 goes the long way.
+    if (small_integer() && divisor.small_integer() && divisor.num_ != 0 &&
+        divisor.num_ != -1) {
+      const auto a = static_cast<std::int64_t>(num_);
+      const auto b = static_cast<std::int64_t>(divisor.num_);
+      std::int64_t q = a / b;
+      // Truncation rounds toward zero; step away from it when the exact
+      // quotient lies on the side being rounded to (the remainder carries
+      // the dividend's sign).
+      const std::int64_t r = a % b;
+      if (r != 0 && up == ((r < 0) == (b < 0))) q += up ? 1 : -1;
+      return integer(q);
+    }
+    return general_quotient(divisor, up);
+  }
+  [[nodiscard]] Rational general_quotient(const Rational& divisor,
+                                          bool up) const;
+  [[nodiscard]] int big_sign() const;
   [[nodiscard]] BigInt big_num() const;
   [[nodiscard]] BigInt big_den() const;
 
-  bool big_ = false;
   __int128 num_ = 0;  ///< small representation; den_ > 0, gcd-reduced
   __int128 den_ = 1;
-  BigInt bnum_, bden_;  ///< big representation when big_ is set
+  std::unique_ptr<Big> big_;  ///< the value when promoted, else null
 };
 
 }  // namespace sparcs::support

@@ -332,6 +332,19 @@ TEST(CliTest, NegativeDeltaIsBadInput) {
   EXPECT_NE(r.err.find("--delta"), std::string::npos) << r.err;
 }
 
+// A Ct so large that MaxLatency(N) overflows a double is refused as input,
+// naming the flag, before any model is built.
+TEST(CliTest, LatencyBoundOverflowIsBadInput) {
+  const CliRun r = run_cli({"--workload", "ar", "--rmax", "200", "--mmax",
+                            "64", "--ct", "1e308", "--quiet"});
+  EXPECT_EQ(r.exit_code, 4);
+  EXPECT_NE(r.err.find("error: --ct 1e+308 overflows the latency bound"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
+  EXPECT_EQ(r.out.find("graph '"), std::string::npos) << r.out;
+}
+
 TEST(CliTest, DeadlineBeyondTheClockRangeStillSucceeds) {
   // 1e300 s overflows the steady clock's nanoseconds; the deadline must
   // saturate rather than wrap into the past or overflow a time limit.

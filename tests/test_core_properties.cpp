@@ -174,8 +174,8 @@ TEST_P(FormulationVariantsTest, LatencyBoundNeverExceedsTheExhaustiveOptimum) {
 // The walk's R(N) is the relaxation's optimum: its certificate form has a
 // design at LB(N) and none at LB(N) - 1 (certified). These graphs have whole
 // ns latencies and C_T, so R(N) is whole too. The proof at LB(N) - 1 is
-// checked on the 300-unit device only: at 200 units the exact check of one
-// such proof takes up to 42 s (its rationals outgrow 128 bits).
+// checked on the 300-unit device only: at 200 units its search and exact
+// check add about 10 s to the suite (its rationals outgrow 128 bits).
 TEST_P(FormulationVariantsTest, LatencyBoundIsTheCertifiedRelaxationOptimum) {
   const graph::TaskGraph g = seeded_graph(GetParam());
   for (const double rmax : {300.0, 200.0}) {

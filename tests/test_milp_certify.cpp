@@ -5,8 +5,10 @@
 // certificate by demoting the verdict, never by changing it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -259,6 +261,107 @@ TEST(CertifyInfeasibleTest, RejectsOverflowedProof) {
 
 TEST(CertifyInfeasibleTest, RejectsEmptyProof) {
   EXPECT_FALSE(certify_infeasible(infeasible_model(), {}).ok);
+}
+
+/// 2 * (x0 + ... + x7) == 9 over binaries: infeasible by parity, which
+/// interval propagation only sees once most variables are fixed, so the
+/// proof is a tree of a few hundred nodes.
+Model parity_model() {
+  Model m("parity");
+  LinExpr sum;
+  for (int i = 0; i < 8; ++i) {
+    sum += 2.0 * LinExpr(m.add_binary("x" + std::to_string(i)));
+  }
+  m.add_constraint(std::move(sum) == 9.0, "odd");
+  return m;
+}
+
+InfeasibilityProof parity_proof() {
+  SolverParams params = optimality_params();
+  params.num_threads = 1;
+  params.certify = CertifyMode::kFull;
+  const MilpSolution s = Solver(parity_model(), params).solve();
+  EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  EXPECT_NE(s.proof, nullptr);
+  return s.proof != nullptr ? *s.proof : InfeasibilityProof{};
+}
+
+std::string rank_text(const std::vector<std::int32_t>& rank) {
+  if (rank.empty()) return "root";
+  std::string out;
+  for (const std::int32_t digit : rank) {
+    if (!out.empty()) out += '.';
+    out += std::to_string(digit);
+  }
+  return out;
+}
+
+// The checker indexes nodes by rank, not by position: a proof whose nodes
+// arrive out of depth-first order (as stitched worker fragments do) checks
+// the same.
+TEST(CertifyInfeasibleTest, SolverProofCertifiesInAnyNodeOrder) {
+  InfeasibilityProof proof = parity_proof();
+  ASSERT_GE(proof.nodes.size(), 20u);
+  ASSERT_TRUE(certify_infeasible(parity_model(), proof).ok);
+  std::mt19937 rng(20261020);
+  for (int round = 0; round < 3; ++round) {
+    std::shuffle(proof.nodes.begin(), proof.nodes.end(), rng);
+    const CertifyCheck check = certify_infeasible(parity_model(), proof);
+    EXPECT_TRUE(check.ok) << check.detail;
+  }
+  std::reverse(proof.nodes.begin(), proof.nodes.end());
+  EXPECT_TRUE(certify_infeasible(parity_model(), proof).ok);
+  // A stray node no branch leads to sorts between two siblings' subtrees;
+  // the walk never enters it.
+  ProofNode stray;
+  stray.rank = {0, 99};
+  proof.nodes.push_back(stray);
+  const CertifyCheck with_stray = certify_infeasible(parity_model(), proof);
+  EXPECT_TRUE(with_stray.ok) << with_stray.detail;
+}
+
+TEST(CertifyInfeasibleTest, RejectsADuplicatedRank) {
+  InfeasibilityProof proof = parity_proof();
+  ASSERT_GE(proof.nodes.size(), 20u);
+  // A copy of a node deep in the tree, placed before the original.
+  const ProofNode twin = proof.nodes[proof.nodes.size() / 2];
+  ASSERT_FALSE(twin.rank.empty());
+  proof.nodes.insert(proof.nodes.begin() + 1, twin);
+  const CertifyCheck check = certify_infeasible(parity_model(), proof);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.detail, "duplicate proof node " + rank_text(twin.rank));
+}
+
+TEST(CertifyInfeasibleTest, RejectsABranchedNodeWithAMissingChild) {
+  InfeasibilityProof proof = parity_proof();
+  // Drop the last child of the deepest-ranked branched node that has two.
+  const ProofNode* parent = nullptr;
+  for (const ProofNode& node : proof.nodes) {
+    if (node.kind == ProofNode::Kind::kBranched && node.branches.size() == 2 &&
+        (parent == nullptr || node.rank.size() > parent->rank.size())) {
+      parent = &node;
+    }
+  }
+  ASSERT_NE(parent, nullptr);
+  const std::string parent_rank = rank_text(parent->rank);
+  std::vector<std::int32_t> child = parent->rank;
+  child.push_back(1);
+  const auto erased = std::erase_if(proof.nodes, [&child](const ProofNode& n) {
+    return n.rank == child;
+  });
+  ASSERT_EQ(erased, 1u);
+  const CertifyCheck check = certify_infeasible(parity_model(), proof);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.detail, "node " + parent_rank + ": child 1 has no proof");
+}
+
+TEST(CertifyInfeasibleTest, RejectsAProofWithoutARoot) {
+  InfeasibilityProof proof = parity_proof();
+  std::erase_if(proof.nodes,
+                [](const ProofNode& node) { return node.rank.empty(); });
+  const CertifyCheck check = certify_infeasible(parity_model(), proof);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.detail, "proof has no root node");
 }
 
 /// 8 pigeons in 7 holes: 56 binaries, infeasible, and a few thousand nodes

@@ -686,6 +686,30 @@ TEST_F(ServiceTest, NegativeAlphaOrGammaIsRejectedAtSubmitTime) {
   EXPECT_TRUE(jobs->array().empty());
 }
 
+// A Ct that overflows MaxLatency(N) is a bad_request at submit time, not a
+// job that is accepted and then fails.
+TEST_F(ServiceTest, LatencyBoundOverflowIsRejectedAtSubmitTime) {
+  start(/*workers=*/0);
+  Client client(socket_path());
+  Request request = submit_workload("ar");
+  request.submit.rmax = 200.0;
+  request.submit.mmax = 64.0;
+  request.submit.ct = 1e308;
+  const json::Value response = parse_ok(client.call(request));
+  EXPECT_FALSE(response.member_bool("ok"));
+  EXPECT_EQ(error_code(response), "bad_request");
+  const json::Value* error = response.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->member_string("message"),
+            "options.ct 1e+308 overflows the latency bound MaxLatency(N=6)");
+  Request list;
+  list.op = "list";
+  const json::Value listed = parse_ok(client.call(list));
+  const json::Value* jobs = listed.find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_TRUE(jobs->array().empty());
+}
+
 TEST_F(ServiceTest, ShutdownCancelsQueuedJobsAndExitsCleanly) {
   // workers=0: every job is still queued when shutdown arrives.
   start(/*workers=*/0);
@@ -856,16 +880,22 @@ TEST_F(ServiceTest, JobResponsesKeepTheirBytes) {
   }
   stop();
 
-  // The AR filter of Table 1 converges; at Ct 1e308 its latency bound
-  // overflows and the formulation refuses the model, so that job fails.
+  // The AR filter of Table 1 converges; the second graph's environment data
+  // sum past the double range in its memory row, and the formulation
+  // refuses the model, so that job fails.
   start(/*workers=*/1);
   Client client(socket_path());
   std::string jobs[2];
   for (int i = 0; i < 2; ++i) {
     Request submit = submit_workload("ar");
+    if (i == 1) {
+      submit.submit.workload.clear();
+      submit.submit.graph_text =
+          "graph envy\ntask a 1.7e308 1.7e308\npoint a fast 90 10\n";
+    }
     submit.submit.rmax = 200.0;
     submit.submit.mmax = 64.0;
-    submit.submit.ct = i == 0 ? 50.0 : 1e308;
+    submit.submit.ct = 50.0;
     submit.submit.delta = 20.0;
     jobs[i] = parse_ok(client.call(submit)).member_string("job");
     Request wait;
@@ -877,7 +907,8 @@ TEST_F(ServiceTest, JobResponsesKeepTheirBytes) {
   const json::Value failed = parse_ok(call(client, "status", jobs[1]));
   const json::Value* message = failed.find("error_message");
   ASSERT_NE(message, nullptr);
-  EXPECT_NE(message->as_string().find("non-finite rhs"), std::string::npos);
+  EXPECT_NE(message->as_string().find("non-finite coefficient"),
+            std::string::npos);
 
   // The done job's result ends in its report, byte for byte the landed one.
   std::string done_result = call(client, "result", jobs[0]);
@@ -898,11 +929,11 @@ TEST_F(ServiceTest, JobResponsesKeepTheirBytes) {
   EXPECT_EQ(masked(done_result, dir_),
             R"({"ok": true,"op": "result","job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"})");
   EXPECT_EQ(masked(call(client, "status", jobs[1]), dir_),
-            R"({"ok": true,"op": "status","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
+            R"({"ok": true,"op": "status","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "envy","est_memory_mb": 16.032768,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
   EXPECT_EQ(masked(call(client, "result", jobs[1]), dir_),
-            R"({"ok": true,"op": "result","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
+            R"({"ok": true,"op": "result","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "envy","est_memory_mb": 16.032768,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
   EXPECT_EQ(masked(call(client, "list", ""), dir_),
-            R"({"ok": true,"op": "list","queue_depth": 0,"running": 0,"est_memory_in_use_mb": 0,"max_queue_depth": 16,"max_est_memory_mb": 4096,"jobs": [{"job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"},{"job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"}]})");
+            R"({"ok": true,"op": "list","queue_depth": 0,"running": 0,"est_memory_in_use_mb": 0,"max_queue_depth": 16,"max_est_memory_mb": 4096,"jobs": [{"job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"},{"job": "job-2","state": "failed","priority": 0,"detached": false,"source": "envy","est_memory_mb": 16.032768,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"}]})");
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 namespace sparcs::support {
 namespace {
@@ -41,6 +43,94 @@ TEST(BigIntTest, DivmodTruncatesTowardZero) {
   big.divmod(BigInt(1000000007), &q, &r);
   // Verify q * d + r == n exactly.
   EXPECT_EQ((q * BigInt(1000000007) + r).compare(big), 0);
+}
+
+/// The value whose base-2^32 limbs are `limbs`, least significant first.
+BigInt from_limbs(const std::vector<std::uint32_t>& limbs, bool negative) {
+  BigInt value;
+  for (std::size_t i = limbs.size(); i-- > 0;) {
+    value = value.shifted_left(32) + BigInt(std::int64_t{limbs[i]});
+  }
+  return negative ? value.negated() : value;
+}
+
+/// Truncated division one dividend bit at a time (shift, compare, subtract):
+/// the routine limb division replaced, kept as the reference.
+void bit_serial_divmod(const std::vector<std::uint32_t>& n_limbs,
+                       bool n_negative, const BigInt& divisor, BigInt* q,
+                       BigInt* r) {
+  const BigInt d = divisor.sign() < 0 ? divisor.negated() : divisor;
+  BigInt quotient, remainder;
+  for (std::size_t bit = n_limbs.size() * 32; bit-- > 0;) {
+    const std::uint32_t set = (n_limbs[bit / 32] >> (bit % 32)) & 1u;
+    remainder = remainder.shifted_left(1) + BigInt(std::int64_t{set});
+    if (!(remainder < d)) {
+      remainder = remainder - d;
+      quotient = quotient + BigInt(1).shifted_left(static_cast<int>(bit));
+    }
+  }
+  *q = n_negative != (divisor.sign() < 0) ? quotient.negated() : quotient;
+  *r = n_negative ? remainder.negated() : remainder;
+}
+
+// Limb division against the bit-serial reference over 1-8-limb operands.
+// Limbs drawn from 0, 1 and the values around 2^31 and 2^32 make the
+// quotient-digit estimate overshoot: the divisor's second limb corrects it,
+// and the rare estimate that is still one too large takes the add-back step
+// (the fixed cases below reach both).
+TEST(BigIntTest, LimbDivisionMatchesTheBitSerialReference) {
+  struct Case {
+    std::vector<std::uint32_t> n, d;
+  };
+  std::vector<Case> cases = {
+      // Add-back: the multiply-subtract goes negative.
+      {{0, 0, 0x80000000u, 0x7fffffffu}, {1, 0, 0x80000000u}},
+      {{0, 0xfffffffeu, 0, 0x80000000u}, {0xffffffffu, 0x80000000u}},
+      {{0x00000003u, 0, 0x80000000u}, {0x00000001u, 0, 0x20000000u}},
+      // The second-limb correction of the estimate: once, twice, and from
+      // an estimate of a whole base (top limbs equal).
+      {{0, 0, 0x7fffffffu, 0x80000000u}, {0xffffffffu, 0x7fffffffu}},
+      {{0xe9ba4816u, 0xb0486fb3u, 0xffffffffu, 0x8df16b71u, 0x7fffffffu,
+        0xffffffffu},
+       {0xd1c6aafau, 1, 1}},
+      {{0xfca16474u, 0x80000000u, 0x80000001u, 0xffffffffu, 0x7fffffffu,
+        0x80000001u},
+       {0xa11cb8f7u, 0x80000001u}},
+      {{0xffffffffu, 0xffffffffu, 0xffffffffu}, {0xffffffffu, 0xffffffffu}},
+      {{0, 0, 0, 0, 1}, {0xffffffffu, 0xffffffffu, 1}},
+  };
+  std::mt19937_64 rng(20261020);
+  const std::uint32_t kSpecial[] = {0,           1,           0x7fffffffu,
+                                    0x80000000u, 0x80000001u, 0xfffffffeu,
+                                    0xffffffffu};
+  const auto limbs = [&](std::size_t count) {
+    std::vector<std::uint32_t> out(count);
+    for (std::uint32_t& limb : out) {
+      limb = rng() % 2 == 0 ? kSpecial[rng() % std::size(kSpecial)]
+                            : static_cast<std::uint32_t>(rng());
+    }
+    if (out.back() == 0) out.back() = 1;  // keep the length
+    return out;
+  };
+  for (int i = 0; i < 3000; ++i) {
+    cases.push_back({limbs(1 + rng() % 8), limbs(1 + rng() % 8)});
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    for (const bool n_negative : {false, true}) {
+      const bool d_negative = (i + (n_negative ? 1 : 0)) % 3 == 0;
+      const BigInt n = from_limbs(cases[i].n, n_negative);
+      const BigInt d = from_limbs(cases[i].d, d_negative);
+      BigInt q, r, want_q, want_r;
+      n.divmod(d, &q, &r);
+      bit_serial_divmod(cases[i].n, n_negative, d, &want_q, &want_r);
+      ASSERT_EQ(q.to_string(), want_q.to_string()) << "case " << i;
+      ASSERT_EQ(r.to_string(), want_r.to_string()) << "case " << i;
+      ASSERT_EQ((q * d + r).compare(n), 0) << "case " << i;
+      const BigInt abs_r = r.sign() < 0 ? r.negated() : r;
+      const BigInt abs_d = d.sign() < 0 ? d.negated() : d;
+      ASSERT_TRUE(abs_r < abs_d) << "case " << i;
+    }
+  }
 }
 
 TEST(BigIntTest, GcdAndFits) {
@@ -181,6 +271,57 @@ TEST(RationalTest, IntegerFastPathMatchesTheGeneralPath) {
   }
   EXPECT_GE(integer_pairs, 150);
   EXPECT_GE(promoted, 30);
+
+  // The inline path's edges: integers at and just past +-2^63, values with
+  // other denominators, and the largest small values, whose sums and
+  // products must promote. Each result matches the general path, and the
+  // in-place accumulation and rounded quotients match their spelled-out
+  // forms.
+  const Rational two63 = Rational::from_double(std::ldexp(1.0, 63));
+  const Rational two126 = Rational::from_double(std::ldexp(1.0, 126));
+  const Rational one(1);
+  const Rational int64_max(std::numeric_limits<std::int64_t>::max());
+  const Rational int64_min(std::numeric_limits<std::int64_t>::min());
+  const Rational edges[] = {
+      Rational(),       one,
+      one.negated(),    int64_max,
+      int64_min,        two63,
+      int64_min - one,  int64_max / Rational(2),
+      Rational(-7, 3),  two63 / Rational(3),
+      two126 + (two126 - one),  // 2^127 - 1, the largest small integer
+      two126.negated(),
+  };
+  int edge_promoted = 0;
+  for (const Rational& x : edges) {
+    for (const Rational& y : edges) {
+      const Rational sum = x + y;
+      const Rational product = x * y;
+      edge_promoted += sum.is_promoted() || product.is_promoted();
+      EXPECT_EQ(sum.to_string(), ((x * half + y * half) / half).to_string());
+      EXPECT_EQ((x - y).to_string(),
+                ((x * half - y * half) / half).to_string());
+      EXPECT_EQ(product.to_string(),
+                ((x * half) * (y * half) / half / half).to_string());
+      Rational acc = x;
+      acc.add_product(y, y);
+      EXPECT_EQ(acc, x + y * y);
+      Rational moved = x;
+      moved += y;
+      EXPECT_EQ(moved, sum);
+      moved -= y;
+      EXPECT_EQ(moved, x);
+      if (!y.is_zero()) {
+        EXPECT_EQ(x.floor_quotient(y), (x / y).floor());
+        EXPECT_EQ(x.ceil_quotient(y), (x / y).ceil());
+      }
+    }
+  }
+  EXPECT_GE(edge_promoted, 20);
+  EXPECT_FALSE((int64_min * int64_min).is_promoted());  // 2^126
+  EXPECT_FALSE((int64_max + int64_max).is_promoted());
+  EXPECT_TRUE((two63 * two63 * Rational(2)).is_promoted());  // 2^127
+  EXPECT_EQ((int64_min * int64_min).to_string(),
+            "85070591730234615865843651857942052864");
 }
 
 TEST(RationalTest, FloorCeil) {
