@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <queue>
 #include <utility>
@@ -158,26 +159,46 @@ enum class WalkEnd : std::uint8_t {
   kStopped,     ///< the cap, the time limit, the cancel token or the LP
 };
 
+/// `total` area over the device capacity, rounded up.
+double area_quotient(double total, const arch::Device& device) {
+  return std::ceil(total / device.resource_capacity - 1e-9);
+}
+
+int area_partitions(double total, const arch::Device& device) {
+  const double quotient = area_quotient(total, device);
+  SPARCS_REQUIRE(quotient <= std::numeric_limits<int>::max(),
+                 "the area quotient leaves int range");
+  return std::max(1, static_cast<int>(quotient));
+}
+
+double max_area_total(const graph::TaskGraph& graph) {
+  return graph::total_task_weight(
+      graph, [&](graph::TaskId t) { return graph.max_area(t); });
+}
+
 }  // namespace
 
 int min_area_partitions(const graph::TaskGraph& graph,
                         const arch::Device& device) {
   graph.validate();
   device.validate();
-  const double total = graph::total_task_weight(
-      graph, [&](graph::TaskId t) { return graph.min_area(t); });
-  return std::max(
-      1, static_cast<int>(std::ceil(total / device.resource_capacity - 1e-9)));
+  return area_partitions(
+      graph::total_task_weight(
+          graph, [&](graph::TaskId t) { return graph.min_area(t); }),
+      device);
 }
 
 int max_area_partitions(const graph::TaskGraph& graph,
                         const arch::Device& device) {
   graph.validate();
   device.validate();
-  const double total = graph::total_task_weight(
-      graph, [&](graph::TaskId t) { return graph.max_area(t); });
-  return std::max(
-      1, static_cast<int>(std::ceil(total / device.resource_capacity - 1e-9)));
+  return area_partitions(max_area_total(graph), device);
+}
+
+bool area_partitions_fit(const graph::TaskGraph& graph,
+                         const arch::Device& device) {
+  return area_quotient(max_area_total(graph), device) <=
+         std::numeric_limits<int>::max();
 }
 
 double max_latency(const graph::TaskGraph& graph, const arch::Device& device,

@@ -24,6 +24,12 @@ int min_area_partitions(const graph::TaskGraph& graph,
 int max_area_partitions(const graph::TaskGraph& graph,
                         const arch::Device& device);
 
+/// True when MaxAreaPartitions() fits in int, and so MinAreaPartitions()
+/// too: both require it. A tiny capacity (Rmax) can push the area quotient
+/// past it, so input handling checks this first.
+bool area_partitions_fit(const graph::TaskGraph& graph,
+                         const arch::Device& device);
+
 /// MaxLatency(N): all tasks serialized at their slowest design points, plus
 /// the reconfiguration overhead of N partitions (upper bound, eq. in §3.1).
 double max_latency(const graph::TaskGraph& graph, const arch::Device& device,

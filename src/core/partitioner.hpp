@@ -85,10 +85,16 @@ struct OptimalResult {
 };
 
 /// Solves the full model at a fixed N to optimality (minimize
-/// sum_p d_p + C_T * eta), subject to the given solver limits. LP-relaxation
-/// bounding is forced on and the incumbent-improvement step is raised to
-/// 1 ns (latencies are integral nanoseconds in every workload here), which
-/// is what makes optimality proofs tractable on small graphs.
+/// sum_p d_p + C_T * eta), subject to the given solver limits, which bound
+/// the whole solve. One session races propagation-only rounds against
+/// LP-bounded ones under doubling node budgets; each round searches below
+/// the best latency found so far, and the first round that exhausts its
+/// window proves the optimum (DESIGN §9). The caller's use_lp_bounding,
+/// stop_at_first_feasible and num_threads are ignored (the rounds run on
+/// one worker, so the result does not depend on thread timing), and the
+/// incumbent-improvement step is raised to 1 ns (latencies are integral
+/// nanoseconds in every workload here). `nodes` and `solver_stats` sum over
+/// the rounds.
 OptimalResult solve_optimal(const graph::TaskGraph& graph,
                             const arch::Device& device, int num_partitions,
                             milp::SolverParams solver_params = {},

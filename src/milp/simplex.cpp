@@ -88,6 +88,12 @@ class SimplexTableau {
   LpResult run_phases();
   void build(const LpProblem& problem);
   void compute_reduced_costs();
+  /// Recomputes the basic values from the tableau: x_B = B^-1 (D b) minus
+  /// the nonbasic columns at their values (see start_rhs_).
+  void compute_basic_values();
+  /// Refreshes the reduced costs and the basic values, which the iterations
+  /// update incrementally and so let drift.
+  void refresh();
   /// Returns entering column or -1 when the current phase is optimal.
   int choose_entering(bool bland) const;
   /// Performs one simplex iteration; returns false on unboundedness.
@@ -118,6 +124,11 @@ class SimplexTableau {
   std::vector<int> pivot_nonzeros_;  ///< iterate() scratch
   std::vector<double> xb_;      ///< value of the basic variable of each row
   std::vector<int> basis_;      ///< column basic in each row
+  /// Row i's basic column in build(), a unit column there, and its
+  /// right-hand side D_i b_i (D the row flips of build()). Those columns of
+  /// the tableau hold B^-1 D, so x_B can be recomputed from them.
+  std::vector<int> start_basis_;
+  std::vector<double> start_rhs_;
   std::vector<ColStatus> stat_;
   std::vector<double> lb_, ub_;
   std::vector<double> cost_;        ///< current phase objective
@@ -212,6 +223,7 @@ void SimplexTableau::build(const LpProblem& problem) {
   tab_.assign(static_cast<std::size_t>(m_) * ncols_, 0.0);
   basis_.assign(static_cast<std::size_t>(m_), -1);
   xb_.assign(static_cast<std::size_t>(m_), 0.0);
+  start_rhs_.assign(static_cast<std::size_t>(m_), 0.0);
   int next_art = first_artificial_;
   for (int i = 0; i < m_; ++i) {
     for (const LinTerm& term : problem.rows[static_cast<std::size_t>(i)].terms) {
@@ -220,11 +232,14 @@ void SimplexTableau::build(const LpProblem& problem) {
     const int slack = n_struct_ + i;
     tab(i, slack) = 1.0;
     const double r = residual[static_cast<std::size_t>(i)];
+    const double rhs = problem.rows[static_cast<std::size_t>(i)].rhs;
+    start_rhs_[static_cast<std::size_t>(i)] = rhs;
     int basic = slack;
     if (violated(i)) {
       if (r < 0.0) {
         double* row = &tab_[static_cast<std::size_t>(i) * ncols_];
         for (int j = 0; j < first_artificial_; ++j) row[j] = -row[j];
+        start_rhs_[static_cast<std::size_t>(i)] = -rhs;
       }
       basic = next_art++;
       tab(i, basic) = 1.0;
@@ -233,6 +248,7 @@ void SimplexTableau::build(const LpProblem& problem) {
     stat_[static_cast<std::size_t>(basic)] = ColStatus::kBasic;
     xb_[static_cast<std::size_t>(i)] = basic == slack ? r : std::abs(r);
   }
+  start_basis_ = basis_;
 
   set_phase(1);
 }
@@ -287,6 +303,34 @@ void SimplexTableau::compute_reduced_costs() {
   for (int i = 0; i < m_; ++i) {
     d_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] = 0.0;
   }
+}
+
+void SimplexTableau::compute_basic_values() {
+  std::vector<double> x(static_cast<std::size_t>(ncols_), 0.0);
+  for (int j = 0; j < ncols_; ++j) {
+    if (stat_[static_cast<std::size_t>(j)] != ColStatus::kBasic) {
+      x[static_cast<std::size_t>(j)] = nonbasic_value(j);
+    }
+  }
+  for (int i = 0; i < m_; ++i) {
+    const double* row = &tab_[static_cast<std::size_t>(i) * ncols_];
+    double v = 0.0;
+    for (int k = 0; k < m_; ++k) {
+      v += row[start_basis_[static_cast<std::size_t>(k)]] *
+           start_rhs_[static_cast<std::size_t>(k)];
+    }
+    for (int j = 0; j < ncols_; ++j) {
+      const double xj = x[static_cast<std::size_t>(j)];
+      if (xj != 0.0) v -= row[j] * xj;
+    }
+    xb_[static_cast<std::size_t>(i)] = v;
+  }
+}
+
+void SimplexTableau::refresh() {
+  compute_reduced_costs();
+  compute_basic_values();
+  ++refactorizations_;
 }
 
 int SimplexTableau::choose_entering(bool bland) const {
@@ -590,12 +634,12 @@ LpResult SimplexTableau::run_phases() {
     int entering = choose_entering(bland);
     if (entering < 0 && phase_ == 1 &&
         infeasibility_sum() > 1e3 * params_.feasibility_tol) {
-      // The incrementally updated cost row drifts, most on rows with wide
-      // coefficient ranges: conclude infeasibility only if fresh reduced
-      // costs admit no entering column either. A refresh that finds one is
-      // followed by an iteration, so kMaxIterations still bounds the loop.
-      compute_reduced_costs();
-      ++refactorizations_;
+      // The incrementally updated cost row and basic values drift, most on
+      // rows with wide coefficient ranges: conclude infeasibility only if
+      // fresh ones admit no entering column either. A refresh that finds
+      // one is followed by an iteration, so kMaxIterations still bounds the
+      // loop.
+      refresh();
       entering = choose_entering(bland);
     }
     if (entering < 0) {
@@ -649,10 +693,10 @@ LpResult SimplexTableau::run_phases() {
       result.iterations = iterations_;
       return result;
     }
-    // Periodic refresh guards against accumulated roundoff in the cost row.
+    // Periodic refresh guards against accumulated roundoff in the cost row
+    // and the basic values.
     if (iterations_ % 512 == 0) {
-      compute_reduced_costs();
-      ++refactorizations_;
+      refresh();
       if (!state_is_finite()) {
         result.status = LpStatus::kNumericalFailure;
         result.iterations = iterations_;

@@ -225,7 +225,7 @@ struct ConvergenceEvent {
   X(simplex_iterations, kSum, "milp.simplex.iterations")                    \
   /* basis changes */                                                       \
   X(simplex_pivots, kSum, "milp.simplex.pivots")                            \
-  /* reduced-cost refreshes */                                              \
+  /* tableau refreshes */                                                   \
   X(simplex_refactorizations, kSum, "milp.simplex.refactorizations")        \
   /* Robustness. LP solves lost to blow-up/cycling: */                      \
   X(numerical_failures, kSum, "milp.numerical_failures")                    \
@@ -348,7 +348,7 @@ struct LpResult {
   std::vector<double> x;  ///< primal values, one per variable
   int iterations = 0;
   int pivots = 0;            ///< basis changes (iterations minus bound flips)
-  int refactorizations = 0;  ///< periodic reduced-cost refreshes
+  int refactorizations = 0;  ///< tableau refreshes (costs and basic values)
   int recoveries = 0;  ///< numerical-failure retries (Bland / perturbation)
                        ///< that were needed to produce this result
   /// Infeasibility certificate (LpParams::want_certificate; kNone otherwise

@@ -119,6 +119,14 @@ JobSpec resolve_job(const SubmitRequest& request, int default_threads,
                  "unknown certify mode '" + request.certify + "'");
   options.budget.solver.certify = *certify;
   spec.deadline_sec = request.deadline_sec;
+  // The partition counts are ints: reject a capacity that leaves no room.
+  if (!core::area_partitions_fit(spec.graph, spec.device)) {
+    const std::string rmax =
+        spelling == OptionSpelling::kFlag ? "--rmax" : "options.rmax";
+    throw InvalidArgumentError(str_format(
+        "%s %g puts the partition count MaxAreaPartitions past int range",
+        rmax.c_str(), spec.device.resource_capacity));
+  }
   // Every window's upper end is MaxLatency(N) at most, and the formulation
   // needs it finite: reject a device that overflows it before any solve.
   const int n = core::max_latency_partitions(spec.graph, spec.device, options);

@@ -345,6 +345,18 @@ TEST(CliTest, LatencyBoundOverflowIsBadInput) {
   EXPECT_EQ(r.out.find("graph '"), std::string::npos) << r.out;
 }
 
+TEST(CliTest, PartitionCountOverflowIsBadInput) {
+  const CliRun r =
+      run_cli({"--workload", "ar", "--rmax", "1e-300", "--quiet"});
+  EXPECT_EQ(r.exit_code, 4);
+  EXPECT_NE(r.err.find("error: --rmax 1e-300 puts the partition count "
+                       "MaxAreaPartitions past int range"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
+  EXPECT_EQ(r.out.find("graph '"), std::string::npos) << r.out;
+}
+
 TEST(CliTest, DeadlineBeyondTheClockRangeStillSucceeds) {
   // 1e300 s overflows the steady clock's nanoseconds; the deadline must
   // saturate rather than wrap into the past or overflow a time limit.

@@ -292,15 +292,69 @@ TEST_P(ArLpBoundingTest, LpBoundedOptimumMatchesPropagationOnly) {
 INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArLpBoundingTest,
                          ::testing::Values(1.0, 50.0, 500.0, 1e7));
 
-// Table 1's optimal reference (Rmax 200, Mmax 64, Ct 50) at one thread: the
-// node LPs drop the fixed columns and the rows the node box satisfies, which
-// must not weaken any of them. A fold that dropped a needed row would prune
-// fewer nodes by the LP and search more.
+/// Latency the optimal reference proves at N, or -1 when N is infeasible.
+/// Every verdict must be proven: kOptimal or kInfeasible, and certified.
+double race_optimum(const graph::TaskGraph& g, const arch::Device& dev, int n,
+                    int threads) {
+  milp::SolverParams params;
+  params.num_threads = threads;
+  params.certify = milp::CertifyMode::kFull;
+  const OptimalResult r = solve_optimal(g, dev, n, params);
+  EXPECT_EQ(r.solver_stats.uncertified_verdicts, 0) << "N=" << n;
+  if (r.status == milp::SolveStatus::kInfeasible) return -1.0;
+  EXPECT_EQ(r.status, milp::SolveStatus::kOptimal) << "N=" << n;
+  return r.best ? r.latency_ns : -2.0;
+}
+
+// The optimal reference races propagation-only against LP-bounded rounds
+// under node budgets; whichever round closes its window, the proven optimum
+// is the LP-bounded search's, at one thread and at four. Mmax 47 builds the
+// memory block, where only the LP rounds close the tree.
+class ArOptimalRaceTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(ArOptimalRaceTest, ProvesTheLpBoundedOptimum) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  for (const double mmax : {64.0, 47.0}) {
+    const arch::Device dev = arch::custom("ar_dev", 200, mmax, GetParam());
+    for (int n = min_area_partitions(g, dev);
+         n <= max_area_partitions(g, dev) + 1; ++n) {
+      const double lp_bounded = ar_optimum(dev, n, true);
+      EXPECT_DOUBLE_EQ(race_optimum(g, dev, n, 1), lp_bounded)
+          << "Mmax " << mmax << " N=" << n;
+      EXPECT_DOUBLE_EQ(race_optimum(g, dev, n, 4), lp_bounded)
+          << "Mmax " << mmax << " N=" << n << ", 4 threads";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ReconfigRegimes, ArOptimalRaceTest,
+                         ::testing::Values(1.0, 50.0, 500.0, 1e7));
+
+TEST(EwfOptimalRaceTest, ProvesTheLpBoundedOptimum) {
+  const graph::TaskGraph g = workloads::ewf_task_graph();
+  const arch::Device dev{"d", 576.0, 4096.0, 100.0};
+  for (int n = 1; n <= 3; ++n) {
+    IlpFormulation form(g, dev, n, max_latency(g, dev, n),
+                        min_latency(g, dev, n));
+    form.set_latency_objective();
+    milp::SolverParams params = milp::optimality_params();
+    params.objective_improvement = 1.0;
+    params.num_threads = 1;
+    const milp::MilpSolution s = milp::Solver(form.model(), params).solve();
+    const double lp_bounded = s.status == milp::SolveStatus::kInfeasible
+                                  ? -1.0
+                                  : form.decode(s.values).total_latency_ns;
+    EXPECT_DOUBLE_EQ(race_optimum(g, dev, n, 1), lp_bounded) << "N=" << n;
+  }
+}
+
+// Table 1's model (Rmax 200, Mmax 64, Ct 50) under the LP-bounded search at
+// one thread: the node LPs drop the fixed columns and the rows the node box
+// satisfies, which must not weaken any of them. A fold that dropped a needed
+// row would prune fewer nodes by the LP and search more.
 TEST(ArOptimalReferenceTest, NodeAndLpPruneCountsArePinned) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = ar_device(50);
-  milp::SolverParams params;
-  params.num_threads = 1;
   struct Row {
     int n;
     std::int64_t nodes, pruned_by_bound;
@@ -309,10 +363,45 @@ TEST(ArOptimalReferenceTest, NodeAndLpPruneCountsArePinned) {
   ASSERT_EQ(min_area_partitions(g, dev), 2);
   ASSERT_EQ(max_area_partitions(g, dev) + 1, 4);
   for (const Row& want : expected) {
+    IlpFormulation form(g, dev, want.n, max_latency(g, dev, want.n),
+                        min_latency(g, dev, want.n));
+    form.set_latency_objective();
+    milp::SolverParams params = milp::optimality_params();
+    params.objective_improvement = 1.0;
+    params.num_threads = 1;
+    const milp::MilpSolution s = milp::Solver(form.model(), params).solve();
+    EXPECT_EQ(s.stats.nodes_explored, want.nodes) << "N=" << want.n;
+    EXPECT_EQ(s.stats.nodes_pruned_by_bound, want.pruned_by_bound)
+        << "N=" << want.n;
+  }
+}
+
+// The optimal reference itself (solve_optimal, one thread) on the same
+// model: its rounds of propagation-only and LP-bounded search repeat
+// exactly, so its node counts are pinned per N along with the optimum.
+TEST(ArOptimalReferenceTest, RaceNodeCountsArePinned) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  const arch::Device dev = ar_device(50);
+  milp::SolverParams params;
+  params.num_threads = 1;
+  struct Row {
+    int n;
+    std::int64_t nodes;
+    milp::SolveStatus status;
+    double latency;
+  };
+  const Row expected[] = {{2, 3, milp::SolveStatus::kInfeasible, 0.0},
+                          {3, 169, milp::SolveStatus::kOptimal, 1300.0},
+                          {4, 360, milp::SolveStatus::kOptimal, 1120.0}};
+  for (const Row& want : expected) {
     const OptimalResult r = solve_optimal(g, dev, want.n, params);
     EXPECT_EQ(r.nodes, want.nodes) << "N=" << want.n;
-    EXPECT_EQ(r.solver_stats.nodes_pruned_by_bound, want.pruned_by_bound)
-        << "N=" << want.n;
+    EXPECT_EQ(r.nodes, r.solver_stats.nodes_explored) << "N=" << want.n;
+    EXPECT_EQ(r.status, want.status) << "N=" << want.n;
+    EXPECT_EQ(r.best.has_value(), want.latency > 0.0) << "N=" << want.n;
+    if (r.best) {
+      EXPECT_DOUBLE_EQ(r.latency_ns, want.latency) << "N=" << want.n;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Cross-cutting property sweeps over random instances:
 //  - the path-based and the potential latency forms each reach the
 //    exhaustive optimum, and their root LPs have the same optimum;
+//  - the optimal reference (solve_optimal) proves the exhaustive optimum;
 //  - every solver-produced design passes the independent validator AND the
 //    ILP's own memory accounting matches the validator's;
 //  - no design holds more live data than max_live_memory, the bound below
@@ -69,6 +70,30 @@ TEST_P(FormulationVariantsTest, BothLatencyFormsReachTheExhaustiveOptimum) {
     EXPECT_NEAR(form.decode(s.values).total_latency_ns,
                 brute->total_latency_ns, 1e-6)
         << "seed " << GetParam() << " max_paths " << max_paths;
+  }
+}
+
+// The optimal reference's race of propagation-only and LP-bounded rounds
+// proves the exhaustive optimum, with and without the memory rows (Mmax 40
+// builds them for most graphs here).
+TEST_P(FormulationVariantsTest, OptimalRaceReachesTheExhaustiveOptimum) {
+  const graph::TaskGraph g = seeded_graph(GetParam());
+  for (const double mmax : {2048.0, kValidatorSweepMmax}) {
+    const arch::Device dev = arch::custom("d", 300, mmax, 60);
+    const int n = min_area_partitions(g, dev) + 1;
+    const auto brute = exhaustive_optimal(g, dev, n);
+    milp::SolverParams params;
+    params.num_threads = 1;
+    const OptimalResult r = solve_optimal(g, dev, n, params);
+    if (!brute) {
+      EXPECT_EQ(r.status, milp::SolveStatus::kInfeasible)
+          << "seed " << GetParam() << " Mmax " << mmax;
+      continue;
+    }
+    ASSERT_EQ(r.status, milp::SolveStatus::kOptimal)
+        << "seed " << GetParam() << " Mmax " << mmax;
+    EXPECT_NEAR(r.latency_ns, brute->total_latency_ns, 1e-6)
+        << "seed " << GetParam() << " Mmax " << mmax;
   }
 }
 

@@ -710,6 +710,27 @@ TEST_F(ServiceTest, LatencyBoundOverflowIsRejectedAtSubmitTime) {
   EXPECT_TRUE(jobs->array().empty());
 }
 
+TEST_F(ServiceTest, PartitionCountOverflowIsRejectedAtSubmitTime) {
+  start(/*workers=*/0);
+  Client client(socket_path());
+  Request request = submit_workload("ar");
+  request.submit.rmax = 1e-300;
+  const json::Value response = parse_ok(client.call(request));
+  EXPECT_FALSE(response.member_bool("ok"));
+  EXPECT_EQ(error_code(response), "bad_request");
+  const json::Value* error = response.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->member_string("message"),
+            "options.rmax 1e-300 puts the partition count MaxAreaPartitions "
+            "past int range");
+  Request list;
+  list.op = "list";
+  const json::Value listed = parse_ok(client.call(list));
+  const json::Value* jobs = listed.find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_TRUE(jobs->array().empty());
+}
+
 TEST_F(ServiceTest, ShutdownCancelsQueuedJobsAndExitsCleanly) {
   // workers=0: every job is still queued when shutdown arrives.
   start(/*workers=*/0);
