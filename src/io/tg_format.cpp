@@ -89,9 +89,13 @@ TaskGraphFile read_task_graph_string(const std::string& text) {
                                line_no));
       require_input(!result.device.has_value(),
                     str_format("line %d: duplicate device", line_no));
+      const double rmax = parse_nonneg(tokens[2], line_no, "device Rmax");
+      require_input(rmax > 0.0,
+                    str_format("line %d: device Rmax must be positive, got "
+                               "'%s'",
+                               line_no, tokens[2].c_str()));
       result.device = arch::custom(
-          tokens[1], parse_nonneg(tokens[2], line_no, "device Rmax"),
-          parse_nonneg(tokens[3], line_no, "device Mmax"),
+          tokens[1], rmax, parse_nonneg(tokens[3], line_no, "device Mmax"),
           parse_nonneg(tokens[4], line_no, "device Ct"));
     } else if (directive == "task") {
       require_input(tokens.size() >= 2 && tokens.size() <= 4,

@@ -42,6 +42,10 @@ using Rank = std::vector<std::int32_t>;
 /// a pathological search exhaust memory on bookkeeping.
 constexpr std::size_t kMaxProofNodes = 200'000;
 
+/// Models under this many variables finish before helper threads spin up,
+/// so they always get one worker.
+constexpr int kParallelMinVars = 48;
+
 /// One donated unit of work: a bounds box (the donor's propagation fixpoint
 /// plus one untried branch) and the variable whose bound changed, so the
 /// receiving worker can re-run seeded propagation exactly as the donor's own
@@ -353,20 +357,26 @@ struct FoldedLp {
 /// One open decision in the DFS stack.
 struct Frame {
   VarId var = -1;
+  /// Position of `var` in the branch order. Every integral variable before
+  /// it is fixed in all of the frame's subtrees, so their nodes resume the
+  /// scan for a branch variable here.
+  std::size_t order_pos = 0;
   /// Branches as [lb, ub] boxes to impose on `var`, tried in order.
   std::vector<std::pair<double, double>> branches;
   std::size_t next = 0;
   std::size_t trail_mark = 0;
 };
 
-/// One worker of the pool: a private compiled model, domains and DFS stack.
+/// One worker of the pool: private domains, propagator (with this worker's
+/// objective cutoff) and DFS stack over the solve's shared compiled model.
 class BnbSearch {
  public:
-  BnbSearch(const Model& model, const SolverParams& params,
-            WorkerPool& pool, telemetry::LiveSolve* live)
+  BnbSearch(const Model& model, const CompiledModel& compiled,
+            const SolverParams& params, WorkerPool& pool,
+            telemetry::LiveSolve* live)
       : params_(params),
         pool_(pool),
-        compiled_(model, /*with_objective_cutoff=*/model.has_objective()),
+        compiled_(compiled),
         domains_(compiled_),
         propagator_(compiled_, params.feasibility_tol,
                     params.max_propagation_rounds),
@@ -385,8 +395,9 @@ class BnbSearch {
   [[nodiscard]] const SolverStats& worker_stats() const { return stats_; }
 
  private:
-  /// First unfixed integral variable in branch-priority order, or -1.
-  VarId pick_branch_var() const;
+  /// Position in the branch order of the first unfixed integral variable at
+  /// or after position `from`, or the order's size when every one is fixed.
+  std::size_t pick_branch_pos(std::size_t from) const;
   std::vector<std::pair<double, double>> make_branches(VarId v) const;
   /// Completes continuous variables by LP. Returns true when a feasible
   /// completion exists and fills `candidate`; `unbounded` reports an
@@ -529,7 +540,7 @@ class BnbSearch {
 
   const SolverParams& params_;
   WorkerPool& pool_;
-  CompiledModel compiled_;
+  const CompiledModel& compiled_;
   Domains domains_;
   Propagator propagator_;
   const Model& model_;
@@ -589,11 +600,13 @@ class BnbSearch {
   static constexpr std::int64_t kMaxAllocationFailures = 16;
 };
 
-VarId BnbSearch::pick_branch_var() const {
-  for (const VarId v : compiled_.branch_order()) {
-    if (domains_.ub(v) - domains_.lb(v) >= 0.5) return v;
+std::size_t BnbSearch::pick_branch_pos(std::size_t from) const {
+  const std::vector<VarId>& order = compiled_.branch_order();
+  for (; from < order.size(); ++from) {
+    const VarId v = order[from];
+    if (domains_.ub(v) - domains_.lb(v) >= 0.5) break;
   }
-  return -1;
+  return from;
 }
 
 std::vector<std::pair<double, double>> BnbSearch::make_branches(VarId v) const {
@@ -650,11 +663,11 @@ FoldedLp BnbSearch::fold_node_lp(bool with_objective) const {
   const double tol = params_.feasibility_tol;
   for (int c = 0; c < compiled_.num_constraints(); ++c) {
     const CompiledConstraint& cc = compiled_.constraint(c);
-    if (!std::isfinite(cc.rhs)) continue;  // inactive cutoff
+    double rhs = propagator_.row_rhs(c);
+    if (!std::isfinite(rhs)) continue;  // inactive cutoff
     const double* coefs = compiled_.coefs(cc);
     const VarId* vars = compiled_.vars(cc);
     std::vector<LinTerm> terms;
-    double rhs = cc.rhs;
     // Activity range of the open part of the row over the box (an infinite
     // bound makes it infinite, and the row is kept).
     double min_act = 0.0, max_act = 0.0;
@@ -844,7 +857,7 @@ void BnbSearch::adopt_incumbent(double obj) {
   incumbent_obj_ = obj;
   have_incumbent_ = true;
   if (compiled_.has_cutoff_row()) {
-    compiled_.set_cutoff(obj - params_.objective_improvement);
+    propagator_.set_cutoff(obj - params_.objective_improvement);
   }
 }
 
@@ -1004,8 +1017,11 @@ void BnbSearch::search_loop() {
       // resumes with the siblings, up to kMaxAllocationFailures times.
       try {
         if (SPARCS_FAILPOINT("milp.bnb.alloc_fail")) throw std::bad_alloc();
-        const VarId v = pick_branch_var();
-        if (v < 0) {
+        // The subproblem's first node scans from the start: a donated box
+        // carries no scan position.
+        const std::size_t pos =
+            pick_branch_pos(stack_.empty() ? 0 : stack_.back().order_pos);
+        if (pos == compiled_.branch_order().size()) {
           const std::int64_t rejections_before = stats_.checker_rejections;
           const bool stop_now = handle_leaf();
           if (tree_ != nullptr) {
@@ -1030,8 +1046,10 @@ void BnbSearch::search_loop() {
           descend = false;
           continue;
         }
+        const VarId v = compiled_.branch_order()[pos];
         Frame frame;
         frame.var = v;
+        frame.order_pos = pos;
         frame.branches = make_branches(v);
         frame.trail_mark = domains_.checkpoint();
         if (proof_on_) {
@@ -1172,8 +1190,6 @@ void BnbSearch::run_worker() {
 }  // namespace
 
 int worker_count(int num_threads, int num_vars, unsigned hardware_threads) {
-  // Tiny models finish before helper threads spin up.
-  constexpr int kParallelMinVars = 48;
   if (num_threads == 1 || num_vars < kParallelMinVars) return 1;
   const int hardware = static_cast<int>(std::max(hardware_threads, 1u));
   return num_threads > 0 ? std::min(num_threads, hardware) : hardware;
@@ -1182,8 +1198,22 @@ int worker_count(int num_threads, int num_vars, unsigned hardware_threads) {
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,
                                     telemetry::LiveSolve* live) {
-  const int num_workers = worker_count(params.num_threads, model.num_vars(),
-                                       std::thread::hardware_concurrency());
+  const CompiledModel compiled(model, /*with_objective_cutoff=*/
+                               model.has_objective());
+  return solve_branch_and_bound(model, compiled, params, live);
+}
+
+MilpSolution solve_branch_and_bound(const Model& model,
+                                    const CompiledModel& compiled,
+                                    const SolverParams& params,
+                                    telemetry::LiveSolve* live) {
+  // The hardware thread count costs a file read, and only a solve that
+  // may run more than one worker needs it.
+  const bool may_fan_out =
+      params.num_threads != 1 && model.num_vars() >= kParallelMinVars;
+  const int num_workers = worker_count(
+      params.num_threads, model.num_vars(),
+      may_fan_out ? std::thread::hardware_concurrency() : 1u);
   // Mode flags must be known before workers start (the objective is already
   // normalized, so its terms are exactly the compiled ones).
   const bool has_terms =
@@ -1199,7 +1229,7 @@ MilpSolution solve_branch_and_bound(const Model& model,
       static_cast<std::size_t>(num_workers));
   auto work = [&](int i) {
     try {
-      BnbSearch search(model, params, pool, live);
+      BnbSearch search(model, compiled, params, pool, live);
       search.run_worker();
       worker_stats[static_cast<std::size_t>(i)] = search.worker_stats();
     } catch (...) {

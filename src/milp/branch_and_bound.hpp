@@ -19,6 +19,7 @@
 // — which makes the returned solution identical to the one-worker one.
 #pragma once
 
+#include "milp/compiled.hpp"
 #include "milp/model.hpp"
 #include "milp/types.hpp"
 
@@ -34,9 +35,18 @@ namespace sparcs::milp {
 [[nodiscard]] int worker_count(int num_threads, int num_vars,
                                unsigned hardware_threads);
 
-/// Solves `model` with propagation-based branch & bound. `live` is the live
+/// Solves `model` with propagation-based branch & bound over `compiled`, its
+/// compiled form with the objective-cutoff row (CompiledModel(model,
+/// model.has_objective()), refreshed since the model last changed). Every
+/// worker reads `compiled` and nothing writes it. `live` is the live
 /// telemetry slot of the enclosing solve (owned by the Solver session's
 /// telemetry::SolveScope); null when the run is not sampled.
+MilpSolution solve_branch_and_bound(const Model& model,
+                                    const CompiledModel& compiled,
+                                    const SolverParams& params,
+                                    telemetry::LiveSolve* live = nullptr);
+
+/// The same for a one-off solve: compiles `model` first.
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,
                                     telemetry::LiveSolve* live = nullptr);

@@ -2,12 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 
 #include "support/error.hpp"
 
 namespace sparcs::milp {
 
-CompiledModel::CompiledModel(const Model& model, bool with_objective_cutoff) {
+namespace {
+
+/// A variable's compiled box: an integral one rounded inward to integers.
+std::pair<double, double> compiled_box(const VarInfo& v) {
+  if (v.type == VarType::kContinuous) return {v.lb, v.ub};
+  return {std::ceil(v.lb - 1e-9), std::floor(v.ub + 1e-9)};
+}
+
+}  // namespace
+
+CompiledModel::CompiledModel(const Model& model, bool with_objective_cutoff)
+    : revision_(model.structure_revision()) {
   model.validate();
   const int n = model.num_vars();
   types_.reserve(static_cast<std::size_t>(n));
@@ -16,11 +29,7 @@ CompiledModel::CompiledModel(const Model& model, bool with_objective_cutoff) {
   hints_.reserve(static_cast<std::size_t>(n));
   for (const VarInfo& v : model.vars()) {
     types_.push_back(v.type);
-    double lo = v.lb, hi = v.ub;
-    if (v.type != VarType::kContinuous) {
-      lo = std::ceil(lo - 1e-9);
-      hi = std::floor(hi + 1e-9);
-    }
+    const auto [lo, hi] = compiled_box(v);
     lb_.push_back(lo);
     ub_.push_back(hi);
     hints_.push_back(v.branch_hint);
@@ -99,6 +108,21 @@ CompiledModel::CompiledModel(const Model& model, bool with_objective_cutoff) {
                      return model.var(a).branch_priority >
                             model.var(b).branch_priority;
                    });
+}
+
+void CompiledModel::refresh(const Model& model) {
+  SPARCS_CHECK(model.structure_revision() == revision_,
+               "refreshing a compiled model whose structure changed");
+  model.validate_values();
+  for (std::size_t v = 0; v < types_.size(); ++v) {
+    const VarInfo& info = model.vars()[v];
+    std::tie(lb_[v], ub_[v]) = compiled_box(info);
+    hints_[v] = info.branch_hint;
+  }
+  const std::vector<ConstraintInfo>& rows = model.constraints();
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    constraints_[c].rhs = rows[c].rhs;
+  }
 }
 
 }  // namespace sparcs::milp

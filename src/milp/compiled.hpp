@@ -1,7 +1,12 @@
 // Compiled (solver-internal) form of a Model: CSR constraint storage,
 // the propagation units that read each variable bound, and an optional
-// dynamic objective-cutoff row used by branch & bound to turn incumbent
-// objectives into a constraint.
+// objective-cutoff row through which branch & bound turns incumbent
+// objectives into a constraint (each worker's Propagator holds its rhs).
+//
+// The structure (rows, coefficients, families, reader lists, objective,
+// branch order) is fixed at compile time; refresh() re-reads the values a
+// model may change without bumping its structure revision: variable bounds,
+// branch hints and right-hand sides.
 //
 // Propagation visits units: every row that no PathFamily owns, plus one
 // unit per family in place of all the rows it owns. Unit ids below
@@ -15,6 +20,7 @@
 // reads, so a bound change queues only units that can derive from it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "milp/model.hpp"
@@ -31,8 +37,7 @@ struct CompiledConstraint {
   double rhs = 0.0;
 };
 
-/// Immutable-by-convention compiled model (the cutoff rhs is the one mutable
-/// field, owned by the branch & bound).
+/// Compiled model, read-only during a solve.
 class CompiledModel {
  public:
   /// Compiles `model`, which must outlive the compiled form (its path
@@ -42,6 +47,13 @@ class CompiledModel {
   /// objective is negated first for maximization so the compiled problem
   /// always minimizes).
   explicit CompiledModel(const Model& model, bool with_objective_cutoff = false);
+
+  /// Re-reads the bounds, branch hints and right-hand sides of `model`, the
+  /// model this was compiled from, which must still be at revision(). After
+  /// it this equals a fresh compile of `model`.
+  void refresh(const Model& model);
+  /// Model::structure_revision() of the model this was compiled from.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
   [[nodiscard]] int num_vars() const { return static_cast<int>(types_.size()); }
   [[nodiscard]] int num_constraints() const {
@@ -102,10 +114,9 @@ class CompiledModel {
   [[nodiscard]] bool objective_flipped() const { return obj_flipped_; }
 
   [[nodiscard]] bool has_cutoff_row() const { return cutoff_row_ >= 0; }
-  /// Tightens the cutoff row to `obj <= value`.
-  void set_cutoff(double value) {
-    constraints_[static_cast<std::size_t>(cutoff_row_)].rhs = value;
-  }
+  /// The cutoff row `obj <= +inf` (inactive here; Propagator::set_cutoff
+  /// tightens it per worker), or -1.
+  [[nodiscard]] int cutoff_row() const { return cutoff_row_; }
 
   /// Variable ids ordered by descending branch priority (ties: ascending id).
   [[nodiscard]] const std::vector<VarId>& branch_order() const {
@@ -129,6 +140,7 @@ class CompiledModel {
   std::vector<VarId> branch_order_;
   bool obj_flipped_ = false;
   int cutoff_row_ = -1;
+  std::uint64_t revision_ = 0;
 };
 
 }  // namespace sparcs::milp

@@ -1,6 +1,7 @@
 #include "milp/model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -72,6 +73,11 @@ std::int64_t add_counts(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
+std::uint64_t Model::fresh_revision() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 VarId Model::add_var(VarType type, double lb, double ub, std::string name) {
   SPARCS_REQUIRE(lb <= ub, "variable " + name + " has empty bound box");
   SPARCS_REQUIRE(!std::isnan(lb) && !std::isnan(ub),
@@ -87,6 +93,7 @@ VarId Model::add_var(VarType type, double lb, double ub, std::string name) {
     SPARCS_REQUIRE(info.lb <= info.ub, "binary variable bounds exclude {0,1}");
   }
   vars_.push_back(std::move(info));
+  structure_revision_ = fresh_revision();
   return static_cast<VarId>(vars_.size() - 1);
 }
 
@@ -118,6 +125,7 @@ void Model::set_bounds(VarId id, double lb, double ub) {
 void Model::set_branch_priority(VarId id, int priority) {
   SPARCS_REQUIRE(id >= 0 && id < num_vars(), "variable id out of range");
   vars_[static_cast<std::size_t>(id)].branch_priority = priority;
+  structure_revision_ = fresh_revision();
 }
 
 void Model::set_branch_hint(VarId id, double value) {
@@ -134,6 +142,7 @@ ConstraintId Model::add_constraint(Relation relation, std::string name) {
   info.sense = relation.sense;
   info.rhs = relation.rhs - lhs.constant();
   constraints_.push_back(std::move(info));
+  structure_revision_ = fresh_revision();
   return static_cast<ConstraintId>(constraints_.size() - 1);
 }
 
@@ -214,6 +223,7 @@ int Model::add_path_family(PathFamily family, std::string_view row_prefix,
   }
   family.rows = std::views::iota(first, num_constraints());
   path_families_.push_back(std::move(family));
+  structure_revision_ = fresh_revision();
   return index;
 }
 
@@ -234,6 +244,7 @@ void Model::set_objective(LinExpr objective, bool minimize) {
   objective_ = std::move(objective);
   minimize_ = minimize;
   has_objective_ = true;
+  structure_revision_ = fresh_revision();
 }
 
 ModelStats Model::stats() const {
@@ -260,14 +271,7 @@ ModelStats Model::stats() const {
 }
 
 void Model::validate() const {
-  for (int i = 0; i < num_vars(); ++i) {
-    const VarInfo& v = vars_[static_cast<std::size_t>(i)];
-    SPARCS_REQUIRE(v.lb <= v.ub, "variable " + v.name + " has empty bounds");
-    if (v.type != VarType::kContinuous) {
-      SPARCS_REQUIRE(std::isfinite(v.lb) && std::isfinite(v.ub),
-                     "integer variable " + v.name + " must have finite bounds");
-    }
-  }
+  validate_values();
   auto check_terms = [&](const std::vector<LinTerm>& terms,
                          const std::string& where) {
     for (const LinTerm& t : terms) {
@@ -279,10 +283,22 @@ void Model::validate() const {
   };
   for (const ConstraintInfo& c : constraints_) {
     check_terms(c.terms, "constraint " + c.name);
+  }
+  check_terms(objective_.terms(), "objective");
+}
+
+void Model::validate_values() const {
+  for (const VarInfo& v : vars_) {
+    SPARCS_REQUIRE(v.lb <= v.ub, "variable " + v.name + " has empty bounds");
+    if (v.type != VarType::kContinuous) {
+      SPARCS_REQUIRE(std::isfinite(v.lb) && std::isfinite(v.ub),
+                     "integer variable " + v.name + " must have finite bounds");
+    }
+  }
+  for (const ConstraintInfo& c : constraints_) {
     SPARCS_REQUIRE(std::isfinite(c.rhs),
                    "constraint " + c.name + " has non-finite rhs");
   }
-  check_terms(objective_.terms(), "objective");
 }
 
 }  // namespace sparcs::milp

@@ -156,8 +156,24 @@ class Model {
   /// Throws InvalidArgumentError on malformed models (empty bounds boxes,
   /// terms referencing unknown variables, non-finite coefficients).
   void validate() const;
+  /// The part of validate() that set_bounds and set_rhs can break: bound
+  /// boxes and right-hand sides.
+  void validate_values() const;
+
+  /// Changes whenever the structure changes: add_var, add_constraint,
+  /// add_path_family, set_objective and set_branch_priority each draw a new
+  /// value, unique across all models. Bounds, hints and right-hand sides do
+  /// not count (CompiledModel::refresh re-reads those), so a compiled form
+  /// of this model stays valid while the revision holds.
+  [[nodiscard]] std::uint64_t structure_revision() const {
+    return structure_revision_;
+  }
 
  private:
+  /// A revision no model has had yet.
+  static std::uint64_t fresh_revision();
+
+  std::uint64_t structure_revision_ = fresh_revision();
   std::string name_;
   std::vector<VarInfo> vars_;
   std::vector<ConstraintInfo> constraints_;

@@ -64,7 +64,8 @@ Propagator::Propagator(const CompiledModel& model, double feasibility_tol,
     : model_(model),
       tol_(feasibility_tol),
       max_rounds_(max_rounds),
-      in_queue_(static_cast<std::size_t>(model.num_units()), false) {
+      cutoff_row_(model.cutoff_row()),
+      in_queue_(static_cast<std::size_t>(model.num_units()), 0) {
   std::size_t nodes = 0;
   for (int f = 0; f < model.num_families(); ++f) {
     nodes = std::max(nodes, at(model.family(f).num_nodes()));
@@ -84,8 +85,8 @@ void Propagator::enqueue_var(VarId v, bool lb_changed, bool ub_changed) {
 
 void Propagator::enqueue(const std::vector<std::int32_t>& units) {
   for (const std::int32_t unit : units) {
-    if (in_queue_[static_cast<std::size_t>(unit)]) continue;
-    in_queue_[static_cast<std::size_t>(unit)] = true;
+    if (in_queue_[at(unit)] != 0) continue;
+    in_queue_[at(unit)] = 1;
     queue_.push_back(unit);
   }
 }
@@ -93,8 +94,8 @@ void Propagator::enqueue(const std::vector<std::int32_t>& units) {
 void Propagator::enqueue_all() {
   for (int c = 0; c < model_.num_constraints(); ++c) {
     const std::int32_t unit = model_.unit_of_row(c);
-    if (!in_queue_[static_cast<std::size_t>(unit)]) {
-      in_queue_[static_cast<std::size_t>(unit)] = true;
+    if (in_queue_[at(unit)] == 0) {
+      in_queue_[at(unit)] = 1;
       queue_.push_back(unit);
     }
   }
@@ -104,8 +105,10 @@ bool Propagator::propagate(Domains& domains,
                            const std::vector<VarId>& seed_vars,
                            PropagationStats& stats, bool lb_moved,
                            bool ub_moved) {
+  // Every flag is clear but those of the units a conflict or the round
+  // budget left queued in the last call, which queue_ still holds.
+  for (const std::int32_t unit : queue_) in_queue_[at(unit)] = 0;
   queue_.clear();
-  std::fill(in_queue_.begin(), in_queue_.end(), false);
   if (seed_vars.empty()) {
     enqueue_all();
   } else {
@@ -118,16 +121,17 @@ bool Propagator::propagate(Domains& domains,
   const int num_rows = model_.num_constraints();
   std::int64_t processed = 0;
   std::size_t head = 0;
+  bool ok = true;
   while (head < queue_.size()) {
     const int unit = queue_[head++];
-    in_queue_[static_cast<std::size_t>(unit)] = false;
+    in_queue_[at(unit)] = 0;
     ++processed;
     if (!(unit < num_rows
               ? process_constraint(unit, domains, stats)
               : process_family(unit - num_rows, domains, stats))) {
-      stats.constraints_processed += processed;
       ++stats.conflicts;
-      return false;
+      ok = false;
+      break;
     }
     if (processed > budget) break;  // settle for the bounds found so far
     // Compact the consumed prefix occasionally to bound memory.
@@ -137,8 +141,11 @@ bool Propagator::propagate(Domains& domains,
       head = 0;
     }
   }
+  // Keep only the units still queued (and flagged) for the next call.
+  queue_.erase(queue_.begin(),
+               queue_.begin() + static_cast<std::ptrdiff_t>(head));
   stats.constraints_processed += processed;
-  return true;
+  return ok;
 }
 
 bool Propagator::process_constraint(int c, Domains& domains,
@@ -147,7 +154,8 @@ bool Propagator::process_constraint(int c, Domains& domains,
   const double* coefs = model_.coefs(cc);
   const VarId* vars = model_.vars(cc);
   const int len = model_.size(cc);
-  if (!std::isfinite(cc.rhs)) return true;  // inactive cutoff row
+  const double rhs = row_rhs(c);
+  if (!std::isfinite(rhs)) return true;  // inactive cutoff row
 
   // Row activity bounds with infinite-contribution counters, and the widest
   // term |a|*(ub - lb).
@@ -169,18 +177,22 @@ bool Propagator::process_constraint(int c, Domains& domains,
   const bool need_ge =
       cc.sense == Sense::kGreaterEqual || cc.sense == Sense::kEqual;
 
-  if ((need_le && min_infs == 0 && min_act > cc.rhs + tol_) ||
-      (need_ge && max_infs == 0 && max_act < cc.rhs - tol_)) {
+  if ((need_le && min_infs == 0 && min_act > rhs + tol_) ||
+      (need_ge && max_infs == 0 && max_act < rhs - tol_)) {
     if (log_ != nullptr) log_->conflict_row = c;
     return false;
   }
   // A term's new bound lies its side's slack (rhs - min_act, or
-  // max_act - rhs) beyond the bound it already has, so no term can move when
-  // even the widest one fits in that slack.
-  if ((!need_le || (min_infs == 0 && max_span <= cc.rhs - min_act)) &&
-      (!need_ge || (max_infs == 0 && max_span <= max_act - cc.rhs))) {
-    return true;
+  // max_act - rhs) beyond the bound it already has, so a term cannot move
+  // when its span contrib_max - contrib_min fits in the slack of every side
+  // the row has; a side with an infinite contribution fits none. No term
+  // moves when even the widest one fits.
+  double fits = kInfinity;
+  if (need_le) fits = min_infs == 0 ? rhs - min_act : -kInfinity;
+  if (need_ge) {
+    fits = std::min(fits, max_infs == 0 ? max_act - rhs : -kInfinity);
   }
+  if (max_span <= fits) return true;
 
   // Tighten each variable from the residual activity of the others.
   for (int k = 0; k < len; ++k) {
@@ -190,13 +202,14 @@ bool Propagator::process_constraint(int c, Domains& domains,
     const double hi = domains.ub(v);
     const double contrib_min = a > 0.0 ? a * lo : a * hi;
     const double contrib_max = a > 0.0 ? a * hi : a * lo;
+    if (contrib_max - contrib_min <= fits) continue;
     const bool self_min_inf = !std::isfinite(contrib_min);
     const bool self_max_inf = !std::isfinite(contrib_max);
 
     if (need_le && (min_infs == 0 || (min_infs == 1 && self_min_inf))) {
       // residual = min activity of the other terms
       const double residual = self_min_inf ? min_act : min_act - contrib_min;
-      const double slack = cc.rhs - residual;
+      const double slack = rhs - residual;
       // a*x <= slack
       double new_bound = slack / a;
       bool changed = false;
@@ -213,7 +226,7 @@ bool Propagator::process_constraint(int c, Domains& domains,
     }
     if (need_ge && (max_infs == 0 || (max_infs == 1 && self_max_inf))) {
       const double residual = self_max_inf ? max_act : max_act - contrib_max;
-      const double slack = cc.rhs - residual;
+      const double slack = rhs - residual;
       // a*x >= slack
       double new_bound = slack / a;
       bool changed = false;

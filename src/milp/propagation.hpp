@@ -16,12 +16,13 @@
 //
 // Propagation is lazy in two exact ways. A tightening queues only the units
 // that read the bound it moved (CompiledModel::lb_readers / ub_readers),
-// so every unit left unqueued would derive nothing. And a visit returns
-// before its per-term loop when even its widest term |a|*(ub - lb) fits in
-// the slack its activity leaves, so no term could move; a family skips each
-// node whose widest term fits in ub(target) minus the longest path through
-// it. Every derivation and conflict is the one the full rule gives (DESIGN
-// §10, "What propagation queues and skips").
+// so every unit left unqueued would derive nothing. And a visit skips each
+// term whose span |a|*(ub - lb) fits in the slack its activity leaves, since
+// that term could not move, returning before the per-term loop when even
+// the widest one fits; a family skips each node whose widest term fits in
+// ub(target) minus the longest path through it. Every derivation and
+// conflict is the one the full rule gives (DESIGN §10, "What propagation
+// queues and skips").
 #pragma once
 
 #include <cstdint>
@@ -99,6 +100,16 @@ class Propagator {
   /// The caller clears the log between propagate() calls.
   void set_log(DerivationLog* log) { log_ = log; }
 
+  /// Tightens the model's objective-cutoff row to `obj <= value` for this
+  /// propagator only (the compiled model keeps it inactive, at +inf, so the
+  /// workers of one solve can share it).
+  void set_cutoff(double value) { cutoff_rhs_ = value; }
+  /// Right-hand side of row c as this propagator reads it: the cutoff set
+  /// above for the cutoff row, the compiled one otherwise.
+  [[nodiscard]] double row_rhs(int c) const {
+    return c == cutoff_row_ ? cutoff_rhs_ : model_.constraint(c).rhs;
+  }
+
  private:
   bool process_constraint(int c, Domains& domains, PropagationStats& stats);
   bool process_family(int f, Domains& domains, PropagationStats& stats);
@@ -121,8 +132,12 @@ class Propagator {
   double tol_;
   int max_rounds_;
   DerivationLog* log_ = nullptr;
+  int cutoff_row_;                 ///< CompiledModel::cutoff_row()
+  double cutoff_rhs_ = kInfinity;  ///< see set_cutoff()
+  /// Units to visit. Between calls it holds only what a conflict or the
+  /// round budget left queued, whose in_queue_ flags the next call clears.
   std::vector<std::int32_t> queue_;
-  std::vector<bool> in_queue_;
+  std::vector<std::uint8_t> in_queue_;  ///< 1 while the unit is in queue_
 
   // Longest-path scratch, indexed by family node: node weight, widest term
   // a*(ub - lb), longest path into the node (excluding it) and its argmax

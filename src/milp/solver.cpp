@@ -74,6 +74,15 @@ void export_to_registry(const MilpSolution& solution) {
 Solver::Solver(const Model& model, SolverParams params)
     : model_(model), params_(std::move(params)) {}
 
+const CompiledModel& Solver::compile() {
+  if (compiled_ && compiled_->revision() == model_.structure_revision()) {
+    compiled_->refresh(model_);
+  } else {
+    compiled_.emplace(model_, /*with_objective_cutoff=*/model_.has_objective());
+  }
+  return *compiled_;
+}
+
 MilpSolution Solver::solve() {
   // Pins the solve's correlation id to this thread and, when the run is
   // sampled, publishes the solve as the run's live solve.
@@ -88,7 +97,9 @@ MilpSolution Solver::solve() {
     span.arg("corr", static_cast<std::int64_t>(live.id()));
   }
   const Stopwatch elapsed;
-  MilpSolution solution = solve_branch_and_bound(model_, params_, live.slot());
+  const CompiledModel& compiled = compile();
+  MilpSolution solution =
+      solve_branch_and_bound(model_, compiled, params_, live.slot());
   certify_verdict(model_, params_, solution);
   if (solution.certified == CertifyStatus::kUncertified && !params_.distrust) {
     // Distrust-and-retry: one re-solve under numerically cautious settings
@@ -106,7 +117,7 @@ MilpSolution Solver::solve() {
     retry_params.time_limit_sec -= elapsed.seconds();
     retry_params.node_limit -= solution.stats.nodes_explored;
     MilpSolution retried =
-        solve_branch_and_bound(model_, retry_params, live.slot());
+        solve_branch_and_bound(model_, compiled, retry_params, live.slot());
     solution.stats.merge(retried.stats);
     retried.stats = std::move(solution.stats);
     retried.stats.certify_retries += 1;

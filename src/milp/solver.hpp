@@ -4,14 +4,25 @@
 //
 // A Solver owns a reference to the model plus a mutable copy of the solve
 // parameters, so one session can be re-solved several times with tightened
-// limits between calls, and each solve() compiles the model as it is then.
-// Reduce_Latency keeps one session per partition bound N: between probes it
-// moves the latency window on the model (IlpFormulation::set_window), re-hints
-// it and installs the probe's parameters through params(). An in-flight
-// solve() is cancelled from another thread through the SolverParams::cancel
-// token.
+// limits between calls. Reduce_Latency keeps one session per partition bound
+// N: between probes it moves the latency window on the model
+// (IlpFormulation::set_window), re-hints it and installs the probe's
+// parameters through params(). An in-flight solve() is cancelled from
+// another thread through the SolverParams::cancel token.
+//
+// The session caches the model's compiled form (CSR rows, reader lists,
+// branch order), which every worker of a solve shares read-only. Before
+// each solve() it refreshes the cached bounds, right-hand sides and branch
+// hints from the model, in time linear in its variables and rows; it
+// recompiles when the model's structure revision moved, i.e. after an
+// add_var/add_binary/add_integer/add_continuous, add_constraint,
+// add_path_family, set_objective or set_branch_priority. Either way the
+// solve sees the model exactly as a fresh Solver would.
 #pragma once
 
+#include <optional>
+
+#include "milp/compiled.hpp"
 #include "milp/model.hpp"
 #include "milp/types.hpp"
 
@@ -28,7 +39,7 @@ class Solver {
  public:
   /// Binds the session to `model`, which must outlive the Solver and stay
   /// unmodified while any solve() is in flight; between solves it may
-  /// change (bounds, right-hand sides, hints).
+  /// change in any way.
   explicit Solver(const Model& model, SolverParams params = {});
 
   /// Runs the search with the current parameters. Reusable: later calls see
@@ -44,8 +55,12 @@ class Solver {
   [[nodiscard]] const Model& model() const { return model_; }
 
  private:
+  /// The compiled model, brought up to date with model_ (see above).
+  const CompiledModel& compile();
+
   const Model& model_;
   SolverParams params_;
+  std::optional<CompiledModel> compiled_;
 };
 
 /// Parameter preset for constraint-satisfaction queries (the paper's

@@ -64,7 +64,7 @@ enum class OptionRange { kAny, kNonNegative, kPositive, kPositiveOrNone };
 /// Calls f(flag, key, field, range) on each of the ten solve options of
 /// `request` (const or not), in serialization order: the one place that names
 /// them. certify, the one string, must name a certify mode; the optional
-/// device overrides are checked by the device.
+/// device overrides are checked by resolve_job.
 template <typename Request, typename F>
 void for_each_solve_option(Request& request, F&& f) {
   f("--rmax", "rmax", request.rmax, OptionRange::kAny);

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "core/bounds.hpp"
@@ -101,6 +102,25 @@ JobSpec resolve_job(const SubmitRequest& request, int default_threads,
     if (file.device) device = *file.device;
     spec.source = spec.graph.name().empty() ? "<inline>" : spec.graph.name();
   }
+  // The device overrides are ranged here, where a missing one is known to
+  // keep the file's or the default device's value.
+  const auto option = [spelling](const char* key) {
+    return (spelling == OptionSpelling::kFlag ? "--" : "options.") +
+           std::string(key);
+  };
+  const auto require_device = [&](const std::optional<double>& value,
+                                  const char* key, bool positive) {
+    if (!value || (std::isfinite(*value) &&
+                   (positive ? *value > 0.0 : *value >= 0.0))) {
+      return;
+    }
+    throw InvalidArgumentError(str_format(
+        "%s %g must be finite and %s", option(key).c_str(), *value,
+        positive ? "> 0" : "non-negative"));
+  };
+  require_device(request.rmax, "rmax", /*positive=*/true);
+  require_device(request.mmax, "mmax", /*positive=*/false);
+  require_device(request.ct, "ct", /*positive=*/false);
   spec.device = arch::custom("cli-device",
                              request.rmax.value_or(device.resource_capacity),
                              request.mmax.value_or(device.memory_capacity),
@@ -121,26 +141,33 @@ JobSpec resolve_job(const SubmitRequest& request, int default_threads,
   spec.deadline_sec = request.deadline_sec;
   // The partition counts are ints: reject a capacity that leaves no room.
   if (!core::area_partitions_fit(spec.graph, spec.device)) {
-    const std::string rmax =
-        spelling == OptionSpelling::kFlag ? "--rmax" : "options.rmax";
     throw InvalidArgumentError(str_format(
         "%s %g puts the partition count MaxAreaPartitions past int range",
-        rmax.c_str(), spec.device.resource_capacity));
+        option("rmax").c_str(), spec.device.resource_capacity));
   }
   // Every window's upper end is MaxLatency(N) at most, and the formulation
   // needs it finite: reject a device that overflows it before any solve.
   const int n = core::max_latency_partitions(spec.graph, spec.device, options);
   const double bound = core::max_latency(spec.graph, spec.device, n);
   if (!std::isfinite(bound)) {
-    const std::string ct =
-        spelling == OptionSpelling::kFlag ? "--ct" : "options.ct";
     const double serial = graph::total_task_weight(
         spec.graph, [&](graph::TaskId t) { return spec.graph.max_latency(t); });
     require_input(std::isfinite(serial),
                   "the graph's task latencies sum past the double range");
     throw InvalidArgumentError(str_format(
-        "%s %g overflows the latency bound MaxLatency(N=%d)", ct.c_str(),
-        spec.device.reconfig_time_ns, n));
+        "%s %g overflows the latency bound MaxLatency(N=%d)",
+        option("ct").c_str(), spec.device.reconfig_time_ns, n));
+  }
+  // A task's data to and from the host is one coefficient of the memory
+  // rows, which the formulation needs finite.
+  for (graph::TaskId t = 0; t < spec.graph.num_tasks(); ++t) {
+    const graph::Task& task = spec.graph.task(t);
+    if (!std::isfinite(task.env_in + task.env_out)) {
+      throw InvalidArgumentError(str_format(
+          "task '%s': env_in %g + env_out %g overflows its memory "
+          "coefficient",
+          task.name.c_str(), task.env_in, task.env_out));
+    }
   }
   return spec;
 }

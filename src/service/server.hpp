@@ -64,8 +64,10 @@ struct ServerOptions {
 /// 576, Mmax 4096, Ct 100 ns; the file's device over those; rmax/mmax/ct over
 /// both; named "cli-device", which a CLI checkpoint's fingerprint includes)
 /// and the partitioner options (`default_threads` for threads = 0). Throws
-/// Error; a latency bound MaxLatency(N) that overflows a double for some N
-/// of the sweep is an input error naming the ct option as `spelling` says.
+/// Error. Input errors name the option as `spelling` says: an rmax that is
+/// not finite and > 0, an mmax or ct that is not finite and >= 0, and a
+/// latency bound MaxLatency(N) that overflows a double for some N of the
+/// sweep (ct); a task whose env_in + env_out overflows is named by task.
 [[nodiscard]] JobSpec resolve_job(
     const SubmitRequest& request, int default_threads,
     int max_partitions = core::PartitionerOptions{}.max_partitions,

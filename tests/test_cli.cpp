@@ -357,6 +357,49 @@ TEST(CliTest, PartitionCountOverflowIsBadInput) {
   EXPECT_EQ(r.out.find("graph '"), std::string::npos) << r.out;
 }
 
+// A device parameter out of its range is refused as input naming the flag,
+// not as a failed precondition of the device.
+TEST(CliTest, DeviceParameterOutOfRangeIsBadInput) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--rmax", "0"}, {"--mmax", "-1"}, {"--ct", "-5"}};
+  for (const auto& [flag, value] : cases) {
+    const CliRun r = run_cli({"--workload", "ar", flag, value, "--quiet"});
+    EXPECT_EQ(r.exit_code, 4) << flag;
+    EXPECT_NE(r.err.find("error: " + std::string(flag) + " " + value +
+                         " must be finite and "),
+              std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
+  }
+}
+
+// A task whose data to and from the host sum past the double range would
+// give the memory rows an infinite coefficient: the file is refused as
+// input, naming the task, before any model is built.
+TEST(CliTest, MemoryCoefficientOverflowIsBadInput) {
+  const std::string path = ::testing::TempDir() + "/cli_env_overflow.tg";
+  {
+    std::ofstream file(path);
+    file << R"(graph envy
+device d 100 100 10
+task a 1.7e308 1.7e308
+point a fast 90 10
+task b 0 0
+point b only 60 10
+edge a b 1
+)";
+  }
+  const CliRun r = run_cli({path, "--quiet"});
+  EXPECT_EQ(r.exit_code, 4);
+  EXPECT_NE(r.err.find("error: task 'a': env_in 1.7e+308 + env_out 1.7e+308 "
+                       "overflows its memory coefficient"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
+  EXPECT_EQ(r.out.find("graph '"), std::string::npos) << r.out;
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, DeadlineBeyondTheClockRangeStillSucceeds) {
   // 1e300 s overflows the steady clock's nanoseconds; the deadline must
   // saturate rather than wrap into the past or overflow a time limit.

@@ -453,6 +453,50 @@ TEST(RefinePartitionsTest, ArTable1Trace) {
   }
 }
 
+// A Wildforce-like 40-task random DAG (Rmax 400, Ct 10 ms, delta 1000 ns)
+// at a 2000-node cap per probe, one thread: each searched probe's nodes,
+// conflicts, propagation visits and tightenings are pinned, so a change that
+// is meant to make the search cheaper shows here if it changes the search.
+TEST(RefinePartitionsTest, RandomGraphSearchCountsArePinned) {
+  workloads::RandomGraphOptions shape;
+  shape.num_tasks = 40;
+  shape.num_layers = 10;
+  shape.num_design_points = 3;
+  shape.seed = 1274;
+  const graph::TaskGraph g = workloads::random_task_graph(shape);
+  const arch::Device dev = arch::custom("synth", 400.0, 4096.0, 1e7);
+  PartitionerOptions options;
+  options.alpha = 0;
+  options.gamma = 1;
+  options.budget.delta = 1000.0;
+  options.budget.solver.num_threads = 1;
+  options.budget.solver.node_limit = 2000;
+  const PartitionerReport report = TemporalPartitioner(g, dev, options).run();
+  struct Row {
+    int n, iteration;
+    IterationOutcome outcome;
+    std::int64_t nodes, conflicts, visits, tightened;
+  };
+  constexpr IterationOutcome kLimit = IterationOutcome::kLimit;
+  const Row expected[] = {
+      {10, 1, IterationOutcome::kFeasible, 198, 0, 2'455, 1'318},
+      {10, 2, kLimit, 2'000, 1'857, 169'274, 199'062},
+      {10, 3, kLimit, 2'000, 1'813, 93'316, 49'454},
+  };
+  ASSERT_EQ(report.trace.size(), std::size(expected));
+  for (std::size_t i = 0; i < report.trace.size(); ++i) {
+    const IterationRecord& row = report.trace[i];
+    const Row& want = expected[i];
+    EXPECT_EQ(row.num_partitions, want.n) << "row " << i;
+    EXPECT_EQ(row.iteration, want.iteration) << "row " << i;
+    EXPECT_EQ(row.outcome, want.outcome) << "row " << i;
+    EXPECT_EQ(row.nodes, want.nodes) << "row " << i;
+    EXPECT_EQ(row.stats.conflicts, want.conflicts) << "row " << i;
+    EXPECT_EQ(row.stats.propagated_constraints, want.visits) << "row " << i;
+    EXPECT_EQ(row.stats.bounds_tightened, want.tightened) << "row " << i;
+  }
+}
+
 // Table 3 (DCT, Rmax 576, Ct 100 ns, delta 200 ns) at a 5000-node cap per
 // probe: each stage's first window is answered by the level fill of LB(N)'s
 // optimum, a warm start at LB(N) = 3170/3030/3030 ns for N = 5/6/7, and

@@ -620,6 +620,92 @@ TEST(FormulationTest, MovedWindowEqualsAFreshBuild) {
   }
 }
 
+/// Expects a reused session's solve `a` to give what a fresh Solver's solve
+/// `b` of the same model gives: the verdict, values and certification, and
+/// with `same_search` every SolverStats counter and incumbent event too.
+void expect_same_solve(const milp::MilpSolution& a,
+                       const milp::MilpSolution& b, bool same_search,
+                       const std::string& where) {
+  EXPECT_EQ(a.status, b.status) << where;
+  EXPECT_EQ(a.values, b.values) << where;
+  EXPECT_EQ(a.certified, b.certified) << where;
+  if (!same_search) return;
+  for (const milp::SolverStatsField& f : milp::kSolverStatsFields) {
+    EXPECT_EQ(a.stats.*f.member, b.stats.*f.member) << where << ' ' << f.name;
+  }
+  ASSERT_EQ(a.stats.convergence.size(), b.stats.convergence.size()) << where;
+  for (std::size_t i = 0; i < a.stats.convergence.size(); ++i) {
+    EXPECT_EQ(a.stats.convergence[i].objective,
+              b.stats.convergence[i].objective) << where;
+    EXPECT_EQ(a.stats.convergence[i].nodes, b.stats.convergence[i].nodes)
+        << where;
+  }
+}
+
+// A Solver session keeps its compiled model and refreshes it before each
+// solve. Moved through Table 1's N=4 windows with the stage's hints, as
+// Reduce_Latency moves it, each of its solves equals a fresh Solver's: the
+// same search at one thread, the same answer at four (51 variables, so four
+// workers run). Certified verdicts and the optimality search, whose cutoff
+// each worker keeps, match as well.
+TEST(FormulationTest, ReusedSessionSolvesAsAFreshSolver) {
+  const graph::TaskGraph g = workloads::ar_filter_task_graph();
+  const arch::Device dev = arch::custom("d", 200, 64, 50);
+  const int n = 4;
+  struct Step {
+    double d_max, d_min;
+    bool hint;  ///< hint the last design found (clear_hints otherwise)
+  };
+  const Step steps[] = {{1300, 1100, false}, {1200, 1100, true},
+                        {1110, 1100, true},  {1115, 1110, false},
+                        {2000, 1100, true},  {1200, 1000, false}};
+  for (const bool optimal : {false, true}) {
+    for (const int threads : {1, 4}) {
+      // Optimality ties break by rank only where timing allows, so four
+      // workers may return another optimum: one thread covers it.
+      if (optimal && threads == 4) continue;
+      for (const milp::CertifyMode certify :
+           {milp::CertifyMode::kOff, milp::CertifyMode::kFull}) {
+        IlpFormulation form(g, dev, n, max_latency(g, dev, n),
+                            min_latency(g, dev, n));
+        milp::SolverParams params;
+        params.num_threads = threads;
+        params.certify = certify;
+        if (optimal) {
+          form.set_latency_objective();
+          params = milp::optimality_params(params);
+          params.objective_improvement = 1.0;
+        } else {
+          params = milp::first_feasible_params(params);
+        }
+        ASSERT_EQ(form.model().num_vars(), 51);
+        milp::Solver session(form.model(), params);
+        std::optional<PartitionedDesign> found;
+        int step_no = 0;
+        for (const Step& step : steps) {
+          form.set_window(step.d_max, step.d_min);
+          if (step.hint && found) {
+            form.apply_hints(*found);
+          } else {
+            form.clear_hints();
+          }
+          const milp::MilpSolution reused = session.solve();
+          const milp::MilpSolution fresh =
+              milp::Solver(form.model(), params).solve();
+          expect_same_solve(reused, fresh, threads == 1,
+                            str_format("optimal %d threads %d certify %s "
+                                       "step %d",
+                                       optimal, threads,
+                                       milp::to_string(certify),
+                                       ++step_no));
+          if (reused.has_solution()) found = form.decode(reused.values);
+        }
+        EXPECT_TRUE(found.has_value());
+      }
+    }
+  }
+}
+
 TEST(FormulationTest, ArFilterModelStats) {
   const graph::TaskGraph g = workloads::ar_filter_task_graph();
   const arch::Device dev = arch::custom("d", 200, 64, 50);

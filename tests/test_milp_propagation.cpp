@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "milp/compiled.hpp"
 #include "milp/propagation.hpp"
 #include "support/error.hpp"
@@ -331,6 +334,24 @@ TEST(PropagationTest, TighteningSkipIsExactAtTheBoundary) {
                                 : std::vector<double>{1, 4, 0, 5}));
     }
   }
+  // Per term: 3x + y with x in [0, 4] and y in [0, 11] leaves a slack of 11.
+  // x's span of 12 is one step over it and takes the loop's bound; y's span
+  // equals it, and y keeps its bounds.
+  for (const Sense sense : {Sense::kLessEqual, Sense::kGreaterEqual}) {
+    const bool le = sense == Sense::kLessEqual;
+    Model m;
+    const VarId x = m.add_integer(0, 4, "x");
+    const VarId y = m.add_integer(0, 11, "y");
+    // <=: slack rhs - 0; >=: slack 23 - rhs.
+    m.add_constraint(3.0 * LinExpr(x) + LinExpr(y), sense, le ? 11.0 : 12.0,
+                     "r");
+    PropagationStats st;
+    const std::vector<double> b = propagate(m, st);
+    EXPECT_EQ(st.bounds_tightened, 1);
+    // x <= floor(11 / 3) = 3, or x >= ceil(1 / 3) = 1.
+    EXPECT_EQ(b, (le ? std::vector<double>{0, 3, 0, 11}
+                     : std::vector<double>{1, 4, 0, 11}));
+  }
   // Continuous terms: 2.5x + y <= rhs with x in [0, 4], y in [0, 1]. The
   // per-term loop moves ub(x) only when the slack is more than 2.5 * tol
   // below the span of 10.
@@ -360,6 +381,62 @@ TEST(PropagationTest, TighteningSkipIsExactAtTheBoundary) {
     EXPECT_EQ(st.bounds_tightened, cap == 7.0 ? 1 : 2);
     EXPECT_DOUBLE_EQ(domains.ub(dia.a), cap == 7.0 ? 1.0 : 0.0);
     EXPECT_DOUBLE_EQ(domains.ub(dia.d), 1.0);
+  }
+}
+
+// A call that ends on a conflict or on its round budget leaves units
+// queued. The next call must not see them: from the same domains it makes
+// the visits and reaches the bounds a fresh Propagator does.
+TEST(PropagationTest, CallAfterAnEarlyExitMatchesAFreshPropagator) {
+  // A chain x0 + 1 <= x1, ..., x9 + 1 <= x10 over [0, 100]: a full pass
+  // takes about 55 visits, so one round (10 units) stops well before the
+  // fixpoint.
+  Model m;
+  std::vector<VarId> x;
+  for (int i = 0; i <= 10; ++i) {
+    x.push_back(m.add_integer(0, 100, "x" + std::to_string(i)));
+  }
+  for (int i = 0; i < 10; ++i) {
+    m.add_constraint(LinExpr(x[i]) - LinExpr(x[i + 1]) <= -1.0,
+                     "c" + std::to_string(i));
+  }
+  const CompiledModel compiled(m);
+  const auto expect_next_call_matches_fresh = [&](Propagator& used,
+                                                  int rounds, Domains& domains,
+                                                  VarId v, double ub,
+                                                  const char* label) {
+    ASSERT_TRUE(domains.set_ub(v, ub)) << label;
+    Domains fresh_domains = domains;
+    Propagator fresh(compiled, 1e-7, rounds);
+    PropagationStats used_st, fresh_st;
+    const bool used_ok = used.propagate(domains, {v}, used_st);
+    EXPECT_EQ(used_ok, fresh.propagate(fresh_domains, {v}, fresh_st))
+        << label;
+    EXPECT_EQ(used_st.constraints_processed, fresh_st.constraints_processed)
+        << label;
+    EXPECT_EQ(used_st.bounds_tightened, fresh_st.bounds_tightened) << label;
+    for (const VarId u : x) {
+      EXPECT_EQ(domains.lb(u), fresh_domains.lb(u)) << label << " x" << u;
+      EXPECT_EQ(domains.ub(u), fresh_domains.ub(u)) << label << " x" << u;
+    }
+  };
+  {
+    Domains domains(compiled);
+    Propagator prop(compiled, 1e-7, /*max_rounds=*/1);
+    PropagationStats st;
+    ASSERT_TRUE(prop.propagate(domains, {}, st));
+    ASSERT_EQ(st.constraints_processed, 11);  // the budget, plus one
+    expect_next_call_matches_fresh(prop, 1, domains, x[10], 50.0, "budget");
+  }
+  {
+    Domains domains(compiled);
+    Propagator prop(compiled, 1e-7, 50);
+    const std::size_t mark = domains.checkpoint();
+    ASSERT_TRUE(domains.set_lb(x[0], 95.0));
+    PropagationStats st;
+    ASSERT_FALSE(prop.propagate(domains, {x[0]}, st));  // x10 >= 105
+    domains.rollback(mark);
+    expect_next_call_matches_fresh(prop, 50, domains, x[5], 60.0, "conflict");
   }
 }
 

@@ -91,6 +91,46 @@ TEST(MilpSessionTest, SolveThenResolveWithTightenedParams) {
   EXPECT_NEAR(third.objective, first.objective, 1e-9);
 }
 
+// A session compiles its model once and recompiles when the structure
+// changes: after a new row, variable, objective or branch priority the next
+// solve searches the grown model exactly as a fresh Solver does.
+TEST(MilpSessionTest, SessionRecompilesAModelThatGrew) {
+  Model m = knapsack_model();
+  const VarId a = 0, b = 1, c = 2;
+  SolverParams params = optimality_params();
+  params.num_threads = 1;
+  Solver session(m, params);
+  ASSERT_NEAR(session.solve().objective, 20.0, 1e-6);
+  const auto expect_fresh = [&](double objective, const char* label) {
+    const MilpSolution reused = session.solve();
+    const MilpSolution fresh = Solver(m, params).solve();
+    ASSERT_EQ(reused.status, SolveStatus::kOptimal) << label;
+    EXPECT_NEAR(reused.objective, objective, 1e-6) << label;
+    EXPECT_EQ(reused.values.size(), static_cast<std::size_t>(m.num_vars()))
+        << label;
+    EXPECT_EQ(reused.values, fresh.values) << label;
+    EXPECT_EQ(reused.stats.nodes_explored, fresh.stats.nodes_explored)
+        << label;
+    EXPECT_EQ(reused.stats.propagated_constraints,
+              fresh.stats.propagated_constraints)
+        << label;
+  };
+  // Without c, a or b fits alone: 13.
+  m.add_constraint(LinExpr(c) <= 0.0, "no_c");
+  expect_fresh(13.0, "row");
+  const VarId d = m.add_binary("d");
+  expect_fresh(13.0, "variable");
+  // d is worth 9 at weight 2: b and d fill the knapsack, 22.
+  m.add_constraint(3.0 * LinExpr(a) + 4.0 * LinExpr(b) + 2.0 * LinExpr(d) <=
+                       6.0, "cap_d");
+  m.set_objective(10.0 * LinExpr(a) + 13.0 * LinExpr(b) + 7.0 * LinExpr(c) +
+                      9.0 * LinExpr(d),
+                  /*minimize=*/false);
+  expect_fresh(22.0, "objective");
+  m.set_branch_priority(d, 5);
+  expect_fresh(22.0, "priority");
+}
+
 TEST(MilpSessionTest, PreCancelledSolveReturnsLimitReached) {
   const Model m = knapsack_model();
   SolverParams params = optimality_params();

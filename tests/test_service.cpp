@@ -731,6 +731,47 @@ TEST_F(ServiceTest, PartitionCountOverflowIsRejectedAtSubmitTime) {
   EXPECT_TRUE(jobs->array().empty());
 }
 
+// A device override out of its range and a task whose memory coefficient
+// overflows are bad_requests at submit time, not jobs that are accepted and
+// then fail.
+TEST_F(ServiceTest, DeviceAndMemoryOverflowAreRejectedAtSubmitTime) {
+  start(/*workers=*/0);
+  Client client(socket_path());
+  struct Case {
+    Request request;
+    const char* message;
+  };
+  Case cases[] = {{submit_workload("ar"),
+                   "options.rmax 0 must be finite and > 0"},
+                  {submit_workload("ar"),
+                   "options.mmax -1 must be finite and non-negative"},
+                  {submit_workload("ar"),
+                   "options.ct -5 must be finite and non-negative"},
+                  {submit_workload("ar"),
+                   "task 'a': env_in 1.7e+308 + env_out 1.7e+308 overflows "
+                   "its memory coefficient"}};
+  cases[0].request.submit.rmax = 0.0;
+  cases[1].request.submit.mmax = -1.0;
+  cases[2].request.submit.ct = -5.0;
+  cases[3].request.submit.workload.clear();
+  cases[3].request.submit.graph_text =
+      "graph envy\ntask a 1.7e308 1.7e308\npoint a fast 90 10\n";
+  for (const Case& c : cases) {
+    const json::Value response = parse_ok(client.call(c.request));
+    EXPECT_FALSE(response.member_bool("ok")) << c.message;
+    EXPECT_EQ(error_code(response), "bad_request") << c.message;
+    const json::Value* error = response.find("error");
+    ASSERT_NE(error, nullptr) << c.message;
+    EXPECT_EQ(error->member_string("message"), c.message);
+  }
+  Request list;
+  list.op = "list";
+  const json::Value listed = parse_ok(client.call(list));
+  const json::Value* jobs = listed.find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_TRUE(jobs->array().empty());
+}
+
 TEST_F(ServiceTest, ShutdownCancelsQueuedJobsAndExitsCleanly) {
   // workers=0: every job is still queued when shutdown arrives.
   start(/*workers=*/0);
@@ -901,23 +942,22 @@ TEST_F(ServiceTest, JobResponsesKeepTheirBytes) {
   }
   stop();
 
-  // The AR filter of Table 1 converges; the second graph's environment data
-  // sum past the double range in its memory row, and the formulation
+  // The AR filter of Table 1 converges; the second job starts at N=2 on a
+  // device whose area cut N * Rmax overflows a double, and the formulation
   // refuses the model, so that job fails.
   start(/*workers=*/1);
   Client client(socket_path());
   std::string jobs[2];
   for (int i = 0; i < 2; ++i) {
     Request submit = submit_workload("ar");
-    if (i == 1) {
-      submit.submit.workload.clear();
-      submit.submit.graph_text =
-          "graph envy\ntask a 1.7e308 1.7e308\npoint a fast 90 10\n";
-    }
     submit.submit.rmax = 200.0;
     submit.submit.mmax = 64.0;
     submit.submit.ct = 50.0;
     submit.submit.delta = 20.0;
+    if (i == 1) {
+      submit.submit.rmax = 1e308;
+      submit.submit.alpha = 1;
+    }
     jobs[i] = parse_ok(client.call(submit)).member_string("job");
     Request wait;
     wait.op = "result";
@@ -928,8 +968,7 @@ TEST_F(ServiceTest, JobResponsesKeepTheirBytes) {
   const json::Value failed = parse_ok(call(client, "status", jobs[1]));
   const json::Value* message = failed.find("error_message");
   ASSERT_NE(message, nullptr);
-  EXPECT_NE(message->as_string().find("non-finite coefficient"),
-            std::string::npos);
+  EXPECT_NE(message->as_string().find("non-finite rhs"), std::string::npos);
 
   // The done job's result ends in its report, byte for byte the landed one.
   std::string done_result = call(client, "result", jobs[0]);
@@ -950,11 +989,11 @@ TEST_F(ServiceTest, JobResponsesKeepTheirBytes) {
   EXPECT_EQ(masked(done_result, dir_),
             R"({"ok": true,"op": "result","job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"})");
   EXPECT_EQ(masked(call(client, "status", jobs[1]), dir_),
-            R"({"ok": true,"op": "status","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "envy","est_memory_mb": 16.032768,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
+            R"({"ok": true,"op": "status","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
   EXPECT_EQ(masked(call(client, "result", jobs[1]), dir_),
-            R"({"ok": true,"op": "result","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "envy","est_memory_mb": 16.032768,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
+            R"({"ok": true,"op": "result","job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"})");
   EXPECT_EQ(masked(call(client, "list", ""), dir_),
-            R"({"ok": true,"op": "list","queue_depth": 0,"running": 0,"est_memory_in_use_mb": 0,"max_queue_depth": 16,"max_est_memory_mb": 4096,"jobs": [{"job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"},{"job": "job-2","state": "failed","priority": 0,"detached": false,"source": "envy","est_memory_mb": 16.032768,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"}]})");
+            R"({"ok": true,"op": "list","queue_depth": 0,"running": 0,"est_memory_in_use_mb": 0,"max_queue_depth": 16,"max_est_memory_mb": 4096,"jobs": [{"job": "job-1","state": "done","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 0,"feasible": true,"degraded": false,"uncertified": false,"latency_ns": 1120,"num_partitions": 4,"ilp_solves": 10,"report_path": "DIR/artifacts/job-1.report.json"},{"job": "job-2","state": "failed","priority": 0,"detached": false,"source": "ar","est_memory_mb": 17.223048,"corr": X,"queued_sec": X,"run_sec": X,"exit_code": 4,"feasible": false,"degraded": false,"uncertified": false,"ilp_solves": 0,"error_message": "X"}]})");
 }
 
 }  // namespace

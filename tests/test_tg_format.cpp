@@ -102,6 +102,7 @@ TEST(TgFormatTest, RejectsCorruptNumericFields) {
       {"negative latency", "task a\npoint a m 10 -1\n", "line 2"},
       {"negative env", "task a -3\n", "line 1"},
       {"negative device param", "device d 200 -64 50\ntask a\n", "line 1"},
+      {"zero device Rmax", "device d 0 64 50\ntask a\n", "line 1"},
       {"negative edge units",
        "task a\npoint a m 1 1\ntask b\npoint b m 1 1\nedge a b -2\n",
        "line 5"},
